@@ -66,31 +66,34 @@ func run() error {
 	type entry struct {
 		name string
 		pair eba.Pair
+		dec  *eba.DecisionTable
 	}
 	var pairs []entry
 	if mode == eba.Crash {
 		pairs = append(pairs,
-			entry{"P0", eba.P0Pair(*t)},
-			entry{"P1", eba.P1Pair(*t)},
-			entry{"P0opt", eba.P0OptPair()},
+			entry{name: "P0", pair: eba.P0Pair(*t)},
+			entry{name: "P1", pair: eba.P1Pair(*t)},
+			entry{name: "P0opt", pair: eba.P0OptPair()},
 		)
 	} else {
 		chain := eba.Chain0SemanticPair(e)
 		pairs = append(pairs,
-			entry{"Chain0", chain},
-			entry{"F*", eba.PrimeStep(e, chain, "F*")},
+			entry{name: "Chain0", pair: chain},
+			entry{name: "F*", pair: eba.PrimeStep(e, chain, "F*")},
 		)
 	}
-	opt := eba.TwoStep(e, eba.NeverDecide())
-	pairs = append(pairs, entry{"TwoStep(FΛ)", opt})
+	pairs = append(pairs, entry{name: "TwoStep(FΛ)", pair: eba.TwoStep(e, eba.NeverDecide())})
+	for i := range pairs {
+		pairs[i].dec = eba.Decisions(sys, pairs[i].pair)
+	}
 
 	fmt.Printf("%-14s %-10s %-10s %-10s %-12s %s\n", "protocol", "decision", "agreement", "validity", "optimal", "worst case")
 	for _, p := range pairs {
-		dec := verdict(eba.CheckDecision(sys, p.pair))
-		agr := verdict(eba.CheckWeakAgreement(sys, p.pair))
-		val := verdict(eba.CheckWeakValidity(sys, p.pair))
+		dec := verdict(p.dec.CheckDecision())
+		agr := verdict(p.dec.CheckWeakAgreement())
+		val := verdict(p.dec.CheckWeakValidity())
 		optOK, _ := eba.IsOptimal(e, p.pair)
-		max, all := eba.MaxNonfaultyDecisionRound(sys, p.pair)
+		max, all := p.dec.MaxNonfaultyDecisionRound()
 		worst := fmt.Sprintf("%d", max)
 		if !all {
 			worst = "undecided"
@@ -110,9 +113,9 @@ func run() error {
 			cell := "-"
 			if p.name != q.name {
 				switch {
-				case eba.StrictlyDominates(sys, p.pair, q.pair):
+				case p.dec.StrictlyDominates(q.dec):
 					cell = "strict"
-				case eba.Dominates(sys, p.pair, q.pair):
+				case p.dec.Dominates(q.dec):
 					cell = "yes"
 				default:
 					cell = "no"

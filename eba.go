@@ -717,6 +717,14 @@ func RunClusterLoad(ctx context.Context, targets []string, reqs []QueryRequest, 
 
 // Checkers.
 
+// DecisionTable is one pair's first decision per run and processor;
+// its methods are the checkers below, for callers that ask several
+// questions about one pair.
+type DecisionTable = core.DecisionTable
+
+// Decisions tabulates the pair's decisions over the system.
+func Decisions(sys *System, p Pair) *DecisionTable { return core.Decisions(sys, p) }
+
 // CheckEBA verifies decision, agreement, and validity on every run.
 func CheckEBA(sys *System, p Pair) error { return core.CheckEBA(sys, p) }
 

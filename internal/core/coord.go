@@ -84,35 +84,26 @@ func TwoStepSpec(e *knowledge.Evaluator, spec Spec, p fip.Pair) fip.Pair {
 
 // CheckEnabling verifies the generalized weak validity: a nonfaulty
 // processor decides v only in runs where Φ_v holds.
-func CheckEnabling(e *knowledge.Evaluator, spec Spec, p fip.Pair) error {
+func CheckEnabling(e *knowledge.Evaluator, spec Spec, p fip.Pair) (err error) {
 	sys := e.System()
-	phi0 := e.Eval(spec.Phi0)
-	phi1 := e.Eval(spec.Phi1)
-	for _, run := range sys.Runs {
-		idx := sys.PointIndex(system.Point{Run: run.Index, Time: 0})
-		for _, proc := range run.Nonfaulty().Members() {
-			v, at, ok := fip.DecisionAt(sys, p, run, proc)
-			if !ok {
-				continue
-			}
-			enabled := phi1.Get(idx)
-			if v == types.Zero {
-				enabled = phi0.Get(idx)
-			}
-			if !enabled {
-				return fmt.Errorf("core: %s violates enabling for spec %s: processor %d decides %s at %d in run %d (cfg %s, %s)",
-					p.Name, spec.Name, proc, v, at, run.Index, run.Config, run.Pattern)
-			}
+	phi := [2]*knowledge.Bits{e.Eval(spec.Phi0), e.Eval(spec.Phi1)}
+	Decisions(sys, p).forNonfaulty(func(run *system.Run, proc types.ProcID, v types.Value, at types.Round, ok bool) bool {
+		if ok && !phi[v].Get(sys.PointIndex(system.Point{Run: run.Index, Time: 0})) {
+			err = fmt.Errorf("core: %s violates enabling for spec %s: processor %d decides %s at %d in run %d (cfg %s, %s)",
+				p.Name, spec.Name, proc, v, at, run.Index, run.Config, run.Pattern)
 		}
-	}
-	return nil
+		return err == nil
+	})
+	return err
 }
 
 // IsOptimalSpec is the Theorem 5.3 characterization for the spec.
 func IsOptimalSpec(e *knowledge.Evaluator, spec Spec, p fip.Pair) (bool, string) {
 	nf := knowledge.Nonfaulty()
-	nAndO := NAnd(p.O)
-	nAndZ := NAnd(p.Z)
+	// One node each, shared by every processor's condition, so the
+	// evaluator's memo computes each C□ table once.
+	cboxO := knowledge.CBox(NAnd(p.O), spec.Phi0)
+	cboxZ := knowledge.CBox(NAnd(p.Z), spec.Phi1)
 	sys := e.System()
 	for i := 0; i < sys.Params.N; i++ {
 		proc := types.ProcID(i)
@@ -120,13 +111,13 @@ func IsOptimalSpec(e *knowledge.Evaluator, spec Spec, p fip.Pair) (bool, string)
 		d1 := DecideAtom(p, proc, types.One)
 		condA := knowledge.Implies(knowledge.IsNonfaulty(proc),
 			knowledge.Iff(d0, knowledge.B(proc, nf, knowledge.And(
-				spec.Phi0, knowledge.CBox(nAndO, spec.Phi0), knowledge.Not(d1)))))
+				spec.Phi0, cboxO, knowledge.Not(d1)))))
 		if pt, bad := e.FailingPoint(condA); bad {
 			return false, describeFailure(sys, p.Name, "0-condition", proc, pt)
 		}
 		condB := knowledge.Implies(knowledge.IsNonfaulty(proc),
 			knowledge.Iff(d1, knowledge.B(proc, nf, knowledge.And(
-				spec.Phi1, knowledge.CBox(nAndZ, spec.Phi1), knowledge.Not(d0)))))
+				spec.Phi1, cboxZ, knowledge.Not(d0)))))
 		if pt, bad := e.FailingPoint(condB); bad {
 			return false, describeFailure(sys, p.Name, "1-condition", proc, pt)
 		}

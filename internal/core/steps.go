@@ -41,34 +41,41 @@ func DecideAtom(p fip.Pair, i types.ProcID, v types.Value) knowledge.Formula {
 }
 
 // PairFromFormulas materializes a decision pair from per-processor
-// formulas: processor i's state enters 𝒵 (resp. 𝒪) exactly at points
-// where zf(i) (resp. of(i)) holds. The formulas must be local — their
-// truth may depend only on i's view — which holds for every B^N_i
-// formula; this is checked by construction (truth is computed per
-// view class).
+// formulas: a view of processor i is in 𝒵 (resp. 𝒪) iff zf(i) (resp.
+// of(i)) holds at some point where i holds that view. The formulas are
+// meant to be local — true at all points of a view class or at none —
+// as every B^N_i formula is; for a formula that is not, "at some
+// point" is the rule (TestPairFromFormulasNonLocal pins it). Each
+// truth table is read once per view class through the system's
+// view index.
 func PairFromFormulas(e *knowledge.Evaluator, name string, zf, of func(i types.ProcID) knowledge.Formula) fip.Pair {
 	sys := e.System()
-	zTbl := make(map[views.ID]bool)
-	oTbl := make(map[views.ID]bool)
-	for i := 0; i < sys.Params.N; i++ {
-		proc := types.ProcID(i)
-		zBits := e.Eval(zf(proc))
-		oBits := e.Eval(of(proc))
-		sys.ForEachPoint(func(pt system.Point) {
-			idx := sys.PointIndex(pt)
-			id := sys.ViewAt(pt, proc)
-			if zBits.Get(idx) {
-				zTbl[id] = true
+	n := sys.Params.N
+	zBits, oBits := make([]*knowledge.Bits, n), make([]*knowledge.Bits, n)
+	for i := 0; i < n; i++ {
+		zBits[i] = e.Eval(zf(types.ProcID(i)))
+		oBits[i] = e.Eval(of(types.ProcID(i)))
+	}
+	somewhere := func(tbl *knowledge.Bits, class []int32) bool {
+		for _, idx := range class {
+			if tbl.Get(int(idx)) {
+				return true
 			}
-			if oBits.Get(idx) {
-				oTbl[id] = true
-			}
-		})
+		}
+		return false
+	}
+	in := sys.Interner
+	z, o := make([]bool, in.Size()), make([]bool, in.Size())
+	for id := range z {
+		class := sys.PointIdxWithView(views.ID(id))
+		owner := in.Proc(views.ID(id))
+		z[id] = somewhere(zBits[owner], class)
+		o[id] = somewhere(oBits[owner], class)
 	}
 	return fip.Pair{
 		Name: name,
-		Z:    fip.FromTable(name+".Z", sys.Interner, zTbl),
-		O:    fip.FromTable(name+".O", sys.Interner, oTbl),
+		Z:    fip.FromTable(name+".Z", in, z),
+		O:    fip.FromTable(name+".O", in, o),
 	}
 }
 
@@ -82,15 +89,7 @@ func PairFromFormulas(e *knowledge.Evaluator, name string, zf, of func(i types.P
 // deciding 1. The result is a nontrivial agreement protocol
 // dominating FIP(𝒵, 𝒪).
 func PrimeStep(e *knowledge.Evaluator, p fip.Pair, name string) fip.Pair {
-	nf := knowledge.Nonfaulty()
-	nAndO := NAnd(p.O)
-	cbox := knowledge.CBox(nAndO, knowledge.Exists0())
-	zInner := knowledge.And(knowledge.Exists0(), cbox)
-	oInner := knowledge.And(knowledge.Exists1(), knowledge.Not(cbox))
-	return PairFromFormulas(e, name,
-		func(i types.ProcID) knowledge.Formula { return knowledge.B(i, nf, zInner) },
-		func(i types.ProcID) knowledge.Formula { return knowledge.B(i, nf, oInner) },
-	)
+	return PrimeStepSpec(e, EBASpec(), p, name)
 }
 
 // DoublePrimeStep is the second construction of Proposition 5.1:
@@ -102,15 +101,7 @@ func PrimeStep(e *knowledge.Evaluator, p fip.Pair, name string) fip.Pair {
 // — the earliest-possible decision on 1 given the pair's rule for
 // deciding 0.
 func DoublePrimeStep(e *knowledge.Evaluator, p fip.Pair, name string) fip.Pair {
-	nf := knowledge.Nonfaulty()
-	nAndZ := NAnd(p.Z)
-	cbox := knowledge.CBox(nAndZ, knowledge.Exists1())
-	zInner := knowledge.And(knowledge.Exists0(), knowledge.Not(cbox))
-	oInner := knowledge.And(knowledge.Exists1(), cbox)
-	return PairFromFormulas(e, name,
-		func(i types.ProcID) knowledge.Formula { return knowledge.B(i, nf, zInner) },
-		func(i types.ProcID) knowledge.Formula { return knowledge.B(i, nf, oInner) },
-	)
+	return DoublePrimeStepSpec(e, EBASpec(), p, name)
 }
 
 // TwoStep is the construction of Theorem 5.2: F² = (F¹)″ where

@@ -52,18 +52,33 @@ func Empty(name string) DecisionSet {
 	return FromPred(name, func(*views.Interner, views.ID) bool { return false })
 }
 
-// tableSet is an extensional decision set over one system's views.
+// tableSet is an extensional decision set over one system's views: a
+// dense membership table indexed by view ID.
 type tableSet struct {
-	name string
-	in   *views.Interner
-	ids  map[views.ID]bool
+	name   string
+	in     *views.Interner
+	member []bool
+	size   int
 }
 
-// FromTable builds a decision set from an explicit view table. The
-// set is bound to the interner the IDs came from; Contains panics if
-// queried against a different interner.
-func FromTable(name string, in *views.Interner, ids map[views.ID]bool) DecisionSet {
-	return &tableSet{name: name, in: in, ids: ids}
+// FromTable builds a decision set from an explicit membership table
+// indexed by view ID: view id is in the set iff id < len(member) and
+// member[id]. IDs the table does not cover — NoView, or views interned
+// after the table was made — are not in the set. The set is bound to
+// the interner the IDs came from; Contains panics if queried against a
+// different interner. FromTable keeps member without copying it; the
+// caller must not modify it afterwards.
+func FromTable(name string, in *views.Interner, member []bool) DecisionSet {
+	if len(member) > in.Size() {
+		panic(fmt.Sprintf("fip: table set %q covers %d views, the interner holds %d", name, len(member), in.Size()))
+	}
+	size := 0
+	for _, m := range member {
+		if m {
+			size++
+		}
+	}
+	return &tableSet{name: name, in: in, member: member, size: size}
 }
 
 func (s *tableSet) Name() string { return s.name }
@@ -72,14 +87,14 @@ func (s *tableSet) Contains(in *views.Interner, id views.ID) bool {
 	if in != s.in {
 		panic(fmt.Sprintf("fip: table set %q queried against a foreign interner", s.name))
 	}
-	return s.ids[id]
+	return id >= 0 && int(id) < len(s.member) && s.member[id]
 }
 
 // Size returns the number of views in a table-backed set, and -1 for
 // rule-backed sets.
 func Size(s DecisionSet) int {
 	if t, ok := s.(*tableSet); ok {
-		return len(t.ids)
+		return t.size
 	}
 	return -1
 }

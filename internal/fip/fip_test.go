@@ -47,7 +47,9 @@ func TestDecisionSets(t *testing.T) {
 		t.Fatal("Size of rule set should be -1")
 	}
 
-	tbl := FromTable("tbl", in, map[views.ID]bool{leaf0: true})
+	member := make([]bool, in.Size())
+	member[leaf0] = true
+	tbl := FromTable("tbl", in, member)
 	if !tbl.Contains(in, leaf0) || tbl.Contains(in, leaf1) {
 		t.Fatal("table set wrong")
 	}
@@ -60,6 +62,42 @@ func TestDecisionSets(t *testing.T) {
 		}
 	}()
 	tbl.Contains(views.NewInterner(3), leaf0)
+}
+
+// TestTableSetEdges pins the dense table's behaviour off its ends:
+// NoView and views interned after the table was made are not members
+// (where the map it replaced answered false for an absent key), Size
+// counts members rather than table slots, and a table longer than the
+// interner — IDs that cannot have come from it — is refused.
+func TestTableSetEdges(t *testing.T) {
+	in := views.NewInterner(3)
+	leaf0 := in.Leaf(0, types.Zero)
+	leaf1 := in.Leaf(1, types.One)
+	member := make([]bool, in.Size())
+	member[leaf0], member[leaf1] = true, true
+	tbl := FromTable("tbl", in, member)
+	late := in.Leaf(2, types.One)
+	for _, id := range []views.ID{views.NoView, late, views.ID(in.Size()), views.ID(1 << 20)} {
+		if tbl.Contains(in, id) {
+			t.Errorf("view %d is outside the table but reported a member", id)
+		}
+	}
+	if got := Size(tbl); got != 2 {
+		t.Errorf("Size = %d, want 2", got)
+	}
+	if got := Size(FromTable("none", in, make([]bool, in.Size()))); got != 0 {
+		t.Errorf("Size of an all-false table = %d, want 0", got)
+	}
+	if got := Size(FromTable("nil", in, nil)); got != 0 || FromTable("nil", in, nil).Contains(in, leaf0) {
+		t.Errorf("nil table: Size %d, or it has members", got)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a table longer than its interner was accepted")
+		}
+	}()
+	FromTable("long", in, make([]bool, in.Size()+1))
 }
 
 func TestPairDecidePriority(t *testing.T) {

@@ -31,6 +31,27 @@ func (b *Bits) Set(i int, v bool) {
 	}
 }
 
+// SetRange sets bits [lo, hi) to true, a word at a time: how a fact
+// that is constant along a run is written into all horizon+1 points of
+// the run at once.
+func (b *Bits) SetRange(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	first, last := lo>>6, (hi-1)>>6
+	head := ^uint64(0) << uint(lo&63)
+	tail := ^uint64(0) >> uint(63-(hi-1)&63)
+	if first == last {
+		b.w[first] |= head & tail
+		return
+	}
+	b.w[first] |= head
+	for i := first + 1; i < last; i++ {
+		b.w[i] = ^uint64(0)
+	}
+	b.w[last] |= tail
+}
+
 // Fill sets every bit to v.
 func (b *Bits) Fill(v bool) {
 	var word uint64

@@ -2,6 +2,7 @@ package knowledge
 
 import (
 	"context"
+	"math/bits"
 	"strconv"
 	"sync"
 
@@ -44,7 +45,7 @@ func opName(f Formula) string {
 	switch f.(type) {
 	case *constF:
 		return "const"
-	case *atomF:
+	case *atomF, *runAtomF, *viewAtomF, *nonfaultyF:
 		return "atom"
 	case *notF:
 		return "not"
@@ -79,16 +80,21 @@ func opName(f Formula) string {
 	}
 }
 
-// observeComponentSizes records the size distribution of a union-find's
-// components into h. Only called when telemetry is enabled: it costs a
-// pass over the structure.
-func observeComponentSizes(uf *unionFind, h *telemetry.Histogram) {
-	sizes := make(map[int32]int)
-	for i := range uf.parent {
-		sizes[uf.find(int32(i))]++
+// observeComponentSizes records the size distribution of a flattened
+// union-find's components into h: one counting pass over the root
+// table (roots are element indices, so the counts are dense), a second
+// over the sizes, and one observation per distinct size.
+func observeComponentSizes(roots []int32, h *telemetry.Histogram) {
+	sizes := make([]int32, len(roots))
+	for _, r := range roots {
+		sizes[r]++
 	}
+	components := make([]int32, len(roots)+1) // by size
 	for _, sz := range sizes {
-		h.Observe(float64(sz))
+		components[sz]++
+	}
+	for sz, n := range components[1:] {
+		h.ObserveN(float64(sz+1), uint64(n))
 	}
 }
 
@@ -117,8 +123,7 @@ type Evaluator struct {
 	spanCtx  context.Context
 
 	// frontiers caches, per nonrigid set, every S-derived reachability
-	// structure (membership tables and masks, occupied classes, point
-	// and run components). Keyed by NonrigidSet identity — two sets
+	// structure (membership masks, point and run components). Keyed by NonrigidSet identity — two sets
 	// that happen to denote the same membership still get separate
 	// frontiers, so a cached frontier can never leak across sets.
 	frontiers map[NonrigidSet]*frontier
@@ -130,15 +135,14 @@ type Evaluator struct {
 
 // frontier is every S-reachability structure the evaluator derives
 // from one nonrigid set, precomputed once and reused across formulas:
-// the S(pt) membership table, per-processor membership masks (bit idx
-// set in masks[i] iff i ∈ S at point idx — the word-level form the
-// batched E_S/E◇_S kernels consume), the S-occupied view classes, and
-// the lazily built point/run reachability components with their
-// flattened root tables.
+// per-processor membership masks (bit idx set in masks[i] iff i ∈ S at
+// point idx — the word-level form the batched E_S/E◇_S kernels
+// consume), their union (bit idx set iff S is nonempty at idx), and the
+// lazily built point/run reachability components with their flattened
+// root tables.
 type frontier struct {
-	smem    []types.ProcSet
-	masks   []*Bits
-	classes []views.ID
+	masks    []*Bits
+	occupied *Bits
 
 	pointComp  *unionFind
 	pointRoots []int32
@@ -149,8 +153,9 @@ type frontier struct {
 // procClasses is the view-class partition of the point space for one
 // processor: classOf[idx] numbers the class of the processor's view at
 // point idx, and classes lists the class representatives in
-// first-encounter order. Truth of K_i f is constant per class, so
-// evalK conjoins per class and fills per point through classOf.
+// first-encounter order. Whatever depends only on the processor's view
+// (K_i f, B^S_i f, a ViewAtom, membership in a FromViews set) is
+// decided once per class and expanded to points through classOf.
 type procClasses struct {
 	classOf []int32
 	classes []views.ID
@@ -227,11 +232,8 @@ func (e *Evaluator) Valid(f Formula) bool { return e.Eval(f).All() }
 
 // FailingPoint returns a point where f fails, if any.
 func (e *Evaluator) FailingPoint(f Formula) (system.Point, bool) {
-	tbl := e.Eval(f)
-	for i := 0; i < tbl.Len(); i++ {
-		if !tbl.Get(i) {
-			return e.sys.PointAt(i), true
-		}
+	if i := e.Eval(f).FirstZero(); i >= 0 {
+		return e.sys.PointAt(i), true
 	}
 	return system.Point{}, false
 }
@@ -274,6 +276,22 @@ func (e *Evaluator) Eval(f Formula) *Bits {
 				}
 			}
 		})
+	case *runAtomF:
+		tbl = NewBits(e.sys.NumPoints())
+		e.fillRuns(func(run *system.Run, base, end int) {
+			if g.pred(run) {
+				tbl.SetRange(base, end)
+			}
+		})
+	case *nonfaultyF:
+		if masks := e.frontierFor(theNonfaulty).masks; int(g.p) >= 0 && int(g.p) < len(masks) {
+			tbl = masks[g.p]
+		} else {
+			tbl = NewBits(e.sys.NumPoints())
+		}
+	case *viewAtomF:
+		pc := e.procClassesFor(g.p)
+		tbl = e.expandClasses(pc, e.classVals(pc, g.pred))
 	case *notF:
 		tbl = e.Eval(g.f).Clone()
 		tbl.NotSelf()
@@ -318,52 +336,91 @@ func (e *Evaluator) Eval(f Formula) *Bits {
 }
 
 // frontierFor returns (building on first use) the cached frontier for
-// the set: S(pt) membership, per-processor membership masks, and the
-// S-occupied view classes. The reachability components hang off the
-// frontier lazily (pointComponents / runComponents). The cache key is
-// the NonrigidSet itself, so distinct sets — even ones denoting the
-// same membership — never share a frontier.
+// the set: per-processor membership masks and their union. The
+// reachability components hang off the frontier lazily (pointComponents
+// / runComponents). The cache key is the NonrigidSet itself, so
+// distinct sets — even ones denoting the same membership — never share
+// a frontier.
 func (e *Evaluator) frontierFor(s NonrigidSet) *frontier {
 	if fr, ok := e.frontiers[s]; ok {
 		return fr
 	}
-	np := e.sys.NumPoints()
-	n := e.sys.Params.N
-	fr := &frontier{
-		smem:  make([]types.ProcSet, np),
-		masks: make([]*Bits, n),
-	}
-	for i := range fr.masks {
-		fr.masks[i] = NewBits(np)
-	}
-	// One word-aligned sharded pass fills both the membership table and
-	// the per-processor masks (each shard owns its mask words).
-	e.parallelBits(np, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			mem := s.Members(e.sys, e.sys.PointAt(idx))
-			fr.smem[idx] = mem
-			mem.ForEach(func(i types.ProcID) bool {
-				fr.masks[i].Set(idx, true)
-				return true
-			})
-		}
-	})
-	// S-occupied view classes in first-encounter order, deduplicated
-	// through a dense per-view table (IDs are small and dense).
-	seen := make([]bool, e.sys.Interner.Size())
-	for idx := 0; idx < np; idx++ {
-		pt := e.sys.PointAt(idx)
-		fr.smem[idx].ForEach(func(i types.ProcID) bool {
-			id := e.sys.ViewAt(pt, i)
-			if !seen[id] {
-				seen[id] = true
-				fr.classes = append(fr.classes, id)
-			}
-			return true
-		})
+	fr := &frontier{masks: e.membership(s), occupied: NewBits(e.sys.NumPoints())}
+	for _, mask := range fr.masks {
+		fr.occupied.OrWith(mask)
 	}
 	e.frontiers[s] = fr
 	return fr
+}
+
+// membership returns the set's per-processor membership masks, each
+// computed at the granularity its part of the set is constant at: 𝒩
+// once per run, a rigid set once, a view-defined set once per view, an
+// intersection as a word-level AND of its operands' masks. Only a
+// NonrigidSet implemented outside this package is asked for Members
+// point by point. The masks of a set that already has a frontier are
+// the frontier's own and must not be modified.
+func (e *Evaluator) membership(s NonrigidSet) []*Bits {
+	if fr, ok := e.frontiers[s]; ok {
+		return fr.masks
+	}
+	np := e.sys.NumPoints()
+	masks := make([]*Bits, e.sys.Params.N)
+	switch g := s.(type) {
+	case *intersectSet:
+		a, b := e.membership(g.a), e.membership(g.b)
+		for i := range masks {
+			masks[i] = a[i].Clone()
+			masks[i].AndWith(b[i])
+		}
+		return masks
+	case *viewSet:
+		for i := range masks {
+			pc := e.procClassesFor(types.ProcID(i))
+			masks[i] = e.expandClasses(pc, e.classVals(pc, g.pred))
+		}
+		return masks
+	}
+	for i := range masks {
+		masks[i] = NewBits(np)
+	}
+	switch g := s.(type) {
+	case *nonfaultySet:
+		e.fillRuns(func(run *system.Run, base, end int) {
+			run.Nonfaulty().ForEach(func(i types.ProcID) bool {
+				masks[i].SetRange(base, end)
+				return true
+			})
+		})
+	case *constSet:
+		g.set.ForEach(func(i types.ProcID) bool {
+			masks[i].Fill(true)
+			return true
+		})
+	default:
+		// One word-aligned sharded pass (each shard owns its mask words).
+		e.parallelBits(np, func(lo, hi int) {
+			for idx := lo; idx < hi; idx++ {
+				s.Members(e.sys, e.sys.PointAt(idx)).ForEach(func(i types.ProcID) bool {
+					masks[i].Set(idx, true)
+					return true
+				})
+			}
+		})
+	}
+	return masks
+}
+
+// fillRuns calls fn once per run with the run's point-index range
+// [base, end), over shards of whole runs: the kernel behind every fact
+// that is constant along a run. fn may write only bits in its range.
+func (e *Evaluator) fillRuns(fn func(run *system.Run, base, end int)) {
+	stride := e.sys.Horizon + 1
+	e.parallelRuns(e.sys.NumRuns(), func(rlo, rhi int) {
+		for r := rlo; r < rhi; r++ {
+			fn(e.sys.Runs[r], r*stride, (r+1)*stride)
+		}
+	})
 }
 
 // procClassesFor returns (building on first use) processor i's view
@@ -393,47 +450,65 @@ func (e *Evaluator) procClassesFor(i types.ProcID) *procClasses {
 	return pc
 }
 
-// evalK computes K_i f (s == nil) or B^s_i f: at each point, the
-// conjunction of f over the points where i has the same view — for B,
-// restricted to points where i ∈ S.
-func (e *Evaluator) evalK(i types.ProcID, ft *Bits, s NonrigidSet) *Bits {
+// classVals asks a view predicate once per class of the partition.
+func (e *Evaluator) classVals(pc *procClasses, pred ViewPred) []uint8 {
+	vals := make([]uint8, len(pc.classes))
+	for c, id := range pc.classes {
+		if pred(e.sys.Interner, id) {
+			vals[c] = 1
+		}
+	}
+	return vals
+}
+
+// expandClasses turns one truth value per view class (0 or 1) into a
+// truth table over points, through the partition's classOf index,
+// building each 64-point word in a register without a branch per
+// point.
+func (e *Evaluator) expandClasses(pc *procClasses, vals []uint8) *Bits {
 	np := e.sys.NumPoints()
 	out := NewBits(np)
-	var mask *Bits
-	if s != nil {
-		mask = e.frontierFor(s).masks[i]
-	}
-	// Truth of K_i f is constant on each view class; conjoin f over
-	// each class in parallel (classes partition the
-	// indistinguishability scan), then fill the table over point shards
-	// through the cached classOf index.
-	pc := e.procClassesFor(i)
-	vals := make([]bool, len(pc.classes))
-	e.parallelItems(len(pc.classes), 64, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			val := true
-			for _, q := range e.sys.PointIdxWithView(pc.classes[c]) {
-				qi := int(q)
-				if mask != nil && !mask.Get(qi) {
-					continue
-				}
-				if !ft.Get(qi) {
-					val = false
-					break
-				}
-			}
-			vals[c] = val
-		}
-	})
 	classOf := pc.classOf
 	e.parallelBits(np, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			if vals[classOf[idx]] {
-				out.Set(idx, true)
+		for base := lo; base < hi; base += 64 {
+			end := base + 64
+			if end > hi {
+				end = hi
 			}
+			var word uint64
+			for k, c := range classOf[base:end] {
+				word |= uint64(vals[c]) << uint(k)
+			}
+			out.w[base>>6] = word
 		}
 	})
 	return out
+}
+
+// evalK computes K_i f (s == nil) or B^s_i f: at each point, the
+// conjunction of f over the points where i has the same view — for B,
+// restricted to points where i ∈ S. Truth of K_i f is constant on each
+// view class, so the falsifying points (f fails and, for B, i ∈ S) are
+// formed with word operations, each one refutes its class, and the
+// per-class verdicts are expanded to points: the work is proportional
+// to the number of falsifying points, not to the size of the system.
+func (e *Evaluator) evalK(i types.ProcID, ft *Bits, s NonrigidSet) *Bits {
+	bad := ft.Clone()
+	bad.NotSelf()
+	if s != nil {
+		bad.AndWith(e.frontierFor(s).masks[i])
+	}
+	pc := e.procClassesFor(i)
+	vals := make([]uint8, len(pc.classes))
+	for c := range vals {
+		vals[c] = 1
+	}
+	for wi, w := range bad.w {
+		for ; w != 0; w &= w - 1 {
+			vals[pc.classOf[wi<<6+bits.TrailingZeros64(w)]] = 0
+		}
+	}
+	return e.expandClasses(pc, vals)
 }
 
 // evalE computes E_S f = ∧_{i∈S(pt)} B^S_i f as pure word operations:
@@ -456,15 +531,16 @@ func (e *Evaluator) evalE(s NonrigidSet, ft *Bits) *Bits {
 	return out
 }
 
-// unionClasses joins, for every class, the images under pos of the
-// points where the class's owner is in S. The per-class scans — the
-// expensive part, a BFS frontier expansion over every class member —
-// run in parallel, each shard collecting its union edges locally; the
-// unions themselves are near-free and applied sequentially, so the
-// union-find is never shared between writers. The resulting partition
-// is independent of shard boundaries and union order.
+// unionClasses joins, for every view, the images under pos of the
+// points where the view's owner holds it and is in S (a view nobody in
+// S holds joins nothing). The per-view scans — the expensive part, one
+// visit per point and processor — run in parallel over ranges of view
+// IDs, each shard collecting its union edges locally; the unions
+// themselves are near-free and applied sequentially, so the union-find
+// is never shared between writers. The resulting partition is
+// independent of shard boundaries and union order.
 func (e *Evaluator) unionClasses(uf *unionFind, fr *frontier, pos func(idx int32) int32) {
-	classes := fr.classes
+	nviews := e.sys.Interner.Size()
 	type edge struct{ a, b int32 }
 	star := func(id views.ID, emit func(a, b int32)) {
 		mask := fr.masks[e.sys.Interner.Proc(id)]
@@ -482,32 +558,32 @@ func (e *Evaluator) unionClasses(uf *unionFind, fr *frontier, pos func(idx int32
 		}
 	}
 	w := e.par
-	if w > len(classes) {
-		w = len(classes)
+	if w > nviews {
+		w = nviews
 	}
-	if w <= 1 || len(classes) < 64 {
-		for _, id := range classes {
-			star(id, func(a, b int32) { uf.union(a, b) })
+	if w <= 1 || nviews < 64 {
+		for id := 0; id < nviews; id++ {
+			star(views.ID(id), func(a, b int32) { uf.union(a, b) })
 		}
 		return
 	}
-	chunk := (len(classes) + w - 1) / w
-	nsh := (len(classes) + chunk - 1) / chunk
+	chunk := (nviews + w - 1) / w
+	nsh := (nviews + chunk - 1) / chunk
 	shardEdges := make([][]edge, nsh)
 	var wg sync.WaitGroup
 	for si := 0; si < nsh; si++ {
 		lo := si * chunk
 		hi := lo + chunk
-		if hi > len(classes) {
-			hi = len(classes)
+		if hi > nviews {
+			hi = nviews
 		}
 		wg.Add(1)
 		mParEvalShards.Inc()
 		go func(si, lo, hi int) {
 			defer wg.Done()
 			var es []edge
-			for c := lo; c < hi; c++ {
-				star(classes[c], func(a, b int32) { es = append(es, edge{a, b}) })
+			for id := lo; id < hi; id++ {
+				star(views.ID(id), func(a, b int32) { es = append(es, edge{a, b}) })
 			}
 			shardEdges[si] = es
 		}(si, lo, hi)
@@ -534,7 +610,7 @@ func (e *Evaluator) pointComponents(fr *frontier) *unionFind {
 	fr.pointComp = uf
 	fr.pointRoots = uf.flatten()
 	if telemetry.Enabled() {
-		observeComponentSizes(uf, mReachPointSize)
+		observeComponentSizes(fr.pointRoots, mReachPointSize)
 	}
 	return uf
 }
@@ -544,7 +620,7 @@ func (e *Evaluator) pointComponents(fr *frontier) *unionFind {
 // reachability component (which includes the point itself).
 func (e *Evaluator) evalC(s NonrigidSet, ft *Bits) *Bits {
 	fr := e.frontierFor(s)
-	smem := fr.smem
+	occupied := fr.occupied
 	e.pointComponents(fr)
 	np := e.sys.NumPoints()
 	// The frontier caches the flattened roots, so the parallel fill
@@ -553,7 +629,7 @@ func (e *Evaluator) evalC(s NonrigidSet, ft *Bits) *Bits {
 	compAll := make([]bool, np)
 	compSeen := make([]bool, np)
 	for idx := 0; idx < np; idx++ {
-		if smem[idx].Empty() {
+		if !occupied.Get(idx) {
 			continue
 		}
 		root := roots[idx]
@@ -566,7 +642,7 @@ func (e *Evaluator) evalC(s NonrigidSet, ft *Bits) *Bits {
 	out := NewBits(np)
 	e.parallelBits(np, func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
-			if smem[idx].Empty() || compAll[roots[idx]] {
+			if !occupied.Get(idx) || compAll[roots[idx]] {
 				out.Set(idx, true)
 			}
 		}
@@ -592,8 +668,8 @@ func (e *Evaluator) evalBox(ft *Bits, diamond bool) *Bits {
 					val = val && bit
 				}
 			}
-			for m := 0; m <= h; m++ {
-				out.Set(base+m, val)
+			if val {
+				out.SetRange(base, base+h+1)
 			}
 		}
 	})
@@ -679,7 +755,7 @@ func (e *Evaluator) runComponents(fr *frontier) *unionFind {
 	fr.runComp = uf
 	fr.runRoots = uf.flatten()
 	if telemetry.Enabled() {
-		observeComponentSizes(uf, mReachRunSize)
+		observeComponentSizes(fr.runRoots, mReachRunSize)
 	}
 	return uf
 }
@@ -691,7 +767,6 @@ func (e *Evaluator) runComponents(fr *frontier) *unionFind {
 // (Lemma 3.4(g)).
 func (e *Evaluator) evalCBox(s NonrigidSet, ft *Bits) *Bits {
 	fr := e.frontierFor(s)
-	smem := fr.smem
 	e.runComponents(fr)
 	h := e.sys.Horizon
 	np := e.sys.NumPoints()
@@ -709,7 +784,7 @@ func (e *Evaluator) evalCBox(s NonrigidSet, ft *Bits) *Bits {
 	for r := 0; r < nr; r++ {
 		base := r * (h + 1)
 		for m := 0; m <= h; m++ {
-			if !smem[base+m].Empty() {
+			if fr.occupied.Get(base + m) {
 				occupied[r] = true
 				root := roots[r]
 				if !compSeen[root] {
@@ -726,10 +801,7 @@ func (e *Evaluator) evalCBox(s NonrigidSet, ft *Bits) *Bits {
 			if occupied[r] && !compAll[roots[r]] {
 				continue
 			}
-			base := r * (h + 1)
-			for m := 0; m <= h; m++ {
-				out.Set(base+m, true)
-			}
+			out.SetRange(r*(h+1), (r+1)*(h+1))
 		}
 	})
 	return out

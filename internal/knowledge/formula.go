@@ -23,6 +23,27 @@ type atomF struct {
 	pred func(sys *system.System, pt system.Point) bool
 }
 
+// runAtomF is a primitive proposition whose truth is constant along a
+// run (∃0, ∃1, init_p=v): the evaluator asks pred once per run and
+// writes the answer into all of the run's points.
+type runAtomF struct {
+	name string
+	pred func(run *system.Run) bool
+}
+
+// nonfaultyF is the fact p ∈ 𝒩; its truth table is 𝒩's membership
+// mask for p, which the evaluator keeps anyway.
+type nonfaultyF struct{ p types.ProcID }
+
+// viewAtomF is a primitive proposition about processor p's local
+// state: the evaluator asks pred once per view p holds anywhere in the
+// system and expands the answers to points.
+type viewAtomF struct {
+	name string
+	p    types.ProcID
+	pred ViewPred
+}
+
 type constF struct{ v bool }
 
 type notF struct{ f Formula }
@@ -76,6 +97,9 @@ type cdiamondF struct {
 }
 
 func (*atomF) isFormula()       {}
+func (*runAtomF) isFormula()    {}
+func (*viewAtomF) isFormula()   {}
+func (*nonfaultyF) isFormula()  {}
 func (*constF) isFormula()      {}
 func (*notF) isFormula()        {}
 func (*andF) isFormula()        {}
@@ -92,16 +116,19 @@ func (*futureF) isFormula()     {}
 func (*ediamondF) isFormula()   {}
 func (*cdiamondF) isFormula()   {}
 
-func (f *atomF) String() string  { return f.name }
-func (f *constF) String() string { return map[bool]string{true: "⊤", false: "⊥"}[f.v] }
-func (f *notF) String() string   { return "¬" + f.f.String() }
-func (f *andF) String() string   { return join(f.fs, " ∧ ") }
-func (f *orF) String() string    { return join(f.fs, " ∨ ") }
-func (f *kF) String() string     { return fmt.Sprintf("K_%d %s", f.i, f.f) }
-func (f *bF) String() string     { return fmt.Sprintf("B^%s_%d %s", f.s.Name(), f.i, f.f) }
-func (f *eF) String() string     { return fmt.Sprintf("E_%s %s", f.s.Name(), f.f) }
-func (f *cF) String() string     { return fmt.Sprintf("C_%s %s", f.s.Name(), f.f) }
-func (f *boxF) String() string   { return "□̂ " + f.f.String() }
+func (f *atomF) String() string      { return f.name }
+func (f *runAtomF) String() string   { return f.name }
+func (f *viewAtomF) String() string  { return f.name }
+func (f *nonfaultyF) String() string { return fmt.Sprintf("%d∈𝒩", f.p) }
+func (f *constF) String() string     { return map[bool]string{true: "⊤", false: "⊥"}[f.v] }
+func (f *notF) String() string       { return "¬" + f.f.String() }
+func (f *andF) String() string       { return join(f.fs, " ∧ ") }
+func (f *orF) String() string        { return join(f.fs, " ∨ ") }
+func (f *kF) String() string         { return fmt.Sprintf("K_%d %s", f.i, f.f) }
+func (f *bF) String() string         { return fmt.Sprintf("B^%s_%d %s", f.s.Name(), f.i, f.f) }
+func (f *eF) String() string         { return fmt.Sprintf("E_%s %s", f.s.Name(), f.f) }
+func (f *cF) String() string         { return fmt.Sprintf("C_%s %s", f.s.Name(), f.f) }
+func (f *boxF) String() string       { return "□̂ " + f.f.String() }
 func (f *diamondF) String() string {
 	return "◇̂ " + f.f.String()
 }
@@ -120,9 +147,17 @@ func join(fs []Formula, sep string) string {
 }
 
 // Atom builds a primitive proposition from an arbitrary point
-// predicate.
+// predicate. The evaluator can assume nothing about it and asks pred
+// at every point; facts that are constant along a run or depend only
+// on one processor's view should be built with RunAtom or ViewAtom.
 func Atom(name string, pred func(sys *system.System, pt system.Point) bool) Formula {
 	return &atomF{name: name, pred: pred}
+}
+
+// RunAtom builds a primitive proposition from a predicate over runs:
+// it holds at a point iff pred holds of the point's run.
+func RunAtom(name string, pred func(run *system.Run) bool) Formula {
+	return &runAtomF{name: name, pred: pred}
 }
 
 // True is the constant ⊤.
@@ -208,11 +243,11 @@ func Exists0() Formula { return existsVal(types.Zero) }
 func Exists1() Formula { return existsVal(types.One) }
 
 var (
-	exists0F = &atomF{name: "∃0", pred: func(sys *system.System, pt system.Point) bool {
-		return sys.RunOf(pt).Config.HasValue(types.Zero)
+	exists0F = &runAtomF{name: "∃0", pred: func(run *system.Run) bool {
+		return run.Config.HasValue(types.Zero)
 	}}
-	exists1F = &atomF{name: "∃1", pred: func(sys *system.System, pt system.Point) bool {
-		return sys.RunOf(pt).Config.HasValue(types.One)
+	exists1F = &runAtomF{name: "∃1", pred: func(run *system.Run) bool {
+		return run.Config.HasValue(types.One)
 	}}
 )
 
@@ -225,25 +260,19 @@ func existsVal(v types.Value) Formula {
 
 // InitialIs holds at points of runs where processor p started with v.
 func InitialIs(p types.ProcID, v types.Value) Formula {
-	return Atom(fmt.Sprintf("init_%d=%s", p, v), func(sys *system.System, pt system.Point) bool {
-		return sys.RunOf(pt).Config[p] == v
+	return RunAtom(fmt.Sprintf("init_%d=%s", p, v), func(run *system.Run) bool {
+		return run.Config[p] == v
 	})
 }
 
 // IsNonfaulty holds at points of runs where p never fails.
-func IsNonfaulty(p types.ProcID) Formula {
-	return Atom(fmt.Sprintf("%d∈𝒩", p), func(sys *system.System, pt system.Point) bool {
-		return sys.RunOf(pt).Nonfaulty().Contains(p)
-	})
-}
+func IsNonfaulty(p types.ProcID) Formula { return &nonfaultyF{p: p} }
 
 // ViewAtom holds at a point iff pred holds of processor p's view
 // there. Decision facts like decide_i(v) are ViewAtoms (a decision
 // depends only on the local state, Proposition 4.1).
 func ViewAtom(name string, p types.ProcID, pred func(in *views.Interner, id views.ID) bool) Formula {
-	return Atom(name, func(sys *system.System, pt system.Point) bool {
-		return pred(sys.Interner, sys.ViewAt(pt, p))
-	})
+	return &viewAtomF{name: name, p: p, pred: pred}
 }
 
 // SetEmpty holds at points where the nonrigid set S is empty; the

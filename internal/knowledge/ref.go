@@ -22,6 +22,12 @@ func RefHolds(sys *system.System, f Formula, pt system.Point) bool {
 		return g.v
 	case *atomF:
 		return g.pred(sys, pt)
+	case *runAtomF:
+		return g.pred(sys.RunOf(pt))
+	case *viewAtomF:
+		return g.pred(sys.Interner, sys.ViewAt(pt, g.p))
+	case *nonfaultyF:
+		return sys.RunOf(pt).Nonfaulty().Contains(g.p)
 	case *notF:
 		return !RefHolds(sys, g.f, pt)
 	case *andF:

@@ -152,9 +152,10 @@ func (p *chain0Proc) Decided() (types.Value, bool) {
 func Exists0Star() knowledge.Formula {
 	return knowledge.Atom("∃0*", func(sys *system.System, pt system.Point) bool {
 		run := sys.RunOf(pt)
+		nf := run.Nonfaulty()
 		for m := 0; m <= int(pt.Time); m++ {
-			for _, p := range run.Nonfaulty().Members() {
-				if sys.Interner.AcceptsZeroAt(run.Views[m][p]) {
+			for p, id := range run.Views[m] {
+				if nf.Contains(types.ProcID(p)) && sys.Interner.AcceptsZeroAt(id) {
 					return true
 				}
 			}

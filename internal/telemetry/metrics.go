@@ -115,16 +115,21 @@ type Histogram struct {
 }
 
 // Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	if !enabled.Load() {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the same value at the cost of
+// one: a size distribution over a million elements is a few hundred
+// distinct sizes.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if n == 0 || !enabled.Load() {
 		return
 	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	h.counts[i].Add(n)
+	h.count.Add(n)
 	for {
 		old := h.sum.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
+		nw := math.Float64bits(math.Float64frombits(old) + v*float64(n))
 		if h.sum.CompareAndSwap(old, nw) {
 			return
 		}
