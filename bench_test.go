@@ -154,21 +154,6 @@ func BenchmarkChain0Omission(b *testing.B) {
 	}
 }
 
-// BenchmarkNetTransport measures a full TCP-mesh run (dial + rounds)
-// for the wire-format FIP at n=4.
-func BenchmarkNetTransport(b *testing.B) {
-	params := eba.Params{N: 4, T: 1}
-	cfg := eba.ConfigFromBits(4, 0b1110)
-	pat := eba.Silent(eba.Crash, 4, 3, 2, 2)
-	proto := eba.FIPWire(eba.P0OptPair())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := eba.RunTCP(proto, params, cfg, pat); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRunAllParallel measures the worker-pool sweep against the
 // sequential baseline workload (n=4, t=1 crash, P0opt).
 func BenchmarkRunAllParallel(b *testing.B) {

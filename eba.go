@@ -45,25 +45,19 @@
 package eba
 
 import (
-	"context"
 	"math/rand"
-	"time"
 
 	"github.com/eventual-agreement/eba/internal/byzantine"
 	"github.com/eventual-agreement/eba/internal/chaos"
-	"github.com/eventual-agreement/eba/internal/cluster"
 	"github.com/eventual-agreement/eba/internal/conform"
 	"github.com/eventual-agreement/eba/internal/core"
 	"github.com/eventual-agreement/eba/internal/failures"
-	"github.com/eventual-agreement/eba/internal/faultinject"
 	"github.com/eventual-agreement/eba/internal/fip"
 	"github.com/eventual-agreement/eba/internal/knowledge"
 	"github.com/eventual-agreement/eba/internal/nettransport"
 	"github.com/eventual-agreement/eba/internal/protocols"
 	"github.com/eventual-agreement/eba/internal/sba"
-	"github.com/eventual-agreement/eba/internal/service"
 	"github.com/eventual-agreement/eba/internal/sim"
-	"github.com/eventual-agreement/eba/internal/store"
 	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/transport"
 	"github.com/eventual-agreement/eba/internal/types"
@@ -263,13 +257,6 @@ func RunLive(p Protocol, params Params, cfg Config, pat *Pattern) (*Trace, error
 	return transport.Run(p, params, cfg, pat)
 }
 
-// RunTCP executes a protocol over a real TCP loopback mesh with
-// framed, serialized messages (protocol messages must be []byte;
-// FIPWire qualifies). Fault injection happens sender-side.
-func RunTCP(p Protocol, params Params, cfg Config, pat *Pattern) (*Trace, error) {
-	return nettransport.Run(p, params, cfg, pat)
-}
-
 // The resilient runtime: deadline-driven rounds over TCP, seeded
 // chaos injection, and fault-pattern reconstruction.
 
@@ -286,12 +273,6 @@ type (
 	ChaosPlan = chaos.Plan
 	// ChaosMechanism is a wire-level fault mechanism.
 	ChaosMechanism = chaos.Mechanism
-	// ChaosAction is the planned treatment of one frame.
-	ChaosAction = chaos.Action
-
-	// Observation accumulates the message fates of a live run, for
-	// fault-pattern reconstruction.
-	Observation = failures.Observation
 )
 
 // Chaos mechanisms.
@@ -314,10 +295,6 @@ func NewChaosPlan(mode Mode, params Params, h int, seed int64, allowed ...ChaosM
 // kill, partition).
 func ParseChaosMechanism(s string) (ChaosMechanism, error) { return chaos.ParseMechanism(s) }
 
-// NewObservation creates an empty observation for an n-processor run
-// over h rounds.
-func NewObservation(n, h int) *Observation { return failures.NewObservation(n, h) }
-
 // RunResilient executes a protocol over a TCP mesh with
 // deadline-driven round synchronization: a frame that misses its round
 // deadline is an omission by its sender, dead connections are redialed
@@ -336,12 +313,10 @@ func VerifyResilient(p Protocol, params Params, live *Trace) error {
 	return nettransport.VerifyReconstruction(p, params, live)
 }
 
-// DiffDecisions compares two traces' decisions (value and time per
-// processor) and describes the first divergence; "" means equal.
-func DiffDecisions(a, b *Trace) string { return sim.DiffDecisions(a, b) }
-
-// DiffTraces is DiffDecisions plus the sent/delivered message
-// counters — the strong equivalence used by VerifyResilient.
+// DiffTraces compares two traces' decisions (value and time per
+// processor) and sent/delivered message counters and describes the
+// first divergence; "" means equal. It is the equivalence
+// VerifyResilient checks.
 func DiffTraces(a, b *Trace) string { return sim.DiffTraces(a, b) }
 
 // Observer receives run events from the deterministic engine.
@@ -389,13 +364,6 @@ func NewSystemParallel(params Params, mode Mode, horizon, limit, workers int) (*
 // adversary class.
 func NewSystemFromPatterns(params Params, mode Mode, horizon int, pats []*Pattern) (*System, error) {
 	return system.FromPatterns(params, mode, horizon, pats)
-}
-
-// NewSystemFromPatternsParallel is NewSystemFromPatterns over a worker
-// pool, with the same structural-identity guarantee as
-// NewSystemParallel.
-func NewSystemFromPatternsParallel(params Params, mode Mode, horizon int, pats []*Pattern, workers int) (*System, error) {
-	return system.FromPatternsParallel(params, mode, horizon, pats, workers)
 }
 
 // NewEvaluator creates a model checker for the system.
@@ -549,12 +517,6 @@ func DoublePrimeStep(e *Evaluator, p Pair, name string) Pair {
 // full-information nontrivial agreement protocol into an optimal one.
 func TwoStep(e *Evaluator, p Pair) Pair { return core.TwoStep(e, p) }
 
-// Optimize iterates TwoStep to a fixed point (Theorem 5.2 predicts at
-// most one productive application).
-func Optimize(e *Evaluator, p Pair, maxSteps int) (Pair, int) {
-	return core.Optimize(e, p, maxSteps)
-}
-
 // General coordination problems (Section 7).
 
 // CoordinationSpec is a one-shot binary coordination problem: two
@@ -585,135 +547,6 @@ func CheckEnabling(e *Evaluator, spec CoordinationSpec, p Pair) error {
 // ParseFormula parses the ASCII formula syntax used by cmd/ebaq (see
 // the knowledge package's Parse for the grammar).
 func ParseFormula(src string) (Formula, error) { return knowledge.Parse(src) }
-
-// The query service (cmd/ebad, cmd/ebaq).
-
-type (
-	// SystemStore is the persistent snapshot store: an LRU-bounded
-	// in-memory layer over versioned, content-addressed on-disk
-	// snapshots of enumerated systems and memoized truth tables.
-	SystemStore = store.Store
-	// StoreKey identifies one enumerated system: (n, t, mode, horizon)
-	// plus the omission enumeration limit.
-	StoreKey = store.Key
-	// StoreStats are a store's cumulative cache statistics.
-	StoreStats = store.Stats
-
-	// QueryEngine executes formula queries over stored systems; safe
-	// for concurrent use.
-	QueryEngine = service.Engine
-	// QueryRequest is one formula query.
-	QueryRequest = service.Request
-	// QueryResponse is a query result.
-	QueryResponse = service.Response
-	// QueryServer is the ebad HTTP surface over a QueryEngine.
-	QueryServer = service.Server
-
-	// AdmissionConfig bounds what a QueryServer accepts at once: a
-	// global in-flight cap with a bounded deadline-aware wait queue,
-	// and per-key caps on expensive (non-resident) computes. Excess
-	// load sheds with 429 + Retry-After instead of degrading everyone.
-	AdmissionConfig = service.AdmissionConfig
-	// ShedError is a load-shed verdict from the admission layer.
-	ShedError = service.ShedError
-
-	// QueryClient is the retrying daemon client shared by ebaq -server,
-	// the load generator, and CI smoke: it honors Retry-After on
-	// 429/503 sheds with exponential backoff, jitter, and a retry
-	// budget.
-	QueryClient = service.Client
-
-	// FaultConfig selects deterministic, seeded service-layer faults
-	// (slow I/O, torn snapshot writes, transient store errors, stuck
-	// computes); see FaultInjector.
-	FaultConfig = faultinject.Config
-	// FaultInjector wraps the store's filesystem and cold-path
-	// enumerator with seeded faults for robustness tests.
-	FaultInjector = faultinject.Injector
-
-	// OverloadConfig shapes an overload ramp experiment against a
-	// running daemon; see RunOverload.
-	OverloadConfig = service.OverloadConfig
-	// OverloadReport is the overload experiment's outcome: shed rate,
-	// goodput, admitted-latency, and the recovery verdict.
-	OverloadReport = service.OverloadReport
-
-	// BatchRequest is a POST /v1/query/batch payload: up to 1024
-	// queries answered in one round trip, in order.
-	BatchRequest = service.BatchRequest
-	// BatchResponse is a batch result; item failures are isolated
-	// per-slot, never batch-fatal.
-	BatchResponse = service.BatchResponse
-	// BatchItem is one slot of a BatchResponse.
-	BatchItem = service.BatchItem
-
-	// ClusterConfig assembles one node's view of a query fleet: its
-	// own name, the static peer list, and the ring/probe tuning.
-	ClusterConfig = cluster.Config
-	// ClusterNode names one fleet member and its base URL.
-	ClusterNode = cluster.Node
-	// Cluster is one node's distribution layer — the consistent-hash
-	// ring and this node's liveness view — attachable to a
-	// QueryServer so queries route to their key's owner and snapshots
-	// replicate between peers by content address (DESIGN.md §12).
-	Cluster = cluster.Cluster
-	// ClusterLoadOptions shapes a fleet throughput measurement.
-	ClusterLoadOptions = cluster.LoadOptions
-	// ClusterLoadReport is the fleet measurement outcome; the
-	// committed BENCH_cluster.json is one of these.
-	ClusterLoadReport = cluster.LoadReport
-)
-
-// ErrStoreRetryable marks store errors a caller may retry fresh — a
-// singleflight follower whose leader's load failed, for example.
-var ErrStoreRetryable = store.ErrRetryable
-
-// ErrFaultInjected is the sentinel wrapped by every injected fault.
-var ErrFaultInjected = faultinject.ErrInjected
-
-// OpenStore opens a snapshot store rooted at dir ("" = memory-only);
-// maxMem bounds resident systems (<= 0 picks the default).
-func OpenStore(dir string, maxMem int) (*SystemStore, error) { return store.Open(dir, maxMem) }
-
-// NewQueryEngine wraps a store for query execution; timeout bounds
-// each query (0 = none).
-func NewQueryEngine(st *SystemStore, timeout time.Duration) *QueryEngine {
-	return service.NewEngine(st, timeout)
-}
-
-// NewQueryServer builds the daemon's HTTP handler set over an engine.
-func NewQueryServer(e *QueryEngine) *QueryServer { return service.NewServer(e) }
-
-// NewQueryClient builds a retrying daemon client with the default
-// retry policy plus the EBA_RETRY_MAX / EBA_RETRY_BUDGET environment
-// overrides.
-func NewQueryClient(baseURL string) *QueryClient { return service.NewClient(baseURL) }
-
-// NewFaultInjector builds a seeded fault injector; a zero config
-// injects nothing.
-func NewFaultInjector(cfg FaultConfig) *FaultInjector { return faultinject.New(cfg) }
-
-// RunOverload ramps offered QPS past a daemon's admission capacity,
-// open-loop, and reports shedding, goodput, admitted latency, and
-// whether the daemon recovered to a healthy verdict afterwards.
-func RunOverload(ctx context.Context, baseURL string, reqs []QueryRequest, cfg OverloadConfig) (*OverloadReport, error) {
-	return service.RunOverload(ctx, baseURL, reqs, cfg)
-}
-
-// NewCluster validates cfg and builds one node's ring and membership
-// table; Attach wires it into an engine/server/store triple and Start
-// begins liveness probing.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
-
-// ParseClusterPeers parses a "name=url,name=url,..." fleet list (the
-// ebad -peers flag format).
-func ParseClusterPeers(s string) ([]ClusterNode, error) { return cluster.ParsePeers(s) }
-
-// RunClusterLoad drives a fleet with locality-aware batch load and
-// reports aggregate throughput; any item-level failure is counted.
-func RunClusterLoad(ctx context.Context, targets []string, reqs []QueryRequest, opts ClusterLoadOptions) (*ClusterLoadReport, error) {
-	return cluster.RunLoad(ctx, targets, reqs, opts)
-}
 
 // Checkers.
 

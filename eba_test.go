@@ -23,6 +23,23 @@ func TestEndToEndCrash(t *testing.T) {
 	if err := eba.CheckEBA(sys, opt); err != nil {
 		t.Fatal(err)
 	}
+	// F^Λ is a nontrivial agreement protocol but not an EBA protocol:
+	// it is valid and never decides.
+	if err := eba.CheckWeakValidity(sys, eba.NeverDecide()); err != nil {
+		t.Fatal(err)
+	}
+	if eba.CheckDecision(sys, eba.NeverDecide()) == nil {
+		t.Fatal("the never-deciding protocol passed the decision check")
+	}
+	if err := eba.CheckDecision(sys, opt); err != nil {
+		t.Fatal(err)
+	}
+	// Theorem 5.2's construction is the prime step followed by the
+	// double-prime step.
+	byHand := eba.DoublePrimeStep(e, eba.PrimeStep(e, eba.NeverDecide(), "F¹"), "F²")
+	if equal, diff := eba.EqualOnNonfaulty(sys, byHand, opt); !equal {
+		t.Fatalf("TwoStep is not ″∘′: %s", diff)
+	}
 	if ok, reason := eba.IsOptimal(e, opt); !ok {
 		t.Fatal(reason)
 	}
@@ -90,6 +107,10 @@ func TestEndToEndOmission(t *testing.T) {
 	if e.Valid(eba.Implies(eba.C(nf, eba.Exists1()), eba.CBox(nf, eba.Exists1()))) {
 		t.Fatal("C ⇒ C□ should not be valid")
 	}
+	// C□ is a fixed point of E□ (Corollary 3.3).
+	if !e.Valid(eba.Implies(eba.CBox(nf, eba.Exists1()), eba.EBox(nf, eba.CBox(nf, eba.Exists1())))) {
+		t.Fatal("C□ ⇒ E□ C□ should be valid")
+	}
 	// And the run-modalities behave.
 	if !e.Valid(eba.Iff(eba.Box(eba.Exists0()), eba.Exists0())) {
 		t.Fatal("□̂ of a run-constant fact is itself")
@@ -152,8 +173,25 @@ func TestSamplersAndEnumerators(t *testing.T) {
 	if err != nil || len(om) != 10 {
 		t.Fatalf("SampleOmission: %v", err)
 	}
-	trs, err := eba.RunAll(eba.P0(), eba.Params{N: 3, T: 1}, []*eba.Pattern{eba.FailureFree(eba.Crash, 3, 2)})
-	if err != nil || len(trs) != 8 {
+	if pats, err := eba.EnumReceiving(3, 1, 2, 0); err != nil || len(pats) != 49 {
+		t.Fatalf("EnumReceiving: %d, %v", len(pats), err)
+	}
+	if pats, err := eba.EnumGeneral(3, 1, 2, 0); err != nil || len(pats) != 769 {
+		t.Fatalf("EnumGeneral: %d, %v", len(pats), err)
+	}
+	rc, err := eba.SampleReceiving(5, 2, 3, 10, rng)
+	if err != nil || len(rc) != 10 {
+		t.Fatalf("SampleReceiving: %v", err)
+	}
+	gn, err := eba.SampleGeneral(5, 2, 3, 10, rng)
+	if err != nil || len(gn) != 10 {
+		t.Fatalf("SampleGeneral: %v", err)
+	}
+	trs, err := eba.RunAll(eba.P0(), eba.Params{N: 3, T: 1}, []*eba.Pattern{
+		eba.FailureFree(eba.Crash, 3, 2),
+		eba.Deaf(eba.GeneralOmission, 3, 2, 1, 1),
+	})
+	if err != nil || len(trs) != 16 {
 		t.Fatalf("RunAll: %v", err)
 	}
 	if _, err := eba.NewPattern(eba.Crash, 3, 2, eba.ProcSet(1), nil); err != nil {

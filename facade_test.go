@@ -57,7 +57,7 @@ func TestFacadeParser(t *testing.T) {
 }
 
 // TestFacadeTemporalAndSBA touches the remaining wrappers: temporal
-// operators, the SBA helpers, halting, F0, TCP engine, observers.
+// operators, the SBA helpers, halting, F0, the TCP runtime, observers.
 func TestFacadeTemporalAndSBA(t *testing.T) {
 	params := eba.Params{N: 3, T: 1}
 	sys, err := eba.NewSystem(params, eba.Crash, 3, 0)
@@ -100,14 +100,24 @@ func TestFacadeTemporalAndSBA(t *testing.T) {
 		t.Fatal("halting variant undecided")
 	}
 
-	// TCP engine through the facade.
-	trTCP, err := eba.RunTCP(eba.FIPWire(eba.P0OptPair()), params,
-		eba.ConfigFromBits(3, 0b110), eba.Silent(eba.Crash, 3, 3, 2, 2))
+	// TCP engine through the facade: a chaos-free run reconstructs the
+	// failure-free pattern and replays identically.
+	wire := eba.FIPWire(eba.P0OptPair())
+	trTCP, err := eba.RunResilient(wire, params, eba.ConfigFromBits(3, 0b110),
+		eba.ResilientOptions{Mode: eba.Crash, Horizon: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !trTCP.NonfaultyDecided() {
 		t.Fatal("TCP run undecided")
+	}
+	if err := eba.VerifyResilient(wire, params, trTCP); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []eba.ChaosMechanism{eba.ChaosDrop, eba.ChaosDelay, eba.ChaosTruncate, eba.ChaosKill, eba.ChaosPartition} {
+		if got, err := eba.ParseChaosMechanism(m.String()); err != nil || got != m {
+			t.Fatalf("mechanism %v parses to %v, %v", m, got, err)
+		}
 	}
 
 	// Observer through the facade.

@@ -37,55 +37,11 @@ const (
 	flagPayload = 1
 )
 
-// writeFrame emits [flag][len uvarint][payload]; a nil payload encodes
-// the null frame as the bare flag byte (a zero-length payload and a
-// null frame are distinguished by the flag).
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [binary.MaxVarintLen64 + 1]byte
-	if payload == nil {
-		hdr[0] = flagNull
-		_, err := w.Write(hdr[:1])
-		return err
-	}
-	hdr[0] = flagPayload
-	k := binary.PutUvarint(hdr[1:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:1+k]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads one frame; a nil result is the null frame. A clean
-// close between frames surfaces as io.EOF; a close mid-frame as
-// ErrTruncatedFrame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var flag [1]byte
-	if _, err := io.ReadFull(r, flag[:]); err != nil {
-		return nil, err // io.EOF: clean close between frames
-	}
-	switch flag[0] {
-	case flagNull:
-		return nil, nil
-	case flagPayload:
-	default:
-		return nil, fmt.Errorf("%w: flag byte %#x", ErrBadFrame, flag[0])
-	}
-	size, err := readSize(r)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, truncated(err)
-	}
-	return buf, nil
-}
-
 // writeRoundFrame emits [round uvarint][flag][len uvarint][payload]:
-// the resilient engine's frame, tagged with its round so receivers can
-// discard duplicates and stale deliveries and realign after a
-// reconnect.
+// a frame tagged with its round so receivers can discard duplicates
+// and stale deliveries and realign after a reconnect. A nil payload
+// encodes the null frame, which ends at the flag byte (a zero-length
+// payload and a null frame are distinguished by the flag).
 func writeRoundFrame(w io.Writer, r types.Round, payload []byte) error {
 	var hdr [2*binary.MaxVarintLen64 + 1]byte
 	k := binary.PutUvarint(hdr[:], uint64(r))
@@ -104,7 +60,8 @@ func writeRoundFrame(w io.Writer, r types.Round, payload []byte) error {
 }
 
 // readRoundFrame reads one round-tagged frame. A nil payload with a
-// nil error is a null frame. Error semantics match readFrame.
+// nil error is a null frame. A clean close between frames surfaces as
+// io.EOF; a close mid-frame as ErrTruncatedFrame.
 func readRoundFrame(r io.Reader) (types.Round, []byte, error) {
 	br := byteReader{r}
 	rnd, err := binary.ReadUvarint(br)

@@ -21,31 +21,32 @@ func codecErr(err error) bool {
 		errors.Is(err, ErrBadFrame)
 }
 
-// FuzzFrameCodec feeds arbitrary bytes to the classic frame decoder:
-// every frame it accepts must survive an encode/decode round trip, and
-// every rejection must carry one of the typed codec errors.
+// FuzzFrameCodec feeds arbitrary bytes to the frame decoder, as a
+// hostile or corrupted peer would: every frame it accepts must survive
+// an encode/decode round trip, and every rejection must carry one of
+// the typed codec errors.
 func FuzzFrameCodec(f *testing.F) {
 	var seed bytes.Buffer
-	writeFrame(&seed, nil)
-	writeFrame(&seed, []byte{})
-	writeFrame(&seed, []byte("hello"))
+	writeRoundFrame(&seed, 1, nil)
+	writeRoundFrame(&seed, 2, []byte{})
+	writeRoundFrame(&seed, 3, []byte("hello"))
 	f.Add(seed.Bytes())
-	f.Add([]byte{flagPayload, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}) // overflowing varint
-	f.Add([]byte{0xff})                                                                    // unknown flag
-	f.Add([]byte{flagPayload, 5, 1, 2})                                                    // truncated payload
-	f.Add(append([]byte{flagPayload, 0xa0, 0x8d, 0x06}, make([]byte, 64)...))              // > maxFrame
+	f.Add([]byte{1, flagPayload, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}) // overflowing varint
+	f.Add([]byte{1, 0xff})                                                                    // unknown flag
+	f.Add([]byte{1, flagPayload, 5, 1, 2})                                                    // truncated payload
+	f.Add(append([]byte{1, flagPayload, 0xa0, 0x8d, 0x06}, make([]byte, 64)...))              // > maxFrame
 	// New-mode corpus seeds: the frames a receiving- or general-omission
 	// run ships are opaque payloads here, but their pattern keys are the
 	// kind of structured bytes those runs put on the wire.
 	var modeSeed bytes.Buffer
-	writeFrame(&modeSeed, []byte(failures.Deaf(failures.ReceivingOmission, 3, 2, 1, 1).Key()))
-	writeFrame(&modeSeed, []byte(failures.Deaf(failures.GeneralOmission, 3, 2, 2, 1).Key()))
+	writeRoundFrame(&modeSeed, 1, []byte(failures.Deaf(failures.ReceivingOmission, 3, 2, 1, 1).Key()))
+	writeRoundFrame(&modeSeed, 2, []byte(failures.Deaf(failures.GeneralOmission, 3, 2, 2, 1).Key()))
 	f.Add(modeSeed.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
-			payload, err := readFrame(r)
+			round, payload, err := readRoundFrame(r)
 			if err != nil {
 				if !codecErr(err) {
 					t.Fatalf("untyped decode error: %v", err)
@@ -57,23 +58,23 @@ func FuzzFrameCodec(f *testing.F) {
 			}
 			// Whatever decoded must round-trip through the encoder.
 			var buf bytes.Buffer
-			if err := writeFrame(&buf, payload); err != nil {
+			if err := writeRoundFrame(&buf, round, payload); err != nil {
 				t.Fatal(err)
 			}
-			again, err := readFrame(&buf)
+			r2, again, err := readRoundFrame(&buf)
 			if err != nil {
 				t.Fatalf("re-decode: %v", err)
 			}
-			if (payload == nil) != (again == nil) || !bytes.Equal(payload, again) {
-				t.Fatalf("round trip: %x -> %x", payload, again)
+			if r2 != round || (payload == nil) != (again == nil) || !bytes.Equal(payload, again) {
+				t.Fatalf("round trip: %d %x -> %d %x", round, payload, r2, again)
 			}
 		}
 	})
 }
 
-// FuzzRoundFrameCodec round-trips the resilient engine's round-tagged
-// frames and checks the decoder rejects hostile streams with typed
-// errors only.
+// FuzzRoundFrameCodec round-trips a frame built from its parts and
+// checks that every strict prefix of its encoding is rejected with a
+// typed error.
 func FuzzRoundFrameCodec(f *testing.F) {
 	f.Add(uint32(1), []byte("view"), false)
 	f.Add(uint32(0), []byte(nil), true)
@@ -118,10 +119,10 @@ func FuzzRoundFrameCodec(f *testing.F) {
 // readable, maxFrame+1 is ErrFrameTooLarge before any payload read.
 func TestFrameSizeBoundary(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, maxFrame)); err != nil {
+	if err := writeRoundFrame(&buf, 2, make([]byte, maxFrame)); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := readFrame(&buf)
+	_, payload, err := readRoundFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,19 +131,11 @@ func TestFrameSizeBoundary(t *testing.T) {
 	}
 
 	var big bytes.Buffer
-	big.WriteByte(flagPayload)
 	var hdr [binary.MaxVarintLen64]byte
+	big.Write(hdr[:binary.PutUvarint(hdr[:], 2)]) // round
+	big.WriteByte(flagPayload)
 	big.Write(hdr[:binary.PutUvarint(hdr[:], maxFrame+1)])
-	if _, err := readFrame(&big); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := readRoundFrame(&big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
-	}
-
-	// Same boundary through the round-tagged decoder.
-	var rbig bytes.Buffer
-	rbig.Write(hdr[:binary.PutUvarint(hdr[:], 2)]) // round
-	rbig.WriteByte(flagPayload)
-	rbig.Write(hdr[:binary.PutUvarint(hdr[:], maxFrame+1)])
-	if _, _, err := readRoundFrame(&rbig); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("round frame err = %v, want ErrFrameTooLarge", err)
 	}
 }

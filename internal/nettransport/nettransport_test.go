@@ -2,9 +2,9 @@ package nettransport
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"github.com/eventual-agreement/eba/internal/failures"
@@ -15,36 +15,38 @@ import (
 	"github.com/eventual-agreement/eba/internal/views"
 )
 
-// The TCP engine reproduces the deterministic engine's decisions for
-// the wire-format full-information protocol, across crash and
-// omission scenarios.
+// A chaos-free TCP run of the wire-format full-information protocol
+// reproduces the deterministic engine's decisions for the interned
+// one, in crash and omission mode. Nothing is lost, so no receiver
+// waits out a deadline and the default one costs no time. Faulty runs
+// are pinned to sim.Run by TestChaosCrossEngineEquivalence.
 func TestTCPMatchesSim(t *testing.T) {
 	params := types.Params{N: 4, T: 1}
+	const h = 3
 	pair := protocols.P0OptPair()
 	scenarios := []struct {
-		cfg types.Config
-		pat *failures.Pattern
+		mode failures.Mode
+		cfg  types.Config
 	}{
-		{types.ConfigFromBits(4, 0b1110), failures.FailureFree(failures.Crash, 4, 3)},
-		{types.ConfigFromBits(4, 0b1111), failures.Silent(failures.Crash, 4, 3, 2, 2)},
-		{types.ConfigFromBits(4, 0b1110), failures.SilentExcept(4, 3, 0, 2, 1)},
-		{types.ConfigFromBits(4, 0b0000), failures.Silent(failures.Omission, 4, 3, 1, 1)},
+		{failures.Crash, types.ConfigFromBits(4, 0b1110)},
+		{failures.Crash, types.ConfigFromBits(4, 0b1111)},
+		{failures.Omission, types.ConfigFromBits(4, 0b0000)},
 	}
 	for _, sc := range scenarios {
 		in := views.NewInterner(4)
-		want, err := sim.Run(fip.Protocol(in, pair), params, sc.cfg, sc.pat)
+		want, err := sim.Run(fip.Protocol(in, pair), params, sc.cfg, failures.FailureFree(sc.mode, 4, h))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(fip.WireProtocol(pair), params, sc.cfg, sc.pat)
+		got, err := RunResilient(fip.WireProtocol(pair), params, sc.cfg, Options{Mode: sc.mode, Horizon: h})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := sim.DiffDecisions(got, want); d != "" {
-			t.Fatalf("cfg %s %s: tcp vs sim: %s", sc.cfg, sc.pat, d)
+		if d := sim.DiffTraces(got, want); d != "" {
+			t.Fatalf("%s cfg %s: tcp vs sim: %s", sc.mode, sc.cfg, d)
 		}
-		if got.Sent != got.Delivered {
-			t.Fatal("sender-side injection should equate sent and delivered")
+		if !got.Pattern.Faulty().Empty() {
+			t.Fatalf("%s cfg %s: spurious faults reconstructed: %s", sc.mode, sc.cfg, got.Pattern)
 		}
 	}
 }
@@ -96,20 +98,12 @@ func (p *bytesProc) Decided() (types.Value, bool) {
 func TestTCPMessageCounters(t *testing.T) {
 	const n, h = 3, 2
 	params := types.Params{N: n, T: 1}
-	tr, err := Run(bytesProto{}, params, types.ConfigFromBits(n, 0), failures.FailureFree(failures.Omission, n, h))
+	tr, err := RunResilient(bytesProto{}, params, types.ConfigFromBits(n, 0), Options{Mode: failures.Omission, Horizon: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Sent != n*(n-1)*h {
-		t.Fatalf("Sent = %d, want %d", tr.Sent, n*(n-1)*h)
-	}
-	// Fault injection suppresses sender-side.
-	lossy, err := Run(bytesProto{}, params, types.ConfigFromBits(n, 0), failures.Silent(failures.Omission, n, h, 0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lossy.Sent != n*(n-1)*h-(n-1)*h {
-		t.Fatalf("lossy Sent = %d", lossy.Sent)
+	if want := n * (n - 1) * h; tr.Sent != want || tr.Delivered != want {
+		t.Fatalf("sent %d, delivered %d, want %d each", tr.Sent, tr.Delivered, want)
 	}
 }
 
@@ -136,50 +130,41 @@ func (nonBytesProc) Decided() (types.Value, bool)       { return types.Unset, fa
 
 func TestTCPRejectsNonBytes(t *testing.T) {
 	params := types.Params{N: 3, T: 0}
-	_, err := Run(nonBytesProto{}, params, types.ConfigFromBits(3, 0), failures.FailureFree(failures.Crash, 3, 1))
-	if err == nil {
-		t.Fatal("non-[]byte message accepted")
+	_, err := RunResilient(nonBytesProto{}, params, types.ConfigFromBits(3, 0), Options{Mode: failures.Crash, Horizon: 1})
+	if err == nil || !strings.Contains(err.Error(), "non-[]byte") {
+		t.Fatalf("non-[]byte message: err = %v, want the named rejection", err)
 	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{7}, 1000)}
-	for _, p := range payloads {
-		if err := writeFrame(&buf, p); err != nil {
+	for i, p := range payloads {
+		if err := writeRoundFrame(&buf, types.Round(i+1), p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, want := range payloads {
-		got, err := readFrame(&buf)
+	for i, want := range payloads {
+		r, got, err := readRoundFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (want == nil) != (got == nil) || !bytes.Equal(want, got) {
-			t.Fatalf("frame round trip: %v -> %v", want, got)
+		if r != types.Round(i+1) || (want == nil) != (got == nil) || !bytes.Equal(want, got) {
+			t.Fatalf("frame round trip: round %d %v -> round %d %v", i+1, want, r, got)
 		}
-	}
-	// Oversized frames rejected with the typed error.
-	var big bytes.Buffer
-	big.WriteByte(1)
-	hdr := make([]byte, 10)
-	n := binary.PutUvarint(hdr, maxFrame+1)
-	big.Write(hdr[:n])
-	if _, err := readFrame(&big); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized frame: err = %v, want ErrFrameTooLarge", err)
 	}
 	// A stream that dies mid-frame is a truncation, not a protocol
 	// violation.
-	if _, err := readFrame(bytes.NewReader([]byte{1, 5, 1, 2})); !errors.Is(err, ErrTruncatedFrame) {
+	if _, _, err := readRoundFrame(bytes.NewReader([]byte{1, flagPayload, 5, 1, 2})); !errors.Is(err, ErrTruncatedFrame) {
 		t.Fatalf("torn frame: err = %v, want ErrTruncatedFrame", err)
 	}
 	// An unknown flag byte poisons the stream.
-	if _, err := readFrame(bytes.NewReader([]byte{0x7f})); !errors.Is(err, ErrBadFrame) {
+	if _, _, err := readRoundFrame(bytes.NewReader([]byte{1, 0x7f})); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("bad flag: err = %v, want ErrBadFrame", err)
 	}
-	// A clean close between frames is a plain EOF — the classic
-	// engine's normal end-of-run, never a typed failure.
-	if _, err := readFrame(bytes.NewReader(nil)); err != io.EOF {
+	// A clean close between frames is a plain EOF, never a typed
+	// failure.
+	if _, _, err := readRoundFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("clean close: err = %v, want io.EOF", err)
 	}
 }

@@ -1,3 +1,10 @@
+// Package nettransport runs protocols over real TCP loopback
+// connections: one goroutine per processor, a framed stream per
+// directed link, deadline-driven rounds, seeded chaos injection, and
+// reconstruction of the failure pattern the network induced. Unlike
+// the in-process transport it exercises genuine serialization:
+// messages must be []byte (the fip.WireProtocol adapter produces
+// exactly that).
 package nettransport
 
 import (
@@ -97,9 +104,9 @@ func (e *ReconstructionError) Error() string {
 func (e *ReconstructionError) Unwrap() error { return e.Err }
 
 // RunResilient executes the protocol over a TCP mesh with
-// deadline-driven round synchronization instead of lockstep null
-// frames: every processor waits at most opts.Deadline per round for
-// its peers' frames, and a frame that misses the deadline — whether
+// deadline-driven round synchronization: every processor waits at
+// most opts.Deadline per round for its peers' frames, and a frame that
+// misses the deadline — whether
 // dropped, delayed, stuck behind a dead connection, or cut off by a
 // partition — is treated as an omission by its sender, exactly the
 // paper's failure semantics. Connections that die are re-established

@@ -296,21 +296,3 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal("server still serving after shutdown")
 	}
 }
-
-func TestLoadGenerator(t *testing.T) {
-	ts, _ := newTestServer(t, 0)
-	reqs := []Request{
-		{Formula: "Cbox E0 -> C E0"},
-		{Formula: "C E0 -> Cbox E0"},
-	}
-	rep, err := RunLoad(context.Background(), ts.URL, reqs, 4, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Queries != 24 || rep.Errors != 0 {
-		t.Fatalf("report %+v", rep)
-	}
-	if rep.QPS <= 0 || rep.P95MS < rep.P50MS {
-		t.Fatalf("nonsensical report %+v", rep)
-	}
-}

@@ -1,11 +1,8 @@
-// Package stats holds the one shared latency-percentile helper used by
-// every load generator in the repo. It exists because three copies of
-// the same percentile computation had drifted into the codebase, all
-// sharing the same small-sample bug: indexing by int(p*(N-1)) truncates
-// toward zero, so a p99 over fewer than 100 samples silently reported
-// the p98 (N=50: index 48 instead of 49) and a p95 over 20 samples the
-// p90. The shared helper uses the nearest-rank definition instead,
-// which is exact for every sample size.
+// Package stats holds the latency-percentile helper the benchmark
+// uses. It uses the nearest-rank definition, which is exact for every
+// sample size: indexing by int(p*(N-1)) truncates toward zero, so a
+// p99 over fewer than 100 samples would silently report the p98 (N=50:
+// index 48 instead of 49) and a p95 over 20 samples the p90.
 package stats
 
 import (
