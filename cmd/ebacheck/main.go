@@ -36,7 +36,7 @@ func run() error {
 		modeName = flag.String("mode", "crash", "crash | omission | receiving-omission | general-omission")
 		h        = flag.Int("h", 0, "horizon (default t+2)")
 		limit    = flag.Int("limit", 2_000_000, "omission pattern limit (0 = unlimited)")
-		parallel = flag.Int("parallel", 0, "worker bound for enumeration and evaluation (0 = all cores, 1 = sequential)")
+		parallel = flag.Int("parallel", 0, "evaluator workers (0 = all cores, 1 = sequential)")
 		tel      = telemetry.BindFlags(flag.CommandLine)
 	)
 	flag.Parse()
@@ -56,7 +56,7 @@ func run() error {
 	params := eba.Params{N: *n, T: *t}
 	fmt.Printf("enumerating %s system n=%d t=%d h=%d ...\n", mode, *n, *t, *h)
 	eba.SetParallelism(*parallel)
-	sys, err := eba.NewSystemParallel(params, mode, *h, *limit, *parallel)
+	sys, err := eba.NewSystem(params, mode, *h, *limit)
 	if err != nil {
 		return err
 	}

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"github.com/eventual-agreement/eba/internal/exp"
+	"github.com/eventual-agreement/eba/internal/knowledge"
 	"github.com/eventual-agreement/eba/internal/telemetry"
 )
 
@@ -25,7 +26,7 @@ func main() {
 		ids      = flag.String("e", "", "comma-separated experiment IDs (default: all)")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		jsonOut  = flag.Bool("json", false, "emit results as JSON instead of tables")
-		parallel = flag.Int("parallel", 0, "worker bound for system builds and evaluation (0 = all cores, 1 = sequential)")
+		parallel = flag.Int("parallel", 0, "evaluator workers (0 = all cores, 1 = sequential)")
 		tel      = telemetry.BindFlags(flag.CommandLine)
 	)
 	flag.Parse()
@@ -34,7 +35,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer tel.Close()
-	exp.SetParallelism(*parallel)
+	knowledge.SetDefaultParallelism(*parallel) // every evaluator the experiments create; numbers are identical at any setting
 
 	if *list {
 		for _, e := range exp.All() {

@@ -67,7 +67,7 @@ func run() error {
 		limit    = flag.Int("limit", 2_000_000, "omission pattern limit")
 		jsonOut  = flag.Bool("json", false, "emit the query result as JSON")
 		cachedir = flag.String("cachedir", "", "snapshot store directory (empty = no persistence)")
-		parallel = flag.Int("parallel", 0, "worker bound for cold enumeration and evaluation (0 = all cores, 1 = sequential)")
+		parallel = flag.Int("parallel", 0, "evaluator workers (0 = all cores, 1 = sequential)")
 		server   = flag.String("server", "", "query a running ebad daemon at this base URL instead of evaluating in-process")
 		retries  = flag.Int("retries", -1, "server mode: max retries after the first attempt (-1 = default/EBA_RETRY_MAX)")
 		budget   = flag.Duration("retry-budget", 0, "server mode: wall-clock budget across attempts (0 = default/EBA_RETRY_BUDGET)")

@@ -353,13 +353,6 @@ func NewSystem(params Params, mode Mode, horizon, limit int) (*System, error) {
 	return system.Enumerate(params, mode, horizon, limit)
 }
 
-// NewSystemParallel is NewSystem with run generation sharded across a
-// worker pool (workers <= 0 selects all cores). The result — run
-// order, view IDs, snapshot digest — is identical to NewSystem's.
-func NewSystemParallel(params Params, mode Mode, horizon, limit, workers int) (*System, error) {
-	return system.EnumerateParallel(params, mode, horizon, limit, workers)
-}
-
 // NewSystemFromPatterns enumerates the system over an explicit
 // adversary class.
 func NewSystemFromPatterns(params Params, mode Mode, horizon int, pats []*Pattern) (*System, error) {
@@ -458,7 +451,7 @@ func FIP(in *Interner, p Pair) Protocol { return fip.Protocol(in, p) }
 func FIPWire(p Pair) Protocol { return fip.WireProtocol(p) }
 
 // DecisionAt returns the pair's decision for a processor in a run.
-func DecisionAt(sys *System, p Pair, run *SysRun, proc ProcID) (Value, Round, bool) {
+func DecisionAt(sys *System, p Pair, run SysRun, proc ProcID) (Value, Round, bool) {
 	return fip.DecisionAt(sys, p, run, proc)
 }
 

@@ -221,9 +221,9 @@ func TestFIPAdapters(t *testing.T) {
 		t.Fatal(err)
 	}
 	pair := eba.P0OptPair()
-	run := sys.Runs[17]
+	run := sys.Run(17)
 	v, at, ok := eba.DecisionAt(sys, pair, run, 0)
-	tr, err := eba.Run(eba.FIP(sys.Interner, pair), params, run.Config, run.Pattern)
+	tr, err := eba.Run(eba.FIP(sys.Interner, pair), params, run.Config(), run.Pattern())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestFIPAdapters(t *testing.T) {
 	if v != v2 || at != at2 || ok != ok2 {
 		t.Fatal("FIP adapter disagrees with DecisionAt")
 	}
-	trw, err := eba.RunLive(eba.FIPWire(pair), params, run.Config, run.Pattern)
+	trw, err := eba.RunLive(eba.FIPWire(pair), params, run.Config(), run.Pattern())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func main() {
 	if !ok {
 		log.Fatal("run not found")
 	}
-	fmt.Printf("run: config %s, failure-free, horizon %d\n\n", run.Config, h)
+	fmt.Printf("run: config %s, failure-free, horizon %d\n\n", run.Config(), h)
 
 	// Knowledge of ∃0 spreads in one round.
 	for m := eba.Round(0); m <= 1; m++ {

@@ -154,7 +154,7 @@ func TestCorruptPeerQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local fallback: %v", err)
 	}
-	if sys2 == nil || len(sys2.Runs) == 0 {
+	if sys2 == nil || sys2.NumRuns() == 0 {
 		t.Fatal("fallback produced an empty system")
 	}
 }

@@ -17,8 +17,8 @@ import (
 )
 
 // systemEnumerate builds the scenario's exhaustive system with the
-// sequential builder — the ground truth the parallel builder and the
-// store snapshot are compared against.
+// builder every binary uses — what the per-run build, the parallel
+// builder and the store snapshot are compared against.
 func systemEnumerate(sc Scenario) (*system.System, error) {
 	return system.Enumerate(sc.Params(), sc.Mode, sc.Horizon, sc.Key().Limit)
 }
@@ -55,10 +55,16 @@ const (
 	// silently loses its drops; the deliveries-identical parity law
 	// must catch the divergence.
 	MutantParity = "parity"
+	// MutantPrefix hands the build:prefix-vs-perrun law a system built
+	// as if the prefix-sharing builder keyed its run prefixes without
+	// the receive-omission half of the delivery matrix; the comparison
+	// with the per-run build must catch it wherever a receive drop is
+	// visible.
+	MutantPrefix = "prefix"
 )
 
 // Mutants lists the accepted Options.Mutant values.
-var Mutants = []string{MutantLaw, MutantOracle, MutantDifferential, MutantCluster, MutantReconstruction, MutantParity}
+var Mutants = []string{MutantLaw, MutantOracle, MutantDifferential, MutantCluster, MutantReconstruction, MutantParity, MutantPrefix}
 
 // Options configures a conformance run.
 type Options struct {
@@ -236,7 +242,7 @@ func Run(opts Options) (*Result, error) {
 		opts.Deadline = 200 * time.Millisecond
 	}
 	switch opts.Mutant {
-	case "", MutantLaw, MutantOracle, MutantDifferential, MutantCluster, MutantReconstruction, MutantParity:
+	case "", MutantLaw, MutantOracle, MutantDifferential, MutantCluster, MutantReconstruction, MutantParity, MutantPrefix:
 	default:
 		return nil, fmt.Errorf("conform: unknown mutant %q (want %v)", opts.Mutant, Mutants)
 	}

@@ -94,13 +94,14 @@ func TestRunPasses(t *testing.T) {
 
 // TestMutantsCaught proves the harness detects an injected violation
 // in each pillar and emits it to the JSONL corpus with a seed that
-// replays the failure. The two mode-parity mutants only manifest on
-// receiving-omission scenarios with actual receive drops, so their
-// runs are mode-filtered — exercising Options.Modes on the way.
+// replays the failure. The two mode-parity mutants and the prefix
+// mutant only manifest on scenarios with actual receive drops, so
+// their runs are mode-filtered — exercising Options.Modes on the way.
 func TestMutantsCaught(t *testing.T) {
 	modeFilter := map[string][]failures.Mode{
 		MutantReconstruction: {failures.ReceivingOmission},
 		MutantParity:         {failures.ReceivingOmission},
+		MutantPrefix:         {failures.ReceivingOmission},
 	}
 	for _, mutant := range Mutants {
 		mutant := mutant

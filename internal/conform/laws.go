@@ -56,8 +56,8 @@ func lawCatalog(mutant string) []parsedLaw {
 // checkLaws runs the metamorphic / property-based pillar for sc's
 // system key: the parseable catalog (direct evaluator + service
 // engine), the fixed-point characterizations, C□ monotonicity under
-// run restriction, seq-vs-parallel digest equality, and the codec
-// round-trip.
+// run restriction, seq-vs-parallel digest equality, the codec
+// round-trip, and the prefix-sharing builder against the per-run one.
 func (r *Runner) checkLaws(sc Scenario, seq *system.System, ev *knowledge.Evaluator) (vs []Violation, checks int) {
 	key := sc.Key()
 	fail := func(law, detail string) {
@@ -129,7 +129,7 @@ func (r *Runner) checkLaws(sc Scenario, seq *system.System, ev *knowledge.Evalua
 			pt, _ := ev.FailingPoint(f)
 			run := seq.RunOf(pt)
 			fail(law.Name, fmt.Sprintf("%q fails at run %d time %d (cfg %s, pattern %s): %d/%d points",
-				law.Formula, pt.Run, pt.Time, run.Config, run.Pattern, tbl.Count(), tbl.Len()))
+				law.Formula, pt.Run, pt.Time, run.Config(), run.Pattern(), tbl.Count(), tbl.Len()))
 		}
 		if !law.Service {
 			continue
@@ -158,7 +158,8 @@ func (r *Runner) checkLaws(sc Scenario, seq *system.System, ev *knowledge.Evalua
 	v2, c2 := structuralLaws(sc, seq, ev)
 	vs, checks = append(vs, v2...), checks+c2
 	v3, c3 := modeParityLaws(sc, seq, ev, r.opts.Mutant)
-	return append(vs, v3...), checks + c3
+	v4, c4 := buildLaw(sc, seq, r.opts.Mutant)
+	return append(append(vs, v3...), v4...), checks + c3 + c4
 }
 
 // structuralLaws are the catalog entries that need formula
@@ -231,10 +232,11 @@ func structuralLaws(sc Scenario, seq *system.System, ev *knowledge.Evaluator) (v
 func cboxMonotonicity(sc Scenario, seq *system.System, ev *knowledge.Evaluator) (vs []Violation, checks int) {
 	var pats []*failures.Pattern
 	seen := make(map[string]bool)
-	for _, run := range seq.Runs {
-		if !seen[run.Pattern.Key()] {
-			seen[run.Pattern.Key()] = true
-			pats = append(pats, run.Pattern)
+	for ri := 0; ri < seq.NumRuns(); ri++ {
+		run := seq.Run(ri)
+		if !seen[run.Pattern().Key()] {
+			seen[run.Pattern().Key()] = true
+			pats = append(pats, run.Pattern())
 		}
 	}
 	if len(pats) < 2 {
@@ -256,19 +258,21 @@ func cboxMonotonicity(sc Scenario, seq *system.System, ev *knowledge.Evaluator) 
 		pat string
 		cfg uint64
 	}
-	fullRun := make(map[runKey]*system.Run, len(seq.Runs))
-	for _, run := range seq.Runs {
-		fullRun[runKey{run.Pattern.Key(), run.Config.Bits()}] = run
+	fullRun := make(map[runKey]system.Run, seq.NumRuns())
+	for ri := 0; ri < seq.NumRuns(); ri++ {
+		run := seq.Run(ri)
+		fullRun[runKey{run.Pattern().Key(), run.ConfigBits()}] = run
 	}
 	nf := knowledge.Nonfaulty()
 	f := knowledge.CBox(nf, knowledge.Exists0())
 	fullTbl := ev.Eval(f)
 	subTbl := knowledge.NewEvaluator(subSys).Eval(f)
-	for _, run := range subSys.Runs {
-		fr, ok := fullRun[runKey{run.Pattern.Key(), run.Config.Bits()}]
+	for ri := 0; ri < subSys.NumRuns(); ri++ {
+		run := subSys.Run(ri)
+		fr, ok := fullRun[runKey{run.Pattern().Key(), run.ConfigBits()}]
 		if !ok {
 			return []Violation{violationOf(sc, "law", "monotone:cbox-restriction",
-				fmt.Sprintf("restricted run (cfg %s) missing from full system", run.Config))}, checks
+				fmt.Sprintf("restricted run (cfg %s) missing from full system", run.Config()))}, checks
 		}
 		for m := 0; m <= sc.Horizon; m++ {
 			fullIdx := seq.PointIndex(system.Point{Run: fr.Index, Time: types.Round(m)})
@@ -276,7 +280,7 @@ func cboxMonotonicity(sc Scenario, seq *system.System, ev *knowledge.Evaluator) 
 			if fullTbl.Get(fullIdx) && !subTbl.Get(subIdx) {
 				return []Violation{violationOf(sc, "law", "monotone:cbox-restriction",
 					fmt.Sprintf("C□ ∃0 holds at (cfg %s, pattern %s, time %d) in the full system but not in the restricted one",
-						run.Config, run.Pattern, m))}, checks
+						run.Config(), run.Pattern(), m))}, checks
 			}
 		}
 	}

@@ -113,24 +113,25 @@ func modeParityLaws(sc Scenario, seq *system.System, ev *knowledge.Evaluator, mu
 		}
 	}
 	checks += 4 // deliveries, containment, decisions, cbox
-	for _, run := range seq.Runs {
-		emb := embedded[run.Pattern.Key()]
+	for ri := 0; ri < seq.NumRuns(); ri++ {
+		run := seq.Run(ri)
+		emb := embedded[run.Pattern().Key()]
 		if !caught["parity:deliveries"] {
-			if s, r, d, ok := deliveryDiff(run.Pattern, emb); !ok {
+			if s, r, d, ok := deliveryDiff(run.Pattern(), emb); !ok {
 				failOnce("parity:deliveries", fmt.Sprintf(
 					"pattern %s and its embedding %s disagree on delivery %d→%d at round %d",
-					run.Pattern, emb, s, d, r))
+					run.Pattern(), emb, s, d, r))
 			}
 		}
 		if !genKeys[emb.Key()] {
 			failOnce("parity:containment", fmt.Sprintf(
-				"embedding %s of pattern %s not in the general enumeration", emb, run.Pattern))
+				"embedding %s of pattern %s not in the general enumeration", emb, run.Pattern()))
 			continue
 		}
-		grun, ok := gen.FindRun(run.Config, emb.Key())
+		grun, ok := gen.FindRun(run.Config(), emb.Key())
 		if !ok {
 			failOnce("parity:containment", fmt.Sprintf(
-				"embedded run (cfg %s, pattern %s) not found in the general system", run.Config, emb))
+				"embedded run (cfg %s, pattern %s) not found in the general system", run.Config(), emb))
 			continue
 		}
 		if !caught["parity:decisions"] {
@@ -140,7 +141,7 @@ func modeParityLaws(sc Scenario, seq *system.System, ev *knowledge.Evaluator, mu
 				if ok1 != ok2 || (ok1 && (v1 != v2 || at1 != at2)) {
 					failOnce("parity:decisions", fmt.Sprintf(
 						"proc %d decides (%v@%d, ok=%v) on pattern %s but (%v@%d, ok=%v) on its general embedding",
-						p, v1, at1, ok1, run.Pattern, v2, at2, ok2))
+						p, v1, at1, ok1, run.Pattern(), v2, at2, ok2))
 					break
 				}
 			}
@@ -152,7 +153,7 @@ func modeParityLaws(sc Scenario, seq *system.System, ev *knowledge.Evaluator, mu
 				if genTbl.Get(gi) && !seqTbl.Get(si) {
 					failOnce("parity:cbox", fmt.Sprintf(
 						"C□ ∃0 holds at (cfg %s, pattern %s, time %d) in the general system but not in the %s restriction",
-						run.Config, emb, m, sc.Mode))
+						run.Config(), emb, m, sc.Mode))
 					break
 				}
 			}
@@ -166,10 +167,11 @@ func modeParityLaws(sc Scenario, seq *system.System, ev *knowledge.Evaluator, mu
 func distinctPatterns(sys *system.System) []*failures.Pattern {
 	seen := make(map[string]bool)
 	var out []*failures.Pattern
-	for _, run := range sys.Runs {
-		if !seen[run.Pattern.Key()] {
-			seen[run.Pattern.Key()] = true
-			out = append(out, run.Pattern)
+	for ri := 0; ri < sys.NumRuns(); ri++ {
+		run := sys.Run(ri)
+		if !seen[run.Pattern().Key()] {
+			seen[run.Pattern().Key()] = true
+			out = append(out, run.Pattern())
 		}
 	}
 	return out
@@ -191,9 +193,9 @@ func deliveryDiff(a, b *failures.Pattern) (types.ProcID, types.Round, types.Proc
 	return 0, 0, 0, true
 }
 
-// stripRecv is MutantParity's deliberately broken embedding: the
-// receive schedules are discarded, so a receiving-omission pattern's
-// drops silently vanish from the embedded pattern.
+// stripRecv is the deliberately broken rewrite behind MutantParity and
+// MutantPrefix: the receive schedules are discarded, so a pattern's
+// receive drops silently vanish; mode and faulty set are kept.
 func stripRecv(p *failures.Pattern) *failures.Pattern {
 	nb := make(map[types.ProcID]*failures.Behavior, p.Faulty().Len())
 	for _, q := range p.Faulty().Members() {
@@ -203,7 +205,7 @@ func stripRecv(p *failures.Pattern) *failures.Pattern {
 		}
 		nb[q] = b
 	}
-	out, err := failures.NewPattern(failures.GeneralOmission, p.N(), p.Horizon(), p.Faulty(), nb)
+	out, err := failures.NewPattern(p.Mode(), p.N(), p.Horizon(), p.Faulty(), nb)
 	if err != nil {
 		return p
 	}

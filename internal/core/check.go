@@ -47,7 +47,7 @@ func Decisions(sys *system.System, p fip.Pair) *DecisionTable {
 		sys:    sys,
 		pair:   p,
 		byView: make([]int8, sys.Interner.Size()),
-		first:  make([]int16, len(sys.Runs)*sys.Params.N),
+		first:  make([]int16, sys.NumRuns()*sys.Params.N),
 	}
 	for id := range t.byView {
 		t.byView[id] = unasked
@@ -71,7 +71,7 @@ func (t *DecisionTable) row(run int) []int16 {
 	}
 	pending := n
 	for m := 0; m <= t.sys.Horizon && pending > 0; m++ {
-		for proc, id := range t.sys.Runs[run].Views[m] {
+		for proc, id := range t.sys.Run(run).Row(m) {
 			if row[proc] != undecided {
 				continue
 			}
@@ -103,8 +103,9 @@ func (t *DecisionTable) At(run int, proc types.ProcID) (types.Value, types.Round
 // forNonfaulty calls fn with the first decision of every nonfaulty
 // processor of every run, in run then processor order, until fn
 // returns false.
-func (t *DecisionTable) forNonfaulty(fn func(run *system.Run, proc types.ProcID, v types.Value, at types.Round, ok bool) bool) {
-	for _, run := range t.sys.Runs {
+func (t *DecisionTable) forNonfaulty(fn func(run system.Run, proc types.ProcID, v types.Value, at types.Round, ok bool) bool) {
+	for ri := 0; ri < t.sys.NumRuns(); ri++ {
+		run := t.sys.Run(ri)
 		nf := run.Nonfaulty()
 		for i := 0; i < t.sys.Params.N; i++ {
 			proc := types.ProcID(i)
@@ -120,8 +121,9 @@ func (t *DecisionTable) forNonfaulty(fn func(run *system.Run, proc types.ProcID,
 
 // agreement checks that no two of the processors keep admits decide
 // differently in one run; kind names the property in the error.
-func (t *DecisionTable) agreement(kind string, keep func(run *system.Run, proc types.ProcID, at types.Round) bool) error {
-	for _, run := range t.sys.Runs {
+func (t *DecisionTable) agreement(kind string, keep func(run system.Run, proc types.ProcID, at types.Round) bool) error {
+	for ri := 0; ri < t.sys.NumRuns(); ri++ {
+		run := t.sys.Run(ri)
 		var saw [2]bool
 		var who [2]types.ProcID
 		for i := 0; i < t.sys.Params.N; i++ {
@@ -133,7 +135,7 @@ func (t *DecisionTable) agreement(kind string, keep func(run *system.Run, proc t
 		}
 		if saw[0] && saw[1] {
 			return fmt.Errorf("core: %s violates %s agreement in run %d (cfg %s, %s): %d decides 0, %d decides 1",
-				t.pair.Name, kind, run.Index, run.Config, run.Pattern, who[0], who[1])
+				t.pair.Name, kind, run.Index, run.Config(), run.Pattern(), who[0], who[1])
 		}
 	}
 	return nil
@@ -142,7 +144,7 @@ func (t *DecisionTable) agreement(kind string, keep func(run *system.Run, proc t
 // CheckWeakAgreement verifies condition 2′ of Section 2.1 on every
 // run: nonfaulty processors do not decide on different values.
 func (t *DecisionTable) CheckWeakAgreement() error {
-	return t.agreement("weak", func(run *system.Run, proc types.ProcID, _ types.Round) bool {
+	return t.agreement("weak", func(run system.Run, proc types.ProcID, _ types.Round) bool {
 		return run.Nonfaulty().Contains(proc)
 	})
 }
@@ -153,12 +155,12 @@ func (t *DecisionTable) CheckWeakAgreement() error {
 // paper's protocols are not designed for it; the E16 experiment shows
 // where it breaks.
 func (t *DecisionTable) CheckUniformAgreement() error {
-	return t.agreement("uniform", func(run *system.Run, proc types.ProcID, at types.Round) bool {
+	return t.agreement("uniform", func(run system.Run, proc types.ProcID, at types.Round) bool {
 		// In the crash mode a processor is only guaranteed alive
 		// strictly before its crash round; later states are virtual
 		// and their decisions do not count.
 		if t.sys.Mode == failures.Crash {
-			if crash, crashed := run.Pattern.FirstOmission(proc); crashed && at >= crash {
+			if crash, crashed := run.Pattern().FirstOmission(proc); crashed && at >= crash {
 				return false
 			}
 		}
@@ -167,12 +169,13 @@ func (t *DecisionTable) CheckUniformAgreement() error {
 }
 
 // CheckWeakValidity verifies condition 3′: when all initial values
-// are identical, nonfaulty processors that decide, decide that value.
+// are identical, nonfaulty processors that decide, decide that value
+// — with two values, a decided value is some processor's initial one.
 func (t *DecisionTable) CheckWeakValidity() (err error) {
-	t.forNonfaulty(func(run *system.Run, proc types.ProcID, got types.Value, at types.Round, ok bool) bool {
-		if v, same := run.Config.AllEqual(); same && ok && got != v {
+	t.forNonfaulty(func(run system.Run, proc types.ProcID, got types.Value, at types.Round, ok bool) bool {
+		if ok && !run.HasValue(got) {
 			err = fmt.Errorf("core: %s violates weak validity in run %d (cfg %s, %s): %d decides %s at %d",
-				t.pair.Name, run.Index, run.Config, run.Pattern, proc, got, at)
+				t.pair.Name, run.Index, run.Config(), run.Pattern(), proc, got, at)
 		}
 		return err == nil
 	})
@@ -182,10 +185,10 @@ func (t *DecisionTable) CheckWeakValidity() (err error) {
 // CheckDecision verifies the decision condition of EBA within the
 // enumerated horizon: every nonfaulty processor decides by time H.
 func (t *DecisionTable) CheckDecision() (err error) {
-	t.forNonfaulty(func(run *system.Run, proc types.ProcID, _ types.Value, _ types.Round, ok bool) bool {
+	t.forNonfaulty(func(run system.Run, proc types.ProcID, _ types.Value, _ types.Round, ok bool) bool {
 		if !ok {
 			err = fmt.Errorf("core: %s: nonfaulty processor %d never decides in run %d (cfg %s, %s)",
-				t.pair.Name, proc, run.Index, run.Config, run.Pattern)
+				t.pair.Name, proc, run.Index, run.Config(), run.Pattern())
 		}
 		return err == nil
 	})
@@ -215,7 +218,7 @@ func (a *DecisionTable) Dominates(b *DecisionTable) bool {
 		panic(fmt.Sprintf("core: decision tables of %s and %s are over different systems", a.pair.Name, b.pair.Name))
 	}
 	dominates := true
-	b.forNonfaulty(func(run *system.Run, proc types.ProcID, _ types.Value, bAt types.Round, bOK bool) bool {
+	b.forNonfaulty(func(run system.Run, proc types.ProcID, _ types.Value, bAt types.Round, bOK bool) bool {
 		if _, aAt, aOK := a.At(run.Index, proc); bOK && (!aOK || aAt > bAt) {
 			dominates = false
 		}
@@ -232,7 +235,7 @@ func (a *DecisionTable) StrictlyDominates(b *DecisionTable) bool {
 		return false
 	}
 	sooner := false
-	a.forNonfaulty(func(run *system.Run, proc types.ProcID, _ types.Value, aAt types.Round, aOK bool) bool {
+	a.forNonfaulty(func(run system.Run, proc types.ProcID, _ types.Value, aAt types.Round, aOK bool) bool {
 		if _, bAt, bOK := b.At(run.Index, proc); aOK && (!bOK || aAt < bAt) {
 			sooner = true
 		}
@@ -246,7 +249,7 @@ func (a *DecisionTable) StrictlyDominates(b *DecisionTable) bool {
 // processor decided.
 func (t *DecisionTable) MaxNonfaultyDecisionRound() (max types.Round, all bool) {
 	all = true
-	t.forNonfaulty(func(_ *system.Run, _ types.ProcID, _ types.Value, at types.Round, ok bool) bool {
+	t.forNonfaulty(func(_ system.Run, _ types.ProcID, _ types.Value, at types.Round, ok bool) bool {
 		if !ok {
 			all = false
 		} else if at > max {
@@ -261,7 +264,7 @@ func (t *DecisionTable) MaxNonfaultyDecisionRound() (max types.Round, all bool) 
 // Undecided nonfaulty processors are counted under the key -1.
 func (t *DecisionTable) DecisionHistogram() map[types.Round]int {
 	h := make(map[types.Round]int)
-	t.forNonfaulty(func(_ *system.Run, _ types.ProcID, _ types.Value, at types.Round, _ bool) bool {
+	t.forNonfaulty(func(_ system.Run, _ types.ProcID, _ types.Value, at types.Round, _ bool) bool {
 		h[at]++ // At reports an undecided processor at time -1
 		return true
 	})
@@ -274,11 +277,11 @@ func (t *DecisionTable) DecisionHistogram() map[types.Round]int {
 // quantity bounded by f+1 in Proposition 6.4.
 func (t *DecisionTable) FMaxDecisionBound() map[int]types.Round {
 	out := make(map[int]types.Round)
-	t.forNonfaulty(func(run *system.Run, _ types.ProcID, _ types.Value, at types.Round, ok bool) bool {
+	t.forNonfaulty(func(run system.Run, _ types.ProcID, _ types.Value, at types.Round, ok bool) bool {
 		if !ok {
 			at = types.Round(t.sys.Horizon + 1) // sentinel: undecided
 		}
-		if f := run.Pattern.VisiblyFaulty().Len(); at > out[f] {
+		if f := run.Pattern().VisiblyFaulty().Len(); at > out[f] {
 			out[f] = at
 		}
 		return true
@@ -351,5 +354,5 @@ func IsOptimal(e *knowledge.Evaluator, p fip.Pair) (bool, string) {
 func describeFailure(sys *system.System, name, cond string, proc types.ProcID, pt system.Point) string {
 	run := sys.RunOf(pt)
 	return fmt.Sprintf("%s fails Theorem 5.3 %s for processor %d at time %d of run %d (cfg %s, %s)",
-		name, cond, proc, pt.Time, run.Index, run.Config, run.Pattern)
+		name, cond, proc, pt.Time, run.Index, run.Config(), run.Pattern())
 }

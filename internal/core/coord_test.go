@@ -90,13 +90,14 @@ func TestTwoStepSpecBiasedCoordination(t *testing.T) {
 		// Verify the gap is exactly information-theoretic: an
 		// undecided processor's final view is missing some value.
 		sawUndecided := false
-		for _, run := range sys.Runs {
+		for ri := 0; ri < sys.NumRuns(); ri++ {
+			run := sys.Run(ri)
 			for _, proc := range run.Nonfaulty().Members() {
 				if _, _, ok := fip.DecisionAt(sys, opt, run, proc); ok {
 					continue
 				}
 				sawUndecided = true
-				final := run.Views[sys.Horizon][proc]
+				final := run.View(sys.Horizon, proc)
 				complete := true
 				for _, v := range sys.Interner.KnownValues(final) {
 					if v == types.Unset {

@@ -63,7 +63,7 @@ func exists0Star() knowledge.Formula {
 		nf := run.Nonfaulty()
 		for m := 0; m <= int(pt.Time); m++ {
 			for _, p := range nf.Members() {
-				if sys.Interner.AcceptsZeroAt(run.Views[m][p]) {
+				if sys.Interner.AcceptsZeroAt(run.View(m, p)) {
 					return true
 				}
 			}
@@ -357,7 +357,8 @@ func TestDecisionHistogramAndStats(t *testing.T) {
 		total += c
 	}
 	want := 0
-	for _, run := range sys.Runs {
+	for ri := 0; ri < sys.NumRuns(); ri++ {
+		run := sys.Run(ri)
 		want += run.Nonfaulty().Len()
 	}
 	if total != want {

@@ -154,15 +154,16 @@ func TwoStepDual(e *knowledge.Evaluator, p fip.Pair) fip.Pair {
 // differ from concrete rules, but no agreement property observes
 // those states.
 func EqualOnNonfaulty(sys *system.System, a, b fip.Pair) (bool, string) {
-	for _, run := range sys.Runs {
+	for ri := 0; ri < sys.NumRuns(); ri++ {
+		run := sys.Run(ri)
 		for m := 0; m <= sys.Horizon; m++ {
 			for _, p := range run.Nonfaulty().Members() {
-				id := run.Views[m][p]
+				id := run.View(m, p)
 				av, aok := a.Decide(sys.Interner, id)
 				bv, bok := b.Decide(sys.Interner, id)
 				if av != bv || aok != bok {
 					return false, fmt.Sprintf("run %d (cfg %s, %s) time %d proc %d: %s=(%v,%v), %s=(%v,%v)",
-						run.Index, run.Config, run.Pattern, m, p, a.Name, av, aok, b.Name, bv, bok)
+						run.Index, run.Config(), run.Pattern(), m, p, a.Name, av, aok, b.Name, bv, bok)
 				}
 			}
 		}

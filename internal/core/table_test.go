@@ -47,7 +47,8 @@ func TestDecisionTableMatchesDecisionAt(t *testing.T) {
 			tables[pi] = Decisions(sys, p)
 			var max types.Round
 			all := true
-			for _, run := range sys.Runs {
+			for ri := 0; ri < sys.NumRuns(); ri++ {
+				run := sys.Run(ri)
 				for i := 0; i < sys.Params.N; i++ {
 					proc := types.ProcID(i)
 					wv, wat, wok := fip.DecisionAt(sys, p, run, proc)
@@ -71,7 +72,8 @@ func TestDecisionTableMatchesDecisionAt(t *testing.T) {
 		for ai, a := range pairs {
 			for bi, b := range pairs {
 				dom, sooner := true, false
-				for _, run := range sys.Runs {
+				for ri := 0; ri < sys.NumRuns(); ri++ {
+					run := sys.Run(ri)
 					for _, proc := range run.Nonfaulty().Members() {
 						_, aAt, aOK := fip.DecisionAt(sys, a, run, proc)
 						_, bAt, bOK := fip.DecisionAt(sys, b, run, proc)
@@ -107,13 +109,13 @@ func TestDecisionTableFillsOnDemand(t *testing.T) {
 		t.Fatal("P1 dominates P0")
 	}
 	walked := 0
-	for r := range sys.Runs {
+	for r := 0; r < sys.NumRuns(); r++ {
 		if a.first[r*sys.Params.N] != unwalked {
 			walked++
 		}
 	}
-	if walked == 0 || walked > len(sys.Runs)/2 {
-		t.Errorf("a dominance refuted early walked %d of %d runs", walked, len(sys.Runs))
+	if walked == 0 || walked > sys.NumRuns()/2 {
+		t.Errorf("a dominance refuted early walked %d of %d runs", walked, sys.NumRuns())
 	}
 	if err := a.CheckEBA(); err != nil {
 		t.Errorf("reading the rest of a partly filled table: %v", err)

@@ -37,12 +37,13 @@ func A1Horizon() (*Result, error) {
 		optH1 := core.TwoStep(knowledge.NewEvaluator(sysH1), fip.Pair{Name: "FΛ", Z: fip.Empty("z"), O: fip.Empty("o")})
 
 		mismatches, compared := 0, 0
-		for _, runH := range sysH.Runs {
-			extended, err := runH.Pattern.Extend(h + 1)
+		for ri := 0; ri < sysH.NumRuns(); ri++ {
+			runH := sysH.Run(ri)
+			extended, err := runH.Pattern().Extend(h + 1)
 			if err != nil {
 				return err
 			}
-			runH1, ok := sysH1.FindRun(runH.Config, extended.Key())
+			runH1, ok := sysH1.FindRun(runH.Config(), extended.Key())
 			if !ok {
 				// Canonical crash enumeration at h+1 represents the
 				// extension of some visible behaviours differently;

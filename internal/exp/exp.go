@@ -16,26 +16,9 @@ import (
 	"github.com/eventual-agreement/eba/internal/core"
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/fip"
-	"github.com/eventual-agreement/eba/internal/knowledge"
 	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/types"
 )
-
-// parWorkers bounds the worker pool for the experiments' system
-// builds; 0 means all cores, 1 forces the sequential builder.
-var parWorkers int
-
-// SetParallelism bounds the worker pools used by the experiments —
-// both the enumeration helper below and every evaluator the experiment
-// bodies create (via the knowledge package's process default). All
-// reported numbers are identical at every setting.
-func SetParallelism(w int) {
-	if w < 0 {
-		w = 0
-	}
-	parWorkers = w
-	knowledge.SetDefaultParallelism(w)
-}
 
 // Result is one experiment's outcome.
 type Result struct {
@@ -160,7 +143,7 @@ func timer(r *Result, body func() error) (*Result, error) {
 
 // enumerate builds a system, shared by several experiments.
 func enumerate(n, t int, mode failures.Mode, h int) (*system.System, error) {
-	return system.EnumerateParallel(types.Params{N: n, T: t}, mode, h, 0, parWorkers)
+	return system.Enumerate(types.Params{N: n, T: t}, mode, h, 0)
 }
 
 // histRows renders a decision histogram sorted by time.

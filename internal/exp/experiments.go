@@ -572,7 +572,7 @@ func E13EBAvsSBA() (*Result, error) {
 			return err
 		}
 		p0opt := protocols.P0OptPair()
-		cmp := sba.CompareEBA(sys, func(run *system.Run) []types.Round {
+		cmp := sba.CompareEBA(sys, func(run system.Run) []types.Round {
 			var ts []types.Round
 			for _, proc := range run.Nonfaulty().Members() {
 				if _, at, ok := fip.DecisionAt(sys, p0opt, run, proc); ok {

@@ -84,7 +84,8 @@ func E21Coordination() (*Result, error) {
 			isOpt, _ := core.IsOptimalSpec(e, spec, opt)
 			fixed := core.EqualOn(sys, opt, core.TwoStepSpec(e, spec, opt))
 			undecided := 0
-			for _, run := range sys.Runs {
+			for ri := 0; ri < sys.NumRuns(); ri++ {
+				run := sys.Run(ri)
 				for _, proc := range run.Nonfaulty().Members() {
 					if _, _, ok := fip.DecisionAt(sys, opt, run, proc); !ok {
 						undecided++

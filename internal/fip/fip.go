@@ -123,9 +123,9 @@ func (p Pair) Decide(in *views.Interner, id views.ID) (types.Value, bool) {
 
 // DecisionAt returns the first time m ≤ horizon at which the run's
 // processor p has decided under the pair, with the decided value.
-func DecisionAt(sys *system.System, p Pair, run *system.Run, proc types.ProcID) (types.Value, types.Round, bool) {
+func DecisionAt(sys *system.System, p Pair, run system.Run, proc types.ProcID) (types.Value, types.Round, bool) {
 	for m := 0; m <= sys.Horizon; m++ {
-		if v, ok := p.Decide(sys.Interner, run.Views[m][proc]); ok {
+		if v, ok := p.Decide(sys.Interner, run.View(m, proc)); ok {
 			return v, types.Round(m), true
 		}
 	}
@@ -142,11 +142,12 @@ func DecisionAt(sys *system.System, p Pair, run *system.Run, proc types.ProcID) 
 // would have changed an earlier decision — its first decision stands
 // by irreversibility, and no agreement property observes it.)
 func Monotone(sys *system.System, p Pair) error {
-	for _, run := range sys.Runs {
+	for r := 0; r < sys.NumRuns(); r++ {
+		run := sys.Run(r)
 		for _, proc := range run.Nonfaulty().Members() {
 			prev := types.Unset
 			for m := 0; m <= sys.Horizon; m++ {
-				v, ok := p.Decide(sys.Interner, run.Views[m][proc])
+				v, ok := p.Decide(sys.Interner, run.View(m, proc))
 				if prev != types.Unset && (!ok || v != prev) {
 					return fmt.Errorf("fip: %s: processor %d in run %d decided %s at time %d but %v at time %d",
 						p.Name, proc, run.Index, prev, m-1, v, m)

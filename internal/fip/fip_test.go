@@ -155,9 +155,10 @@ func TestProtocolMatchesDecisionAt(t *testing.T) {
 	sys := crashSys(t, 3, 1, 2)
 	p := p0pair(1)
 	params := types.Params{N: 3, T: 1}
-	for _, run := range sys.Runs {
+	for ri := 0; ri < sys.NumRuns(); ri++ {
+		run := sys.Run(ri)
 		proto := Protocol(sys.Interner, p)
-		tr, err := sim.Run(proto, params, run.Config, run.Pattern)
+		tr, err := sim.Run(proto, params, run.Config(), run.Pattern())
 		if err != nil {
 			t.Fatal(err)
 		}

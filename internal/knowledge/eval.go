@@ -278,7 +278,7 @@ func (e *Evaluator) Eval(f Formula) *Bits {
 		})
 	case *runAtomF:
 		tbl = NewBits(e.sys.NumPoints())
-		e.fillRuns(func(run *system.Run, base, end int) {
+		e.fillRuns(func(run system.Run, base, end int) {
 			if g.pred(run) {
 				tbl.SetRange(base, end)
 			}
@@ -386,7 +386,7 @@ func (e *Evaluator) membership(s NonrigidSet) []*Bits {
 	}
 	switch g := s.(type) {
 	case *nonfaultySet:
-		e.fillRuns(func(run *system.Run, base, end int) {
+		e.fillRuns(func(run system.Run, base, end int) {
 			run.Nonfaulty().ForEach(func(i types.ProcID) bool {
 				masks[i].SetRange(base, end)
 				return true
@@ -414,11 +414,11 @@ func (e *Evaluator) membership(s NonrigidSet) []*Bits {
 // fillRuns calls fn once per run with the run's point-index range
 // [base, end), over shards of whole runs: the kernel behind every fact
 // that is constant along a run. fn may write only bits in its range.
-func (e *Evaluator) fillRuns(fn func(run *system.Run, base, end int)) {
+func (e *Evaluator) fillRuns(fn func(run system.Run, base, end int)) {
 	stride := e.sys.Horizon + 1
 	e.parallelRuns(e.sys.NumRuns(), func(rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
-			fn(e.sys.Runs[r], r*stride, (r+1)*stride)
+			fn(e.sys.Run(r), r*stride, (r+1)*stride)
 		}
 	})
 }

@@ -28,7 +28,7 @@ type atomF struct {
 // writes the answer into all of the run's points.
 type runAtomF struct {
 	name string
-	pred func(run *system.Run) bool
+	pred func(run system.Run) bool
 }
 
 // nonfaultyF is the fact p ∈ 𝒩; its truth table is 𝒩's membership
@@ -156,7 +156,7 @@ func Atom(name string, pred func(sys *system.System, pt system.Point) bool) Form
 
 // RunAtom builds a primitive proposition from a predicate over runs:
 // it holds at a point iff pred holds of the point's run.
-func RunAtom(name string, pred func(run *system.Run) bool) Formula {
+func RunAtom(name string, pred func(run system.Run) bool) Formula {
 	return &runAtomF{name: name, pred: pred}
 }
 
@@ -243,11 +243,11 @@ func Exists0() Formula { return existsVal(types.Zero) }
 func Exists1() Formula { return existsVal(types.One) }
 
 var (
-	exists0F = &runAtomF{name: "∃0", pred: func(run *system.Run) bool {
-		return run.Config.HasValue(types.Zero)
+	exists0F = &runAtomF{name: "∃0", pred: func(run system.Run) bool {
+		return run.HasValue(types.Zero)
 	}}
-	exists1F = &runAtomF{name: "∃1", pred: func(run *system.Run) bool {
-		return run.Config.HasValue(types.One)
+	exists1F = &runAtomF{name: "∃1", pred: func(run system.Run) bool {
+		return run.HasValue(types.One)
 	}}
 )
 
@@ -260,8 +260,8 @@ func existsVal(v types.Value) Formula {
 
 // InitialIs holds at points of runs where processor p started with v.
 func InitialIs(p types.ProcID, v types.Value) Formula {
-	return RunAtom(fmt.Sprintf("init_%d=%s", p, v), func(run *system.Run) bool {
-		return run.Config[p] == v
+	return RunAtom(fmt.Sprintf("init_%d=%s", p, v), func(run system.Run) bool {
+		return run.Initial(p) == v
 	})
 }
 

@@ -45,14 +45,14 @@ func TestFrontierNeverSharedAcrossSets(t *testing.T) {
 	build := func(s NonrigidSet) []Formula {
 		return []Formula{
 			B(0, s, Atom("init1", func(sys *system.System, pt system.Point) bool {
-				return sys.RunOf(pt).Config[1] == types.One
+				return sys.RunOf(pt).Initial(1) == types.One
 			})),
 			E(s, True()),
 			C(s, Atom("init0", func(sys *system.System, pt system.Point) bool {
-				return sys.RunOf(pt).Config[0] == types.One
+				return sys.RunOf(pt).Initial(0) == types.One
 			})),
 			CBox(s, Atom("init0b", func(sys *system.System, pt system.Point) bool {
-				return sys.RunOf(pt).Config[0] == types.One
+				return sys.RunOf(pt).Initial(0) == types.One
 			})),
 			CDiamond(s, True()),
 		}

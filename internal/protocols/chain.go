@@ -154,7 +154,7 @@ func Exists0Star() knowledge.Formula {
 		run := sys.RunOf(pt)
 		nf := run.Nonfaulty()
 		for m := 0; m <= int(pt.Time); m++ {
-			for p, id := range run.Views[m] {
+			for p, id := range run.Row(m) {
 				if nf.Contains(types.ProcID(p)) && sys.Interner.AcceptsZeroAt(id) {
 					return true
 				}

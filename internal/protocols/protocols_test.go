@@ -28,8 +28,9 @@ func enum(t *testing.T, n, tt int, mode failures.Mode, h int) *system.System {
 func assertTraceMatchesPair(t *testing.T, sys *system.System, proto sim.Protocol, pair fip.Pair) {
 	t.Helper()
 	params := sys.Params
-	for _, run := range sys.Runs {
-		tr, err := sim.Run(proto, params, run.Config, run.Pattern)
+	for ri := 0; ri < sys.NumRuns(); ri++ {
+		run := sys.Run(ri)
+		tr, err := sim.Run(proto, params, run.Config(), run.Pattern())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func assertTraceMatchesPair(t *testing.T, sys *system.System, proto sim.Protocol
 			gotV, gotAt, gotOK := tr.DecisionOf(proc)
 			if wantV != gotV || wantAt != gotAt || wantOK != gotOK {
 				t.Fatalf("%s run %d (cfg %s, %s) proc %d: concrete (%v,%d,%v) vs pair (%v,%d,%v)",
-					proto.Name(), run.Index, run.Config, run.Pattern, proc,
+					proto.Name(), run.Index, run.Config(), run.Pattern(), proc,
 					gotV, gotAt, gotOK, wantV, wantAt, wantOK)
 			}
 		}
@@ -138,29 +139,30 @@ func TestP0OptBreaksUnderOmission(t *testing.T) {
 func TestChain0EBAOmission(t *testing.T) {
 	sys := enum(t, 3, 1, failures.Omission, 3)
 	params := sys.Params
-	for _, run := range sys.Runs {
-		tr, err := sim.Run(Chain0(), params, run.Config, run.Pattern)
+	for ri := 0; ri < sys.NumRuns(); ri++ {
+		run := sys.Run(ri)
+		tr, err := sim.Run(Chain0(), params, run.Config(), run.Pattern())
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := run.Pattern.VisiblyFaulty().Len()
+		f := run.Pattern().VisiblyFaulty().Len()
 		var saw [2]bool
 		for _, proc := range run.Nonfaulty().Members() {
 			v, at, ok := tr.DecisionOf(proc)
 			if !ok {
 				t.Fatalf("nonfaulty %d undecided in run %d (cfg %s, %s)",
-					proc, run.Index, run.Config, run.Pattern)
+					proc, run.Index, run.Config(), run.Pattern())
 			}
 			if int(at) > f+1 {
 				t.Fatalf("run %d: proc %d decided at %d > f+1 = %d (%s)",
-					run.Index, proc, at, f+1, run.Pattern)
+					run.Index, proc, at, f+1, run.Pattern())
 			}
 			saw[v] = true
 		}
 		if saw[0] && saw[1] {
-			t.Fatalf("agreement violated in run %d (cfg %s, %s)", run.Index, run.Config, run.Pattern)
+			t.Fatalf("agreement violated in run %d (cfg %s, %s)", run.Index, run.Config(), run.Pattern())
 		}
-		if v, same := run.Config.AllEqual(); same {
+		if v, same := run.Config().AllEqual(); same {
 			for _, proc := range run.Nonfaulty().Members() {
 				if got, _, _ := tr.DecisionOf(proc); got != v {
 					t.Fatalf("validity violated in run %d", run.Index)
@@ -192,8 +194,9 @@ func TestChain0DominatedByPair(t *testing.T) {
 	sys := enum(t, 3, 1, failures.Omission, 3)
 	syn := Chain0SyntacticPair()
 	params := sys.Params
-	for _, run := range sys.Runs {
-		tr, err := sim.Run(Chain0(), params, run.Config, run.Pattern)
+	for ri := 0; ri < sys.NumRuns(); ri++ {
+		run := sys.Run(ri)
+		tr, err := sim.Run(Chain0(), params, run.Config(), run.Pattern())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +211,7 @@ func TestChain0DominatedByPair(t *testing.T) {
 			}
 			if pv != cv {
 				t.Fatalf("pair and concrete decide differently in run %d (cfg %s, %s) proc %d: %v vs %v",
-					run.Index, run.Config, run.Pattern, proc, pv, cv)
+					run.Index, run.Config(), run.Pattern(), proc, pv, cv)
 			}
 		}
 	}

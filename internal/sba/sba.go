@@ -79,12 +79,12 @@ func CheckOutcomes(sys *system.System, outs []Outcome) error {
 		return fmt.Errorf("sba: %d outcomes for %d runs", len(outs), sys.NumRuns())
 	}
 	for r, out := range outs {
-		run := sys.Runs[r]
+		run := sys.Run(r)
 		if !out.Decided {
-			return fmt.Errorf("sba: run %d (cfg %s, %s) never decides", r, run.Config, run.Pattern)
+			return fmt.Errorf("sba: run %d (cfg %s, %s) never decides", r, run.Config(), run.Pattern())
 		}
-		if v, same := run.Config.AllEqual(); same && out.Value != v {
-			return fmt.Errorf("sba: run %d violates validity: cfg %s decided %s", r, run.Config, out.Value)
+		if v, same := run.Config().AllEqual(); same && out.Value != v {
+			return fmt.Errorf("sba: run %d violates validity: cfg %s decided %s", r, run.Config(), out.Value)
 		}
 	}
 	return nil
@@ -167,10 +167,10 @@ type Comparison struct {
 
 // CompareEBA tabulates, run by run, the earliest EBA decision of any
 // nonfaulty processor against the SBA outcome time.
-func CompareEBA(sys *system.System, ebaTimes func(run *system.Run) []types.Round, outs []Outcome) Comparison {
+func CompareEBA(sys *system.System, ebaTimes func(run system.Run) []types.Round, outs []Outcome) Comparison {
 	var cmp Comparison
 	for r, out := range outs {
-		run := sys.Runs[r]
+		run := sys.Run(r)
 		times := ebaTimes(run)
 		if len(times) == 0 || !out.Decided {
 			continue

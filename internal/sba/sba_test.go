@@ -87,8 +87,9 @@ func TestFloodSet(t *testing.T) {
 	e := knowledge.NewEvaluator(sys)
 	outs := CommonKnowledgeOutcomes(e)
 	params := sys.Params
-	for _, run := range sys.Runs {
-		tr, err := sim.Run(FloodSet(), params, run.Config, run.Pattern)
+	for ri := 0; ri < sys.NumRuns(); ri++ {
+		run := sys.Run(ri)
+		tr, err := sim.Run(FloodSet(), params, run.Config(), run.Pattern())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func TestFloodSet(t *testing.T) {
 				t.Fatalf("run %d: agreement violated", run.Index)
 			}
 		}
-		if v, same := run.Config.AllEqual(); same && val != v {
+		if v, same := run.Config().AllEqual(); same && val != v {
 			t.Fatalf("run %d: validity violated", run.Index)
 		}
 		if out := outs[run.Index]; out.Time > types.Round(params.T+1) {
@@ -122,7 +123,7 @@ func TestEBABeatsSBAOnFirstDecisions(t *testing.T) {
 	e := knowledge.NewEvaluator(sys)
 	outs := CommonKnowledgeOutcomes(e)
 	p0opt := protocols.P0OptPair()
-	cmp := CompareEBA(sys, func(run *system.Run) []types.Round {
+	cmp := CompareEBA(sys, func(run system.Run) []types.Round {
 		var ts []types.Round
 		for _, proc := range run.Nonfaulty().Members() {
 			if _, at, ok := fip.DecisionAt(sys, p0opt, run, proc); ok {

@@ -21,7 +21,8 @@ import (
 // common-knowledge rule in the tests).
 func WasteOutcomes(sys *system.System, t int) []Outcome {
 	outs := make([]Outcome, sys.NumRuns())
-	for r, run := range sys.Runs {
+	for r := 0; r < sys.NumRuns(); r++ {
+		run := sys.Run(r)
 		outs[r] = wasteOutcome(sys, run, t)
 	}
 	return outs
@@ -30,14 +31,14 @@ func WasteOutcomes(sys *system.System, t int) []Outcome {
 // wasteOutcome computes the run's outcome from the first nonfaulty
 // processor's view (the rule is simultaneous; agreement across
 // processors is asserted by tests, not assumed here).
-func wasteOutcome(sys *system.System, run *system.Run, t int) Outcome {
+func wasteOutcome(sys *system.System, run system.Run, t int) Outcome {
 	procs := run.Nonfaulty().Members()
 	if len(procs) == 0 {
 		return Outcome{}
 	}
 	p := procs[0]
 	for m := 0; m <= sys.Horizon; m++ {
-		id := run.Views[m][p]
+		id := run.View(m, p)
 		if decideTime(sys.Interner, id, t) == m {
 			v := types.One
 			if sys.Interner.Knows(id, types.Zero) {

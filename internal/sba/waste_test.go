@@ -24,9 +24,9 @@ func TestWasteRuleMatchesCommonKnowledge(t *testing.T) {
 				t.Fatalf("n=%d t=%d run %d: waste rule undecided", size.n, size.t, r)
 			}
 			if ck[r].Time != ws[r].Time || ck[r].Value != ws[r].Value {
-				run := sys.Runs[r]
+				run := sys.Run(r)
 				t.Fatalf("n=%d t=%d cfg=%s %s: ck=(%s,%d) waste=(%s,%d)",
-					size.n, size.t, run.Config, run.Pattern,
+					size.n, size.t, run.Config(), run.Pattern(),
 					ck[r].Value, ck[r].Time, ws[r].Value, ws[r].Time)
 			}
 		}
@@ -42,14 +42,15 @@ func TestWasteRuleMatchesCommonKnowledge(t *testing.T) {
 func TestWasteRuleLocallyComputableAndSimultaneous(t *testing.T) {
 	sys := crashSys(t, 4, 2, 4)
 	const tt = 2
-	for _, run := range sys.Runs {
+	for ri := 0; ri < sys.NumRuns(); ri++ {
+		run := sys.Run(ri)
 		var wantT = -1
 		var wantV types.Value
 		for _, p := range run.Nonfaulty().Members() {
 			decided := -1
 			var val types.Value
 			for m := 0; m <= sys.Horizon; m++ {
-				id := run.Views[m][p]
+				id := run.View(m, p)
 				if decideTime(sys.Interner, id, tt) == m {
 					decided = m
 					val = types.One
@@ -66,7 +67,7 @@ func TestWasteRuleLocallyComputableAndSimultaneous(t *testing.T) {
 				wantT, wantV = decided, val
 			} else if wantT != decided || wantV != val {
 				t.Fatalf("run %d (cfg %s, %s): proc %d decides (%s,%d), others (%s,%d) — simultaneity broken",
-					run.Index, run.Config, run.Pattern, p, val, decided, wantV, wantT)
+					run.Index, run.Config(), run.Pattern(), p, val, decided, wantV, wantT)
 			}
 		}
 	}

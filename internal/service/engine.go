@@ -155,16 +155,14 @@ func NewEngine(st *store.Store, timeout time.Duration) *Engine {
 	return &Engine{store: st, timeout: timeout}
 }
 
-// SetParallelism bounds the worker pools used on compute paths: the
-// per-query evaluator and the store's cold enumerations. Tables and
-// snapshots are bit-identical at every setting. Call before serving;
-// the setting is read by later queries without synchronization.
+// SetParallelism bounds the per-query evaluator's worker pool. Tables
+// are bit-identical at every setting. Call before serving; the
+// setting is read by later queries without synchronization.
 func (e *Engine) SetParallelism(w int) {
 	if w < 0 {
 		w = 0
 	}
 	e.parallel = w
-	e.store.SetParallelism(w)
 }
 
 // Store returns the engine's store (for inventory endpoints).
@@ -345,8 +343,8 @@ func (e *Engine) execute(ctx context.Context, key store.Key, f knowledge.Formula
 			resp.Counterexample = &Counterexample{
 				Run:     run.Index,
 				Time:    int(pt.Time),
-				Config:  run.Config.String(),
-				Pattern: run.Pattern.String(),
+				Config:  run.Config().String(),
+				Pattern: run.Pattern().String(),
 				Point:   idx,
 			}
 		}

@@ -128,15 +128,24 @@ func EncodeSystem(key Key, sys *system.System) ([]byte, error) {
 
 	// Deduplicated pattern table; runs reference it by index. Patterns
 	// appear in first-use order, which for enumerated systems is the
-	// enumeration order.
-	patIdx := make(map[string]int)
+	// enumeration order. written[i] is 1 + the table index of the
+	// system's pattern i (0 = no run has used it yet).
+	tbl := sys.Table()
+	byKey := make(map[string]uint64, len(tbl.Patterns))
+	written := make([]uint64, len(tbl.Patterns))
 	var pats []*failures.Pattern
-	for _, run := range sys.Runs {
-		k := run.Pattern.Key()
-		if _, ok := patIdx[k]; !ok {
-			patIdx[k] = len(pats)
-			pats = append(pats, run.Pattern)
+	for _, pi := range tbl.PatternOf {
+		if written[pi] != 0 {
+			continue
 		}
+		pat := tbl.Patterns[pi]
+		idx, ok := byKey[pat.Key()]
+		if !ok {
+			idx = uint64(len(pats))
+			byKey[pat.Key()] = idx
+			pats = append(pats, pat)
+		}
+		written[pi] = idx + 1
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(pats)))
 	for _, pat := range pats {
@@ -158,14 +167,13 @@ func EncodeSystem(key Key, sys *system.System) ([]byte, error) {
 		}
 	}
 
-	buf = binary.AppendUvarint(buf, uint64(len(sys.Runs)))
-	for _, run := range sys.Runs {
-		buf = binary.AppendUvarint(buf, run.Config.Bits())
-		buf = binary.AppendUvarint(buf, uint64(patIdx[run.Pattern.Key()]))
-		for m := 0; m <= key.Horizon; m++ {
-			for p := 0; p < key.N; p++ {
-				buf = binary.AppendUvarint(buf, uint64(run.Views[m][p]))
-			}
+	stride := (key.Horizon + 1) * key.N
+	buf = binary.AppendUvarint(buf, uint64(len(tbl.PatternOf)))
+	for r, pi := range tbl.PatternOf {
+		buf = binary.AppendUvarint(buf, tbl.ConfigOf[r])
+		buf = binary.AppendUvarint(buf, written[pi]-1)
+		for _, id := range tbl.Views[r*stride : (r+1)*stride] {
+			buf = binary.AppendUvarint(buf, uint64(id))
 		}
 	}
 
@@ -255,49 +263,38 @@ func DecodeSystem(data []byte) (Key, *system.System, error) {
 		pats = append(pats, pat)
 	}
 
+	// The run arrays are allocated up front, so the claimed count is
+	// held to what the payload can carry: a view is at least one byte.
 	nruns := d.uvarint()
-	const maxRuns = 1 << 28
-	if nruns == 0 || nruns > maxRuns {
-		return key, nil, fmt.Errorf("store: snapshot claims %d runs", nruns)
+	stride := (key.Horizon + 1) * key.N
+	if nruns == 0 || stride <= 0 || nruns > uint64(d.rest()/stride) {
+		return key, nil, fmt.Errorf("store: snapshot claims %d runs of %d views in %d bytes", nruns, stride, d.rest())
 	}
-	runs := make([]*system.Run, 0, nruns)
-	for i := uint64(0); i < nruns; i++ {
-		cfgBits := d.uvarint()
-		if cfgBits >= 1<<uint(key.N) {
-			return key, nil, fmt.Errorf("store: run %d config bits %#x out of range", i, cfgBits)
-		}
+	tbl := system.RunTable{
+		Patterns:  pats,
+		PatternOf: make([]int32, nruns),
+		ConfigOf:  make([]uint64, nruns),
+		Views:     make([]views.ID, int(nruns)*stride),
+	}
+	for r := range tbl.PatternOf {
+		tbl.ConfigOf[r] = d.uvarint()
 		pi := d.uvarint()
-		if pi >= uint64(len(pats)) {
-			return key, nil, fmt.Errorf("store: run %d references pattern %d of %d", i, pi, len(pats))
-		}
-		vt := make([][]views.ID, key.Horizon+1)
-		// One flat backing array per run, sliced into rows.
-		flat := make([]views.ID, (key.Horizon+1)*key.N)
-		for m := 0; m <= key.Horizon; m++ {
-			row := flat[m*key.N : (m+1)*key.N : (m+1)*key.N]
-			for p := 0; p < key.N; p++ {
-				row[p] = views.ID(d.uvarint())
-			}
-			vt[m] = row
+		for i := r * stride; i < (r+1)*stride; i++ {
+			tbl.Views[i] = views.ID(d.uvarint())
 		}
 		if d.err != nil {
 			return key, nil, d.err
 		}
-		runs = append(runs, &system.Run{
-			Index:   int(i),
-			Config:  types.ConfigFromBits(key.N, cfgBits),
-			Pattern: pats[pi],
-			Views:   vt,
-		})
-	}
-	if d.err != nil {
-		return key, nil, d.err
+		if pi >= uint64(len(pats)) {
+			return key, nil, fmt.Errorf("store: run %d references pattern %d of %d", r, pi, len(pats))
+		}
+		tbl.PatternOf[r] = int32(pi)
 	}
 	if d.rest() != 0 {
 		return key, nil, fmt.Errorf("store: %d trailing bytes after snapshot", d.rest())
 	}
 
-	sys, err := system.Reassemble(types.Params{N: key.N, T: key.T}, key.Mode, key.Horizon, in, runs)
+	sys, err := system.Reassemble(types.Params{N: key.N, T: key.T}, key.Mode, key.Horizon, in, tbl)
 	if err != nil {
 		return key, nil, err
 	}

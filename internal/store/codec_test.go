@@ -51,19 +51,19 @@ func TestCodecRoundTrip(t *testing.T) {
 			if got.Interner.Size() != sys.Interner.Size() {
 				t.Fatalf("decoded interner has %d views, want %d", got.Interner.Size(), sys.Interner.Size())
 			}
-			for r, run := range sys.Runs {
-				dec := got.Runs[r]
-				if dec.Config.Bits() != run.Config.Bits() {
+			for r := 0; r < sys.NumRuns(); r++ {
+				run := sys.Run(r)
+				dec := got.Run(r)
+				if dec.ConfigBits() != run.ConfigBits() {
 					t.Fatalf("run %d config differs", r)
 				}
-				if dec.Pattern.Key() != run.Pattern.Key() {
-					t.Fatalf("run %d pattern %q, want %q", r, dec.Pattern.Key(), run.Pattern.Key())
+				if dec.Pattern().Key() != run.Pattern().Key() {
+					t.Fatalf("run %d pattern %q, want %q", r, dec.Pattern().Key(), run.Pattern().Key())
 				}
 				for m := 0; m <= key.Horizon; m++ {
-					for p := 0; p < key.N; p++ {
-						if dec.Views[m][p] != run.Views[m][p] {
-							t.Fatalf("run %d time %d proc %d: view %d, want %d",
-								r, m, p, dec.Views[m][p], run.Views[m][p])
+					for p, id := range run.Row(m) {
+						if dec.Row(m)[p] != id {
+							t.Fatalf("run %d time %d proc %d: view %d, want %d", r, m, p, dec.Row(m)[p], id)
 						}
 					}
 				}
@@ -130,6 +130,46 @@ func TestCodecGoldenDigest(t *testing.T) {
 				t.Fatalf("snapshot digest = %s, golden = %s\n(If the codec or the enumeration order changed on purpose, bump snapVersion and update this golden.)", got, tc.golden)
 			}
 		})
+	}
+}
+
+// TestDecodeAllocatesPerPatternNotPerRun is the decoder's side of the
+// allocation bound in internal/system: a snapshot of the system built
+// over a pattern list given twice holds as many runs again but the
+// same patterns (the encoder writes each once) and the same views, so
+// decoding it may allocate under a quarter of an allocation per added
+// run more — one object per run would be four times that. Counted,
+// not timed.
+func TestDecodeAllocatesPerPatternNotPerRun(t *testing.T) {
+	key := Key{N: 3, T: 1, Mode: failures.Omission, Horizon: 3}
+	pats, err := failures.EnumOmission(key.N, key.T, key.Horizon, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(list []*failures.Pattern) []byte {
+		sys, err := system.FromPatterns(types.Params{N: key.N, T: key.T}, key.Mode, key.Horizon, list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := EncodeSystem(key, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	decode := func(data []byte) func() {
+		return func() {
+			if _, _, err := DecodeSystem(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	once := testing.AllocsPerRun(5, decode(snapshot(pats)))
+	both := testing.AllocsPerRun(5, decode(snapshot(append(append([]*failures.Pattern(nil), pats...), pats...))))
+	added := float64(len(pats) << uint(key.N))
+	t.Logf("%v allocations for %v runs, %v for twice the runs", once, added, both)
+	if both-once >= added/4 {
+		t.Fatalf("%v runs added %v allocations (%v → %v): the decoder allocates per run", added, both-once, once, both)
 	}
 }
 

@@ -6,11 +6,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/knowledge"
 	"github.com/eventual-agreement/eba/internal/system"
+	"github.com/eventual-agreement/eba/internal/types"
 )
 
 // corruptions enumerates the disk-corruption shapes the store must
@@ -30,6 +33,69 @@ var corruptions = []struct {
 		out[len(out)-1] ^= 0xff
 		return out
 	}},
+	{"config-contradicts-views", contradictConfig},
+}
+
+// contradictConfig flips processor 0's initial value in run 0's
+// configuration bits, leaves the run's views alone and recomputes the
+// trailer: a snapshot with a valid checksum in which ∃0 and init_0=v,
+// read off the bits, contradict what every processor's view records.
+// Only the decoder's check of each time-0 row against its bits
+// rejects it.
+func contradictConfig(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	d := decoder{buf: out[len(snapMagic) : len(out)-digestLen]}
+	d.uvarint() // version
+	d.uvarint() // n
+	d.uvarint() // t
+	mode := failures.Mode(d.uvarint())
+	horizon := int(d.uvarint())
+	d.uvarint() // limit
+	d.bytes(int(d.uvarint()))
+	for npats := d.uvarint(); npats > 0; npats-- {
+		schedules := types.ProcSet(d.uvarint()).Len() * horizon
+		if mode.HasReceivingFaults() {
+			schedules *= 2
+		}
+		for ; schedules > 0; schedules-- {
+			d.uvarint()
+		}
+	}
+	d.uvarint() // run count; the cursor is now on run 0's configuration bits
+	if d.err != nil {
+		panic(d.err)
+	}
+	out[len(snapMagic)+d.pos] ^= 1
+	sum := sha256.Sum256(out[:len(out)-digestLen])
+	copy(out[len(out)-digestLen:], sum[:])
+	return out
+}
+
+// TestDecodeRejectsConfigContradictingViews pins what rejects the
+// crafted snapshot: the envelope verifies, the decoder refuses, and
+// the error names the contradiction.
+func TestDecodeRejectsConfigContradictingViews(t *testing.T) {
+	for _, key := range []Key{
+		testKey(),
+		{N: 2, T: 1, Mode: failures.GeneralOmission, Horizon: 2},
+	} {
+		sys, err := enumerateKey(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := EncodeSystem(key, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := contradictConfig(data)
+		if err := VerifySnapshot(bad); err != nil {
+			t.Fatalf("%s: crafted snapshot fails its envelope check: %v", key, err)
+		}
+		_, _, err = DecodeSystem(bad)
+		if err == nil || !strings.Contains(err.Error(), "in the run's configuration") {
+			t.Fatalf("%s: decoding a run whose views contradict its configuration: %v", key, err)
+		}
+	}
 }
 
 // skewVersion bumps the version varint (offset = len(magic), value 1 →

@@ -57,9 +57,10 @@ func TestParallelBuildDigestIdentical(t *testing.T) {
 }
 
 // TestParallelStoreWarmReassembly checks the full store round trip of
-// a parallel-built snapshot: a cold fill through a parallel store
-// persists a snapshot that a fresh store warm-loads from disk into the
-// same system the sequential builder produces.
+// a parallel-built snapshot: a cold fill through a store whose
+// enumerator is the sharded builder persists a snapshot that a fresh
+// store warm-loads from disk into the same system the sequential
+// builder produces.
 func TestParallelStoreWarmReassembly(t *testing.T) {
 	dir := t.TempDir()
 	key := Key{N: 3, T: 1, Mode: failures.Omission, Horizon: 2}
@@ -68,7 +69,9 @@ func TestParallelStoreWarmReassembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold.SetParallelism(4)
+	cold.SetEnumerator(func(k Key) (*system.System, error) {
+		return system.EnumerateParallel(types.Params{N: k.N, T: k.T}, k.Mode, k.Horizon, k.Limit, 4)
+	})
 	csys, origin, err := cold.System(key)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/eventual-agreement/eba/internal/failures"
+	"github.com/eventual-agreement/eba/internal/types"
 )
 
 // FuzzDecodeSystem feeds arbitrary bytes to the snapshot decoder. The
@@ -30,6 +31,9 @@ func FuzzDecodeSystem(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x20
 	f.Add(flipped)
+	// Checksum-valid, structurally sound, semantically inconsistent: a
+	// run whose configuration bits disagree with its time-0 views.
+	f.Add(contradictConfig(valid))
 	// Snapshots of the receiving modes carry the extra per-round
 	// receive-schedule section; seed the corpus with both so mutations
 	// explore the mode-gated decode path too.
@@ -61,6 +65,14 @@ func FuzzDecodeSystem(f *testing.F) {
 		}
 		if got.NumRuns() == 0 || got.Interner == nil {
 			t.Fatal("decoded system is empty")
+		}
+		for r := 0; r < got.NumRuns(); r++ {
+			run := got.Run(r)
+			for p, id := range run.Row(0) {
+				if got.Interner.Initial(id) != run.Initial(types.ProcID(p)) {
+					t.Fatalf("run %d: processor %d's view and the run's configuration disagree on its initial value", r, p)
+				}
+			}
 		}
 	})
 }

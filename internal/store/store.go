@@ -138,10 +138,6 @@ type Store struct {
 	// rescanning the snapshot directory on every request.
 	byDigest map[string]Key
 
-	// parallel bounds the worker pool for cold enumerations; 0 means
-	// runtime.GOMAXPROCS(0), 1 forces the sequential builder.
-	parallel int
-
 	// enumerate builds a system on a full miss; a test hook, and the
 	// place a future multi-backend store would plug in remote builds.
 	enumerate func(Key) (*system.System, error)
@@ -193,7 +189,7 @@ func OpenWithFS(dir string, maxMem int, fsys FS) (*Store, error) {
 		resFlight: make(map[resultFlightKey]*flight),
 		byDigest:  make(map[string]Key),
 	}
-	s.enumerate = s.enumerateKey
+	s.enumerate = enumerateKey
 	s.recoverScan()
 	return s, nil
 }
@@ -205,7 +201,7 @@ func (s *Store) SetEnumerator(fn func(Key) (*system.System, error)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if fn == nil {
-		fn = s.enumerateKey
+		fn = enumerateKey
 	}
 	s.enumerate = fn
 }
@@ -338,29 +334,8 @@ func (s *Store) QuarantinedFiles() []string {
 	return matches
 }
 
-// SetParallelism bounds the worker pool used by cold enumerations.
-// w <= 0 restores the default (runtime.GOMAXPROCS(0)); w == 1 forces
-// the sequential builder. The parallel builder is digest-identical to
-// the sequential one, so the setting never changes what is stored —
-// only how fast a miss fills.
-func (s *Store) SetParallelism(w int) {
-	if w < 0 {
-		w = 0
-	}
-	s.mu.Lock()
-	s.parallel = w
-	s.mu.Unlock()
-}
-
-func (s *Store) enumerateKey(k Key) (*system.System, error) {
-	s.mu.Lock()
-	w := s.parallel
-	s.mu.Unlock()
-	return system.EnumerateParallel(types.Params{N: k.N, T: k.T}, k.Mode, k.Horizon, k.Limit, w)
-}
-
-// enumerateKey is the store-independent sequential build; tests use it
-// as the ground truth the (possibly parallel) store fills must match.
+// enumerateKey is the default cold-path builder: the one system
+// builder every binary uses.
 func enumerateKey(k Key) (*system.System, error) {
 	return system.Enumerate(types.Params{N: k.N, T: k.T}, k.Mode, k.Horizon, k.Limit)
 }
@@ -808,11 +783,11 @@ func (s *Store) QuarantineBlob(name string, data []byte) error {
 }
 
 // EnumerateLocal builds the key's system with the store's own local
-// builder (honoring SetParallelism), regardless of any enumerator
-// installed with SetEnumerator. It is the fallback a replicating
-// enumerator uses when no peer has the snapshot.
+// builder, regardless of any enumerator installed with SetEnumerator.
+// It is the fallback a replicating enumerator uses when no peer has
+// the snapshot.
 func (s *Store) EnumerateLocal(key Key) (*system.System, error) {
-	return s.enumerateKey(key)
+	return enumerateKey(key)
 }
 
 // DiskSnapshots lists the snapshot files under the store directory,

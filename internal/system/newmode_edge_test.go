@@ -147,8 +147,9 @@ func TestEnumerateGeneralContainsEmbeddings(t *testing.T) {
 		t.Fatal(err)
 	}
 	genKeys := make(map[string]bool)
-	for _, run := range gen.Runs {
-		genKeys[run.Pattern.Key()] = true
+	for ri := 0; ri < gen.NumRuns(); ri++ {
+		run := gen.Run(ri)
+		genKeys[run.Pattern().Key()] = true
 	}
 	for _, mode := range []failures.Mode{failures.Crash, failures.Omission, failures.ReceivingOmission} {
 		sub, err := system.Enumerate(params, mode, horizon, 0)
@@ -159,17 +160,18 @@ func TestEnumerateGeneralContainsEmbeddings(t *testing.T) {
 			t.Fatalf("%s system has %d runs, general only %d", mode, sub.NumRuns(), gen.NumRuns())
 		}
 		seen := make(map[string]bool)
-		for _, run := range sub.Runs {
-			if seen[run.Pattern.Key()] {
+		for ri := 0; ri < sub.NumRuns(); ri++ {
+			run := sub.Run(ri)
+			if seen[run.Pattern().Key()] {
 				continue
 			}
-			seen[run.Pattern.Key()] = true
-			emb, err := run.Pattern.EmbedInGeneral()
+			seen[run.Pattern().Key()] = true
+			emb, err := run.Pattern().EmbedInGeneral()
 			if err != nil {
-				t.Fatalf("%s pattern %s does not embed: %v", mode, run.Pattern, err)
+				t.Fatalf("%s pattern %s does not embed: %v", mode, run.Pattern(), err)
 			}
 			if !genKeys[emb.Key()] {
-				t.Fatalf("%s pattern %s embeds to %s, absent from the general enumeration", mode, run.Pattern, emb)
+				t.Fatalf("%s pattern %s embeds to %s, absent from the general enumeration", mode, run.Pattern(), emb)
 			}
 		}
 	}

@@ -9,60 +9,46 @@ import (
 )
 
 // Reassemble rebuilds a System from previously enumerated parts — an
-// interner plus runs whose view tables reference it — without
+// interner plus a run table whose views reference it — without
 // re-running the enumeration. It is the restore path of the snapshot
-// store: FromPatterns pays one hash-cons per (run, time, processor)
-// occurrence, while Reassemble only re-derives the byView index, which
-// is a dense walk over already-interned IDs.
+// store: FromPatterns interns every view, while Reassemble only
+// validates the table and re-derives the byView index, two dense walks
+// over already-interned IDs. The table is adopted, not copied.
 //
-// The runs are validated against the parameters (sizes, horizon,
-// pattern mode and fault bound, view ownership and times) so a decoded
-// snapshot can't produce a structurally inconsistent system; Run.Index
-// is renumbered to the slice position.
-func Reassemble(params types.Params, mode failures.Mode, horizon int, in *views.Interner, runs []*Run) (*System, error) {
-	if err := params.Validate(); err != nil {
+// The table is validated against the parameters (array sizes, pattern
+// mode, horizon and fault bound, configuration bits, view ownership
+// and times, and that each run's time-0 views carry the initial values
+// its configuration bits say) so a decoded snapshot can't produce a
+// structurally inconsistent system, or one whose run-constant facts
+// (∃0, init_p=v) contradict what its processors see.
+func Reassemble(params types.Params, mode failures.Mode, horizon int, in *views.Interner, tbl RunTable) (*System, error) {
+	if err := validateBuild(params, mode, horizon, tbl.Patterns); err != nil {
 		return nil, err
-	}
-	if horizon < 1 {
-		return nil, fmt.Errorf("system: horizon %d < 1", horizon)
 	}
 	if in == nil || in.N() != params.N {
 		return nil, fmt.Errorf("system: interner missing or sized for wrong n")
 	}
-	if len(runs) == 0 {
+	runs, n := len(tbl.PatternOf), params.N
+	if runs == 0 {
 		return nil, fmt.Errorf("system: no runs")
 	}
-	sys := &System{
-		Params:   params,
-		Mode:     mode,
-		Horizon:  horizon,
-		Interner: in,
-		Runs:     runs,
+	if len(tbl.ConfigOf) != runs || len(tbl.Views) != runs*(horizon+1)*n {
+		return nil, fmt.Errorf("system: run table has %d patterns, %d configurations and %d views for %d runs of %d",
+			runs, len(tbl.ConfigOf), len(tbl.Views), runs, (horizon+1)*n)
 	}
-	for r, run := range runs {
-		if run.Pattern == nil {
-			return nil, fmt.Errorf("system: run %d has no pattern", r)
+	rest := tbl.Views
+	for r := 0; r < runs; r++ {
+		if pi := tbl.PatternOf[r]; pi < 0 || int(pi) >= len(tbl.Patterns) {
+			return nil, fmt.Errorf("system: run %d references pattern %d of %d", r, pi, len(tbl.Patterns))
 		}
-		if run.Pattern.Mode() != mode || run.Pattern.N() != params.N || run.Pattern.Horizon() != horizon {
-			return nil, fmt.Errorf("system: run %d pattern is %v/n%d/h%d, want %v/n%d/h%d",
-				r, run.Pattern.Mode(), run.Pattern.N(), run.Pattern.Horizon(), mode, params.N, horizon)
+		cfg := tbl.ConfigOf[r]
+		if cfg&^uint64(types.FullSet(n)) != 0 {
+			return nil, fmt.Errorf("system: run %d config bits %#x out of range for n=%d", r, cfg, n)
 		}
-		if run.Pattern.Faulty().Len() > params.T {
-			return nil, fmt.Errorf("system: run %d has %d faulty, t=%d", r, run.Pattern.Faulty().Len(), params.T)
-		}
-		if run.Config.N() != params.N {
-			return nil, fmt.Errorf("system: run %d config for n=%d, want %d", r, run.Config.N(), params.N)
-		}
-		if len(run.Views) != horizon+1 {
-			return nil, fmt.Errorf("system: run %d has %d view rows, want %d", r, len(run.Views), horizon+1)
-		}
-		run.Index = r
 		for m := 0; m <= horizon; m++ {
-			if len(run.Views[m]) != params.N {
-				return nil, fmt.Errorf("system: run %d time %d has %d views, want %d", r, m, len(run.Views[m]), params.N)
-			}
-			for p := 0; p < params.N; p++ {
-				id := run.Views[m][p]
+			for p := 0; p < n; p++ {
+				id := rest[0]
+				rest = rest[1:]
 				if id < 0 || int(id) >= in.Size() {
 					return nil, fmt.Errorf("system: run %d time %d: view %d not in interner", r, m, id)
 				}
@@ -70,8 +56,19 @@ func Reassemble(params types.Params, mode failures.Mode, horizon int, in *views.
 					return nil, fmt.Errorf("system: run %d time %d: view %d is (p%d,t%d), want (p%d,t%d)",
 						r, m, id, in.Proc(id), in.Time(id), p, m)
 				}
+				if want := types.Value(cfg >> uint(p) & 1); m == 0 && in.Initial(id) != want {
+					return nil, fmt.Errorf("system: run %d: processor %d starts with %s in its view, %s in the run's configuration",
+						r, p, in.Initial(id), want)
+				}
 			}
 		}
+	}
+	sys := &System{
+		Params:   params,
+		Mode:     mode,
+		Horizon:  horizon,
+		Interner: in,
+		tbl:      tbl,
 	}
 	sys.buildByView()
 	return sys, nil

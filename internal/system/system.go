@@ -44,19 +44,81 @@ type Point struct {
 	Time types.Round
 }
 
-// Run is one enumerated run: a configuration, a failure pattern, and
-// every processor's view at every time 0..H.
+// RunTable is the one representation of a system's runs: flat,
+// run-major arrays in place of one heap object per run. Every builder
+// produces it — FromPatterns, the merge stage of FromPatternsParallel,
+// and the snapshot decoder through Reassemble — and every reader
+// consumes it, mostly through Run.
+//
+// A RunTable is written once, by the builder that makes it, and is
+// read-only afterwards: the parallel evaluator and the daemon's
+// concurrent queries read it from several goroutines with no lock.
+type RunTable struct {
+	// Patterns are the failure patterns the runs refer to, in the order
+	// the builder was given them (a list may repeat a pattern).
+	Patterns []*failures.Pattern
+	// PatternOf[r] indexes Patterns and ConfigOf[r] is the initial
+	// configuration of run r as types.ConfigFromBits bits.
+	PatternOf []int32
+	ConfigOf  []uint64
+	// Views[(r*(H+1)+m)*n+p] is processor p's view at time m of run r.
+	Views []views.ID
+}
+
+// Run is one run of a system — a configuration, a failure pattern, and
+// every processor's view at every time 0..H — as a two-word handle
+// computed from the run's index into the system's RunTable.
 type Run struct {
-	Index   int
-	Config  types.Config
-	Pattern *failures.Pattern
-	// Views[m][p] is processor p's view at time m.
-	Views [][]views.ID
+	sys   *System
+	Index int
+}
+
+// Pattern returns the run's failure pattern.
+func (r Run) Pattern() *failures.Pattern {
+	return r.sys.tbl.Patterns[r.sys.tbl.PatternOf[r.Index]]
 }
 
 // Nonfaulty returns the processors that are nonfaulty throughout the
 // run (the nonrigid set 𝒩 is constant within a run, Section 2.1).
-func (r *Run) Nonfaulty() types.ProcSet { return r.Pattern.Nonfaulty() }
+func (r Run) Nonfaulty() types.ProcSet { return r.Pattern().Nonfaulty() }
+
+// ConfigBits returns the run's initial configuration as
+// types.ConfigFromBits bits.
+func (r Run) ConfigBits() uint64 { return r.sys.tbl.ConfigOf[r.Index] }
+
+// Config materializes the run's initial configuration; loops over
+// every run should ask Initial or HasValue instead, which read the
+// bits in place.
+func (r Run) Config() types.Config {
+	return types.ConfigFromBits(r.sys.Params.N, r.ConfigBits())
+}
+
+// Initial returns processor p's initial value.
+func (r Run) Initial(p types.ProcID) types.Value {
+	return types.Value(r.ConfigBits() >> uint(p) & 1)
+}
+
+// HasValue reports whether some processor starts with v: the basic
+// facts ∃0 and ∃1 of Section 3.1.
+func (r Run) HasValue(v types.Value) bool {
+	if v == types.One {
+		return r.ConfigBits() != 0
+	}
+	return v == types.Zero && r.ConfigBits() != uint64(types.FullSet(r.sys.Params.N))
+}
+
+// View returns processor p's view at time m.
+func (r Run) View(m int, p types.ProcID) views.ID {
+	return r.sys.tbl.Views[(r.Index*(r.sys.Horizon+1)+m)*r.sys.Params.N+int(p)]
+}
+
+// Row returns every processor's view at time m, indexed by processor.
+// The slice aliases the run table; do not modify.
+func (r Run) Row(m int) []views.ID {
+	n := r.sys.Params.N
+	lo := (r.Index*(r.sys.Horizon+1) + m) * n
+	return r.sys.tbl.Views[lo : lo+n : lo+n]
+}
 
 // System is an enumerated full-information system.
 type System struct {
@@ -65,7 +127,7 @@ type System struct {
 	Horizon int
 
 	Interner *views.Interner
-	Runs     []*Run
+	tbl      RunTable
 
 	// byView indexes, for every view ID, the points at which the view's
 	// owner holds it. View IDs are dense small integers, so the index is
@@ -134,35 +196,43 @@ func FromPatterns(params types.Params, mode failures.Mode, horizon int, pats []*
 		defer sp.End()
 		defer func() { mEnumSeconds.Observe(time.Since(start).Seconds()) }()
 	}
-	in := views.NewInterner(params.N)
 	sys := &System{
 		Params:   params,
 		Mode:     mode,
 		Horizon:  horizon,
-		Interner: in,
+		Interner: views.NewInterner(params.N),
+		tbl:      newRunTable(params.N, horizon, pats),
 	}
-	nconfigs := uint64(1) << uint(params.N)
-	sys.Runs = make([]*Run, 0, len(pats)*int(nconfigs))
-	for _, pat := range pats {
-		for mask := uint64(0); mask < nconfigs; mask++ {
-			cfg := types.ConfigFromBits(params.N, mask)
-			run := &Run{
-				Index:   len(sys.Runs),
-				Config:  cfg,
-				Pattern: pat,
-				Views:   views.BuildRun(in, cfg, pat),
-			}
-			sys.Runs = append(sys.Runs, run)
-		}
-	}
+	buildRuns(sys.Interner, horizon, &sys.tbl)
 	sys.buildByView()
-	mRunsEnumerated.Add(uint64(len(sys.Runs)))
+	mRunsEnumerated.Add(uint64(sys.NumRuns()))
 	mPointsEnumerated.Add(uint64(sys.NumPoints()))
 	return sys, nil
 }
 
+// newRunTable allocates the table for all initial configurations
+// crossed with the given patterns, in the canonical order
+// (pattern-major, configuration-minor), with every array but Views
+// filled in. The pattern list is copied: the table must not change
+// under its readers when the caller reuses the slice.
+func newRunTable(n, horizon int, pats []*failures.Pattern) RunTable {
+	nconfigs := 1 << uint(n)
+	runs := len(pats) * nconfigs
+	tbl := RunTable{
+		Patterns:  append([]*failures.Pattern(nil), pats...),
+		PatternOf: make([]int32, runs),
+		ConfigOf:  make([]uint64, runs),
+		Views:     make([]views.ID, runs*(horizon+1)*n),
+	}
+	for r := 0; r < runs; r++ {
+		tbl.PatternOf[r] = int32(r / nconfigs)
+		tbl.ConfigOf[r] = uint64(r % nconfigs)
+	}
+	return tbl
+}
+
 // validateBuild checks the build parameters and every pattern against
-// them; shared by the sequential and parallel builders.
+// them; shared by the builders and Reassemble.
 func validateBuild(params types.Params, mode failures.Mode, horizon int, pats []*failures.Pattern) error {
 	if err := params.Validate(); err != nil {
 		return err
@@ -173,7 +243,10 @@ func validateBuild(params types.Params, mode failures.Mode, horizon int, pats []
 	if len(pats) == 0 {
 		return fmt.Errorf("system: no failure patterns")
 	}
-	for _, pat := range pats {
+	for i, pat := range pats {
+		if pat == nil {
+			return fmt.Errorf("system: pattern %d is missing", i)
+		}
 		if pat.Mode() != mode {
 			return fmt.Errorf("system: pattern mode %v, want %v", pat.Mode(), mode)
 		}
@@ -191,10 +264,17 @@ func validateBuild(params types.Params, mode failures.Mode, horizon int, pats []
 }
 
 // NumRuns returns the number of runs.
-func (s *System) NumRuns() int { return len(s.Runs) }
+func (s *System) NumRuns() int { return len(s.tbl.PatternOf) }
 
 // NumPoints returns the number of points (runs × times).
-func (s *System) NumPoints() int { return len(s.Runs) * (s.Horizon + 1) }
+func (s *System) NumPoints() int { return s.NumRuns() * (s.Horizon + 1) }
+
+// Run returns the run with the given index in [0, NumRuns).
+func (s *System) Run(i int) Run { return Run{sys: s, Index: i} }
+
+// Table returns the system's run table. It is shared, not copied; see
+// RunTable for the read-only contract.
+func (s *System) Table() RunTable { return s.tbl }
 
 // PointIndex maps a point to its dense index in [0, NumPoints).
 func (s *System) PointIndex(pt Point) int {
@@ -208,40 +288,36 @@ func (s *System) PointAt(idx int) Point {
 
 // ViewAt returns processor p's view at the point.
 func (s *System) ViewAt(pt Point, p types.ProcID) views.ID {
-	return s.Runs[pt.Run].Views[pt.Time][p]
+	return s.tbl.Views[s.PointIndex(pt)*s.Params.N+int(p)]
 }
 
-// buildByView (re)derives the byView index from the final run table
-// with a two-pass counting sort: count occurrences per view ID, prefix
-// sum into group offsets, then fill one backing array in enumeration
-// order so each group lists its points run-major. All three builders
-// (FromPatterns, FromPatternsParallel, Reassemble) call it after the
-// run table is complete; for omission-n4-t2 it replaces ~4.8M map
-// appends with two dense walks and two allocations.
+// buildByView derives the byView index from the final run table with
+// a two-pass counting sort: count occurrences per view ID, prefix-sum
+// into group offsets, then fill one backing array in enumeration order
+// so each group lists its points run-major. The fill advances each
+// group's offset as its cursor (one random access per entry, not two);
+// afterwards entry id holds the start of group id+1, so the offsets
+// shift up one place. Every builder (FromPatterns,
+// FromPatternsParallel, Reassemble) calls it once the table is
+// complete.
 func (s *System) buildByView() {
-	size := s.Interner.Size()
+	size, n := s.Interner.Size(), s.Params.N
 	off := make([]int, size+1)
-	for _, run := range s.Runs {
-		for m := 0; m <= s.Horizon; m++ {
-			for _, id := range run.Views[m] {
-				off[id+1]++
-			}
-		}
+	for _, id := range s.tbl.Views {
+		off[id+1]++
 	}
 	for i := 0; i < size; i++ {
 		off[i+1] += off[i]
 	}
 	idxs := make([]int32, off[size])
-	cursor := make([]int, size)
-	for _, run := range s.Runs {
-		for m := 0; m <= s.Horizon; m++ {
-			pi := int32(run.Index*(s.Horizon+1) + m)
-			for _, id := range run.Views[m] {
-				idxs[off[id]+cursor[id]] = pi
-				cursor[id]++
-			}
+	for pi := 0; pi*n < len(s.tbl.Views); pi++ {
+		for _, id := range s.tbl.Views[pi*n : (pi+1)*n] {
+			idxs[off[id]] = int32(pi)
+			off[id]++
 		}
 	}
+	copy(off[1:], off)
+	off[0] = 0
 	s.byViewOff = off
 	s.byViewIdx = idxs
 }
@@ -274,11 +350,11 @@ func (s *System) PointsWithView(id views.ID) []Point {
 }
 
 // RunOf returns the run containing the point.
-func (s *System) RunOf(pt Point) *Run { return s.Runs[pt.Run] }
+func (s *System) RunOf(pt Point) Run { return s.Run(pt.Run) }
 
 // ForEachPoint calls fn for every point, in run-major order.
 func (s *System) ForEachPoint(fn func(Point)) {
-	for r := range s.Runs {
+	for r := 0; r < s.NumRuns(); r++ {
 		for m := 0; m <= s.Horizon; m++ {
 			fn(Point{Run: r, Time: types.Round(m)})
 		}
@@ -287,11 +363,15 @@ func (s *System) ForEachPoint(fn func(Point)) {
 
 // FindRun returns the run with the given configuration and pattern
 // key, if present.
-func (s *System) FindRun(cfg types.Config, patternKey string) (*Run, bool) {
-	for _, r := range s.Runs {
-		if r.Pattern.Key() == patternKey && r.Config.Bits() == cfg.Bits() && r.Config.N() == cfg.N() {
-			return r, true
+func (s *System) FindRun(cfg types.Config, patternKey string) (Run, bool) {
+	if cfg.N() != s.Params.N {
+		return Run{}, false
+	}
+	bits := cfg.Bits()
+	for r, pi := range s.tbl.PatternOf {
+		if s.tbl.ConfigOf[r] == bits && s.tbl.Patterns[pi].Key() == patternKey {
+			return s.Run(r), true
 		}
 	}
-	return nil, false
+	return Run{}, false
 }

@@ -1,11 +1,13 @@
 package system
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/types"
+	"github.com/eventual-agreement/eba/internal/views"
 )
 
 func TestEnumerateCrashCounts(t *testing.T) {
@@ -144,11 +146,11 @@ func TestIndistinguishableRunsShareViews(t *testing.T) {
 	}
 	for m := 0; m <= 2; m++ {
 		for _, p := range []types.ProcID{0, 1} {
-			if ra.Views[m][p] != rb.Views[m][p] {
+			if ra.View(m, p) != rb.View(m, p) {
 				t.Fatalf("proc %d distinguishes at time %d", p, m)
 			}
 		}
-		if ra.Views[m][2] == rb.Views[m][2] {
+		if ra.View(m, 2) == rb.View(m, 2) {
 			t.Fatal("proc 2 must distinguish its own value")
 		}
 	}
@@ -184,5 +186,138 @@ func TestEnumerateLimitSemantics(t *testing.T) {
 	// The parallel front shares the same contract.
 	if _, err := EnumerateParallel(params, failures.Crash, 2, -7, 4); err == nil {
 		t.Fatal("EnumerateParallel: negative limit accepted")
+	}
+}
+
+// perRunTable is the differential oracle of the prefix-sharing
+// builder: views.BuildRun, run by run in the canonical order, into a
+// fresh interner.
+func perRunTable(params types.Params, horizon int, pats []*failures.Pattern) (*views.Interner, []views.ID) {
+	in := views.NewInterner(params.N)
+	var tbl []views.ID
+	for _, pat := range pats {
+		for mask := uint64(0); mask < 1<<uint(params.N); mask++ {
+			for _, row := range views.BuildRun(in, types.ConfigFromBits(params.N, mask), pat) {
+				tbl = append(tbl, row...)
+			}
+		}
+	}
+	return in, tbl
+}
+
+// TestFromPatternsMatchesPerRunBuild holds the prefix-sharing builder
+// to the per-run build, table for table (so ID for ID: both interners
+// assign IDs in first-encounter order), on the shapes where a
+// prefix trie can go wrong: no interior prefix (h = 1), the smallest
+// system, a single pattern, lists that repeat patterns or arrive out
+// of enumeration order, and patterns whose deliveries are cut from
+// both ends of a link — including descriptions the enumerators never
+// produce.
+func TestFromPatternsMatchesPerRunBuild(t *testing.T) {
+	enum := func(mode failures.Mode, n, tf, h int) []*failures.Pattern {
+		pats, err := enumerate(types.Params{N: n, T: tf}, mode, h, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pats
+	}
+	shuffled := func(pats []*failures.Pattern) []*failures.Pattern {
+		out := append([]*failures.Pattern(nil), pats...)
+		rand.New(rand.NewSource(21)).Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	om := enum(failures.Omission, 3, 1, 2)
+	gen := enum(failures.GeneralOmission, 3, 1, 2)
+	// Processor 1 drops the round-1 message of faulty processor 0 — a
+	// legal general-omission description that Canonicalize would
+	// rewrite as a sending omission by 0 — and 0 omits to 2 in round 2.
+	nonCanonical := failures.MustPattern(failures.GeneralOmission, 3, 2, types.SetOf(0, 1), map[types.ProcID]*failures.Behavior{
+		0: {Omit: []types.ProcSet{0, types.SetOf(2)}},
+		1: {Recv: []types.ProcSet{types.SetOf(0), 0}},
+	})
+	sampled, err := failures.SampleGeneral(4, 2, 3, 12, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		params  types.Params
+		mode    failures.Mode
+		horizon int
+		pats    []*failures.Pattern
+	}{
+		{"h1", types.Params{N: 3, T: 1}, failures.Omission, 1, enum(failures.Omission, 3, 1, 1)},
+		{"h1-general", types.Params{N: 3, T: 1}, failures.GeneralOmission, 1, enum(failures.GeneralOmission, 3, 1, 1)},
+		{"n2", types.Params{N: 2, T: 1}, failures.ReceivingOmission, 3, enum(failures.ReceivingOmission, 2, 1, 3)},
+		{"t0", types.Params{N: 3, T: 0}, failures.Crash, 2, enum(failures.Crash, 3, 0, 2)},
+		{"crash-h4", types.Params{N: 3, T: 2}, failures.Crash, 4, enum(failures.Crash, 3, 2, 4)},
+		{"repeated", types.Params{N: 3, T: 1}, failures.Omission, 2,
+			append(append([]*failures.Pattern{om[7], om[7]}, om...), om[3], om[len(om)-1])},
+		{"shuffled", types.Params{N: 3, T: 1}, failures.Omission, 2, shuffled(om)},
+		{"shuffled-general", types.Params{N: 3, T: 1}, failures.GeneralOmission, 2, shuffled(gen)},
+		{"non-canonical", types.Params{N: 3, T: 2}, failures.GeneralOmission, 2,
+			[]*failures.Pattern{failures.FailureFree(failures.GeneralOmission, 3, 2), nonCanonical}},
+		{"sampled-general", types.Params{N: 4, T: 2}, failures.GeneralOmission, 3, sampled},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := FromPatterns(tc.params, tc.mode, tc.horizon, tc.pats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, want := perRunTable(tc.params, tc.horizon, tc.pats)
+			got := sys.Table()
+			if sys.Interner.Size() != in.Size() {
+				t.Fatalf("%d distinct views, per-run build has %d", sys.Interner.Size(), in.Size())
+			}
+			if len(got.Views) != len(want) {
+				t.Fatalf("table has %d views, per-run build has %d", len(got.Views), len(want))
+			}
+			for i, id := range want {
+				if got.Views[i] != id {
+					n := tc.params.N
+					t.Fatalf("run %d time %d processor %d: view %d, per-run build has %d",
+						i/((tc.horizon+1)*n), i/n%(tc.horizon+1), i%n, got.Views[i], id)
+				}
+			}
+			for r := 0; r < sys.NumRuns(); r++ {
+				run := sys.Run(r)
+				if run.Pattern() != tc.pats[r>>uint(tc.params.N)] || run.ConfigBits() != uint64(r)&(1<<uint(tc.params.N)-1) {
+					t.Fatalf("run %d is (pattern %s, cfg %s): not the canonical order", r, run.Pattern(), run.Config())
+				}
+			}
+		})
+	}
+}
+
+// TestFromPatternsAllocatesPerViewNotPerRun is the allocation bound
+// that keeps per-run heap objects from creeping back, without reading
+// a clock. Building over a pattern list given twice adds as many runs
+// again but no view, no pattern and no prefix, so what the second
+// copy may allocate is the bound: under a quarter of an allocation
+// per added run (a per-run object would cost at least one). The
+// absolute count is not the test: omission-n3-t1-h3 has 2,310
+// distinct views over 1,544 runs, and each view is one allocation
+// inside views.Interner whoever builds the system.
+func TestFromPatternsAllocatesPerViewNotPerRun(t *testing.T) {
+	params := types.Params{N: 3, T: 1}
+	pats, err := enumerate(params, failures.Omission, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice := append(append([]*failures.Pattern(nil), pats...), pats...)
+	build := func(list []*failures.Pattern) func() {
+		return func() {
+			if _, err := FromPatterns(params, failures.Omission, 3, list); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	once, both := testing.AllocsPerRun(5, build(pats)), testing.AllocsPerRun(5, build(twice))
+	added := float64(len(pats) << uint(params.N))
+	t.Logf("%v allocations for %v runs, %v for twice the list", once, added, both)
+	if both-once >= added/4 {
+		t.Fatalf("%v runs added %v allocations (%v → %v): the builder allocates per run",
+			added, both-once, once, both)
 	}
 }

@@ -204,13 +204,13 @@ func CheckProp63(n, t, h int) (*Report, error) {
 			rep.Checked++
 			// ¬𝒵²_i at (r, m): the point itself is an i∈𝒩 point
 			// without ∃0.
-			if run.Config.HasValue(types.Zero) {
+			if run.HasValue(types.Zero) {
 				rep.Failures = append(rep.Failures, fmt.Sprintf("time %d proc %d: target run has a 0", m, i))
 				continue
 			}
 			// ¬𝒪²_i at (r, m): search the indistinguishability class
 			// for an i∈𝒩 point where ∃1 ∧ C□ fails.
-			id := run.Views[m][i]
+			id := run.View(m, i)
 			found := false
 			for _, q := range sys.PointsWithView(id) {
 				if !sys.RunOf(q).Nonfaulty().Contains(i) {
