@@ -36,8 +36,10 @@ package failures
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/eventual-agreement/eba/internal/types"
 )
@@ -291,12 +293,70 @@ func CrashBehavior(p types.ProcID, n, h, k int, allowed types.ProcSet) *Behavior
 // faulty set and, for each faulty processor, its behaviour. Patterns
 // are immutable after construction.
 type Pattern struct {
-	mode     Mode
-	n        int
-	h        int
-	faulty   types.ProcSet
-	behavior map[types.ProcID]*Behavior
-	key      string
+	mode   Mode
+	n      int
+	h      int
+	faulty types.ProcSet
+	// sched packs the behaviours, one row per faulty processor in
+	// increasing order: the processor's sending-omission sets for rounds
+	// 1..h followed, in the modes with receiving faults, by its
+	// receiving-omission sets for rounds 1..h. A processor that deviates
+	// invisibly has an all-empty row.
+	sched []types.ProcSet
+
+	// key is computed by the first Key call: builds, restores and
+	// evaluations never ask for it, and a snapshot holds thousands of
+	// patterns.
+	keyOnce sync.Once
+	key     string
+}
+
+// rowLen is the length of one processor's row of a packed schedule.
+func rowLen(mode Mode, h int) int {
+	if mode.HasReceivingFaults() {
+		return 2 * h
+	}
+	return h
+}
+
+// checkPattern validates the arguments every pattern shares.
+func checkPattern(mode Mode, n, h int) error {
+	if !mode.Valid() {
+		return fmt.Errorf("failures: %w %v", ErrUnknownMode, mode)
+	}
+	if n < 2 || n > types.MaxProcs {
+		return fmt.Errorf("failures: n=%d out of range", n)
+	}
+	if h < 1 {
+		return fmt.Errorf("failures: horizon %d < 1", h)
+	}
+	return nil
+}
+
+// checkBehavior validates processor p's behaviour, at most h rounds
+// long, against the mode.
+func checkBehavior(mode Mode, n, h int, p types.ProcID, b *Behavior) error {
+	others := types.FullSet(n).Remove(p)
+	for r, s := range b.Omit {
+		if !s.SubsetOf(others) {
+			return fmt.Errorf("failures: processor %d round %d omits %v outside others", p, r+1, s)
+		}
+	}
+	for r, s := range b.Recv {
+		if !s.SubsetOf(others) {
+			return fmt.Errorf("failures: processor %d round %d drops receives %v outside others", p, r+1, s)
+		}
+	}
+	if !mode.HasSendingFaults() && b.omitVisible() {
+		return fmt.Errorf("failures: processor %d has sending omissions in %s mode", p, mode)
+	}
+	if !mode.HasReceivingFaults() && b.recvVisible() {
+		return fmt.Errorf("failures: processor %d has receiving omissions in %s mode", p, mode)
+	}
+	if mode == Crash && !b.CrashShape(p, n, h) {
+		return fmt.Errorf("failures: processor %d behaviour lacks crash shape", p)
+	}
+	return nil
 }
 
 // NewPattern builds and validates a pattern. Every processor with a
@@ -308,19 +368,14 @@ type Pattern struct {
 // required to be canonical here — any legal description is accepted;
 // use Canonicalize for the enumerators' normal form.
 func NewPattern(mode Mode, n, h int, faulty types.ProcSet, behavior map[types.ProcID]*Behavior) (*Pattern, error) {
-	if !mode.Valid() {
-		return nil, fmt.Errorf("failures: %w %v", ErrUnknownMode, mode)
-	}
-	if n < 2 || n > types.MaxProcs {
-		return nil, fmt.Errorf("failures: n=%d out of range", n)
-	}
-	if h < 1 {
-		return nil, fmt.Errorf("failures: horizon %d < 1", h)
+	if err := checkPattern(mode, n, h); err != nil {
+		return nil, err
 	}
 	if !faulty.SubsetOf(types.FullSet(n)) {
 		return nil, fmt.Errorf("failures: faulty set %v not within %d processors", faulty, n)
 	}
-	bcopy := make(map[types.ProcID]*Behavior, len(behavior))
+	pat := &Pattern{mode: mode, n: n, h: h, faulty: faulty}
+	pat.sched = make([]types.ProcSet, faulty.Len()*rowLen(mode, h))
 	for p, b := range behavior {
 		if !faulty.Contains(p) {
 			return nil, fmt.Errorf("failures: processor %d has behaviour but is not faulty", p)
@@ -331,31 +386,68 @@ func NewPattern(mode Mode, n, h int, faulty types.ProcSet, behavior map[types.Pr
 		if len(b.Omit) > h || len(b.Recv) > h {
 			return nil, fmt.Errorf("failures: processor %d behaviour longer than horizon", p)
 		}
-		others := types.FullSet(n).Remove(p)
-		for r, s := range b.Omit {
-			if !s.SubsetOf(others) {
-				return nil, fmt.Errorf("failures: processor %d round %d omits %v outside others", p, r+1, s)
-			}
+		if err := checkBehavior(mode, n, h, p, b); err != nil {
+			return nil, err
 		}
-		for r, s := range b.Recv {
-			if !s.SubsetOf(others) {
-				return nil, fmt.Errorf("failures: processor %d round %d drops receives %v outside others", p, r+1, s)
-			}
+		// The legality checks leave only empty sets in a direction the
+		// mode gives no row to.
+		row := pat.row(p)
+		copy(row, b.Omit)
+		if mode.HasReceivingFaults() {
+			copy(row[h:], b.Recv)
 		}
-		if !mode.HasSendingFaults() && b.omitVisible() {
-			return nil, fmt.Errorf("failures: processor %d has sending omissions in %s mode", p, mode)
-		}
-		if !mode.HasReceivingFaults() && b.recvVisible() {
-			return nil, fmt.Errorf("failures: processor %d has receiving omissions in %s mode", p, mode)
-		}
-		if mode == Crash && !b.CrashShape(p, n, h) {
-			return nil, fmt.Errorf("failures: processor %d behaviour lacks crash shape", p)
-		}
-		bcopy[p] = b.clone()
 	}
-	pat := &Pattern{mode: mode, n: n, h: h, faulty: faulty, behavior: bcopy}
-	pat.key = pat.computeKey()
 	return pat, nil
+}
+
+// NewPatterns builds one pattern per entry of faulty from their packed
+// schedules, holding each to the rules of NewPattern: sched is the
+// concatenation, pattern by pattern, of one row per faulty processor in
+// increasing order — its h sending-omission sets, then in the modes
+// with receiving faults its h receiving-omission sets. This is the
+// order snapshots store patterns in. The patterns share sched and one
+// backing array, so the caller must not modify sched afterwards.
+func NewPatterns(mode Mode, n, h int, faulty, sched []types.ProcSet) ([]*Pattern, error) {
+	if err := checkPattern(mode, n, h); err != nil {
+		return nil, err
+	}
+	w := rowLen(mode, h)
+	slab := make([]Pattern, len(faulty))
+	pats := make([]*Pattern, len(faulty))
+	for i, f := range faulty {
+		size := f.Len() * w
+		if size > len(sched) {
+			return nil, fmt.Errorf("pattern %d: failures: schedule has %d sets left, want %d", i, len(sched), size)
+		}
+		pats[i] = &slab[i]
+		if err := pats[i].adopt(mode, n, h, f, sched[:size:size]); err != nil {
+			return nil, fmt.Errorf("pattern %d: %w", i, err)
+		}
+		sched = sched[size:]
+	}
+	if len(sched) != 0 {
+		return nil, fmt.Errorf("failures: %d schedule sets beyond the last pattern", len(sched))
+	}
+	return pats, nil
+}
+
+// adopt makes pat the pattern with the given packed schedule, one row
+// per member of faulty, after checking it as NewPattern would.
+func (pat *Pattern) adopt(mode Mode, n, h int, faulty types.ProcSet, sched []types.ProcSet) error {
+	if !faulty.SubsetOf(types.FullSet(n)) {
+		return fmt.Errorf("failures: faulty set %v not within %d processors", faulty, n)
+	}
+	w := rowLen(mode, h)
+	row := sched
+	for rest := uint64(faulty); rest != 0; rest &= rest - 1 {
+		p := types.ProcID(bits.TrailingZeros64(rest))
+		if err := checkBehavior(mode, n, h, p, &Behavior{Omit: row[:h], Recv: row[h:w]}); err != nil {
+			return err
+		}
+		row = row[w:]
+	}
+	pat.mode, pat.n, pat.h, pat.faulty, pat.sched = mode, n, h, faulty, sched
+	return nil
 }
 
 // MustPattern is NewPattern that panics on error; for tests and
@@ -391,6 +483,28 @@ func (p *Pattern) Faulty() types.ProcSet { return p.faulty }
 // Section 2.1).
 func (p *Pattern) Nonfaulty() types.ProcSet { return types.FullSet(p.n).Minus(p.faulty) }
 
+// row returns processor q's row of the packed schedule, nil when q is
+// not faulty.
+func (p *Pattern) row(q types.ProcID) []types.ProcSet {
+	if !p.faulty.Contains(q) {
+		return nil
+	}
+	w := rowLen(p.mode, p.h)
+	k := bits.OnesCount64(uint64(p.faulty) & (1<<uint(q) - 1))
+	return p.sched[k*w : (k+1)*w]
+}
+
+// behaviorOf returns processor q's behaviour as views of the packed
+// schedule (the zero Behavior when q is not faulty); callers must not
+// modify the sets.
+func (p *Pattern) behaviorOf(q types.ProcID) Behavior {
+	row := p.row(q)
+	if row == nil {
+		return Behavior{}
+	}
+	return Behavior{Omit: row[:p.h], Recv: row[p.h:]}
+}
+
 // VisiblyFaulty returns the processors whose behaviour deviates within
 // the horizon. In Proposition 6.4's statement "f processors actually
 // fail", f is the size of this set plus invisible faulty processors;
@@ -398,8 +512,8 @@ func (p *Pattern) Nonfaulty() types.ProcSet { return types.FullSet(p.n).Minus(p.
 // distinguish the two.
 func (p *Pattern) VisiblyFaulty() types.ProcSet {
 	var s types.ProcSet
-	for q, b := range p.behavior {
-		if b.Visible() {
+	for _, q := range p.faulty.Members() {
+		if b := p.behaviorOf(q); b.Visible() {
 			s = s.Add(q)
 		}
 	}
@@ -410,10 +524,7 @@ func (p *Pattern) VisiblyFaulty() types.ProcSet {
 // (sending or receiving), and false if p never visibly deviates within
 // the horizon. In the crash mode this is the crash round.
 func (pat *Pattern) FirstOmission(p types.ProcID) (types.Round, bool) {
-	b, ok := pat.behavior[p]
-	if !ok {
-		return 0, false
-	}
+	b := pat.behaviorOf(p)
 	for r := 1; r <= pat.h; r++ {
 		if !b.OmittedIn(types.Round(r)).Empty() || !b.RecvOmittedIn(types.Round(r)).Empty() {
 			return types.Round(r), true
@@ -427,13 +538,21 @@ func (pat *Pattern) FirstOmission(p types.ProcID) (types.Round, bool) {
 // protocol requires one). Receiving omissions by the destinations are
 // not reflected here; Delivers combines both directions.
 func (p *Pattern) OmittedBy(sender types.ProcID, r types.Round) types.ProcSet {
-	return p.behavior[sender].OmittedIn(r)
+	row := p.row(sender)
+	if row == nil || r < 1 || int(r) > p.h {
+		return types.EmptySet
+	}
+	return row[r-1]
 }
 
 // RecvOmittedBy returns the senders whose required round-r message dst
 // fails to receive (dst's receiving omissions).
 func (p *Pattern) RecvOmittedBy(dst types.ProcID, r types.Round) types.ProcSet {
-	return p.behavior[dst].RecvOmittedIn(r)
+	row := p.row(dst)
+	if len(row) <= p.h || r < 1 || int(r) > p.h {
+		return types.EmptySet
+	}
+	return row[p.h+int(r)-1]
 }
 
 // Delivers reports whether a required round-r message from sender
@@ -469,8 +588,9 @@ func (p *Pattern) Extend(h2 int) (*Pattern, error) {
 	if h2 < p.h {
 		return nil, fmt.Errorf("failures: Extend(%d) below current horizon %d", h2, p.h)
 	}
-	nb := make(map[types.ProcID]*Behavior, len(p.behavior))
-	for q, b := range p.behavior {
+	nb := make(map[types.ProcID]*Behavior, p.faulty.Len())
+	for _, q := range p.faulty.Members() {
+		b := p.behaviorOf(q)
 		eb := &Behavior{Omit: make([]types.ProcSet, h2)}
 		copy(eb.Omit, b.Omit)
 		if len(b.Recv) > 0 {
@@ -496,37 +616,46 @@ func (p *Pattern) Extend(h2 int) (*Pattern, error) {
 
 // Key returns a canonical string identity for the pattern; two
 // patterns with equal keys produce identical runs (for a fixed
-// protocol and configuration) and identical faulty sets.
-func (p *Pattern) Key() string { return p.key }
+// protocol and configuration) and identical faulty sets. Safe for
+// concurrent use.
+func (p *Pattern) Key() string {
+	p.keyOnce.Do(func() { p.key = p.computeKey() })
+	return p.key
+}
 
 func (p *Pattern) computeKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/n%d/h%d/F%x", p.mode, p.n, p.h, uint64(p.faulty))
-	ids := make([]int, 0, len(p.behavior))
-	for q := range p.behavior {
-		ids = append(ids, int(q))
+	b := make([]byte, 0, 48+p.faulty.Len()*(8+4*rowLen(p.mode, p.h)))
+	b = append(b, p.mode.String()...)
+	b = append(b, "/n"...)
+	b = strconv.AppendInt(b, int64(p.n), 10)
+	b = append(b, "/h"...)
+	b = strconv.AppendInt(b, int64(p.h), 10)
+	b = append(b, "/F"...)
+	b = strconv.AppendUint(b, uint64(p.faulty), 16)
+	appendSets := func(sets []types.ProcSet) {
+		for _, s := range sets {
+			b = strconv.AppendUint(b, uint64(s), 16)
+			b = append(b, ',')
+		}
 	}
-	sort.Ints(ids)
-	for _, q := range ids {
-		beh := p.behavior[types.ProcID(q)]
+	for _, q := range p.faulty.Members() {
+		beh := p.behaviorOf(q)
 		if !beh.Visible() {
 			continue
 		}
-		fmt.Fprintf(&b, "|%d:", q)
-		for r := 1; r <= p.h; r++ {
-			fmt.Fprintf(&b, "%x,", uint64(beh.OmittedIn(types.Round(r))))
-		}
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(q), 10)
+		b = append(b, ':')
+		appendSets(beh.Omit)
 		// Receiving omissions get a separately prefixed section so that
 		// pure sending-mode keys are byte-for-byte what they were before
 		// the receiving modes existed (snapshot digests pin them).
 		if beh.recvVisible() {
-			b.WriteString("R")
-			for r := 1; r <= p.h; r++ {
-				fmt.Fprintf(&b, "%x,", uint64(beh.RecvOmittedIn(types.Round(r))))
-			}
+			b = append(b, 'R')
+			appendSets(beh.Recv)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // String is a compact human-readable rendering.
@@ -537,7 +666,7 @@ func (p *Pattern) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: faulty=%s", p.mode, p.faulty)
 	for _, q := range p.faulty.Members() {
-		beh := p.behavior[q]
+		beh := p.behaviorOf(q)
 		if !beh.Visible() {
 			fmt.Fprintf(&b, " p%d[invisible]", q)
 			continue
@@ -573,14 +702,28 @@ func (p *Pattern) String() string {
 // attributed to the sender. Pure sending-mode patterns are trivially
 // canonical.
 func (p *Pattern) Canonical() bool {
-	for _, b := range p.behavior {
-		for _, s := range b.Recv {
+	if !p.mode.HasReceivingFaults() {
+		return true
+	}
+	for k := 0; k < len(p.sched); k += 2 * p.h {
+		for _, s := range p.sched[k+p.h : k+2*p.h] {
 			if !s.Intersect(p.faulty).Empty() {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// behaviors returns a deep copy of every faulty processor's behaviour,
+// in the form NewPattern takes.
+func (p *Pattern) behaviors() map[types.ProcID]*Behavior {
+	nb := make(map[types.ProcID]*Behavior, p.faulty.Len())
+	for _, q := range p.faulty.Members() {
+		b := p.behaviorOf(q)
+		nb[q] = b.clone()
+	}
+	return nb
 }
 
 // Canonicalize rewrites a pattern into canonical form without changing
@@ -592,23 +735,7 @@ func (p *Pattern) Canonicalize() (*Pattern, error) {
 	if p.Canonical() {
 		return p, nil
 	}
-	nb := make(map[types.ProcID]*Behavior, len(p.behavior))
-	for q, b := range p.behavior {
-		nb[q] = b.clone()
-	}
-	ensure := func(q types.ProcID) *Behavior {
-		b := nb[q]
-		if b == nil {
-			b = &Behavior{}
-			nb[q] = b
-		}
-		if len(b.Omit) < p.h {
-			om := make([]types.ProcSet, p.h)
-			copy(om, b.Omit)
-			b.Omit = om
-		}
-		return b
-	}
+	nb := p.behaviors()
 	for q, b := range nb {
 		for idx, s := range b.Recv {
 			moved := s.Intersect(p.faulty)
@@ -617,7 +744,7 @@ func (p *Pattern) Canonicalize() (*Pattern, error) {
 			}
 			b.Recv[idx] = s.Minus(moved)
 			for _, sender := range moved.Members() {
-				sb := ensure(sender)
+				sb := nb[sender]
 				sb.Omit[idx] = sb.Omit[idx].Add(q)
 			}
 		}
@@ -633,11 +760,7 @@ func (p *Pattern) Canonicalize() (*Pattern, error) {
 // re-attributed. This is the containment map behind the mode-parity
 // laws: crash ⊂ omission ⊂ general and receiving ⊂ general.
 func (p *Pattern) EmbedInGeneral() (*Pattern, error) {
-	nb := make(map[types.ProcID]*Behavior, len(p.behavior))
-	for q, b := range p.behavior {
-		nb[q] = b.clone()
-	}
-	gp, err := NewPattern(GeneralOmission, p.n, p.h, p.faulty, nb)
+	gp, err := NewPattern(GeneralOmission, p.n, p.h, p.faulty, p.behaviors())
 	if err != nil {
 		return nil, err
 	}

@@ -303,7 +303,7 @@ func TestSamplers(t *testing.T) {
 	}
 	for _, p := range cr {
 		for _, q := range p.Faulty().Members() {
-			if !p.behavior[q].CrashShape(q, 5, 3) {
+			if b := p.behaviorOf(q); !b.CrashShape(q, 5, 3) {
 				t.Fatal("sampled crash pattern lacks crash shape")
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/bits"
 	"strconv"
-	"sync"
 
 	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/telemetry"
@@ -533,65 +532,24 @@ func (e *Evaluator) evalE(s NonrigidSet, ft *Bits) *Bits {
 
 // unionClasses joins, for every view, the images under pos of the
 // points where the view's owner holds it and is in S (a view nobody in
-// S holds joins nothing). The per-view scans — the expensive part, one
-// visit per point and processor — run in parallel over ranges of view
-// IDs, each shard collecting its union edges locally; the unions
-// themselves are near-free and applied sequentially, so the union-find
-// is never shared between writers. The resulting partition is
-// independent of shard boundaries and union order.
+// S holds joins nothing). It is sequential at every parallelism: the
+// scan is one visit per point and processor, and sharding it meant
+// buffering every union edge per shard to apply afterwards, which
+// measured slower than this loop. The resulting partition does not
+// depend on union order.
 func (e *Evaluator) unionClasses(uf *unionFind, fr *frontier, pos func(idx int32) int32) {
-	nviews := e.sys.Interner.Size()
-	type edge struct{ a, b int32 }
-	star := func(id views.ID, emit func(a, b int32)) {
-		mask := fr.masks[e.sys.Interner.Proc(id)]
+	for id, nviews := 0, e.sys.Interner.Size(); id < nviews; id++ {
+		mask := fr.masks[e.sys.Interner.Proc(views.ID(id))]
 		first := int32(-1)
-		for _, q := range e.sys.PointIdxWithView(id) {
+		for _, q := range e.sys.PointIdxWithView(views.ID(id)) {
 			if !mask.Get(int(q)) {
 				continue
 			}
-			p := pos(q)
 			if first < 0 {
-				first = p
+				first = pos(q)
 			} else {
-				emit(first, p)
+				uf.union(first, pos(q))
 			}
-		}
-	}
-	w := e.par
-	if w > nviews {
-		w = nviews
-	}
-	if w <= 1 || nviews < 64 {
-		for id := 0; id < nviews; id++ {
-			star(views.ID(id), func(a, b int32) { uf.union(a, b) })
-		}
-		return
-	}
-	chunk := (nviews + w - 1) / w
-	nsh := (nviews + chunk - 1) / chunk
-	shardEdges := make([][]edge, nsh)
-	var wg sync.WaitGroup
-	for si := 0; si < nsh; si++ {
-		lo := si * chunk
-		hi := lo + chunk
-		if hi > nviews {
-			hi = nviews
-		}
-		wg.Add(1)
-		mParEvalShards.Inc()
-		go func(si, lo, hi int) {
-			defer wg.Done()
-			var es []edge
-			for id := lo; id < hi; id++ {
-				star(views.ID(id), func(a, b int32) { es = append(es, edge{a, b}) })
-			}
-			shardEdges[si] = es
-		}(si, lo, hi)
-	}
-	wg.Wait()
-	for _, es := range shardEdges {
-		for _, ed := range es {
-			uf.union(ed.a, ed.b)
 		}
 	}
 }

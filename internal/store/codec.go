@@ -22,6 +22,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/system"
@@ -192,9 +193,10 @@ func Digest(data []byte) string {
 
 // DecodeSystem decodes a snapshot produced by EncodeSystem, verifying
 // the magic, the version, and the checksum before reconstructing
-// anything. The returned system is fully usable: the interner's
-// hash-cons index is rebuilt lazily on first intern, and the byView
-// indistinguishability index is rebuilt by system.Reassemble.
+// anything. It reads, verifies and adopts, and derives nothing: the
+// interner's hash-cons index and memo tables, the byView
+// indistinguishability index and the pattern keys are each built by
+// the first call that needs them.
 func DecodeSystem(data []byte) (Key, *system.System, error) {
 	var key Key
 	if len(data) < len(snapMagic)+1+digestLen {
@@ -231,36 +233,38 @@ func DecodeSystem(data []byte) (Key, *system.System, error) {
 		return key, nil, err
 	}
 
+	// Patterns arrive in the packed form failures.NewPatterns takes: the
+	// faulty set, then one row of schedules per faulty processor. Counts
+	// are held to what the payload can carry — a pattern or a set is at
+	// least one byte — before anything is sized by them.
 	npats := d.uvarint()
 	const maxPatterns = 1 << 24
-	if npats > maxPatterns {
+	if npats > maxPatterns || npats > uint64(d.rest()) {
 		return key, nil, fmt.Errorf("store: snapshot claims %d patterns", npats)
 	}
-	pats := make([]*failures.Pattern, 0, npats)
-	for i := uint64(0); i < npats; i++ {
-		faulty := types.ProcSet(d.uvarint())
-		behavior := make(map[types.ProcID]*failures.Behavior, faulty.Len())
-		for _, p := range faulty.Members() {
-			b := &failures.Behavior{Omit: make([]types.ProcSet, key.Horizon)}
-			for r := 0; r < key.Horizon; r++ {
-				b.Omit[r] = types.ProcSet(d.uvarint())
+	rowLen := key.Horizon
+	if key.Mode.HasReceivingFaults() {
+		rowLen *= 2
+	}
+	faulty := make([]types.ProcSet, npats)
+	sched := make([]types.ProcSet, 0, npats)
+	for i := range faulty {
+		faulty[i] = types.ProcSet(d.uvarint())
+		if members := faulty[i].Len(); members > 0 {
+			if rowLen > d.rest()/members {
+				return key, nil, fmt.Errorf("store: snapshot pattern %d claims %d rows of %d sets in %d bytes", i, members, rowLen, d.rest())
 			}
-			if key.Mode.HasReceivingFaults() {
-				b.Recv = make([]types.ProcSet, key.Horizon)
-				for r := 0; r < key.Horizon; r++ {
-					b.Recv[r] = types.ProcSet(d.uvarint())
-				}
-			}
-			behavior[p] = b
+			lo, hi := len(sched), len(sched)+members*rowLen
+			sched = slices.Grow(sched, hi-lo)[:hi]
+			uvarints(&d, sched[lo:])
 		}
 		if d.err != nil {
 			return key, nil, d.err
 		}
-		pat, err := failures.NewPattern(key.Mode, key.N, key.Horizon, faulty, behavior)
-		if err != nil {
-			return key, nil, fmt.Errorf("store: snapshot pattern %d: %w", i, err)
-		}
-		pats = append(pats, pat)
+	}
+	pats, err := failures.NewPatterns(key.Mode, key.N, key.Horizon, faulty, sched)
+	if err != nil {
+		return key, nil, fmt.Errorf("store: snapshot %w", err)
 	}
 
 	// The run arrays are allocated up front, so the claimed count is
@@ -276,19 +280,17 @@ func DecodeSystem(data []byte) (Key, *system.System, error) {
 		ConfigOf:  make([]uint64, nruns),
 		Views:     make([]views.ID, int(nruns)*stride),
 	}
+	var head [2]uint64 // configuration bits, pattern index
 	for r := range tbl.PatternOf {
-		tbl.ConfigOf[r] = d.uvarint()
-		pi := d.uvarint()
-		for i := r * stride; i < (r+1)*stride; i++ {
-			tbl.Views[i] = views.ID(d.uvarint())
-		}
+		uvarints(&d, head[:])
+		uvarints(&d, tbl.Views[r*stride:(r+1)*stride])
 		if d.err != nil {
 			return key, nil, d.err
 		}
-		if pi >= uint64(len(pats)) {
-			return key, nil, fmt.Errorf("store: run %d references pattern %d of %d", r, pi, len(pats))
+		if head[1] >= uint64(len(pats)) {
+			return key, nil, fmt.Errorf("store: run %d references pattern %d of %d", r, head[1], len(pats))
 		}
-		tbl.PatternOf[r] = int32(pi)
+		tbl.ConfigOf[r], tbl.PatternOf[r] = head[0], int32(head[1])
 	}
 	if d.rest() != 0 {
 		return key, nil, fmt.Errorf("store: %d trailing bytes after snapshot", d.rest())
@@ -389,16 +391,50 @@ type decoder struct {
 }
 
 func (d *decoder) uvarint() uint64 {
+	var v [1]uint64
+	uvarints(d, v[:])
+	return v[0]
+}
+
+// uvarints fills dst with the next len(dst) varints, narrowed to its
+// element type as a conversion would. Nearly all of a snapshot's
+// varints are read here, a run at a time: the cursor stays in
+// registers and the caller looks at the error once per run.
+func uvarints[T ~int32 | ~uint64](d *decoder, dst []T) {
 	if d.err != nil {
-		return 0
+		return
 	}
-	v, k := binary.Uvarint(d.buf[d.pos:])
-	if k <= 0 {
-		d.err = fmt.Errorf("store: truncated snapshot at byte %d", d.pos)
-		return 0
+	buf, pos := d.buf, d.pos
+	for i := range dst {
+		// One to three bytes inline (view IDs below 2^21), the rest, and
+		// the last bytes of the buffer, through binary.Uvarint.
+		if len(buf)-pos >= 3 {
+			b0, b1, b2 := buf[pos], buf[pos+1], buf[pos+2]
+			if b0 < 0x80 {
+				dst[i] = T(b0)
+				pos++
+				continue
+			}
+			if b1 < 0x80 {
+				dst[i] = T(b0&0x7f) | T(b1)<<7
+				pos += 2
+				continue
+			}
+			if b2 < 0x80 {
+				dst[i] = T(b0&0x7f) | T(b1&0x7f)<<7 | T(b2)<<14
+				pos += 3
+				continue
+			}
+		}
+		v, k := binary.Uvarint(buf[pos:])
+		if k <= 0 {
+			d.err = fmt.Errorf("store: truncated snapshot at byte %d", pos)
+			return
+		}
+		dst[i] = T(v)
+		pos += k
 	}
-	d.pos += k
-	return v
+	d.pos = pos
 }
 
 func (d *decoder) bytes(n int) []byte {

@@ -138,8 +138,10 @@ func TestCodecGoldenDigest(t *testing.T) {
 // over a pattern list given twice holds as many runs again but the
 // same patterns (the encoder writes each once) and the same views, so
 // decoding it may allocate under a quarter of an allocation per added
-// run more — one object per run would be four times that. Counted,
-// not timed.
+// run more — one object per run would be four times that. Patterns
+// are decoded into slabs, so the same bound holds per pattern (an
+// eighth as many as runs), for the added allocations and for the whole
+// decode. Counted, not timed.
 func TestDecodeAllocatesPerPatternNotPerRun(t *testing.T) {
 	key := Key{N: 3, T: 1, Mode: failures.Omission, Horizon: 3}
 	pats, err := failures.EnumOmission(key.N, key.T, key.Horizon, 0)
@@ -170,6 +172,9 @@ func TestDecodeAllocatesPerPatternNotPerRun(t *testing.T) {
 	t.Logf("%v allocations for %v runs, %v for twice the runs", once, added, both)
 	if both-once >= added/4 {
 		t.Fatalf("%v runs added %v allocations (%v → %v): the decoder allocates per run", added, both-once, once, both)
+	}
+	if npats := float64(len(pats)); both-once >= npats/4 || once >= npats/4 {
+		t.Fatalf("%v allocations to decode %v patterns, %v more for the list given twice: the decoder allocates per pattern", once, npats, both-once)
 	}
 }
 

@@ -149,7 +149,6 @@ func FromPatternsParallel(params types.Params, mode failures.Mode, horizon int, 
 		// they are merged; for big systems they dominate peak memory.
 		sh.in, sh.runs = nil, nil
 	}
-	sys.buildByView()
 	mParMergeSeconds.Observe(time.Since(mergeStart).Seconds())
 	mRunsEnumerated.Add(uint64(sys.NumRuns()))
 	mPointsEnumerated.Add(uint64(sys.NumPoints()))

@@ -12,8 +12,10 @@ import (
 // interner plus a run table whose views reference it — without
 // re-running the enumeration. It is the restore path of the snapshot
 // store: FromPatterns interns every view, while Reassemble only
-// validates the table and re-derives the byView index, two dense walks
-// over already-interned IDs. The table is adopted, not copied.
+// validates the table, one dense walk over already-interned IDs, and
+// derives nothing (the byView index is built by the first
+// PointIdxWithView call, as it is after a build). The table is
+// adopted, not copied.
 //
 // The table is validated against the parameters (array sizes, pattern
 // mode, horizon and fault bound, configuration bits, view ownership
@@ -32,11 +34,18 @@ func Reassemble(params types.Params, mode failures.Mode, horizon int, in *views.
 	if runs == 0 {
 		return nil, fmt.Errorf("system: no runs")
 	}
-	if len(tbl.ConfigOf) != runs || len(tbl.Views) != runs*(horizon+1)*n {
+	stride := (horizon + 1) * n
+	if len(tbl.ConfigOf) != runs || len(tbl.Views) != runs*stride {
 		return nil, fmt.Errorf("system: run table has %d patterns, %d configurations and %d views for %d runs of %d",
-			runs, len(tbl.ConfigOf), len(tbl.Views), runs, (horizon+1)*n)
+			runs, len(tbl.ConfigOf), len(tbl.Views), runs, stride)
 	}
-	rest := tbl.Views
+	// What a slot of a run must hold is one stamp: wantAt[m*n+p] for
+	// processor p at time m, the initial value (time 0 only) aside.
+	stamps := in.Stamps()
+	wantAt := make([]views.Stamp, stride)
+	for k := range wantAt {
+		wantAt[k] = views.StampOf(types.ProcID(k%n), types.Round(k/n), types.Zero)
+	}
 	for r := 0; r < runs; r++ {
 		if pi := tbl.PatternOf[r]; pi < 0 || int(pi) >= len(tbl.Patterns) {
 			return nil, fmt.Errorf("system: run %d references pattern %d of %d", r, pi, len(tbl.Patterns))
@@ -45,31 +54,41 @@ func Reassemble(params types.Params, mode failures.Mode, horizon int, in *views.
 		if cfg&^uint64(types.FullSet(n)) != 0 {
 			return nil, fmt.Errorf("system: run %d config bits %#x out of range for n=%d", r, cfg, n)
 		}
-		for m := 0; m <= horizon; m++ {
-			for p := 0; p < n; p++ {
-				id := rest[0]
-				rest = rest[1:]
-				if id < 0 || int(id) >= in.Size() {
-					return nil, fmt.Errorf("system: run %d time %d: view %d not in interner", r, m, id)
-				}
-				if in.Proc(id) != types.ProcID(p) || in.Time(id) != types.Round(m) {
-					return nil, fmt.Errorf("system: run %d time %d: view %d is (p%d,t%d), want (p%d,t%d)",
-						r, m, id, in.Proc(id), in.Time(id), p, m)
-				}
-				if want := types.Value(cfg >> uint(p) & 1); m == 0 && in.Initial(id) != want {
-					return nil, fmt.Errorf("system: run %d: processor %d starts with %s in its view, %s in the run's configuration",
-						r, p, in.Initial(id), want)
-				}
+		run := tbl.Views[r*stride : (r+1)*stride]
+		for k, id := range run {
+			if uint(id) >= uint(len(stamps)) {
+				return nil, slotError(in, r, k/n, k%n, id, cfg)
+			}
+			got, want := stamps[id], wantAt[k]
+			if k < n {
+				want = want.WithInitial(types.Value(cfg >> uint(k) & 1))
+			} else {
+				got = got.WithInitial(types.Zero)
+			}
+			if got != want {
+				return nil, slotError(in, r, k/n, k%n, id, cfg)
 			}
 		}
 	}
-	sys := &System{
+	return &System{
 		Params:   params,
 		Mode:     mode,
 		Horizon:  horizon,
 		Interner: in,
 		tbl:      tbl,
+	}, nil
+}
+
+// slotError names the rule that the view in processor p's slot at time
+// m of run r breaks, looking the view up field by field.
+func slotError(in *views.Interner, r, m, p int, id views.ID, cfg uint64) error {
+	if id < 0 || int(id) >= in.Size() {
+		return fmt.Errorf("system: run %d time %d: view %d not in interner", r, m, id)
 	}
-	sys.buildByView()
-	return sys, nil
+	if in.Proc(id) != types.ProcID(p) || in.Time(id) != types.Round(m) {
+		return fmt.Errorf("system: run %d time %d: view %d is (p%d,t%d), want (p%d,t%d)",
+			r, m, id, in.Proc(id), in.Time(id), p, m)
+	}
+	return fmt.Errorf("system: run %d: processor %d starts with %s in its view, %s in the run's configuration",
+		r, p, in.Initial(id), types.Value(cfg>>uint(p)&1))
 }

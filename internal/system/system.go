@@ -20,6 +20,7 @@ package system
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/eventual-agreement/eba/internal/failures"
@@ -138,10 +139,12 @@ type System struct {
 	// group. Indices rather than Points keep the array at 4 bytes per
 	// entry — the reachability kernels stream the whole thing, so its
 	// footprint is cache traffic. Views encode owner and time, so all
-	// points in a group share the same time. Built once by buildByView
-	// after the run table is final.
-	byViewOff []int
-	byViewIdx []int32
+	// points in a group share the same time. Built by the first
+	// PointIdxWithView call: a restored system that answers from a
+	// result file, and every K-only evaluation, never needs it.
+	byViewOnce sync.Once
+	byViewOff  []int
+	byViewIdx  []int32
 }
 
 // Enumerate builds the exhaustive system for the mode: all initial
@@ -204,7 +207,6 @@ func FromPatterns(params types.Params, mode failures.Mode, horizon int, pats []*
 		tbl:      newRunTable(params.N, horizon, pats),
 	}
 	buildRuns(sys.Interner, horizon, &sys.tbl)
-	sys.buildByView()
 	mRunsEnumerated.Add(uint64(sys.NumRuns()))
 	mPointsEnumerated.Add(uint64(sys.NumPoints()))
 	return sys, nil
@@ -297,9 +299,10 @@ func (s *System) ViewAt(pt Point, p types.ProcID) views.ID {
 // so each group lists its points run-major. The fill advances each
 // group's offset as its cursor (one random access per entry, not two);
 // afterwards entry id holds the start of group id+1, so the offsets
-// shift up one place. Every builder (FromPatterns,
-// FromPatternsParallel, Reassemble) calls it once the table is
-// complete.
+// shift up one place. The run table is final before any builder
+// (FromPatterns, FromPatternsParallel, Reassemble) returns the system,
+// so whenever the first PointIdxWithView runs it, it reads the same
+// table.
 func (s *System) buildByView() {
 	size, n := s.Interner.Size(), s.Params.N
 	off := make([]int, size+1)
@@ -326,8 +329,10 @@ func (s *System) buildByView() {
 // at which the view's owner holds exactly this view — the
 // indistinguishability class driving K_i and B_i, in the form the
 // word-level kernels consume. The returned slice is owned by the
-// system; do not modify.
+// system; do not modify. Safe for concurrent use: the first call
+// builds the index, and calls that arrive meanwhile wait for it.
 func (s *System) PointIdxWithView(id views.ID) []int32 {
+	s.byViewOnce.Do(s.buildByView)
 	if id < 0 || int(id) >= len(s.byViewOff)-1 {
 		return nil
 	}

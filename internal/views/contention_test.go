@@ -35,12 +35,34 @@ func buildContentionInterner(tb testing.TB) *Interner {
 // the results are compared against a sequentially-computed twin
 // interner, which also checks that duplicated computation stays
 // value-identical.
+//
+// No interner holds memo tables before its first analysis, so the
+// goroutines' first calls also race to size them — on a built interner
+// and on one restored from a snapshot, the daemon's case.
 func TestAnalysesUnderContention(t *testing.T) {
+	t.Run("built", func(t *testing.T) {
+		testAnalysesUnderContention(t, buildContentionInterner(t))
+	})
+	t.Run("restored", func(t *testing.T) {
+		con, err := UnmarshalInterner(MarshalInterner(buildContentionInterner(t)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		testAnalysesUnderContention(t, con)
+	})
+}
+
+// testAnalysesUnderContention hammers con, on which no analysis has
+// run yet.
+func testAnalysesUnderContention(t *testing.T, con *Interner) {
 	seq := buildContentionInterner(t) // sequential baseline
-	con := buildContentionInterner(t) // hammered concurrently
 
 	if seq.Size() != con.Size() {
 		t.Fatalf("twin interners diverge: %d vs %d nodes", seq.Size(), con.Size())
+	}
+	if con.knownVals != nil || con.faultEv != nil || con.faultEvOK != nil ||
+		con.acceptSets != nil || con.acceptOK != nil || con.believes0s != nil {
+		t.Fatal("interner holds memo tables before its first analysis")
 	}
 	size := con.Size()
 
@@ -76,6 +98,7 @@ func TestAnalysesUnderContention(t *testing.T) {
 	// goroutine while maximizing overlap disorder.
 	strides := []int{1, 3, 5, 7, 11, 13, 17, 19}
 	got := make([]*answers, len(strides))
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g, stride := range strides {
 		if gcd(stride, size) != 1 {
@@ -85,10 +108,15 @@ func TestAnalysesUnderContention(t *testing.T) {
 		wg.Add(1)
 		go func(g, stride int) {
 			defer wg.Done()
+			<-start
 			collect(con, 0, size, stride, got[g])
 		}(g, stride)
 	}
+	close(start)
 	wg.Wait()
+	if len(con.knownVals) != size || len(con.believes0s) != size {
+		t.Fatalf("memo tables cover %d and %d of %d views after every analysis ran", len(con.knownVals), len(con.believes0s), size)
+	}
 
 	for g := range got {
 		for id := 0; id < size; id++ {

@@ -43,11 +43,13 @@ func MarshalInterner(in *Interner) []byte {
 // the hash-cons index is NOT rebuilt here: restored interners are
 // queried far more often than extended, so the index — one map insert
 // per node, the expensive part of a restore — is reconstructed lazily
-// by the first Leaf/Extend call (see Interner.ensureIndex). View IDs
-// are identical to the original's, and further interning still dedups
-// against the restored views. Child arrays are carved from one arena
-// block sized up front, so a restore costs O(1) allocations for the
-// node storage instead of one per interior node.
+// by the first Leaf/Extend call (see Interner.ensureIndex), and the
+// syntactic-analysis memo tables are sized by the first analysis that
+// needs them (see Interner.growMemo). View IDs are identical to the
+// original's, and further interning still dedups against the restored
+// views. Child arrays are carved from one arena block sized up front,
+// so a restore costs O(1) allocations for the node storage instead of
+// one per interior node.
 func UnmarshalInterner(data []byte) (*Interner, error) {
 	r := reader{buf: data}
 	nU, err := r.uvarint()
@@ -66,15 +68,8 @@ func UnmarshalInterner(data []byte) (*Interner, error) {
 	if count > maxNodes {
 		return nil, fmt.Errorf("views: interner claims %d nodes (max %d)", count, maxNodes)
 	}
-	in := NewInterner(n)
-	in.index = nil // rebuilt lazily on first intern
-	in.nodes = make([]node, 0, count)
-	in.knownVals = make([][]types.Value, count)
-	in.faultEv = make([]types.ProcSet, count)
-	in.faultEvOK = make([]bool, count)
-	in.acceptSets = make([][]types.ProcSet, count)
-	in.acceptOK = make([]bool, count)
-	in.believes0s = make([]int8, count)
+	// No hash-cons index: rebuilt lazily on first intern.
+	in := &Interner{n: n, nodes: make([]node, 0, count)}
 	if count > 0 {
 		in.fromArena = make([]ID, 0, int(count)*n)
 	}

@@ -51,7 +51,19 @@ func TestInternerCodecRoundTrip(t *testing.T) {
 			t.Fatalf("node %d renders differently", id)
 		}
 	}
-	// The analyses agree (they run on the restored memo tables).
+	stamps := out.Stamps()
+	if len(stamps) != in.Size() {
+		t.Fatalf("%d stamps for %d views", len(stamps), in.Size())
+	}
+	for id := ID(0); int(id) < in.Size(); id++ {
+		want := StampOf(in.Proc(id), in.Time(id), in.Initial(id))
+		if stamps[id] != want || want.WithInitial(in.Initial(id).Opposite()) == want ||
+			want.WithInitial(in.Initial(id).Opposite()).WithInitial(in.Initial(id)) != want {
+			t.Fatalf("node %d has stamp %#x, want %#x", id, stamps[id], want)
+		}
+	}
+	// The analyses agree (the restored interner sizes its memo tables
+	// on the first call).
 	for id := ID(0); int(id) < in.Size(); id++ {
 		if in.Knows(id, types.Zero) != out.Knows(id, types.Zero) ||
 			in.FaultEvidence(id) != out.FaultEvidence(id) ||
@@ -66,6 +78,17 @@ func TestInternerCodecRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(MarshalInterner(out), blob) {
 		t.Fatalf("re-encoding differs from original encoding")
+	}
+	// The memo tables, sized for the restored views, follow interning:
+	// a view minted after the analyses ran is analysed like any other.
+	received := []ID{out.Leaf(0, types.Zero), NoView, NoView}
+	next := out.Extend(0, received[0], received)
+	if int(next) != in.Size() {
+		t.Fatalf("fresh view got ID %d, want %d", next, in.Size())
+	}
+	if !out.Knows(next, types.Zero) || out.FaultEvidence(next) != types.SetOf(1, 2) || !out.BelievesExistsZeroStar(next) {
+		t.Fatalf("analyses of a view interned after the restore: knows0=%v evidence=%v believes=%v",
+			out.Knows(next, types.Zero), out.FaultEvidence(next), out.BelievesExistsZeroStar(next))
 	}
 }
 

@@ -95,9 +95,12 @@ type Interner struct {
 	// an arena lives exactly as long as its Interner.
 	fromArena []ID
 
-	// memoMu guards the lazily grown memo tables below (indexed by
-	// ID). It deliberately does not guard nodes/index: interning and
-	// concurrent analysis must not overlap.
+	// memoMu guards the memo tables below (indexed by ID). Interning
+	// never touches them: the analysis that first needs an entry past
+	// their end grows all six to the node count (growMemo), so a
+	// snapshot restore or a build that nobody analyses pays nothing for
+	// them. memoMu deliberately does not guard nodes/index: interning
+	// and concurrent analysis must not overlap.
 	//
 	// The lock discipline is deliberately narrow: lookups take the
 	// read lock for a single slice access, computation runs with no
@@ -199,12 +202,6 @@ func (in *Interner) insert(key []byte, nd node) ID {
 	id := ID(len(in.nodes))
 	in.nodes = append(in.nodes, nd)
 	in.index[string(key)] = id
-	in.knownVals = append(in.knownVals, nil)
-	in.faultEv = append(in.faultEv, 0)
-	in.faultEvOK = append(in.faultEvOK, false)
-	in.acceptSets = append(in.acceptSets, nil)
-	in.acceptOK = append(in.acceptOK, false)
-	in.believes0s = append(in.believes0s, 0)
 	if telemetry.Enabled() {
 		mInternerSize.SetMax(float64(len(in.nodes)))
 		mInternMissS.Observe(time.Since(start).Seconds())
@@ -294,6 +291,36 @@ func (in *Interner) Time(id ID) types.Round { return in.node(id).time }
 // Initial returns the owner's initial value.
 func (in *Interner) Initial(id ID) types.Value { return in.node(id).initial }
 
+// Stamp packs a view's owner, its time and its owner's initial value
+// into one comparable word.
+type Stamp uint64
+
+// initialStamp is set in the stamp of a view whose owner started with
+// types.One (nodes only ever hold Zero or One).
+const initialStamp Stamp = 1 << 6
+
+// StampOf returns the stamp of a view held by p at time m whose owner
+// started with v.
+func StampOf(p types.ProcID, m types.Round, v types.Value) Stamp {
+	return Stamp(m)<<7 | Stamp(v)<<6 | Stamp(p)
+}
+
+// WithInitial returns the stamp with the initial value replaced by v.
+func (s Stamp) WithInitial(v types.Value) Stamp { return s&^initialStamp | Stamp(v)<<6 }
+
+// Stamps returns every view's stamp, indexed by ID, in a fresh table:
+// a caller that checks owner, time and initial value of millions of
+// IDs reads one dense word per ID instead of chasing three fields of a
+// node six times the size.
+func (in *Interner) Stamps() []Stamp {
+	out := make([]Stamp, len(in.nodes))
+	for i := range in.nodes {
+		nd := &in.nodes[i]
+		out[i] = StampOf(nd.proc, nd.time, nd.initial)
+	}
+	return out
+}
+
 // From returns the view carried by j's message in the view's last
 // round (NoView if absent), or NoView for a leaf.
 func (in *Interner) From(id ID, j types.ProcID) ID {
@@ -327,13 +354,31 @@ func (in *Interner) HeardFrom(id ID) types.ProcSet {
 // it is recorded anywhere in the view, else Unset. The result is owned
 // by the interner; callers must not modify it.
 func (in *Interner) KnownValues(id ID) []types.Value {
+	var kv []types.Value
 	in.memoMu.RLock()
-	kv := in.knownVals[id]
+	if int(id) < len(in.knownVals) {
+		kv = in.knownVals[id]
+	}
 	in.memoMu.RUnlock()
 	if kv != nil {
 		return kv
 	}
 	return in.computeKnownValues(id)
+}
+
+// growMemo extends the memo tables to cover every interned view. The
+// caller holds memoMu for writing and is about to publish an entry
+// past their end; growth is amortized, so an interner that alternates
+// interning and analysis (the runtimes' per-process ones) does not
+// copy the tables once per view.
+func (in *Interner) growMemo() {
+	add := len(in.nodes) - len(in.knownVals)
+	in.knownVals = append(in.knownVals, make([][]types.Value, add)...)
+	in.faultEv = append(in.faultEv, make([]types.ProcSet, add)...)
+	in.faultEvOK = append(in.faultEvOK, make([]bool, add)...)
+	in.acceptSets = append(in.acceptSets, make([][]types.ProcSet, add)...)
+	in.acceptOK = append(in.acceptOK, make([]bool, add)...)
+	in.believes0s = append(in.believes0s, make([]int8, add)...)
 }
 
 // computeKnownValues fills the KnownValues memo for a cold entry. It
@@ -359,6 +404,9 @@ func (in *Interner) computeKnownValues(id ID) []types.Value {
 		}
 	}
 	in.memoMu.Lock()
+	if int(id) >= len(in.knownVals) {
+		in.growMemo()
+	}
 	in.knownVals[id] = kv
 	in.memoMu.Unlock()
 	return kv
@@ -397,8 +445,12 @@ func (in *Interner) KnowsAll(id ID, v types.Value) bool {
 // nonfaulty is consistent with the view. (The equivalence is checked
 // against the semantic evaluator in the knowledge package's tests.)
 func (in *Interner) FaultEvidence(id ID) types.ProcSet {
+	var ok bool
+	var s types.ProcSet
 	in.memoMu.RLock()
-	ok, s := in.faultEvOK[id], in.faultEv[id]
+	if int(id) < len(in.faultEvOK) {
+		ok, s = in.faultEvOK[id], in.faultEv[id]
+	}
 	in.memoMu.RUnlock()
 	if ok {
 		return s
@@ -422,6 +474,9 @@ func (in *Interner) computeFaultEvidence(id ID) types.ProcSet {
 		}
 	}
 	in.memoMu.Lock()
+	if int(id) >= len(in.faultEvOK) {
+		in.growMemo()
+	}
 	in.faultEv[id] = s
 	in.faultEvOK[id] = true
 	in.memoMu.Unlock()
@@ -440,8 +495,12 @@ func (in *Interner) computeFaultEvidence(id ID) types.ProcSet {
 // being the (u+1)-st element, the alignment used in the proof of
 // Proposition 6.4.
 func (in *Interner) acceptances(id ID) []types.ProcSet {
+	var ok bool
+	var out []types.ProcSet
 	in.memoMu.RLock()
-	ok, out := in.acceptOK[id], in.acceptSets[id]
+	if int(id) < len(in.acceptOK) {
+		ok, out = in.acceptOK[id], in.acceptSets[id]
+	}
 	in.memoMu.RUnlock()
 	if ok {
 		return out
@@ -487,6 +546,9 @@ func (in *Interner) computeAcceptances(id ID) []types.ProcSet {
 		}
 	}
 	in.memoMu.Lock()
+	if int(id) >= len(in.acceptOK) {
+		in.growMemo()
+	}
 	in.acceptSets[id] = out
 	in.acceptOK[id] = true
 	in.memoMu.Unlock()
@@ -507,8 +569,11 @@ func (in *Interner) AcceptsZeroAt(id ID) bool {
 // endpoint (relayed stale chains end in processors the owner cannot
 // know to be nonfaulty).
 func (in *Interner) BelievesExistsZeroStar(id ID) bool {
+	var m int8
 	in.memoMu.RLock()
-	m := in.believes0s[id]
+	if int(id) < len(in.believes0s) {
+		m = in.believes0s[id]
+	}
 	in.memoMu.RUnlock()
 	if m != 0 {
 		return m == 2
@@ -530,6 +595,9 @@ func (in *Interner) computeBelievesExistsZeroStar(id ID) bool {
 		mark = 2
 	}
 	in.memoMu.Lock()
+	if int(id) >= len(in.believes0s) {
+		in.growMemo()
+	}
 	in.believes0s[id] = mark
 	in.memoMu.Unlock()
 	return res
