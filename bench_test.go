@@ -1,8 +1,8 @@
 // Benchmarks: one per reproduction experiment (the paper's
 // propositions/theorems play the role of tables and figures — see
 // DESIGN.md's per-experiment index), plus micro-benchmarks of the
-// substrates (enumeration, interning, knowledge evaluation, and both
-// execution engines).
+// substrates (enumeration, interning, knowledge evaluation, and the
+// round engine).
 package eba_test
 
 import (
@@ -126,21 +126,7 @@ func BenchmarkSimEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkTransportEngine measures the same run on the goroutine
-// runtime (goroutine + channel overhead per round).
-func BenchmarkTransportEngine(b *testing.B) {
-	params := eba.Params{N: 8, T: 2}
-	cfg := eba.ConfigFromBits(8, 0b10110100)
-	pat := eba.Silent(eba.Crash, 8, 4, 3, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := eba.RunLive(eba.P0Opt(), params, cfg, pat); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkChain0Omission measures a live chain-protocol run under an
+// BenchmarkChain0Omission measures a chain-protocol run under an
 // adversarial omission pattern at n=8.
 func BenchmarkChain0Omission(b *testing.B) {
 	params := eba.Params{N: 8, T: 2}
@@ -148,40 +134,7 @@ func BenchmarkChain0Omission(b *testing.B) {
 	pat := eba.SilentExcept(8, 4, 0, 2, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := eba.RunLive(eba.Chain0(), params, cfg, pat); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunAllParallel measures the worker-pool sweep against the
-// sequential baseline workload (n=4, t=1 crash, P0opt).
-func BenchmarkRunAllParallel(b *testing.B) {
-	pats, err := eba.EnumCrash(4, 1, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := eba.Params{N: 4, T: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eba.RunAllParallel(eba.P0Opt(), params, pats, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunAllSequential is the baseline for BenchmarkRunAllParallel.
-func BenchmarkRunAllSequential(b *testing.B) {
-	pats, err := eba.EnumCrash(4, 1, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := eba.Params{N: 4, T: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eba.RunAll(eba.P0Opt(), params, pats); err != nil {
+		if _, err := eba.Run(eba.Chain0(), params, cfg, pat); err != nil {
 			b.Fatal(err)
 		}
 	}

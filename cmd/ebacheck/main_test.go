@@ -1,43 +1,19 @@
 package main
 
 import (
-	"bytes"
-	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/eventual-agreement/eba/internal/clitest"
 )
 
-// childEnv makes this test binary behave as ebacheck, so the tests run
-// the command itself — flag parsing, stdout, stderr and exit code —
-// without a separate build.
-const childEnv = "EBACHECK_TEST_AS_MAIN"
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
-func TestMain(m *testing.M) {
-	if os.Getenv(childEnv) == "1" {
-		main()
-		return
-	}
-	os.Exit(m.Run())
-}
-
-// ebacheck runs the command with the arguments and returns what it
-// wrote and its exit code.
-func ebacheck(t *testing.T, args ...string) (stdout, stderr string, code int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), childEnv+"=1")
-	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if err != nil && !errors.As(err, &exit) {
-		t.Fatalf("ebacheck %v: %v", args, err)
-	}
-	return out.String(), errb.String(), cmd.ProcessState.ExitCode()
-}
+// ebacheck runs the command with the arguments and returns what it wrote
+// and its exit code.
+var ebacheck = clitest.Run
 
 // TestGolden holds the whole verdict — system size line, EBA checks,
 // Theorem 5.3 oracle, worst case and dominance matrix — to a committed

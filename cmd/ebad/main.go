@@ -133,7 +133,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cl.Attach(eng, srv, st)
+		cl.Attach(eng, srv, st, cl.Owner)
 		cl.Start(ctx)
 		fmt.Fprintf(os.Stderr, "ebad: cluster node %s, %d peers\n", *self, len(peers))
 	}

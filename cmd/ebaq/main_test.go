@@ -1,44 +1,20 @@
 package main
 
 import (
-	"bytes"
-	"errors"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/eventual-agreement/eba/internal/clitest"
 )
 
-// childEnv makes this test binary behave as ebaq, so the tests run the
-// command itself — flag parsing, stdout, stderr and exit code —
-// without a separate build.
-const childEnv = "EBAQ_TEST_AS_MAIN"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(childEnv) == "1" {
-		main()
-		return
-	}
-	os.Exit(m.Run())
-}
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // ebaq runs the command with the arguments and returns what it wrote
 // and its exit code.
-func ebaq(t *testing.T, args ...string) (stdout, stderr string, code int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), childEnv+"=1")
-	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if err != nil && !errors.As(err, &exit) {
-		t.Fatalf("ebaq %v: %v", args, err)
-	}
-	return out.String(), errb.String(), cmd.ProcessState.ExitCode()
-}
+var ebaq = clitest.Run
 
 // millis matches the stage timings of the latency line, the only part
 // of the output that differs between two runs of one query.

@@ -1,11 +1,57 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	eba "github.com/eventual-agreement/eba"
+	"github.com/eventual-agreement/eba/internal/clitest"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestGolden holds two scripted runs on the deterministic engine to
+// goldens: a crash run traced round by round (-verbose) with a silent
+// processor, and a receiving-omission run with a deaf one.
+func TestGolden(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"crash-silent-verbose", []string{"-protocol", "p0opt", "-mode", "crash", "-config", "0111", "-silent", "0@1", "-verbose"}},
+		{"receiving-omission-deaf", []string{"-protocol", "chain0", "-mode", "receiving-omission", "-config", "0111", "-deaf", "2@1"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stdout, stderr, code := clitest.Run(t, tc.args...)
+			if code != 0 || stderr != "" {
+				t.Fatalf("exit %d, stderr %q", code, stderr)
+			}
+			if stdout != string(want) {
+				t.Errorf("stdout differs from testdata/%s.golden:\n%s", tc.golden, stdout)
+			}
+		})
+	}
+}
+
+// TestLiveFlagGone: the goroutine runtime's -live flag no longer
+// exists, so asking for it is a usage error (exit 2), not a run.
+func TestLiveFlagGone(t *testing.T) {
+	stdout, stderr, code := clitest.Run(t, "-live")
+	if code != 2 || stdout != "" {
+		t.Fatalf("exit %d, stdout %q", code, stdout)
+	}
+	if !strings.Contains(stderr, "flag provided but not defined: -live") || !strings.Contains(stderr, "-chaos") {
+		t.Errorf("stderr is not the usage message:\n%s", stderr)
+	}
+}
 
 func TestParseConfig(t *testing.T) {
 	cfg, err := parseConfig("0110")

@@ -10,9 +10,10 @@
 //   - failure patterns and adversaries (crash / sending omission /
 //     receiving omission / general omission), with exhaustive
 //     enumerators and seeded samplers;
-//   - two execution engines for the same Protocol interface: a
-//     deterministic synchronous round engine and a live goroutine/
-//     channel runtime with fault injection;
+//   - two execution engines for the same Protocol interface: the
+//     deterministic synchronous round engine, which alone applies a
+//     failure pattern to messages, and a live TCP runtime with chaos
+//     injection whose runs replay on it exactly (VerifyResilient);
 //   - full-information systems: every run of the full-information
 //     protocol for given (n, t, horizon, mode), hash-consed;
 //   - a knowledge model checker for the paper's epistemic logic —
@@ -39,9 +40,9 @@
 //	if err := eba.CheckEBA(sys, opt); err != nil { ... }
 //	if ok, _ := eba.IsOptimal(e, opt); !ok { ... }
 //
-//	// Run the concrete equivalent live, on goroutines.
+//	// Run the concrete equivalent on one run.
 //	pat := eba.Silent(eba.Crash, 4, 3, 0, 2)
-//	tr, _ := eba.RunLive(eba.P0Opt(), params, eba.ConfigFromBits(4, 0b1110), pat)
+//	tr, _ := eba.Run(eba.P0Opt(), params, eba.ConfigFromBits(4, 0b1110), pat)
 package eba
 
 import (
@@ -59,7 +60,6 @@ import (
 	"github.com/eventual-agreement/eba/internal/sba"
 	"github.com/eventual-agreement/eba/internal/sim"
 	"github.com/eventual-agreement/eba/internal/system"
-	"github.com/eventual-agreement/eba/internal/transport"
 	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
 	"github.com/eventual-agreement/eba/internal/witness"
@@ -240,21 +240,6 @@ func Run(p Protocol, params Params, cfg Config, pat *Pattern) (*Trace, error) {
 // RunAll executes a protocol on every configuration × pattern.
 func RunAll(p Protocol, params Params, pats []*Pattern) ([]*Trace, error) {
 	return sim.RunAll(p, params, pats)
-}
-
-// RunAllParallel is RunAll over a worker pool (deterministic output
-// order; the protocol must be safe for concurrent process creation —
-// all concrete protocols here are; the shared-interner FIP adapter is
-// not).
-func RunAllParallel(p Protocol, params Params, pats []*Pattern, workers int) ([]*Trace, error) {
-	return sim.RunAllParallel(p, params, pats, workers)
-}
-
-// RunLive executes a protocol on the goroutine/channel runtime: one
-// goroutine per processor, per-link channels, a network goroutine
-// injecting the failure pattern.
-func RunLive(p Protocol, params Params, cfg Config, pat *Pattern) (*Trace, error) {
-	return transport.Run(p, params, cfg, pat)
 }
 
 // The resilient runtime: deadline-driven rounds over TCP, seeded
@@ -446,8 +431,8 @@ func NeverDecide() Pair {
 // FIP adapts a pair to the deterministic engine (shared interner).
 func FIP(in *Interner, p Pair) Protocol { return fip.Protocol(in, p) }
 
-// FIPWire adapts a pair to any engine including RunLive (per-process
-// interners, serialized views).
+// FIPWire adapts a pair to any engine including RunResilient
+// (per-process interners, serialized views).
 func FIPWire(p Pair) Protocol { return fip.WireProtocol(p) }
 
 // DecisionAt returns the pair's decision for a processor in a run.

@@ -10,7 +10,7 @@ import (
 // TestEndToEndCrash walks the full public workflow in the crash mode:
 // enumerate a system, derive the optimal protocol from the
 // never-deciding one, verify it against the paper's oracles, and run
-// its concrete equivalent on both engines.
+// its concrete equivalent on the round engine.
 func TestEndToEndCrash(t *testing.T) {
 	params := eba.Params{N: 3, T: 1}
 	sys, err := eba.NewSystem(params, eba.Crash, 3, 0)
@@ -54,23 +54,12 @@ func TestEndToEndCrash(t *testing.T) {
 		t.Fatalf("worst case %d (all=%v), want t+1", max, all)
 	}
 
-	// Concrete P0opt, deterministically and live.
+	// Concrete P0opt on one run.
 	cfg := eba.ConfigFromBits(3, 0b110)
 	pat := eba.Silent(eba.Crash, 3, 3, 2, 2)
 	tr1, err := eba.Run(eba.P0Opt(), params, cfg, pat)
 	if err != nil {
 		t.Fatal(err)
-	}
-	tr2, err := eba.RunLive(eba.P0Opt(), params, cfg, pat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := eba.ProcID(0); p < 3; p++ {
-		v1, a1, ok1 := tr1.DecisionOf(p)
-		v2, a2, ok2 := tr2.DecisionOf(p)
-		if v1 != v2 || a1 != a2 || ok1 != ok2 {
-			t.Fatalf("engines disagree for proc %d", p)
-		}
 	}
 	if !tr1.NonfaultyDecided() {
 		t.Fatal("undecided nonfaulty processor")
@@ -119,12 +108,12 @@ func TestEndToEndOmission(t *testing.T) {
 		t.Fatal("every run has a 0 or a 1")
 	}
 
-	// Concrete chain protocol over the live runtime.
+	// Concrete chain protocol on one run.
 	cfg, err := eba.NewConfig(eba.Zero, eba.One, eba.One)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := eba.RunLive(eba.Chain0(), params, cfg, eba.SilentExcept(3, 2, 0, 1, 1))
+	tr, err := eba.Run(eba.Chain0(), params, cfg, eba.SilentExcept(3, 2, 0, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +220,7 @@ func TestFIPAdapters(t *testing.T) {
 	if v != v2 || at != at2 || ok != ok2 {
 		t.Fatal("FIP adapter disagrees with DecisionAt")
 	}
-	trw, err := eba.RunLive(eba.FIPWire(pair), params, run.Config(), run.Pattern())
+	trw, err := eba.Run(eba.FIPWire(pair), params, run.Config(), run.Pattern())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,13 @@ func ExampleTwoStep() {
 	// equals P0opt: true
 }
 
-// ExampleRunLive runs the concrete P0opt protocol on the goroutine
-// runtime under an injected crash.
-func ExampleRunLive() {
+// ExampleRun runs the concrete P0opt protocol on the round engine
+// under an injected crash.
+func ExampleRun() {
 	params := eba.Params{N: 3, T: 1}
 	cfg := eba.ConfigFromBits(3, 0b110) // processor 0 holds the only 0
 	pat := eba.Silent(eba.Crash, 3, 3, 2, 2)
-	tr, err := eba.RunLive(eba.P0Opt(), params, cfg, pat)
+	tr, err := eba.Run(eba.P0Opt(), params, cfg, pat)
 	if err != nil {
 		fmt.Println(err)
 		return

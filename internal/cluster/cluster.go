@@ -58,11 +58,15 @@ func New(cfg Config) (*Cluster, error) {
 	}, nil
 }
 
+// Owner returns the live ring owner for a key slug: the owner a
+// production router is attached with.
+func (c *Cluster) Owner(slug string) string { return c.Ring.OwnerAlive(slug, c.Members.Alive) }
+
 // Attach wires the cluster into a node's local stack: the server
-// learns its node name, its handler gets wrapped by the router, and
-// the store's misses start replicating from peers. Call before
-// serving.
-func (c *Cluster) Attach(eng *service.Engine, srv *service.Server, st *store.Store) *Router {
+// learns its node name, its handler gets wrapped by a router sending
+// each key to owner(slug) (normally c.Owner), and the store's misses
+// start replicating from peers. Call before serving.
+func (c *Cluster) Attach(eng *service.Engine, srv *service.Server, st *store.Store, owner func(slug string) string) *Router {
 	srv.SetNode(c.Self.Name)
 	resolve := func(req service.Request) (string, error) {
 		key, _, err := eng.Resolve(req)
@@ -71,7 +75,7 @@ func (c *Cluster) Attach(eng *service.Engine, srv *service.Server, st *store.Sto
 		}
 		return key.Slug(), nil
 	}
-	router := NewRouter(c.Self, c.Ring, c.Members, srv, resolve)
+	router := NewRouter(c.Self, owner, c.Members, srv, resolve)
 	srv.SetWrapper(router.Wrap)
 	st.SetEnumerator(NewReplicator(c.Self, c.Ring, c.Members, st).Build)
 	return router

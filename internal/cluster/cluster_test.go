@@ -66,7 +66,7 @@ func startFleet(t *testing.T, n int) []*fleetNode {
 		if err != nil {
 			t.Fatalf("cluster.New: %v", err)
 		}
-		router := cl.Attach(eng, srv, st)
+		router := cl.Attach(eng, srv, st, cl.Owner)
 		fn.st, fn.eng, fn.srv, fn.cluster, fn.router = st, eng, srv, cl, router
 		nodes[i].ts.Config.Handler.(*swapHandler).inner.Store(srv.Handler())
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -84,7 +85,7 @@ func (rp *Replicator) Build(key store.Key) (*system.System, error) {
 // fetch resolves slug to a digest on node and pulls the snapshot.
 func (rp *Replicator) fetch(node Node, slug string) (*system.System, error) {
 	mReplFetches.Inc()
-	sp := telemetry.BeginSpan("cluster.replicate", telemetry.L("slug", slug), telemetry.L("from", node.Name))
+	_, sp := telemetry.StartSpan(context.Background(), "cluster.replicate", telemetry.L("slug", slug), telemetry.L("from", node.Name))
 	defer sp.End()
 
 	resp, err := rp.client.Get(node.URL + "/v1/resolve/" + slug)

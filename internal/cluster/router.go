@@ -39,26 +39,21 @@ var (
 // untouched, so a cluster node is a superset of a standalone daemon.
 type Router struct {
 	self    Node
-	ring    *Ring
+	owner   func(slug string) string
 	members *Membership
 	srv     *service.Server
 	resolve func(service.Request) (string, error)
 	client  *http.Client
-
-	// override, when non-nil, replaces the ring-owner decision. It is
-	// a fault-injection seam: the conformance harness installs a
-	// deliberately wrong override to prove misrouting is observable
-	// (see conform.MutantCluster). Production routers leave it nil.
-	override func(slug string) string
 }
 
 // NewRouter builds the routing layer for self over the fleet in
-// members. resolve maps a query request to its system-key slug — the
-// unit of ownership — and srv executes whatever this node keeps.
-func NewRouter(self Node, ring *Ring, members *Membership, srv *service.Server, resolve func(service.Request) (string, error)) *Router {
+// members. owner names the node that owns a key slug — the unit of
+// ownership — resolve maps a query request to its slug, and srv
+// executes whatever this node keeps.
+func NewRouter(self Node, owner func(slug string) string, members *Membership, srv *service.Server, resolve func(service.Request) (string, error)) *Router {
 	return &Router{
 		self:    self,
-		ring:    ring,
+		owner:   owner,
 		members: members,
 		srv:     srv,
 		resolve: resolve,
@@ -69,21 +64,8 @@ func NewRouter(self Node, ring *Ring, members *Membership, srv *service.Server, 
 	}
 }
 
-// Owner returns the live ring owner for a key slug.
-func (rt *Router) Owner(slug string) string {
-	if rt.override != nil {
-		return rt.override(slug)
-	}
-	return rt.ring.OwnerAlive(slug, rt.members.Alive)
-}
-
-// SetRouteOverride replaces the ring-owner decision with fn. This is
-// a test/chaos seam — the conformance harness routes every key to the
-// wrong node through it and asserts the served-by checks catch the
-// misrouting. Must be called before the router serves traffic.
-func (rt *Router) SetRouteOverride(fn func(slug string) string) {
-	rt.override = fn
-}
+// Owner returns the node the router sends a key slug to.
+func (rt *Router) Owner(slug string) string { return rt.owner(slug) }
 
 // Wrap is the service.Server.SetWrapper hook: it intercepts
 // POST /v1/query and POST /v1/query/batch for routing, adds

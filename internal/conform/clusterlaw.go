@@ -95,7 +95,8 @@ func misroute(ring *cluster.Ring) func(string) string {
 }
 
 // boot stands up n in-process daemons under dir, each with its own
-// store, wired into one ring. mutate installs the misrouting override.
+// store, wired into one ring. mutate attaches every router with the
+// misrouting owner function instead of the ring's.
 func (f *clusterFixture) boot(dir string, mutate bool) error {
 	const n = 3
 	handlers := make([]*lateHandler, n)
@@ -119,10 +120,11 @@ func (f *clusterFixture) boot(dir string, mutate bool) error {
 		if err != nil {
 			return fmt.Errorf("fleet node %s: %w", p.Name, err)
 		}
-		router := cl.Attach(eng, srv, st)
+		owner := cl.Owner
 		if mutate {
-			router.SetRouteOverride(misroute(cl.Ring))
+			owner = misroute(cl.Ring)
 		}
+		cl.Attach(eng, srv, st, owner)
 		if i == 0 {
 			f.ring = cl.Ring
 			f.alive = cl.Members.Alive

@@ -106,7 +106,7 @@ func All() []Experiment {
 		{"E9", "F* optimal for omissions (Prop 6.6, Lemmas A.10/A.11)", E9OmissionOptimal},
 		{"E10", "Theorem 5.3 separates optimal from non-optimal", E10Characterization},
 		{"E11", "Worst-case decision takes t+1 rounds (DS82)", E11WorstCase},
-		{"E12", "Decision-round distributions on the live runtime", E12Distributions},
+		{"E12", "Decision-round distributions at larger n", E12Distributions},
 		{"E13", "EBA decides before SBA (DRS90 motivation)", E13EBAvsSBA},
 		{"E14", "Eventual common knowledge is the wrong tool (Sec 3.2)", E14EventualCK},
 		{"E15", "Halting one round after deciding (Sec 2.3)", E15Halting},

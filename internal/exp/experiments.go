@@ -11,7 +11,6 @@ import (
 	"github.com/eventual-agreement/eba/internal/sba"
 	"github.com/eventual-agreement/eba/internal/sim"
 	"github.com/eventual-agreement/eba/internal/system"
-	"github.com/eventual-agreement/eba/internal/transport"
 	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
 	"github.com/eventual-agreement/eba/internal/witness"
@@ -486,11 +485,10 @@ func E11WorstCase() (*Result, error) {
 	})
 }
 
-// E12Distributions runs the concrete protocols on the goroutine
-// runtime over sampled failure patterns at larger n, tabulating
-// decision-round distributions.
+// E12Distributions runs the concrete protocols over sampled failure
+// patterns at larger n, tabulating decision-round distributions.
 func E12Distributions() (*Result, error) {
-	r := &Result{ID: "E12", Title: "Decision-round distributions (live runtime)",
+	r := &Result{ID: "E12", Title: "Decision-round distributions",
 		Claim: "the shape survives scale: P0opt ≤ P0 everywhere; chain within f+1"}
 	return timer(r, func() error {
 		tbl := &Table{Header: []string{"protocol", "decision time", "nonfaulty decisions"}}
@@ -512,7 +510,7 @@ func E12Distributions() (*Result, error) {
 			params := types.Params{N: n, T: t}
 			for _, pat := range pats {
 				for _, mask := range []uint64{0, 1, (1 << uint(n)) - 1, 0x5} {
-					tr, err := transport.Run(proto, params, types.ConfigFromBits(n, mask), pat)
+					tr, err := sim.Run(proto, params, types.ConfigFromBits(n, mask), pat)
 					if err != nil {
 						return nil, err
 					}

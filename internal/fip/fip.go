@@ -10,7 +10,7 @@
 // table-backed sets (the output of the knowledge-level optimization
 // construction), and two protocol adapters: a fast one for the
 // deterministic engine that shares one interner, and a wire adapter
-// for the goroutine transport that serializes views with the codec.
+// for the TCP runtime that serializes views with the codec.
 package fip
 
 import (
@@ -164,8 +164,9 @@ func Monotone(sys *system.System, p Pair) error {
 // Protocol adapts a pair to the sim engine: all processes of one run
 // share the given interner, and messages are interned view IDs. It is
 // the fast adapter for exhaustive experiments; it must not be used
-// with the goroutine transport (the interner is not synchronized) —
-// use WireProtocol there.
+// where processes run concurrently or messages cross a wire (the
+// interner is not synchronized, and IDs mean nothing to another
+// interner) — use WireProtocol there.
 func Protocol(in *views.Interner, p Pair) sim.Protocol {
 	return &fipProtocol{in: in, pair: p}
 }
@@ -227,8 +228,8 @@ func (p *fipProc) Decided() (types.Value, bool) {
 	return p.value, true
 }
 
-// WireProtocol adapts a pair to any engine, including the goroutine
-// transport: every process owns a private interner and exchanges
+// WireProtocol adapts a pair to any engine, including the TCP
+// runtime: every process owns a private interner and exchanges
 // serialized views ([]byte) using the views codec. Decision rules
 // must be predicate-backed (table sets are bound to one interner).
 func WireProtocol(p Pair) sim.Protocol { return &wireProtocol{pair: p} }

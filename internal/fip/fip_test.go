@@ -6,7 +6,6 @@ import (
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/sim"
 	"github.com/eventual-agreement/eba/internal/system"
-	"github.com/eventual-agreement/eba/internal/transport"
 	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
 )
@@ -174,8 +173,8 @@ func TestProtocolMatchesDecisionAt(t *testing.T) {
 }
 
 // The wire adapter (serialized views, per-process interners) agrees
-// with the shared-interner adapter, over the goroutine transport.
-func TestWireProtocolOverTransport(t *testing.T) {
+// with the shared-interner adapter on the round engine.
+func TestWireProtocolMatchesProtocol(t *testing.T) {
 	params := types.Params{N: 3, T: 1}
 	p := p0pair(1)
 	pats, err := failures.EnumCrash(3, 1, 2)
@@ -191,7 +190,7 @@ func TestWireProtocolOverTransport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := transport.Run(WireProtocol(p), params, cfg, pat)
+			got, err := sim.Run(WireProtocol(p), params, cfg, pat)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -209,12 +209,12 @@ func (e *Evaluator) SetTraceContext(ctx context.Context) { e.traceCtx = ctx }
 // request context when no eval span is open). Returns nil — a no-op
 // span — when the evaluator is not attached to a trace.
 func (e *Evaluator) startSpan(name string, labels ...telemetry.Label) *telemetry.ActiveSpan {
+	if e.traceCtx == nil {
+		return nil
+	}
 	ctx := e.spanCtx
 	if ctx == nil {
 		ctx = e.traceCtx
-	}
-	if ctx == nil {
-		return nil
 	}
 	_, sp := telemetry.StartSpan(ctx, name, labels...)
 	return sp
@@ -248,15 +248,16 @@ func (e *Evaluator) Eval(f Formula) *Bits {
 	op := opName(f)
 	mEvalByOp[op].Inc()
 	if e.depth == 0 {
-		if e.traceCtx != nil {
-			ctx, sp := telemetry.StartSpan(e.traceCtx, "knowledge.eval", telemetry.L("op", op))
-			prev := e.spanCtx
-			e.spanCtx = ctx
-			defer func() { e.spanCtx = prev; sp.End() }()
-		} else {
-			sp := telemetry.BeginSpan("knowledge.eval", telemetry.L("op", op))
-			defer sp.End()
+		// An unattached evaluator's outermost eval roots a trace of its
+		// own; only an attached one opens spans below it.
+		parent := e.traceCtx
+		if parent == nil {
+			parent = context.Background()
 		}
+		ctx, sp := telemetry.StartSpan(parent, "knowledge.eval", telemetry.L("op", op))
+		prev := e.spanCtx
+		e.spanCtx = ctx
+		defer func() { e.spanCtx = prev; sp.End() }()
 	}
 	e.depth++
 	defer func() { e.depth-- }()

@@ -45,14 +45,15 @@ func RefHolds(sys *system.System, f Formula, pt system.Point) bool {
 		}
 		return false
 	case *kF:
-		for _, q := range sys.PointsWithView(sys.ViewAt(pt, g.i)) {
-			if !RefHolds(sys, g.f, q) {
+		for _, qi := range sys.PointIdxWithView(sys.ViewAt(pt, g.i)) {
+			if !RefHolds(sys, g.f, sys.PointAt(int(qi))) {
 				return false
 			}
 		}
 		return true
 	case *bF:
-		for _, q := range sys.PointsWithView(sys.ViewAt(pt, g.i)) {
+		for _, qi := range sys.PointIdxWithView(sys.ViewAt(pt, g.i)) {
+			q := sys.PointAt(int(qi))
 			if !g.s.Members(sys, q).Contains(g.i) {
 				continue
 			}
@@ -126,7 +127,8 @@ func refC(sys *system.System, s NonrigidSet, f Formula, start system.Point) bool
 		}
 		var next []system.Point
 		s.Members(sys, pt).ForEach(func(i types.ProcID) bool {
-			for _, q := range sys.PointsWithView(sys.ViewAt(pt, i)) {
+			for _, qi := range sys.PointIdxWithView(sys.ViewAt(pt, i)) {
+				q := sys.PointAt(int(qi))
 				if !visited[q] && s.Members(sys, q).Contains(i) {
 					visited[q] = true
 					next = append(next, q)
@@ -167,7 +169,8 @@ func refCBox(sys *system.System, s NonrigidSet, f Formula, start system.Point) b
 				return false
 			}
 			s.Members(sys, pt).ForEach(func(i types.ProcID) bool {
-				for _, q := range sys.PointsWithView(sys.ViewAt(pt, i)) {
+				for _, qi := range sys.PointIdxWithView(sys.ViewAt(pt, i)) {
+					q := sys.PointAt(int(qi))
 					if !visited[q.Run] && s.Members(sys, q).Contains(i) {
 						visited[q.Run] = true
 						queue = append(queue, q.Run)

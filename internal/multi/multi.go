@@ -17,172 +17,52 @@
 //     argument applies per value: at a clean round, any value not yet
 //     accepted can never be accepted by any nonfaulty processor.
 //
-// The package has its own small engine because the rest of the
-// repository fixes V = {0, 1}; it reuses the failure machinery
-// unchanged.
+// Both are ordinary sim.Protocols: the values 0..k-1 travel in
+// types.Value, which the round engine carries without interpreting.
 package multi
 
 import (
-	"fmt"
-
-	"github.com/eventual-agreement/eba/internal/failures"
+	"github.com/eventual-agreement/eba/internal/sim"
 	"github.com/eventual-agreement/eba/internal/types"
 )
 
-// Value is a multivalued vote, 0..K-1.
-type Value int
-
-// Undecided marks the absence of a decision.
-const Undecided Value = -1
-
-// Config is an initial configuration over the multivalued domain.
-type Config []Value
-
-// Validate checks the configuration against the domain size.
-func (c Config) Validate(k int) error {
-	if len(c) < 2 {
-		return fmt.Errorf("multi: need n >= 2 processors")
-	}
-	for i, v := range c {
-		if v < 0 || int(v) >= k {
-			return fmt.Errorf("multi: processor %d has value %d outside [0,%d)", i, v, k)
-		}
-	}
-	return nil
-}
-
-// Min returns the smallest initial value.
-func (c Config) Min() Value {
-	min := c[0]
-	for _, v := range c[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// AllEqual reports whether every processor holds the same value.
-func (c Config) AllEqual() (Value, bool) {
-	for _, v := range c[1:] {
-		if v != c[0] {
-			return Undecided, false
-		}
-	}
-	return c[0], true
-}
-
-// Process is a multivalued protocol instance (mirrors sim.Process
-// with multivalued decisions).
-type Process interface {
-	Send(r types.Round) []any
-	Receive(r types.Round, msgs []any)
-	Decided() (Value, bool)
-}
-
-// Protocol creates processes for a given system size and fault bound.
-type Protocol interface {
-	Name() string
-	New(id types.ProcID, n, t int, initial Value) Process
-}
-
-// Decision records a processor's first decision.
-type Decision struct {
-	Value Value
-	Time  types.Round
-	OK    bool
-}
-
-// Run executes a multivalued protocol against a failure pattern.
-func Run(p Protocol, n, t int, cfg Config, pat *failures.Pattern) ([]Decision, error) {
-	if err := cfg.Validate(1 << 30); err != nil {
-		return nil, err
-	}
-	if len(cfg) != n || pat.N() != n {
-		return nil, fmt.Errorf("multi: size mismatch")
-	}
-	if pat.Faulty().Len() > t {
-		return nil, fmt.Errorf("multi: pattern has %d faulty, t=%d", pat.Faulty().Len(), t)
-	}
-	procs := make([]Process, n)
-	for i := range procs {
-		procs[i] = p.New(types.ProcID(i), n, t, cfg[i])
-	}
-	dec := make([]Decision, n)
-	check := func(at types.Round) {
-		for i, pr := range procs {
-			if dec[i].OK {
-				continue
-			}
-			if v, ok := pr.Decided(); ok {
-				dec[i] = Decision{Value: v, Time: at, OK: true}
-			}
-		}
-	}
-	check(0)
-	inbox := make([]any, n)
-	sends := make([][]any, n)
-	for r := types.Round(1); int(r) <= pat.Horizon(); r++ {
-		for j := range procs {
-			sends[j] = procs[j].Send(r)
-			if sends[j] != nil && len(sends[j]) != n {
-				return nil, fmt.Errorf("multi: process %d sent %d messages", j, len(sends[j]))
-			}
-		}
-		for i := range procs {
-			for j := range inbox {
-				inbox[j] = nil
-				if j == i || sends[j] == nil || sends[j][i] == nil {
-					continue
-				}
-				if pat.Delivers(types.ProcID(j), r, types.ProcID(i)) {
-					inbox[j] = sends[j][i]
-				}
-			}
-			procs[i].Receive(r, inbox)
-		}
-		check(r)
-	}
-	return dec, nil
-}
-
 // FloodMin is the multivalued FloodSet: flood seen values, decide the
 // minimum at time t+1. Crash-mode EBA (in fact simultaneous).
-func FloodMin() Protocol { return floodMin{} }
+func FloodMin() sim.Protocol { return floodMin{} }
 
 type floodMin struct{}
 
 func (floodMin) Name() string { return "FloodMin" }
 
-func (floodMin) New(id types.ProcID, n, t int, initial Value) Process {
-	return &floodMinProc{n: n, t: t, seen: map[Value]bool{initial: true}}
+func (floodMin) New(env sim.Env) sim.Process {
+	return &floodMinProc{n: env.Params.N, t: env.Params.T, seen: map[types.Value]bool{env.Initial: true}}
 }
 
 type floodMinProc struct {
 	n, t    int
-	seen    map[Value]bool
+	seen    map[types.Value]bool
 	decided bool
-	value   Value
+	value   types.Value
 }
 
-func (p *floodMinProc) Send(types.Round) []any {
-	snapshot := make(map[Value]bool, len(p.seen))
+func (p *floodMinProc) Send(types.Round) []sim.Message {
+	snapshot := make(map[types.Value]bool, len(p.seen))
 	for v := range p.seen {
 		snapshot[v] = true
 	}
-	out := make([]any, p.n)
+	out := make([]sim.Message, p.n)
 	for i := range out {
 		out[i] = snapshot
 	}
 	return out
 }
 
-func (p *floodMinProc) Receive(r types.Round, msgs []any) {
+func (p *floodMinProc) Receive(r types.Round, msgs []sim.Message) {
 	for _, m := range msgs {
 		if m == nil {
 			continue
 		}
-		for v := range m.(map[Value]bool) {
+		for v := range m.(map[types.Value]bool) {
 			p.seen[v] = true
 		}
 	}
@@ -192,17 +72,17 @@ func (p *floodMinProc) Receive(r types.Round, msgs []any) {
 	}
 }
 
-func (p *floodMinProc) Decided() (Value, bool) {
+func (p *floodMinProc) Decided() (types.Value, bool) {
 	if !p.decided {
-		return Undecided, false
+		return types.Unset, false
 	}
 	return p.value, true
 }
 
-func minOf(set map[Value]bool) Value {
-	min := Undecided
+func minOf(set map[types.Value]bool) types.Value {
+	min := types.Unset
 	for v := range set {
-		if min == Undecided || v < min {
+		if min == types.Unset || v < min {
 			min = v
 		}
 	}
@@ -214,48 +94,48 @@ type minChainMsg struct {
 	evidence types.ProcSet
 	// fresh maps each value accepted at exactly the previous time to
 	// its chain.
-	fresh map[Value][]types.ProcID
+	fresh map[types.Value][]types.ProcID
 }
 
 // MinChain is the multivalued chain protocol for the omission mode.
-func MinChain() Protocol { return minChain{} }
+func MinChain() sim.Protocol { return minChain{} }
 
 type minChain struct{}
 
 func (minChain) Name() string { return "MinChain" }
 
-func (minChain) New(id types.ProcID, n, t int, initial Value) Process {
-	p := &minChainProc{id: id, n: n, own: initial, accepted: map[Value][]types.ProcID{}}
-	p.accepted[initial] = []types.ProcID{id}
-	p.fresh = map[Value][]types.ProcID{initial: p.accepted[initial]}
+func (minChain) New(env sim.Env) sim.Process {
+	p := &minChainProc{id: env.ID, n: env.Params.N, own: env.Initial, accepted: map[types.Value][]types.ProcID{}}
+	p.accepted[env.Initial] = []types.ProcID{env.ID}
+	p.fresh = map[types.Value][]types.ProcID{env.Initial: p.accepted[env.Initial]}
 	return p
 }
 
 type minChainProc struct {
 	id       types.ProcID
 	n        int
-	own      Value
+	own      types.Value
 	evidence types.ProcSet
-	accepted map[Value][]types.ProcID // value -> chain of its first acceptance
-	fresh    map[Value][]types.ProcID // accepted at exactly the previous time
+	accepted map[types.Value][]types.ProcID // value -> chain of its first acceptance
+	fresh    map[types.Value][]types.ProcID // accepted at exactly the previous time
 
 	decided bool
-	value   Value
+	value   types.Value
 }
 
-func (p *minChainProc) Send(r types.Round) []any {
+func (p *minChainProc) Send(r types.Round) []sim.Message {
 	msg := minChainMsg{evidence: p.evidence, fresh: p.fresh}
-	p.fresh = map[Value][]types.ProcID{}
-	out := make([]any, p.n)
+	p.fresh = map[types.Value][]types.ProcID{}
+	out := make([]sim.Message, p.n)
 	for i := range out {
 		out[i] = msg
 	}
 	return out
 }
 
-func (p *minChainProc) Receive(r types.Round, msgs []any) {
+func (p *minChainProc) Receive(r types.Round, msgs []sim.Message) {
 	before := p.evidence
-	next := map[Value][]types.ProcID{}
+	next := map[types.Value][]types.ProcID{}
 	for j, m := range msgs {
 		sender := types.ProcID(j)
 		if sender == p.id {
@@ -311,9 +191,9 @@ func onChain(chain []types.ProcID, q types.ProcID) bool {
 	return false
 }
 
-func (p *minChainProc) Decided() (Value, bool) {
+func (p *minChainProc) Decided() (types.Value, bool) {
 	if !p.decided {
-		return Undecided, false
+		return types.Unset, false
 	}
 	return p.value, true
 }

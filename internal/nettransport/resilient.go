@@ -166,7 +166,7 @@ func RunResilient(p sim.Protocol, params types.Params, cfg types.Config, opts Op
 	if obs == nil {
 		obs = failures.NewObservation(params.N, h)
 	}
-	sp := telemetry.BeginSpan("net.run_resilient",
+	_, sp := telemetry.StartSpan(context.Background(), "net.run_resilient",
 		telemetry.L("n", fmt.Sprint(params.N)),
 		telemetry.L("mode", mode.String()),
 		telemetry.L("horizon", fmt.Sprint(h)))

@@ -5,7 +5,6 @@ import (
 
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/sim"
-	"github.com/eventual-agreement/eba/internal/transport"
 	"github.com/eventual-agreement/eba/internal/types"
 )
 
@@ -56,33 +55,6 @@ func TestP0OptHaltingCorrectAndCheaper(t *testing.T) {
 	}
 	t.Logf("messages: full=%d halting=%d (%.0f%% saved)",
 		sentFull, sentHalt, 100*(1-float64(sentHalt)/float64(sentFull)))
-}
-
-// The halting variant behaves identically on the goroutine transport,
-// including the message counters.
-func TestP0OptHaltingOverTransport(t *testing.T) {
-	params := types.Params{N: 4, T: 1}
-	pat := failures.Silent(failures.Crash, 4, 4, 2, 2)
-	cfg := types.ConfigFromBits(4, 0b0111)
-	want, err := sim.Run(P0OptHalting(), params, cfg, pat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := transport.Run(P0OptHalting(), params, cfg, pat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Sent != got.Sent || want.Delivered != got.Delivered {
-		t.Fatalf("message counters differ: sim (%d,%d) vs transport (%d,%d)",
-			want.Sent, want.Delivered, got.Sent, got.Delivered)
-	}
-	for p := types.ProcID(0); p < 4; p++ {
-		wv, wa, wok := want.DecisionOf(p)
-		gv, ga, gok := got.DecisionOf(p)
-		if wv != gv || wa != ga || wok != gok {
-			t.Fatalf("decisions differ for proc %d", p)
-		}
-	}
 }
 
 // Message accounting: a failure-free FIP run sends n*(n-1) messages

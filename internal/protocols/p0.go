@@ -1,8 +1,8 @@
 // Package protocols implements the paper's concrete protocols as real
-// message-passing programs (runnable on both the deterministic engine
-// and the goroutine transport), together with their decision rules as
-// view predicates so the knowledge machinery can compare them with
-// the semantically constructed optima.
+// message-passing programs (sim.Protocols for the round engine),
+// together with their decision rules as view predicates so the
+// knowledge machinery can compare them with the semantically
+// constructed optima.
 //
 // Contents:
 //   - P0 and P1, the LF82 flooding protocols of Proposition 2.1;

@@ -20,7 +20,7 @@ import (
 
 // sharedTransport is the connection pool behind every client this
 // package constructs. Fan-out traffic (batch scatter, replication
-// fetches, loadgen workers) hammers a handful of peer hosts, so the
+// fetches, health probes) hammers a handful of peer hosts, so the
 // per-host idle pool is sized well above the default 2 — otherwise
 // each burst tears down and redials connections, and retries land on
 // cold TCP instead of reusing the socket that just carried the 503.
@@ -44,11 +44,11 @@ var sharedTransport = &http.Transport{
 func SharedTransport() *http.Transport { return sharedTransport }
 
 // Client is the retrying HTTP client for the ebad daemon, shared by
-// ebaq -server, the load generator, and the CI smoke jobs. It honors
-// Retry-After on 429/503 sheds, backs off exponentially with jitter on
-// retryable failures, and gives up when the retry budget (attempts or
-// wall-clock) is exhausted — the client-side half of the daemon's
-// admission control contract.
+// ebaq -server, the benchmark's traced client row, and the CI smoke
+// jobs. It honors Retry-After on 429/503 sheds, backs off
+// exponentially with jitter on retryable failures, and gives up when
+// the retry budget (attempts or wall-clock) is exhausted — the
+// client-side half of the daemon's admission control contract.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client

@@ -3,17 +3,16 @@
 // configuration and one failure pattern, producing a Trace of every
 // decision. This is the reference semantics of Section 2.3 of the
 // paper — communication happens during a round (between time m and
-// m+1), decisions are made at points — and the workhorse behind the
-// exhaustive experiments. The transport package runs the same
-// Protocol interface on goroutines and channels; a test asserts the
-// two engines produce identical traces.
+// m+1), decisions are made at points — and the only code that applies
+// a failure pattern to protocol messages. The resilient TCP runtime
+// (nettransport) is tied to it by replay: a live trace must equal Run
+// under the pattern reconstructed from what the network delivered.
 package sim
 
 import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/types"
@@ -75,8 +74,7 @@ type Trace struct {
 }
 
 // NewTrace allocates an undecided trace. It is used by every engine
-// that drives protocols (this package's Run and the transport
-// package's goroutine runtime).
+// that drives protocols (this package's Run and the TCP runtime).
 func NewTrace(name string, cfg types.Config, pat *failures.Pattern) *Trace {
 	n := cfg.N()
 	tr := &Trace{
@@ -211,11 +209,10 @@ func ValidateRun(params types.Params, cfg types.Config, pat *failures.Pattern) e
 // Contract: one Observer value observes one run at a time. Within a
 // run all methods are called sequentially from the engine's goroutine,
 // so implementations need no internal synchronization for per-run
-// state — but RunAllParallel drives many runs concurrently, so an
-// Observer shared across runs (or any observer writing to a shared
-// sink such as a stream) must synchronize its side effects itself.
-// TextObserver and MetricsObserver are safe to share; custom
-// observers that buffer per-run state are not.
+// state; an Observer shared across concurrent runs (or any observer
+// writing to a shared sink such as a stream) must synchronize its
+// side effects itself. TextObserver and MetricsObserver are safe to
+// share; custom observers that buffer per-run state are not.
 type Observer interface {
 	// RoundBegin announces round r (1-based).
 	RoundBegin(r types.Round)
@@ -306,8 +303,8 @@ func RunObserved(p Protocol, params types.Params, cfg types.Config, pat *failure
 // TextObserver renders run events as indented text, for command-line
 // traces. Writes are serialized by an internal mutex, so one
 // TextObserver may be shared across concurrently observed runs
-// (RunAllParallel) without tearing lines — though the interleaving of
-// lines from different runs is then arbitrary.
+// without tearing lines — though the interleaving of lines from
+// different runs is then arbitrary.
 type TextObserver struct {
 	W io.Writer
 
@@ -356,53 +353,6 @@ func RunAll(p Protocol, params types.Params, pats []*failures.Pattern) ([]*Trace
 				return nil, err
 			}
 			out = append(out, tr)
-		}
-	}
-	return out, nil
-}
-
-// RunAllParallel is RunAll with a worker pool: runs are distributed
-// across workers and the traces are returned in the same
-// deterministic enumeration order. The protocol's New must be safe to
-// call concurrently and the resulting processes must not share
-// mutable state (every concrete protocol in this repository
-// qualifies; the shared-interner fip.Protocol adapter does not — use
-// fip.WireProtocol there). workers <= 0 picks a small default.
-func RunAllParallel(p Protocol, params types.Params, pats []*failures.Pattern, workers int) ([]*Trace, error) {
-	if workers <= 0 {
-		workers = 4
-	}
-	nconfigs := 1 << uint(params.N)
-	total := len(pats) * nconfigs
-	out := make([]*Trace, total)
-	errs := make([]error, workers)
-
-	var wg sync.WaitGroup
-	var next int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				idx := int(atomic.AddInt64(&next, 1)) - 1
-				if idx >= total {
-					return
-				}
-				pat := pats[idx/nconfigs]
-				cfg := types.ConfigFromBits(params.N, uint64(idx%nconfigs))
-				tr, err := Run(p, params, cfg, pat)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[idx] = tr
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
 	}
 	return out, nil

@@ -240,38 +240,6 @@ func TestRunAllErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestRunAllParallelMatchesSequential(t *testing.T) {
-	pats, err := failures.EnumCrash(3, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := RunAll(flood0{}, params(3, 1), pats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 3, 8} {
-		par, err := RunAllParallel(flood0{}, params(3, 1), pats, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d traces, want %d", workers, len(par), len(seq))
-		}
-		for i := range seq {
-			if par[i].String() != seq[i].String() {
-				t.Fatalf("workers=%d: trace %d differs", workers, i)
-			}
-		}
-	}
-}
-
-func TestRunAllParallelErrorPropagates(t *testing.T) {
-	pats := []*failures.Pattern{failures.FailureFree(failures.Crash, 3, 1)}
-	if _, err := RunAllParallel(badSender{}, params(3, 1), pats, 2); err == nil {
-		t.Fatal("error not propagated")
-	}
-}
-
 func TestDiffDecisions(t *testing.T) {
 	pat := failures.FailureFree(failures.Crash, 3, 2)
 	cfg := types.ConfigFromBits(3, 0b110)

@@ -73,7 +73,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			sys.ForEachPoint(func(pt system.Point) {
 				for p := 0; p < key.N; p++ {
 					id := sys.ViewAt(pt, types.ProcID(p))
-					a, b := sys.PointsWithView(id), got.PointsWithView(id)
+					a, b := sys.PointIdxWithView(id), got.PointIdxWithView(id)
 					if len(a) != len(b) {
 						t.Fatalf("view %d class has %d points decoded, want %d", id, len(b), len(a))
 					}

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -62,7 +63,7 @@ func FromPatternsParallel(params types.Params, mode failures.Mode, horizon int, 
 	var start time.Time
 	if telemetry.Enabled() {
 		start = time.Now()
-		sp := telemetry.BeginSpan("system.enumerate_parallel",
+		_, sp := telemetry.StartSpan(context.Background(), "system.enumerate_parallel",
 			telemetry.L("n", fmt.Sprint(params.N)),
 			telemetry.L("t", fmt.Sprint(params.T)),
 			telemetry.L("mode", mode.String()),

@@ -19,6 +19,7 @@
 package system
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -190,7 +191,7 @@ func FromPatterns(params types.Params, mode failures.Mode, horizon int, pats []*
 	var start time.Time
 	if telemetry.Enabled() {
 		start = time.Now()
-		sp := telemetry.BeginSpan("system.enumerate",
+		_, sp := telemetry.StartSpan(context.Background(), "system.enumerate",
 			telemetry.L("n", fmt.Sprint(params.N)),
 			telemetry.L("t", fmt.Sprint(params.T)),
 			telemetry.L("mode", mode.String()),
@@ -337,21 +338,6 @@ func (s *System) PointIdxWithView(id views.ID) []int32 {
 		return nil
 	}
 	return s.byViewIdx[s.byViewOff[id]:s.byViewOff[id+1]:s.byViewOff[id+1]]
-}
-
-// PointsWithView is PointIdxWithView materialized as Points. The slice
-// is freshly allocated per call; hot paths should iterate the index
-// form instead.
-func (s *System) PointsWithView(id views.ID) []Point {
-	idxs := s.PointIdxWithView(id)
-	if idxs == nil {
-		return nil
-	}
-	pts := make([]Point, len(idxs))
-	for k, pi := range idxs {
-		pts[k] = s.PointAt(int(pi))
-	}
-	return pts
 }
 
 // RunOf returns the run containing the point.

@@ -101,9 +101,9 @@ func TestPointsWithViewConsistency(t *testing.T) {
 	sys.ForEachPoint(func(pt Point) {
 		for p := types.ProcID(0); p < 3; p++ {
 			id := sys.ViewAt(pt, p)
-			class := sys.PointsWithView(id)
 			found := false
-			for _, q := range class {
+			for _, qi := range sys.PointIdxWithView(id) {
+				q := sys.PointAt(int(qi))
 				if q == pt {
 					found = true
 				}

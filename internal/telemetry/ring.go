@@ -84,7 +84,7 @@ func (r *Ring) Seen() uint64 {
 }
 
 // defaultRing is the process-wide retention ring fed by the default
-// dispatch path (BeginSpan/Emit and the context span API), alongside
+// dispatch path (StartSpan, Emit and EmitIn), alongside
 // whatever JSONL writer is installed. nil = no retention.
 var defaultRing atomic.Pointer[Ring]
 

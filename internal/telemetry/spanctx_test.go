@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -200,42 +199,41 @@ func TestReadEventsLineNumbers(t *testing.T) {
 }
 
 // TestReadEventsNearBufferLimit exercises lines around the parser's
-// 16 MiB scanner ceiling: a line just under it parses, one beyond it
-// must surface a scanner error rather than a panic or silent loss.
+// 16 MiB scanner ceiling, written by the default JSONL writer: a line
+// just under it parses, one beyond it must surface a scanner error
+// rather than a panic or silent loss.
 func TestReadEventsNearBufferLimit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates tens of MB; skipped in -short")
 	}
 	const limit = 16 * 1024 * 1024
-	mkLine := func(payload int) []byte {
-		ev := Event{T: 1, Type: "event", Name: "big",
-			Labels: map[string]string{"blob": strings.Repeat("x", payload)}}
-		line, err := json.Marshal(ev)
-		if err != nil {
+	emitted := func(payload int) []byte {
+		var buf lockedBuffer
+		tr := SetTraceWriter(&buf)
+		defer SetTraceWriter(nil)
+		Emit("big", L("blob", strings.Repeat("x", payload)))
+		Emit("after")
+		if err := tr.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return append(line, '\n')
+		return buf.Bytes()
 	}
 
 	// Just under the ceiling: must parse, content intact.
-	under := mkLine(limit - 4096)
-	if len(under) >= limit {
-		t.Fatalf("test line is %d bytes, not under the %d limit", len(under), limit)
+	under := emitted(limit - 4096)
+	if first := bytes.IndexByte(under, '\n'); first >= limit {
+		t.Fatalf("test line is %d bytes, not under the %d limit", first, limit)
 	}
-	var in bytes.Buffer
-	in.Write(under)
-	in.WriteString(`{"type":"event","name":"after","t_ns":2}` + "\n")
-	events, err := ReadEvents(&in)
+	events, err := ReadEvents(bytes.NewReader(under))
 	if err != nil {
-		t.Fatalf("line of %d bytes rejected: %v", len(under), err)
+		t.Fatalf("near-limit line rejected: %v", err)
 	}
 	if len(events) != 2 || len(events[0].Labels["blob"]) != limit-4096 || events[1].Name != "after" {
 		t.Fatalf("near-limit round-trip mangled: %d events", len(events))
 	}
 
 	// Just over: the scanner must report token-too-long, not panic.
-	over := mkLine(limit + 4096)
-	if _, err := ReadEvents(bytes.NewReader(over)); err == nil {
+	if _, err := ReadEvents(bytes.NewReader(emitted(limit + 4096))); err == nil {
 		t.Fatal("line beyond the scanner buffer accepted")
 	}
 }

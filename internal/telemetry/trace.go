@@ -23,10 +23,10 @@ type Event struct {
 	// Dur is the span duration in nanoseconds (spans only).
 	Dur int64 `json:"dur_ns,omitempty"`
 	// Trace, Span, and Parent carry request-scoped correlation IDs:
-	// every span opened through the context API (StartSpan) shares the
-	// request's trace ID, names itself with a fresh span ID, and points
-	// at the span it was opened under. Anonymous spans from the legacy
-	// Begin/BeginSpan API leave all three empty.
+	// every span opened through StartSpan shares its context's trace
+	// ID (or roots a fresh one), names itself with a fresh span ID, and
+	// points at the span it was opened under. Events carry the trace
+	// and parent of the context they were emitted in, if any.
 	Trace  string `json:"trace,omitempty"`
 	Span   string `json:"span,omitempty"`
 	Parent string `json:"parent,omitempty"`
@@ -38,16 +38,9 @@ type Event struct {
 // event per line. It is safe for concurrent use; all durations come
 // from the monotonic clock.
 type Tracer struct {
-	epoch time.Time
-
 	mu  sync.Mutex
 	w   io.Writer
 	err error
-}
-
-// NewTracer creates a tracer writing to w.
-func NewTracer(w io.Writer) *Tracer {
-	return &Tracer{epoch: time.Now(), w: w}
 }
 
 // Err returns the first write or encoding error, if any.
@@ -77,64 +70,9 @@ func (t *Tracer) emit(ev Event) {
 	t.mu.Unlock()
 }
 
-// Event records an instantaneous event.
-func (t *Tracer) Event(name string, labels ...Label) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{
-		T:      time.Since(t.epoch).Nanoseconds(),
-		Type:   "event",
-		Name:   name,
-		Labels: labelMap(sortedLabels(labels)),
-	})
-}
-
-// Begin starts a span. The returned Span's End emits the JSONL line;
-// a zero Span (from a disabled tracer) is a no-op.
-func (t *Tracer) Begin(name string, labels ...Label) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, name: name, labels: labels, start: time.Now()}
-}
-
-// Span is one in-flight span. Copying is fine; End on the zero value
-// is a no-op.
-type Span struct {
-	t      *Tracer // non-nil: emit to this tracer alone (legacy NewTracer path)
-	global bool    // emit via the default dispatch (JSONL writer + retention ring)
-	name   string
-	labels []Label
-	start  time.Time
-}
-
-// End completes the span and writes its event.
-func (s Span) End() {
-	if s.t == nil && !s.global {
-		return
-	}
-	epoch := processEpoch
-	if s.t != nil {
-		epoch = s.t.epoch
-	}
-	ev := Event{
-		T:      s.start.Sub(epoch).Nanoseconds(),
-		Type:   "span",
-		Name:   s.name,
-		Dur:    time.Since(s.start).Nanoseconds(),
-		Labels: labelMap(sortedLabels(s.labels)),
-	}
-	if s.t != nil {
-		s.t.emit(ev)
-		return
-	}
-	dispatch(ev)
-}
-
 // The process-wide default tracer, used by every instrumentation site.
-// nil (the initial state) means tracing is off and BeginSpan/Emit are
-// cheap no-ops.
+// nil (the initial state) means tracing is off and StartSpan/Emit are
+// cheap no-ops unless a retention ring is installed.
 var defaultTracer atomic.Pointer[Tracer]
 
 // SetTraceWriter routes the default tracer to w; nil disables tracing.
@@ -145,7 +83,7 @@ func SetTraceWriter(w io.Writer) *Tracer {
 		defaultTracer.Store(nil)
 		return nil
 	}
-	t := NewTracer(w)
+	t := &Tracer{w: w}
 	defaultTracer.Store(t)
 	return t
 }
@@ -154,17 +92,6 @@ func SetTraceWriter(w io.Writer) *Tracer {
 // Call sites use it (or TraceActive, which also covers the retention
 // ring) to skip label formatting when tracing is off.
 func TraceEnabled() bool { return defaultTracer.Load() != nil }
-
-// BeginSpan starts an anonymous span on the default sinks — the JSONL
-// writer and the retention ring (no-op Span when neither is installed
-// or instrumentation is disabled). Spans needing trace correlation use
-// StartSpan instead.
-func BeginSpan(name string, labels ...Label) Span {
-	if !TraceActive() {
-		return Span{}
-	}
-	return Span{global: true, name: name, labels: labels, start: time.Now()}
-}
 
 // Emit records an event on the default sinks (no-op when none is
 // installed or instrumentation is disabled).

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -9,12 +10,14 @@ import (
 	"testing"
 )
 
-// TestTraceRoundTrip writes spans and events concurrently, parses the
-// JSONL stream back, and requires the same set of events: every line
-// valid, nothing lost or torn by interleaving.
+// TestTraceRoundTrip writes spans and events concurrently through the
+// default JSONL writer, parses the stream back, and requires the same
+// set of events: every line valid, nothing lost or torn by
+// interleaving, every span a root of its own trace.
 func TestTraceRoundTrip(t *testing.T) {
 	var buf lockedBuffer
-	tr := NewTracer(&buf)
+	tr := SetTraceWriter(&buf)
+	defer SetTraceWriter(nil)
 
 	const workers, perWorker = 8, 200
 	var wg sync.WaitGroup
@@ -23,13 +26,14 @@ func TestTraceRoundTrip(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				sp := tr.Begin("work.span", L("worker", fmt.Sprint(w)), L("i", fmt.Sprint(i)))
+				_, sp := StartSpan(context.Background(), "work.span", L("worker", fmt.Sprint(w)), L("i", fmt.Sprint(i)))
 				sp.End()
-				tr.Event("work.event", L("worker", fmt.Sprint(w)), L("i", fmt.Sprint(i)))
+				Emit("work.event", L("worker", fmt.Sprint(w)), L("i", fmt.Sprint(i)))
 			}
 		}(w)
 	}
 	wg.Wait()
+	SetTraceWriter(nil)
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +52,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		}
 		switch ev.Type {
 		case "span":
-			if ev.Name != "work.span" || ev.Dur < 0 {
+			if ev.Name != "work.span" || ev.Dur < 0 || ev.Trace == "" || ev.Span == "" || ev.Parent != "" {
 				t.Fatalf("bad span: %+v", ev)
 			}
 		case "event":
@@ -71,19 +75,26 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 // TestTraceSameSpans is the write → parse → same-spans round-trip on a
-// deterministic single-goroutine trace: parsed events must match the
-// written ones field for field (durations and timestamps are whatever
-// the clock said, so they are compared for presence and order only).
+// deterministic single-goroutine trace of nested spans: parsed events
+// must match the written ones field for field (durations and
+// timestamps are whatever the clock said, so they are compared for
+// presence and order only), and the nesting must survive as parent
+// links within one trace.
 func TestTraceSameSpans(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf)
-	outer := tr.Begin("outer", L("k", "v"))
-	inner := tr.Begin("inner")
+	var buf lockedBuffer
+	tr := SetTraceWriter(&buf)
+	defer SetTraceWriter(nil)
+	octx, outer := StartSpan(context.Background(), "outer", L("k", "v"))
+	_, inner := StartSpan(octx, "inner")
 	inner.End()
-	tr.Event("mark", L("round", "3"))
+	EmitIn(octx, "mark", L("round", "3"))
 	outer.End()
+	SetTraceWriter(nil)
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
 
-	events, err := ReadEvents(&buf)
+	events, err := ReadEvents(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +112,13 @@ func TestTraceSameSpans(t *testing.T) {
 		{"span", "outer", map[string]string{"k": "v"}},
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("round-trip mismatch:\ngot  %+v\nwant %+v", got, want)
+		t.Fatalf("round-trip mismatch:\ngot  %+v\nwant %+v", got, want)
+	}
+	root := events[2]
+	for _, ev := range events[:2] {
+		if ev.Trace != root.Trace || ev.Parent != root.Span {
+			t.Errorf("%s: trace %q parent %q, want trace %q parent %q", ev.Name, ev.Trace, ev.Parent, root.Trace, root.Span)
+		}
 	}
 	// Monotonic ordering of begin times: inner began after outer.
 	if events[0].T < events[2].T {
@@ -109,21 +126,24 @@ func TestTraceSameSpans(t *testing.T) {
 	}
 }
 
-// TestDefaultTracerGate checks BeginSpan/Emit are no-ops without a
-// writer and produce events with one.
+// TestDefaultTracerGate checks StartSpan/Emit are no-ops without a
+// sink and produce events with a JSONL writer.
 func TestDefaultTracerGate(t *testing.T) {
 	defer SetTraceWriter(nil)
 
+	SetRing(0)
 	SetTraceWriter(nil)
 	if TraceEnabled() {
 		t.Fatal("TraceEnabled with nil writer")
 	}
-	BeginSpan("ghost").End() // must not panic
+	_, ghost := StartSpan(context.Background(), "ghost")
+	ghost.End() // must not panic
 	Emit("ghost")
 
 	var buf lockedBuffer
 	tr := SetTraceWriter(&buf)
-	BeginSpan("real", L("a", "b")).End()
+	_, sp := StartSpan(context.Background(), "real", L("a", "b"))
+	sp.End()
 	Emit("mark")
 	SetTraceWriter(nil)
 	if err := tr.Err(); err != nil {

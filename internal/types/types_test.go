@@ -13,7 +13,8 @@ func TestValueString(t *testing.T) {
 		{Zero, "0"},
 		{One, "1"},
 		{Unset, "⊥"},
-		{Value(7), "⊥"},
+		{Value(2), "2"},
+		{Value(-7), "⊥"},
 	}
 	for _, tt := range tests {
 		if got := tt.v.String(); got != tt.want {

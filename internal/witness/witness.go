@@ -212,12 +212,11 @@ func CheckProp63(n, t, h int) (*Report, error) {
 			// for an i∈𝒩 point where ∃1 ∧ C□ fails.
 			id := run.View(m, i)
 			found := false
-			for _, q := range sys.PointsWithView(id) {
-				if !sys.RunOf(q).Nonfaulty().Contains(i) {
+			for _, qi := range sys.PointIdxWithView(id) {
+				if !sys.RunOf(sys.PointAt(int(qi))).Nonfaulty().Contains(i) {
 					continue
 				}
-				qi := sys.PointIndex(q)
-				if !exists1Tbl.Get(qi) || !cboxTbl.Get(qi) {
+				if !exists1Tbl.Get(int(qi)) || !cboxTbl.Get(int(qi)) {
 					found = true
 					break
 				}
