@@ -1,8 +1,8 @@
 // Command ebaconform runs the randomized conformance harness: seeded
 // scenarios are executed on the live network runtime, replayed on the
 // deterministic engine, and checked against the knowledge layer's
-// prescriptions; every generated system is additionally subjected to
-// the epistemic law catalog and the Thm 5.3 optimality oracle.
+// prescriptions; every generated system is additionally checked
+// against every applicable claim of the registry ebaexp runs.
 //
 // Scenarios span all four failure modes (crash, sending omission,
 // receiving omission, general omission); -mode restricts the run to a

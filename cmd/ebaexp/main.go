@@ -1,6 +1,9 @@
 // Command ebaexp reproduces the paper's results: it runs the
-// experiment suite (E1-E13 plus ablations A1-A3, see DESIGN.md) and
-// prints one table per experiment with a PASS/FAIL verdict.
+// experiment suite (E1-E21 plus ablations A1-A4, see DESIGN.md) and
+// prints one table per experiment with a PASS/FAIL verdict. The
+// experiments built from the claims registry print one row per claim,
+// failure mode and size: pass, FAIL with a counterexample, or n/a with
+// the reason.
 //
 // Usage:
 //

@@ -16,13 +16,16 @@ func TestMain(m *testing.M) { clitest.Main(m, main) }
 // only part of the output that differs between two runs.
 var elapsed = regexp.MustCompile(`(?m) \([0-9]+\.[0-9]{2}s\)$`)
 
-// TestGolden holds the tables of the experiments that drive protocols
-// on the round engine — E15 (halting), E19 (multivalued) and, unless
-// -short, E12 (sampled distributions at n=7) — to goldens written by
-// the binary as it stood before those experiments moved onto sim.Run
-// (E12's title then ended in "(live runtime)").
+// TestGolden holds the registry-backed experiments' claim × mode ×
+// size matrix (one row per claim, mode and size: pass, FAIL or n/a with
+// its reason) and the tables of the experiments that drive protocols on
+// the round engine — E15 (halting), E19 (multivalued) and, unless
+// -short, E12 (sampled distributions at n=7) — to goldens. The E12,
+// E15 and E19 goldens were written by the binary as it stood before
+// those experiments moved onto sim.Run (E12's title then ended in
+// "(live runtime)").
 func TestGolden(t *testing.T) {
-	ids := []string{"E15", "E19"}
+	ids := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E9", "E10", "E11", "E14", "E15", "E16", "E19", "E20", "E21", "A3"}
 	if !testing.Short() {
 		ids = append([]string{"E12"}, ids...)
 	}

@@ -622,7 +622,8 @@ func CheckSBAOutcomes(sys *System, outs []SBAOutcome) error { return sba.CheckOu
 // The conformance harness (cmd/ebaconform).
 
 // ConformOptions configures a randomized conformance run; see the
-// conform package for the three pillars (differential, laws, oracle).
+// conform package for its pillars (differential, claims, engineering
+// laws, cluster).
 type ConformOptions = conform.Options
 
 // ConformResult summarizes a conformance run.
@@ -634,8 +635,8 @@ type ConformViolation = conform.Violation
 
 // RunConformance executes seeded scenarios across the live runtime,
 // the deterministic engine, and the query engine, machine-checking
-// the paper's epistemic laws and the Theorem 5.3 optimality oracle on
-// every generated system.
+// every applicable paper claim of the experiment registry on every
+// generated system.
 func RunConformance(opts ConformOptions) (*ConformResult, error) { return conform.Run(opts) }
 
 // ReadConformCorpus parses a JSONL failure corpus written by a

@@ -143,32 +143,15 @@ func (r *Runner) fleet() (*clusterFixture, error) {
 	return f, f.err
 }
 
-// clusterPillar runs the cluster checks for sc's key exactly once per
-// key, mirroring the keyChecks claim discipline. Keys with t=0 are
-// skipped for the same reason the service law skips them: the query
-// surface's zero-value defaulting makes them unaddressable.
+// clusterPillar runs the cluster checks once per key (see perKey).
+// Keys with t=0 are skipped for the same reason the service law skips
+// them: the query surface's zero-value defaulting makes them
+// unaddressable.
 func (r *Runner) clusterPillar(sc Scenario) ([]Violation, int) {
 	if sc.T == 0 {
 		return nil, 0
 	}
-	key := sc.Key()
-	r.mu.Lock()
-	if r.clusterKeys == nil {
-		r.clusterKeys = make(map[store.Key]*keyReport)
-	}
-	rep := r.clusterKeys[key]
-	if rep == nil {
-		rep = &keyReport{}
-		r.clusterKeys[key] = rep
-	}
-	r.mu.Unlock()
-	rep.once.Do(func() {
-		rep.violations, rep.checks = r.runClusterLaw(sc)
-	})
-	if rep.claim() {
-		return rep.violations, rep.checks
-	}
-	return nil, 0
+	return r.perKey(r.clusterKeys, sc.Key(), func() ([]Violation, int) { return r.runClusterLaw(sc) })
 }
 
 // runClusterLaw drives sc's key through the fleet: a routed single

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,13 +17,6 @@ import (
 	"github.com/eventual-agreement/eba/internal/telemetry"
 )
 
-// systemEnumerate builds the scenario's exhaustive system with the
-// builder every binary uses — what the per-run build, the parallel
-// builder and the store snapshot are compared against.
-func systemEnumerate(sc Scenario) (*system.System, error) {
-	return system.Enumerate(sc.Params(), sc.Mode, sc.Horizon, sc.Key().Limit)
-}
-
 // Test-only mutants: each one injects a specific falsehood into one
 // pillar so the harness can prove it would catch a real violation of
 // that kind. They exist for the harness's own tests and for manual
@@ -30,11 +24,12 @@ func systemEnumerate(sc Scenario) (*system.System, error) {
 // Options.Mutant empty.
 const (
 	// MutantLaw adds a false epistemic law (E_S φ → C_S φ) to the
-	// catalog; it fails on every generated system.
+	// registry claims; it fails on every generated system.
 	MutantLaw = "law"
-	// MutantOracle presents the unoptimized input protocol FΛ as the
-	// output of the two-step construction; FΛ never decides, so the
-	// Thm 5.3 oracle rejects it on every system.
+	// MutantOracle adds the registry's Thm 5.2/5.3 optimum claim with
+	// the unoptimized input protocol FΛ presented as the output of the
+	// two-step construction; FΛ never decides, so the Thm 5.3 oracle
+	// rejects it on every system.
 	MutantOracle = "oracle"
 	// MutantDifferential perturbs the live trace's decisions before
 	// the replay comparison, so sim.DiffTraces reports a divergence.
@@ -120,7 +115,7 @@ type Violation struct {
 	Mode    string `json:"mode"`
 	Horizon int    `json:"horizon"`
 	Config  string `json:"config"`
-	Pillar  string `json:"pillar"` // differential | law | oracle | cluster
+	Pillar  string `json:"pillar"` // differential | law | claim | cluster
 	Law     string `json:"law"`    // which check failed
 	Detail  string `json:"detail"` // counterexample / diff text
 	Replay  string `json:"replay"` // command line reproducing it
@@ -153,40 +148,17 @@ func violationOf(sc Scenario, pillar, law, detail string) Violation {
 	}
 }
 
-// keyReport caches the per-system-key pillars (laws + oracle): many
-// scenarios share a key, and those pillars depend only on the key, so
-// each key is checked once, by the first scenario that reaches it.
-type keyReport struct {
-	once       sync.Once
-	violations []Violation
-	checks     int
-
-	claimMu sync.Mutex
-	claimed bool
-}
-
-// claim marks the report as consumed, so its violations and check
-// counts enter the result exactly once even though every scenario
-// sharing the key observes the same report.
-func (rep *keyReport) claim() bool {
-	rep.claimMu.Lock()
-	defer rep.claimMu.Unlock()
-	if rep.claimed {
-		return false
-	}
-	rep.claimed = true
-	return true
-}
-
 // Runner executes scenarios against one shared store and engine.
 type Runner struct {
 	opts   Options
 	store  *store.Store
 	engine *service.Engine
 
+	// keys and clusterKeys hold one sync.Once per system key for the
+	// pillars that depend only on the key (see perKey).
 	mu          sync.Mutex
-	keys        map[store.Key]*keyReport
-	clusterKeys map[store.Key]*keyReport
+	keys        map[store.Key]*sync.Once
+	clusterKeys map[store.Key]*sync.Once
 
 	// cluster is the lazily-booted three-node fleet the cluster
 	// pillar drives; see clusterlaw.go.
@@ -199,32 +171,35 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// keyChecks runs the law and oracle pillars for sc's key exactly once
-// per key and returns the cached report.
-func (r *Runner) keyChecks(sc Scenario) *keyReport {
-	key := sc.Key()
+// perKey runs fn once per system key: many scenarios share a key, and
+// its key-level pillars depend only on the key, so the first scenario
+// to reach it runs them and is charged with their violations and
+// checks; later scenarios get nothing.
+func (r *Runner) perKey(onces map[store.Key]*sync.Once, key store.Key, fn func() ([]Violation, int)) (vs []Violation, checks int) {
 	r.mu.Lock()
-	rep := r.keys[key]
-	if rep == nil {
-		rep = &keyReport{}
-		r.keys[key] = rep
+	once := onces[key]
+	if once == nil {
+		once = new(sync.Once)
+		onces[key] = once
 	}
 	r.mu.Unlock()
-	rep.once.Do(func() {
-		r.logf("key %s: checking laws + oracle (first scenario %s)", key.Slug(), sc.Desc())
-		seq, err := systemEnumerate(sc)
+	once.Do(func() { vs, checks = fn() })
+	return vs, checks
+}
+
+// keyChecks runs the law and claim pillars for sc's key.
+func (r *Runner) keyChecks(sc Scenario) ([]Violation, int) {
+	return r.perKey(r.keys, sc.Key(), func() ([]Violation, int) {
+		r.logf("key %s: checking laws + claims (first scenario %s)", sc.Key().Slug(), sc.Desc())
+		seq, err := system.Enumerate(sc.Params(), sc.Mode, sc.Horizon, sc.Key().Limit)
 		if err != nil {
-			rep.violations = []Violation{violationOf(sc, "law", "enumerate", err.Error())}
-			rep.checks = 1
-			return
+			return []Violation{violationOf(sc, "law", "enumerate", err.Error())}, 1
 		}
 		ev := knowledge.NewEvaluator(seq)
 		lv, lc := r.checkLaws(sc, seq, ev)
-		ov, oc := checkOracle(sc, seq, ev, r.opts.Mutant)
-		rep.violations = append(lv, ov...)
-		rep.checks = lc + oc
+		cv, cc := r.checkClaims(sc, seq, ev)
+		return append(lv, cv...), lc + cc
 	})
-	return rep
 }
 
 // Run executes a full conformance pass.
@@ -241,9 +216,7 @@ func Run(opts Options) (*Result, error) {
 	if opts.Deadline <= 0 {
 		opts.Deadline = 200 * time.Millisecond
 	}
-	switch opts.Mutant {
-	case "", MutantLaw, MutantOracle, MutantDifferential, MutantCluster, MutantReconstruction, MutantParity, MutantPrefix:
-	default:
+	if opts.Mutant != "" && !slices.Contains(Mutants, opts.Mutant) {
 		return nil, fmt.Errorf("conform: unknown mutant %q (want %v)", opts.Mutant, Mutants)
 	}
 	for _, m := range opts.Modes {
@@ -271,16 +244,16 @@ func Run(opts Options) (*Result, error) {
 		telemetry.SetRing(1 << 14)
 	}
 	r := &Runner{
-		opts:   opts,
-		store:  st,
-		engine: service.NewEngine(st, 0),
-		keys:   make(map[store.Key]*keyReport),
+		opts:        opts,
+		store:       st,
+		engine:      service.NewEngine(st, 0),
+		keys:        make(map[store.Key]*sync.Once),
+		clusterKeys: make(map[store.Key]*sync.Once),
 	}
 	defer r.cluster.close()
 
 	start := time.Now()
 	type outcome struct {
-		idx        int
 		violations []Violation
 		checks     int
 		skipped    bool
@@ -300,31 +273,17 @@ func Run(opts Options) (*Result, error) {
 			defer wg.Done()
 			for i := range next {
 				if opts.Budget > 0 && time.Since(start) > opts.Budget {
-					results[i] = outcome{idx: i, skipped: true}
+					results[i] = outcome{skipped: true}
 					continue
 				}
 				sc := NewScenarioIn(opts.Seed+int64(i), opts.Modes)
 				mScenarios.Inc()
 				var vs []Violation
 				checks := 0
-
-				dv, dc := r.runDifferential(sc)
-				vs, checks = append(vs, dv...), checks+dc
-
-				tv, tc := r.runTraceLaw(sc)
-				vs, checks = append(vs, tv...), checks+tc
-
-				rep := r.keyChecks(sc)
-				// Key-level violations are attributed to the scenario
-				// that computed them (inside keyChecks); only count
-				// them once, here, via pointer identity of the report.
-				if rep.claim() {
-					vs = append(vs, rep.violations...)
-					checks += rep.checks
+				for _, pillar := range []func(Scenario) ([]Violation, int){r.runDifferential, r.runTraceLaw, r.keyChecks, r.clusterPillar} {
+					pv, pc := pillar(sc)
+					vs, checks = append(vs, pv...), checks+pc
 				}
-
-				cv, cc := r.clusterPillar(sc)
-				vs, checks = append(vs, cv...), checks+cc
 				for _, v := range vs {
 					r.logf("VIOLATION %s %s/%s: %s", sc.Desc(), v.Pillar, v.Law, v.Detail)
 					telemetry.Emit("conform.violation",
@@ -334,7 +293,7 @@ func Run(opts Options) (*Result, error) {
 					mViolations.Inc()
 				}
 				mChecks.Add(uint64(checks))
-				results[i] = outcome{idx: i, violations: vs, checks: checks}
+				results[i] = outcome{violations: vs, checks: checks}
 			}
 		}()
 	}

@@ -71,7 +71,7 @@ func TestScenarioDeterminism(t *testing.T) {
 }
 
 // TestRunPasses is the PR-gating conformance pass: a handful of
-// scenarios through all three pillars must produce zero violations.
+// scenarios through every pillar must produce zero violations.
 func TestRunPasses(t *testing.T) {
 	count := 12
 	if testing.Short() {

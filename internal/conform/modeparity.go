@@ -27,7 +27,7 @@ var goldenDigests = map[string]string{
 	"general-omission-n3-t1-h2-l2000000":   "cc01d4fc84845682a98d417f0192e0cbb530ed7613fd2a042644417ad5687136",
 }
 
-// modeParityLaws is the cross-mode half of the law catalog: every
+// modeParityLaws are the cross-mode engineering laws: every
 // crash, sending-omission, and receiving-omission pattern embeds into
 // the general-omission system over the same parameters (the
 // containment chain crash ⊂ omission ⊂ general, receiving ⊂ general),

@@ -3,29 +3,23 @@
 // chaos fault plan) and checks, on every one, that the repository's
 // three executions of the theory (the live TCP runtime, its replay on
 // the round engine, and the query engine) agree and that the paper's
-// logical laws hold.
+// claims hold. A scenario passes through these pillars:
 //
-// The three pillars, in the order a scenario passes through them:
-//
-//  1. Differential: the scenario's protocol runs on the live resilient
-//     TCP runtime under the chaos plan; the reconstructed fault
-//     pattern is replayed on the deterministic sim engine (traces must
-//     be identical, sim.DiffTraces); and the decisions the knowledge
-//     layer prescribes for the reconstructed run — looked up in the
-//     store-backed enumerated system — must match the live decisions
-//     processor for processor.
-//  2. Metamorphic / property-based: a catalog of epistemic laws
-//     (operator containments, fixed-point characterizations of
-//     Prop 3.2 / Cor 3.3, monotonicity of C□ under run restriction,
-//     sequential-vs-parallel digest equality, and codec round-trips)
-//     is machine-checked over the scenario's exhaustive system, both
-//     with a direct evaluator and — for a signature subset — through
-//     the service query engine over a store snapshot, asserting the
-//     two agree point count for point count.
-//  3. Oracle conformance: the two-step optimization construction of
-//     Prop 5.1 / Thm 5.2 is applied to seed protocols and its output
-//     must pass the Thm 5.3 optimality oracle, dominate its input, and
-//     be a fixed point of the construction.
+//  1. Differential: the protocol runs live under the chaos plan, the
+//     reconstructed fault pattern replays identically on the sim
+//     engine, and the decisions the knowledge layer prescribes for the
+//     reconstructed run in the store-backed system match the live ones
+//     (differential.go); one traced query leaves a complete span tree
+//     (tracelaw.go).
+//  2. Claims: every internal/exp registry claim that applies to the
+//     scenario's mode and size holds on its exhaustive system; claims
+//     stated as formulas also go through the service query engine,
+//     which must agree with the direct evaluator (laws.go).
+//  3. Engineering laws: builder digests and golden pins, codec
+//     round-trips, evaluator parallelism, mode parity (modeparity.go)
+//     and the prefix-sharing builder (buildlaw.go).
+//  4. Cluster: queries through a three-node fleet answer like the
+//     engine, from the ring owner (clusterlaw.go).
 //
 // Violations are emitted as JSONL corpus records carrying the
 // scenario's seed, so any failure replays exactly with

@@ -2,8 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/eventual-agreement/eba/internal/failures"
 )
 
 // TestAllExperimentsPass runs the complete harness; every experiment
@@ -33,6 +36,43 @@ func TestAllExperimentsPass(t *testing.T) {
 				t.Fatal("elapsed not recorded")
 			}
 		})
+	}
+}
+
+// TestClaimsRegistry pins the registry's shape: unique IDs, each naming
+// an experiment of All() that runs it, a paper reference, at least one
+// mode, and a reason wherever the claim does not apply.
+func TestClaimsRegistry(t *testing.T) {
+	ids := map[string]bool{}
+	for _, c := range Claims() {
+		if ids[c.ID] {
+			t.Errorf("duplicate claim ID %q", c.ID)
+		}
+		ids[c.ID] = true
+		if e, _, ok := strings.Cut(c.ID, "/"); !ok {
+			t.Errorf("claim ID %q lacks an experiment prefix", c.ID)
+		} else if _, ok := Find(e); !ok {
+			t.Errorf("claim %q names no experiment", c.ID)
+		}
+		if c.Paper == "" || len(c.Modes) == 0 || c.Check == nil {
+			t.Errorf("claim %q: paper %q, modes %v, check set %v", c.ID, c.Paper, c.Modes, c.Check != nil)
+		}
+		for _, m := range failures.Modes {
+			for n := 2; n <= 5; n++ {
+				for tt := 0; tt < n; tt++ {
+					for h := 1; h <= 4; h++ {
+						k := Key{m, n, tt, h}
+						applies := c.NA(k) == ""
+						if !applies && strings.TrimSpace(c.NA(k)) == "" {
+							t.Errorf("claim %q at %+v: n/a without a reason", c.ID, k)
+						}
+						if applies && !slices.Contains(c.Modes, m) {
+							t.Errorf("claim %q applies at %+v, outside its modes %v (NotIn is empty)", c.ID, k, c.Modes)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -4,131 +4,12 @@ import (
 	"fmt"
 
 	"github.com/eventual-agreement/eba/internal/byzantine"
-	"github.com/eventual-agreement/eba/internal/core"
 	"github.com/eventual-agreement/eba/internal/failures"
-	"github.com/eventual-agreement/eba/internal/fip"
-	"github.com/eventual-agreement/eba/internal/knowledge"
 	"github.com/eventual-agreement/eba/internal/protocols"
 	"github.com/eventual-agreement/eba/internal/sim"
-	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
 )
-
-// E14EventualCK reproduces the Section 3.2 narrative: the
-// eventual-common-knowledge rule F0 is a correct nontrivial agreement
-// protocol, different processors can simultaneously believe C◇ of
-// different values (so the naive symmetric rule would be unsafe), and
-// the two-step construction strictly improves F0's conservative
-// 1-decisions.
-func E14EventualCK() (*Result, error) {
-	r := &Result{ID: "E14", Title: "Eventual common knowledge is the wrong tool (Sec 3.2)",
-		Claim: "F0 is nontrivial agreement but far from optimal; C◇-beliefs of 0 and 1 coexist"}
-	return timer(r, func() error {
-		tbl := &Table{Header: []string{"mode", "check", "result"}}
-		pass := true
-		for _, mode := range []failures.Mode{failures.Crash, failures.Omission} {
-			sys, err := enumerate(3, 1, mode, 3)
-			if err != nil {
-				return err
-			}
-			e := knowledge.NewEvaluator(sys)
-			f0 := core.F0Pair(e)
-			agree := core.CheckWeakAgreement(sys, f0) == nil
-			valid := core.CheckWeakValidity(sys, f0) == nil
-			f2 := core.TwoStep(e, f0)
-			dom := core.Dominates(sys, f2, f0)
-			strict := core.StrictlyDominates(sys, f2, f0)
-			f0opt, _ := core.IsOptimal(e, f0)
-			opt, _ := core.IsOptimal(e, f2)
-
-			// The coexistence witness: some point where processor 0
-			// believes C◇∃0 while processor 1 believes C◇∃1.
-			nf := knowledge.Nonfaulty()
-			clashTbl := e.Eval(knowledge.And(
-				knowledge.B(0, nf, knowledge.CDiamond(nf, knowledge.Exists0())),
-				knowledge.B(1, nf, knowledge.CDiamond(nf, knowledge.Exists1())),
-				knowledge.IsNonfaulty(0), knowledge.IsNonfaulty(1)))
-			clash := clashTbl.Any()
-
-			// The paper's Section 3.2 improvement scenario is an
-			// omission-mode run, and indeed the strict improvement
-			// appears exactly there: at n=3, t=1 the crash-mode F0
-			// happens to be optimal already, while under omissions
-			// TwoStep strictly improves it. Oracle consistency is
-			// asserted in both modes.
-			consistent := f0opt == !strict
-			pass = pass && agree && valid && dom && opt && clash && consistent
-			if mode == failures.Omission {
-				pass = pass && strict
-			}
-			tbl.Add(mode.String(), "F0 weak agreement", fmt.Sprintf("%v", agree))
-			tbl.Add(mode.String(), "F0 weak validity", fmt.Sprintf("%v", valid))
-			tbl.Add(mode.String(), "TwoStep(F0) dominates F0", fmt.Sprintf("%v", dom))
-			tbl.Add(mode.String(), "strictly", fmt.Sprintf("%v", strict))
-			tbl.Add(mode.String(), "F0 already optimal", fmt.Sprintf("%v", f0opt))
-			tbl.Add(mode.String(), "TwoStep(F0) optimal", fmt.Sprintf("%v", opt))
-			tbl.Add(mode.String(), "B C◇∃0 and B C◇∃1 coexist", fmt.Sprintf("%v", clash))
-		}
-		r.Table = tbl
-		r.Pass = pass
-		r.Summary = "F0 correct in both modes; strict improvement in the omission mode (the Sec 3.2 scenario); oracles consistent"
-		return nil
-	})
-}
-
-// E16Uniform separates the paper's (weak) agreement, which quantifies
-// over nonfaulty processors only, from uniform agreement (Section 7's
-// pointer to all-processor consistency): the EBA optima violate
-// uniformity — a faulty processor can decide 0 and take the value to
-// the grave — while the simultaneous FloodSet rule is uniform.
-func E16Uniform() (*Result, error) {
-	r := &Result{ID: "E16", Title: "Weak vs uniform agreement (Sec 7)",
-		Claim: "the paper's EBA protocols satisfy weak but not uniform agreement; simultaneity restores uniformity"}
-	return timer(r, func() error {
-		crash, err := enumerate(3, 1, failures.Crash, 3)
-		if err != nil {
-			return err
-		}
-		omission, err := enumerate(3, 1, failures.Omission, 3)
-		if err != nil {
-			return err
-		}
-		eo := knowledge.NewEvaluator(omission)
-		floodPair := fip.Pair{
-			Name: "FloodSet",
-			Z: fip.FromPred("flood.Z", func(in *views.Interner, id views.ID) bool {
-				return int(in.Time(id)) >= 2 && in.Knows(id, types.Zero)
-			}),
-			O: fip.FromPred("flood.O", func(in *views.Interner, id views.ID) bool {
-				return int(in.Time(id)) >= 2 && !in.Knows(id, types.Zero)
-			}),
-		}
-		rows := []struct {
-			name        string
-			sys         *system.System
-			pair        fip.Pair
-			wantUniform bool
-		}{
-			{"P0opt", crash, protocols.P0OptPair(), false},
-			{"Chain0", omission, protocols.Chain0SemanticPair(eo), false},
-			{"FloodSet@t+1", crash, floodPair, true},
-		}
-		tbl := &Table{Header: []string{"protocol", "mode", "weak agreement", "uniform agreement", "expected uniform"}}
-		pass := true
-		for _, row := range rows {
-			weak := core.CheckWeakAgreement(row.sys, row.pair) == nil
-			uniform := core.CheckUniformAgreement(row.sys, row.pair) == nil
-			pass = pass && weak && uniform == row.wantUniform
-			tbl.Add(row.name, row.sys.Mode.String(), fmt.Sprintf("%v", weak),
-				fmt.Sprintf("%v", uniform), fmt.Sprintf("%v", row.wantUniform))
-		}
-		r.Table = tbl
-		r.Pass = pass
-		r.Summary = "weak agreement everywhere; uniformity only for the simultaneous rule"
-		return nil
-	})
-}
 
 // E17Byzantine exercises the problem's origin ([PSL80] in the paper's
 // introduction): the oral-messages bound. EIGByz achieves Byzantine
