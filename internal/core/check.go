@@ -93,7 +93,11 @@ func (t *DecisionTable) row(run int) []int16 {
 // At returns processor proc's first decision in run number run, as
 // fip.DecisionAt does.
 func (t *DecisionTable) At(run int, proc types.ProcID) (types.Value, types.Round, bool) {
-	d := t.row(run)[proc]
+	return decoded(t.row(run)[proc])
+}
+
+// decoded unpacks one entry of a walked row.
+func decoded(d int16) (types.Value, types.Round, bool) {
 	if d == undecided {
 		return types.Unset, -1, false
 	}
@@ -102,17 +106,17 @@ func (t *DecisionTable) At(run int, proc types.ProcID) (types.Value, types.Round
 
 // forNonfaulty calls fn with the first decision of every nonfaulty
 // processor of every run, in run then processor order, until fn
-// returns false.
+// returns false. Each run's 𝒩 and row are read once.
 func (t *DecisionTable) forNonfaulty(fn func(run system.Run, proc types.ProcID, v types.Value, at types.Round, ok bool) bool) {
 	for ri := 0; ri < t.sys.NumRuns(); ri++ {
 		run := t.sys.Run(ri)
 		nf := run.Nonfaulty()
-		for i := 0; i < t.sys.Params.N; i++ {
+		for i, d := range t.row(ri) {
 			proc := types.ProcID(i)
 			if !nf.Contains(proc) {
 				continue
 			}
-			if v, at, ok := t.At(run.Index, proc); !fn(run, proc, v, at, ok) {
+			if v, at, ok := decoded(d); !fn(run, proc, v, at, ok) {
 				return
 			}
 		}
@@ -120,15 +124,17 @@ func (t *DecisionTable) forNonfaulty(fn func(run system.Run, proc types.ProcID, 
 }
 
 // agreement checks that no two of the processors keep admits decide
-// differently in one run; kind names the property in the error.
-func (t *DecisionTable) agreement(kind string, keep func(run system.Run, proc types.ProcID, at types.Round) bool) error {
+// differently in one run; kind names the property in the error, and
+// keep is given the run's 𝒩, read once per run.
+func (t *DecisionTable) agreement(kind string, keep func(run system.Run, nf types.ProcSet, proc types.ProcID, at types.Round) bool) error {
 	for ri := 0; ri < t.sys.NumRuns(); ri++ {
 		run := t.sys.Run(ri)
+		nf := run.Nonfaulty()
 		var saw [2]bool
 		var who [2]types.ProcID
-		for i := 0; i < t.sys.Params.N; i++ {
+		for i, d := range t.row(ri) {
 			proc := types.ProcID(i)
-			if v, at, ok := t.At(run.Index, proc); ok && keep(run, proc, at) {
+			if v, at, ok := decoded(d); ok && keep(run, nf, proc, at) {
 				saw[v] = true
 				who[v] = proc
 			}
@@ -144,8 +150,8 @@ func (t *DecisionTable) agreement(kind string, keep func(run system.Run, proc ty
 // CheckWeakAgreement verifies condition 2′ of Section 2.1 on every
 // run: nonfaulty processors do not decide on different values.
 func (t *DecisionTable) CheckWeakAgreement() error {
-	return t.agreement("weak", func(run system.Run, proc types.ProcID, _ types.Round) bool {
-		return run.Nonfaulty().Contains(proc)
+	return t.agreement("weak", func(_ system.Run, nf types.ProcSet, proc types.ProcID, _ types.Round) bool {
+		return nf.Contains(proc)
 	})
 }
 
@@ -155,7 +161,7 @@ func (t *DecisionTable) CheckWeakAgreement() error {
 // paper's protocols are not designed for it; the E16 experiment shows
 // where it breaks.
 func (t *DecisionTable) CheckUniformAgreement() error {
-	return t.agreement("uniform", func(run system.Run, proc types.ProcID, at types.Round) bool {
+	return t.agreement("uniform", func(run system.Run, _ types.ProcSet, proc types.ProcID, at types.Round) bool {
 		// In the crash mode a processor is only guaranteed alive
 		// strictly before its crash round; later states are virtual
 		// and their decisions do not count.

@@ -97,7 +97,12 @@ func CheckEnabling(e *knowledge.Evaluator, spec Spec, p fip.Pair) (err error) {
 	return err
 }
 
-// IsOptimalSpec is the Theorem 5.3 characterization for the spec.
+// IsOptimalSpec is the Theorem 5.3 characterization for the spec. Each
+// condition i ∈ 𝒩 ⇒ L, with L = (decide_i(v) ⟺ B^N_i(…)) local to i,
+// is valid iff B^N_i L holds on every view class of i, which the
+// evaluator decides from class tables: the only point tables it builds
+// are the two C□ tables and the ones they need. A failing condition is
+// then evaluated as written, only to name its first failing point.
 func IsOptimalSpec(e *knowledge.Evaluator, spec Spec, p fip.Pair) (bool, string) {
 	nf := knowledge.Nonfaulty()
 	// One node each, shared by every processor's condition, so the
@@ -109,17 +114,18 @@ func IsOptimalSpec(e *knowledge.Evaluator, spec Spec, p fip.Pair) (bool, string)
 		proc := types.ProcID(i)
 		d0 := DecideAtom(p, proc, types.Zero)
 		d1 := DecideAtom(p, proc, types.One)
-		condA := knowledge.Implies(knowledge.IsNonfaulty(proc),
-			knowledge.Iff(d0, knowledge.B(proc, nf, knowledge.And(
-				spec.Phi0, cboxO, knowledge.Not(d1)))))
-		if pt, bad := e.FailingPoint(condA); bad {
-			return false, describeFailure(sys, p.Name, "0-condition", proc, pt)
-		}
-		condB := knowledge.Implies(knowledge.IsNonfaulty(proc),
-			knowledge.Iff(d1, knowledge.B(proc, nf, knowledge.And(
-				spec.Phi1, cboxZ, knowledge.Not(d0)))))
-		if pt, bad := e.FailingPoint(condB); bad {
-			return false, describeFailure(sys, p.Name, "1-condition", proc, pt)
+		for _, c := range []struct {
+			name string
+			iff  knowledge.Formula
+		}{
+			{"0-condition", knowledge.Iff(d0, knowledge.B(proc, nf, knowledge.And(spec.Phi0, cboxO, knowledge.Not(d1))))},
+			{"1-condition", knowledge.Iff(d1, knowledge.B(proc, nf, knowledge.And(spec.Phi1, cboxZ, knowledge.Not(d0))))},
+		} {
+			if e.Valid(knowledge.B(proc, nf, c.iff)) {
+				continue
+			}
+			pt, _ := e.FailingPoint(knowledge.Implies(knowledge.IsNonfaulty(proc), c.iff))
+			return false, describeFailure(sys, p.Name, c.name, proc, pt)
 		}
 	}
 	return true, ""

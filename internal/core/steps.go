@@ -19,7 +19,6 @@ import (
 	"github.com/eventual-agreement/eba/internal/knowledge"
 	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/types"
-	"github.com/eventual-agreement/eba/internal/views"
 )
 
 // NAnd returns the nonrigid set 𝒩 ∧ 𝒜: the nonfaulty processors whose
@@ -42,35 +41,23 @@ func DecideAtom(p fip.Pair, i types.ProcID, v types.Value) knowledge.Formula {
 
 // PairFromFormulas materializes a decision pair from per-processor
 // formulas: a view of processor i is in 𝒵 (resp. 𝒪) iff zf(i) (resp.
-// of(i)) holds at some point where i holds that view. The formulas are
-// meant to be local — true at all points of a view class or at none —
-// as every B^N_i formula is; for a formula that is not, "at some
-// point" is the rule (TestPairFromFormulasNonLocal pins it). Each
-// truth table is read once per view class through the system's
-// view index.
+// of(i)) holds at some point where i holds that view — the view's
+// class value of ¬K_i¬zf(i). The formulas are meant to be local — true
+// at all points of a view class or at none — as every B^N_i formula
+// is, and then ¬K_i¬f is f itself, read off its class table without a
+// point table; for a formula that is not, "at some point" is the rule
+// (TestPairFromFormulasNonLocal pins it).
 func PairFromFormulas(e *knowledge.Evaluator, name string, zf, of func(i types.ProcID) knowledge.Formula) fip.Pair {
 	sys := e.System()
-	n := sys.Params.N
-	zBits, oBits := make([]*knowledge.Bits, n), make([]*knowledge.Bits, n)
-	for i := 0; i < n; i++ {
-		zBits[i] = e.Eval(zf(types.ProcID(i)))
-		oBits[i] = e.Eval(of(types.ProcID(i)))
-	}
-	somewhere := func(tbl *knowledge.Bits, class []int32) bool {
-		for _, idx := range class {
-			if tbl.Get(int(idx)) {
-				return true
-			}
-		}
-		return false
-	}
 	in := sys.Interner
 	z, o := make([]bool, in.Size()), make([]bool, in.Size())
-	for id := range z {
-		class := sys.PointIdxWithView(views.ID(id))
-		owner := in.Proc(views.ID(id))
-		z[id] = somewhere(zBits[owner], class)
-		o[id] = somewhere(oBits[owner], class)
+	somewhere := func(i types.ProcID, f knowledge.Formula) knowledge.Formula {
+		return knowledge.Not(knowledge.K(i, knowledge.Not(f)))
+	}
+	for i := 0; i < sys.Params.N; i++ {
+		p := types.ProcID(i)
+		e.ViewTable(p, somewhere(p, zf(p)), z)
+		e.ViewTable(p, somewhere(p, of(p)), o)
 	}
 	return fip.Pair{
 		Name: name,

@@ -18,7 +18,10 @@ import (
 var (
 	mEvalCacheHits   = telemetry.Default().Counter("eba_knowledge_eval_cache_hits_total")
 	mEvalCacheMisses = telemetry.Default().Counter("eba_knowledge_eval_cache_misses_total")
-	mReachPointSize  = telemetry.Default().Histogram("eba_knowledge_reachable_set_size",
+	// mFrontierBuilds counts frontiers built (one per NonrigidSet value
+	// an evaluator meets), to set against the distinct set contents.
+	mFrontierBuilds = telemetry.Default().Counter("eba_knowledge_frontier_builds_total")
+	mReachPointSize = telemetry.Default().Histogram("eba_knowledge_reachable_set_size",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096, 16384}, telemetry.L("space", "points"))
 	mReachRunSize = telemetry.Default().Histogram("eba_knowledge_reachable_set_size",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096, 16384}, telemetry.L("space", "runs"))
@@ -99,14 +102,22 @@ func observeComponentSizes(roots []int32, h *telemetry.Histogram) {
 
 // Evaluator computes truth tables of formulas over one enumerated
 // system, memoizing by formula node identity and caching per-set
-// reachability structures. It is not safe for concurrent use from
-// multiple goroutines, but internally shards its heavy stages (atom
-// scans, view-class conjunctions, reachability scans, per-run
-// modalities) across a worker pool bounded by SetParallelism; the
-// resulting tables are bit-identical at every parallelism level.
+// reachability structures. A formula that is local to one processor —
+// a ViewAtom, K_i, B^S_i, and ¬/∧/∨ over them — is evaluated once per
+// view class of that processor into a class table, memoized by
+// (processor, formula); Eval expands a class table to points only when
+// a point-level operator asks, and Valid, ViewTable and the K/B
+// kernels read class tables directly. It is not safe for concurrent
+// use from multiple goroutines, but internally shards its heavy stages
+// (atom scans, class expansions, per-run modalities) across a worker
+// pool bounded by SetParallelism; the resulting tables are
+// bit-identical at every parallelism level.
 type Evaluator struct {
 	sys  *system.System
 	memo map[Formula]*Bits
+	// locals memoizes class tables: one uint8 per view class of the
+	// processor in the key.
+	locals map[localKey][]uint8
 	// par bounds the internal worker pool (SetParallelism).
 	par int
 	// depth tracks Eval recursion so only the outermost call opens a
@@ -121,26 +132,36 @@ type Evaluator struct {
 	traceCtx context.Context
 	spanCtx  context.Context
 
-	// frontiers caches, per nonrigid set, every S-derived reachability
-	// structure (membership masks, point and run components). Keyed by NonrigidSet identity — two sets
-	// that happen to denote the same membership still get separate
-	// frontiers, so a cached frontier can never leak across sets.
+	// frontiers caches, per nonrigid set, every S-derived structure
+	// (factored membership, dense masks, point and run components).
+	// Keyed by NonrigidSet identity — two sets that happen to denote the
+	// same membership still get separate frontiers, so a cached frontier
+	// can never leak across sets.
 	frontiers map[NonrigidSet]*frontier
-	// classes caches, per processor, the view-class partition of the
-	// point space (independent of any nonrigid set), so evalK never
-	// rebuilds the class map across formulas or sets.
-	classes []*procClasses
+	// part caches the view-class partition of the point space
+	// (independent of any nonrigid set), so no class table rebuilds the
+	// class map across formulas or sets.
+	part *partition
 }
 
-// frontier is every S-reachability structure the evaluator derives
-// from one nonrigid set, precomputed once and reused across formulas:
-// per-processor membership masks (bit idx set in masks[i] iff i ∈ S at
-// point idx — the word-level form the batched E_S/E◇_S kernels
-// consume), their union (bit idx set iff S is nonempty at idx), and the
-// lazily built point/run reachability components with their flattened
-// root tables.
+// frontier is every structure the evaluator derives from one nonrigid
+// set, built on first use and reused across formulas:
+//
+//   - members: each processor's membership, factored (see member) —
+//     the only part built with the frontier;
+//   - masks: each processor's dense membership mask (bit idx set in
+//     masks[i] iff i ∈ S at point idx), the word-level form the E_S,
+//     E◇_S and non-local B^S_i kernels consume — built per processor
+//     on first use (mask), never by C or C□;
+//   - someIn: per class of i, whether i ∈ S at some point of the class
+//     (the B^S_i L = L ∨ ¬someIn identity);
+//   - occupied: bit idx set iff S is nonempty at idx, filled by the
+//     first component walk;
+//   - the point/run reachability components with flattened roots.
 type frontier struct {
+	members  []member
 	masks    []*Bits
+	someIn   [][]uint8
 	occupied *Bits
 
 	pointComp  *unionFind
@@ -149,15 +170,19 @@ type frontier struct {
 	runRoots   []int32
 }
 
-// procClasses is the view-class partition of the point space for one
-// processor: classOf[idx] numbers the class of the processor's view at
-// point idx, and classes lists the class representatives in
-// first-encounter order. Whatever depends only on the processor's view
-// (K_i f, B^S_i f, a ViewAtom, membership in a FromViews set) is
-// decided once per class and expanded to points through classOf.
-type procClasses struct {
-	classOf []int32
-	classes []views.ID
+// member is one processor's membership in a set, factored by the
+// granularity each part is constant at: i ∈ S at point idx iff i is
+// not out, the views part holds for i's class at idx, and bit idx of
+// the points part is set. A nil part admits everything. FromViews is a
+// views part (asked once per class), a rigid set marks the processors
+// it lacks out, 𝒩 is a points part written a run at a time (once per
+// evaluator), a NonrigidSet implemented outside this package a points
+// part asked point by point, and Intersect ANDs the parts. Parts may be
+// shared between sets and are never modified.
+type member struct {
+	out    bool
+	views  []uint8
+	points *Bits
 }
 
 // NewEvaluator creates an evaluator for the system, with the internal
@@ -166,8 +191,8 @@ func NewEvaluator(sys *system.System) *Evaluator {
 	e := &Evaluator{
 		sys:       sys,
 		memo:      make(map[Formula]*Bits),
+		locals:    make(map[localKey][]uint8),
 		frontiers: make(map[NonrigidSet]*frontier),
-		classes:   make([]*procClasses, sys.Params.N),
 	}
 	e.SetParallelism(0)
 	return e
@@ -226,8 +251,19 @@ func (e *Evaluator) Holds(f Formula, pt system.Point) bool {
 }
 
 // Valid reports whether f holds at every point of the system (the
-// paper's ℛ ⊨ φ).
-func (e *Evaluator) Valid(f Formula) bool { return e.Eval(f).All() }
+// paper's ℛ ⊨ φ). A ViewAtom, K_i or B^S_i is valid iff its class table
+// is true on every class, so it is never expanded to points.
+func (e *Evaluator) Valid(f Formula) bool {
+	if i, ok := owner(f); ok {
+		for _, v := range e.local(i, f) {
+			if v == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	return e.Eval(f).All()
+}
 
 // FailingPoint returns a point where f fails, if any.
 func (e *Evaluator) FailingPoint(f Formula) (system.Point, bool) {
@@ -284,14 +320,14 @@ func (e *Evaluator) Eval(f Formula) *Bits {
 			}
 		})
 	case *nonfaultyF:
-		if masks := e.frontierFor(theNonfaulty).masks; int(g.p) >= 0 && int(g.p) < len(masks) {
-			tbl = masks[g.p]
+		if int(g.p) >= 0 && int(g.p) < e.sys.Params.N {
+			tbl = e.mask(e.frontierFor(theNonfaulty), g.p)
 		} else {
 			tbl = NewBits(e.sys.NumPoints())
 		}
-	case *viewAtomF:
-		pc := e.procClassesFor(g.p)
-		tbl = e.expandClasses(pc, e.classVals(pc, g.pred))
+	case *viewAtomF, *kF, *bF:
+		i, _ := owner(f)
+		tbl = e.expandClasses(i, e.local(i, f))
 	case *notF:
 		tbl = e.Eval(g.f).Clone()
 		tbl.NotSelf()
@@ -306,10 +342,6 @@ func (e *Evaluator) Eval(f Formula) *Bits {
 		for _, sub := range g.fs {
 			tbl.OrWith(e.Eval(sub))
 		}
-	case *kF:
-		tbl = e.evalK(g.i, e.Eval(g.f), nil)
-	case *bF:
-		tbl = e.evalK(g.i, e.Eval(g.f), g.s)
 	case *eF:
 		tbl = e.evalE(g.s, e.Eval(g.f))
 	case *cF:
@@ -336,79 +368,162 @@ func (e *Evaluator) Eval(f Formula) *Bits {
 }
 
 // frontierFor returns (building on first use) the cached frontier for
-// the set: per-processor membership masks and their union. The
-// reachability components hang off the frontier lazily (pointComponents
-// / runComponents). The cache key is the NonrigidSet itself, so
+// the set. Building it factors the set's membership and nothing else;
+// dense masks, someIn tables and reachability components hang off the
+// frontier lazily. The cache key is the NonrigidSet itself, so
 // distinct sets — even ones denoting the same membership — never share
 // a frontier.
 func (e *Evaluator) frontierFor(s NonrigidSet) *frontier {
 	if fr, ok := e.frontiers[s]; ok {
 		return fr
 	}
-	fr := &frontier{masks: e.membership(s), occupied: NewBits(e.sys.NumPoints())}
-	for _, mask := range fr.masks {
-		fr.occupied.OrWith(mask)
-	}
+	mFrontierBuilds.Inc()
+	n := e.sys.Params.N
+	fr := &frontier{members: e.factor(s), masks: make([]*Bits, n), someIn: make([][]uint8, n)}
 	e.frontiers[s] = fr
 	return fr
 }
 
-// membership returns the set's per-processor membership masks, each
-// computed at the granularity its part of the set is constant at: 𝒩
-// once per run, a rigid set once, a view-defined set once per view, an
-// intersection as a word-level AND of its operands' masks. Only a
-// NonrigidSet implemented outside this package is asked for Members
-// point by point. The masks of a set that already has a frontier are
-// the frontier's own and must not be modified.
-func (e *Evaluator) membership(s NonrigidSet) []*Bits {
-	if fr, ok := e.frontiers[s]; ok {
-		return fr.masks
-	}
+// factor returns the set's membership per processor, each part at the
+// granularity it is constant at: 𝒩 once per run (and once per
+// evaluator, through its own frontier), a rigid set once, a
+// view-defined set once per view class, an intersection as an AND of
+// its operands' parts. Only a NonrigidSet implemented outside this
+// package is asked for Members point by point.
+func (e *Evaluator) factor(s NonrigidSet) []member {
+	n := e.sys.Params.N
 	np := e.sys.NumPoints()
-	masks := make([]*Bits, e.sys.Params.N)
-	switch g := s.(type) {
-	case *intersectSet:
-		a, b := e.membership(g.a), e.membership(g.b)
-		for i := range masks {
-			masks[i] = a[i].Clone()
-			masks[i].AndWith(b[i])
-		}
-		return masks
-	case *viewSet:
-		for i := range masks {
-			pc := e.procClassesFor(types.ProcID(i))
-			masks[i] = e.expandClasses(pc, e.classVals(pc, g.pred))
-		}
-		return masks
-	}
-	for i := range masks {
-		masks[i] = NewBits(np)
-	}
+	ms := make([]member, n)
 	switch g := s.(type) {
 	case *nonfaultySet:
+		for i := range ms {
+			ms[i].points = NewBits(np)
+		}
 		e.fillRuns(func(run system.Run, base, end int) {
 			run.Nonfaulty().ForEach(func(i types.ProcID) bool {
-				masks[i].SetRange(base, end)
+				ms[i].points.SetRange(base, end)
 				return true
 			})
 		})
 	case *constSet:
-		g.set.ForEach(func(i types.ProcID) bool {
-			masks[i].Fill(true)
-			return true
-		})
+		for i := range ms {
+			ms[i].out = !g.set.Contains(types.ProcID(i))
+		}
+	case *viewSet:
+		for i := range ms {
+			ms[i].views = e.classVals(types.ProcID(i), g.pred)
+		}
+	case *intersectSet:
+		a, b := e.operand(g.a), e.operand(g.b)
+		for i := range ms {
+			ms[i] = member{
+				out:    a[i].out || b[i].out,
+				views:  andViews(a[i].views, b[i].views),
+				points: andBits(a[i].points, b[i].points),
+			}
+		}
 	default:
 		// One word-aligned sharded pass (each shard owns its mask words).
+		for i := range ms {
+			ms[i].points = NewBits(np)
+		}
 		e.parallelBits(np, func(lo, hi int) {
 			for idx := lo; idx < hi; idx++ {
 				s.Members(e.sys, e.sys.PointAt(idx)).ForEach(func(i types.ProcID) bool {
-					masks[i].Set(idx, true)
+					ms[i].points.Set(idx, true)
 					return true
 				})
 			}
 		})
 	}
-	return masks
+	return ms
+}
+
+// operand factors an operand of an intersection. 𝒩 is factored once
+// per evaluator, through its own frontier, however many sets
+// intersect it.
+func (e *Evaluator) operand(s NonrigidSet) []member {
+	if s == theNonfaulty {
+		return e.frontierFor(s).members
+	}
+	return e.factor(s)
+}
+
+// andViews and andBits AND two membership parts, nil admitting
+// everything; a part ANDed with nil is shared, not copied.
+func andViews(a, b []uint8) []uint8 {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	}
+	out := append([]uint8(nil), a...)
+	classAnd(out, b)
+	return out
+}
+
+func andBits(a, b *Bits) *Bits {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	}
+	out := a.Clone()
+	out.AndWith(b)
+	return out
+}
+
+// mask returns (building on first use) processor i's dense membership
+// mask in the frontier's set. Only the kernels that consume masks word
+// by word (E_S, E◇_S and B^S_i over a non-local formula) ask.
+func (e *Evaluator) mask(fr *frontier, i types.ProcID) *Bits {
+	if m := fr.masks[i]; m != nil {
+		return m
+	}
+	mb := &fr.members[i]
+	var m *Bits
+	switch {
+	case mb.out:
+		m = NewBits(e.sys.NumPoints())
+	case mb.views != nil:
+		m = e.expandClasses(i, mb.views)
+		if mb.points != nil {
+			m.AndWith(mb.points)
+		}
+	case mb.points != nil:
+		m = mb.points
+	default:
+		m = NewBits(e.sys.NumPoints())
+		m.Fill(true)
+	}
+	fr.masks[i] = m
+	return m
+}
+
+// someIn returns (building on first use) the class table of "i ∈ S at
+// some point of the class" for the frontier's set: ¬someIn is B^S_i ⊥,
+// and B^S_i L = L ∨ ¬someIn for every L local to i. A membership with
+// only a views part is that part; otherwise each member point of i's
+// mask marks its class.
+func (e *Evaluator) someIn(fr *frontier, i types.ProcID) []uint8 {
+	if vals := fr.someIn[i]; vals != nil {
+		return vals
+	}
+	mb := &fr.members[i]
+	vals := mb.views
+	if mb.out || vals == nil || mb.points != nil {
+		p, vs, n := e.partition(), e.sys.Table().Views, e.sys.Params.N
+		vals = classFill(len(p.views[i]), false)
+		for wi, w := range e.mask(fr, i).w {
+			for ; w != 0; w &= w - 1 {
+				vals[p.of[vs[(wi<<6+bits.TrailingZeros64(w))*n+int(i)]]] = 1
+			}
+		}
+	}
+	fr.someIn[i] = vals
+	return vals
 }
 
 // fillRuns calls fn once per run with the run's point-index range
@@ -423,92 +538,16 @@ func (e *Evaluator) fillRuns(fn func(run system.Run, base, end int)) {
 	})
 }
 
-// procClassesFor returns (building on first use) processor i's view
-// class partition. Classes depend only on the system, never on a
-// nonrigid set, so the table is shared by every K_i/B^S_i evaluation.
-func (e *Evaluator) procClassesFor(i types.ProcID) *procClasses {
-	if pc := e.classes[i]; pc != nil {
-		return pc
-	}
-	np := e.sys.NumPoints()
-	classNum := make([]int32, e.sys.Interner.Size())
-	for j := range classNum {
-		classNum[j] = -1
-	}
-	pc := &procClasses{classOf: make([]int32, np)}
-	for idx := 0; idx < np; idx++ {
-		id := e.sys.ViewAt(e.sys.PointAt(idx), i)
-		c := classNum[id]
-		if c < 0 {
-			c = int32(len(pc.classes))
-			classNum[id] = c
-			pc.classes = append(pc.classes, id)
-		}
-		pc.classOf[idx] = c
-	}
-	e.classes[i] = pc
-	return pc
-}
-
-// classVals asks a view predicate once per class of the partition.
-func (e *Evaluator) classVals(pc *procClasses, pred ViewPred) []uint8 {
-	vals := make([]uint8, len(pc.classes))
-	for c, id := range pc.classes {
-		if pred(e.sys.Interner, id) {
-			vals[c] = 1
-		}
-	}
-	return vals
-}
-
-// expandClasses turns one truth value per view class (0 or 1) into a
-// truth table over points, through the partition's classOf index,
-// building each 64-point word in a register without a branch per
-// point.
-func (e *Evaluator) expandClasses(pc *procClasses, vals []uint8) *Bits {
-	np := e.sys.NumPoints()
-	out := NewBits(np)
-	classOf := pc.classOf
-	e.parallelBits(np, func(lo, hi int) {
-		for base := lo; base < hi; base += 64 {
-			end := base + 64
-			if end > hi {
-				end = hi
-			}
-			var word uint64
-			for k, c := range classOf[base:end] {
-				word |= uint64(vals[c]) << uint(k)
-			}
-			out.w[base>>6] = word
-		}
-	})
-	return out
-}
-
-// evalK computes K_i f (s == nil) or B^s_i f: at each point, the
-// conjunction of f over the points where i has the same view — for B,
-// restricted to points where i ∈ S. Truth of K_i f is constant on each
-// view class, so the falsifying points (f fails and, for B, i ∈ S) are
-// formed with word operations, each one refutes its class, and the
-// per-class verdicts are expanded to points: the work is proportional
-// to the number of falsifying points, not to the size of the system.
+// evalK computes B^s_i over the truth table ft (K_i when s is nil) as
+// a point table: the class table of the falsifying points, expanded.
+// It serves the table-level kernels (E_S, E◇_S and the fixed points
+// over them); formula nodes go through the class tables of local.go.
 func (e *Evaluator) evalK(i types.ProcID, ft *Bits, s NonrigidSet) *Bits {
-	bad := ft.Clone()
-	bad.NotSelf()
+	var mask *Bits
 	if s != nil {
-		bad.AndWith(e.frontierFor(s).masks[i])
+		mask = e.mask(e.frontierFor(s), i)
 	}
-	pc := e.procClassesFor(i)
-	vals := make([]uint8, len(pc.classes))
-	for c := range vals {
-		vals[c] = 1
-	}
-	for wi, w := range bad.w {
-		for ; w != 0; w &= w - 1 {
-			vals[pc.classOf[wi<<6+bits.TrailingZeros64(w)]] = 0
-		}
-	}
-	return e.expandClasses(pc, vals)
+	return e.expandClasses(i, e.refute(i, ft, mask))
 }
 
 // evalE computes E_S f = ∧_{i∈S(pt)} B^S_i f as pure word operations:
@@ -524,27 +563,49 @@ func (e *Evaluator) evalE(s NonrigidSet, ft *Bits) *Bits {
 	tmp := NewBits(np)
 	for i := 0; i < n; i++ {
 		b := e.evalK(types.ProcID(i), ft, s)
-		tmp.CopyFrom(fr.masks[i])
+		tmp.CopyFrom(e.mask(fr, types.ProcID(i)))
 		tmp.AndNotWith(b)
 		out.AndNotWith(tmp)
 	}
 	return out
 }
 
-// unionClasses joins, for every view, the images under pos of the
-// points where the view's owner holds it and is in S (a view nobody in
-// S holds joins nothing). It is sequential at every parallelism: the
-// scan is one visit per point and processor, and sharding it meant
-// buffering every union edge per shard to apply afterwards, which
-// measured slower than this loop. The resulting partition does not
-// depend on union order.
+// unionClasses joins, for every view its owner's membership admits,
+// the images under pos of the view's points where the owner is in S (a
+// view nobody in S holds joins nothing), walking the views through the
+// system's view index and never touching one the set rules out whole —
+// a processor out of a rigid set, or a class outside the views part:
+// for 𝒩∧𝒪, only the views in 𝒪. The first walk over a frontier also
+// fills its occupied table. It is sequential at every parallelism:
+// sharding it meant buffering every union edge per shard to apply
+// afterwards, which measured slower than this loop. The resulting
+// partition does not depend on union order.
 func (e *Evaluator) unionClasses(uf *unionFind, fr *frontier, pos func(idx int32) int32) {
-	for id, nviews := 0, e.sys.Interner.Size(); id < nviews; id++ {
-		mask := fr.masks[e.sys.Interner.Proc(views.ID(id))]
+	fill := fr.occupied == nil
+	if fill {
+		fr.occupied = NewBits(e.sys.NumPoints())
+	}
+	var of []int32
+	for _, mb := range fr.members {
+		if mb.views != nil {
+			of = e.partition().of
+		}
+	}
+	in := e.sys.Interner
+	for id := views.ID(0); int(id) < in.Size(); id++ {
+		mb := &fr.members[in.Proc(id)]
+		// A view past the partition was interned after it (by a
+		// simulation over the system's interner), so no point holds it.
+		if mb.out || mb.views != nil && (int(id) >= len(of) || of[id] < 0 || mb.views[of[id]] == 0) {
+			continue
+		}
 		first := int32(-1)
-		for _, q := range e.sys.PointIdxWithView(views.ID(id)) {
-			if !mask.Get(int(q)) {
+		for _, q := range e.sys.PointIdxWithView(id) {
+			if mb.points != nil && !mb.points.Get(int(q)) {
 				continue
+			}
+			if fill {
+				fr.occupied.Set(int(q), true)
 			}
 			if first < 0 {
 				first = pos(q)
@@ -553,6 +614,20 @@ func (e *Evaluator) unionClasses(uf *unionFind, fr *frontier, pos func(idx int32
 			}
 		}
 	}
+}
+
+// badRoots marks the components (by flattened root) holding an
+// S-occupied point where ft fails; comp maps a point index to the
+// element of roots it belongs to. A point or run S never occupies is
+// never joined to anything, so it is its own root and never marked.
+func (e *Evaluator) badRoots(fr *frontier, ft *Bits, roots []int32, comp func(idx int) int) []bool {
+	bad := make([]bool, len(roots))
+	for wi, w := range fr.occupied.w {
+		for w &^= ft.w[wi]; w != 0; w &= w - 1 {
+			bad[roots[comp(wi<<6+bits.TrailingZeros64(w))]] = true
+		}
+	}
+	return bad
 }
 
 // pointComponents returns (caching on the frontier) the union-find
@@ -579,29 +654,16 @@ func (e *Evaluator) pointComponents(fr *frontier) *unionFind {
 // reachability component (which includes the point itself).
 func (e *Evaluator) evalC(s NonrigidSet, ft *Bits) *Bits {
 	fr := e.frontierFor(s)
-	occupied := fr.occupied
 	e.pointComponents(fr)
 	np := e.sys.NumPoints()
 	// The frontier caches the flattened roots, so the parallel fill
 	// below reads them without mutating the union-find's parent links.
 	roots := fr.pointRoots
-	compAll := make([]bool, np)
-	compSeen := make([]bool, np)
-	for idx := 0; idx < np; idx++ {
-		if !occupied.Get(idx) {
-			continue
-		}
-		root := roots[idx]
-		if !compSeen[root] {
-			compSeen[root] = true
-			compAll[root] = true
-		}
-		compAll[root] = compAll[root] && ft.Get(idx)
-	}
+	bad := e.badRoots(fr, ft, roots, func(idx int) int { return idx })
 	out := NewBits(np)
 	e.parallelBits(np, func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
-			if !occupied.Get(idx) || compAll[roots[idx]] {
+			if !bad[roots[idx]] {
 				out.Set(idx, true)
 			}
 		}
@@ -670,7 +732,7 @@ func (e *Evaluator) evalEDiamond(s NonrigidSet, ft *Bits) *Bits {
 	tmp := NewBits(np)
 	for i := 0; i < n; i++ {
 		future := e.evalSuffix(e.evalK(types.ProcID(i), ft, s), true)
-		tmp.CopyFrom(fr.masks[i])
+		tmp.CopyFrom(e.mask(fr, types.ProcID(i)))
 		tmp.AndNotWith(future)
 		out.AndNotWith(tmp)
 	}
@@ -703,7 +765,8 @@ func (e *Evaluator) evalCDiamond(s NonrigidSet, ft *Bits) *Bits {
 // runComponents returns (caching on the frontier) the union-find over
 // runs whose components are the S-□-reachability classes of Corollary
 // 3.3: runs r, r' are joined iff some processor i is in S at a point
-// of each with the same view at both.
+// of each with the same view at both. It walks only the views the set
+// admits and needs no dense mask.
 func (e *Evaluator) runComponents(fr *frontier) *unionFind {
 	if fr.runComp != nil {
 		return fr.runComp
@@ -727,40 +790,17 @@ func (e *Evaluator) runComponents(fr *frontier) *unionFind {
 func (e *Evaluator) evalCBox(s NonrigidSet, ft *Bits) *Bits {
 	fr := e.frontierFor(s)
 	e.runComponents(fr)
-	h := e.sys.Horizon
-	np := e.sys.NumPoints()
-	nr := e.sys.NumRuns()
-
+	stride := e.sys.Horizon + 1
 	// The frontier caches the flattened roots, so the parallel fill
 	// below reads them without mutating the union-find's parent links.
 	roots := fr.runRoots
-	// occupied[r]: whether run r has any S-occupied point.
-	// compAll[root]: f holds at every S-occupied point of the
-	// component's runs.
-	occupied := make([]bool, nr)
-	compAll := make([]bool, nr)
-	compSeen := make([]bool, nr)
-	for r := 0; r < nr; r++ {
-		base := r * (h + 1)
-		for m := 0; m <= h; m++ {
-			if fr.occupied.Get(base + m) {
-				occupied[r] = true
-				root := roots[r]
-				if !compSeen[root] {
-					compSeen[root] = true
-					compAll[root] = true
-				}
-				compAll[root] = compAll[root] && ft.Get(base+m)
-			}
-		}
-	}
-	out := NewBits(np)
-	e.parallelRuns(nr, func(rlo, rhi int) {
+	bad := e.badRoots(fr, ft, roots, func(idx int) int { return idx / stride })
+	out := NewBits(e.sys.NumPoints())
+	e.parallelRuns(e.sys.NumRuns(), func(rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
-			if occupied[r] && !compAll[roots[r]] {
-				continue
+			if !bad[roots[r]] {
+				out.SetRange(r*stride, (r+1)*stride)
 			}
-			out.SetRange(r*(h+1), (r+1)*(h+1))
 		}
 	})
 	return out

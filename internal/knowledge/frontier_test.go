@@ -79,7 +79,8 @@ func TestFrontierNeverSharedAcrossSets(t *testing.T) {
 		t.Errorf("%d cached frontiers for %d distinct sets", got, want)
 	}
 	for s, fr := range shared.frontiers {
-		for i, mask := range fr.masks {
+		for i := 0; i < sys.Params.N; i++ {
+			mask := shared.mask(fr, types.ProcID(i))
 			for idx := 0; idx < sys.NumPoints(); idx++ {
 				want := s.Members(sys, sys.PointAt(idx)).Contains(types.ProcID(i))
 				if mask.Get(idx) != want {

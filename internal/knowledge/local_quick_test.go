@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/eventual-agreement/eba/internal/failures"
+	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/telemetry"
 	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
@@ -30,7 +31,11 @@ func hashPred(seed uint64, eighths uint64) ViewPred {
 // view predicates through every node the evaluator treats at view
 // granularity — ViewAtom, FromViews, Intersect(𝒩, ·) — under B and C□
 // (and E and C, which share their kernels), next to the run-constant
-// atoms.
+// atoms. K_i and B^S_i are also taken over conjunctions that mix a
+// conjunct local to i, one local to another processor j, run facts and
+// C□ — the split of belief over ∧ — and one constant node sits under
+// both i's and j's operators, so a class-table memo that forgot whose
+// classes it holds would hand one processor the other's table.
 func localLawFormulas(rng *rand.Rand, n int) []Formula {
 	proc := func() types.ProcID { return types.ProcID(rng.Intn(n)) }
 	seed := rng.Uint64()
@@ -38,6 +43,12 @@ func localLawFormulas(rng *rand.Rand, n int) []Formula {
 	set := FromViews("R", hashPred(seed+1, 1+uint64(rng.Intn(7))))
 	nfSet := Intersect(Nonfaulty(), set)
 	run := []Formula{Exists0(), Exists1(), IsNonfaulty(proc()), InitialIs(proc(), types.Value(rng.Intn(2)))}[rng.Intn(4)]
+	i := proc()
+	j := (i + 1 + types.ProcID(rng.Intn(n-1))) % types.ProcID(n)
+	atomI := ViewAtom("c", i, hashPred(seed+2, 1+uint64(rng.Intn(7))))
+	atomJ := ViewAtom("d", j, hashPred(seed+3, 1+uint64(rng.Intn(7))))
+	top := Not(False())
+	cbox := CBox(nfSet, Or(atom, run))
 	return []Formula{
 		atom,
 		B(proc(), set, atom),
@@ -48,33 +59,91 @@ func localLawFormulas(rng *rand.Rand, n int) []Formula {
 		CBox(set, Or(atom, run)),
 		CBox(nfSet, Implies(run, atom)),
 		Implies(IsNonfaulty(proc()), Iff(atom, B(proc(), Nonfaulty(), And(run, CBox(nfSet, run))))),
+		K(i, And(atomI, atomJ, run, cbox)),
+		B(i, nfSet, And(top, Not(atomI), atomJ, run)),
+		B(i, Nonfaulty(), And(Or(atomI, run), And(top, cbox), Not(atomJ))),
+		B(j, set, And(top, atomJ, Not(cbox))),
+		Iff(atomI, K(i, And(B(j, Nonfaulty(), Or(atomJ, run)), top, atomI))),
+	}
+}
+
+// checkClassTables holds the class table of every ViewAtom, K_i and
+// B^S_i formula to RefHolds at every point of a few sampled classes:
+// the class value must be the formula's value wherever the class's view
+// is held.
+func checkClassTables(t *testing.T, e *Evaluator, rng *rand.Rand, f Formula) {
+	t.Helper()
+	i, ok := owner(f)
+	if !ok {
+		return
+	}
+	sys := e.System()
+	ids := e.partition().views[i]
+	vals := e.local(i, f)
+	for k := 0; k < 4; k++ {
+		c := rng.Intn(len(ids))
+		for _, q := range sys.PointIdxWithView(ids[c]) {
+			if want := RefHolds(sys, f, sys.PointAt(int(q))); (vals[c] == 1) != want {
+				t.Fatalf("%s: processor %d's class of view %d holds %d, reference %v at %v",
+					f, i, ids[c], vals[c], want, sys.PointAt(int(q)))
+			}
+		}
 	}
 }
 
 // TestLocalNodesMatchReference is the differential law for view-level
 // evaluation: the production evaluator, which asks a view predicate
 // once per view and a run fact once per run, against RefHolds, which
-// asks at every point it visits — in all four failure modes.
+// asks at every point it visits — in all four failure modes, and on an
+// omission system whose adversary may only corrupt processor 0, where
+// processors hold different numbers of views and a class table handed
+// to the wrong processor has the wrong length.
 func TestLocalNodesMatchReference(t *testing.T) {
+	oneFaulty := func(t *testing.T) *system.System {
+		pats, err := failures.EnumOmission(3, 1, 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var only0 []*failures.Pattern
+		for _, p := range pats {
+			if p.Faulty().Minus(types.SetOf(0)).Empty() {
+				only0 = append(only0, p)
+			}
+		}
+		sys, err := system.FromPatterns(types.Params{N: 3, T: 1}, failures.Omission, 2, only0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
 	cases := []struct {
+		name string
 		mode failures.Mode
 		n    int
+		sys  func(t *testing.T) *system.System
 	}{
-		{failures.Crash, 3},
-		{failures.Omission, 3},
-		{failures.ReceivingOmission, 3},
-		{failures.GeneralOmission, 2},
+		{"crash", failures.Crash, 3, nil},
+		{"omission", failures.Omission, 3, nil},
+		{"receiving-omission", failures.ReceivingOmission, 3, nil},
+		{"general-omission", failures.GeneralOmission, 2, nil},
+		{"omission-only-0-faulty", failures.Omission, 3, oneFaulty},
 	}
-	for _, tc := range cases {
-		t.Run(tc.mode.String(), func(t *testing.T) {
-			sys := newModeSys(t, tc.mode, tc.n, 1, 2)
-			rng := rand.New(rand.NewSource(int64(tc.mode) + 20260928))
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var sys *system.System
+			if tc.sys != nil {
+				sys = tc.sys(t)
+			} else {
+				sys = newModeSys(t, tc.mode, tc.n, 1, 2)
+			}
+			rng := rand.New(rand.NewSource(int64(ci+1) + 20260928))
 			// Every point of a small system in the first round, a sample
 			// otherwise: the reference's C□ is a search per point.
 			np := sys.NumPoints()
 			for round := 0; round < 8; round++ {
 				e := NewEvaluator(sys)
 				for _, f := range localLawFormulas(rng, tc.n) {
+					checkClassTables(t, e, rng, f)
 					tbl := e.Eval(f)
 					exhaustive := round == 0 && np <= 512
 					for s := 0; s < np && (exhaustive || s < 12); s++ {
@@ -135,10 +204,12 @@ func TestLocalNodesParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMembershipMatchesMembers: the masks the evaluator derives for a
-// structured set — per run, per view, by intersection — are the set's
-// pointwise Members, and a NonrigidSet it knows nothing about takes
-// the per-point path to the same masks.
+// TestMembershipMatchesMembers: what the evaluator derives from a
+// structured set's factored membership — per run, per view class, by
+// intersection — is the set's pointwise Members: the dense masks, the
+// occupied table the component walk fills, and the per-class "i ∈ S
+// somewhere in the class" table. A NonrigidSet it knows nothing about
+// takes the per-point path to the same answers.
 func TestMembershipMatchesMembers(t *testing.T) {
 	sys := frontierTestSystem(t)
 	vs := FromViews("R", hashPred(7, 3))
@@ -150,17 +221,35 @@ func TestMembershipMatchesMembers(t *testing.T) {
 		opaqueSet{Intersect(Nonfaulty(), vs)},
 	}
 	e := NewEvaluator(sys)
+	n := sys.Params.N
+	p := e.partition()
 	for _, s := range sets {
 		fr := e.frontierFor(s)
+		e.runComponents(fr)
+		somewhere := make([][]bool, n)
+		for i := range somewhere {
+			somewhere[i] = make([]bool, len(p.views[i]))
+		}
 		for idx := 0; idx < sys.NumPoints(); idx++ {
 			want := s.Members(sys, sys.PointAt(idx))
-			for i, mask := range fr.masks {
-				if mask.Get(idx) != want.Contains(types.ProcID(i)) {
-					t.Fatalf("set %s: mask[%d] bit %d = %v, Members says %v", s.Name(), i, idx, mask.Get(idx), want)
+			for i := 0; i < n; i++ {
+				in := want.Contains(types.ProcID(i))
+				if got := e.mask(fr, types.ProcID(i)).Get(idx); got != in {
+					t.Fatalf("set %s: mask[%d] bit %d = %v, Members says %v", s.Name(), i, idx, got, want)
+				}
+				if in {
+					somewhere[i][p.of[sys.ViewAt(sys.PointAt(idx), types.ProcID(i))]] = true
 				}
 			}
 			if fr.occupied.Get(idx) == want.Empty() {
 				t.Fatalf("set %s: occupied bit %d = %v, Members says %v", s.Name(), idx, fr.occupied.Get(idx), want)
+			}
+		}
+		for i := 0; i < n; i++ {
+			for c, v := range e.someIn(fr, types.ProcID(i)) {
+				if (v == 1) != somewhere[i][c] {
+					t.Fatalf("set %s: processor %d class %d: someIn %d, Members says %v", s.Name(), i, c, v, somewhere[i][c])
+				}
 			}
 		}
 	}

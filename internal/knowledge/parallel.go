@@ -95,36 +95,6 @@ func (e *Evaluator) parallelBits(n int, fn func(lo, hi int)) {
 	sp.End(telemetry.L("shards", strconv.Itoa(shards)))
 }
 
-// parallelItems splits [0, n) into plain chunks and runs fn on each
-// concurrently; for writers of per-element (non-bitset) slices, where
-// distinct indices never share a memory word at the language level.
-// minWork gates the fan-out: below it, fn runs inline over the whole
-// range.
-func (e *Evaluator) parallelItems(n, minWork int, fn func(lo, hi int)) {
-	w := e.par
-	if w <= 1 || n < minWork {
-		fn(0, n)
-		return
-	}
-	sp := e.startSpan("knowledge.shards", telemetry.L("kind", "items"))
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	shards := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		mParEvalShards.Inc()
-		shards++
-		go func(lo, hi int) { defer wg.Done(); fn(lo, hi) }(lo, hi)
-	}
-	wg.Wait()
-	e.stats.Shards += shards
-	sp.End(telemetry.L("shards", strconv.Itoa(shards)))
-}
-
 // parallelRuns splits the run range [0, nr) into chunks of whole runs,
 // aligned to 64 runs so that the corresponding bit ranges (a run spans
 // horizon+1 consecutive bits) start and end on word boundaries

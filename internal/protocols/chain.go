@@ -148,16 +148,17 @@ func (p *chain0Proc) Decided() (types.Value, bool) {
 
 // Exists0Star is the basic fact ∃0* of Section 6.2: a 0-chain exists
 // at or before the current time, i.e. some nonfaulty processor has
-// accepted 0.
+// accepted 0. A processor's view at time m remembers its views at every
+// earlier time (Interner.Prev), so "p accepted at some m' ≤ m" is
+// BelievesExistsZeroStar of p's view at m, and only the point's own row
+// is read.
 func Exists0Star() knowledge.Formula {
 	return knowledge.Atom("∃0*", func(sys *system.System, pt system.Point) bool {
 		run := sys.RunOf(pt)
 		nf := run.Nonfaulty()
-		for m := 0; m <= int(pt.Time); m++ {
-			for p, id := range run.Row(m) {
-				if nf.Contains(types.ProcID(p)) && sys.Interner.AcceptsZeroAt(id) {
-					return true
-				}
+		for p, id := range run.Row(int(pt.Time)) {
+			if nf.Contains(types.ProcID(p)) && sys.Interner.BelievesExistsZeroStar(id) {
+				return true
 			}
 		}
 		return false
