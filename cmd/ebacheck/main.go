@@ -40,6 +40,10 @@ func run() error {
 		tel      = telemetry.BindFlags(flag.CommandLine)
 	)
 	flag.Parse()
+	// Instrumentation is paid for only when something reads it.
+	if tel.Metrics == "" && tel.TraceFile == "" && tel.Pprof == "" {
+		telemetry.SetEnabled(false)
+	}
 	if err := tel.Start(); err != nil {
 		return err
 	}

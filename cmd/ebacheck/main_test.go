@@ -1,12 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/eventual-agreement/eba/internal/clitest"
+	"github.com/eventual-agreement/eba/internal/telemetry"
 )
 
 func TestMain(m *testing.M) { clitest.Main(m, main) }
@@ -44,6 +46,38 @@ func TestGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMetricsSnapshot: ebacheck switches instrumentation off unless a
+// flag reads it, so with -metrics the snapshot must still carry the
+// build and evaluator counters, and the verdict must be the golden with
+// and without the flag.
+func TestMetricsSnapshot(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "omission-n3-t1-h3.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-n", "3", "-t", "1", "-mode", "omission", "-h", "3", "-parallel", "1"}
+	metrics := filepath.Join(t.TempDir(), "metrics.json")
+	for _, extra := range [][]string{nil, {"-metrics", metrics}} {
+		stdout, stderr, code := ebacheck(t, append(args, extra...)...)
+		if code != 0 || stderr != "" || stdout != string(want) {
+			t.Fatalf("%v: exit %d, stderr %q, stdout differs from the golden:\n%s", extra, code, stderr, stdout)
+		}
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"eba_system_runs_enumerated_total", "eba_knowledge_frontier_builds_total"} {
+		if snap.CounterSum(name) == 0 {
+			t.Errorf("%s is zero in the -metrics snapshot", name)
+		}
 	}
 }
 

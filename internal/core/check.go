@@ -8,165 +8,129 @@ import (
 	"github.com/eventual-agreement/eba/internal/knowledge"
 	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/types"
+	"github.com/eventual-agreement/eba/internal/views"
 )
 
-// DecisionTable is one pair's decisions over one system: for every
-// run and processor, the first time up to the horizon at which the
-// processor has decided, and the value. Every property checker and
-// the dominance order read it, so a caller that asks several
-// questions about one pair (ebacheck asks seven) builds the table
-// once with Decisions and calls the methods; the free functions of
-// the same names build a table per call.
+// DecisionTable is one pair's decisions over one system. A decision
+// pair is a pair of sets of local states (Proposition 2.2), so a
+// processor's first decision is a fact about its view: the table keeps,
+// per view, the first decision along that view's own history (the view,
+// its Prev, and so on back to time 0), and a run's decision for p is
+// the entry of p's view at the horizon. Every property checker and the
+// dominance order read it, so a caller that asks several questions
+// about one pair (ebacheck asks seven) builds the table once with
+// Decisions and calls the methods; the free functions of the same names
+// build a table per call.
+//
+// Decision, the worst case, the histogram and dominance are counts over
+// (run, nonfaulty processor) pairs that depend only on the processor's
+// final view, so they loop over views, each weighted by
+// System.NonfaultyHolders. Agreement relates two processors of one run,
+// validity a decision to the run's configuration, and the remaining
+// checks read the run's pattern: those sweep runs, reading only the
+// horizon row and taking 𝒩 once per pattern. A failing per-view check
+// finds its witness with a run-order sweep, so every error names the
+// first run and processor a sweep over runs would name.
 //
 // The table fills itself as it is read — the pair's rules are asked at
-// most once per view, each run is walked at most once — so a question
-// settled by the first few runs (a dominance that fails early) costs
-// those runs only. Reading therefore writes: a table is not safe for
-// concurrent use.
+// most once per view and never past a decision — so a question settled
+// by the first few views (a dominance that fails early) costs those
+// views and their histories only. Reading therefore writes: a table is
+// not safe for concurrent use.
 type DecisionTable struct {
 	sys  *system.System
 	pair fip.Pair
-	// byView[id] is the pair's decision at view id (a types.Value), or
-	// unasked.
-	byView []int8
-	// first[run*n+proc] is time<<1|value of the first decision, or
-	// undecided at the horizon; a run not walked yet has unwalked in its
-	// first slot.
+	// first[id] is unasked, undecided along the history, or
+	// decided(time, value) of the history's first decision.
 	first []int16
 }
 
 const (
-	unasked   int8  = -2 // no types.Value
-	undecided int16 = -1
-	unwalked  int16 = -2
+	unasked   int16 = 0
+	undecided int16 = 1
 )
+
+// decided encodes a first decision at time at with value v.
+func decided(at types.Round, v types.Value) int16 { return 2 + (int16(at)<<1 | int16(v)) }
+
+// decoded unpacks one entry of the table.
+func decoded(d int16) (types.Value, types.Round, bool) {
+	if d == undecided {
+		return types.Unset, -1, false
+	}
+	d -= 2
+	return types.Value(d & 1), types.Round(d >> 1), true
+}
 
 // Decisions returns the pair's decision table over the system.
 func Decisions(sys *system.System, p fip.Pair) *DecisionTable {
-	t := &DecisionTable{
-		sys:    sys,
-		pair:   p,
-		byView: make([]int8, sys.Interner.Size()),
-		first:  make([]int16, sys.NumRuns()*sys.Params.N),
-	}
-	for id := range t.byView {
-		t.byView[id] = unasked
-	}
-	for r := 0; r < len(t.first); r += sys.Params.N {
-		t.first[r] = unwalked
-	}
-	return t
+	return &DecisionTable{sys: sys, pair: p, first: make([]int16, sys.Interner.Size())}
 }
 
-// row returns the first decisions of the run's processors, walking
-// the run on first use.
-func (t *DecisionTable) row(run int) []int16 {
-	n := t.sys.Params.N
-	row := t.first[run*n : (run+1)*n]
-	if row[0] != unwalked {
-		return row
+// of returns the first decision along view id's history.
+func (t *DecisionTable) of(id views.ID) int16 {
+	if d := t.first[id]; d != unasked {
+		return d
 	}
-	for proc := range row {
-		row[proc] = undecided
+	return t.fill(id)
+}
+
+// fill computes an unasked entry, asking the pair at id only when no
+// earlier view of the history decided.
+func (t *DecisionTable) fill(id views.ID) int16 {
+	in := t.sys.Interner
+	d := undecided
+	if prev := in.Prev(id); prev != views.NoView {
+		d = t.of(prev)
 	}
-	pending := n
-	for m := 0; m <= t.sys.Horizon && pending > 0; m++ {
-		for proc, id := range t.sys.Run(run).Row(m) {
-			if row[proc] != undecided {
-				continue
-			}
-			v := t.byView[id]
-			if v == unasked {
-				d, _ := t.pair.Decide(t.sys.Interner, id)
-				v = int8(d)
-				t.byView[id] = v
-			}
-			if types.Value(v) != types.Unset {
-				row[proc] = int16(m)<<1 | int16(v)
-				pending--
-			}
+	if d == undecided {
+		if v, ok := t.pair.Decide(in, id); ok {
+			d = decided(in.Time(id), v)
 		}
 	}
-	return row
+	t.first[id] = d
+	return d
 }
 
 // At returns processor proc's first decision in run number run, as
 // fip.DecisionAt does.
 func (t *DecisionTable) At(run int, proc types.ProcID) (types.Value, types.Round, bool) {
-	return decoded(t.row(run)[proc])
+	return decoded(t.of(t.sys.Run(run).View(t.sys.Horizon, proc)))
 }
 
-// decoded unpacks one entry of a walked row.
-func decoded(d int16) (types.Value, types.Round, bool) {
-	if d == undecided {
-		return types.Unset, -1, false
-	}
-	return types.Value(d & 1), types.Round(d >> 1), true
-}
-
-// forNonfaulty calls fn with the first decision of every nonfaulty
-// processor of every run, in run then processor order, until fn
-// returns false. Each run's 𝒩 and row are read once.
-func (t *DecisionTable) forNonfaulty(fn func(run system.Run, proc types.ProcID, v types.Value, at types.Round, ok bool) bool) {
-	for ri := 0; ri < t.sys.NumRuns(); ri++ {
-		run := t.sys.Run(ri)
-		nf := run.Nonfaulty()
-		for i, d := range t.row(ri) {
-			proc := types.ProcID(i)
-			if !nf.Contains(proc) {
-				continue
-			}
-			if v, at, ok := decoded(d); !fn(run, proc, v, at, ok) {
-				return
-			}
+// forViews calls fn with every view some nonfaulty processor holds at
+// the horizon, its weight (System.NonfaultyHolders) and its entry, in
+// view order, until fn returns false.
+func (t *DecisionTable) forViews(fn func(id views.ID, weight int32, d int16) bool) {
+	for id, w := range t.sys.NonfaultyHolders() {
+		if w != 0 && !fn(views.ID(id), w, t.of(views.ID(id))) {
+			return
 		}
 	}
 }
 
-// agreement checks that no two of the processors keep admits decide
-// differently in one run; kind names the property in the error, and
-// keep is given the run's 𝒩, read once per run.
-func (t *DecisionTable) agreement(kind string, keep func(run system.Run, nf types.ProcSet, proc types.ProcID, at types.Round) bool) error {
-	for ri := 0; ri < t.sys.NumRuns(); ri++ {
-		run := t.sys.Run(ri)
-		nf := run.Nonfaulty()
-		var saw [2]bool
-		var who [2]types.ProcID
-		for i, d := range t.row(ri) {
-			proc := types.ProcID(i)
-			if v, at, ok := decoded(d); ok && keep(run, nf, proc, at) {
-				saw[v] = true
-				who[v] = proc
-			}
+// forRuns calls fn with every run, its 𝒩 and its horizon row, in run
+// order, until fn returns false. Runs are pattern-major, so 𝒩 is read
+// once per pattern.
+func (t *DecisionTable) forRuns(fn func(run system.Run, nf types.ProcSet, row []views.ID) bool) {
+	sys, tbl := t.sys, t.sys.Table()
+	pat, nf := int32(-1), types.ProcSet(0)
+	for r, pi := range tbl.PatternOf {
+		if pi != pat {
+			pat, nf = pi, tbl.Patterns[pi].Nonfaulty()
 		}
-		if saw[0] && saw[1] {
-			return fmt.Errorf("core: %s violates %s agreement in run %d (cfg %s, %s): %d decides 0, %d decides 1",
-				t.pair.Name, kind, run.Index, run.Config(), run.Pattern(), who[0], who[1])
+		if run := sys.Run(r); !fn(run, nf, run.Row(sys.Horizon)) {
+			return
 		}
 	}
-	return nil
 }
 
-// CheckWeakAgreement verifies condition 2′ of Section 2.1 on every
-// run: nonfaulty processors do not decide on different values.
-func (t *DecisionTable) CheckWeakAgreement() error {
-	return t.agreement("weak", func(_ system.Run, nf types.ProcSet, proc types.ProcID, _ types.Round) bool {
-		return nf.Contains(proc)
-	})
-}
-
-// CheckUniformAgreement verifies the stronger, uniform variant of
-// agreement discussed in Section 7 (cf. Neiger/Bazzi): no two
-// processors — faulty or not — decide on different values. The
-// paper's protocols are not designed for it; the E16 experiment shows
-// where it breaks.
-func (t *DecisionTable) CheckUniformAgreement() error {
-	return t.agreement("uniform", func(run system.Run, _ types.ProcSet, proc types.ProcID, at types.Round) bool {
-		// In the crash mode a processor is only guaranteed alive
-		// strictly before its crash round; later states are virtual
-		// and their decisions do not count.
-		if t.sys.Mode == failures.Crash {
-			if crash, crashed := run.Pattern().FirstOmission(proc); crashed && at >= crash {
+// forNonfaulty calls fn with the entry of every nonfaulty processor of
+// every run, in run then processor order, until fn returns false.
+func (t *DecisionTable) forNonfaulty(fn func(run system.Run, proc types.ProcID, d int16) bool) {
+	t.forRuns(func(run system.Run, nf types.ProcSet, row []views.ID) bool {
+		for p, id := range row {
+			if proc := types.ProcID(p); nf.Contains(proc) && !fn(run, proc, t.of(id)) {
 				return false
 			}
 		}
@@ -174,25 +138,89 @@ func (t *DecisionTable) CheckUniformAgreement() error {
 	})
 }
 
-// CheckWeakValidity verifies condition 3′: when all initial values
-// are identical, nonfaulty processors that decide, decide that value
-// — with two values, a decided value is some processor's initial one.
-func (t *DecisionTable) CheckWeakValidity() (err error) {
-	t.forNonfaulty(func(run system.Run, proc types.ProcID, got types.Value, at types.Round, ok bool) bool {
-		if ok && !run.HasValue(got) {
-			err = fmt.Errorf("core: %s violates weak validity in run %d (cfg %s, %s): %d decides %s at %d",
-				t.pair.Name, run.Index, run.Config(), run.Pattern(), proc, got, at)
+// agreement checks that no two processors that count decide
+// differently in one run; kind names the property in the error. Weak
+// agreement counts the nonfaulty processors, uniform agreement every
+// processor alive when it decides.
+func (t *DecisionTable) agreement(kind string, uniform bool) (err error) {
+	// In the crash mode a processor is only guaranteed alive strictly
+	// before its crash round; later states are virtual and their
+	// decisions do not count.
+	crashes := uniform && t.sys.Mode == failures.Crash
+	t.forRuns(func(run system.Run, nf types.ProcSet, row []views.ID) bool {
+		var saw [2]bool
+		var who [2]types.ProcID
+		for p, id := range row {
+			proc := types.ProcID(p)
+			v, at, ok := decoded(t.of(id))
+			if !ok || !uniform && !nf.Contains(proc) {
+				continue
+			}
+			if crashes {
+				if crash, crashed := run.Pattern().FirstOmission(proc); crashed && at >= crash {
+					continue
+				}
+			}
+			saw[v], who[v] = true, proc
+		}
+		if saw[0] && saw[1] {
+			err = fmt.Errorf("core: %s violates %s agreement in run %d (cfg %s, %s): %d decides 0, %d decides 1",
+				t.pair.Name, kind, run.Index, run.Config(), run.Pattern(), who[0], who[1])
 		}
 		return err == nil
 	})
 	return err
 }
 
+// CheckWeakAgreement verifies condition 2′ of Section 2.1 on every
+// run: nonfaulty processors do not decide on different values.
+func (t *DecisionTable) CheckWeakAgreement() error { return t.agreement("weak", false) }
+
+// CheckUniformAgreement verifies the stronger, uniform variant of
+// agreement discussed in Section 7 (cf. Neiger/Bazzi): no two
+// processors — faulty or not — decide on different values. The
+// paper's protocols are not designed for it; the E16 experiment shows
+// where it breaks.
+func (t *DecisionTable) CheckUniformAgreement() error { return t.agreement("uniform", true) }
+
+// CheckWeakValidity verifies condition 3′: when all initial values
+// are identical, nonfaulty processors that decide, decide that value
+// — with two values, a decided value is some processor's initial one.
+// Only the all-0 and all-1 configurations lack a value, so only their
+// runs are visited.
+func (t *DecisionTable) CheckWeakValidity() error {
+	sys, tbl := t.sys, t.sys.Table()
+	all := uint64(types.FullSet(sys.Params.N))
+	for r, cfg := range tbl.ConfigOf {
+		if cfg != 0 && cfg != all {
+			continue
+		}
+		run := sys.Run(r)
+		nf := run.Nonfaulty()
+		for p, id := range run.Row(sys.Horizon) {
+			proc := types.ProcID(p)
+			if got, at, ok := decoded(t.of(id)); ok && nf.Contains(proc) && !run.HasValue(got) {
+				return fmt.Errorf("core: %s violates weak validity in run %d (cfg %s, %s): %d decides %s at %d",
+					t.pair.Name, run.Index, run.Config(), run.Pattern(), proc, got, at)
+			}
+		}
+	}
+	return nil
+}
+
 // CheckDecision verifies the decision condition of EBA within the
 // enumerated horizon: every nonfaulty processor decides by time H.
 func (t *DecisionTable) CheckDecision() (err error) {
-	t.forNonfaulty(func(run system.Run, proc types.ProcID, _ types.Value, _ types.Round, ok bool) bool {
-		if !ok {
+	all := true
+	t.forViews(func(_ views.ID, _ int32, d int16) bool {
+		all = d != undecided
+		return all
+	})
+	if all {
+		return nil
+	}
+	t.forNonfaulty(func(run system.Run, proc types.ProcID, d int16) bool {
+		if d == undecided {
 			err = fmt.Errorf("core: %s: nonfaulty processor %d never decides in run %d (cfg %s, %s)",
 				t.pair.Name, proc, run.Index, run.Config(), run.Pattern())
 		}
@@ -218,15 +246,17 @@ func (t *DecisionTable) CheckEBA() error {
 // common system: every nonfaulty processor that decides in a run of b
 // decides at least as soon in the corresponding run of a (Section
 // 2.3). Corresponding runs share an index because both pairs run over
-// the same system.
+// the same system, so a processor holds the same final view in both,
+// and the comparison is one per view.
 func (a *DecisionTable) Dominates(b *DecisionTable) bool {
 	if a.sys != b.sys {
 		panic(fmt.Sprintf("core: decision tables of %s and %s are over different systems", a.pair.Name, b.pair.Name))
 	}
 	dominates := true
-	b.forNonfaulty(func(run system.Run, proc types.ProcID, _ types.Value, bAt types.Round, bOK bool) bool {
-		if _, aAt, aOK := a.At(run.Index, proc); bOK && (!aOK || aAt > bAt) {
-			dominates = false
+	b.forViews(func(id views.ID, _ int32, bd int16) bool {
+		if _, bAt, bOK := decoded(bd); bOK {
+			_, aAt, aOK := decoded(a.of(id))
+			dominates = aOK && aAt <= bAt
 		}
 		return dominates
 	})
@@ -241,9 +271,10 @@ func (a *DecisionTable) StrictlyDominates(b *DecisionTable) bool {
 		return false
 	}
 	sooner := false
-	a.forNonfaulty(func(run system.Run, proc types.ProcID, _ types.Value, aAt types.Round, aOK bool) bool {
-		if _, bAt, bOK := b.At(run.Index, proc); aOK && (!bOK || aAt < bAt) {
-			sooner = true
+	a.forViews(func(id views.ID, _ int32, ad int16) bool {
+		if _, aAt, aOK := decoded(ad); aOK {
+			_, bAt, bOK := decoded(b.of(id))
+			sooner = !bOK || aAt < bAt
 		}
 		return !sooner
 	})
@@ -255,8 +286,8 @@ func (a *DecisionTable) StrictlyDominates(b *DecisionTable) bool {
 // processor decided.
 func (t *DecisionTable) MaxNonfaultyDecisionRound() (max types.Round, all bool) {
 	all = true
-	t.forNonfaulty(func(_ system.Run, _ types.ProcID, _ types.Value, at types.Round, ok bool) bool {
-		if !ok {
+	t.forViews(func(_ views.ID, _ int32, d int16) bool {
+		if _, at, ok := decoded(d); !ok {
 			all = false
 		} else if at > max {
 			max = at
@@ -270,8 +301,9 @@ func (t *DecisionTable) MaxNonfaultyDecisionRound() (max types.Round, all bool) 
 // Undecided nonfaulty processors are counted under the key -1.
 func (t *DecisionTable) DecisionHistogram() map[types.Round]int {
 	h := make(map[types.Round]int)
-	t.forNonfaulty(func(_ system.Run, _ types.ProcID, _ types.Value, at types.Round, _ bool) bool {
-		h[at]++ // At reports an undecided processor at time -1
+	t.forViews(func(_ views.ID, weight int32, d int16) bool {
+		_, at, _ := decoded(d) // an undecided view decodes at time -1
+		h[at] += int(weight)
 		return true
 	})
 	return h
@@ -283,7 +315,8 @@ func (t *DecisionTable) DecisionHistogram() map[types.Round]int {
 // quantity bounded by f+1 in Proposition 6.4.
 func (t *DecisionTable) FMaxDecisionBound() map[int]types.Round {
 	out := make(map[int]types.Round)
-	t.forNonfaulty(func(run system.Run, _ types.ProcID, _ types.Value, at types.Round, ok bool) bool {
+	t.forNonfaulty(func(run system.Run, _ types.ProcID, d int16) bool {
+		_, at, ok := decoded(d)
 		if !ok {
 			at = types.Round(t.sys.Horizon + 1) // sentinel: undecided
 		}

@@ -87,8 +87,8 @@ func TwoStepSpec(e *knowledge.Evaluator, spec Spec, p fip.Pair) fip.Pair {
 func CheckEnabling(e *knowledge.Evaluator, spec Spec, p fip.Pair) (err error) {
 	sys := e.System()
 	phi := [2]*knowledge.Bits{e.Eval(spec.Phi0), e.Eval(spec.Phi1)}
-	Decisions(sys, p).forNonfaulty(func(run system.Run, proc types.ProcID, v types.Value, at types.Round, ok bool) bool {
-		if ok && !phi[v].Get(sys.PointIndex(system.Point{Run: run.Index, Time: 0})) {
+	Decisions(sys, p).forNonfaulty(func(run system.Run, proc types.ProcID, d int16) bool {
+		if v, at, ok := decoded(d); ok && !phi[v].Get(sys.PointIndex(system.Point{Run: run.Index, Time: 0})) {
 			err = fmt.Errorf("core: %s violates enabling for spec %s: processor %d decides %s at %d in run %d (cfg %s, %s)",
 				p.Name, spec.Name, proc, v, at, run.Index, run.Config(), run.Pattern())
 		}

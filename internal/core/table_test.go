@@ -6,121 +6,9 @@ import (
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/fip"
 	"github.com/eventual-agreement/eba/internal/knowledge"
-	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
 )
-
-// tablePairs is every kind of pair the verdict path tabulates: rule-
-// backed (P0, P1, P0opt, the Chain0 view rules), table-backed from
-// knowledge formulas (the semantic chain pair), and the two-step
-// optimum built from the pair that never decides.
-func tablePairs(e *knowledge.Evaluator) []fip.Pair {
-	if e.System().Mode == failures.Crash {
-		return []fip.Pair{p0Pair(1), p1Pair(1), p0optPairLocal(), TwoStep(e, flam()), flam()}
-	}
-	chain0 := fip.Pair{
-		Name: "Chain0",
-		Z: fip.FromPred("Chain0.Z", func(in *views.Interner, id views.ID) bool {
-			return in.BelievesExistsZeroStar(id)
-		}),
-		O: fip.FromPred("Chain0.O", func(in *views.Interner, id views.ID) bool {
-			return !in.BelievesExistsZeroStar(id) && in.Time(id) >= 2
-		}),
-	}
-	return []fip.Pair{chain0, chainPair(e), TwoStep(e, flam())}
-}
-
-// TestDecisionTableMatchesDecisionAt: the table is fip.DecisionAt for
-// every run and every processor, faulty ones included, and the
-// dominance order and worst case read off it are the ones the
-// definitions give when DecisionAt is asked pair by pair.
-func TestDecisionTableMatchesDecisionAt(t *testing.T) {
-	for _, sys := range []*system.System{
-		enum(t, 3, 1, failures.Crash, 3),
-		enum(t, 3, 1, failures.Omission, 3),
-	} {
-		e := knowledge.NewEvaluator(sys)
-		pairs := tablePairs(e)
-		tables := make([]*DecisionTable, len(pairs))
-		for pi, p := range pairs {
-			tables[pi] = Decisions(sys, p)
-			var max types.Round
-			all := true
-			for ri := 0; ri < sys.NumRuns(); ri++ {
-				run := sys.Run(ri)
-				for i := 0; i < sys.Params.N; i++ {
-					proc := types.ProcID(i)
-					wv, wat, wok := fip.DecisionAt(sys, p, run, proc)
-					gv, gat, gok := tables[pi].At(run.Index, proc)
-					if gv != wv || gat != wat || gok != wok {
-						t.Fatalf("%s %s run %d proc %d: table (%s, %d, %v), DecisionAt (%s, %d, %v)",
-							sys.Mode, p.Name, run.Index, proc, gv, gat, gok, wv, wat, wok)
-					}
-					if run.Nonfaulty().Contains(proc) {
-						all = all && wok
-						if wok && wat > max {
-							max = wat
-						}
-					}
-				}
-			}
-			if gmax, gall := tables[pi].MaxNonfaultyDecisionRound(); gmax != max || gall != all {
-				t.Errorf("%s %s: worst case (%d, %v), want (%d, %v)", sys.Mode, p.Name, gmax, gall, max, all)
-			}
-		}
-		for ai, a := range pairs {
-			for bi, b := range pairs {
-				dom, sooner := true, false
-				for ri := 0; ri < sys.NumRuns(); ri++ {
-					run := sys.Run(ri)
-					for _, proc := range run.Nonfaulty().Members() {
-						_, aAt, aOK := fip.DecisionAt(sys, a, run, proc)
-						_, bAt, bOK := fip.DecisionAt(sys, b, run, proc)
-						if bOK && (!aOK || aAt > bAt) {
-							dom = false
-						}
-						if aOK && (!bOK || aAt < bAt) {
-							sooner = true
-						}
-					}
-				}
-				if got := tables[ai].Dominates(tables[bi]); got != dom {
-					t.Errorf("%s: %s dominates %s = %v, want %v", sys.Mode, a.Name, b.Name, got, dom)
-				}
-				if got := tables[ai].StrictlyDominates(tables[bi]); got != (dom && sooner) {
-					t.Errorf("%s: %s strictly dominates %s = %v, want %v", sys.Mode, a.Name, b.Name, got, dom && sooner)
-				}
-				if Dominates(sys, a, b) != dom || StrictlyDominates(sys, a, b) != (dom && sooner) {
-					t.Errorf("%s: free Dominates/StrictlyDominates(%s, %s) disagree with the tables", sys.Mode, a.Name, b.Name)
-				}
-			}
-		}
-	}
-}
-
-// TestDecisionTableFillsOnDemand: a question the first runs settle
-// walks those runs only, so the free Dominates — two fresh tables per
-// call — costs what its answer needs, not two sweeps of the system.
-func TestDecisionTableFillsOnDemand(t *testing.T) {
-	sys := enum(t, 3, 1, failures.Crash, 3)
-	a, b := Decisions(sys, p1Pair(1)), Decisions(sys, p0Pair(1))
-	if a.Dominates(b) {
-		t.Fatal("P1 dominates P0")
-	}
-	walked := 0
-	for r := 0; r < sys.NumRuns(); r++ {
-		if a.first[r*sys.Params.N] != unwalked {
-			walked++
-		}
-	}
-	if walked == 0 || walked > sys.NumRuns()/2 {
-		t.Errorf("a dominance refuted early walked %d of %d runs", walked, sys.NumRuns())
-	}
-	if err := a.CheckEBA(); err != nil {
-		t.Errorf("reading the rest of a partly filled table: %v", err)
-	}
-}
 
 // TestDecisionTablesOfDifferentSystems: comparing tables built over
 // two systems is a bug in the caller, not an answer.

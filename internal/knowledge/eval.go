@@ -1,7 +1,9 @@
 package knowledge
 
 import (
+	"bytes"
 	"context"
+	"hash/fnv"
 	"math/bits"
 	"strconv"
 
@@ -18,8 +20,9 @@ import (
 var (
 	mEvalCacheHits   = telemetry.Default().Counter("eba_knowledge_eval_cache_hits_total")
 	mEvalCacheMisses = telemetry.Default().Counter("eba_knowledge_eval_cache_misses_total")
-	// mFrontierBuilds counts frontiers built (one per NonrigidSet value
-	// an evaluator meets), to set against the distinct set contents.
+	// mFrontierBuilds counts frontiers built: one per distinct factored
+	// membership an evaluator meets, and one per set with a points part
+	// of its own.
 	mFrontierBuilds = telemetry.Default().Counter("eba_knowledge_frontier_builds_total")
 	mReachPointSize = telemetry.Default().Histogram("eba_knowledge_reachable_set_size",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096, 16384}, telemetry.L("space", "points"))
@@ -132,12 +135,16 @@ type Evaluator struct {
 	traceCtx context.Context
 	spanCtx  context.Context
 
-	// frontiers caches, per nonrigid set, every S-derived structure
-	// (factored membership, dense masks, point and run components).
-	// Keyed by NonrigidSet identity — two sets that happen to denote the
-	// same membership still get separate frontiers, so a cached frontier
-	// can never leak across sets.
+	// frontiers maps every nonrigid set the evaluator has met to the
+	// frontier holding its S-derived structures (factored membership,
+	// dense masks, point and run components). Sets whose factored
+	// memberships are equal share one frontier, so C□, C and the masks
+	// over an equal set cost nothing after the first: byContent buckets
+	// the frontiers by membersDigest, and a set joins one only when every
+	// part is equal (see sameMembers). A set with a points part other
+	// than 𝒩's — one implemented outside this package — never shares.
 	frontiers map[NonrigidSet]*frontier
+	byContent map[uint64][]*frontier
 	// part caches the view-class partition of the point space
 	// (independent of any nonrigid set), so no class table rebuilds the
 	// class map across formulas or sets.
@@ -177,8 +184,10 @@ type frontier struct {
 // views part (asked once per class), a rigid set marks the processors
 // it lacks out, 𝒩 is a points part written a run at a time (once per
 // evaluator), a NonrigidSet implemented outside this package a points
-// part asked point by point, and Intersect ANDs the parts. Parts may be
-// shared between sets and are never modified.
+// part asked point by point, and Intersect ANDs the parts; a views
+// part under 𝒩's points part is then cut to the classes held while
+// nonfaulty (canonical). Parts may be shared between sets and are never
+// modified.
 type member struct {
 	out    bool
 	views  []uint8
@@ -193,6 +202,7 @@ func NewEvaluator(sys *system.System) *Evaluator {
 		memo:      make(map[Formula]*Bits),
 		locals:    make(map[localKey][]uint8),
 		frontiers: make(map[NonrigidSet]*frontier),
+		byContent: make(map[uint64][]*frontier),
 	}
 	e.SetParallelism(0)
 	return e
@@ -367,21 +377,81 @@ func (e *Evaluator) Eval(f Formula) *Bits {
 	return tbl
 }
 
-// frontierFor returns (building on first use) the cached frontier for
-// the set. Building it factors the set's membership and nothing else;
-// dense masks, someIn tables and reachability components hang off the
-// frontier lazily. The cache key is the NonrigidSet itself, so
-// distinct sets — even ones denoting the same membership — never share
-// a frontier.
+// frontierFor returns the set's frontier: the one the set was given
+// before, else the frontier of an earlier set with equal factored
+// membership, else a new one (counted by mFrontierBuilds). Building it
+// factors the set's membership and nothing else; dense masks, someIn
+// tables and reachability components hang off the frontier lazily.
 func (e *Evaluator) frontierFor(s NonrigidSet) *frontier {
 	if fr, ok := e.frontiers[s]; ok {
 		return fr
 	}
+	ms := e.factor(s)
+	e.canonical(ms)
+	key := membersDigest(ms)
+	for _, fr := range e.byContent[key] {
+		if sameMembers(fr.members, ms) {
+			e.frontiers[s] = fr
+			return fr
+		}
+	}
 	mFrontierBuilds.Inc()
 	n := e.sys.Params.N
-	fr := &frontier{members: e.factor(s), masks: make([]*Bits, n), someIn: make([][]uint8, n)}
+	fr := &frontier{members: ms, masks: make([]*Bits, n), someIn: make([][]uint8, n)}
 	e.frontiers[s] = fr
+	e.byContent[key] = append(e.byContent[key], fr)
 	return fr
+}
+
+// canonical cuts, wherever a processor's points part is 𝒩's, its views
+// part to the classes whose view it holds somewhere while nonfaulty: a
+// class outside them admits no point either way, so two sets that
+// differ only there (𝒩∧P0.Z and 𝒩∧FΛ¹.Z in the crash mode) compare
+// equal. No processor's membership changes.
+func (e *Evaluator) canonical(ms []member) {
+	nf, ok := e.frontiers[theNonfaulty]
+	if !ok {
+		return
+	}
+	for i := range ms {
+		if mb := &ms[i]; mb.views != nil && mb.points == nf.members[i].points {
+			mb.views = andViews(mb.views, e.someIn(nf, types.ProcID(i)))
+		}
+	}
+}
+
+// membersDigest picks the bucket of a factored membership. It only
+// narrows the search: sameMembers decides equality.
+var membersDigest = func(ms []member) uint64 {
+	h := fnv.New64a()
+	for _, mb := range ms {
+		h.Write([]byte{b2u(mb.out), b2u(mb.views != nil), b2u(mb.points != nil)})
+		h.Write(mb.views)
+	}
+	return h.Sum64()
+}
+
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// sameMembers reports whether two memberships are equal part by part:
+// the out flags, the views parts byte by byte (nil only equal to nil),
+// and the points parts by identity. Only 𝒩's points part is ever held
+// by two sets — every intersection with 𝒩 takes it from 𝒩's own
+// frontier — so a set with any other points part (one implemented
+// outside this package) matches no other set.
+func sameMembers(a, b []member) bool {
+	for i := range a {
+		if a[i].out != b[i].out || a[i].points != b[i].points ||
+			(a[i].views == nil) != (b[i].views == nil) || !bytes.Equal(a[i].views, b[i].views) {
+			return false
+		}
+	}
+	return true
 }
 
 // factor returns the set's membership per processor, each part at the
@@ -504,12 +574,17 @@ func (e *Evaluator) mask(fr *frontier, i types.ProcID) *Bits {
 
 // someIn returns (building on first use) the class table of "i ∈ S at
 // some point of the class" for the frontier's set: ¬someIn is B^S_i ⊥,
-// and B^S_i L = L ∨ ¬someIn for every L local to i. A membership with
-// only a views part is that part; otherwise each member point of i's
-// mask marks its class.
+// and B^S_i L = L ∨ ¬someIn for every L local to i. 𝒩's is read off
+// the views nonfaulty processors hold (nonfaultyClasses); a membership
+// with only a views part is that part; otherwise each member point of
+// i's mask marks its class.
 func (e *Evaluator) someIn(fr *frontier, i types.ProcID) []uint8 {
 	if vals := fr.someIn[i]; vals != nil {
 		return vals
+	}
+	if fr == e.frontiers[theNonfaulty] {
+		e.nonfaultyClasses(fr)
+		return fr.someIn[i]
 	}
 	mb := &fr.members[i]
 	vals := mb.views
@@ -524,6 +599,28 @@ func (e *Evaluator) someIn(fr *frontier, i types.ProcID) []uint8 {
 	}
 	fr.someIn[i] = vals
 	return vals
+}
+
+// nonfaultyClasses fills 𝒩's someIn tables — "i is nonfaulty at some
+// point of the class" — for every processor at once, from the views
+// nonfaulty processors hold at the horizon (System.NonfaultyHolders) and
+// their histories: a run's rows are each processor's own history, so a
+// nonfaulty processor's earlier views are its final view's Prev chain.
+// A chain stops at the first class already marked, whose history is.
+func (e *Evaluator) nonfaultyClasses(fr *frontier) {
+	p, in := e.partition(), e.sys.Interner
+	for i := range fr.someIn {
+		fr.someIn[i] = classFill(len(p.views[i]), false)
+	}
+	for id, w := range e.sys.NonfaultyHolders() {
+		if w == 0 {
+			continue
+		}
+		vals := fr.someIn[in.Proc(views.ID(id))]
+		for v := views.ID(id); v != views.NoView && vals[p.of[v]] == 0; v = in.Prev(v) {
+			vals[p.of[v]] = 1
+		}
+	}
 }
 
 // fillRuns calls fn once per run with the run's point-index range

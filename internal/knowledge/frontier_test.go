@@ -8,6 +8,7 @@ import (
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/types"
+	"github.com/eventual-agreement/eba/internal/views"
 )
 
 func frontierTestSystem(t *testing.T) *system.System {
@@ -19,28 +20,43 @@ func frontierTestSystem(t *testing.T) *system.System {
 	return sys
 }
 
-// TestFrontierNeverSharedAcrossSets pins the frontier cache's identity
-// contract: cached S-reachability structures (membership masks,
-// occupied classes, point/run components) belong to one NonrigidSet
-// value and are never reused for another — not even for a different
-// set with the same Name, nor for a structurally equal set constructed
-// separately. Every operator that consumes a frontier is checked
-// against a fresh evaluator that never saw the other sets.
-func TestFrontierNeverSharedAcrossSets(t *testing.T) {
+// TestFrontierSharedIffEqualContent pins the frontier cache's sharing
+// contract: two sets share a frontier exactly when their factored
+// memberships are equal part by part. Same name with different content
+// never shares; equal content under different names, constructors or
+// predicates does (𝒩 and 𝒩∧all, two separately built Const sets, two
+// FromViews sets whose predicates agree on every view); a views part
+// alone never matches the same views part ANDed with 𝒩; and a set
+// implemented outside the package never shares, not even with an equal
+// one. The build counter rises once per group. Every operator
+// that consumes a frontier is checked against a fresh evaluator that
+// never saw the other sets, once with the real digest and once with
+// every membership digesting alike, so equality, not the digest,
+// decides.
+func TestFrontierSharedIffEqualContent(t *testing.T) {
 	sys := frontierTestSystem(t)
 	all := types.FullSet(sys.Params.N)
 	p01 := types.ProcSet(0).Add(0).Add(1)
-
-	// Deliberately adversarial pairs: same name, different membership;
-	// and equal membership, distinct identity.
-	sets := []NonrigidSet{
-		Nonfaulty(),
-		Const("S", all),
-		Const("S", p01), // same name as above, different content
-		Const("S", p01), // same name AND content, distinct identity
-		Const("solo", types.ProcSet(0).Add(2)),
-		Intersect(Nonfaulty(), Const("S", p01)),
+	even := func(in *views.Interner, id views.ID) bool { return in.Time(id)%2 == 0 }
+	evenToo := func(in *views.Interner, id views.ID) bool { return in.Time(id) != 1 } // h = 2
+	sets := []struct {
+		s     NonrigidSet
+		group int
+	}{
+		{Nonfaulty(), 0},
+		{Const("S", all), 1},
+		{Const("S", p01), 2}, // same name as above, different content
+		{Const("S", p01), 2}, // same name and content, distinct value
+		{Const("solo", types.ProcSet(0).Add(2)), 3},
+		{Intersect(Nonfaulty(), Const("S", p01)), 4},
+		{Intersect(Nonfaulty(), Const("T", all)), 0}, // 𝒩 under another constructor
+		{FromViews("even", even), 5},
+		{FromViews("even'", evenToo), 5}, // another predicate, equal class tables
+		{Intersect(Nonfaulty(), FromViews("even", even)), 6},
+		{&opaqueSet{Nonfaulty()}, 7},
+		{&opaqueSet{Nonfaulty()}, 8}, // equal content, but opaque
 	}
+	groups := 9
 
 	build := func(s NonrigidSet) []Formula {
 		return []Formula{
@@ -58,36 +74,53 @@ func TestFrontierNeverSharedAcrossSets(t *testing.T) {
 		}
 	}
 
-	// One evaluator sees every set back to back — the scenario where a
-	// leaked frontier would corrupt answers. Its tables must match a
-	// fresh evaluator that computes each set in isolation.
-	shared := NewEvaluator(sys)
-	for si, s := range sets {
-		for fi, f := range build(s) {
-			got := shared.Eval(f)
-			fresh := NewEvaluator(sys)
-			want := fresh.Eval(f)
-			if !got.Equal(want) {
-				t.Errorf("set %d formula %d (%s): shared evaluator disagrees with fresh one — frontier leaked across sets", si, fi, f)
-			}
-		}
-	}
-
-	// The cache must key by identity: after evaluating over all sets,
-	// there is one frontier per distinct set value.
-	if got, want := len(shared.frontiers), len(sets); got != want {
-		t.Errorf("%d cached frontiers for %d distinct sets", got, want)
-	}
-	for s, fr := range shared.frontiers {
-		for i := 0; i < sys.Params.N; i++ {
-			mask := shared.mask(fr, types.ProcID(i))
-			for idx := 0; idx < sys.NumPoints(); idx++ {
-				want := s.Members(sys, sys.PointAt(idx)).Contains(types.ProcID(i))
-				if mask.Get(idx) != want {
-					t.Fatalf("set %q mask[%d] bit %d = %v, want %v", s.Name(), i, idx, mask.Get(idx), want)
+	check := func(t *testing.T) {
+		// One evaluator sees every set back to back — the scenario where a
+		// wrongly shared frontier would corrupt answers. Its tables must
+		// match a fresh evaluator that computes each set in isolation.
+		shared := NewEvaluator(sys)
+		for si, c := range sets {
+			for fi, f := range build(c.s) {
+				if got, want := shared.Eval(f), NewEvaluator(sys).Eval(f); !got.Equal(want) {
+					t.Errorf("set %d formula %d (%s): shared evaluator disagrees with fresh one", si, fi, f)
 				}
 			}
 		}
+		for i, a := range sets {
+			for j, b := range sets {
+				if same := shared.frontiers[a.s] == shared.frontiers[b.s]; same != (a.group == b.group) {
+					t.Errorf("sets %d (%s) and %d (%s): shared frontier %v, want %v", i, a.s.Name(), j, b.s.Name(), same, a.group == b.group)
+				}
+			}
+		}
+		for s, fr := range shared.frontiers {
+			for i := 0; i < sys.Params.N; i++ {
+				mask := shared.mask(fr, types.ProcID(i))
+				for idx := 0; idx < sys.NumPoints(); idx++ {
+					want := s.Members(sys, sys.PointAt(idx)).Contains(types.ProcID(i))
+					if mask.Get(idx) != want {
+						t.Fatalf("set %q mask[%d] bit %d = %v, want %v", s.Name(), i, idx, mask.Get(idx), want)
+					}
+				}
+			}
+		}
+	}
+	t.Run("digest", check)
+	t.Run("every-digest-collides", func(t *testing.T) {
+		digest := membersDigest
+		defer func() { membersDigest = digest }()
+		membersDigest = func([]member) uint64 { return 0 }
+		check(t)
+	})
+	// The build counter shows the sharing: an evaluator that meets every
+	// set builds one frontier per group.
+	e := NewEvaluator(sys)
+	before := mFrontierBuilds.Value()
+	for _, c := range sets {
+		e.Eval(CBox(c.s, True()))
+	}
+	if got := mFrontierBuilds.Value() - before; got != uint64(groups) {
+		t.Errorf("eba_knowledge_frontier_builds_total rose by %d over %d sets of %d distinct contents", got, len(sets), groups)
 	}
 }
 

@@ -1,11 +1,12 @@
 package protocols
 
 import (
+	"fmt"
+
 	"github.com/eventual-agreement/eba/internal/core"
 	"github.com/eventual-agreement/eba/internal/fip"
 	"github.com/eventual-agreement/eba/internal/knowledge"
 	"github.com/eventual-agreement/eba/internal/sim"
-	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
 )
@@ -146,30 +147,28 @@ func (p *chain0Proc) Decided() (types.Value, bool) {
 	return p.value, true
 }
 
-// Exists0Star is the basic fact ∃0* of Section 6.2: a 0-chain exists
-// at or before the current time, i.e. some nonfaulty processor has
-// accepted 0. A processor's view at time m remembers its views at every
-// earlier time (Interner.Prev), so "p accepted at some m' ≤ m" is
-// BelievesExistsZeroStar of p's view at m, and only the point's own row
-// is read.
-func Exists0Star() knowledge.Formula {
-	return knowledge.Atom("∃0*", func(sys *system.System, pt system.Point) bool {
-		run := sys.RunOf(pt)
-		nf := run.Nonfaulty()
-		for p, id := range run.Row(int(pt.Time)) {
-			if nf.Contains(types.ProcID(p)) && sys.Interner.BelievesExistsZeroStar(id) {
-				return true
-			}
-		}
-		return false
-	})
+// Exists0Star is the basic fact ∃0* of Section 6.2 over n processors:
+// a 0-chain exists at or before the current time, i.e. some nonfaulty
+// processor has accepted 0. A processor's view at time m remembers its
+// views at every earlier time (Interner.Prev), so "p accepted at some
+// m' ≤ m" is BelievesExistsZeroStar of p's view at m, a fact about the
+// view alone: ∃0* is ∨_i (i ∈ 𝒩 ∧ BelievesExistsZeroStar_i), which the
+// evaluator asks once per view of each processor and once per run.
+func Exists0Star(n int) knowledge.Formula {
+	fs := make([]knowledge.Formula, n)
+	for i := range fs {
+		p := types.ProcID(i)
+		fs[i] = knowledge.And(knowledge.IsNonfaulty(p),
+			knowledge.ViewAtom(fmt.Sprintf("B∃0*_%d", i), p, chainBelieves0))
+	}
+	return knowledge.Or(fs...)
 }
 
 // Chain0SemanticPair materializes FIP(𝒵⁰, 𝒪⁰) — 𝒵⁰_i = B^N_i ∃0*,
 // 𝒪⁰_i = B^N_i ¬∃0* — over the evaluator's system.
 func Chain0SemanticPair(e *knowledge.Evaluator) fip.Pair {
 	nf := knowledge.Nonfaulty()
-	star := Exists0Star()
+	star := Exists0Star(e.System().Params.N)
 	return core.PairFromFormulas(e, "Z0O0",
 		func(i types.ProcID) knowledge.Formula { return knowledge.B(i, nf, star) },
 		func(i types.ProcID) knowledge.Formula { return knowledge.B(i, nf, knowledge.Not(star)) },

@@ -25,18 +25,36 @@ func exists0StarByTime(sys *system.System, pt system.Point) bool {
 	return false
 }
 
-// TestExists0StarReadsOwnRow: Exists0Star, which reads only the
-// point's own row, is the per-time definition at every point of the
-// n=3 t=1 h=3 systems of all four modes and at sampled points of
-// omission n=4 t=2 h=2.
+// exists0StarPointwise is ∃0* asked point by point of the point's own
+// row: some nonfaulty processor's view there believes ∃0*. It was the
+// production atom before ∃0* was asked per view.
+func exists0StarPointwise() knowledge.Formula {
+	return knowledge.Atom("∃0*", func(sys *system.System, pt system.Point) bool {
+		run := sys.RunOf(pt)
+		nf := run.Nonfaulty()
+		for p, id := range run.Row(int(pt.Time)) {
+			if nf.Contains(types.ProcID(p)) && sys.Interner.BelievesExistsZeroStar(id) {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// TestExists0StarReadsOwnRow: Exists0Star, asked once per view of each
+// processor, is the pointwise atom over the point's own row and the
+// per-time definition at every point of the n=3 t=1 h=3 systems of all
+// four modes and at 20k sampled points of omission n=4 t=2 h=2.
 func TestExists0StarReadsOwnRow(t *testing.T) {
 	check := func(t *testing.T, sys *system.System, points func(yield func(idx int))) {
-		tbl := knowledge.NewEvaluator(sys).Eval(Exists0Star())
+		e := knowledge.NewEvaluator(sys)
+		perView, pointwise := e.Eval(Exists0Star(sys.Params.N)), e.Eval(exists0StarPointwise())
 		holds := 0
 		points(func(idx int) {
 			want := exists0StarByTime(sys, sys.PointAt(idx))
-			if tbl.Get(idx) != want {
-				t.Fatalf("point %v: Exists0Star %v, per-time definition %v", sys.PointAt(idx), tbl.Get(idx), want)
+			if perView.Get(idx) != want || pointwise.Get(idx) != want {
+				t.Fatalf("point %v: Exists0Star %v, pointwise %v, per-time definition %v",
+					sys.PointAt(idx), perView.Get(idx), pointwise.Get(idx), want)
 			}
 			if want {
 				holds++

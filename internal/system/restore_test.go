@@ -183,3 +183,64 @@ func TestViewIndexFirstCallConcurrent(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// holdersByRun is NonfaultyHolders as its definition reads: every run,
+// every processor nonfaulty in it, its view at the horizon.
+func holdersByRun(sys *System) []int32 {
+	count := make([]int32, sys.Interner.Size())
+	for r := 0; r < sys.NumRuns(); r++ {
+		run := sys.Run(r)
+		for _, p := range run.Nonfaulty().Members() {
+			count[run.View(sys.Horizon, p)]++
+		}
+	}
+	return count
+}
+
+// TestNonfaultyHoldersBuiltOnFirstUse: no builder and no restore counts
+// holders, the first NonfaultyHolders call does, and the count is the
+// definition's in every failure mode, built or restored.
+func TestNonfaultyHoldersBuiltOnFirstUse(t *testing.T) {
+	for _, built := range modeSystems(t) {
+		restored, err := Reassemble(built.Params, built.Mode, built.Horizon, built.Interner, built.tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprint(holdersByRun(built))
+		for name, sys := range map[string]*System{"FromPatterns": built, "Reassemble": restored} {
+			if sys.holders != nil {
+				t.Fatalf("%s: %s counted holders", built.Mode, name)
+			}
+			if got := fmt.Sprint(sys.NonfaultyHolders()); got != want {
+				t.Fatalf("%s: %s: holders %s, want %s", built.Mode, name, got, want)
+			}
+		}
+	}
+}
+
+// TestNonfaultyHoldersFirstCallConcurrent has eight goroutines make a
+// restored system's first NonfaultyHolders call at once, as concurrent
+// verdicts over a freshly loaded snapshot would.
+func TestNonfaultyHoldersFirstCallConcurrent(t *testing.T) {
+	for _, built := range modeSystems(t) {
+		restored, err := Reassemble(built.Params, built.Mode, built.Horizon, built.Interner, built.tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprint(built.NonfaultyHolders())
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				if got := fmt.Sprint(restored.NonfaultyHolders()); got != want {
+					t.Errorf("%s: goroutine %d: holders %s, want %s", built.Mode, g, got, want)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+	}
+}

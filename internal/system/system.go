@@ -146,6 +146,12 @@ type System struct {
 	byViewOnce sync.Once
 	byViewOff  []int
 	byViewIdx  []int32
+
+	// holders[id] counts the runs in which view id's owner holds it at
+	// the horizon while nonfaulty. Built by the first NonfaultyHolders
+	// call, like byView: no builder and no restore derives it.
+	holdersOnce sync.Once
+	holders     []int32
 }
 
 // Enumerate builds the exhaustive system for the mode: all initial
@@ -338,6 +344,39 @@ func (s *System) PointIdxWithView(id views.ID) []int32 {
 		return nil
 	}
 	return s.byViewIdx[s.byViewOff[id]:s.byViewOff[id+1]:s.byViewOff[id+1]]
+}
+
+// NonfaultyHolders returns, indexed by view ID, the number of runs in
+// which the view's owner holds it at the horizon while nonfaulty: the
+// weight of a view in any count over (run, nonfaulty processor) pairs
+// that depends only on the processor's final view. Views held only
+// earlier, only by faulty owners, or interned after the first call
+// weigh nothing (or lie past the end). The returned slice is owned by
+// the system; do not modify. Safe for concurrent use: the first call
+// counts, and calls that arrive meanwhile wait for it.
+func (s *System) NonfaultyHolders() []int32 {
+	s.holdersOnce.Do(s.countHolders)
+	return s.holders
+}
+
+// countHolders fills holders in one pass over the horizon rows. Runs
+// are pattern-major, so 𝒩 is read once per pattern, not per run.
+func (s *System) countHolders() {
+	n, h := s.Params.N, s.Horizon
+	count := make([]int32, s.Interner.Size())
+	pat, nf := int32(-1), types.ProcSet(0)
+	for r, pi := range s.tbl.PatternOf {
+		if pi != pat {
+			pat, nf = pi, s.tbl.Patterns[pi].Nonfaulty()
+		}
+		lo := (r*(h+1) + h) * n
+		for p, id := range s.tbl.Views[lo : lo+n] {
+			if nf.Contains(types.ProcID(p)) {
+				count[id]++
+			}
+		}
+	}
+	s.holders = count
 }
 
 // RunOf returns the run containing the point.
