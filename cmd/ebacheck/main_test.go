@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,7 +53,8 @@ func TestGolden(t *testing.T) {
 // TestMetricsSnapshot: ebacheck switches instrumentation off unless a
 // flag reads it, so with -metrics the snapshot must still carry the
 // build and evaluator counters, and the verdict must be the golden with
-// and without the flag.
+// and without the flag. Interner misses must equal the distinct views
+// the verdict reports: hash-consing minted each view exactly once.
 func TestMetricsSnapshot(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "omission-n3-t1-h3.golden"))
 	if err != nil {
@@ -74,10 +76,17 @@ func TestMetricsSnapshot(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"eba_system_runs_enumerated_total", "eba_knowledge_frontier_builds_total"} {
+	for _, name := range []string{"eba_system_runs_enumerated_total", "eba_knowledge_frontier_builds_total", "eba_knowledge_unions_total"} {
 		if snap.CounterSum(name) == 0 {
 			t.Errorf("%s is zero in the -metrics snapshot", name)
 		}
+	}
+	var runs, points, distinct int
+	if _, err := fmt.Sscanf(strings.Split(string(want), "\n")[1], "  %d runs, %d points, %d distinct views", &runs, &points, &distinct); err != nil {
+		t.Fatal(err)
+	}
+	if misses := snap.CounterValue("eba_views_intern_total", telemetry.L("result", "miss")); misses != float64(distinct) {
+		t.Errorf(`eba_views_intern_total{result="miss"} = %v, want the %d distinct views`, misses, distinct)
 	}
 }
 

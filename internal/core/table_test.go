@@ -39,13 +39,22 @@ func TestPairFromFormulasNonLocal(t *testing.T) {
 	)
 	tbl := e.Eval(nonLocal)
 	in := sys.Interner
+	// some[id] and all[id]: the formula holds at some / every point where
+	// view id's owner holds it.
+	some, all := make([]bool, in.Size()), make([]bool, in.Size())
+	for id := range all {
+		all[id] = true
+	}
+	for idx := 0; idx < sys.NumPoints(); idx++ {
+		for p := types.ProcID(0); int(p) < sys.Params.N; p++ {
+			id := sys.ViewAt(sys.PointAt(idx), p)
+			some[id] = some[id] || tbl.Get(idx)
+			all[id] = all[id] && tbl.Get(idx)
+		}
+	}
 	mixed, members := 0, 0
 	for id := views.ID(0); int(id) < in.Size(); id++ {
-		some, all := false, true
-		for _, idx := range sys.PointIdxWithView(id) {
-			some = some || tbl.Get(int(idx))
-			all = all && tbl.Get(int(idx))
-		}
+		some, all := some[id], all[id]
 		if got := p.Z.Contains(in, id); got != some {
 			t.Fatalf("view %d (%s): in 𝒵 = %v, but the formula holds somewhere in its class = %v", id, in.String(id), got, some)
 		}

@@ -24,6 +24,10 @@ var (
 	// membership an evaluator meets, and one per set with a points part
 	// of its own.
 	mFrontierBuilds = telemetry.Default().Counter("eba_knowledge_frontier_builds_total")
+	// mUnionsPoints and mUnionsRuns count union operations, added once
+	// per component build by that build's count.
+	mUnionsPoints   = telemetry.Default().Counter("eba_knowledge_unions_total", telemetry.L("space", "points"))
+	mUnionsRuns     = telemetry.Default().Counter("eba_knowledge_unions_total", telemetry.L("space", "runs"))
 	mReachPointSize = telemetry.Default().Histogram("eba_knowledge_reachable_set_size",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096, 16384}, telemetry.L("space", "points"))
 	mReachRunSize = telemetry.Default().Histogram("eba_knowledge_reachable_set_size",
@@ -163,17 +167,19 @@ type Evaluator struct {
 //   - someIn: per class of i, whether i ∈ S at some point of the class
 //     (the B^S_i L = L ∨ ¬someIn identity);
 //   - occupied: bit idx set iff S is nonempty at idx, filled by the
-//     first component walk;
-//   - the point/run reachability components with flattened roots.
+//     first component build;
+//   - pointRoots and runRoots: the C_S and C□_S reachability components
+//     as flattened root tables, one entry per point or run. C□'s are
+//     read off the interner's view DAG when membership is a function of
+//     views and of facts constant along a run (chainRoots), and off a
+//     run-major pass over the run table otherwise (unionMembers).
 type frontier struct {
 	members  []member
 	masks    []*Bits
 	someIn   [][]uint8
 	occupied *Bits
 
-	pointComp  *unionFind
 	pointRoots []int32
-	runComp    *unionFind
 	runRoots   []int32
 }
 
@@ -667,47 +673,58 @@ func (e *Evaluator) evalE(s NonrigidSet, ft *Bits) *Bits {
 	return out
 }
 
-// unionClasses joins, for every view its owner's membership admits,
-// the images under pos of the view's points where the owner is in S (a
-// view nobody in S holds joins nothing), walking the views through the
-// system's view index and never touching one the set rules out whole —
-// a processor out of a rigid set, or a class outside the views part:
-// for 𝒩∧𝒪, only the views in 𝒪. The first walk over a frontier also
-// fills its occupied table. It is sequential at every parallelism:
-// sharding it meant buffering every union edge per shard to apply
-// afterwards, which measured slower than this loop. The resulting
-// partition does not depend on union order.
-func (e *Evaluator) unionClasses(uf *unionFind, fr *frontier, pos func(idx int32) int32) {
-	fill := fr.occupied == nil
-	if fill {
-		fr.occupied = NewBits(e.sys.NumPoints())
-	}
-	var of []int32
+// viewsOf returns the partition's view-to-class map if some processor's
+// membership has a views part, else nil.
+func (e *Evaluator) viewsOf(fr *frontier) []int32 {
 	for _, mb := range fr.members {
 		if mb.views != nil {
-			of = e.partition().of
+			return e.partition().of
 		}
 	}
-	in := e.sys.Interner
-	for id := views.ID(0); int(id) < in.Size(); id++ {
-		mb := &fr.members[in.Proc(id)]
-		// A view past the partition was interned after it (by a
-		// simulation over the system's interner), so no point holds it.
-		if mb.out || mb.views != nil && (int(id) >= len(of) || of[id] < 0 || mb.views[of[id]] == 0) {
-			continue
-		}
-		first := int32(-1)
-		for _, q := range e.sys.PointIdxWithView(id) {
-			if mb.points != nil && !mb.points.Get(int(q)) {
-				continue
+	return nil
+}
+
+// unionMembers is the run-major pass behind C_S, and behind the C□_S
+// sets chainRoots cannot take: it reads the run table point by point
+// and joins every point (with perRun, the point's run) where some
+// processor i is in S to the first element seen where i held the same
+// view while in S, rep[view]. A view nobody in S holds joins nothing.
+// It fills the frontier's occupied table if no build has. It is
+// sequential at every parallelism: sharding it meant buffering every
+// union edge per shard to apply afterwards, which measured slower than
+// this loop. The resulting partition does not depend on union order.
+func (e *Evaluator) unionMembers(uf *unionFind, fr *frontier, perRun bool) {
+	sys := e.sys
+	n, stride := sys.Params.N, sys.Horizon+1
+	fill := fr.occupied == nil
+	if fill {
+		fr.occupied = NewBits(sys.NumPoints())
+	}
+	of := e.viewsOf(fr)
+	rep := make([]int32, sys.Interner.Size())
+	for v := range rep {
+		rep[v] = -1
+	}
+	vs := sys.Table().Views
+	for r, idx := 0, 0; r < sys.NumRuns(); r++ {
+		for end := idx + stride; idx < end; idx++ {
+			q := int32(idx)
+			if perRun {
+				q = int32(r)
 			}
-			if fill {
-				fr.occupied.Set(int(q), true)
-			}
-			if first < 0 {
-				first = pos(q)
-			} else {
-				uf.union(first, pos(q))
+			for i, v := range vs[idx*n : (idx+1)*n] {
+				mb := &fr.members[i]
+				if mb.out || mb.views != nil && mb.views[of[v]] == 0 || mb.points != nil && !mb.points.Get(idx) {
+					continue
+				}
+				if fill {
+					fr.occupied.Set(idx, true)
+				}
+				if rep[v] < 0 {
+					rep[v] = q
+				} else {
+					uf.union(rep[v], q)
+				}
 			}
 		}
 	}
@@ -727,23 +744,21 @@ func (e *Evaluator) badRoots(fr *frontier, ft *Bits, roots []int32, comp func(id
 	return bad
 }
 
-// pointComponents returns (caching on the frontier) the union-find
-// over points whose components are the C_S reachability classes:
-// points pt, pt' are joined iff some i ∈ S(pt) ∩ S(pt') has the same
-// view at both. The flattened root table is cached alongside, so
-// repeated C_S evaluations skip both the union pass and the flatten.
-func (e *Evaluator) pointComponents(fr *frontier) *unionFind {
-	if fr.pointComp != nil {
-		return fr.pointComp
+// pointComponents returns (caching on the frontier) the flattened root
+// table of the C_S reachability classes: points pt, pt' are joined iff
+// some i ∈ S(pt) ∩ S(pt') has the same view at both.
+func (e *Evaluator) pointComponents(fr *frontier) []int32 {
+	if fr.pointRoots != nil {
+		return fr.pointRoots
 	}
 	uf := newUnionFind(e.sys.NumPoints())
-	e.unionClasses(uf, fr, func(idx int32) int32 { return idx })
-	fr.pointComp = uf
+	e.unionMembers(uf, fr, false)
+	mUnionsPoints.Add(uf.unions)
 	fr.pointRoots = uf.flatten()
 	if telemetry.Enabled() {
 		observeComponentSizes(fr.pointRoots, mReachPointSize)
 	}
-	return uf
+	return fr.pointRoots
 }
 
 // evalC computes C_S f: at S-empty points C_S f is vacuously true; at
@@ -751,11 +766,8 @@ func (e *Evaluator) pointComponents(fr *frontier) *unionFind {
 // reachability component (which includes the point itself).
 func (e *Evaluator) evalC(s NonrigidSet, ft *Bits) *Bits {
 	fr := e.frontierFor(s)
-	e.pointComponents(fr)
+	roots := e.pointComponents(fr)
 	np := e.sys.NumPoints()
-	// The frontier caches the flattened roots, so the parallel fill
-	// below reads them without mutating the union-find's parent links.
-	roots := fr.pointRoots
 	bad := e.badRoots(fr, ft, roots, func(idx int) int { return idx })
 	out := NewBits(np)
 	e.parallelBits(np, func(lo, hi int) {
@@ -859,24 +871,151 @@ func (e *Evaluator) evalCDiamond(s NonrigidSet, ft *Bits) *Bits {
 	}
 }
 
-// runComponents returns (caching on the frontier) the union-find over
-// runs whose components are the S-□-reachability classes of Corollary
-// 3.3: runs r, r' are joined iff some processor i is in S at a point
-// of each with the same view at both. It walks only the views the set
-// admits and needs no dense mask.
-func (e *Evaluator) runComponents(fr *frontier) *unionFind {
-	if fr.runComp != nil {
-		return fr.runComp
+// runComponents returns (caching on the frontier) the flattened root
+// table of the S-□-reachability classes of Corollary 3.3: runs r, r'
+// are joined iff some processor i is in S at a point of each with the
+// same view at both. Every root is a run index.
+func (e *Evaluator) runComponents(fr *frontier) []int32 {
+	if fr.runRoots != nil {
+		return fr.runRoots
 	}
-	uf := newUnionFind(e.sys.NumRuns())
-	stride := int32(e.sys.Horizon + 1)
-	e.unionClasses(uf, fr, func(idx int32) int32 { return idx / stride })
-	fr.runComp = uf
-	fr.runRoots = uf.flatten()
+	var unions uint64
+	if e.chainable(fr) {
+		fr.runRoots, unions = e.chainRoots(fr)
+	} else {
+		uf := newUnionFind(e.sys.NumRuns())
+		e.unionMembers(uf, fr, true)
+		fr.runRoots, unions = uf.flatten(), uf.unions
+	}
+	mUnionsRuns.Add(unions)
 	if telemetry.Enabled() {
 		observeComponentSizes(fr.runRoots, mReachRunSize)
 	}
-	return uf
+	return fr.runRoots
+}
+
+// chainable reports whether chainRoots can build the set's C□
+// components: every processor's membership is a function of its view
+// and of a fact constant along a run — a rigid out flag, a views part,
+// 𝒩's points part (which every intersection with 𝒩 shares, see
+// sameMembers) — and a run's times fit in the bits of a uint64.
+func (e *Evaluator) chainable(fr *frontier) bool {
+	if e.sys.Horizon >= 64 {
+		return false
+	}
+	nf := e.frontiers[theNonfaulty]
+	for i, mb := range fr.members {
+		if mb.out || mb.points == nil || mutantChainForeign {
+			continue
+		}
+		if nf == nil || mb.points != nf.members[i].points {
+			return false
+		}
+	}
+	return true
+}
+
+// chainRoots builds C□_S's components from the interner's view DAG, in
+// two passes with no point-level work, and returns them as a root table
+// over runs with the number of unions made. A full-information view
+// fixes its owner's whole history (Prev), so if i holds one view at time
+// m in two runs it holds the same views at every earlier time in both.
+//
+//   - View pass, in ID order (a view's Prev has a smaller ID): a view is
+//     admitted when its owner's membership admits it as a view (not out,
+//     and in the views part if there is one). last[v] is the latest
+//     admitted view on v's Prev chain, v included, skipping the gaps
+//     where the owner is out of S; occ[v] has bit m set iff the chain's
+//     time-m view is admitted. Each admitted view is joined to
+//     last[Prev(v)].
+//   - Run pass, over the horizon row alone: each processor the points
+//     part admits in the run (read at the run's first point: 𝒩 is
+//     constant along a run) attaches the run to last of its final view,
+//     and ORs that view's occ into the times at which S is occupied. The
+//     views one run attaches to are joined.
+//
+// Per processor the admitted views form a forest, and two runs attached
+// to one tree both hold their attachment points' lowest common ancestor
+// while in S, so they are S-□-reachable; a view no admitted run holds
+// hangs off its ancestor and bridges nothing. A run is labelled with
+// the smallest run index attached to its component, or its own index if
+// it attaches nowhere. DESIGN.md §13 has the argument in full; the
+// view-index walk kept in the tests is its oracle.
+func (e *Evaluator) chainRoots(fr *frontier) ([]int32, uint64) {
+	sys, in := e.sys, e.sys.Interner
+	runs, n, h := sys.NumRuns(), sys.Params.N, sys.Horizon
+	nv := in.Size()
+	of := e.viewsOf(fr)
+	uf := newUnionFind(nv)
+	last := make([]views.ID, nv)
+	occ := make([]uint64, nv)
+	for v := views.ID(0); int(v) < nv; v++ {
+		l, o := views.NoView, uint64(0)
+		prev := in.Prev(v)
+		if prev != views.NoView {
+			l, o = last[prev], occ[prev]
+		}
+		// A view past the partition was interned after it (by a
+		// simulation over the system's interner), so no point holds it.
+		mb := &fr.members[in.Proc(v)]
+		if !mb.out && (mb.views == nil || int(v) < len(of) && of[v] >= 0 && mb.views[of[v]] != 0) {
+			if mutantChainNoGap {
+				l = prev
+			}
+			if l != views.NoView {
+				uf.union(int32(v), int32(l))
+			}
+			l, o = v, o|1<<uint(in.Time(v))
+		}
+		last[v], occ[v] = l, o
+	}
+
+	fill := fr.occupied == nil
+	if fill {
+		fr.occupied = NewBits(sys.NumPoints())
+	}
+	vs, stride := sys.Table().Views, h+1
+	roots := make([]int32, runs) // the run's first attached view, until labelled
+	for r := range roots {
+		base := r * stride
+		first := views.NoView
+		var times uint64
+		for i, v := range vs[(base+h)*n : (base+h+1)*n] {
+			if pts := fr.members[i].points; pts != nil && !pts.Get(base) || last[v] == views.NoView {
+				continue
+			}
+			if first == views.NoView {
+				first = last[v]
+			} else {
+				uf.union(int32(first), int32(last[v]))
+			}
+			times |= occ[v]
+			if mutantChainOccupied && last[v] == v {
+				times = 1<<uint(stride) - 1
+			}
+		}
+		roots[r] = int32(first)
+		for ; fill && times != 0; times &= times - 1 {
+			fr.occupied.Set(base+bits.TrailingZeros64(times), true)
+		}
+	}
+
+	label := make([]int32, nv)
+	for v := range label {
+		label[v] = -1
+	}
+	for r, first := range roots {
+		if first < 0 {
+			roots[r] = int32(r)
+			continue
+		}
+		root := uf.find(first)
+		if label[root] < 0 {
+			label[root] = int32(r)
+		}
+		roots[r] = label[root]
+	}
+	return roots, uf.unions
 }
 
 // evalCBox computes C□_S f by Corollary 3.3: C□_S f holds at a point
@@ -886,11 +1025,8 @@ func (e *Evaluator) runComponents(fr *frontier) *unionFind {
 // (Lemma 3.4(g)).
 func (e *Evaluator) evalCBox(s NonrigidSet, ft *Bits) *Bits {
 	fr := e.frontierFor(s)
-	e.runComponents(fr)
+	roots := e.runComponents(fr)
 	stride := e.sys.Horizon + 1
-	// The frontier caches the flattened roots, so the parallel fill
-	// below reads them without mutating the union-find's parent links.
-	roots := fr.runRoots
 	bad := e.badRoots(fr, ft, roots, func(idx int) int { return idx / stride })
 	out := NewBits(e.sys.NumPoints())
 	e.parallelRuns(e.sys.NumRuns(), func(rlo, rhi int) {
@@ -959,6 +1095,8 @@ func (e *Evaluator) CBoxIterative(s NonrigidSet, f Formula) *Bits {
 type unionFind struct {
 	parent []int32
 	rank   []uint8
+	// unions counts union calls, for eba_knowledge_unions_total.
+	unions uint64
 }
 
 func newUnionFind(n int) *unionFind {
@@ -989,6 +1127,7 @@ func (uf *unionFind) flatten() []int32 {
 }
 
 func (uf *unionFind) union(a, b int32) {
+	uf.unions++
 	ra, rb := uf.find(a), uf.find(b)
 	if ra == rb {
 		return

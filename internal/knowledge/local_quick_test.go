@@ -82,12 +82,13 @@ func checkClassTables(t *testing.T, e *Evaluator, rng *rand.Rand, f Formula) {
 	vals := e.local(i, f)
 	for k := 0; k < 4; k++ {
 		c := rng.Intn(len(ids))
-		for _, q := range sys.PointIdxWithView(ids[c]) {
-			if want := RefHolds(sys, f, sys.PointAt(int(q))); (vals[c] == 1) != want {
+		forPointsWithView(sys, ids[c], func(q system.Point) bool {
+			if want := RefHolds(sys, f, q); (vals[c] == 1) != want {
 				t.Fatalf("%s: processor %d's class of view %d holds %d, reference %v at %v",
-					f, i, ids[c], vals[c], want, sys.PointAt(int(q)))
+					f, i, ids[c], vals[c], want, q)
 			}
-		}
+			return true
+		})
 	}
 }
 

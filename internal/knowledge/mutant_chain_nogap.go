@@ -1,0 +1,10 @@
+//go:build mutant_chain_nogap
+
+package knowledge
+
+// Planted bug: see mutant_off.go.
+const (
+	mutantChainForeign  = false
+	mutantChainNoGap    = true
+	mutantChainOccupied = false
+)

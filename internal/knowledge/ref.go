@@ -3,13 +3,14 @@ package knowledge
 import (
 	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/types"
+	"github.com/eventual-agreement/eba/internal/views"
 )
 
 // RefHolds evaluates a formula at a point directly from the textbook
 // definitions: no memoization, no truth tables, no union-find — K and
 // B scan indistinguishability classes, the common-knowledge operators
 // run breadth-first searches, and the temporal operators loop over
-// times. It is exponential and exists purely as an independent
+// times. A view's class is found by scanning the run table. It is exponential and exists purely as an independent
 // implementation to differentially test the Evaluator against
 // (property tests draw random formulas and compare).
 //
@@ -45,23 +46,13 @@ func RefHolds(sys *system.System, f Formula, pt system.Point) bool {
 		}
 		return false
 	case *kF:
-		for _, qi := range sys.PointIdxWithView(sys.ViewAt(pt, g.i)) {
-			if !RefHolds(sys, g.f, sys.PointAt(int(qi))) {
-				return false
-			}
-		}
-		return true
+		return forPointsWithView(sys, sys.ViewAt(pt, g.i), func(q system.Point) bool {
+			return RefHolds(sys, g.f, q)
+		})
 	case *bF:
-		for _, qi := range sys.PointIdxWithView(sys.ViewAt(pt, g.i)) {
-			q := sys.PointAt(int(qi))
-			if !g.s.Members(sys, q).Contains(g.i) {
-				continue
-			}
-			if !RefHolds(sys, g.f, q) {
-				return false
-			}
-		}
-		return true
+		return forPointsWithView(sys, sys.ViewAt(pt, g.i), func(q system.Point) bool {
+			return !g.s.Members(sys, q).Contains(g.i) || RefHolds(sys, g.f, q)
+		})
 	case *eF:
 		ok := true
 		g.s.Members(sys, pt).ForEach(func(i types.ProcID) bool {
@@ -109,6 +100,28 @@ func RefHolds(sys *system.System, f Formula, pt system.Point) bool {
 	}
 }
 
+// forPointsWithView calls fn, in run order, at each point where the
+// view's owner holds it — its indistinguishability class — until fn
+// returns false, and reports whether it never did. It finds them by
+// scanning the run table at the view's time: a view fixes its owner and
+// time, so no other slot can hold it. That costs O(runs) per call,
+// which the small systems the reference runs on afford.
+func forPointsWithView(sys *system.System, id views.ID, fn func(q system.Point) bool) bool {
+	in := sys.Interner
+	p, m := in.Proc(id), in.Time(id)
+	if int(m) > sys.Horizon {
+		return true
+	}
+	vs, n := sys.Table().Views, sys.Params.N
+	stride := (sys.Horizon + 1) * n
+	for r, k := 0, int(m)*n+int(p); k < len(vs); r, k = r+1, k+stride {
+		if vs[k] == id && !fn(system.Point{Run: r, Time: m}) {
+			return false
+		}
+	}
+	return true
+}
+
 // refC is the reachability characterization of C_S, computed by an
 // explicit point-level BFS (the Evaluator uses union-find instead).
 func refC(sys *system.System, s NonrigidSet, f Formula, start system.Point) bool {
@@ -116,6 +129,9 @@ func refC(sys *system.System, s NonrigidSet, f Formula, start system.Point) bool
 		return true
 	}
 	visited := map[system.Point]bool{start: true}
+	// expanded marks the views whose class has been searched: a second
+	// search from the same view would find only visited points.
+	expanded := map[views.ID]bool{}
 	queue := []system.Point{start}
 	// The start point itself is reachable via a self-loop through any
 	// of its S members, so f must hold there too.
@@ -127,13 +143,18 @@ func refC(sys *system.System, s NonrigidSet, f Formula, start system.Point) bool
 		}
 		var next []system.Point
 		s.Members(sys, pt).ForEach(func(i types.ProcID) bool {
-			for _, qi := range sys.PointIdxWithView(sys.ViewAt(pt, i)) {
-				q := sys.PointAt(int(qi))
+			v := sys.ViewAt(pt, i)
+			if expanded[v] {
+				return true
+			}
+			expanded[v] = true
+			forPointsWithView(sys, v, func(q system.Point) bool {
 				if !visited[q] && s.Members(sys, q).Contains(i) {
 					visited[q] = true
 					next = append(next, q)
 				}
-			}
+				return true
+			})
 			return true
 		})
 		queue = append(queue, next...)
@@ -160,6 +181,7 @@ func refCBox(sys *system.System, s NonrigidSet, f Formula, start system.Point) b
 		return true
 	}
 	visited := map[int]bool{start.Run: true}
+	expanded := map[views.ID]bool{} // as in refC
 	queue := []int{start.Run}
 	for len(queue) > 0 {
 		run := queue[0]
@@ -169,13 +191,18 @@ func refCBox(sys *system.System, s NonrigidSet, f Formula, start system.Point) b
 				return false
 			}
 			s.Members(sys, pt).ForEach(func(i types.ProcID) bool {
-				for _, qi := range sys.PointIdxWithView(sys.ViewAt(pt, i)) {
-					q := sys.PointAt(int(qi))
+				v := sys.ViewAt(pt, i)
+				if expanded[v] {
+					return true
+				}
+				expanded[v] = true
+				forPointsWithView(sys, v, func(q system.Point) bool {
 					if !visited[q.Run] && s.Members(sys, q).Contains(i) {
 						visited[q.Run] = true
 						queue = append(queue, q.Run)
 					}
-				}
+					return true
+				})
 				return true
 			})
 		}

@@ -193,10 +193,10 @@ func Digest(data []byte) string {
 
 // DecodeSystem decodes a snapshot produced by EncodeSystem, verifying
 // the magic, the version, and the checksum before reconstructing
-// anything. It reads, verifies and adopts, and derives nothing: the
-// interner's hash-cons index and memo tables, the byView
-// indistinguishability index and the pattern keys are each built by
-// the first call that needs them.
+// anything. It reads, verifies and adopts, and derives nothing but the
+// interner's per-view known-value masks: the interner's hash-cons table
+// and memo tables, the nonfaulty-holder count and the pattern keys are
+// each built by the first call that needs them.
 func DecodeSystem(data []byte) (Key, *system.System, error) {
 	var key Key
 	if len(data) < len(snapMagic)+1+digestLen {

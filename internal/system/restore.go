@@ -13,8 +13,8 @@ import (
 // re-running the enumeration. It is the restore path of the snapshot
 // store: FromPatterns interns every view, while Reassemble only
 // validates the table, one dense walk over already-interned IDs, and
-// derives nothing (the byView index is built by the first
-// PointIdxWithView call, as it is after a build). The table is
+// derives nothing (the nonfaulty-holder count is built by the first
+// NonfaultyHolders call, as it is after a build). The table is
 // adopted, not copied.
 //
 // The table is validated against the parameters (array sizes, pattern

@@ -107,83 +107,6 @@ func modeSystems(t *testing.T) []*System {
 	return out
 }
 
-// TestViewIndexBuiltOnFirstUse pins the laziness and what it may not
-// change: no builder leaves a view index behind, the first
-// PointIdxWithView call builds it, and a restored system's index is
-// the built system's, class by class.
-func TestViewIndexBuiltOnFirstUse(t *testing.T) {
-	for _, built := range modeSystems(t) {
-		restored, err := Reassemble(built.Params, built.Mode, built.Horizon, built.Interner, built.tbl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := FromPatternsParallel(built.Params, built.Mode, built.Horizon, built.tbl.Patterns, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, sys := range map[string]*System{"FromPatterns": built, "FromPatternsParallel": par, "Reassemble": restored} {
-			if sys.byViewOff != nil || sys.byViewIdx != nil {
-				t.Fatalf("%s: %s left a view index behind", built.Mode, name)
-			}
-			// Everything but the index works without it.
-			sys.Run(sys.NumRuns() - 1).Row(sys.Horizon)
-			if sys.byViewOff != nil {
-				t.Fatalf("%s: reading %s's run table built the view index", built.Mode, name)
-			}
-		}
-		size := built.Interner.Size()
-		if got := restored.PointIdxWithView(views.ID(size)); got != nil {
-			t.Fatalf("%s: class of a view past the interner: %v", built.Mode, got)
-		}
-		if len(restored.byViewOff) != size+1 || len(restored.byViewIdx) != len(built.tbl.Views) {
-			t.Fatalf("%s: first call built offsets for %d views over %d entries, want %d over %d",
-				built.Mode, len(restored.byViewOff)-1, len(restored.byViewIdx), size, len(built.tbl.Views))
-		}
-		for id := views.ID(-1); int(id) <= size; id++ {
-			want := built.PointIdxWithView(id)
-			for name, sys := range map[string]*System{"FromPatternsParallel": par, "Reassemble": restored} {
-				got := sys.PointIdxWithView(id)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("%s: view %d: class %v after %s, %v after FromPatterns", built.Mode, id, got, name, want)
-				}
-			}
-		}
-	}
-}
-
-// TestViewIndexFirstCallConcurrent has eight goroutines make a
-// restored system's first PointIdxWithView calls at once, as the
-// daemon's concurrent queries over a freshly loaded snapshot do.
-func TestViewIndexFirstCallConcurrent(t *testing.T) {
-	for _, built := range modeSystems(t) {
-		restored, err := Reassemble(built.Params, built.Mode, built.Horizon, built.Interner, built.tbl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		size := built.Interner.Size()
-		built.PointIdxWithView(0) // the reference index is built by one goroutine
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				<-start
-				for k := 0; k < size; k++ {
-					id := views.ID((k + g*size/8) % size)
-					got, want := restored.PointIdxWithView(id), built.PointIdxWithView(id)
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Errorf("%s: goroutine %d: view %d: class %v, want %v", built.Mode, g, id, got, want)
-						return
-					}
-				}
-			}(g)
-		}
-		close(start)
-		wg.Wait()
-	}
-}
-
 // holdersByRun is NonfaultyHolders as its definition reads: every run,
 // every processor nonfaulty in it, its view at the horizon.
 func holdersByRun(sys *System) []int32 {

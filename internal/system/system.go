@@ -122,7 +122,13 @@ func (r Run) Row(m int) []views.ID {
 	return r.sys.tbl.Views[lo : lo+n : lo+n]
 }
 
-// System is an enumerated full-information system.
+// System is an enumerated full-information system: its run table and
+// the interner whose views the table references. The table is the only
+// structure indexed by point. Nothing indexes points by view: the
+// evaluator walks the interner's view DAG (each view's Prev chain is
+// its owner's whole history) and reads the table run by run, and the
+// points holding a given view are the table's slots for its owner at
+// its time that hold it.
 type System struct {
 	Params  types.Params
 	Mode    failures.Mode
@@ -131,25 +137,9 @@ type System struct {
 	Interner *views.Interner
 	tbl      RunTable
 
-	// byView indexes, for every view ID, the points at which the view's
-	// owner holds it. View IDs are dense small integers, so the index is
-	// a counting sort over one backing array rather than a map of
-	// slices: byViewIdx holds the dense point indices of all occurrences
-	// grouped by view ID (run-major within a group, matching enumeration
-	// order) and byViewOff[id]..byViewOff[id+1] brackets view id's
-	// group. Indices rather than Points keep the array at 4 bytes per
-	// entry — the reachability kernels stream the whole thing, so its
-	// footprint is cache traffic. Views encode owner and time, so all
-	// points in a group share the same time. Built by the first
-	// PointIdxWithView call: a restored system that answers from a
-	// result file, and every K-only evaluation, never needs it.
-	byViewOnce sync.Once
-	byViewOff  []int
-	byViewIdx  []int32
-
 	// holders[id] counts the runs in which view id's owner holds it at
 	// the horizon while nonfaulty. Built by the first NonfaultyHolders
-	// call, like byView: no builder and no restore derives it.
+	// call: no builder and no restore derives it.
 	holdersOnce sync.Once
 	holders     []int32
 }
@@ -298,52 +288,6 @@ func (s *System) PointAt(idx int) Point {
 // ViewAt returns processor p's view at the point.
 func (s *System) ViewAt(pt Point, p types.ProcID) views.ID {
 	return s.tbl.Views[s.PointIndex(pt)*s.Params.N+int(p)]
-}
-
-// buildByView derives the byView index from the final run table with
-// a two-pass counting sort: count occurrences per view ID, prefix-sum
-// into group offsets, then fill one backing array in enumeration order
-// so each group lists its points run-major. The fill advances each
-// group's offset as its cursor (one random access per entry, not two);
-// afterwards entry id holds the start of group id+1, so the offsets
-// shift up one place. The run table is final before any builder
-// (FromPatterns, FromPatternsParallel, Reassemble) returns the system,
-// so whenever the first PointIdxWithView runs it, it reads the same
-// table.
-func (s *System) buildByView() {
-	size, n := s.Interner.Size(), s.Params.N
-	off := make([]int, size+1)
-	for _, id := range s.tbl.Views {
-		off[id+1]++
-	}
-	for i := 0; i < size; i++ {
-		off[i+1] += off[i]
-	}
-	idxs := make([]int32, off[size])
-	for pi := 0; pi*n < len(s.tbl.Views); pi++ {
-		for _, id := range s.tbl.Views[pi*n : (pi+1)*n] {
-			idxs[off[id]] = int32(pi)
-			off[id]++
-		}
-	}
-	copy(off[1:], off)
-	off[0] = 0
-	s.byViewOff = off
-	s.byViewIdx = idxs
-}
-
-// PointIdxWithView returns the dense point indices (PointIndex order)
-// at which the view's owner holds exactly this view — the
-// indistinguishability class driving K_i and B_i, in the form the
-// word-level kernels consume. The returned slice is owned by the
-// system; do not modify. Safe for concurrent use: the first call
-// builds the index, and calls that arrive meanwhile wait for it.
-func (s *System) PointIdxWithView(id views.ID) []int32 {
-	s.byViewOnce.Do(s.buildByView)
-	if id < 0 || int(id) >= len(s.byViewOff)-1 {
-		return nil
-	}
-	return s.byViewIdx[s.byViewOff[id]:s.byViewOff[id+1]:s.byViewOff[id+1]]
 }
 
 // NonfaultyHolders returns, indexed by view ID, the number of runs in

@@ -91,34 +91,31 @@ func TestPointIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPointsWithViewConsistency: the run table and the interner agree
+// on what a view fixes — every slot holds a view of its own processor
+// at its own time, whose Prev is the same processor's view one step
+// earlier in the same run (perfect recall). That is what lets the
+// evaluator find a view's points from its owner and time alone, and
+// read a run's whole history off its final row.
 func TestPointsWithViewConsistency(t *testing.T) {
-	sys, err := Enumerate(types.Params{N: 3, T: 1}, failures.Crash, 2, 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, sys := range modeSystems(t) {
+		in := sys.Interner
+		sys.ForEachPoint(func(pt Point) {
+			for p := types.ProcID(0); p < 3; p++ {
+				id := sys.ViewAt(pt, p)
+				if in.Proc(id) != p || in.Time(id) != pt.Time {
+					t.Fatalf("%s: point %v proc %d holds view %d of (p%d,t%d)", sys.Mode, pt, p, id, in.Proc(id), in.Time(id))
+				}
+				want := views.NoView
+				if pt.Time > 0 {
+					want = sys.ViewAt(Point{Run: pt.Run, Time: pt.Time - 1}, p)
+				}
+				if in.Prev(id) != want {
+					t.Fatalf("%s: point %v proc %d: Prev is %d, the run's previous view %d", sys.Mode, pt, p, in.Prev(id), want)
+				}
+			}
+		})
 	}
-	// Every point appears in the class of its own view, and every
-	// member of a class holds the class's view.
-	sys.ForEachPoint(func(pt Point) {
-		for p := types.ProcID(0); p < 3; p++ {
-			id := sys.ViewAt(pt, p)
-			found := false
-			for _, qi := range sys.PointIdxWithView(id) {
-				q := sys.PointAt(int(qi))
-				if q == pt {
-					found = true
-				}
-				if sys.ViewAt(q, p) != id {
-					t.Fatalf("class member %v does not hold view", q)
-				}
-				if q.Time != pt.Time {
-					t.Fatalf("view shared across times %d and %d", q.Time, pt.Time)
-				}
-			}
-			if !found {
-				t.Fatalf("point %v missing from its own class", pt)
-			}
-		}
-	})
 }
 
 func TestIndistinguishableRunsShareViews(t *testing.T) {

@@ -27,7 +27,7 @@ func buildContentionInterner(tb testing.TB) *Interner {
 	return in
 }
 
-// TestAnalysesUnderContention hammers the four memoized analyses from
+// TestAnalysesUnderContention hammers the four analyses from
 // many goroutines on cold memos, with every goroutine walking the IDs
 // in a different order so recursions overlap on shared subviews. Run
 // under -race this proves the narrowed memo locking (read-locked
@@ -38,7 +38,9 @@ func buildContentionInterner(tb testing.TB) *Interner {
 //
 // No interner holds memo tables before its first analysis, so the
 // goroutines' first calls also race to size them — on a built interner
-// and on one restored from a snapshot, the daemon's case.
+// and on one restored from a snapshot, the daemon's case. The
+// known-value sets are filled at intern time, so KnownValues reads them
+// with no lock while the other three publish their memos.
 func TestAnalysesUnderContention(t *testing.T) {
 	t.Run("built", func(t *testing.T) {
 		testAnalysesUnderContention(t, buildContentionInterner(t))
@@ -60,9 +62,12 @@ func testAnalysesUnderContention(t *testing.T, con *Interner) {
 	if seq.Size() != con.Size() {
 		t.Fatalf("twin interners diverge: %d vs %d nodes", seq.Size(), con.Size())
 	}
-	if con.knownVals != nil || con.faultEv != nil || con.faultEvOK != nil ||
+	if con.faultEv != nil || con.faultEvOK != nil ||
 		con.acceptSets != nil || con.acceptOK != nil || con.believes0s != nil {
 		t.Fatal("interner holds memo tables before its first analysis")
+	}
+	if len(con.known) != con.Size() {
+		t.Fatalf("known-value sets cover %d of %d views before any analysis", len(con.known), con.Size())
 	}
 	size := con.Size()
 
@@ -114,8 +119,9 @@ func testAnalysesUnderContention(t *testing.T, con *Interner) {
 	}
 	close(start)
 	wg.Wait()
-	if len(con.knownVals) != size || len(con.believes0s) != size {
-		t.Fatalf("memo tables cover %d and %d of %d views after every analysis ran", len(con.knownVals), len(con.believes0s), size)
+	if len(con.faultEv) != size || len(con.acceptOK) != size || len(con.believes0s) != size {
+		t.Fatalf("memo tables cover %d, %d and %d of %d views after every analysis ran",
+			len(con.faultEv), len(con.acceptOK), len(con.believes0s), size)
 	}
 
 	for g := range got {

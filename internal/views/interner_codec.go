@@ -39,17 +39,17 @@ func MarshalInterner(in *Interner) []byte {
 
 // UnmarshalInterner reconstructs an interner serialized by
 // MarshalInterner. The node table is rebuilt with every structural
-// invariant checked (child ownership, times, own-previous-view), but
-// the hash-cons index is NOT rebuilt here: restored interners are
-// queried far more often than extended, so the index — one map insert
-// per node, the expensive part of a restore — is reconstructed lazily
-// by the first Leaf/Extend call (see Interner.ensureIndex), and the
-// syntactic-analysis memo tables are sized by the first analysis that
-// needs them (see Interner.growMemo). View IDs are identical to the
-// original's, and further interning still dedups against the restored
-// views. Child arrays are carved from one arena block sized up front,
-// so a restore costs O(1) allocations for the node storage instead of
-// one per interior node.
+// invariant checked (child ownership, times, own-previous-view), and
+// each node's known-value sets are ORed from its children's as it is
+// read, but the hash-cons table is NOT rebuilt here: restored
+// interners are queried far more often than extended, so the table is
+// reconstructed lazily by the first Leaf/Extend call (see
+// Interner.ensureIndex), and the syntactic-analysis memo tables are
+// sized by the first analysis that needs them (see Interner.growMemo).
+// View IDs are identical to the original's, and further interning
+// still dedups against the restored views. Child arrays are carved
+// from one arena block sized up front, so a restore costs O(1)
+// allocations for the node storage instead of one per interior node.
 func UnmarshalInterner(data []byte) (*Interner, error) {
 	r := reader{buf: data}
 	nU, err := r.uvarint()
@@ -68,8 +68,8 @@ func UnmarshalInterner(data []byte) (*Interner, error) {
 	if count > maxNodes {
 		return nil, fmt.Errorf("views: interner claims %d nodes (max %d)", count, maxNodes)
 	}
-	// No hash-cons index: rebuilt lazily on first intern.
-	in := &Interner{n: n, nodes: make([]node, 0, count)}
+	// No hash-cons table: built on first intern.
+	in := &Interner{n: n, nodes: make([]node, 0, count), known: make([][2]types.ProcSet, 0, count)}
 	if count > 0 {
 		in.fromArena = make([]ID, 0, int(count)*n)
 	}
@@ -125,6 +125,7 @@ func UnmarshalInterner(data []byte) (*Interner, error) {
 			nd.initial = in.nodes[own].initial
 		}
 		in.nodes = append(in.nodes, nd)
+		in.known = append(in.known, in.knownOf(&nd))
 	}
 	return in, nil
 }

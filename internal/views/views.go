@@ -36,7 +36,7 @@ import (
 // live at once (one per process in the network runtime), so the size
 // gauge reports the largest table via SetMax rather than a per-instance
 // value. Intern latency is sampled on misses only — the hit path is a
-// map lookup and timing it would cost more than the lookup — and only
+// table probe and timing it would cost more than the probe — and only
 // when telemetry is enabled, because it needs two clock reads.
 var (
 	mInternHits   = telemetry.Default().Counter("eba_views_intern_total", telemetry.L("result", "hit"))
@@ -69,25 +69,36 @@ type node struct {
 }
 
 // Interner hash-conses views for an n-processor system and memoizes
-// the syntactic analyses. Interning (Leaf, Extend, Unmarshal) is not
-// safe for concurrent use; each enumeration or simulation owns its
-// Interner (or guards it). Once interning is complete the structure is
-// read-mostly: the memoized syntactic analyses (KnownValues, Knows,
-// FaultEvidence, AcceptsZeroAt, BelievesExistsZeroStar, ...) take an
-// internal lock around their lazily-filled tables, so any number of
-// goroutines may query a fully-built interner concurrently — the
-// contract the epistemic query service relies on.
+// the syntactic analyses. The views form a DAG whose children always
+// have smaller IDs than their parents (Extend requires its children to
+// exist), and everything the interner keeps per view is indexed by ID.
+// Interning (Leaf, Extend, Unmarshal) is not safe for concurrent use;
+// each enumeration or simulation owns its Interner (or guards it). Once
+// interning is complete the structure is read-mostly: the known-value
+// tests (Knows, KnowsAll, KnownValues) read masks filled at intern
+// time, and the memoized analyses (FaultEvidence, AcceptsZeroAt,
+// BelievesExistsZeroStar, ...) take an internal lock around their
+// lazily-filled tables, so any number of goroutines may query a
+// fully-built interner concurrently — the contract the epistemic query
+// service relies on.
 type Interner struct {
 	n     int
 	nodes []node
-	// index maps a node's binary hash-cons key to its ID. It is nil
-	// after a snapshot restore (UnmarshalInterner): restored systems
-	// are queried, not extended, so the index is rebuilt lazily on the
-	// first intern instead of paying one map insert per restored node.
-	index map[string]ID
-	// keyBuf is the reusable scratch buffer hash-cons keys are built
-	// in; the hit path does zero allocations.
-	keyBuf []byte
+	// known[id][v] is the set of processors whose initial value v view
+	// id records: a leaf's own bit, or the OR of its children's sets.
+	// Every insert and UnmarshalInterner appends it, so the known-value
+	// tests need neither a memo nor a lock.
+	known [][2]types.ProcSet
+	// table is the open-addressed hash-cons table: each slot holds a
+	// view's ID+1, or 0 when empty, probed linearly from the slot
+	// nodeHash picks. Its length is a power of two and it is never more
+	// than half full. It is nil after a snapshot restore
+	// (UnmarshalInterner): restored systems are queried, not extended,
+	// so the table is rebuilt by the first intern (ensureIndex).
+	table []int32
+	// children is the scratch child array Extend assembles a view in
+	// before looking it up, so the hit path allocates nothing.
+	children []ID
 	// fromArena slab-allocates the nodes' child arrays: enumeration
 	// interns 10^5–10^6 nodes one Extend at a time, and carving their
 	// from-slices out of shared blocks keeps the allocator and the GC
@@ -97,10 +108,10 @@ type Interner struct {
 
 	// memoMu guards the memo tables below (indexed by ID). Interning
 	// never touches them: the analysis that first needs an entry past
-	// their end grows all six to the node count (growMemo), so a
+	// their end grows all five to the node count (growMemo), so a
 	// snapshot restore or a build that nobody analyses pays nothing for
-	// them. memoMu deliberately does not guard nodes/index: interning
-	// and concurrent analysis must not overlap.
+	// them. memoMu deliberately does not guard nodes, known or table:
+	// interning and concurrent analysis must not overlap.
 	//
 	// The lock discipline is deliberately narrow: lookups take the
 	// read lock for a single slice access, computation runs with no
@@ -112,7 +123,6 @@ type Interner struct {
 	// serialize on one another's recursions, which is what lets the
 	// parallel knowledge evaluator scale across cores.
 	memoMu     sync.RWMutex
-	knownVals  [][]types.Value
 	faultEv    []types.ProcSet
 	faultEvOK  []bool
 	acceptSets [][]types.ProcSet
@@ -125,7 +135,7 @@ func NewInterner(n int) *Interner {
 	if n < 2 || n > types.MaxProcs {
 		panic(fmt.Sprintf("views: NewInterner(%d) out of range", n))
 	}
-	return &Interner{n: n, index: make(map[string]ID)}
+	return &Interner{n: n}
 }
 
 // N returns the system size the interner was built for.
@@ -134,27 +144,97 @@ func (in *Interner) N() int { return in.n }
 // Size returns the number of distinct interned views.
 func (in *Interner) Size() int { return len(in.nodes) }
 
-// Hash-cons key layout. Keys are compact binary, built into the
-// interner's scratch buffer: a leaf is {'L', proc, value}; an interior
-// node is {'N', proc, 4 bytes little-endian (childID+1) per processor}
-// (+1 so NoView encodes as zero). The two shapes have different
-// lengths for every n, so they can never collide. Keys never leave the
-// interner except as map-key strings, allocated once per distinct view.
-const leafKeyLen = 3
-
-// appendKeyID appends a child reference to a key under construction.
-func appendKeyID(key []byte, v ID) []byte {
-	u := uint32(v + 1)
-	return append(key, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
+// nodeHash picks a view's first slot in the hash-cons table from its
+// owner, its owner's initial value and its children (nil for a leaf).
+// It only narrows the search: equality on the node's own fields
+// decides. It is a variable so a test can make every view collide.
+var nodeHash = func(p types.ProcID, v types.Value, from []ID) uint64 {
+	h := uint64(p)<<1 | uint64(v)&1
+	for _, c := range from {
+		h = (h ^ uint64(uint32(c+1))) * 0x9E3779B97F4A7C15
+	}
+	h ^= h >> 30
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 27
+	h *= 0x94D049BB133111EB
+	return h ^ h>>31
 }
 
-// fromArenaBlock is the child-array slab size, in IDs.
-const fromArenaBlock = 1 << 16
+// is reports whether the node is the view of p, starting with v, with
+// the given children (nil for a leaf).
+func (nd *node) is(p types.ProcID, v types.Value, from []ID) bool {
+	if nd.proc != p || nd.initial != v || (nd.from == nil) != (from == nil) {
+		return false
+	}
+	for j, c := range from {
+		if nd.from[j] != c {
+			return false
+		}
+	}
+	return true
+}
+
+// find returns the ID of the interned view of p, starting with v, with
+// the given children — or NoView and the empty slot a new one goes in.
+func (in *Interner) find(p types.ProcID, v types.Value, from []ID) (ID, int) {
+	mask := len(in.table) - 1
+	for s := int(nodeHash(p, v, from) & uint64(mask)); ; s = (s + 1) & mask {
+		e := in.table[s]
+		if e == 0 {
+			return NoView, s
+		}
+		if in.nodes[e-1].is(p, v, from) {
+			return ID(e - 1), s
+		}
+	}
+}
+
+// minTable is the smallest hash-cons table, in slots.
+const minTable = 64
+
+// ensureIndex builds the hash-cons table if there is none: on the first
+// intern into a new interner, and after a snapshot restore, whose
+// interner is usually only queried, so the table's cost is paid by the
+// first caller that interns.
+func (in *Interner) ensureIndex() {
+	if in.table != nil {
+		return
+	}
+	size := minTable
+	for size < 2*len(in.nodes) {
+		size *= 2
+	}
+	in.rehash(size)
+}
+
+// rehash re-places every view, in ID order, in a fresh table of the
+// given power-of-two size.
+func (in *Interner) rehash(size int) {
+	in.table = make([]int32, size)
+	mask := size - 1
+	for i := range in.nodes {
+		nd := &in.nodes[i]
+		s := int(nodeHash(nd.proc, nd.initial, nd.from) & uint64(mask))
+		for in.table[s] != 0 {
+			s = (s + 1) & mask
+		}
+		in.table[s] = int32(i) + 1
+	}
+}
+
+// The child-array slabs start at minArenaBlock IDs and double up to
+// fromArenaBlock, so an interner of a few thousand views (a small
+// system, one process of the network runtime) does not reserve a
+// quarter-megabyte slab it never fills.
+const (
+	minArenaBlock  = 1 << 10
+	fromArenaBlock = 1 << 16
+)
 
 // allocFrom carves an n-ID child array out of the arena.
 func (in *Interner) allocFrom(n int) []ID {
 	if len(in.fromArena)+n > cap(in.fromArena) {
-		block := fromArenaBlock
+		block := min(max(2*cap(in.fromArena), minArenaBlock), fromArenaBlock)
 		if n > block {
 			block = n
 		}
@@ -165,35 +245,26 @@ func (in *Interner) allocFrom(n int) []ID {
 	return in.fromArena[lo : lo+n : lo+n]
 }
 
-// ensureIndex rebuilds the hash-cons index from the node table after a
-// snapshot restore. Restored interners are usually only queried; the
-// cost of the index is paid by the first caller that interns.
-func (in *Interner) ensureIndex() {
-	if in.index != nil {
-		return
+// knownOf returns a node's known-value sets from its children's, which
+// are interned before it: a leaf records its own value only.
+func (in *Interner) knownOf(nd *node) [2]types.ProcSet {
+	var k [2]types.ProcSet
+	if nd.from == nil {
+		k[nd.initial] = types.Singleton(nd.proc)
+		return k
 	}
-	idx := make(map[string]ID, len(in.nodes))
-	key := in.keyBuf[:0]
-	for i := range in.nodes {
-		nd := &in.nodes[i]
-		key = key[:0]
-		if nd.from == nil {
-			key = append(key, 'L', byte(nd.proc), byte(nd.initial))
-		} else {
-			key = append(key, 'N', byte(nd.proc))
-			for _, ch := range nd.from {
-				key = appendKeyID(key, ch)
-			}
+	for _, c := range nd.from {
+		if c != NoView {
+			k[0] |= in.known[c][0]
+			k[1] |= in.known[c][1]
 		}
-		idx[string(key)] = ID(i)
 	}
-	in.keyBuf = key[:0]
-	in.index = idx
+	return k
 }
 
-// insert records a fresh node under its key; the caller has already
-// missed the index.
-func (in *Interner) insert(key []byte, nd node) ID {
+// insert records a fresh node in the table slot find returned for it,
+// growing the table when it passes half full.
+func (in *Interner) insert(nd node, slot int) ID {
 	mInternMisses.Inc()
 	var start time.Time
 	if telemetry.Enabled() {
@@ -201,7 +272,11 @@ func (in *Interner) insert(key []byte, nd node) ID {
 	}
 	id := ID(len(in.nodes))
 	in.nodes = append(in.nodes, nd)
-	in.index[string(key)] = id
+	in.known = append(in.known, in.knownOf(&nd))
+	in.table[slot] = int32(id) + 1
+	if 2*len(in.nodes) > len(in.table) {
+		in.rehash(2 * len(in.table))
+	}
 	if telemetry.Enabled() {
 		mInternerSize.SetMax(float64(len(in.nodes)))
 		mInternMissS.Observe(time.Since(start).Seconds())
@@ -218,12 +293,12 @@ func (in *Interner) Leaf(p types.ProcID, v types.Value) ID {
 		panic("views: Leaf with invalid initial value")
 	}
 	in.ensureIndex()
-	key := [leafKeyLen]byte{'L', byte(p), byte(v)}
-	if id, ok := in.index[string(key[:])]; ok {
+	id, slot := in.find(p, v, nil)
+	if id != NoView {
 		mInternHits.Inc()
 		return id
 	}
-	return in.insert(key[:], node{proc: p, time: 0, initial: v})
+	return in.insert(node{proc: p, time: 0, initial: v}, slot)
 }
 
 // Extend interns the time-(m+1) view of processor p whose time-m view
@@ -239,47 +314,46 @@ func (in *Interner) Extend(p types.ProcID, own ID, received []ID) ID {
 		panic(fmt.Sprintf("views: Extend own view belongs to %d, not %d", ownNd.proc, p))
 	}
 	in.ensureIndex()
-	// Build the key first: the common case is a hit, which must not
-	// allocate — neither the child array nor the key string.
-	key := in.keyBuf[:0]
-	key = append(key, 'N', byte(p))
+	// Assemble the children in scratch first: the common case is a hit,
+	// which must not allocate a child array.
+	if in.children == nil {
+		in.children = make([]ID, in.n)
+	}
+	ch := in.children
 	for j := 0; j < in.n; j++ {
 		v := received[j]
 		if types.ProcID(j) == p {
 			v = own
 		}
 		if v != NoView {
-			ch := in.node(v)
-			if ch.proc != types.ProcID(j) {
-				panic(fmt.Sprintf("views: Extend received[%d] belongs to %d", j, ch.proc))
+			c := in.node(v)
+			if c.proc != types.ProcID(j) {
+				panic(fmt.Sprintf("views: Extend received[%d] belongs to %d", j, c.proc))
 			}
-			if ch.time != ownNd.time {
-				panic(fmt.Sprintf("views: Extend received[%d] at time %d, want %d", j, ch.time, ownNd.time))
+			if c.time != ownNd.time {
+				panic(fmt.Sprintf("views: Extend received[%d] at time %d, want %d", j, c.time, ownNd.time))
 			}
 		}
-		key = appendKeyID(key, v)
+		ch[j] = v
 	}
-	in.keyBuf = key
-	if id, ok := in.index[string(key)]; ok {
+	id, slot := in.find(p, ownNd.initial, ch)
+	if id != NoView {
 		mInternHits.Inc()
 		return id
 	}
 	from := in.allocFrom(in.n)
-	for j := 0; j < in.n; j++ {
-		if types.ProcID(j) == p {
-			from[j] = own
-		} else {
-			from[j] = received[j]
-		}
-	}
-	return in.insert(key, node{proc: p, time: ownNd.time + 1, initial: ownNd.initial, from: from})
+	copy(from, ch)
+	return in.insert(node{proc: p, time: ownNd.time + 1, initial: ownNd.initial, from: from}, slot)
 }
 
-func (in *Interner) node(id ID) *node {
+func (in *Interner) node(id ID) *node { return &in.nodes[in.checked(id)] }
+
+// checked returns id, panicking with its value if it names no view.
+func (in *Interner) checked(id ID) ID {
 	if id < 0 || int(id) >= len(in.nodes) {
 		panic(fmt.Sprintf("views: invalid view ID %d", id))
 	}
-	return &in.nodes[id]
+	return id
 }
 
 // Proc returns the owner of the view.
@@ -351,19 +425,44 @@ func (in *Interner) HeardFrom(id ID) types.ProcSet {
 }
 
 // KnownValues returns, for each processor j, the initial value of j if
-// it is recorded anywhere in the view, else Unset. The result is owned
-// by the interner; callers must not modify it.
+// it is recorded anywhere in the view, else Unset, in a fresh slice.
 func (in *Interner) KnownValues(id ID) []types.Value {
-	var kv []types.Value
-	in.memoMu.RLock()
-	if int(id) < len(in.knownVals) {
-		kv = in.knownVals[id]
+	k := in.known[in.checked(id)]
+	kv := make([]types.Value, in.n)
+	for j := range kv {
+		switch p := types.ProcID(j); {
+		case k[types.Zero].Contains(p):
+			kv[j] = types.Zero
+		case k[types.One].Contains(p):
+			kv[j] = types.One
+		default:
+			kv[j] = types.Unset
+		}
 	}
-	in.memoMu.RUnlock()
-	if kv != nil {
-		return kv
+	return kv
+}
+
+// knownSet returns the processors whose initial value v the view
+// records. Only Zero and One are ever recorded.
+func (in *Interner) knownSet(id ID, v types.Value) types.ProcSet {
+	k := &in.known[in.checked(id)]
+	if !v.Valid() {
+		return types.EmptySet
 	}
-	return in.computeKnownValues(id)
+	return k[v]
+}
+
+// Knows reports whether the view records some processor having initial
+// value v. Knows(id, Zero) is the syntactic test for K_i ∃0 in a
+// full-information protocol.
+func (in *Interner) Knows(id ID, v types.Value) bool { return !in.knownSet(id, v).Empty() }
+
+// KnowsAll reports whether the view records the initial value v for
+// every processor (the "knows all initial values are v" test of the
+// P0opt decision rule, Section 2.2). A view records at most one value
+// per processor, so that is v's set being everyone.
+func (in *Interner) KnowsAll(id ID, v types.Value) bool {
+	return in.knownSet(id, v) == types.FullSet(in.n)
 }
 
 // growMemo extends the memo tables to cover every interned view. The
@@ -372,68 +471,12 @@ func (in *Interner) KnownValues(id ID) []types.Value {
 // interning and analysis (the runtimes' per-process ones) does not
 // copy the tables once per view.
 func (in *Interner) growMemo() {
-	add := len(in.nodes) - len(in.knownVals)
-	in.knownVals = append(in.knownVals, make([][]types.Value, add)...)
+	add := len(in.nodes) - len(in.faultEv)
 	in.faultEv = append(in.faultEv, make([]types.ProcSet, add)...)
 	in.faultEvOK = append(in.faultEvOK, make([]bool, add)...)
 	in.acceptSets = append(in.acceptSets, make([][]types.ProcSet, add)...)
 	in.acceptOK = append(in.acceptOK, make([]bool, add)...)
 	in.believes0s = append(in.believes0s, make([]int8, add)...)
-}
-
-// computeKnownValues fills the KnownValues memo for a cold entry. It
-// recurses through the public wrapper so child lookups hit warm memos
-// under the read lock, and publishes its own entry under a brief write
-// lock.
-func (in *Interner) computeKnownValues(id ID) []types.Value {
-	nd := in.node(id)
-	kv := make([]types.Value, in.n)
-	for i := range kv {
-		kv[i] = types.Unset
-	}
-	kv[nd.proc] = nd.initial
-	for j := 0; j < in.n && nd.from != nil; j++ {
-		ch := nd.from[j]
-		if ch == NoView {
-			continue
-		}
-		for q, v := range in.KnownValues(ch) {
-			if v != types.Unset {
-				kv[q] = v
-			}
-		}
-	}
-	in.memoMu.Lock()
-	if int(id) >= len(in.knownVals) {
-		in.growMemo()
-	}
-	in.knownVals[id] = kv
-	in.memoMu.Unlock()
-	return kv
-}
-
-// Knows reports whether the view records some processor having initial
-// value v. Knows(id, Zero) is the syntactic test for K_i ∃0 in a
-// full-information protocol.
-func (in *Interner) Knows(id ID, v types.Value) bool {
-	for _, u := range in.KnownValues(id) {
-		if u == v {
-			return true
-		}
-	}
-	return false
-}
-
-// KnowsAll reports whether the view records the initial value v for
-// every processor (the "knows all initial values are v" test of the
-// P0opt decision rule, Section 2.2).
-func (in *Interner) KnowsAll(id ID, v types.Value) bool {
-	for _, u := range in.KnownValues(id) {
-		if u != v {
-			return false
-		}
-	}
-	return true
 }
 
 // FaultEvidence returns the set of processors the view proves faulty:

@@ -208,18 +208,16 @@ func CheckProp63(n, t, h int) (*Report, error) {
 				rep.Failures = append(rep.Failures, fmt.Sprintf("time %d proc %d: target run has a 0", m, i))
 				continue
 			}
-			// ¬𝒪²_i at (r, m): search the indistinguishability class
-			// for an i∈𝒩 point where ∃1 ∧ C□ fails.
+			// ¬𝒪²_i at (r, m): search the indistinguishability class —
+			// the time-m points where i holds the same view — for an
+			// i∈𝒩 point where ∃1 ∧ C□ fails.
 			id := run.View(m, i)
 			found := false
-			for _, qi := range sys.PointIdxWithView(id) {
-				if !sys.RunOf(sys.PointAt(int(qi))).Nonfaulty().Contains(i) {
-					continue
-				}
-				if !exists1Tbl.Get(int(qi)) || !cboxTbl.Get(int(qi)) {
-					found = true
-					break
-				}
+			for r := 0; r < sys.NumRuns() && !found; r++ {
+				other := sys.Run(r)
+				qi := sys.PointIndex(system.Point{Run: r, Time: types.Round(m)})
+				found = other.View(m, i) == id && other.Nonfaulty().Contains(i) &&
+					(!exists1Tbl.Get(qi) || !cboxTbl.Get(qi))
 			}
 			if !found {
 				rep.Failures = append(rep.Failures,
