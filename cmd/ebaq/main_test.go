@@ -93,6 +93,8 @@ func TestBadFlags(t *testing.T) {
 		{"no formula", nil, "missing -f formula"},
 		{"unparsable formula", []string{"-f", "K0 ("}, "unexpected end of formula"},
 		{"unknown mode", []string{"-mode", "bogus", "-f", "E0"}, `unknown failure mode "bogus"`},
+		{"processor out of range", []string{"-f", "K7 E0"}, "formula names processor 7"},
+		{"index out of range", []string{"-f", "K99999999999999999999 E0"}, "processor index out of range"},
 		{"bad trace id", []string{"-server", "http://127.0.0.1:0", "-trace-id", "a b", "-f", "E0"}, "bad -trace-id"},
 	}
 	for _, tc := range cases {

@@ -35,22 +35,25 @@ func viewIndex(sys *system.System) (off []int, idx []int32) {
 // unionClassesRef is the view-index walk the C and C□ components were
 // built by before they were read off the view DAG: for every view its
 // owner's membership admits, join (the images under pos of) all the
-// points that hold it where the owner is in S. It returns the
-// union-find and the occupied table it fills.
-func unionClassesRef(e *Evaluator, fr *frontier, elems int, pos func(idx int32) int32) (*unionFind, *Bits) {
+// points that hold it where the owner is in S — not out, in the views
+// part, and nonfaulty in the point's run if the membership asks. It
+// returns each element's root and the occupied table it fills.
+func unionClassesRef(e *Evaluator, fr *frontier, elems int, pos func(idx int32) int32) ([]int32, *Bits) {
 	sys := e.sys
+	stride := int32(sys.Horizon + 1)
 	off, idx := viewIndex(sys)
 	of := e.partition().of
 	uf := newUnionFind(elems)
 	occupied := NewBits(sys.NumPoints())
 	for id := views.ID(0); int(id) < sys.Interner.Size(); id++ {
-		mb := &fr.members[sys.Interner.Proc(id)]
+		owner := sys.Interner.Proc(id)
+		mb := &fr.members[owner]
 		if mb.out || mb.views != nil && (of[id] < 0 || mb.views[of[id]] == 0) {
 			continue
 		}
 		first := int32(-1)
 		for _, q := range idx[off[id]:off[id+1]] {
-			if mb.points != nil && !mb.points.Get(int(q)) {
+			if mb.nf && !sys.Run(int(q/stride)).Nonfaulty().Contains(owner) {
 				continue
 			}
 			occupied.Set(int(q), true)
@@ -61,7 +64,16 @@ func unionClassesRef(e *Evaluator, fr *frontier, elems int, pos func(idx int32) 
 			}
 		}
 	}
-	return uf, occupied
+	return rootsOf(uf), occupied
+}
+
+// rootsOf returns every element's root.
+func rootsOf(uf *unionFind) []int32 {
+	roots := make([]int32, len(uf.parent))
+	for i := range roots {
+		roots[i] = uf.find(int32(i))
+	}
+	return roots
 }
 
 // samePartition reports whether two root tables partition their
@@ -89,7 +101,7 @@ func runMismatch(e *Evaluator, fr *frontier) error {
 	stride := int32(e.sys.Horizon + 1)
 	runs := e.runComponents(fr)
 	ref, occupied := unionClassesRef(e, fr, e.sys.NumRuns(), func(idx int32) int32 { return idx / stride })
-	if err := samePartition(runs, ref.flatten()); err != nil {
+	if err := samePartition(runs, ref); err != nil {
 		return fmt.Errorf("C□ runs: %v", err)
 	}
 	if !fr.occupied.Equal(occupied) {
@@ -102,7 +114,7 @@ func runMismatch(e *Evaluator, fr *frontier) error {
 func pointMismatch(e *Evaluator, fr *frontier) error {
 	points := e.pointComponents(fr)
 	ref, occupied := unionClassesRef(e, fr, e.sys.NumPoints(), func(idx int32) int32 { return idx })
-	if err := samePartition(points, ref.flatten()); err != nil {
+	if err := samePartition(points, ref); err != nil {
 		return fmt.Errorf("C points: %v", err)
 	}
 	if !fr.occupied.Equal(occupied) {
@@ -125,8 +137,8 @@ func componentMismatch(sys *system.System, s NonrigidSet) error {
 // chainTestSets are sets of every shape the component builds
 // distinguish: 𝒩; 𝒩∧𝒪 for an upward-closed decision set; a views part
 // that is not upward-closed ("heard from everyone last round"), alone
-// and under 𝒩; random views parts; a rigid set; an opaque set, and an
-// opaque set under 𝒩, whose points parts are foreign.
+// and under 𝒩; random views parts; a rigid set, alone and over a views
+// part.
 func chainTestSets(n int) map[string]NonrigidSet {
 	decided1 := FromViews("O", func(in *views.Interner, id views.ID) bool {
 		return in.Time(id) >= 2 && !in.Knows(id, types.Zero)
@@ -144,52 +156,33 @@ func chainTestSets(n int) map[string]NonrigidSet {
 		"N∧R":            Intersect(Nonfaulty(), random),
 		"rigid":          Const("01", types.SetOf(0, 1)),
 		"rigid∧heardAll": Intersect(Const("02", types.SetOf(0, 2)), heardAll),
-		"opaque":         opaqueSet{Intersect(Nonfaulty(), heardAll)},
-		"opaque∧N":       Intersect(opaqueSet{heardAll}, Nonfaulty()),
 	}
 }
 
-// TestChainComponentsMatchViewWalk pins the components read off the
-// view DAG (C□) and the run-major pass (C, and C□ over foreign points
-// parts) to the view-index walk they replaced, set by set, in all four
-// failure modes at n=3 t=1. The mutants planted under the
-// mutant_chain_* build tags must fail it.
+// TestChainComponentsMatchViewWalk pins the C and C□ components read
+// off the view IDs to the view-index walk they replaced, set by set, in
+// all four failure modes at n=3 t=1, and at a horizon whose times need
+// two occupancy words per view (crash n=2 t=1 h=65). The mutants
+// planted under the mutant_* build tags must fail it.
 func TestChainComponentsMatchViewWalk(t *testing.T) {
 	for _, k := range []struct {
+		name string
 		mode failures.Mode
-		h    int
+		n, h int
 	}{
-		{failures.Crash, 3},
-		{failures.Omission, 3},
-		{failures.ReceivingOmission, 2},
-		{failures.GeneralOmission, 2},
+		{"crash", failures.Crash, 3, 3},
+		{"omission", failures.Omission, 3, 3},
+		{"receiving-omission", failures.ReceivingOmission, 3, 2},
+		{"general-omission", failures.GeneralOmission, 3, 2},
+		{"crash-n2-h65", failures.Crash, 2, 65},
 	} {
-		t.Run(k.mode.String(), func(t *testing.T) {
-			sys := newModeSys(t, k.mode, 3, 1, k.h)
-			for name, s := range chainTestSets(3) {
+		t.Run(k.name, func(t *testing.T) {
+			sys := newModeSys(t, k.mode, k.n, 1, k.h)
+			for name, s := range chainTestSets(k.n) {
 				if err := componentMismatch(sys, s); err != nil {
 					t.Errorf("%s: %v", name, err)
 				}
 			}
 		})
-	}
-}
-
-// TestChainPathTaken pins which sets take which C□ build: the view DAG
-// for memberships that views and run-constant facts decide, the
-// run-major pass for foreign points parts and for horizons past a
-// uint64's bits.
-func TestChainPathTaken(t *testing.T) {
-	sys := newModeSys(t, failures.Omission, 3, 1, 2)
-	e := NewEvaluator(sys)
-	for name, s := range chainTestSets(3) {
-		want := name != "opaque" && name != "opaque∧N"
-		if got := e.chainable(e.frontierFor(s)); got != want {
-			t.Errorf("%s: chainable %v, want %v", name, got, want)
-		}
-	}
-	deep := &Evaluator{sys: &system.System{Horizon: 64}, frontiers: e.frontiers}
-	if deep.chainable(e.frontierFor(Nonfaulty())) {
-		t.Error("horizon 64 takes the chain path")
 	}
 }

@@ -1,9 +1,8 @@
 package knowledge
 
 import (
-	"bytes"
 	"context"
-	"hash/fnv"
+	"fmt"
 	"math/bits"
 	"strconv"
 
@@ -21,8 +20,7 @@ var (
 	mEvalCacheHits   = telemetry.Default().Counter("eba_knowledge_eval_cache_hits_total")
 	mEvalCacheMisses = telemetry.Default().Counter("eba_knowledge_eval_cache_misses_total")
 	// mFrontierBuilds counts frontiers built: one per distinct factored
-	// membership an evaluator meets, and one per set with a points part
-	// of its own.
+	// membership an evaluator meets.
 	mFrontierBuilds = telemetry.Default().Counter("eba_knowledge_frontier_builds_total")
 	// mUnionsPoints and mUnionsRuns count union operations, added once
 	// per component build by that build's count.
@@ -54,7 +52,7 @@ func opName(f Formula) string {
 	switch f.(type) {
 	case *constF:
 		return "const"
-	case *atomF, *runAtomF, *viewAtomF, *nonfaultyF:
+	case *atomF, *runAtomF, *viewAtomF, *nonfaultyF, *emptyF:
 		return "atom"
 	case *notF:
 		return "not"
@@ -89,10 +87,10 @@ func opName(f Formula) string {
 	}
 }
 
-// observeComponentSizes records the size distribution of a flattened
-// union-find's components into h: one counting pass over the root
-// table (roots are element indices, so the counts are dense), a second
-// over the sizes, and one observation per distinct size.
+// observeComponentSizes records the size distribution of a root
+// table's components into h: one counting pass over the table (roots
+// are element indices, so the counts are dense), a second over the
+// sizes, and one observation per distinct size.
 func observeComponentSizes(roots []int32, h *telemetry.Histogram) {
 	sizes := make([]int32, len(roots))
 	for _, r := range roots {
@@ -143,16 +141,18 @@ type Evaluator struct {
 	// frontier holding its S-derived structures (factored membership,
 	// dense masks, point and run components). Sets whose factored
 	// memberships are equal share one frontier, so C□, C and the masks
-	// over an equal set cost nothing after the first: byContent buckets
-	// the frontiers by membersDigest, and a set joins one only when every
-	// part is equal (see sameMembers). A set with a points part other
-	// than 𝒩's — one implemented outside this package — never shares.
+	// over an equal set cost nothing after the first: byContent keys the
+	// frontiers by the exact bytes of their memberships (contentKey).
 	frontiers map[NonrigidSet]*frontier
-	byContent map[uint64][]*frontier
+	byContent map[string]*frontier
 	// part caches the view-class partition of the point space
 	// (independent of any nonrigid set), so no class table rebuilds the
 	// class map across formulas or sets.
 	part *partition
+	// nfMasks and nfClasses cache 𝒩 per processor, point by point
+	// (nonfaultyMasks) and class by class (nonfaultyClasses).
+	nfMasks   []*Bits
+	nfClasses [][]uint8
 }
 
 // frontier is every structure the evaluator derives from one nonrigid
@@ -164,19 +164,14 @@ type Evaluator struct {
 //     masks[i] iff i ∈ S at point idx), the word-level form the E_S,
 //     E◇_S and non-local B^S_i kernels consume — built per processor
 //     on first use (mask), never by C or C□;
-//   - someIn: per class of i, whether i ∈ S at some point of the class
-//     (the B^S_i L = L ∨ ¬someIn identity);
 //   - occupied: bit idx set iff S is nonempty at idx, filled by the
 //     first component build;
-//   - pointRoots and runRoots: the C_S and C□_S reachability components
-//     as flattened root tables, one entry per point or run. C□'s are
-//     read off the interner's view DAG when membership is a function of
-//     views and of facts constant along a run (chainRoots), and off a
-//     run-major pass over the run table otherwise (unionMembers).
+//   - pointRoots and runRoots: the C_S and C□_S reachability components,
+//     one entry per point or run naming the smallest point or run of its
+//     component, both built by one union-find over view IDs.
 type frontier struct {
 	members  []member
 	masks    []*Bits
-	someIn   [][]uint8
 	occupied *Bits
 
 	pointRoots []int32
@@ -184,20 +179,18 @@ type frontier struct {
 }
 
 // member is one processor's membership in a set, factored by the
-// granularity each part is constant at: i ∈ S at point idx iff i is
-// not out, the views part holds for i's class at idx, and bit idx of
-// the points part is set. A nil part admits everything. FromViews is a
-// views part (asked once per class), a rigid set marks the processors
-// it lacks out, 𝒩 is a points part written a run at a time (once per
-// evaluator), a NonrigidSet implemented outside this package a points
-// part asked point by point, and Intersect ANDs the parts; a views
-// part under 𝒩's points part is then cut to the classes held while
-// nonfaulty (canonical). Parts may be shared between sets and are never
-// modified.
+// granularity each part is constant at: i ∈ S at a point iff i is not
+// out, i is nonfaulty in the point's run if nf is set, and the views
+// part, unless nil, holds for i's class there. A rigid set marks the
+// processors it lacks out, 𝒩 sets nf (read once per run from the
+// pattern, into nonfaultyMasks), FromViews is a views part (asked once
+// per class), and
+// Intersect ORs the flags and ANDs the views parts; a views part under
+// nf is then cut to the classes held while nonfaulty (canonical). Views
+// parts may be shared between sets and are never modified.
 type member struct {
-	out    bool
-	views  []uint8
-	points *Bits
+	out, nf bool
+	views   []uint8
 }
 
 // NewEvaluator creates an evaluator for the system, with the internal
@@ -208,7 +201,7 @@ func NewEvaluator(sys *system.System) *Evaluator {
 		memo:      make(map[Formula]*Bits),
 		locals:    make(map[localKey][]uint8),
 		frontiers: make(map[NonrigidSet]*frontier),
-		byContent: make(map[uint64][]*frontier),
+		byContent: make(map[string]*frontier),
 	}
 	e.SetParallelism(0)
 	return e
@@ -341,6 +334,13 @@ func (e *Evaluator) Eval(f Formula) *Bits {
 		} else {
 			tbl = NewBits(e.sys.NumPoints())
 		}
+	case *emptyF:
+		fr := e.frontierFor(g.s)
+		tbl = NewBits(e.sys.NumPoints())
+		tbl.Fill(true)
+		for i := 0; i < e.sys.Params.N; i++ {
+			tbl.AndNotWith(e.mask(fr, types.ProcID(i)))
+		}
 	case *viewAtomF, *kF, *bF:
 		i, _ := owner(f)
 		tbl = e.expandClasses(i, e.local(i, f))
@@ -359,21 +359,21 @@ func (e *Evaluator) Eval(f Formula) *Bits {
 			tbl.OrWith(e.Eval(sub))
 		}
 	case *eF:
-		tbl = e.evalE(g.s, e.Eval(g.f))
+		tbl = e.evalE(g.s, e.Eval(g.f), false)
 	case *cF:
 		tbl = e.evalC(g.s, e.Eval(g.f))
 	case *boxF:
-		tbl = e.evalBox(e.Eval(g.f), false)
+		tbl = e.evalTime(e.Eval(g.f), false, true)
 	case *diamondF:
-		tbl = e.evalBox(e.Eval(g.f), true)
+		tbl = e.evalTime(e.Eval(g.f), true, true)
 	case *cboxF:
 		tbl = e.evalCBox(g.s, e.Eval(g.f))
 	case *henceforthF:
-		tbl = e.evalSuffix(e.Eval(g.f), false)
+		tbl = e.evalTime(e.Eval(g.f), false, false)
 	case *futureF:
-		tbl = e.evalSuffix(e.Eval(g.f), true)
+		tbl = e.evalTime(e.Eval(g.f), true, false)
 	case *ediamondF:
-		tbl = e.evalEDiamond(g.s, e.Eval(g.f))
+		tbl = e.evalE(g.s, e.Eval(g.f), true)
 	case *cdiamondF:
 		tbl = e.evalCDiamond(g.s, e.Eval(g.f))
 	default:
@@ -386,147 +386,50 @@ func (e *Evaluator) Eval(f Formula) *Bits {
 // frontierFor returns the set's frontier: the one the set was given
 // before, else the frontier of an earlier set with equal factored
 // membership, else a new one (counted by mFrontierBuilds). Building it
-// factors the set's membership and nothing else; dense masks, someIn
-// tables and reachability components hang off the frontier lazily.
+// factors the set's membership and nothing else; dense masks and
+// reachability components hang off the frontier lazily.
 func (e *Evaluator) frontierFor(s NonrigidSet) *frontier {
 	if fr, ok := e.frontiers[s]; ok {
 		return fr
 	}
-	ms := e.factor(s)
+	ms := s.factor(e)
 	e.canonical(ms)
-	key := membersDigest(ms)
-	for _, fr := range e.byContent[key] {
-		if sameMembers(fr.members, ms) {
-			e.frontiers[s] = fr
-			return fr
-		}
+	key := contentKey(ms)
+	fr, ok := e.byContent[key]
+	if !ok {
+		mFrontierBuilds.Inc()
+		fr = &frontier{members: ms, masks: make([]*Bits, e.sys.Params.N)}
+		e.byContent[key] = fr
 	}
-	mFrontierBuilds.Inc()
-	n := e.sys.Params.N
-	fr := &frontier{members: ms, masks: make([]*Bits, n), someIn: make([][]uint8, n)}
 	e.frontiers[s] = fr
-	e.byContent[key] = append(e.byContent[key], fr)
 	return fr
 }
 
-// canonical cuts, wherever a processor's points part is 𝒩's, its views
+// canonical cuts, wherever a processor's membership asks nf, its views
 // part to the classes whose view it holds somewhere while nonfaulty: a
 // class outside them admits no point either way, so two sets that
 // differ only there (𝒩∧P0.Z and 𝒩∧FΛ¹.Z in the crash mode) compare
 // equal. No processor's membership changes.
 func (e *Evaluator) canonical(ms []member) {
-	nf, ok := e.frontiers[theNonfaulty]
-	if !ok {
-		return
-	}
 	for i := range ms {
-		if mb := &ms[i]; mb.views != nil && mb.points == nf.members[i].points {
-			mb.views = andViews(mb.views, e.someIn(nf, types.ProcID(i)))
+		if mb := &ms[i]; mb.nf && mb.views != nil {
+			mb.views = andViews(mb.views, e.nonfaultyClasses()[i])
 		}
 	}
 }
 
-// membersDigest picks the bucket of a factored membership. It only
-// narrows the search: sameMembers decides equality.
-var membersDigest = func(ms []member) uint64 {
-	h := fnv.New64a()
+// contentKey is a factored membership's exact content: per processor,
+// its flags and its views part, so equal keys are equal memberships.
+func contentKey(ms []member) string {
+	var key []byte
 	for _, mb := range ms {
-		h.Write([]byte{b2u(mb.out), b2u(mb.views != nil), b2u(mb.points != nil)})
-		h.Write(mb.views)
+		key = fmt.Appendf(key, "%t %t %t %x;", mb.out, mb.nf, mb.views != nil, mb.views)
 	}
-	return h.Sum64()
+	return string(key)
 }
 
-func b2u(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// sameMembers reports whether two memberships are equal part by part:
-// the out flags, the views parts byte by byte (nil only equal to nil),
-// and the points parts by identity. Only 𝒩's points part is ever held
-// by two sets — every intersection with 𝒩 takes it from 𝒩's own
-// frontier — so a set with any other points part (one implemented
-// outside this package) matches no other set.
-func sameMembers(a, b []member) bool {
-	for i := range a {
-		if a[i].out != b[i].out || a[i].points != b[i].points ||
-			(a[i].views == nil) != (b[i].views == nil) || !bytes.Equal(a[i].views, b[i].views) {
-			return false
-		}
-	}
-	return true
-}
-
-// factor returns the set's membership per processor, each part at the
-// granularity it is constant at: 𝒩 once per run (and once per
-// evaluator, through its own frontier), a rigid set once, a
-// view-defined set once per view class, an intersection as an AND of
-// its operands' parts. Only a NonrigidSet implemented outside this
-// package is asked for Members point by point.
-func (e *Evaluator) factor(s NonrigidSet) []member {
-	n := e.sys.Params.N
-	np := e.sys.NumPoints()
-	ms := make([]member, n)
-	switch g := s.(type) {
-	case *nonfaultySet:
-		for i := range ms {
-			ms[i].points = NewBits(np)
-		}
-		e.fillRuns(func(run system.Run, base, end int) {
-			run.Nonfaulty().ForEach(func(i types.ProcID) bool {
-				ms[i].points.SetRange(base, end)
-				return true
-			})
-		})
-	case *constSet:
-		for i := range ms {
-			ms[i].out = !g.set.Contains(types.ProcID(i))
-		}
-	case *viewSet:
-		for i := range ms {
-			ms[i].views = e.classVals(types.ProcID(i), g.pred)
-		}
-	case *intersectSet:
-		a, b := e.operand(g.a), e.operand(g.b)
-		for i := range ms {
-			ms[i] = member{
-				out:    a[i].out || b[i].out,
-				views:  andViews(a[i].views, b[i].views),
-				points: andBits(a[i].points, b[i].points),
-			}
-		}
-	default:
-		// One word-aligned sharded pass (each shard owns its mask words).
-		for i := range ms {
-			ms[i].points = NewBits(np)
-		}
-		e.parallelBits(np, func(lo, hi int) {
-			for idx := lo; idx < hi; idx++ {
-				s.Members(e.sys, e.sys.PointAt(idx)).ForEach(func(i types.ProcID) bool {
-					ms[i].points.Set(idx, true)
-					return true
-				})
-			}
-		})
-	}
-	return ms
-}
-
-// operand factors an operand of an intersection. 𝒩 is factored once
-// per evaluator, through its own frontier, however many sets
-// intersect it.
-func (e *Evaluator) operand(s NonrigidSet) []member {
-	if s == theNonfaulty {
-		return e.frontierFor(s).members
-	}
-	return e.factor(s)
-}
-
-// andViews and andBits AND two membership parts, nil admitting
-// everything; a part ANDed with nil is shared, not copied.
+// andViews ANDs two views parts, nil admitting everything; a part
+// ANDed with nil is shared, not copied.
 func andViews(a, b []uint8) []uint8 {
 	switch {
 	case a == nil:
@@ -539,21 +442,10 @@ func andViews(a, b []uint8) []uint8 {
 	return out
 }
 
-func andBits(a, b *Bits) *Bits {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	}
-	out := a.Clone()
-	out.AndWith(b)
-	return out
-}
-
 // mask returns (building on first use) processor i's dense membership
 // mask in the frontier's set. Only the kernels that consume masks word
-// by word (E_S, E◇_S and B^S_i over a non-local formula) ask.
+// by word (E_S, E◇_S, B^S_i over a non-local formula, S = ∅ and i ∈ 𝒩)
+// ask.
 func (e *Evaluator) mask(fr *frontier, i types.ProcID) *Bits {
 	if m := fr.masks[i]; m != nil {
 		return m
@@ -565,11 +457,11 @@ func (e *Evaluator) mask(fr *frontier, i types.ProcID) *Bits {
 		m = NewBits(e.sys.NumPoints())
 	case mb.views != nil:
 		m = e.expandClasses(i, mb.views)
-		if mb.points != nil {
-			m.AndWith(mb.points)
+		if mb.nf {
+			m.AndWith(e.nonfaultyMasks()[i])
 		}
-	case mb.points != nil:
-		m = mb.points
+	case mb.nf:
+		m = e.nonfaultyMasks()[i]
 	default:
 		m = NewBits(e.sys.NumPoints())
 		m.Fill(true)
@@ -578,55 +470,87 @@ func (e *Evaluator) mask(fr *frontier, i types.ProcID) *Bits {
 	return m
 }
 
-// someIn returns (building on first use) the class table of "i ∈ S at
-// some point of the class" for the frontier's set: ¬someIn is B^S_i ⊥,
-// and B^S_i L = L ∨ ¬someIn for every L local to i. 𝒩's is read off
-// the views nonfaulty processors hold (nonfaultyClasses); a membership
-// with only a views part is that part; otherwise each member point of
-// i's mask marks its class.
-func (e *Evaluator) someIn(fr *frontier, i types.ProcID) []uint8 {
-	if vals := fr.someIn[i]; vals != nil {
-		return vals
+// nonfaultyMasks returns (building on first use) 𝒩 as one dense mask
+// per processor — bit idx of masks[i] set iff i is nonfaulty in idx's
+// run — written a run at a time from the run's pattern. They are the
+// run-level part of every membership that asks nf, as the masks and
+// the component builders read it.
+func (e *Evaluator) nonfaultyMasks() []*Bits {
+	if e.nfMasks != nil {
+		return e.nfMasks
 	}
-	if fr == e.frontiers[theNonfaulty] {
-		e.nonfaultyClasses(fr)
-		return fr.someIn[i]
+	ms := make([]*Bits, e.sys.Params.N)
+	for i := range ms {
+		ms[i] = NewBits(e.sys.NumPoints())
 	}
-	mb := &fr.members[i]
-	vals := mb.views
-	if mb.out || vals == nil || mb.points != nil {
-		p, vs, n := e.partition(), e.sys.Table().Views, e.sys.Params.N
-		vals = classFill(len(p.views[i]), false)
-		for wi, w := range e.mask(fr, i).w {
-			for ; w != 0; w &= w - 1 {
-				vals[p.of[vs[(wi<<6+bits.TrailingZeros64(w))*n+int(i)]]] = 1
-			}
-		}
-	}
-	fr.someIn[i] = vals
-	return vals
+	e.fillRuns(func(run system.Run, base, end int) {
+		run.Nonfaulty().ForEach(func(i types.ProcID) bool {
+			ms[i].SetRange(base, end)
+			return true
+		})
+	})
+	e.nfMasks = ms
+	return ms
 }
 
-// nonfaultyClasses fills 𝒩's someIn tables — "i is nonfaulty at some
-// point of the class" — for every processor at once, from the views
-// nonfaulty processors hold at the horizon (System.NonfaultyHolders) and
-// their histories: a run's rows are each processor's own history, so a
-// nonfaulty processor's earlier views are its final view's Prev chain.
-// A chain stops at the first class already marked, whose history is.
-func (e *Evaluator) nonfaultyClasses(fr *frontier) {
+// runParts returns, per processor, 𝒩's mask of it when its membership
+// in the frontier's set asks nf, and nil when it does not: the run-level
+// part as the component builders read it.
+func (e *Evaluator) runParts(fr *frontier) []*Bits {
+	parts := make([]*Bits, len(fr.members))
+	for i, mb := range fr.members {
+		if mb.nf && !mutantMemberNF {
+			parts[i] = e.nonfaultyMasks()[i]
+		}
+	}
+	return parts
+}
+
+// someIn returns the class table of "i ∈ S at some point of the class"
+// for the frontier's set: ¬someIn is B^S_i ⊥, and B^S_i L = L ∨ ¬someIn
+// for every L local to i. It is the views part (cut to 𝒩's classes
+// under nf by canonical), 𝒩's classes under nf alone, all classes, or
+// none when i is out.
+func (e *Evaluator) someIn(fr *frontier, i types.ProcID) []uint8 {
+	mb := &fr.members[i]
+	switch {
+	case mb.out:
+		return classFill(len(e.partition().views[i]), false)
+	case mb.views != nil:
+		return mb.views
+	case mb.nf:
+		return e.nonfaultyClasses()[i]
+	}
+	return classFill(len(e.partition().views[i]), true)
+}
+
+// nonfaultyClasses returns (building on first use) 𝒩's class tables —
+// "i is nonfaulty at some point of the class" — for every processor, from
+// the views nonfaulty processors hold at the horizon
+// (System.NonfaultyHolders) and their histories: a run's rows are each
+// processor's own history, so a nonfaulty processor's earlier views are
+// its final view's Prev chain. A chain stops at the first class already
+// marked, whose history is.
+func (e *Evaluator) nonfaultyClasses() [][]uint8 {
+	if e.nfClasses != nil {
+		return e.nfClasses
+	}
 	p, in := e.partition(), e.sys.Interner
-	for i := range fr.someIn {
-		fr.someIn[i] = classFill(len(p.views[i]), false)
+	cls := make([][]uint8, e.sys.Params.N)
+	for i := range cls {
+		cls[i] = classFill(len(p.views[i]), false)
 	}
 	for id, w := range e.sys.NonfaultyHolders() {
 		if w == 0 {
 			continue
 		}
-		vals := fr.someIn[in.Proc(views.ID(id))]
+		vals := cls[in.Proc(views.ID(id))]
 		for v := views.ID(id); v != views.NoView && vals[p.of[v]] == 0; v = in.Prev(v) {
 			vals[p.of[v]] = 1
 		}
 	}
+	e.nfClasses = cls
+	return cls
 }
 
 // fillRuns calls fn once per run with the run's point-index range
@@ -657,107 +581,102 @@ func (e *Evaluator) evalK(i types.ProcID, ft *Bits, s NonrigidSet) *Bits {
 // starting from all-true, each processor i removes the points where i
 // is in S but B^S_i f fails — out &^= (masks[i] ∧ ¬B_i). Points with
 // S(pt) empty keep the vacuous truth (their mask bits are all zero).
-func (e *Evaluator) evalE(s NonrigidSet, ft *Bits) *Bits {
-	n := e.sys.Params.N
-	fr := e.frontierFor(s)
-	np := e.sys.NumPoints()
-	out := NewBits(np)
+// With future it computes E◇_S f = ∧_{i∈S(pt)} ◇ B^S_i f, over
+// ◇ B^S_i f instead of B^S_i f.
+func (e *Evaluator) evalE(s NonrigidSet, ft *Bits, future bool) *Bits {
+	fr, np := e.frontierFor(s), e.sys.NumPoints()
+	out, tmp := NewBits(np), NewBits(np)
 	out.Fill(true)
-	tmp := NewBits(np)
-	for i := 0; i < n; i++ {
-		b := e.evalK(types.ProcID(i), ft, s)
-		tmp.CopyFrom(e.mask(fr, types.ProcID(i)))
+	for i := types.ProcID(0); int(i) < e.sys.Params.N; i++ {
+		b := e.evalK(i, ft, s)
+		if future {
+			b = e.evalTime(b, true, false)
+		}
+		tmp.CopyFrom(e.mask(fr, i))
 		tmp.AndNotWith(b)
 		out.AndNotWith(tmp)
 	}
 	return out
 }
 
-// viewsOf returns the partition's view-to-class map if some processor's
-// membership has a views part, else nil.
-func (e *Evaluator) viewsOf(fr *frontier) []int32 {
-	for _, mb := range fr.members {
-		if mb.views != nil {
-			return e.partition().of
-		}
+// admitted returns, indexed by view ID over the partition, whether the
+// view's owner's membership admits it as a view: the owner is not out
+// and the views part holds for the view's class. It is the view-level
+// half of "the owner is in S where it holds the view"; runParts is the
+// run-level half. A view no point holds is never admitted.
+func (e *Evaluator) admitted(fr *frontier) []bool {
+	of, in := e.partition().of, e.sys.Interner
+	adm := make([]bool, len(of))
+	for v, c := range of {
+		mb := &fr.members[in.Proc(views.ID(v))]
+		adm[v] = c >= 0 && !mb.out && (mb.views == nil || mb.views[c] != 0)
 	}
-	return nil
+	return adm
 }
 
-// unionMembers is the run-major pass behind C_S, and behind the C□_S
-// sets chainRoots cannot take: it reads the run table point by point
-// and joins every point (with perRun, the point's run) where some
-// processor i is in S to the first element seen where i held the same
-// view while in S, rep[view]. A view nobody in S holds joins nothing.
-// It fills the frontier's occupied table if no build has. It is
-// sequential at every parallelism: sharding it meant buffering every
-// union edge per shard to apply afterwards, which measured slower than
-// this loop. The resulting partition does not depend on union order.
-func (e *Evaluator) unionMembers(uf *unionFind, fr *frontier, perRun bool) {
-	sys := e.sys
-	n, stride := sys.Params.N, sys.Horizon+1
-	fill := fr.occupied == nil
-	if fill {
-		fr.occupied = NewBits(sys.NumPoints())
+// label turns a table of attached view IDs (-1 for none), one per run
+// or point, into a root table: each element is labelled with the
+// smallest element index attached to its view's component, or its own
+// index if it attaches nowhere. Elements in one component share a
+// label, and labels are element indices. It records the build's unions
+// and component sizes.
+func label(uf *unionFind, roots []int32, unions *telemetry.Counter, sizes *telemetry.Histogram) []int32 {
+	first := make([]int32, len(uf.parent))
+	for v := range first {
+		first[v] = -1
 	}
-	of := e.viewsOf(fr)
-	rep := make([]int32, sys.Interner.Size())
-	for v := range rep {
-		rep[v] = -1
-	}
-	vs := sys.Table().Views
-	for r, idx := 0, 0; r < sys.NumRuns(); r++ {
-		for end := idx + stride; idx < end; idx++ {
-			q := int32(idx)
-			if perRun {
-				q = int32(r)
-			}
-			for i, v := range vs[idx*n : (idx+1)*n] {
-				mb := &fr.members[i]
-				if mb.out || mb.views != nil && mb.views[of[v]] == 0 || mb.points != nil && !mb.points.Get(idx) {
-					continue
-				}
-				if fill {
-					fr.occupied.Set(idx, true)
-				}
-				if rep[v] < 0 {
-					rep[v] = q
-				} else {
-					uf.union(rep[v], q)
-				}
-			}
+	for k, v := range roots {
+		if v < 0 {
+			roots[k] = int32(k)
+			continue
 		}
+		root := uf.find(v)
+		if first[root] < 0 {
+			first[root] = int32(k)
+		}
+		roots[k] = first[root]
 	}
+	unions.Add(uf.unions)
+	if telemetry.Enabled() {
+		observeComponentSizes(roots, sizes)
+	}
+	return roots
 }
 
-// badRoots marks the components (by flattened root) holding an
-// S-occupied point where ft fails; comp maps a point index to the
-// element of roots it belongs to. A point or run S never occupies is
-// never joined to anything, so it is its own root and never marked.
-func (e *Evaluator) badRoots(fr *frontier, ft *Bits, roots []int32, comp func(idx int) int) []bool {
-	bad := make([]bool, len(roots))
-	for wi, w := range fr.occupied.w {
-		for w &^= ft.w[wi]; w != 0; w &= w - 1 {
-			bad[roots[comp(wi<<6+bits.TrailingZeros64(w))]] = true
-		}
-	}
-	return bad
-}
-
-// pointComponents returns (caching on the frontier) the flattened root
-// table of the C_S reachability classes: points pt, pt' are joined iff
-// some i ∈ S(pt) ∩ S(pt') has the same view at both.
+// pointComponents returns (caching on the frontier) the root table of
+// the C_S reachability classes: points pt, pt' are joined iff some
+// i ∈ S(pt) ∩ S(pt') has the same view at both. One pass over the rows
+// attaches each point to the admitted views its members hold there and
+// unions those views with each other, so the union-find covers views
+// only: two points that share a member's view share its element. It
+// fills the frontier's occupied table if no build has. It is sequential
+// at every parallelism; the partition does not depend on union order.
 func (e *Evaluator) pointComponents(fr *frontier) []int32 {
 	if fr.pointRoots != nil {
 		return fr.pointRoots
 	}
-	uf := newUnionFind(e.sys.NumPoints())
-	e.unionMembers(uf, fr, false)
-	mUnionsPoints.Add(uf.unions)
-	fr.pointRoots = uf.flatten()
-	if telemetry.Enabled() {
-		observeComponentSizes(fr.pointRoots, mReachPointSize)
+	sys, n := e.sys, e.sys.Params.N
+	adm := e.admitted(fr)
+	uf := newUnionFind(len(adm))
+	fill := fr.occupied == nil
+	if fill {
+		fr.occupied = NewBits(sys.NumPoints())
 	}
+	vs, nfm := sys.Table().Views, e.runParts(fr)
+	roots := make([]int32, sys.NumPoints()) // the point's first attached view, until labelled
+	for idx := range roots {
+		first := int32(-1)
+		for i, v := range vs[idx*n : (idx+1)*n] {
+			if adm[v] && (nfm[i] == nil || nfm[i].Get(idx)) {
+				first = uf.union(first, int32(v))
+			}
+		}
+		roots[idx] = first
+		if fill && first >= 0 {
+			fr.occupied.Set(idx, true)
+		}
+	}
+	fr.pointRoots = label(uf, roots, mUnionsPoints, mReachPointSize)
 	return fr.pointRoots
 }
 
@@ -766,85 +685,55 @@ func (e *Evaluator) pointComponents(fr *frontier) []int32 {
 // reachability component (which includes the point itself).
 func (e *Evaluator) evalC(s NonrigidSet, ft *Bits) *Bits {
 	fr := e.frontierFor(s)
-	roots := e.pointComponents(fr)
-	np := e.sys.NumPoints()
-	bad := e.badRoots(fr, ft, roots, func(idx int) int { return idx })
-	out := NewBits(np)
-	e.parallelBits(np, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			if !bad[roots[idx]] {
-				out.Set(idx, true)
+	return e.verdict(fr, ft, e.pointComponents(fr), 1)
+}
+
+// verdict writes the C_S or C□_S table from a root table over elements
+// of stride points each (points, or runs): an element's points hold iff
+// its component has no S-occupied point where ft fails. An element S
+// never occupies is never joined to anything, so it is its own root and
+// never marked.
+func (e *Evaluator) verdict(fr *frontier, ft *Bits, roots []int32, stride int) *Bits {
+	bad := make([]bool, len(roots))
+	for wi, w := range fr.occupied.w {
+		for w &^= ft.w[wi]; w != 0; w &= w - 1 {
+			bad[roots[(wi<<6+bits.TrailingZeros64(w))/stride]] = true
+		}
+	}
+	out := NewBits(e.sys.NumPoints())
+	// Shards of 64 elements start on word boundaries at any stride.
+	e.parallelBits(len(roots), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			if !bad[roots[k]] {
+				out.SetRange(k*stride, (k+1)*stride)
 			}
 		}
 	})
 	return out
 }
 
-// evalBox computes □̂ f (or ◇̂ f when diamond): the truth of f at all
-// (some) times of the point's run.
-func (e *Evaluator) evalBox(ft *Bits, diamond bool) *Bits {
-	np := e.sys.NumPoints()
-	out := NewBits(np)
-	h := e.sys.Horizon
+// evalTime computes the temporal modalities run by run: □ f (f at
+// every time ≥ now) or, with diamond, ◇ f (f at some time ≥ now); with
+// whole, □̂ f or ◇̂ f (f at all or some times of the run), the time-0
+// value of □ f or ◇ f written to every time of the run.
+func (e *Evaluator) evalTime(ft *Bits, diamond, whole bool) *Bits {
+	out, h := NewBits(e.sys.NumPoints()), e.sys.Horizon
 	e.parallelRuns(e.sys.NumRuns(), func(rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
-			base := r * (h + 1)
-			val := !diamond
-			for m := 0; m <= h; m++ {
-				bit := ft.Get(base + m)
-				if diamond {
-					val = val || bit
-				} else {
-					val = val && bit
+			base, val := r*(h+1), !diamond
+			for m := h; m >= 0; m-- {
+				if ft.Get(base+m) == diamond {
+					val = diamond
+				}
+				if !whole {
+					out.Set(base+m, val)
 				}
 			}
-			if val {
+			if whole && val {
 				out.SetRange(base, base+h+1)
 			}
 		}
 	})
-	return out
-}
-
-// evalSuffix computes the future-time modalities: □ f (diamond=false,
-// f at every time ≥ now) and ◇ f (diamond=true, f at some time ≥ now).
-func (e *Evaluator) evalSuffix(ft *Bits, diamond bool) *Bits {
-	np := e.sys.NumPoints()
-	out := NewBits(np)
-	h := e.sys.Horizon
-	e.parallelRuns(e.sys.NumRuns(), func(rlo, rhi int) {
-		for r := rlo; r < rhi; r++ {
-			base := r * (h + 1)
-			val := !diamond
-			for m := h; m >= 0; m-- {
-				bit := ft.Get(base + m)
-				if diamond {
-					val = val || bit
-				} else {
-					val = val && bit
-				}
-				out.Set(base+m, val)
-			}
-		}
-	})
-	return out
-}
-
-// evalEDiamond computes E◇_S f = ∧_{i∈S(pt)} ◇ B^S_i f with the same
-// word-level kernel as evalE, over ◇ B^S_i f instead of B^S_i f.
-func (e *Evaluator) evalEDiamond(s NonrigidSet, ft *Bits) *Bits {
-	n := e.sys.Params.N
-	fr := e.frontierFor(s)
-	np := e.sys.NumPoints()
-	out := NewBits(np)
-	out.Fill(true)
-	tmp := NewBits(np)
-	for i := 0; i < n; i++ {
-		future := e.evalSuffix(e.evalK(types.ProcID(i), ft, s), true)
-		tmp.CopyFrom(e.mask(fr, types.ProcID(i)))
-		tmp.AndNotWith(future)
-		out.AndNotWith(tmp)
-	}
 	return out
 }
 
@@ -861,7 +750,7 @@ func (e *Evaluator) evalCDiamond(s NonrigidSet, ft *Bits) *Bits {
 		iters++
 		arg := ft.Clone()
 		arg.AndWith(x)
-		next := e.evalEDiamond(s, arg)
+		next := e.evalE(s, arg, true)
 		if next.Equal(x) {
 			e.stats.CDiamondIterations += iters
 			sp.End(telemetry.L("iterations", strconv.Itoa(iters)))
@@ -871,151 +760,92 @@ func (e *Evaluator) evalCDiamond(s NonrigidSet, ft *Bits) *Bits {
 	}
 }
 
-// runComponents returns (caching on the frontier) the flattened root
-// table of the S-□-reachability classes of Corollary 3.3: runs r, r'
-// are joined iff some processor i is in S at a point of each with the
-// same view at both. Every root is a run index.
-func (e *Evaluator) runComponents(fr *frontier) []int32 {
-	if fr.runRoots != nil {
-		return fr.runRoots
-	}
-	var unions uint64
-	if e.chainable(fr) {
-		fr.runRoots, unions = e.chainRoots(fr)
-	} else {
-		uf := newUnionFind(e.sys.NumRuns())
-		e.unionMembers(uf, fr, true)
-		fr.runRoots, unions = uf.flatten(), uf.unions
-	}
-	mUnionsRuns.Add(unions)
-	if telemetry.Enabled() {
-		observeComponentSizes(fr.runRoots, mReachRunSize)
-	}
-	return fr.runRoots
-}
-
-// chainable reports whether chainRoots can build the set's C□
-// components: every processor's membership is a function of its view
-// and of a fact constant along a run — a rigid out flag, a views part,
-// 𝒩's points part (which every intersection with 𝒩 shares, see
-// sameMembers) — and a run's times fit in the bits of a uint64.
-func (e *Evaluator) chainable(fr *frontier) bool {
-	if e.sys.Horizon >= 64 {
-		return false
-	}
-	nf := e.frontiers[theNonfaulty]
-	for i, mb := range fr.members {
-		if mb.out || mb.points == nil || mutantChainForeign {
-			continue
-		}
-		if nf == nil || mb.points != nf.members[i].points {
-			return false
-		}
-	}
-	return true
-}
-
-// chainRoots builds C□_S's components from the interner's view DAG, in
-// two passes with no point-level work, and returns them as a root table
-// over runs with the number of unions made. A full-information view
-// fixes its owner's whole history (Prev), so if i holds one view at time
-// m in two runs it holds the same views at every earlier time in both.
+// runComponents returns (caching on the frontier) the root table of the
+// S-□-reachability classes of Corollary 3.3: runs r, r' are joined iff
+// some processor i is in S at a point of each with the same view at
+// both. It reads them off the interner's view DAG in two passes with no
+// point-level work. A full-information view fixes its owner's whole
+// history (Prev), so if i holds one view at time m in two runs it holds
+// the same views at every earlier time in both.
 //
-//   - View pass, in ID order (a view's Prev has a smaller ID): a view is
-//     admitted when its owner's membership admits it as a view (not out,
-//     and in the views part if there is one). last[v] is the latest
-//     admitted view on v's Prev chain, v included, skipping the gaps
-//     where the owner is out of S; occ[v] has bit m set iff the chain's
-//     time-m view is admitted. Each admitted view is joined to
-//     last[Prev(v)].
-//   - Run pass, over the horizon row alone: each processor the points
-//     part admits in the run (read at the run's first point: 𝒩 is
-//     constant along a run) attaches the run to last of its final view,
-//     and ORs that view's occ into the times at which S is occupied. The
-//     views one run attaches to are joined.
+//   - View pass, in ID order (a view's Prev has a smaller ID): last[v]
+//     is the latest admitted view (admitted) on v's Prev chain, v
+//     included, skipping the gaps where the owner is out of S; v's
+//     ⌈(H+1)/64⌉ occ words have bit m set iff the chain's time-m view is
+//     admitted. Each admitted view is joined to last[Prev(v)].
+//   - Run pass, over the horizon row alone: each processor the run-level
+//     part admits in the run (read at its first point: 𝒩 is constant
+//     along a run) attaches the run to last of its final view, and ORs
+//     that view's occ into the times at which S is occupied. The views
+//     one run attaches to are joined.
 //
 // Per processor the admitted views form a forest, and two runs attached
 // to one tree both hold their attachment points' lowest common ancestor
 // while in S, so they are S-□-reachable; a view no admitted run holds
-// hangs off its ancestor and bridges nothing. A run is labelled with
-// the smallest run index attached to its component, or its own index if
-// it attaches nowhere. DESIGN.md §13 has the argument in full; the
-// view-index walk kept in the tests is its oracle.
-func (e *Evaluator) chainRoots(fr *frontier) ([]int32, uint64) {
+// hangs off its ancestor and bridges nothing. DESIGN.md §13 has the
+// argument in full; the view-index walk kept in the tests is its
+// oracle. It fills the frontier's occupied table if no build has.
+func (e *Evaluator) runComponents(fr *frontier) []int32 {
+	if fr.runRoots != nil {
+		return fr.runRoots
+	}
 	sys, in := e.sys, e.sys.Interner
-	runs, n, h := sys.NumRuns(), sys.Params.N, sys.Horizon
-	nv := in.Size()
-	of := e.viewsOf(fr)
+	n, h, stride := sys.Params.N, sys.Horizon, sys.Horizon+1
+	adm := e.admitted(fr)
+	nv, words := len(adm), (stride+63)/64
 	uf := newUnionFind(nv)
 	last := make([]views.ID, nv)
-	occ := make([]uint64, nv)
-	for v := views.ID(0); int(v) < nv; v++ {
-		l, o := views.NoView, uint64(0)
-		prev := in.Prev(v)
+	occ := make([]uint64, nv*words)
+	for v := range adm {
+		l, o := views.NoView, occ[v*words:(v+1)*words]
+		prev := in.Prev(views.ID(v))
 		if prev != views.NoView {
-			l, o = last[prev], occ[prev]
+			l = last[prev]
+			copy(o, occ[int(prev)*words:])
 		}
-		// A view past the partition was interned after it (by a
-		// simulation over the system's interner), so no point holds it.
-		mb := &fr.members[in.Proc(v)]
-		if !mb.out && (mb.views == nil || int(v) < len(of) && of[v] >= 0 && mb.views[of[v]] != 0) {
+		if adm[v] {
 			if mutantChainNoGap {
 				l = prev
 			}
-			if l != views.NoView {
-				uf.union(int32(v), int32(l))
-			}
-			l, o = v, o|1<<uint(in.Time(v))
+			uf.union(int32(l), int32(v))
+			l = views.ID(v)
+			m := int(in.Time(l))
+			o[m>>6] |= 1 << uint(m&63)
 		}
-		last[v], occ[v] = l, o
+		last[v] = l
 	}
 
 	fill := fr.occupied == nil
 	if fill {
 		fr.occupied = NewBits(sys.NumPoints())
 	}
-	vs, stride := sys.Table().Views, h+1
-	roots := make([]int32, runs) // the run's first attached view, until labelled
+	vs, nfm := sys.Table().Views, e.runParts(fr)
+	roots := make([]int32, sys.NumRuns()) // the run's first attached view, until labelled
+	times := make([]uint64, words)
 	for r := range roots {
-		base := r * stride
-		first := views.NoView
-		var times uint64
+		base, first := r*stride, int32(-1)
+		clear(times)
 		for i, v := range vs[(base+h)*n : (base+h+1)*n] {
-			if pts := fr.members[i].points; pts != nil && !pts.Get(base) || last[v] == views.NoView {
+			if last[v] == views.NoView || nfm[i] != nil && !nfm[i].Get(base) {
 				continue
 			}
-			if first == views.NoView {
-				first = last[v]
-			} else {
-				uf.union(int32(first), int32(last[v]))
+			first = uf.union(first, int32(last[v]))
+			for w, o := range occ[int(v)*words : (int(v)+1)*words] {
+				times[w] |= o
 			}
-			times |= occ[v]
-			if mutantChainOccupied && last[v] == v {
-				times = 1<<uint(stride) - 1
+			for m := 0; mutantChainOccupied && last[v] == v && m < stride; m++ {
+				times[m>>6] |= 1 << uint(m&63)
 			}
 		}
-		roots[r] = int32(first)
-		for ; fill && times != 0; times &= times - 1 {
-			fr.occupied.Set(base+bits.TrailingZeros64(times), true)
+		roots[r] = first
+		for w, t := range times {
+			for ; fill && t != 0; t &= t - 1 {
+				fr.occupied.Set(base+w<<6+bits.TrailingZeros64(t), true)
+			}
 		}
 	}
-
-	label := make([]int32, nv)
-	for v := range label {
-		label[v] = -1
-	}
-	for r, first := range roots {
-		if first < 0 {
-			roots[r] = int32(r)
-			continue
-		}
-		root := uf.find(first)
-		if label[root] < 0 {
-			label[root] = int32(r)
-		}
-		roots[r] = label[root]
-	}
-	return roots, uf.unions
+	fr.runRoots = label(uf, roots, mUnionsRuns, mReachRunSize)
+	return fr.runRoots
 }
 
 // evalCBox computes C□_S f by Corollary 3.3: C□_S f holds at a point
@@ -1025,18 +855,7 @@ func (e *Evaluator) chainRoots(fr *frontier) ([]int32, uint64) {
 // (Lemma 3.4(g)).
 func (e *Evaluator) evalCBox(s NonrigidSet, ft *Bits) *Bits {
 	fr := e.frontierFor(s)
-	roots := e.runComponents(fr)
-	stride := e.sys.Horizon + 1
-	bad := e.badRoots(fr, ft, roots, func(idx int) int { return idx / stride })
-	out := NewBits(e.sys.NumPoints())
-	e.parallelRuns(e.sys.NumRuns(), func(rlo, rhi int) {
-		for r := rlo; r < rhi; r++ {
-			if !bad[roots[r]] {
-				out.SetRange(r*stride, (r+1)*stride)
-			}
-		}
-	})
-	return out
+	return e.verdict(fr, ft, e.runComponents(fr), e.sys.Horizon+1)
 }
 
 // CIterConvergence measures the depth of the infinite conjunction
@@ -1048,7 +867,7 @@ func (e *Evaluator) evalCBox(s NonrigidSet, ft *Bits) *Bits {
 // the loop).
 func (e *Evaluator) CIterConvergence(s NonrigidSet, f Formula, maxDepth int) (depth int, ok bool) {
 	final := e.Eval(C(s, f))
-	cur := e.evalE(s, e.Eval(f))
+	cur := e.evalE(s, e.Eval(f), false)
 	acc := cur.Clone()
 	for k := 1; k <= maxDepth; k++ {
 		mFixpointCIter.Inc()
@@ -1056,7 +875,7 @@ func (e *Evaluator) CIterConvergence(s NonrigidSet, f Formula, maxDepth int) (de
 		if acc.Equal(final) {
 			return k, true
 		}
-		cur = e.evalE(s, cur)
+		cur = e.evalE(s, cur, false)
 		acc.AndWith(cur)
 	}
 	return maxDepth, acc.Equal(final)
@@ -1077,7 +896,7 @@ func (e *Evaluator) CBoxIterative(s NonrigidSet, f Formula) *Bits {
 		iters++
 		arg := ft.Clone()
 		arg.AndWith(x)
-		next := e.evalBox(e.evalE(s, arg), false)
+		next := e.evalTime(e.evalE(s, arg, false), false, true)
 		if next.Equal(x) {
 			e.stats.CBoxIterativeIterations += iters
 			sp.End(telemetry.L("iterations", strconv.Itoa(iters)))
@@ -1087,11 +906,9 @@ func (e *Evaluator) CBoxIterative(s NonrigidSet, f Formula) *Bits {
 	}
 }
 
-// unionFind is a standard disjoint-set structure. Elements are int32:
-// the parent array is streamed by every reachability pass over
-// million-point systems, and halving its width halves the cache misses
-// that dominate component construction (point counts are bounded far
-// below 2^31 by memory long before the index type matters).
+// unionFind is a standard disjoint-set structure over view IDs. Elements
+// are int32, the width of a run or point index in the root tables the
+// component builders label from it.
 type unionFind struct {
 	parent []int32
 	rank   []uint8
@@ -1115,22 +932,17 @@ func (uf *unionFind) find(x int32) int32 {
 	return x
 }
 
-// flatten returns the root of every element in one pass. find mutates
-// parent links (path compression), so concurrent readers must work
-// from a flattened snapshot rather than calling find directly.
-func (uf *unionFind) flatten() []int32 {
-	roots := make([]int32, len(uf.parent))
-	for i := range roots {
-		roots[i] = uf.find(int32(i))
+// union joins a's and b's components and returns a, the element an
+// element attaches through first; a = -1 (no element yet) joins nothing
+// and returns b.
+func (uf *unionFind) union(a, b int32) int32 {
+	if a < 0 {
+		return b
 	}
-	return roots
-}
-
-func (uf *unionFind) union(a, b int32) {
 	uf.unions++
 	ra, rb := uf.find(a), uf.find(b)
 	if ra == rb {
-		return
+		return a
 	}
 	if uf.rank[ra] < uf.rank[rb] {
 		ra, rb = rb, ra
@@ -1139,4 +951,5 @@ func (uf *unionFind) union(a, b int32) {
 	if uf.rank[ra] == uf.rank[rb] {
 		uf.rank[ra]++
 	}
+	return a
 }

@@ -7,12 +7,10 @@ import "fmt"
 // the view-index walk, and returns how many sets it checked.
 func FrontiersMatchViewWalk(e *Evaluator) (int, error) {
 	checked := 0
-	for _, frs := range e.byContent {
-		for _, fr := range frs {
-			checked++
-			if err := runMismatch(e, fr); err != nil {
-				return checked, fmt.Errorf("set %d: %v", checked, err)
-			}
+	for _, fr := range e.byContent {
+		checked++
+		if err := runMismatch(e, fr); err != nil {
+			return checked, fmt.Errorf("set %d: %v", checked, err)
 		}
 	}
 	return checked, nil

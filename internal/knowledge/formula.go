@@ -15,7 +15,8 @@ import (
 // evaluation cheaper.
 type Formula interface {
 	fmt.Stringer
-	isFormula()
+	// maxProc is MaxProc's value.
+	maxProc() types.ProcID
 }
 
 type atomF struct {
@@ -25,15 +26,21 @@ type atomF struct {
 
 // runAtomF is a primitive proposition whose truth is constant along a
 // run (∃0, ∃1, init_p=v): the evaluator asks pred once per run and
-// writes the answer into all of the run's points.
+// writes the answer into all of the run's points. p is the processor
+// the fact names (init_p=v), -1 for one that names none.
 type runAtomF struct {
 	name string
+	p    types.ProcID
 	pred func(run system.Run) bool
 }
 
 // nonfaultyF is the fact p ∈ 𝒩; its truth table is 𝒩's membership
 // mask for p, which the evaluator keeps anyway.
 type nonfaultyF struct{ p types.ProcID }
+
+// emptyF is the fact S = ∅; its truth table is the complement of the
+// union of S's membership masks.
+type emptyF struct{ s NonrigidSet }
 
 // viewAtomF is a primitive proposition about processor p's local
 // state: the evaluator asks pred once per view p holds anywhere in the
@@ -96,30 +103,40 @@ type cdiamondF struct {
 	f Formula
 }
 
-func (*atomF) isFormula()       {}
-func (*runAtomF) isFormula()    {}
-func (*viewAtomF) isFormula()   {}
-func (*nonfaultyF) isFormula()  {}
-func (*constF) isFormula()      {}
-func (*notF) isFormula()        {}
-func (*andF) isFormula()        {}
-func (*orF) isFormula()         {}
-func (*kF) isFormula()          {}
-func (*bF) isFormula()          {}
-func (*eF) isFormula()          {}
-func (*cF) isFormula()          {}
-func (*boxF) isFormula()        {}
-func (*diamondF) isFormula()    {}
-func (*cboxF) isFormula()       {}
-func (*henceforthF) isFormula() {}
-func (*futureF) isFormula()     {}
-func (*ediamondF) isFormula()   {}
-func (*cdiamondF) isFormula()   {}
+func (*atomF) maxProc() types.ProcID         { return -1 }
+func (f *runAtomF) maxProc() types.ProcID    { return f.p }
+func (f *viewAtomF) maxProc() types.ProcID   { return f.p }
+func (f *nonfaultyF) maxProc() types.ProcID  { return f.p }
+func (*emptyF) maxProc() types.ProcID        { return -1 }
+func (*constF) maxProc() types.ProcID        { return -1 }
+func (f *notF) maxProc() types.ProcID        { return f.f.maxProc() }
+func (f *andF) maxProc() types.ProcID        { return maxProcOf(f.fs) }
+func (f *orF) maxProc() types.ProcID         { return maxProcOf(f.fs) }
+func (f *kF) maxProc() types.ProcID          { return max(f.i, f.f.maxProc()) }
+func (f *bF) maxProc() types.ProcID          { return max(f.i, f.f.maxProc()) }
+func (f *eF) maxProc() types.ProcID          { return f.f.maxProc() }
+func (f *cF) maxProc() types.ProcID          { return f.f.maxProc() }
+func (f *boxF) maxProc() types.ProcID        { return f.f.maxProc() }
+func (f *diamondF) maxProc() types.ProcID    { return f.f.maxProc() }
+func (f *cboxF) maxProc() types.ProcID       { return f.f.maxProc() }
+func (f *henceforthF) maxProc() types.ProcID { return f.f.maxProc() }
+func (f *futureF) maxProc() types.ProcID     { return f.f.maxProc() }
+func (f *ediamondF) maxProc() types.ProcID   { return f.f.maxProc() }
+func (f *cdiamondF) maxProc() types.ProcID   { return f.f.maxProc() }
+
+func maxProcOf(fs []Formula) types.ProcID {
+	m := types.ProcID(-1)
+	for _, f := range fs {
+		m = max(m, f.maxProc())
+	}
+	return m
+}
 
 func (f *atomF) String() string      { return f.name }
 func (f *runAtomF) String() string   { return f.name }
 func (f *viewAtomF) String() string  { return f.name }
 func (f *nonfaultyF) String() string { return fmt.Sprintf("%d∈𝒩", f.p) }
+func (f *emptyF) String() string     { return f.s.Name() + "=∅" }
 func (f *constF) String() string     { return map[bool]string{true: "⊤", false: "⊥"}[f.v] }
 func (f *notF) String() string       { return "¬" + f.f.String() }
 func (f *andF) String() string       { return join(f.fs, " ∧ ") }
@@ -157,7 +174,7 @@ func Atom(name string, pred func(sys *system.System, pt system.Point) bool) Form
 // RunAtom builds a primitive proposition from a predicate over runs:
 // it holds at a point iff pred holds of the point's run.
 func RunAtom(name string, pred func(run system.Run) bool) Formula {
-	return &runAtomF{name: name, pred: pred}
+	return &runAtomF{name: name, p: -1, pred: pred}
 }
 
 // True is the constant ⊤.
@@ -243,10 +260,10 @@ func Exists0() Formula { return existsVal(types.Zero) }
 func Exists1() Formula { return existsVal(types.One) }
 
 var (
-	exists0F = &runAtomF{name: "∃0", pred: func(run system.Run) bool {
+	exists0F = &runAtomF{name: "∃0", p: -1, pred: func(run system.Run) bool {
 		return run.HasValue(types.Zero)
 	}}
-	exists1F = &runAtomF{name: "∃1", pred: func(run system.Run) bool {
+	exists1F = &runAtomF{name: "∃1", p: -1, pred: func(run system.Run) bool {
 		return run.HasValue(types.One)
 	}}
 )
@@ -260,9 +277,9 @@ func existsVal(v types.Value) Formula {
 
 // InitialIs holds at points of runs where processor p started with v.
 func InitialIs(p types.ProcID, v types.Value) Formula {
-	return RunAtom(fmt.Sprintf("init_%d=%s", p, v), func(run system.Run) bool {
+	return &runAtomF{name: fmt.Sprintf("init_%d=%s", p, v), p: p, pred: func(run system.Run) bool {
 		return run.Initial(p) == v
-	})
+	}}
 }
 
 // IsNonfaulty holds at points of runs where p never fails.
@@ -277,8 +294,9 @@ func ViewAtom(name string, p types.ProcID, pred func(in *views.Interner, id view
 
 // SetEmpty holds at points where the nonrigid set S is empty; the
 // paper's proofs use facts like (𝒩 ∧ 𝒵) = ∅.
-func SetEmpty(s NonrigidSet) Formula {
-	return Atom(s.Name()+"=∅", func(sys *system.System, pt system.Point) bool {
-		return s.Members(sys, pt).Empty()
-	})
-}
+func SetEmpty(s NonrigidSet) Formula { return &emptyF{s: s} }
+
+// MaxProc returns the largest processor index f names — in K_i, B^S_i,
+// a ViewAtom, i∈𝒩 or init_i=v — or -1 if it names none. f is about a
+// system of n processors only if MaxProc(f) < n.
+func MaxProc(f Formula) types.ProcID { return f.maxProc() }

@@ -209,8 +209,7 @@ func TestLocalNodesParallelBitIdentical(t *testing.T) {
 // structured set's factored membership — per run, per view class, by
 // intersection — is the set's pointwise Members: the dense masks, the
 // occupied table the component walk fills, and the per-class "i ∈ S
-// somewhere in the class" table. A NonrigidSet it knows nothing about
-// takes the per-point path to the same answers.
+// somewhere in the class" table.
 func TestMembershipMatchesMembers(t *testing.T) {
 	sys := frontierTestSystem(t)
 	vs := FromViews("R", hashPred(7, 3))
@@ -219,7 +218,7 @@ func TestMembershipMatchesMembers(t *testing.T) {
 		vs,
 		Intersect(Nonfaulty(), vs),
 		Intersect(Intersect(vs, Const("01", types.SetOf(0, 1))), Nonfaulty()),
-		opaqueSet{Intersect(Nonfaulty(), vs)},
+		Const("12", types.SetOf(1, 2)),
 	}
 	e := NewEvaluator(sys)
 	n := sys.Params.N
@@ -255,9 +254,6 @@ func TestMembershipMatchesMembers(t *testing.T) {
 		}
 	}
 }
-
-// opaqueSet hides a set's structure from the evaluator's type switch.
-type opaqueSet struct{ NonrigidSet }
 
 // TestIsNonfaultyOutOfRange: a processor the system does not have is
 // never nonfaulty (the parser accepts nf7 without knowing n).
@@ -315,9 +311,9 @@ func TestFailingPointIsFirstFalse(t *testing.T) {
 	}
 }
 
-// TestComponentSizesMatchUnionFind: the histogram fed from the
-// flattened root table receives exactly the component sizes a walk of
-// the union-find with find gives.
+// TestComponentSizesMatchUnionFind: the histogram fed from a root table
+// receives exactly the component sizes a walk of the union-find with
+// find gives.
 func TestComponentSizesMatchUnionFind(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	uf := newUnionFind(500)
@@ -338,7 +334,7 @@ func TestComponentSizesMatchUnionFind(t *testing.T) {
 		want.Observe(float64(sz))
 	}
 	got := reg.Histogram("got", bounds)
-	observeComponentSizes(uf.flatten(), got)
+	observeComponentSizes(rootsOf(uf), got)
 	if got.Count() != want.Count() || got.Sum() != want.Sum() || got.Count() != uint64(len(sizes)) {
 		t.Fatalf("dense pass observed %d components summing to %v, the walk %d summing to %v",
 			got.Count(), got.Sum(), want.Count(), want.Sum())

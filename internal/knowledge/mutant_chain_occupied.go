@@ -4,7 +4,7 @@ package knowledge
 
 // Planted bug: see mutant_off.go.
 const (
-	mutantChainForeign  = false
+	mutantMemberNF      = false
 	mutantChainNoGap    = false
 	mutantChainOccupied = true
 )

@@ -1,14 +1,14 @@
-//go:build !mutant_chain_foreign && !mutant_chain_nogap && !mutant_chain_occupied
+//go:build !mutant_member_nf && !mutant_chain_nogap && !mutant_chain_occupied
 
 package knowledge
 
 // Mutation switches. Each is false here; a file built only under the
-// tag mutant_<name> sets one of them, planting a known bug in the C□
-// chain construction (chainable, chainRoots) that the differential
-// tests must catch:
+// tag mutant_<name> sets one of them, planting a known bug in the
+// component builders (member.inRun, runComponents) that the
+// differential tests must catch:
 //
-//   - mutantChainForeign takes the chain path for a set whose points
-//     part is not 𝒩's, reading it at each run's first point;
+//   - mutantMemberNF admits a processor whose membership asks nf in
+//     runs where it is faulty;
 //   - mutantChainNoGap joins an admitted view to its Prev even where
 //     the owner was out of S there, instead of to the latest admitted
 //     view before it;
@@ -17,7 +17,7 @@ package knowledge
 //
 // They are constants, so the default build compiles every branch away.
 const (
-	mutantChainForeign  = false
+	mutantMemberNF      = false
 	mutantChainNoGap    = false
 	mutantChainOccupied = false
 )

@@ -38,15 +38,7 @@ func SetDefaultParallelism(w int) {
 // defaulting to runtime.GOMAXPROCS(0)); w == 1 forces the sequential
 // path. The truth tables produced are bit-identical at any setting —
 // parallelism only changes how point shards are scheduled.
-func (e *Evaluator) SetParallelism(w int) {
-	if w <= 0 {
-		w = int(defaultPar.Load())
-	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	e.par = w
-}
+func (e *Evaluator) SetParallelism(w int) { e.par = EffectiveParallelism(w) }
 
 // Parallelism returns the evaluator's effective worker bound.
 func (e *Evaluator) Parallelism() int { return e.par }

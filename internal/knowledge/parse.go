@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 
 	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
@@ -179,7 +178,10 @@ func (p *parser) parseUnary() (Formula, error) {
 	}
 	if len(tok) >= 2 && (tok[0] == 'K' || tok[0] == 'B') && isDigits(tok[1:]) {
 		p.next()
-		idx, _ := strconv.Atoi(tok[1:])
+		idx, err := atoi(tok, tok[1:])
+		if err != nil {
+			return nil, err
+		}
 		f, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -204,18 +206,21 @@ func (p *parser) parseAtom() (Formula, error) {
 	case tok == "false":
 		return False(), nil
 	case strings.HasPrefix(tok, "nf") && isDigits(tok[2:]):
-		idx, _ := strconv.Atoi(tok[2:])
+		idx, err := atoi(tok, tok[2:])
+		if err != nil {
+			return nil, err
+		}
 		return IsNonfaulty(types.ProcID(idx)), nil
 	case strings.HasPrefix(tok, "init"):
-		idx, val, err := splitEq(tok[4:])
+		idx, val, err := splitEq(tok, tok[4:])
 		if err != nil {
-			return nil, fmt.Errorf("knowledge: bad atom %q (want initI=V)", tok)
+			return nil, fmt.Errorf("%w (want initI=V)", err)
 		}
 		return InitialIs(types.ProcID(idx), val), nil
 	case strings.HasPrefix(tok, "knows"):
-		idx, val, err := splitEq(tok[5:])
+		idx, val, err := splitEq(tok, tok[5:])
 		if err != nil {
-			return nil, fmt.Errorf("knowledge: bad atom %q (want knowsI=V)", tok)
+			return nil, fmt.Errorf("%w (want knowsI=V)", err)
 		}
 		return ViewAtom(tok, types.ProcID(idx), func(in *views.Interner, id views.ID) bool {
 			return in.Knows(id, val)
@@ -225,29 +230,39 @@ func (p *parser) parseAtom() (Formula, error) {
 	}
 }
 
-func splitEq(s string) (int, types.Value, error) {
-	parts := strings.SplitN(s, "=", 2)
-	if len(parts) != 2 || !isDigits(parts[0]) || !isDigits(parts[1]) {
-		return 0, types.Unset, fmt.Errorf("bad index=value")
+// splitEq parses the "I=V" tail s of the atom tok: a processor index
+// and a binary value.
+func splitEq(tok, s string) (int, types.Value, error) {
+	idx, val, ok := strings.Cut(s, "=")
+	if !ok || !isDigits(idx) || !isDigits(val) {
+		return 0, types.Unset, fmt.Errorf("knowledge: bad atom %q", tok)
 	}
-	idx, _ := strconv.Atoi(parts[0])
-	v, _ := strconv.Atoi(parts[1])
-	if v != 0 && v != 1 {
-		return 0, types.Unset, fmt.Errorf("bad value")
+	v, err := strconv.Atoi(val)
+	if err != nil || v > 1 {
+		return 0, types.Unset, fmt.Errorf("knowledge: bad value in atom %q", tok)
 	}
-	return idx, types.Value(v), nil
+	i, err := atoi(tok, idx)
+	return i, types.Value(v), err
 }
 
+// isDigits reports whether s is a nonempty string of ASCII digits.
 func isDigits(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		if !unicode.IsDigit(r) {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
 			return false
 		}
 	}
-	return true
+	return s != ""
+}
+
+// atoi parses the processor index s of the token tok; an index that
+// does not fit an int is an error, not a wrapped or clamped number.
+func atoi(tok, s string) (int, error) {
+	idx, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("knowledge: processor index out of range in %q", tok)
+	}
+	return idx, nil
 }
 
 // lex splits the input into tokens: parens, connectives, and words.

@@ -3,6 +3,10 @@ package knowledge
 import (
 	"strings"
 	"testing"
+
+	"github.com/eventual-agreement/eba/internal/failures"
+	"github.com/eventual-agreement/eba/internal/system"
+	"github.com/eventual-agreement/eba/internal/types"
 )
 
 func TestParseRendersAndEvaluates(t *testing.T) {
@@ -79,6 +83,15 @@ func TestParseErrors(t *testing.T) {
 		"gibberish",
 		"! ",
 		"E0 E1",
+		"K٣ E0",                    // only ASCII digits index a processor
+		"init٣=1",                  // ... or name one in an atom
+		"nf٣",                      //
+		"knows0=١",                 // ... or a value
+		"K99999999999999999999 E0", // an index that does not fit
+		"B99999999999999999999 E0",
+		"nf99999999999999999999",
+		"init99999999999999999999=1",
+		"knows0=99999999999999999999",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -123,4 +136,62 @@ func TestParsedModalitiesMatchConstructors(t *testing.T) {
 	if !strings.Contains(f.String(), "C□_𝒩") {
 		t.Fatalf("rendered: %s", f)
 	}
+}
+
+// TestMaxProc: the largest processor a formula names, through every
+// operator that can hold one; -1 for a formula that names none.
+func TestMaxProc(t *testing.T) {
+	for src, want := range map[string]types.ProcID{
+		"E0 & true":                 -1,
+		"K1 E0":                     1,
+		"B7 E0":                     7,
+		"Cbox (knows4=1 | nf2)":     4,
+		"alw !(init5=0 -> E K3 E1)": 5,
+		"Cdia ev dia box C nf6":     6,
+	} {
+		f, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		if got := MaxProc(f); got != want {
+			t.Errorf("MaxProc(%q) = %d, want %d", src, got, want)
+		}
+	}
+}
+
+// FuzzParse: Parse never panics, and a formula it accepts that names
+// only processors the system has (and no C◇, which the reference does
+// not evaluate) means the same to the evaluator and to RefHolds at
+// every point of crash n=2 t=1 h=1. Formulas with more than three
+// modal operators are only parsed: the reference is exponential in
+// their nesting.
+func FuzzParse(f *testing.F) {
+	for _, src := range []string{
+		"E0 | !E0", "K0 E0 -> E0", "Cbox E0 -> C E0", "C E0 -> Cbox E0",
+		"box E0 <-> E0", "alw E0 -> ev E0", "B0 (E0 & E1) -> B0 E0",
+		"init0=1 -> E1", "nf0 | nf1", "knows1=0 -> K1 E0", "E E0 -> Cbox E0",
+		"K0 E0", "K٣ E0", "K99999999999999999999 E0", "(E0", "Kx E0",
+	} {
+		f.Add(src)
+	}
+	sys, err := system.Enumerate(types.Params{N: 2, T: 1}, failures.Crash, 1, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		g, err := Parse(src)
+		if err != nil || MaxProc(g) >= 2 {
+			return
+		}
+		s := g.String()
+		if strings.Contains(s, "◇_") || strings.Count(s, "_")+strings.Count(s, "□")+strings.Count(s, "◇") > 3 {
+			return
+		}
+		tbl := NewEvaluator(sys).Eval(g)
+		for idx := 0; idx < sys.NumPoints(); idx++ {
+			if want := RefHolds(sys, g, sys.PointAt(idx)); tbl.Get(idx) != want {
+				t.Fatalf("%q (%s) at %v: evaluator %v, reference %v", src, g, sys.PointAt(idx), tbl.Get(idx), want)
+			}
+		}
+	})
 }

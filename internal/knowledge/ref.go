@@ -10,9 +10,10 @@ import (
 // definitions: no memoization, no truth tables, no union-find — K and
 // B scan indistinguishability classes, the common-knowledge operators
 // run breadth-first searches, and the temporal operators loop over
-// times. A view's class is found by scanning the run table. It is exponential and exists purely as an independent
-// implementation to differentially test the Evaluator against
-// (property tests draw random formulas and compare).
+// times. A view's class is found by scanning the run table. It is
+// exponential and exists purely as an independent implementation to
+// differentially test the Evaluator against (property tests draw
+// random formulas and compare).
 //
 // CDiamond and EDiamond are not supported (their greatest-fixed-point
 // semantics has no pointwise formulation; the Evaluator's iteration is
@@ -29,6 +30,8 @@ func RefHolds(sys *system.System, f Formula, pt system.Point) bool {
 		return g.pred(sys.Interner, sys.ViewAt(pt, g.p))
 	case *nonfaultyF:
 		return sys.RunOf(pt).Nonfaulty().Contains(g.p)
+	case *emptyF:
+		return g.s.Members(sys, pt).Empty()
 	case *notF:
 		return !RefHolds(sys, g.f, pt)
 	case *andF:
@@ -98,6 +101,29 @@ func RefHolds(sys *system.System, f Formula, pt system.Point) bool {
 	default:
 		panic("knowledge: RefHolds does not support " + f.String())
 	}
+}
+
+// The sets' pointwise definitions: what Members means, read by the
+// reference alone. The evaluator reads each set's factored membership.
+
+func (*nonfaultySet) Members(sys *system.System, pt system.Point) types.ProcSet {
+	return sys.RunOf(pt).Nonfaulty()
+}
+
+func (c *constSet) Members(*system.System, system.Point) types.ProcSet { return c.set }
+
+func (v *viewSet) Members(sys *system.System, pt system.Point) types.ProcSet {
+	var s types.ProcSet
+	for p := 0; p < sys.Params.N; p++ {
+		if v.pred(sys.Interner, sys.ViewAt(pt, types.ProcID(p))) {
+			s = s.Add(types.ProcID(p))
+		}
+	}
+	return s
+}
+
+func (s *intersectSet) Members(sys *system.System, pt system.Point) types.ProcSet {
+	return s.a.Members(sys, pt).Intersect(s.b.Members(sys, pt))
 }
 
 // forPointsWithView calls fn, in run order, at each point where the

@@ -23,14 +23,22 @@ import (
 )
 
 // NonrigidSet is a set of processors that may vary from point to
-// point (Section 3.1). Implementations must be comparable values —
-// in practice pointers — because evaluators cache per-set structures
-// keyed by the interface value.
+// point (Section 3.1). The paper's sets are all built from four
+// constructors, and no others exist: 𝒩 (Nonfaulty), a rigid set
+// (Const), a set of local states such as 𝒵 and 𝒪 (FromViews), and the
+// intersection of two sets (Intersect). Each factors its membership by
+// the granularity it is constant at — per run, per view, or everywhere
+// — which is all the evaluator reads; Members is the pointwise
+// definition, which only the reference evaluator reads (ref.go). Sets
+// are pointers, because
+// evaluators cache per-set structures keyed by the interface value.
 type NonrigidSet interface {
 	// Name identifies the set in formula renderings.
 	Name() string
 	// Members returns the set's value at the point.
 	Members(sys *system.System, pt system.Point) types.ProcSet
+	// factor returns the set's membership per processor (see member).
+	factor(e *Evaluator) []member
 }
 
 // nonfaultySet is 𝒩, the nonrigid set of nonfaulty processors.
@@ -44,8 +52,17 @@ var theNonfaulty = &nonfaultySet{}
 
 func (*nonfaultySet) Name() string { return "𝒩" }
 
-func (*nonfaultySet) Members(sys *system.System, pt system.Point) types.ProcSet {
-	return sys.RunOf(pt).Nonfaulty()
+func (*nonfaultySet) factor(e *Evaluator) []member {
+	return perProc(e, func(types.ProcID) member { return member{nf: true} })
+}
+
+// perProc builds a membership one processor at a time.
+func perProc(e *Evaluator, mb func(i types.ProcID) member) []member {
+	ms := make([]member, e.sys.Params.N)
+	for i := range ms {
+		ms[i] = mb(types.ProcID(i))
+	}
+	return ms
 }
 
 // constSet is a rigid set.
@@ -61,7 +78,9 @@ func Const(name string, set types.ProcSet) NonrigidSet {
 
 func (c *constSet) Name() string { return c.name }
 
-func (c *constSet) Members(*system.System, system.Point) types.ProcSet { return c.set }
+func (c *constSet) factor(e *Evaluator) []member {
+	return perProc(e, func(i types.ProcID) member { return member{out: !c.set.Contains(i)} })
+}
 
 // ViewPred is a predicate over interned views; the decision sets 𝒵
 // and 𝒪 of the paper are ViewPreds (a processor's membership depends
@@ -82,14 +101,8 @@ func FromViews(name string, pred ViewPred) NonrigidSet {
 
 func (v *viewSet) Name() string { return v.name }
 
-func (v *viewSet) Members(sys *system.System, pt system.Point) types.ProcSet {
-	var s types.ProcSet
-	for p := 0; p < sys.Params.N; p++ {
-		if v.pred(sys.Interner, sys.ViewAt(pt, types.ProcID(p))) {
-			s = s.Add(types.ProcID(p))
-		}
-	}
-	return s
+func (v *viewSet) factor(e *Evaluator) []member {
+	return perProc(e, func(i types.ProcID) member { return member{views: e.classVals(i, v.pred)} })
 }
 
 // intersectSet is S₁ ∧ S₂, e.g. the paper's 𝒩 ∧ 𝒪.
@@ -104,6 +117,9 @@ func (s *intersectSet) Name() string {
 	return fmt.Sprintf("(%s∧%s)", s.a.Name(), s.b.Name())
 }
 
-func (s *intersectSet) Members(sys *system.System, pt system.Point) types.ProcSet {
-	return s.a.Members(sys, pt).Intersect(s.b.Members(sys, pt))
+func (s *intersectSet) factor(e *Evaluator) []member {
+	a, b := s.a.factor(e), s.b.factor(e)
+	return perProc(e, func(i types.ProcID) member {
+		return member{out: a[i].out || b[i].out, nf: a[i].nf || b[i].nf, views: andViews(a[i].views, b[i].views)}
+	})
 }

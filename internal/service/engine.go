@@ -216,6 +216,11 @@ func (e *Engine) Resolve(req Request) (store.Key, knowledge.Formula, error) {
 	if err := key.Validate(); err != nil {
 		return store.Key{}, nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
+	// The evaluator indexes per-processor tables by the processors a
+	// formula names, so one the system lacks is the request's error.
+	if p := knowledge.MaxProc(f); int(p) >= key.N {
+		return store.Key{}, nil, fmt.Errorf("%w: formula names processor %d, but the system has processors 0..%d", ErrBadRequest, p, key.N-1)
+	}
 	return key, f, nil
 }
 

@@ -134,6 +134,34 @@ func TestQueryBadRequests(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeProcessorIsBadRequest: a formula naming a processor the
+// system lacks is the request's error — 400 alone and as a batch item —
+// and the server goes on answering.
+func TestOutOfRangeProcessorIsBadRequest(t *testing.T) {
+	ts, _ := newTestServer(t, 0)
+	for _, formula := range []string{"K7 E0", "B7 E0", "knows9=1", "nf3", "init3=1", "E0 & K0 K3 E1"} {
+		resp, data := postQuery(t, ts, Request{Formula: formula, N: 3})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "names processor") {
+			t.Errorf("%q: status %d (%s), want 400 naming the processor", formula, resp.StatusCode, data)
+		}
+	}
+	resp, data := postQuery(t, ts, Request{Formula: "K2 E0 -> E0", N: 3})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid query after the bad ones: status %d (%s)", resp.StatusCode, data)
+	}
+	resp, data = postBatch(t, ts, BatchRequest{Queries: []Request{
+		{Formula: "E0", N: 3},
+		{Formula: "K7 E0", N: 3},
+	}})
+	var out BatchResponse
+	if err := json.Unmarshal(data, &out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, %v (%s)", resp.StatusCode, err, data)
+	}
+	if out.Results[0].Error != "" || out.Results[1].Status != http.StatusBadRequest {
+		t.Fatalf("batch items: %+v", out.Results)
+	}
+}
+
 func TestQueryTimeout(t *testing.T) {
 	ts, _ := newTestServer(t, time.Nanosecond)
 	// A fresh omission system cannot be enumerated in a nanosecond.
