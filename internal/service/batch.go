@@ -208,7 +208,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	s.fr.finish(frID, status, msSince(start), StageTimings{}, nil)
+	s.fr.finish(frID, status, time.Since(start), StageTimings{}, nil)
 	writeJSONCompact(w, http.StatusOK, BatchResponse{
 		Results:   results,
 		ElapsedMS: msSince(start),

@@ -115,12 +115,20 @@ type Engine struct {
 	// runtime.GOMAXPROCS(0), 1 forces sequential evaluation.
 	parallel int
 
-	// parsed caches Parse results by raw formula text. Formulas are
-	// immutable trees, so one parse can serve any number of concurrent
-	// evaluators; on the batch hot path the parse is a measurable share
-	// of a cached query's cost.
+	// parsed caches Parse results by raw formula text, each beside its
+	// canonical rendering. Formulas are immutable trees, so one parse
+	// can serve any number of concurrent evaluators; on the batch hot
+	// path the parse and the rendering are a measurable share of a
+	// cached query's cost.
 	parsedMu sync.RWMutex
-	parsed   map[string]knowledge.Formula
+	parsed   map[string]parsedFormula
+}
+
+// parsedFormula is one parse-cache entry. canonical is f.String(), the
+// result-memo key, so spacing variants of one formula share a table.
+type parsedFormula struct {
+	f         knowledge.Formula
+	canonical string
 }
 
 // parseCacheBound caps the parse cache; past it the map is reset
@@ -129,24 +137,25 @@ type Engine struct {
 const parseCacheBound = 4096
 
 // parse is knowledge.Parse behind the engine's formula cache.
-func (e *Engine) parse(src string) (knowledge.Formula, error) {
+func (e *Engine) parse(src string) (parsedFormula, error) {
 	e.parsedMu.RLock()
-	f, ok := e.parsed[src]
+	pf, ok := e.parsed[src]
 	e.parsedMu.RUnlock()
 	if ok {
-		return f, nil
+		return pf, nil
 	}
 	f, err := knowledge.Parse(src)
 	if err != nil {
-		return nil, err
+		return parsedFormula{}, err
 	}
+	pf = parsedFormula{f: f, canonical: f.String()}
 	e.parsedMu.Lock()
 	if e.parsed == nil || len(e.parsed) >= parseCacheBound {
-		e.parsed = make(map[string]knowledge.Formula)
+		e.parsed = make(map[string]parsedFormula)
 	}
-	e.parsed[src] = f
+	e.parsed[src] = pf
 	e.parsedMu.Unlock()
-	return f, nil
+	return pf, nil
 }
 
 // NewEngine wraps a store. timeout bounds each Execute call (0
@@ -176,12 +185,18 @@ func (e *Engine) CachedInMemory(key store.Key) bool { return e.store.CachedInMem
 // Resolve applies defaults and validates the request, returning the
 // store key and the parsed formula.
 func (e *Engine) Resolve(req Request) (store.Key, knowledge.Formula, error) {
+	key, pf, err := e.resolve(req)
+	return key, pf.f, err
+}
+
+// resolve is Resolve keeping the formula's canonical text.
+func (e *Engine) resolve(req Request) (store.Key, parsedFormula, error) {
 	if req.Formula == "" {
-		return store.Key{}, nil, fmt.Errorf("%w: missing formula", ErrBadRequest)
+		return store.Key{}, parsedFormula{}, fmt.Errorf("%w: missing formula", ErrBadRequest)
 	}
-	f, err := e.parse(req.Formula)
+	pf, err := e.parse(req.Formula)
 	if err != nil {
-		return store.Key{}, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return store.Key{}, parsedFormula{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	key := store.Key{N: req.N, T: req.T, Horizon: req.Horizon, Limit: req.Limit}
 	if key.N == 0 {
@@ -198,7 +213,7 @@ func (e *Engine) Resolve(req Request) (store.Key, knowledge.Formula, error) {
 	if err != nil {
 		// Double-wrap so callers can match either the service-level
 		// ErrBadRequest or the typed failures.ErrUnknownMode.
-		return store.Key{}, nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+		return store.Key{}, parsedFormula{}, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	key.Mode = mode
 	if mode == failures.Crash {
@@ -214,14 +229,14 @@ func (e *Engine) Resolve(req Request) (store.Key, knowledge.Formula, error) {
 		key.Horizon = key.T + 2
 	}
 	if err := key.Validate(); err != nil {
-		return store.Key{}, nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+		return store.Key{}, parsedFormula{}, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	// The evaluator indexes per-processor tables by the processors a
 	// formula names, so one the system lacks is the request's error.
-	if p := knowledge.MaxProc(f); int(p) >= key.N {
-		return store.Key{}, nil, fmt.Errorf("%w: formula names processor %d, but the system has processors 0..%d", ErrBadRequest, p, key.N-1)
+	if p := knowledge.MaxProc(pf.f); int(p) >= key.N {
+		return store.Key{}, parsedFormula{}, fmt.Errorf("%w: formula names processor %d, but the system has processors 0..%d", ErrBadRequest, p, key.N-1)
 	}
-	return key, f, nil
+	return key, pf, nil
 }
 
 // Execute runs one query: resolve, load (or enumerate) the system,
@@ -231,7 +246,7 @@ func (e *Engine) Resolve(req Request) (store.Key, knowledge.Formula, error) {
 // finishes in the background and its result still lands in the store
 // for the retry.
 func (e *Engine) Execute(ctx context.Context, req Request) (*Response, error) {
-	key, f, err := e.Resolve(req)
+	key, pf, err := e.resolve(req)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +270,7 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Response, error) {
 	// trace) still land for the retry.
 	core := telemetry.Detach(ctx)
 	go func() {
-		resp, err := e.execute(core, key, f, req.Formula, start)
+		resp, err := e.execute(core, key, pf, req.Formula, start)
 		ch <- outcome{resp, err}
 	}()
 	select {
@@ -272,14 +287,14 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Response, error) {
 // under one deadline, and spawning a goroutine per item would cost
 // more than many cached items do.
 func (e *Engine) ExecuteSync(ctx context.Context, req Request) (*Response, error) {
-	key, f, err := e.Resolve(req)
+	key, pf, err := e.resolve(req)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return e.execute(ctx, key, f, req.Formula, time.Now())
+	return e.execute(ctx, key, pf, req.Formula, time.Now())
 }
 
 // msSince converts a stopwatch reading to fractional milliseconds.
@@ -290,9 +305,12 @@ func msSince(t time.Time) float64 {
 // execute is the uncancelable core of Execute. Its three stages —
 // load, eval, scan — are measured with explicit stopwatches (so the
 // provenance block works with tracing off) and mirrored as child
-// spans of engine.execute (so a trace shows the same structure).
-func (e *Engine) execute(ctx context.Context, key store.Key, f knowledge.Formula, raw string, start time.Time) (*Response, error) {
-	ctx, rootSp := telemetry.StartSpan(ctx, "engine.execute", telemetry.L("key", key.Slug()))
+// spans of engine.execute (so a trace shows the same structure). On a
+// memory hit every stage is a lookup: the store's answer already holds
+// the table's count and its rendered first falsifying point.
+func (e *Engine) execute(ctx context.Context, key store.Key, pf parsedFormula, raw string, start time.Time) (*Response, error) {
+	slug := key.Slug()
+	ctx, rootSp := telemetry.StartSpan(ctx, "engine.execute", telemetry.L("key", slug))
 	status := "error"
 	defer func() { rootSp.End(telemetry.L("status", status)) }()
 
@@ -304,18 +322,15 @@ func (e *Engine) execute(ctx context.Context, key store.Key, f knowledge.Formula
 	if err != nil {
 		return nil, err
 	}
-	// The canonical rendering is the result-cache key, so spacing
-	// variants of one formula share a truth table.
-	canonical := f.String()
 	evalStart := time.Now()
 	ectx, evalSp := telemetry.StartSpan(ctx, "engine.eval")
 	par := knowledge.EffectiveParallelism(e.parallel)
 	var evStats *knowledge.EvalStats
-	tbl, resOrigin, err := e.store.ResultCtx(ectx, key, canonical, func(sys *system.System) (*knowledge.Bits, error) {
+	ans, resOrigin, err := e.store.AnswerCtx(ectx, key, pf.canonical, func(sys *system.System) (*knowledge.Bits, error) {
 		ev := knowledge.NewEvaluator(sys)
 		ev.SetParallelism(e.parallel)
 		ev.SetTraceContext(ectx)
-		tbl := ev.Eval(f)
+		tbl := ev.Eval(pf.f)
 		st := ev.Stats()
 		evStats, par = &st, ev.Parallelism()
 		return tbl, nil
@@ -328,9 +343,9 @@ func (e *Engine) execute(ctx context.Context, key store.Key, f knowledge.Formula
 
 	resp := &Response{
 		Formula:     raw,
-		Valid:       tbl.All(),
-		TruePoints:  tbl.Count(),
-		TotalPoints: tbl.Len(),
+		Valid:       ans.First < 0,
+		TruePoints:  ans.True,
+		TotalPoints: ans.Table.Len(),
 		System: SystemSummary{
 			Mode: key.Mode.String(), N: key.N, T: key.T,
 			Horizon: key.Horizon, Limit: key.Limit,
@@ -341,17 +356,10 @@ func (e *Engine) execute(ctx context.Context, key store.Key, f knowledge.Formula
 	}
 	scanStart := time.Now()
 	_, scanSp := telemetry.StartSpan(ctx, "engine.scan")
-	if !resp.Valid {
-		if idx := tbl.FirstZero(); idx >= 0 {
-			pt := sys.PointAt(idx)
-			run := sys.RunOf(pt)
-			resp.Counterexample = &Counterexample{
-				Run:     run.Index,
-				Time:    int(pt.Time),
-				Config:  run.Config().String(),
-				Pattern: run.Pattern().String(),
-				Point:   idx,
-			}
+	if w := ans.Witness; w != nil {
+		resp.Counterexample = &Counterexample{
+			Run: w.Run, Time: w.Time, Config: w.Config, Pattern: w.Pattern,
+			Point: ans.First,
 		}
 	}
 	scanSp.End()
@@ -361,7 +369,7 @@ func (e *Engine) execute(ctx context.Context, key store.Key, f knowledge.Formula
 	resp.ElapsedMS = msSince(start)
 	resp.Provenance = &Provenance{
 		TraceID:      telemetry.TraceIDFromContext(ctx),
-		Key:          key.Slug(),
+		Key:          slug,
 		Stages:       StageTimings{LoadMS: loadMS, EvalMS: evalMS, ScanMS: scanMS},
 		SystemOrigin: sysOrigin.String(),
 		ResultOrigin: resOrigin.String(),

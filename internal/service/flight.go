@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -72,9 +73,9 @@ func (fr *flightRecorder) begin(rec QueryRecord) uint64 {
 }
 
 // finish completes a query: moves it from the in-flight map into the
-// recent ring and, when it ran longer than the slow threshold, appends
-// it to the slow-query log.
-func (fr *flightRecorder) finish(id uint64, status string, elapsedMS float64, stages StageTimings, valid *bool) {
+// recent ring and, when it ran at least the slow threshold, appends it
+// to the slow-query log.
+func (fr *flightRecorder) finish(id uint64, status string, elapsed time.Duration, stages StageTimings, valid *bool) {
 	fr.mu.Lock()
 	rec, ok := fr.inflight[id]
 	if !ok {
@@ -83,7 +84,7 @@ func (fr *flightRecorder) finish(id uint64, status string, elapsedMS float64, st
 	}
 	delete(fr.inflight, id)
 	rec.Status = status
-	rec.ElapsedMS = elapsedMS
+	rec.ElapsedMS = float64(elapsed.Microseconds()) / 1e3
 	rec.Stages = stages
 	rec.Valid = valid
 	fr.recent[fr.next] = *rec
@@ -92,7 +93,7 @@ func (fr *flightRecorder) finish(id uint64, status string, elapsedMS float64, st
 		fr.next, fr.full = 0, true
 	}
 	slow := fr.slow
-	isSlow := slow != nil && elapsedMS >= float64(fr.slowThreshold.Milliseconds())
+	isSlow := slow != nil && elapsed >= fr.slowThreshold
 	fr.mu.Unlock()
 
 	if isSlow {
@@ -112,10 +113,13 @@ func (fr *flightRecorder) finish(id uint64, status string, elapsedMS float64, st
 func (fr *flightRecorder) snapshot() (inflight, recent []QueryRecord) {
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	for id := uint64(1); id <= fr.seq; id++ {
-		if rec, ok := fr.inflight[id]; ok {
-			inflight = append(inflight, *rec)
-		}
+	ids := make([]uint64, 0, len(fr.inflight))
+	for id := range fr.inflight {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		inflight = append(inflight, *fr.inflight[id])
 	}
 	if fr.full {
 		recent = append(recent, fr.recent[fr.next:]...)

@@ -34,7 +34,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 					StartedAt: time.Now().UTC(),
 				})
 				valid := i%2 == 0
-				fr.finish(id, "ok", 0.1, StageTimings{}, &valid)
+				fr.finish(id, "ok", 100*time.Microsecond, StageTimings{}, &valid)
 				if i%50 == 0 {
 					fr.incident("race-test", "synthetic")
 				}

@@ -165,7 +165,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 	var stages StageTimings
 	var valid *bool
-	defer func() { s.fr.finish(frID, status, msSince(start), stages, valid) }()
+	defer func() { s.fr.finish(frID, status, time.Since(start), stages, valid) }()
 
 	expensive := !s.engine.CachedInMemory(key)
 	_, queueSp := telemetry.StartSpan(ctx, "service.queue")

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/system"
@@ -63,11 +64,19 @@ func (k Key) Validate() error {
 // Slug is the key's filesystem-safe rendering, used for snapshot file
 // names and inventory listings.
 func (k Key) Slug() string {
-	s := fmt.Sprintf("%s-n%d-t%d-h%d", k.Mode, k.N, k.T, k.Horizon)
+	b := make([]byte, 0, 48)
+	b = append(b, k.Mode.String()...)
+	b = append(b, "-n"...)
+	b = strconv.AppendInt(b, int64(k.N), 10)
+	b = append(b, "-t"...)
+	b = strconv.AppendInt(b, int64(k.T), 10)
+	b = append(b, "-h"...)
+	b = strconv.AppendInt(b, int64(k.Horizon), 10)
 	if k.Limit > 0 {
-		s += fmt.Sprintf("-l%d", k.Limit)
+		b = append(b, "-l"...)
+		b = strconv.AppendInt(b, int64(k.Limit), 10)
 	}
-	return s
+	return string(b)
 }
 
 // String renders the key for logs and errors.

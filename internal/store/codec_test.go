@@ -240,3 +240,28 @@ func reseal(data []byte) []byte {
 	sum := sha256.Sum256(payload)
 	return append(append([]byte(nil), payload...), sum[:]...)
 }
+
+// TestKeySlug pins the slug of every mode, with and without a limit:
+// snapshot file names, inventory rows and span labels all use it.
+func TestKeySlug(t *testing.T) {
+	for _, tc := range []struct {
+		key  Key
+		want string
+	}{
+		{Key{N: 3, T: 1, Mode: failures.Crash, Horizon: 3}, "crash-n3-t1-h3"},
+		{Key{N: 4, T: 2, Mode: failures.Crash, Horizon: 4, Limit: 7}, "crash-n4-t2-h4-l7"},
+		{Key{N: 4, T: 2, Mode: failures.Omission, Horizon: 2}, "omission-n4-t2-h2"},
+		{Key{N: 4, T: 2, Mode: failures.Omission, Horizon: 2, Limit: 2_000_000}, "omission-n4-t2-h2-l2000000"},
+		{Key{N: 3, T: 1, Mode: failures.ReceivingOmission, Horizon: 2}, "receiving-omission-n3-t1-h2"},
+		{Key{N: 3, T: 1, Mode: failures.ReceivingOmission, Horizon: 2, Limit: 2_000_000}, "receiving-omission-n3-t1-h2-l2000000"},
+		{Key{N: 3, T: 1, Mode: failures.GeneralOmission, Horizon: 2}, "general-omission-n3-t1-h2"},
+		{Key{N: 12, T: 10, Mode: failures.GeneralOmission, Horizon: 11, Limit: 1}, "general-omission-n12-t10-h11-l1"},
+	} {
+		if got := tc.key.Slug(); got != tc.want {
+			t.Errorf("Slug(%+v) = %q, want %q", tc.key, got, tc.want)
+		}
+		if got := tc.key.String(); got != tc.want {
+			t.Errorf("String(%+v) = %q, want %q", tc.key, got, tc.want)
+		}
+	}
+}

@@ -1,6 +1,6 @@
-// Crash-safety and fault-injection coverage. External test package:
-// faultinject imports store, so these tests live in store_test to
-// avoid the import cycle.
+// Crash-safety coverage driven by the fault injectors of
+// faultinject_test.go. External test package, like the injectors: they
+// wrap store.FS and the enumerator from outside, as a caller would.
 package store_test
 
 import (
@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/eventual-agreement/eba/internal/failures"
-	"github.com/eventual-agreement/eba/internal/faultinject"
 	"github.com/eventual-agreement/eba/internal/store"
 	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/types"
@@ -48,7 +47,7 @@ func TestTornWriteQuarantineAndRecovery(t *testing.T) {
 
 	// Crash mid-write: every WriteAtomic tears.
 	dirB := t.TempDir()
-	inj := faultinject.New(faultinject.Config{Seed: 7, TornWriteProb: 1})
+	inj := newInjector(faultConfig{Seed: 7, TornWriteProb: 1})
 	stB, err := store.OpenWithFS(dirB, 4, inj.FS(store.OSFS{}))
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +119,7 @@ func TestTornWriteQuarantineAndRecovery(t *testing.T) {
 func TestTransientWriteErrorDegradesToMemory(t *testing.T) {
 	key := crashKey()
 	dir := t.TempDir()
-	inj := faultinject.New(faultinject.Config{Seed: 3, TransientWrites: 1})
+	inj := newInjector(faultConfig{Seed: 3, TransientWrites: 1})
 	st, err := store.OpenWithFS(dir, 4, inj.FS(store.OSFS{}))
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +149,7 @@ func TestSingleflightLeaderFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.New(faultinject.Config{Seed: 11, TransientComputes: 1})
+	inj := newInjector(faultConfig{Seed: 11, TransientComputes: 1})
 	faulty := inj.Enumerator(func(k store.Key) (*system.System, error) {
 		return system.Enumerate(types.Params{N: k.N, T: k.T}, k.Mode, k.Horizon, k.Limit)
 	})
@@ -192,7 +191,7 @@ func TestSingleflightLeaderFailure(t *testing.T) {
 	close(gate)
 
 	lerr := <-leaderErr
-	if !errors.Is(lerr, faultinject.ErrInjected) {
+	if !errors.Is(lerr, errInjected) {
 		t.Fatalf("leader error %v, want the injected fault", lerr)
 	}
 	if errors.Is(lerr, store.ErrRetryable) {

@@ -6,8 +6,8 @@ import (
 )
 
 // FS is the narrow filesystem surface the store writes and recovers
-// through. Production uses OSFS; the faultinject package wraps an FS
-// to tear writes, slow I/O, or fail operations transiently, so
+// through. Production uses OSFS; the store tests' fault injectors wrap
+// an FS to tear writes, slow I/O, or fail operations transiently, so
 // crash-safety and degradation are testable without killing processes.
 type FS interface {
 	ReadFile(path string) ([]byte, error)

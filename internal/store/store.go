@@ -91,13 +91,51 @@ type Stats struct {
 	Quarantined      uint64 `json:"quarantined"`
 }
 
-// entry is one resident system plus its memoized truth tables.
+// Answer is one memoized truth table together with the facts every
+// query reads off it: how many points satisfy the formula and the
+// first point that does not. They are filled once, when the table
+// enters the memo, so a memory hit never scans the table. An Answer is
+// shared and must not be modified.
+type Answer struct {
+	Table *knowledge.Bits
+	// True counts the points where the formula holds.
+	True int
+	// First is the index of the first falsifying point, -1 when the
+	// formula is valid.
+	First int
+	// Witness describes the point First; nil when the formula is valid.
+	Witness *Witness
+}
+
+// Witness is a falsifying point as a counterexample prints it: its run
+// and time, with the run's initial configuration and failure pattern
+// rendered as text.
+type Witness struct {
+	Run, Time       int
+	Config, Pattern string
+}
+
+func newAnswer(sys *system.System, tbl *knowledge.Bits) *Answer {
+	a := &Answer{Table: tbl, True: tbl.Count(), First: tbl.FirstZero()}
+	if a.First >= 0 {
+		pt := sys.PointAt(a.First)
+		run := sys.RunOf(pt)
+		a.Witness = &Witness{
+			Run: run.Index, Time: int(pt.Time),
+			Config: run.Config().String(), Pattern: run.Pattern().String(),
+		}
+	}
+	return a
+}
+
+// entry is one resident system plus its memoized answers, which live
+// and die with it.
 type entry struct {
 	key     Key
 	sys     *system.System
 	digest  string // content address; "" when the store is memory-only
 	size    int    // encoded snapshot size in bytes
-	results map[string]*knowledge.Bits
+	results map[string]*Answer
 	elem    *list.Element
 	loaded  time.Time
 	origin  Origin
@@ -108,7 +146,7 @@ type entry struct {
 type flight struct {
 	done   chan struct{}
 	sys    *system.System
-	tbl    *knowledge.Bits
+	ans    *Answer
 	origin Origin
 	err    error
 }
@@ -164,7 +202,7 @@ func Open(dir string, maxMem int) (*Store, error) {
 }
 
 // OpenWithFS is Open with an explicit filesystem — the seam the
-// faultinject package wraps to tear writes or fail I/O transiently.
+// store tests' fault injectors wrap to tear writes or fail I/O.
 func OpenWithFS(dir string, maxMem int, fsys FS) (*Store, error) {
 	if maxMem <= 0 {
 		maxMem = DefaultMaxMem
@@ -504,7 +542,7 @@ func (s *Store) admit(key Key, sys *system.System, digest string, size int, orig
 	}
 	e := &entry{
 		key: key, sys: sys, digest: digest, size: size,
-		results: make(map[string]*knowledge.Bits),
+		results: make(map[string]*Answer),
 		loaded:  time.Now(), origin: origin,
 	}
 	e.elem = s.lru.PushFront(e)
@@ -537,6 +575,17 @@ func (s *Store) Result(key Key, formula string, compute func(*system.System) (*k
 // ResultCtx is Result with a caller context carrying the request's
 // trace; singleflight waits and the compute itself become child spans.
 func (s *Store) ResultCtx(ctx context.Context, key Key, formula string, compute func(*system.System) (*knowledge.Bits, error)) (*knowledge.Bits, Origin, error) {
+	ans, origin, err := s.AnswerCtx(ctx, key, formula, compute)
+	if err != nil {
+		return nil, origin, err
+	}
+	return ans.Table, origin, nil
+}
+
+// AnswerCtx is ResultCtx returning the memoized Answer: the table plus
+// its true-point count and first falsifying point, computed once when
+// the table entered the memo. A memory hit is one map lookup.
+func (s *Store) AnswerCtx(ctx context.Context, key Key, formula string, compute func(*system.System) (*knowledge.Bits, error)) (*Answer, Origin, error) {
 	sys, _, err := s.SystemCtx(ctx, key)
 	if err != nil {
 		return nil, OriginEnumerated, err
@@ -544,11 +593,11 @@ func (s *Store) ResultCtx(ctx context.Context, key Key, formula string, compute 
 	rk := resultFlightKey{key: key, formula: formula}
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
-		if tbl, ok := e.results[formula]; ok {
+		if ans, ok := e.results[formula]; ok {
 			s.stats.ResultMemoryHits++
 			s.mu.Unlock()
 			mResMem.Inc()
-			return tbl, OriginMemory, nil
+			return ans, OriginMemory, nil
 		}
 	}
 	if f, ok := s.resFlight[rk]; ok {
@@ -559,7 +608,7 @@ func (s *Store) ResultCtx(ctx context.Context, key Key, formula string, compute 
 		if f.err != nil {
 			return nil, OriginShared, fmt.Errorf("%w: shared compute of %q failed: %v", ErrRetryable, formula, f.err)
 		}
-		return f.tbl, OriginShared, nil
+		return f.ans, OriginShared, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	s.resFlight[rk] = f
@@ -570,19 +619,22 @@ func (s *Store) ResultCtx(ctx context.Context, key Key, formula string, compute 
 	s.mu.Unlock()
 
 	tbl, origin, err := s.loadResult(ctx, sys, digest, formula, compute)
+	var ans *Answer
+	if err == nil {
+		ans = newAnswer(sys, tbl)
+	}
 
 	s.mu.Lock()
 	delete(s.resFlight, rk)
 	if err == nil {
 		if e, ok := s.entries[key]; ok {
-			e.results[formula] = tbl
+			e.results[formula] = ans
 		}
 	}
-	f.sys, f.origin, f.err = nil, origin, err
-	f.tbl = tbl
+	f.ans, f.origin, f.err = ans, origin, err
 	close(f.done)
 	s.mu.Unlock()
-	return tbl, origin, err
+	return ans, origin, err
 }
 
 // loadResult misses the memo: try the disk layer, then compute and

@@ -324,13 +324,21 @@ type Snapshot struct {
 	Histograms []HistogramPoint `json:"histograms"`
 }
 
-func labelMap(labels []Label) map[string]string {
-	if len(labels) == 0 {
+// labelMap builds an event's or a snapshot's label map from label
+// groups in order; on a duplicate key the last label wins.
+func labelMap(groups ...[]Label) map[string]string {
+	n := 0
+	for _, g := range groups {
+		n += len(g)
+	}
+	if n == 0 {
 		return nil
 	}
-	m := make(map[string]string, len(labels))
-	for _, l := range labels {
-		m[l.Key] = l.Value
+	m := make(map[string]string, n)
+	for _, g := range groups {
+		for _, l := range g {
+			m[l.Key] = l.Value
+		}
 	}
 	return m
 }
@@ -380,7 +388,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // CounterValue looks a counter up in the snapshot; missing series read
 // as zero.
 func (s *Snapshot) CounterValue(name string, labels ...Label) float64 {
-	want := labelMap(sortedLabels(labels))
+	want := labelMap(labels)
 	for _, p := range s.Counters {
 		if p.Name == name && mapsEqual(p.Labels, want) {
 			return p.Value

@@ -7,7 +7,6 @@ package telemetry
 
 import (
 	"context"
-	"fmt"
 	"math/rand/v2"
 	"time"
 )
@@ -28,11 +27,27 @@ type spanCtxKey struct{}
 
 // NewTraceID mints a 32-hex-character trace ID.
 func NewTraceID() string {
-	return fmt.Sprintf("%016x%016x", rand.Uint64(), rand.Uint64())
+	var b [32]byte
+	putHex64(b[:16], rand.Uint64())
+	putHex64(b[16:], rand.Uint64())
+	return string(b[:])
 }
 
 // newSpanID mints a 16-hex-character span ID.
-func newSpanID() string { return fmt.Sprintf("%016x", rand.Uint64()) }
+func newSpanID() string {
+	var b [16]byte
+	putHex64(b[:], rand.Uint64())
+	return string(b[:])
+}
+
+// putHex64 writes v into dst[:16] as zero-padded lowercase hex.
+func putHex64(dst []byte, v uint64) {
+	const digits = "0123456789abcdef"
+	for i := 15; i >= 0; i-- {
+		dst[i] = digits[v&0xf]
+		v >>= 4
+	}
+}
 
 // ValidTraceID reports whether s is acceptable as an externally
 // supplied trace ID: 1–64 characters of [0-9a-zA-Z._-]. Anything else
@@ -148,10 +163,6 @@ func (s *ActiveSpan) End(extra ...Label) {
 	if s == nil {
 		return
 	}
-	labels := s.labels
-	if len(extra) > 0 {
-		labels = append(append(make([]Label, 0, len(s.labels)+len(extra)), s.labels...), extra...)
-	}
 	dispatch(Event{
 		T:      s.start.Sub(processEpoch).Nanoseconds(),
 		Type:   "span",
@@ -160,7 +171,7 @@ func (s *ActiveSpan) End(extra ...Label) {
 		Trace:  s.sc.TraceID,
 		Span:   s.sc.SpanID,
 		Parent: s.parent,
-		Labels: labelMap(sortedLabels(labels)),
+		Labels: labelMap(s.labels, extra),
 	})
 }
 
@@ -177,6 +188,6 @@ func EmitIn(ctx context.Context, name string, labels ...Label) {
 		Name:   name,
 		Trace:  sc.TraceID,
 		Parent: sc.SpanID,
-		Labels: labelMap(sortedLabels(labels)),
+		Labels: labelMap(labels),
 	})
 }

@@ -237,3 +237,68 @@ func TestReadEventsNearBufferLimit(t *testing.T) {
 		t.Fatal("line beyond the scanner buffer accepted")
 	}
 }
+
+// TestIDFormats pins the minted ID formats: 32-char trace IDs and
+// 16-char span IDs of lowercase hex, both acceptable as external
+// trace IDs.
+func TestIDFormats(t *testing.T) {
+	lowerHex := func(s string) bool {
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+				return false
+			}
+		}
+		return true
+	}
+	seen := map[string]bool{}
+	for i := 0; i < 256; i++ {
+		for _, c := range []struct {
+			id   string
+			want int
+		}{{NewTraceID(), 32}, {newSpanID(), 16}} {
+			if len(c.id) != c.want || !lowerHex(c.id) || !ValidTraceID(c.id) {
+				t.Fatalf("minted ID %q: want %d lowercase hex chars accepted by ValidTraceID", c.id, c.want)
+			}
+			if seen[c.id] {
+				t.Fatalf("minted ID %q twice", c.id)
+			}
+			seen[c.id] = true
+		}
+	}
+	b := make([]byte, 16)
+	putHex64(b, 0x0123456789abcdef)
+	if string(b) != "0123456789abcdef" {
+		t.Fatalf("putHex64 = %q", b)
+	}
+	putHex64(b, 0xa)
+	if string(b) != "000000000000000a" {
+		t.Fatalf("putHex64 pads to %q", b)
+	}
+}
+
+// TestDuplicateLabelLastWins pins the label rule of spans and events:
+// labels are a map, and on a duplicate key the last label given wins,
+// End-time labels after start-time ones.
+func TestDuplicateLabelLastWins(t *testing.T) {
+	ring := SetRing(16)
+	defer SetRing(0)
+	ctx := ContextWithTraceID(context.Background(), "dup-labels")
+	_, sp := StartSpan(ctx, "span", L("k", "start"), L("a", "1"), L("k", "start2"))
+	sp.End(L("k", "end1"), L("k", "end2"))
+	EmitIn(ctx, "event", L("k", "first"), L("k", "last"))
+	Emit("plain", L("k", "first"), L("b", "2"), L("k", "last"))
+
+	evs := ring.Events()
+	if len(evs) != 3 {
+		t.Fatalf("got %d events, want 3", len(evs))
+	}
+	for i, want := range []map[string]string{
+		{"k": "end2", "a": "1"},
+		{"k": "last"},
+		{"k": "last", "b": "2"},
+	} {
+		if fmt.Sprint(evs[i].Labels) != fmt.Sprint(want) {
+			t.Errorf("%s labels = %v, want %v", evs[i].Name, evs[i].Labels, want)
+		}
+	}
+}

@@ -103,7 +103,7 @@ func Emit(name string, labels ...Label) {
 		T:      time.Since(processEpoch).Nanoseconds(),
 		Type:   "event",
 		Name:   name,
-		Labels: labelMap(sortedLabels(labels)),
+		Labels: labelMap(labels),
 	})
 }
 
