@@ -47,7 +47,6 @@ func BenchmarkE13EBAvsSBA(b *testing.B)              { benchExperiment(b, "E13")
 func BenchmarkE14EventualCK(b *testing.B)            { benchExperiment(b, "E14") }
 func BenchmarkE15Halting(b *testing.B)               { benchExperiment(b, "E15") }
 func BenchmarkE16Uniform(b *testing.B)               { benchExperiment(b, "E16") }
-func BenchmarkE17Byzantine(b *testing.B)             { benchExperiment(b, "E17") }
 func BenchmarkE18MessageSize(b *testing.B)           { benchExperiment(b, "E18") }
 func BenchmarkE19Multivalued(b *testing.B)           { benchExperiment(b, "E19") }
 func BenchmarkE20WasteRule(b *testing.B)             { benchExperiment(b, "E20") }

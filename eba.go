@@ -48,7 +48,6 @@ package eba
 import (
 	"math/rand"
 
-	"github.com/eventual-agreement/eba/internal/byzantine"
 	"github.com/eventual-agreement/eba/internal/chaos"
 	"github.com/eventual-agreement/eba/internal/conform"
 	"github.com/eventual-agreement/eba/internal/core"
@@ -582,25 +581,6 @@ func DecisionHistogram(sys *System, p Pair) map[Round]int {
 // all-ones omission run with a silent processor, t ≥ 2) by sound
 // witness search.
 func CheckProp63(n, t, h int) (*Prop63Report, error) { return witness.CheckProp63(n, t, h) }
-
-// Byzantine agreement (the problem's origin, PSL80).
-
-// ByzAdversary fabricates a Byzantine processor's messages.
-type ByzAdversary = byzantine.Adversary
-
-// EIGByz is the oral-messages exponential-information-gathering
-// protocol: t+1 rounds, correct for n > 3t. Run it with a
-// failure-free pattern of horizon ≥ t+1; Byzantine misbehaviour is
-// content fabrication by the processors in byz, driven by adv.
-func EIGByz(t int, byz ProcSet, adv ByzAdversary) Protocol {
-	return byzantine.Protocol(t, byz, adv)
-}
-
-// TwoFacedAdversary reports different values to destinations below
-// and above the split — the classic splitting strategy.
-func TwoFacedAdversary(split ProcID, tellLow, tellHigh Value) ByzAdversary {
-	return byzantine.TwoFaced{Split: split, TellLow: tellLow, TellHigh: tellHigh}
-}
 
 // Simultaneous Byzantine agreement (the contrast class).
 

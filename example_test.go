@@ -61,25 +61,3 @@ func ExampleCBox() {
 	// C□ ⇒ C valid: true
 	// C ⇒ C□ valid: false
 }
-
-// ExampleEIGByz demonstrates the PSL80 oral-messages baseline: a
-// two-faced traitor cannot split four processors (n > 3t).
-func ExampleEIGByz() {
-	params := eba.Params{N: 4, T: 1}
-	adv := eba.TwoFacedAdversary(2, eba.Zero, eba.One)
-	proto := eba.EIGByz(1, eba.ProcSet(1)<<3, adv) // processor 3 is the traitor
-	cfg := eba.ConfigFromBits(4, 0b0111)
-	tr, err := eba.Run(proto, params, cfg, eba.FailureFree(eba.Omission, 4, 2))
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	for p := eba.ProcID(0); p < 3; p++ {
-		v, _, _ := tr.DecisionOf(p)
-		fmt.Printf("honest %d decides %s\n", p, v)
-	}
-	// Output:
-	// honest 0 decides 1
-	// honest 1 decides 1
-	// honest 2 decides 1
-}

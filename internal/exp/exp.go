@@ -1,10 +1,10 @@
 // Package exp implements the reproduction experiments: one entry per
-// proposition/theorem of the paper (E1-E21) plus ablations (A1-A4),
-// each producing a small table and a pass/fail verdict. Every paper
-// claim about a single enumerated system is a Claim in one registry
-// (Claims); the experiments that consist of such claims are views that
-// run them at the paper's sizes in all four failure modes, and
-// internal/conform runs the same claims on its random systems. The
+// proposition/theorem of the paper (E1-E16, E18-E21) plus ablations
+// (A1-A4), each producing a small table and a pass/fail verdict. Every
+// paper claim about a single enumerated system is a Claim in one
+// registry (Claims); the experiments that consist of such claims are
+// views that run them at the paper's sizes in all four failure modes,
+// and internal/conform runs the same claims on its random systems. The
 // experiment set is DESIGN.md's per-experiment index; cmd/ebaexp runs
 // them from the command line, bench_test.go wraps them as benchmarks,
 // and EXPERIMENTS.md records the measured outcomes.
@@ -125,7 +125,6 @@ func All() []Experiment {
 		{"E15", "Halting one round after deciding (Sec 2.3)", E15Halting},
 		view("E16", "Weak vs uniform agreement (Sec 7)",
 			"the paper's EBA protocols satisfy weak but not uniform agreement; simultaneity restores uniformity"),
-		{"E17", "Byzantine baseline: EIGByz and the 3t+1 bound (PSL80)", E17Byzantine},
 		{"E18", "Message sizes: full information vs P0opt (Sec 6.1)", E18MessageSize},
 		{"E19", "Multivalued agreement (Sec 2.1 general case)", E19Multivalued},
 		view("E20", "DM90 optimum SBA: the concrete waste rule",

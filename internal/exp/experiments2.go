@@ -3,76 +3,12 @@ package exp
 import (
 	"fmt"
 
-	"github.com/eventual-agreement/eba/internal/byzantine"
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/protocols"
 	"github.com/eventual-agreement/eba/internal/sim"
 	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
 )
-
-// E17Byzantine exercises the problem's origin ([PSL80] in the paper's
-// introduction): the oral-messages bound. EIGByz achieves Byzantine
-// agreement in t+1 rounds whenever n > 3t, against a battery of
-// lying adversaries; at n = 3t a two-faced traitor splits the honest
-// processors.
-func E17Byzantine() (*Result, error) {
-	r := &Result{ID: "E17", Title: "Byzantine baseline: EIGByz and the 3t+1 bound (PSL80)",
-		Claim: "agreement+validity for n > 3t against arbitrary liars; impossible at n = 3t"}
-	return timer(r, func() error {
-		advs := map[string]byzantine.Adversary{
-			"two-faced":    byzantine.TwoFaced{Split: 2, TellLow: types.Zero, TellHigh: types.One},
-			"constant-1":   byzantine.ConstantLiar{V: types.One},
-			"mute":         byzantine.Mute{},
-			"path-flipper": byzantine.PathFlipper{},
-		}
-		tbl := &Table{Header: []string{"n", "t", "adversary", "runs", "violations"}}
-		pass := true
-		for name, adv := range advs {
-			for _, size := range []struct{ n, t int }{{4, 1}, {7, 2}} {
-				runs, bad := 0, 0
-				for b := 0; b < size.n; b++ {
-					byz := types.Singleton(types.ProcID(b))
-					for mask := uint64(0); mask < 1<<uint(size.n); mask += 3 {
-						runs++
-						dec, err := byzantine.Check(size.n, size.t, byz, adv, types.ConfigFromBits(size.n, mask))
-						if err != nil {
-							return err
-						}
-						if ok, _ := byzantine.Agreement(dec); !ok {
-							bad++
-						}
-					}
-				}
-				pass = pass && bad == 0
-				tbl.Add(fmt.Sprintf("%d", size.n), fmt.Sprintf("%d", size.t), name,
-					fmt.Sprintf("%d", runs), fmt.Sprintf("%d", bad))
-			}
-		}
-		// n = 3t: find the splitting witness.
-		split := 0
-		for b := 0; b < 3; b++ {
-			for mask := uint64(0); mask < 8; mask++ {
-				for s := types.ProcID(0); s < 3; s++ {
-					adv := byzantine.TwoFaced{Split: s, TellLow: types.Zero, TellHigh: types.One}
-					dec, err := byzantine.Check(3, 1, types.Singleton(types.ProcID(b)), adv, types.ConfigFromBits(3, mask))
-					if err != nil {
-						return err
-					}
-					if ok, _ := byzantine.Agreement(dec); !ok {
-						split++
-					}
-				}
-			}
-		}
-		tbl.Add("3", "1", "two-faced (n=3t)", "72", fmt.Sprintf("%d", split))
-		pass = pass && split > 0
-		r.Table = tbl
-		r.Pass = pass
-		r.Summary = fmt.Sprintf("zero violations for n > 3t; %d splitting runs at n = 3t", split)
-		return nil
-	})
-}
 
 // E18MessageSize quantifies the Section 6.1 efficiency remark: P0opt
 // "can be implemented using messages of linear size" while the
