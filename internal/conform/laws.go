@@ -51,7 +51,7 @@ func (r *Runner) checkLaws(sc Scenario, seq *system.System, ev *knowledge.Evalua
 				}
 			}
 			// Structural law: encode → decode (which restores via
-			// system.Reassemble) → re-encode is the identity on bytes,
+			// system.Restorer) → re-encode is the identity on bytes,
 			// and the decoded system gives the same verdicts.
 			checks++
 			key2, sys2, err := store.DecodeSystem(seqBytes)

@@ -22,12 +22,16 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"strconv"
+	"sync"
 
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/types"
+	"github.com/eventual-agreement/eba/internal/varint"
 	"github.com/eventual-agreement/eba/internal/views"
 )
 
@@ -201,24 +205,84 @@ func Digest(data []byte) string {
 }
 
 // DecodeSystem decodes a snapshot produced by EncodeSystem, verifying
-// the magic, the version, and the checksum before reconstructing
-// anything. It reads, verifies and adopts, and derives nothing but the
-// interner's per-view known-value masks: the interner's hash-cons table
-// and memo tables, the nonfaulty-holder count and the pattern keys are
-// each built by the first call that needs them.
+// the magic, the version, the checksum and every rule a restored run
+// table must keep (system.Restorer). It reads, verifies and adopts,
+// and derives nothing but the interner's per-view known-value masks:
+// the interner's hash-cons table and memo tables, the
+// nonfaulty-holder count and the pattern keys are each built by the
+// first call that needs them.
+//
+// A snapshot of spreadMin bytes or more is decoded on several
+// goroutines. The checksum is computed on its own while the rest
+// decodes; nothing decoded is returned until it verifies, and a
+// mismatch outranks every decode error. The interner is decoded on
+// another while the patterns are parsed and the run arrays allocated,
+// and the run table is decoded in two lanes, each checking every run
+// right after decoding it. Errors are those of a sequential decode:
+// the first bad section, and within the run table the first bad run.
+// Because the decode runs before the checksum has verified, every
+// allocation it makes is bounded by the payload's length.
 func DecodeSystem(data []byte) (Key, *system.System, error) {
-	var key Key
+	return decodeSystem(data, -1)
+}
+
+// decodeSystem is DecodeSystem with the run table's second lane
+// starting at run split, or at half the runs when split is negative.
+// A split of 0 or past the last run leaves one lane.
+func decodeSystem(data []byte, split int) (Key, *system.System, error) {
 	if len(data) < len(snapMagic)+1+digestLen {
-		return key, nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(data))
+		return Key{}, nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(data))
 	}
 	if string(data[:len(snapMagic)]) != snapMagic {
-		return key, nil, fmt.Errorf("store: bad magic %q", data[:len(snapMagic)])
+		return Key{}, nil, fmt.Errorf("store: bad magic %q", data[:len(snapMagic)])
 	}
 	payload, trailer := data[:len(data)-digestLen], data[len(data)-digestLen:]
-	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], trailer) {
-		return key, nil, fmt.Errorf("store: checksum mismatch (truncated or corrupted snapshot)")
+	checksum := func() bool {
+		sum := sha256.Sum256(payload)
+		return bytes.Equal(sum[:], trailer)
 	}
-	d := decoder{buf: payload[len(snapMagic):]}
+	if len(data) < spreadMin {
+		if !checksum() {
+			return Key{}, nil, errChecksum
+		}
+		return decodePayload(payload[len(snapMagic):], split, false)
+	}
+	sumOK := make(chan bool, 1)
+	go func() { sumOK <- checksum() }()
+	key, sys, err := decodePayload(payload[len(snapMagic):], split, true)
+	if !<-sumOK {
+		return Key{}, nil, errChecksum
+	}
+	if err != nil {
+		return key, nil, err
+	}
+	return key, sys, nil
+}
+
+var errChecksum = errors.New("store: checksum mismatch (truncated or corrupted snapshot)")
+
+// spreadMin is the smallest snapshot whose decode is spread over
+// goroutines. A smaller one decodes in well under a millisecond, on
+// the caller's goroutine and after its checksum has verified, which
+// also keeps the fuzzer's small inputs fast and their paths through
+// the decoder deterministic.
+const spreadMin = 64 << 10
+
+// start runs f on a goroutine of its own when spread is set, and at
+// once otherwise.
+func start(spread bool, f func()) {
+	if spread {
+		go f()
+	} else {
+		f()
+	}
+}
+
+// decodePayload decodes everything between the magic and the checksum,
+// on several goroutines when spread is set.
+func decodePayload(body []byte, split int, spread bool) (Key, *system.System, error) {
+	var key Key
+	d := decoder{buf: body}
 	if v := d.uvarint(); v != snapVersion {
 		return key, nil, versionSkewError("snapshot", v)
 	}
@@ -230,26 +294,98 @@ func DecodeSystem(data []byte) (Key, *system.System, error) {
 	if d.err == nil {
 		d.err = key.Validate()
 	}
+	// A run holds (horizon+1)·n views of at least a byte each, so the
+	// horizon is held to the payload before it sizes a schedule row or
+	// a run.
+	if d.err == nil && key.Horizon >= len(body)/key.N {
+		d.err = fmt.Errorf("store: snapshot horizon %d too long for %d bytes", key.Horizon, len(body))
+	}
 	if d.err != nil {
 		return key, nil, d.err
 	}
 
-	in, err := views.UnmarshalInterner(d.bytes(int(d.uvarint())))
+	// The interner's blob is length-prefixed, so it is decoded beside
+	// the rest; UnmarshalInterner bounds what it allocates by the blob.
+	blob := d.bytes(int(d.uvarint()))
 	if d.err != nil {
 		return key, nil, d.err
+	}
+	type interned struct {
+		in  *views.Interner
+		err error
+	}
+	inDone := make(chan interned, 1)
+	start(spread, func() {
+		in, err := views.UnmarshalInterner(blob)
+		inDone <- interned{in, err}
+	})
+	pats, tbl, err := decodeTableHead(&d, key)
+	// The interner comes first in the snapshot, so its error does too.
+	got := <-inDone
+	if got.err != nil {
+		return key, nil, got.err
 	}
 	if err != nil {
 		return key, nil, err
 	}
+	rs, err := system.NewRestorer(types.Params{N: key.N, T: key.T}, key.Mode, key.Horizon, got.in, pats)
+	if err != nil {
+		return key, nil, err
+	}
 
+	nruns := len(tbl.PatternOf)
+	if split < 0 {
+		split = nruns / lanes
+	}
+	// Lane 1 decodes runs [0, split) from d.pos up to the byte where
+	// run split starts, lane 2 the rest. When the payload holds too few
+	// varints for the split, lane 1 takes every run and reports where
+	// the table is cut short.
+	at := -1
+	if split > 0 && split < nruns {
+		at = varintEnd(d.buf, d.pos, split*(2+rs.Stride()))
+	}
+	if at < 0 {
+		split, at = nruns, len(d.buf)
+	}
+	var err2 error
+	var wg sync.WaitGroup
+	if split < nruns {
+		wg.Add(1)
+		start(spread, func() {
+			defer wg.Done()
+			err2 = decodeRuns(&decoder{buf: d.buf, pos: at}, rs, &tbl, split, nruns)
+		})
+	}
+	err1 := decodeRuns(&decoder{buf: d.buf[:at], pos: d.pos}, rs, &tbl, 0, split)
+	wg.Wait()
+	if err1 != nil {
+		return key, nil, err1
+	}
+	if err2 != nil {
+		return key, nil, err2
+	}
+	sys, err := rs.Adopt(tbl)
+	if err != nil {
+		return key, nil, err
+	}
+	return key, sys, nil
+}
+
+// lanes is how many goroutines decode a snapshot's run table.
+const lanes = 2
+
+// decodeTableHead parses the pattern section and the run count and
+// allocates the run table's arrays. Every count is held to what the
+// payload can carry before anything is sized by it.
+func decodeTableHead(d *decoder, key Key) ([]*failures.Pattern, system.RunTable, error) {
 	// Patterns arrive in the packed form failures.NewPatterns takes: the
-	// faulty set, then one row of schedules per faulty processor. Counts
-	// are held to what the payload can carry — a pattern or a set is at
-	// least one byte — before anything is sized by them.
+	// faulty set, then one row of schedules per faulty processor. A
+	// pattern or a set is at least one byte.
 	npats := d.uvarint()
 	const maxPatterns = 1 << 24
 	if npats > maxPatterns || npats > uint64(d.rest()) {
-		return key, nil, fmt.Errorf("store: snapshot claims %d patterns", npats)
+		return nil, system.RunTable{}, fmt.Errorf("store: snapshot claims %d patterns", npats)
 	}
 	rowLen := key.Horizon
 	if key.Mode.HasReceivingFaults() {
@@ -261,55 +397,82 @@ func DecodeSystem(data []byte) (Key, *system.System, error) {
 		faulty[i] = types.ProcSet(d.uvarint())
 		if members := faulty[i].Len(); members > 0 {
 			if rowLen > d.rest()/members {
-				return key, nil, fmt.Errorf("store: snapshot pattern %d claims %d rows of %d sets in %d bytes", i, members, rowLen, d.rest())
+				return nil, system.RunTable{}, fmt.Errorf("store: snapshot pattern %d claims %d rows of %d sets in %d bytes", i, members, rowLen, d.rest())
 			}
 			lo, hi := len(sched), len(sched)+members*rowLen
 			sched = slices.Grow(sched, hi-lo)[:hi]
-			uvarints(&d, sched[lo:])
+			uvarints(d, sched[lo:])
 		}
 		if d.err != nil {
-			return key, nil, d.err
+			return nil, system.RunTable{}, d.err
 		}
 	}
 	pats, err := failures.NewPatterns(key.Mode, key.N, key.Horizon, faulty, sched)
 	if err != nil {
-		return key, nil, fmt.Errorf("store: snapshot %w", err)
+		return nil, system.RunTable{}, fmt.Errorf("store: snapshot %w", err)
 	}
 
-	// The run arrays are allocated up front, so the claimed count is
-	// held to what the payload can carry: a view is at least one byte.
+	// A view is at least one byte, so the run arrays are at most a few
+	// times the payload.
 	nruns := d.uvarint()
 	stride := (key.Horizon + 1) * key.N
 	if nruns == 0 || stride <= 0 || nruns > uint64(d.rest()/stride) {
-		return key, nil, fmt.Errorf("store: snapshot claims %d runs of %d views in %d bytes", nruns, stride, d.rest())
+		return nil, system.RunTable{}, fmt.Errorf("store: snapshot claims %d runs of %d views in %d bytes", nruns, stride, d.rest())
 	}
-	tbl := system.RunTable{
-		Patterns:  pats,
+	return pats, system.RunTable{
 		PatternOf: make([]int32, nruns),
 		ConfigOf:  make([]uint64, nruns),
 		Views:     make([]views.ID, int(nruns)*stride),
-	}
+	}, nil
+}
+
+// decodeRuns decodes runs [lo, hi) of the table from d and checks each
+// one while its views are still in cache. It reports the first bad
+// run; the lane that ends the table also reports trailing bytes.
+func decodeRuns(d *decoder, rs *system.Restorer, tbl *system.RunTable, lo, hi int) error {
+	stride := rs.Stride()
 	var head [2]uint64 // configuration bits, pattern index
-	for r := range tbl.PatternOf {
-		uvarints(&d, head[:])
-		uvarints(&d, tbl.Views[r*stride:(r+1)*stride])
+	for r := lo; r < hi; r++ {
+		run := tbl.Views[r*stride : (r+1)*stride]
+		uvarints(d, head[:])
+		uvarints(d, run)
 		if d.err != nil {
-			return key, nil, d.err
+			return d.err
 		}
-		if head[1] >= uint64(len(pats)) {
-			return key, nil, fmt.Errorf("store: run %d references pattern %d of %d", r, head[1], len(pats))
+		if !(mutantLane2NoCheck && lo > 0) {
+			if err := rs.CheckRun(r, int64(min(head[1], math.MaxInt64)), head[0], run); err != nil {
+				return err
+			}
 		}
 		tbl.ConfigOf[r], tbl.PatternOf[r] = head[0], int32(head[1])
 	}
-	if d.rest() != 0 {
-		return key, nil, fmt.Errorf("store: %d trailing bytes after snapshot", d.rest())
+	if hi == len(tbl.PatternOf) && d.rest() != 0 {
+		return fmt.Errorf("store: %d trailing bytes after snapshot", d.rest())
 	}
+	return nil
+}
 
-	sys, err := system.Reassemble(types.Params{N: key.N, T: key.T}, key.Mode, key.Horizon, in, tbl)
-	if err != nil {
-		return key, nil, err
+// varintEnd returns the position in buf just past the k varints that
+// start at pos, or -1 if buf holds fewer. A varint ends at each byte
+// below 0x80, so it counts those bytes, a word at a time.
+func varintEnd(buf []byte, pos, k int) int {
+	for len(buf)-pos >= 8 {
+		w := binary.LittleEndian.Uint64(buf[pos:])
+		ends := 8 - bits.OnesCount64(w&0x8080808080808080)
+		if ends >= k {
+			break
+		}
+		k -= ends
+		pos += 8
 	}
-	return key, sys, nil
+	for ; pos < len(buf); pos++ {
+		if buf[pos] < 0x80 {
+			if k--; k == 0 {
+				return pos + 1
+			}
+		}
+	}
+	return -1
 }
 
 // EncodeResult serializes one memoized truth table together with the
@@ -407,41 +570,16 @@ func (d *decoder) uvarint() uint64 {
 
 // uvarints fills dst with the next len(dst) varints, narrowed to its
 // element type as a conversion would. Nearly all of a snapshot's
-// varints are read here, a run at a time: the cursor stays in
-// registers and the caller looks at the error once per run.
+// varints are read here, a run at a time: the caller looks at the
+// error once per run.
 func uvarints[T ~int32 | ~uint64](d *decoder, dst []T) {
 	if d.err != nil {
 		return
 	}
-	buf, pos := d.buf, d.pos
-	for i := range dst {
-		// One to three bytes inline (view IDs below 2^21), the rest, and
-		// the last bytes of the buffer, through binary.Uvarint.
-		if len(buf)-pos >= 3 {
-			b0, b1, b2 := buf[pos], buf[pos+1], buf[pos+2]
-			if b0 < 0x80 {
-				dst[i] = T(b0)
-				pos++
-				continue
-			}
-			if b1 < 0x80 {
-				dst[i] = T(b0&0x7f) | T(b1)<<7
-				pos += 2
-				continue
-			}
-			if b2 < 0x80 {
-				dst[i] = T(b0&0x7f) | T(b1&0x7f)<<7 | T(b2)<<14
-				pos += 3
-				continue
-			}
-		}
-		v, k := binary.Uvarint(buf[pos:])
-		if k <= 0 {
-			d.err = fmt.Errorf("store: truncated snapshot at byte %d", pos)
-			return
-		}
-		dst[i] = T(v)
-		pos += k
+	pos, ok := varint.Fill(d.buf, d.pos, dst)
+	if !ok {
+		d.err = fmt.Errorf("store: truncated snapshot at byte %d", pos)
+		return
 	}
 	d.pos = pos
 }

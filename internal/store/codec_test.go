@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"strings"
 	"testing"
 
 	"github.com/eventual-agreement/eba/internal/failures"
@@ -200,8 +201,10 @@ func TestDecodeRejectsTruncationAndCorruption(t *testing.T) {
 	for _, flip := range []int{len(snapMagic) + 3, len(data) / 3, len(data) - digestLen - 1} {
 		bad := append([]byte(nil), data...)
 		bad[flip] ^= 0x40
-		if _, _, err := DecodeSystem(bad); err == nil {
-			t.Fatalf("snapshot with byte %d flipped decoded without error", flip)
+		// The checksum is verified beside the decode, and its mismatch
+		// outranks whatever the decode made of the flipped byte.
+		if _, _, err := DecodeSystem(bad); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("snapshot with byte %d flipped: %v, want a checksum mismatch", flip, err)
 		}
 	}
 	if _, _, err := DecodeSystem([]byte("EBASNAP")); err == nil {

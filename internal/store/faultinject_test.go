@@ -147,12 +147,12 @@ type faultFS struct {
 	inner store.FS
 }
 
-func (f *faultFS) ReadFile(path string) ([]byte, error) {
+func (f *faultFS) ReadFile(path string, buf []byte) ([]byte, error) {
 	f.in.maybeSlow()
 	if f.in.takeTransient(&f.in.readsLeft) {
 		return nil, fmt.Errorf("%w: transient read error on %s", errInjected, path)
 	}
-	return f.inner.ReadFile(path)
+	return f.inner.ReadFile(path, buf)
 }
 
 func (f *faultFS) WriteAtomic(path string, data []byte) error {
@@ -219,7 +219,7 @@ func driveSequence(t *testing.T, in *injector, dir string) []bool {
 		path := filepath.Join(dir, "f.bin")
 		werr := fs.WriteAtomic(path, data)
 		faults = append(faults, werr != nil)
-		_, rerr := fs.ReadFile(path)
+		_, rerr := fs.ReadFile(path, nil)
 		faults = append(faults, rerr != nil)
 	}
 	return faults
@@ -291,15 +291,52 @@ func TestTransientErrorsExpire(t *testing.T) {
 		t.Fatalf("second write should succeed: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := fs.ReadFile(path); !errors.Is(err, errInjected) {
+		if _, err := fs.ReadFile(path, nil); !errors.Is(err, errInjected) {
 			t.Fatalf("read %d: %v, want injected transient", i, err)
 		}
 	}
-	if _, err := fs.ReadFile(path); err != nil {
-		t.Fatalf("third read should succeed: %v", err)
+	// The read that succeeds fills the caller's buffer.
+	buf := make([]byte, 0, 1024)
+	if got, err := fs.ReadFile(path, buf); err != nil || string(got) != "xx" || &got[0] != &buf[:1][0] {
+		t.Fatalf("third read should succeed into the buffer: %q, %v", got, err)
 	}
 	if c := in.Counts(); c.TransientErrors != 3 {
 		t.Fatalf("counts = %+v, want 3 transient errors", c)
+	}
+}
+
+// TestTransientSnapshotReadFallsBack: the store reads snapshots through
+// its FS, read buffer and all, so an injected read error reaches the
+// restore path, which falls back to enumerating.
+func TestTransientSnapshotReadFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	key := store.Key{N: 3, T: 1, Mode: failures.Crash, Horizon: 2}
+	warm, err := store.Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := warm.System(key); err != nil {
+		t.Fatal(err)
+	}
+	in := newInjector(faultConfig{Seed: 1})
+	st, err := store.OpenWithFS(dir, 1, in.FS(store.OSFS{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.mu.Lock()
+	in.readsLeft = 1 // the boot-time scan has read the file; fail the restore's read
+	in.mu.Unlock()
+	if _, origin, err := st.System(key); err != nil || origin != store.OriginEnumerated {
+		t.Fatalf("restore under a read fault: origin %v, %v; want a fresh enumeration", origin, err)
+	}
+	if c := in.Counts(); c.TransientErrors != 1 {
+		t.Fatalf("counts = %+v, want the restore's read to fail", c)
+	}
+	if _, origin, err := st.System(store.Key{N: 3, T: 1, Mode: failures.Crash, Horizon: 3}); err != nil || origin != store.OriginEnumerated {
+		t.Fatalf("another key: origin %v, %v", origin, err)
+	}
+	if _, origin, err := st.System(key); err != nil || origin != store.OriginDisk {
+		t.Fatalf("restore once the fault has passed: origin %v, %v; want disk", origin, err)
 	}
 }
 

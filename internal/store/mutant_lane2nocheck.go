@@ -1,0 +1,6 @@
+//go:build mutant_lane2nocheck
+
+package store
+
+// Planted bug: see mutant_off.go.
+const mutantLane2NoCheck = true

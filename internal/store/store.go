@@ -34,12 +34,14 @@ var (
 	mEvictions   = telemetry.Default().Counter("eba_store_evictions_total")
 	mDiskErrors  = telemetry.Default().Counter("eba_store_disk_errors_total")
 	mMemEntries  = telemetry.Default().Gauge("eba_store_mem_entries")
-	mLoadDisk    = telemetry.Default().Histogram("eba_store_load_seconds",
-		[]float64{0.0001, 0.001, 0.01, 0.1, 0.5, 1, 5, 30}, telemetry.L("source", "disk"))
-	mLoadEnum = telemetry.Default().Histogram("eba_store_load_seconds",
-		[]float64{0.0001, 0.001, 0.01, 0.1, 0.5, 1, 5, 30}, telemetry.L("source", "enumerate"))
+	mLoadDisk    = telemetry.Default().Histogram("eba_store_load_seconds", loadBuckets, telemetry.L("source", "disk"))
+	mLoadEnum    = telemetry.Default().Histogram("eba_store_load_seconds", loadBuckets, telemetry.L("source", "enumerate"))
 	mQuarantined = telemetry.Default().Counter("eba_store_quarantined_total")
 )
+
+// loadBuckets are the load-time histogram's bounds in seconds. Restores
+// of the larger snapshots take 20–100 ms, so that decade is cut finer.
+var loadBuckets = []float64{0.0001, 0.001, 0.01, 0.025, 0.05, 0.1, 0.5, 1, 5, 30}
 
 // ErrRetryable marks transient store failures where the same call may
 // well succeed if simply retried: in particular, a singleflight
@@ -184,6 +186,14 @@ type Store struct {
 	// move with the destination path. The flight recorder uses it to
 	// dump the trace ring when corruption surfaces.
 	quarantineHook func(path string)
+
+	// readBuf is the snapshot read buffer, lent to one load at a time
+	// (readLent, under mu), so a restore reads into memory that is
+	// already faulted in instead of a fresh slice. A decoded system
+	// holds no reference into it. It grows to the largest snapshot
+	// read.
+	readBuf  []byte
+	readLent bool
 }
 
 // DefaultMaxMem is the default in-memory system bound. Systems are the
@@ -295,7 +305,7 @@ func (s *Store) scanDir(dir string, verify func([]byte) error) {
 			s.quarantine(path)
 			continue
 		}
-		data, err := s.fsys.ReadFile(path)
+		data, err := s.fsys.ReadFile(path, nil)
 		if err != nil {
 			continue // unreadable now ≠ corrupt; the read path retries
 		}
@@ -463,39 +473,11 @@ func (s *Store) SystemCtx(ctx context.Context, key Key) (*system.System, Origin,
 func (s *Store) load(ctx context.Context, key Key) (*system.System, string, int, Origin, error) {
 	versionSkewed := false
 	if s.dir != "" {
-		path := s.systemPath(key)
-		if data, err := s.fsys.ReadFile(path); err == nil {
-			start := time.Now()
-			_, decSp := telemetry.StartSpan(ctx, "store.decode", telemetry.L("key", key.Slug()))
-			gotKey, sys, derr := DecodeSystem(data)
-			decSp.End()
-			switch {
-			case errors.Is(derr, ErrVersionSkew):
-				// A foreign build's valid snapshot is not corruption:
-				// leave the file exactly as it is (no quarantine, and no
-				// overwrite below — the build that wrote it still wants
-				// it) and serve this request from a fresh enumeration,
-				// memory-only.
-				versionSkewed = true
-			case derr != nil:
-				// A corrupt snapshot is not fatal: quarantine the
-				// evidence and fall through to enumeration, which
-				// rewrites a fresh one. Surface the event in stats and
-				// telemetry.
-				s.noteDiskError()
-				s.quarantine(path)
-			case gotKey != key:
-				s.noteDiskError()
-				s.quarantine(path)
-			default:
-				mLoadDisk.Observe(time.Since(start).Seconds())
-				s.mu.Lock()
-				s.stats.SystemDiskHits++
-				s.mu.Unlock()
-				mSysDisk.Inc()
-				return sys, Digest(data), len(data), OriginDisk, nil
-			}
+		sys, digest, size, skewed := s.restore(ctx, key)
+		if sys != nil {
+			return sys, digest, size, OriginDisk, nil
 		}
+		versionSkewed = skewed
 	}
 	start := time.Now()
 	_, enumSp := telemetry.StartSpan(ctx, "store.enumerate", telemetry.L("key", key.Slug()))
@@ -524,6 +506,70 @@ func (s *Store) load(ctx context.Context, key Key) (*system.System, string, int,
 		}
 	}
 	return sys, digest, size, OriginEnumerated, nil
+}
+
+// restore reads and decodes key's snapshot file, returning a nil system
+// when there is none to serve. skewed reports a valid snapshot written
+// by a different build.
+func (s *Store) restore(ctx context.Context, key Key) (sys *system.System, digest string, size int, skewed bool) {
+	path := s.systemPath(key)
+	start := time.Now()
+	buf, lent := s.lendReadBuf()
+	data, err := s.fsys.ReadFile(path, buf)
+	if lent {
+		defer s.returnReadBuf(buf, data)
+	}
+	if err != nil {
+		return nil, "", 0, false
+	}
+	_, decSp := telemetry.StartSpan(ctx, "store.decode", telemetry.L("key", key.Slug()))
+	gotKey, sys, derr := DecodeSystem(data)
+	decSp.End()
+	switch {
+	case errors.Is(derr, ErrVersionSkew):
+		// A foreign build's valid snapshot is not corruption: leave the
+		// file exactly as it is (no quarantine, and no overwrite by the
+		// caller — the build that wrote it still wants it) and serve
+		// this request from a fresh enumeration, memory-only.
+		return nil, "", 0, true
+	case derr != nil || gotKey != key:
+		// A corrupt snapshot is not fatal: quarantine the evidence and
+		// fall through to enumeration, which rewrites a fresh one.
+		// Surface the event in stats and telemetry.
+		s.noteDiskError()
+		s.quarantine(path)
+		return nil, "", 0, false
+	}
+	mLoadDisk.Observe(time.Since(start).Seconds())
+	s.mu.Lock()
+	s.stats.SystemDiskHits++
+	s.mu.Unlock()
+	mSysDisk.Inc()
+	return sys, Digest(data), len(data), false
+}
+
+// lendReadBuf lends the snapshot read buffer to the caller, unless
+// another load holds it; then the caller reads into a fresh slice.
+func (s *Store) lendReadBuf() ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.readLent {
+		return nil, false
+	}
+	s.readLent = true
+	return s.readBuf, true
+}
+
+// returnReadBuf takes the lent buffer back, keeping whichever of it and
+// the data read is larger (a read that outgrew the buffer allocated a
+// fresh slice).
+func (s *Store) returnReadBuf(buf, data []byte) {
+	if cap(data) > cap(buf) {
+		buf = data
+	}
+	s.mu.Lock()
+	s.readBuf, s.readLent = buf[:0], false
+	s.mu.Unlock()
 }
 
 func (s *Store) noteDiskError() {
@@ -643,7 +689,7 @@ func (s *Store) loadResult(ctx context.Context, sys *system.System, digest, form
 	persistable := s.dir != "" && digest != ""
 	if persistable {
 		path := s.resultPath(digest, formula)
-		if data, err := s.fsys.ReadFile(path); err == nil {
+		if data, err := s.fsys.ReadFile(path, nil); err == nil {
 			gotFormula, packed, derr := DecodeResult(data)
 			if derr == nil && gotFormula == formula {
 				var tbl knowledge.Bits
@@ -745,7 +791,7 @@ func (s *Store) DigestForSlug(slug string) (digest string, ok bool) {
 		return "", false
 	}
 	path := filepath.Join(s.dir, "systems", slug+".eba")
-	data, err := s.fsys.ReadFile(path)
+	data, err := s.fsys.ReadFile(path, nil)
 	if err != nil || VerifySnapshot(data) != nil {
 		return "", false
 	}
@@ -784,7 +830,7 @@ func (s *Store) SnapshotBytes(digest string) ([]byte, Key, error) {
 				continue
 			}
 			path := filepath.Join(s.dir, "systems", e.Name())
-			data, rerr := s.fsys.ReadFile(path)
+			data, rerr := s.fsys.ReadFile(path, nil)
 			if rerr != nil || Digest(data) != digest || VerifySnapshot(data) != nil {
 				continue
 			}
@@ -799,7 +845,7 @@ func (s *Store) SnapshotBytes(digest string) ([]byte, Key, error) {
 		}
 		return nil, Key{}, fmt.Errorf("store: no snapshot with digest %s", digest)
 	}
-	data, err := s.fsys.ReadFile(s.systemPath(key))
+	data, err := s.fsys.ReadFile(s.systemPath(key), nil)
 	if err != nil {
 		return nil, Key{}, fmt.Errorf("store: snapshot for %s unreadable: %w", key, err)
 	}

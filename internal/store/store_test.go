@@ -277,3 +277,93 @@ func TestKeyValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreKeepsNoReferenceToReadBuffer: a restore reads the snapshot
+// into the store's one read buffer, which the next restore overwrites.
+// Overwriting it must leave the resident system as it was: re-encoding
+// the system gives the file's digest.
+func TestRestoreKeepsNoReferenceToReadBuffer(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey()
+	if _, _, err := mustOpen(t, dir, 2).System(key); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir, 2)
+	sys, origin, err := s.System(key)
+	if err != nil || origin != OriginDisk {
+		t.Fatalf("restore: origin %v, %v", origin, err)
+	}
+	data, err := os.ReadFile(s.systemPath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := s.readBuf[:cap(s.readBuf)]
+	if len(buf) < len(data) {
+		t.Fatalf("the store kept a %d-byte read buffer after reading %d bytes", len(buf), len(data))
+	}
+	for i := range buf {
+		buf[i] = 0xff
+	}
+	again, err := EncodeSystem(key, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Digest(again) != Digest(data) {
+		t.Fatalf("after the read buffer was overwritten the system encodes to %s, want %s", Digest(again), Digest(data))
+	}
+}
+
+// TestConcurrentRestoresOfTwoKeys restores two keys from two goroutines
+// through a one-system store, so every request evicts the other key
+// and most restores overlap: one reads into the store's buffer, the
+// other into a fresh one. Every restored system must be its own file's.
+func TestConcurrentRestoresOfTwoKeys(t *testing.T) {
+	dir := t.TempDir()
+	keys := []Key{testKey(), {N: 3, T: 1, Mode: failures.Omission, Horizon: 2, Limit: 500}}
+	digests := make([]string, len(keys))
+	warm := mustOpen(t, dir, len(keys))
+	for i, key := range keys {
+		sys, _, err := warm.System(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := EncodeSystem(key, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests[i] = Digest(data)
+	}
+	s := mustOpen(t, dir, 1)
+	var wg sync.WaitGroup
+	for i, key := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				sys, _, err := s.System(key)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				data, err := EncodeSystem(key, sys)
+				if err != nil || Digest(data) != digests[i] {
+					t.Errorf("%s restored to digest %s (%v), want %s", key, Digest(data), err, digests[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.SystemDiskHits == 0 || st.Enumerations != 0 {
+		t.Fatalf("stats %+v: want restores and no enumerations", st)
+	}
+}
+
+func mustOpen(t *testing.T, dir string, maxMem int) *Store {
+	t.Helper()
+	s, err := Open(dir, maxMem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}

@@ -10,73 +10,133 @@ import (
 
 // Reassemble rebuilds a System from previously enumerated parts — an
 // interner plus a run table whose views reference it — without
-// re-running the enumeration. It is the restore path of the snapshot
-// store: FromPatterns interns every view, while Reassemble only
-// validates the table, one dense walk over already-interned IDs, and
-// derives nothing (the nonfaulty-holder count is built by the first
-// NonfaultyHolders call, as it is after a build). The table is
-// adopted, not copied.
-//
-// The table is validated against the parameters (array sizes, pattern
-// mode, horizon and fault bound, configuration bits, view ownership
-// and times, and that each run's time-0 views carry the initial values
-// its configuration bits say) so a decoded snapshot can't produce a
-// structurally inconsistent system, or one whose run-constant facts
-// (∃0, init_p=v) contradict what its processors see.
+// re-running the enumeration: FromPatterns interns every view, while
+// Reassemble only checks each run with a Restorer, one dense walk over
+// already-interned IDs, and derives nothing (the nonfaulty-holder
+// count is built by the first NonfaultyHolders call, as it is after a
+// build). The table is adopted, not copied.
 func Reassemble(params types.Params, mode failures.Mode, horizon int, in *views.Interner, tbl RunTable) (*System, error) {
-	if err := validateBuild(params, mode, horizon, tbl.Patterns); err != nil {
+	rs, err := NewRestorer(params, mode, horizon, in, tbl.Patterns)
+	if err != nil {
+		return nil, err
+	}
+	if err := rs.checkShape(tbl); err != nil {
+		return nil, err
+	}
+	stride := rs.Stride()
+	for r, pi := range tbl.PatternOf {
+		if err := rs.CheckRun(r, int64(pi), tbl.ConfigOf[r], tbl.Views[r*stride:(r+1)*stride]); err != nil {
+			return nil, err
+		}
+	}
+	return rs.Adopt(tbl)
+}
+
+// A Restorer holds the rules a run table restored from outside must
+// keep — the ones FromPatterns keeps by construction — so that the
+// table can be checked one run at a time, by several goroutines at
+// once, while it is being decoded, and then adopted without a second
+// pass. The rules are those of the parameters (pattern mode, horizon
+// and fault bound), and per run: its pattern index, its configuration
+// bits, each slot's view owner and time, and that the time-0 views
+// carry the initial values the configuration bits say. A decoded
+// snapshot therefore can't produce a structurally inconsistent system,
+// or one whose run-constant facts (∃0, init_p=v) contradict what its
+// processors see.
+type Restorer struct {
+	params   types.Params
+	mode     failures.Mode
+	horizon  int
+	in       *views.Interner
+	patterns []*failures.Pattern
+	stamps   []views.Stamp
+	configs  uint64 // the configuration bits of n processors
+	// wantAt[m*n+p] is the stamp processor p's slot at time m must
+	// hold, the initial value (time 0 only) aside.
+	wantAt []views.Stamp
+}
+
+// NewRestorer checks the parameters, the patterns and the interner,
+// and returns the per-run rules over them.
+func NewRestorer(params types.Params, mode failures.Mode, horizon int, in *views.Interner, patterns []*failures.Pattern) (*Restorer, error) {
+	if err := validateBuild(params, mode, horizon, patterns); err != nil {
 		return nil, err
 	}
 	if in == nil || in.N() != params.N {
 		return nil, fmt.Errorf("system: interner missing or sized for wrong n")
 	}
-	runs, n := len(tbl.PatternOf), params.N
-	if runs == 0 {
-		return nil, fmt.Errorf("system: no runs")
-	}
-	stride := (horizon + 1) * n
-	if len(tbl.ConfigOf) != runs || len(tbl.Views) != runs*stride {
-		return nil, fmt.Errorf("system: run table has %d patterns, %d configurations and %d views for %d runs of %d",
-			runs, len(tbl.ConfigOf), len(tbl.Views), runs, stride)
-	}
-	// What a slot of a run must hold is one stamp: wantAt[m*n+p] for
-	// processor p at time m, the initial value (time 0 only) aside.
-	stamps := in.Stamps()
-	wantAt := make([]views.Stamp, stride)
+	n := params.N
+	wantAt := make([]views.Stamp, (horizon+1)*n)
 	for k := range wantAt {
 		wantAt[k] = views.StampOf(types.ProcID(k%n), types.Round(k/n), types.Zero)
 	}
-	for r := 0; r < runs; r++ {
-		if pi := tbl.PatternOf[r]; pi < 0 || int(pi) >= len(tbl.Patterns) {
-			return nil, fmt.Errorf("system: run %d references pattern %d of %d", r, pi, len(tbl.Patterns))
-		}
-		cfg := tbl.ConfigOf[r]
-		if cfg&^uint64(types.FullSet(n)) != 0 {
-			return nil, fmt.Errorf("system: run %d config bits %#x out of range for n=%d", r, cfg, n)
-		}
-		run := tbl.Views[r*stride : (r+1)*stride]
-		for k, id := range run {
-			if uint(id) >= uint(len(stamps)) {
-				return nil, slotError(in, r, k/n, k%n, id, cfg)
-			}
-			got, want := stamps[id], wantAt[k]
-			if k < n {
-				want = want.WithInitial(types.Value(cfg >> uint(k) & 1))
-			} else {
-				got = got.WithInitial(types.Zero)
-			}
-			if got != want {
-				return nil, slotError(in, r, k/n, k%n, id, cfg)
-			}
+	return &Restorer{params: params, mode: mode, horizon: horizon, in: in, patterns: patterns,
+		stamps: in.Stamps(), configs: uint64(types.FullSet(n)), wantAt: wantAt}, nil
+}
+
+// Stride is the number of views in one run: (horizon+1)·n.
+func (rs *Restorer) Stride() int { return len(rs.wantAt) }
+
+// CheckRun checks run r, which uses pattern index pattern and
+// configuration bits cfg and holds the views ids (Stride of them,
+// time-major). It only reads the Restorer, so any number of goroutines
+// may check runs at once.
+func (rs *Restorer) CheckRun(r int, pattern int64, cfg uint64, ids []views.ID) error {
+	if pattern < 0 || pattern >= int64(len(rs.patterns)) {
+		return fmt.Errorf("system: run %d references pattern %d of %d", r, pattern, len(rs.patterns))
+	}
+	n := rs.params.N
+	if cfg&^rs.configs != 0 {
+		return fmt.Errorf("system: run %d config bits %#x out of range for n=%d", r, cfg, n)
+	}
+	stamps := rs.stamps
+	// Time 0: each processor's leaf, with the initial value the
+	// configuration bits give it.
+	for p, id := range ids[:n] {
+		if uint(id) >= uint(len(stamps)) || stamps[id] != rs.wantAt[p].WithInitial(types.Value(cfg>>uint(p)&1)) {
+			return slotError(rs.in, r, 0, p, id, cfg)
 		}
 	}
+	// Later times: owner and time, whatever the initial value.
+	later := ids[n:]
+	wantAt := rs.wantAt[n:][:len(later)]
+	for k, id := range later {
+		if uint(id) >= uint(len(stamps)) || stamps[id].WithInitial(types.Zero) != wantAt[k] {
+			return slotError(rs.in, r, k/n+1, k%n, id, cfg)
+		}
+	}
+	return nil
+}
+
+// Adopt returns the system over tbl, whose patterns must be the
+// Restorer's and each of whose runs must have passed CheckRun. It
+// checks only the table's shape.
+func (rs *Restorer) Adopt(tbl RunTable) (*System, error) {
+	if err := rs.checkShape(tbl); err != nil {
+		return nil, err
+	}
+	tbl.Patterns = rs.patterns
 	return &System{
-		Params:   params,
-		Mode:     mode,
-		Horizon:  horizon,
-		Interner: in,
+		Params:   rs.params,
+		Mode:     rs.mode,
+		Horizon:  rs.horizon,
+		Interner: rs.in,
 		tbl:      tbl,
 	}, nil
+}
+
+// checkShape checks that the table has runs, and one pattern index,
+// one configuration and Stride views per run.
+func (rs *Restorer) checkShape(tbl RunTable) error {
+	runs := len(tbl.PatternOf)
+	if runs == 0 {
+		return fmt.Errorf("system: no runs")
+	}
+	if stride := rs.Stride(); len(tbl.ConfigOf) != runs || len(tbl.Views) != runs*stride {
+		return fmt.Errorf("system: run table has %d patterns, %d configurations and %d views for %d runs of %d",
+			runs, len(tbl.ConfigOf), len(tbl.Views), runs, stride)
+	}
+	return nil
 }
 
 // slotError names the rule that the view in processor p's slot at time

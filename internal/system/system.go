@@ -49,7 +49,7 @@ type Point struct {
 // RunTable is the one representation of a system's runs: flat,
 // run-major arrays in place of one heap object per run. Every builder
 // produces it — FromPatterns, the merge stage of FromPatternsParallel,
-// and the snapshot decoder through Reassemble — and every reader
+// and the snapshot decoder through a Restorer — and every reader
 // consumes it, mostly through Run.
 //
 // A RunTable is written once, by the builder that makes it, and is
@@ -231,7 +231,7 @@ func newRunTable(n, horizon int, pats []*failures.Pattern) RunTable {
 }
 
 // validateBuild checks the build parameters and every pattern against
-// them; shared by the builders and Reassemble.
+// them; shared by the builders and NewRestorer.
 func validateBuild(params types.Params, mode failures.Mode, horizon int, pats []*failures.Pattern) error {
 	if err := params.Validate(); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/eventual-agreement/eba/internal/types"
+	"github.com/eventual-agreement/eba/internal/varint"
 )
 
 // MarshalInterner serializes every view of the interner, in ID order,
@@ -50,73 +51,78 @@ func MarshalInterner(in *Interner) []byte {
 // still dedups against the restored views. Child arrays are carved
 // from one arena block sized up front, so a restore costs O(1)
 // allocations for the node storage instead of one per interior node.
+//
+// Every allocation is bounded by len(data), so a blob that lies about
+// its node count fails before it costs more than a few times its own
+// size: the snapshot store decodes the interner before the snapshot's
+// checksum has verified, and a peer's snapshot is checksum-valid
+// whatever it holds.
 func UnmarshalInterner(data []byte) (*Interner, error) {
-	r := reader{buf: data}
-	nU, err := r.uvarint()
-	if err != nil {
-		return nil, err
+	var hdr [2]uint64 // n, node count
+	pos, ok := varint.Fill(data, 0, hdr[:])
+	if !ok {
+		return nil, truncated(pos)
 	}
-	n := int(nU)
-	if n < 2 || n > 64 {
-		return nil, fmt.Errorf("views: interner n=%d out of range", n)
+	if hdr[0] < 2 || hdr[0] > types.MaxProcs {
+		return nil, fmt.Errorf("views: interner n=%d out of range", hdr[0])
 	}
-	count, err := r.uvarint()
-	if err != nil {
-		return nil, err
+	n, count := int(hdr[0]), hdr[1]
+	// A leaf takes at least three bytes (processor, time, initial
+	// value) and an interior node 2+n, so the blob holds at most
+	// len/3 nodes; IDs are int32.
+	const maxNodes = 1<<31 - 1
+	if count > uint64(len(data)/3) || count > maxNodes {
+		return nil, fmt.Errorf("views: interner claims %d nodes in %d bytes", count, len(data))
 	}
-	const maxNodes = 1 << 26
-	if count > maxNodes {
-		return nil, fmt.Errorf("views: interner claims %d nodes (max %d)", count, maxNodes)
-	}
-	// No hash-cons table: built on first intern.
+	// No hash-cons table: built on first intern. An interior node's n
+	// child references take at least n bytes, so len(data) IDs hold
+	// every child array a valid blob can carry.
 	in := &Interner{n: n, nodes: make([]node, 0, count), known: make([][2]types.ProcSet, 0, count)}
 	if count > 0 {
-		in.fromArena = make([]ID, 0, int(count)*n)
+		in.fromArena = make([]ID, 0, min(int(count)*n, len(data)))
 	}
+	var head [2]uint64 // processor, time
+	refs := make([]uint64, n)
 	for k := uint64(0); k < count; k++ {
-		procU, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		if pos, ok = varint.Fill(data, pos, head[:]); !ok {
+			return nil, truncated(pos)
 		}
+		procU, timeU := head[0], head[1]
 		if procU >= uint64(n) {
 			return nil, fmt.Errorf("views: node %d: processor %d out of range", k, procU)
 		}
-		timeU, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
 		nd := node{proc: types.ProcID(procU), time: types.Round(timeU)}
 		if timeU == 0 {
-			b, err := r.byte()
-			if err != nil {
-				return nil, err
+			if pos >= len(data) {
+				return nil, truncated(pos)
 			}
+			b := data[pos]
+			pos++
 			nd.initial = types.Value(int8(b))
 			if !nd.initial.Valid() {
 				return nil, fmt.Errorf("views: node %d: invalid initial value %d", k, b)
 			}
 		} else {
+			if pos, ok = varint.Fill(data, pos, refs); !ok {
+				return nil, truncated(pos)
+			}
 			nd.from = in.allocFrom(n)
-			for j := 0; j < n; j++ {
-				ref, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
+			for j, ref := range refs {
 				if ref == 0 {
 					nd.from[j] = NoView
-				} else {
-					if ref > k {
-						return nil, fmt.Errorf("views: node %d: forward reference %d", k, ref-1)
-					}
-					ch := &in.nodes[ref-1]
-					if ch.proc != types.ProcID(j) {
-						return nil, fmt.Errorf("views: node %d: child %d owned by %d, want %d", k, ref-1, ch.proc, j)
-					}
-					if ch.time != nd.time-1 {
-						return nil, fmt.Errorf("views: node %d: child at time %d under node at time %d", k, ch.time, nd.time)
-					}
-					nd.from[j] = ID(ref - 1)
+					continue
 				}
+				if ref > k {
+					return nil, fmt.Errorf("views: node %d: forward reference %d", k, ref-1)
+				}
+				ch := &in.nodes[ref-1]
+				if ch.proc != types.ProcID(j) {
+					return nil, fmt.Errorf("views: node %d: child %d owned by %d, want %d", k, ref-1, ch.proc, j)
+				}
+				if ch.time != nd.time-1 {
+					return nil, fmt.Errorf("views: node %d: child at time %d under node at time %d", k, ch.time, nd.time)
+				}
+				nd.from[j] = ID(ref - 1)
 			}
 			own := nd.from[nd.proc]
 			if own == NoView {
@@ -129,3 +135,5 @@ func UnmarshalInterner(data []byte) (*Interner, error) {
 	}
 	return in, nil
 }
+
+func truncated(pos int) error { return fmt.Errorf("views: truncated encoding at byte %d", pos) }

@@ -2,6 +2,8 @@ package views
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"github.com/eventual-agreement/eba/internal/failures"
@@ -100,5 +102,30 @@ func TestInternerCodecRejectsCorruption(t *testing.T) {
 	}
 	if _, err := UnmarshalInterner(nil); err == nil {
 		t.Fatalf("empty interner decoded without error")
+	}
+}
+
+// TestInternerCodecCountBoundedByBlob: a blob's node count is held to
+// what its bytes can carry before anything is sized by it. Five bytes
+// claiming n=4 and 2^26-1 nodes must fail having allocated less than
+// 1 MB; sized by the claim alone they would ask for gigabytes.
+func TestInternerCodecCountBoundedByBlob(t *testing.T) {
+	blob := binary.AppendUvarint(binary.AppendUvarint(nil, 4), 1<<26-1)
+	if len(blob) != 5 {
+		t.Fatalf("blob is %d bytes, want 5", len(blob))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnmarshalInterner(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 5-byte blob claiming 2^26-1 nodes decoded")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting the blob allocated %d bytes", alloc)
+	}
+	// A real blob's count is well inside the bound.
+	if _, err := UnmarshalInterner(MarshalInterner(buildTestInterner(t))); err != nil {
+		t.Fatalf("a marshalled interner: %v", err)
 	}
 }
