@@ -178,13 +178,10 @@ type fipProtocol struct {
 
 func (f *fipProtocol) Name() string { return "FIP(" + f.pair.Name + ")" }
 
-func (f *fipProtocol) New(env sim.Env) sim.Process {
-	return &fipProc{
-		in:   f.in,
-		pair: f.pair,
-		env:  env,
-		view: f.in.Leaf(env.ID, env.Initial),
-	}
+func (f *fipProtocol) New(env sim.Env) sim.Process { return newFIPProc(f.in, f.pair, env) }
+
+func newFIPProc(in *views.Interner, p Pair, env sim.Env) *fipProc {
+	return &fipProc{in: in, pair: p, env: env, view: in.Leaf(env.ID, env.Initial)}
 }
 
 type fipProc struct {
@@ -230,8 +227,9 @@ func (p *fipProc) Decided() (types.Value, bool) {
 
 // WireProtocol adapts a pair to any engine, including the TCP
 // runtime: every process owns a private interner and exchanges
-// serialized views ([]byte) using the views codec. Decision rules
-// must be predicate-backed (table sets are bound to one interner).
+// serialized views ([]byte) using the views codec. A view that fails
+// to decode is treated as an omitted message. Decision rules must be
+// predicate-backed (table sets are bound to one interner).
 func WireProtocol(p Pair) sim.Protocol { return &wireProtocol{pair: p} }
 
 type wireProtocol struct{ pair Pair }
@@ -239,27 +237,14 @@ type wireProtocol struct{ pair Pair }
 func (w *wireProtocol) Name() string { return "FIPwire(" + w.pair.Name + ")" }
 
 func (w *wireProtocol) New(env sim.Env) sim.Process {
-	in := views.NewInterner(env.Params.N)
-	return &wireProc{
-		in:   in,
-		pair: w.pair,
-		env:  env,
-		view: in.Leaf(env.ID, env.Initial),
-	}
+	return wireProc{newFIPProc(views.NewInterner(env.Params.N), w.pair, env)}
 }
 
-type wireProc struct {
-	in   *views.Interner
-	pair Pair
-	env  sim.Env
-	view views.ID
+// wireProc is the in-process FIP process over its own interner; it
+// only encodes the view it sends and decodes the views it receives.
+type wireProc struct{ *fipProc }
 
-	decided bool
-	value   types.Value
-	err     error
-}
-
-func (p *wireProc) Send(types.Round) []sim.Message {
+func (p wireProc) Send(types.Round) []sim.Message {
 	data := views.Marshal(p.in, p.view)
 	out := make([]sim.Message, p.env.Params.N)
 	for i := range out {
@@ -268,33 +253,15 @@ func (p *wireProc) Send(types.Round) []sim.Message {
 	return out
 }
 
-func (p *wireProc) Receive(_ types.Round, msgs []sim.Message) {
-	received := make([]views.ID, p.env.Params.N)
-	for j := range received {
-		received[j] = views.NoView
-		if msgs[j] == nil {
+func (p wireProc) Receive(r types.Round, msgs []sim.Message) {
+	ids := make([]sim.Message, len(msgs))
+	for j, m := range msgs {
+		if m == nil {
 			continue
 		}
-		id, err := views.Unmarshal(p.in, msgs[j].([]byte))
-		if err != nil {
-			// A malformed view is treated as an omitted message; the
-			// error is retained for inspection.
-			p.err = err
-			continue
-		}
-		received[j] = id
-	}
-	p.view = p.in.Extend(p.env.ID, p.view, received)
-}
-
-func (p *wireProc) Decided() (types.Value, bool) {
-	if !p.decided {
-		if v, ok := p.pair.Decide(p.in, p.view); ok {
-			p.decided, p.value = true, v
+		if id, err := views.Unmarshal(p.in, m.([]byte)); err == nil {
+			ids[j] = id
 		}
 	}
-	if !p.decided {
-		return types.Unset, false
-	}
-	return p.value, true
+	p.fipProc.Receive(r, ids)
 }

@@ -493,20 +493,11 @@ func EncodeResult(formula string, tbl []byte) []byte {
 // DecodeResult decodes a memoized truth table, returning the formula
 // it was computed for and the packed table.
 func DecodeResult(data []byte) (formula string, tbl []byte, err error) {
-	if len(data) < len(bitsMagic)+1+digestLen {
-		return "", nil, fmt.Errorf("store: result too short (%d bytes)", len(data))
+	if err := VerifyResult(data); err != nil {
+		return "", nil, err
 	}
-	if string(data[:len(bitsMagic)]) != bitsMagic {
-		return "", nil, fmt.Errorf("store: bad result magic %q", data[:len(bitsMagic)])
-	}
-	payload, trailer := data[:len(data)-digestLen], data[len(data)-digestLen:]
-	if sum := sha256.Sum256(payload); !bytes.Equal(sum[:], trailer) {
-		return "", nil, fmt.Errorf("store: result checksum mismatch")
-	}
-	d := decoder{buf: payload[len(bitsMagic):]}
-	if v := d.uvarint(); v != snapVersion {
-		return "", nil, versionSkewError("result", v)
-	}
+	d := decoder{buf: data[len(bitsMagic) : len(data)-digestLen]}
+	d.uvarint() // the version, checked by VerifyResult
 	formula = string(d.bytes(int(d.uvarint())))
 	tbl = d.bytes(int(d.uvarint()))
 	if d.err != nil {

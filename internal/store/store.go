@@ -615,22 +615,18 @@ func (s *Store) admit(key Key, sys *system.System, digest string, size int, orig
 // duplicates wait and share its answer. The returned table is shared
 // and must not be modified.
 func (s *Store) Result(key Key, formula string, compute func(*system.System) (*knowledge.Bits, error)) (*knowledge.Bits, Origin, error) {
-	return s.ResultCtx(context.Background(), key, formula, compute)
-}
-
-// ResultCtx is Result with a caller context carrying the request's
-// trace; singleflight waits and the compute itself become child spans.
-func (s *Store) ResultCtx(ctx context.Context, key Key, formula string, compute func(*system.System) (*knowledge.Bits, error)) (*knowledge.Bits, Origin, error) {
-	ans, origin, err := s.AnswerCtx(ctx, key, formula, compute)
+	ans, origin, err := s.AnswerCtx(context.Background(), key, formula, compute)
 	if err != nil {
 		return nil, origin, err
 	}
 	return ans.Table, origin, nil
 }
 
-// AnswerCtx is ResultCtx returning the memoized Answer: the table plus
-// its true-point count and first falsifying point, computed once when
-// the table entered the memo. A memory hit is one map lookup.
+// AnswerCtx is Result with a caller context carrying the request's
+// trace (singleflight waits and the compute itself become child
+// spans), returning the memoized Answer: the table plus its true-point
+// count and first falsifying point, computed once when the table
+// entered the memo. A memory hit is one map lookup.
 func (s *Store) AnswerCtx(ctx context.Context, key Key, formula string, compute func(*system.System) (*knowledge.Bits, error)) (*Answer, Origin, error) {
 	sys, _, err := s.SystemCtx(ctx, key)
 	if err != nil {

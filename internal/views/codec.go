@@ -3,13 +3,13 @@ package views
 import (
 	"encoding/binary"
 	"fmt"
-
-	"github.com/eventual-agreement/eba/internal/types"
 )
 
 // Marshal serializes the view tree rooted at id into a compact binary
 // form suitable for sending over a real transport. Shared subviews are
-// emitted once (the encoding is a DAG, mirroring the interner).
+// emitted once (the encoding is a DAG, mirroring the interner), in the
+// node layout of MarshalInterner: the encoding is a small interner
+// whose last node is the view.
 func Marshal(in *Interner, id ID) []byte {
 	order := make([]ID, 0, 16)
 	index := make(map[ID]int)
@@ -18,12 +18,9 @@ func Marshal(in *Interner, id ID) []byte {
 		if _, ok := index[v]; ok {
 			return
 		}
-		nd := in.node(v)
-		if nd.from != nil {
-			for _, ch := range nd.from {
-				if ch != NoView {
-					walk(ch)
-				}
+		for _, ch := range in.node(v).from {
+			if ch != NoView {
+				walk(ch)
 			}
 		}
 		index[v] = len(order)
@@ -35,126 +32,26 @@ func Marshal(in *Interner, id ID) []byte {
 	buf = binary.AppendUvarint(buf, uint64(in.n))
 	buf = binary.AppendUvarint(buf, uint64(len(order)))
 	for _, v := range order {
-		nd := in.node(v)
-		buf = binary.AppendUvarint(buf, uint64(nd.proc))
-		buf = binary.AppendUvarint(buf, uint64(nd.time))
-		if nd.from == nil {
-			buf = append(buf, byte(nd.initial))
-			continue
-		}
-		for _, ch := range nd.from {
-			if ch == NoView {
-				buf = binary.AppendUvarint(buf, 0)
-			} else {
-				buf = binary.AppendUvarint(buf, uint64(index[ch])+1)
-			}
-		}
+		buf = appendNode(buf, in.node(v), index)
 	}
 	return buf
 }
 
 // Unmarshal decodes a view produced by Marshal, interning it (and all
 // its subviews) into in, and returns the root's ID. The receiving
-// interner may differ from the sender's; IDs are remapped.
+// interner may differ from the sender's; IDs are remapped. The bytes
+// are decoded and checked by UnmarshalInterner into a scratch
+// interner, so in is touched only once the whole encoding has passed.
 func Unmarshal(in *Interner, data []byte) (ID, error) {
-	r := reader{buf: data}
-	n, err := r.uvarint()
+	src, err := UnmarshalInterner(data)
 	if err != nil {
 		return NoView, err
 	}
-	if int(n) != in.n {
-		return NoView, fmt.Errorf("views: encoded for n=%d, interner has n=%d", n, in.n)
+	if src.n != in.n {
+		return NoView, fmt.Errorf("views: encoded for n=%d, interner has n=%d", src.n, in.n)
 	}
-	count, err := r.uvarint()
-	if err != nil {
-		return NoView, err
-	}
-	if count == 0 {
+	if src.Size() == 0 {
 		return NoView, fmt.Errorf("views: empty encoding")
 	}
-	const maxNodes = 1 << 20
-	if count > maxNodes {
-		return NoView, fmt.Errorf("views: encoding claims %d nodes (max %d)", count, maxNodes)
-	}
-	ids := make([]ID, 0, count)
-	for k := uint64(0); k < count; k++ {
-		procU, err := r.uvarint()
-		if err != nil {
-			return NoView, err
-		}
-		if procU >= n {
-			return NoView, fmt.Errorf("views: processor %d out of range", procU)
-		}
-		proc := types.ProcID(procU)
-		timeU, err := r.uvarint()
-		if err != nil {
-			return NoView, err
-		}
-		if timeU == 0 {
-			b, err := r.byte()
-			if err != nil {
-				return NoView, err
-			}
-			v := types.Value(int8(b))
-			if !v.Valid() {
-				return NoView, fmt.Errorf("views: invalid initial value %d", b)
-			}
-			ids = append(ids, in.Leaf(proc, v))
-			continue
-		}
-		received := make([]ID, in.n)
-		var own ID = NoView
-		for j := 0; j < in.n; j++ {
-			ref, err := r.uvarint()
-			if err != nil {
-				return NoView, err
-			}
-			if ref == 0 {
-				received[j] = NoView
-				continue
-			}
-			if ref > uint64(len(ids)) {
-				return NoView, fmt.Errorf("views: forward reference %d", ref)
-			}
-			ch := ids[ref-1]
-			if in.Proc(ch) != types.ProcID(j) {
-				return NoView, fmt.Errorf("views: child %d owned by %d, want %d", ref-1, in.Proc(ch), j)
-			}
-			if in.Time(ch) != types.Round(timeU)-1 {
-				return NoView, fmt.Errorf("views: child at time %d under node at time %d", in.Time(ch), timeU)
-			}
-			received[j] = ch
-			if types.ProcID(j) == proc {
-				own = ch
-			}
-		}
-		if own == NoView {
-			return NoView, fmt.Errorf("views: node for %d at time %d lacks own previous view", proc, timeU)
-		}
-		ids = append(ids, in.Extend(proc, own, received))
-	}
-	return ids[len(ids)-1], nil
-}
-
-type reader struct {
-	buf []byte
-	pos int
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, k := binary.Uvarint(r.buf[r.pos:])
-	if k <= 0 {
-		return 0, fmt.Errorf("views: truncated encoding at byte %d", r.pos)
-	}
-	r.pos += k
-	return v, nil
-}
-
-func (r *reader) byte() (byte, error) {
-	if r.pos >= len(r.buf) {
-		return 0, fmt.Errorf("views: truncated encoding at byte %d", r.pos)
-	}
-	b := r.buf[r.pos]
-	r.pos++
-	return b, nil
+	return NewImporter(in, src).Import(ID(src.Size() - 1)), nil
 }

@@ -20,19 +20,30 @@ func MarshalInterner(in *Interner) []byte {
 	buf = binary.AppendUvarint(buf, uint64(in.n))
 	buf = binary.AppendUvarint(buf, uint64(len(in.nodes)))
 	for i := range in.nodes {
-		nd := &in.nodes[i]
-		buf = binary.AppendUvarint(buf, uint64(nd.proc))
-		buf = binary.AppendUvarint(buf, uint64(nd.time))
-		if nd.from == nil {
-			buf = append(buf, byte(nd.initial))
-			continue
-		}
-		for _, ch := range nd.from {
-			if ch == NoView {
-				buf = binary.AppendUvarint(buf, 0)
-			} else {
-				buf = binary.AppendUvarint(buf, uint64(ch)+1)
-			}
+		buf = appendNode(buf, &in.nodes[i], nil)
+	}
+	return buf
+}
+
+// appendNode writes one node of the encoding that MarshalInterner and
+// Marshal share: processor and time, then a leaf's initial value or,
+// for an interior node, one reference per sender: 0 for an omitted
+// message, else the child's position in the encoding plus one. The
+// position is index[child], or the child's ID when index is nil.
+func appendNode(buf []byte, nd *node, index map[ID]int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(nd.proc))
+	buf = binary.AppendUvarint(buf, uint64(nd.time))
+	if nd.from == nil {
+		return append(buf, byte(nd.initial))
+	}
+	for _, ch := range nd.from {
+		switch {
+		case ch == NoView:
+			buf = append(buf, 0)
+		case index == nil:
+			buf = binary.AppendUvarint(buf, uint64(ch)+1)
+		default:
+			buf = binary.AppendUvarint(buf, uint64(index[ch])+1)
 		}
 	}
 	return buf
@@ -55,8 +66,8 @@ func MarshalInterner(in *Interner) []byte {
 // Every allocation is bounded by len(data), so a blob that lies about
 // its node count fails before it costs more than a few times its own
 // size: the snapshot store decodes the interner before the snapshot's
-// checksum has verified, and a peer's snapshot is checksum-valid
-// whatever it holds.
+// checksum has verified, a peer's snapshot is checksum-valid whatever
+// it holds, and Unmarshal decodes every wire view from a peer here.
 func UnmarshalInterner(data []byte) (*Interner, error) {
 	var hdr [2]uint64 // n, node count
 	pos, ok := varint.Fill(data, 0, hdr[:])
@@ -116,10 +127,10 @@ func UnmarshalInterner(data []byte) (*Interner, error) {
 					return nil, fmt.Errorf("views: node %d: forward reference %d", k, ref-1)
 				}
 				ch := &in.nodes[ref-1]
-				if ch.proc != types.ProcID(j) {
+				if ch.proc != types.ProcID(j) && !mutantChildOwner {
 					return nil, fmt.Errorf("views: node %d: child %d owned by %d, want %d", k, ref-1, ch.proc, j)
 				}
-				if ch.time != nd.time-1 {
+				if ch.time != nd.time-1 && !mutantChildTime {
 					return nil, fmt.Errorf("views: node %d: child at time %d under node at time %d", k, ch.time, nd.time)
 				}
 				nd.from[j] = ID(ref - 1)

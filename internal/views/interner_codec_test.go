@@ -108,7 +108,8 @@ func TestInternerCodecRejectsCorruption(t *testing.T) {
 // TestInternerCodecCountBoundedByBlob: a blob's node count is held to
 // what its bytes can carry before anything is sized by it. Five bytes
 // claiming n=4 and 2^26-1 nodes must fail having allocated less than
-// 1 MB; sized by the claim alone they would ask for gigabytes.
+// 1 MB; sized by the claim alone they would ask for gigabytes. The
+// same holds for a wire view decoded by Unmarshal.
 func TestInternerCodecCountBoundedByBlob(t *testing.T) {
 	blob := binary.AppendUvarint(binary.AppendUvarint(nil, 4), 1<<26-1)
 	if len(blob) != 5 {
@@ -127,5 +128,26 @@ func TestInternerCodecCountBoundedByBlob(t *testing.T) {
 	// A real blob's count is well inside the bound.
 	if _, err := UnmarshalInterner(MarshalInterner(buildTestInterner(t))); err != nil {
 		t.Fatalf("a marshalled interner: %v", err)
+	}
+
+	// Wire views go through the same decoder: seven bytes claiming
+	// n=4 and 2^20 nodes, one leaf present, are turned away just as
+	// cheaply, and intern nothing.
+	wire := append(binary.AppendUvarint(binary.AppendUvarint(nil, 4), 1<<20), 0, 0, 0)
+	if len(wire) != 7 {
+		t.Fatalf("wire blob is %d bytes, want 7", len(wire))
+	}
+	recv := NewInterner(4)
+	runtime.ReadMemStats(&before)
+	_, err = Unmarshal(recv, wire)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 7-byte view claiming 2^20 nodes decoded")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting the wire view allocated %d bytes", alloc)
+	}
+	if recv.Size() != 0 {
+		t.Fatalf("rejecting the wire view interned %d views", recv.Size())
 	}
 }

@@ -3,14 +3,15 @@ package views
 import "fmt"
 
 // Importer re-interns views from a source interner into a destination
-// interner. It is the merge primitive of the parallel system builder:
-// each enumeration worker interns its shard's views into a private
-// Interner, and the single-threaded merge walks the shards in
-// canonical order importing every view into the shared DAG. Because
-// Leaf/Extend keys are built from destination IDs, importing views in
-// the same first-encounter order as a sequential enumeration assigns
-// the same IDs — which is what keeps a parallel build byte-identical
-// to the sequential one.
+// interner. Unmarshal uses it to move a decoded wire view into the
+// receiver's interner. It is also the merge primitive of the parallel
+// system builder: each enumeration worker interns its shard's views
+// into a private Interner, and the single-threaded merge walks the
+// shards in canonical order importing every view into the shared DAG.
+// Because Leaf/Extend keys are built from destination IDs, importing
+// views in the same first-encounter order as a sequential enumeration
+// assigns the same IDs — which is what keeps a parallel build
+// byte-identical to the sequential one.
 //
 // An Importer memoizes source→destination translation, so repeated
 // imports of shared subtrees cost one slice lookup. It interns into

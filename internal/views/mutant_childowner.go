@@ -1,0 +1,9 @@
+//go:build mutant_childowner
+
+package views
+
+// Planted bug: see mutant_off.go.
+const (
+	mutantChildTime  = false
+	mutantChildOwner = true
+)

@@ -1,0 +1,9 @@
+//go:build mutant_childtime
+
+package views
+
+// Planted bug: see mutant_off.go.
+const (
+	mutantChildTime  = true
+	mutantChildOwner = false
+)

@@ -1,6 +1,7 @@
 package views
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -371,24 +372,34 @@ func TestCodecErrors(t *testing.T) {
 	v := BuildRun(in, mustConfig(t, "011"), failures.FailureFree(failures.Omission, 3, 2))[2][0]
 	data := Marshal(in, v)
 
-	if _, err := Unmarshal(NewInterner(4), data); err == nil {
-		t.Fatal("wrong n accepted")
-	}
-	for cut := 1; cut < len(data); cut += 3 {
-		if _, err := Unmarshal(NewInterner(3), data[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	// reject requires Unmarshal to refuse buf and to leave the receiving
+	// interner as it found it: a view is interned only once the whole
+	// encoding has passed every check.
+	reject := func(t *testing.T, recv *Interner, buf []byte) {
+		t.Helper()
+		size := recv.Size()
+		if _, err := Unmarshal(recv, buf); err == nil {
+			t.Fatal("corrupt encoding accepted")
+		}
+		if recv.Size() != size {
+			t.Fatalf("rejected encoding interned %d views", recv.Size()-size)
 		}
 	}
-	if _, err := Unmarshal(NewInterner(3), nil); err == nil {
-		t.Fatal("empty input accepted")
+	reject(t, NewInterner(4), data) // wrong n
+	for cut := 1; cut < len(data); cut += 3 {
+		reject(t, NewInterner(3), data[:cut])
 	}
+	reject(t, NewInterner(3), nil)
+	// The root is the last node (p0@2: processor, time, three child
+	// references); a forward reference there comes after six good
+	// nodes.
+	late := bytes.Clone(data)
+	late[len(late)-3] = 99
+	reject(t, NewInterner(3), late)
+
 	// Hand-crafted corrupt encodings.
 	bad := func(name string, buf []byte) {
-		t.Run(name, func(t *testing.T) {
-			if _, err := Unmarshal(NewInterner(3), buf); err == nil {
-				t.Fatal("corrupt encoding accepted")
-			}
-		})
+		t.Run(name, func(t *testing.T) { reject(t, NewInterner(3), buf) })
 	}
 	bad("zero nodes", []byte{3, 0})
 	bad("proc out of range", []byte{3, 1, 9, 0, 0})
@@ -396,4 +407,9 @@ func TestCodecErrors(t *testing.T) {
 	bad("missing own view", []byte{3, 2, 1, 0, 1 /* node for p0@1: */, 0, 1, 0, 0, 0})
 	bad("forward ref", []byte{3, 1, 0, 1, 9, 9, 9})
 	bad("huge node count", append([]byte{3}, 0xff, 0xff, 0xff, 0xff, 0x7f))
+	// Three leaves, then a node claiming time 2 over them: its
+	// children are at time 0, not 1.
+	bad("child at the wrong time", []byte{3, 4, 0, 0, 0, 1, 0, 1, 2, 0, 1 /* p0@2: */, 0, 2, 1, 2, 3})
+	// Three leaves, then p0@1 whose slot for p1 holds p2's leaf.
+	bad("child owned by another processor", []byte{3, 4, 0, 0, 0, 1, 0, 1, 2, 0, 1 /* p0@1: */, 0, 1, 1, 3, 2})
 }
