@@ -27,7 +27,12 @@ import (
 	"github.com/eventual-agreement/eba/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command. It returns the exit status rather than exiting,
+// so the deferred Close writes the -metrics snapshot on failing runs
+// too.
+func run() int {
 	var (
 		seed     = flag.Int64("seed", 1, "base seed; scenario i uses seed+i")
 		count    = flag.Int("count", 100, "number of scenarios")
@@ -44,7 +49,7 @@ func main() {
 	flag.Parse()
 	if err := tele.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "ebaconform:", err)
-		os.Exit(2)
+		return 2
 	}
 	defer tele.Close()
 
@@ -54,7 +59,7 @@ func main() {
 			m, err := failures.ParseMode(strings.TrimSpace(name))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "ebaconform:", err)
-				os.Exit(2)
+				return 2
 			}
 			modes = append(modes, m)
 		}
@@ -77,7 +82,7 @@ func main() {
 	res, err := conform.Run(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ebaconform:", err)
-		os.Exit(2)
+		return 2
 	}
 	status := "PASS"
 	if len(res.Violations) > 0 {
@@ -90,6 +95,7 @@ func main() {
 			v.Pillar, v.Law, v.Seed, v.Mode, v.N, v.T, v.Horizon, v.Config, v.Detail, v.Replay)
 	}
 	if len(res.Violations) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

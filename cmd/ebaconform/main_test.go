@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -20,13 +22,18 @@ func TestPass(t *testing.T) {
 }
 
 // TestMutantsFail: the law and oracle mutants each add a false registry
-// claim; the run exits 1 and names a violation with its replay command.
+// claim; the run exits 1, names a violation with its replay command,
+// and still writes its -metrics snapshot.
 func TestMutantsFail(t *testing.T) {
 	for _, mutant := range []string{"law", "oracle"} {
-		stdout, stderr, code := clitest.Run(t, "-seed", "1", "-count", "2", "-q", "-corpus", "", "-mutant", mutant)
+		prom := filepath.Join(t.TempDir(), "m.prom")
+		stdout, stderr, code := clitest.Run(t, "-seed", "1", "-count", "2", "-q", "-corpus", "", "-mutant", mutant, "-metrics", prom)
 		if code != 1 || !strings.HasPrefix(stdout, "FAIL: ") || !strings.Contains(stdout, "claim/mutant/") ||
 			!strings.Contains(stdout, "replay: ebaconform -seed ") {
 			t.Errorf("-mutant %s: exit %d, stdout %q, stderr %q", mutant, code, stdout, stderr)
+		}
+		if data, err := os.ReadFile(prom); err != nil || !strings.Contains(string(data), "# TYPE eba_") {
+			t.Errorf("-mutant %s: failing run's -metrics snapshot: %v, %d bytes", mutant, err, len(data))
 		}
 	}
 }

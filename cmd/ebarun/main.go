@@ -133,9 +133,9 @@ func run() error {
 	fmt.Printf("%s on deterministic engine | n=%d t=%d h=%d | config %s | %s\n",
 		proto.Name(), n, t, h, cfg, pat)
 
-	var obs eba.Observer = eba.NewMetricsObserver()
+	var obs eba.Observer
 	if *verbose {
-		obs = eba.TeeObservers(&eba.TextObserver{W: os.Stdout}, obs)
+		obs = &eba.TextObserver{W: os.Stdout}
 	}
 	tr, err := eba.RunObserved(proto, params, cfg, pat, obs)
 	if err != nil {
@@ -196,10 +196,9 @@ func runChaos(protoName string, mode eba.Mode, cfg eba.Config, t, h int, spec st
 	}
 	fmt.Printf("reconstructed %s (sent %d, delivered %d)\n", tr.Pattern, tr.Sent, tr.Delivered)
 
-	// Replay on the deterministic engine with a metrics observer
-	// attached: the same cross-check VerifyResilient performs, but the
-	// replay also feeds the sim layer of the telemetry snapshot.
-	replay, err := eba.RunObserved(proto, params, cfg, tr.Pattern, eba.NewMetricsObserver())
+	// Replay on the deterministic engine: the same cross-check
+	// VerifyResilient performs, with the divergence printed.
+	replay, err := eba.Run(proto, params, cfg, tr.Pattern)
 	if err != nil {
 		return fmt.Errorf("replay under reconstructed pattern failed: %w", err)
 	}

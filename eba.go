@@ -309,19 +309,6 @@ type Observer = sim.Observer
 // TextObserver renders run events as indented text.
 type TextObserver = sim.TextObserver
 
-// MetricsObserver feeds run events into the process's telemetry
-// registry (rounds, message fates, decisions by round). Stateless: one
-// instance may observe any number of runs, concurrently or not.
-type MetricsObserver = sim.MetricsObserver
-
-// NewMetricsObserver returns a metrics observer ready to attach to
-// RunObserved.
-func NewMetricsObserver() *MetricsObserver { return &sim.MetricsObserver{} }
-
-// TeeObservers fans run events out to several observers in order (nil
-// entries are skipped).
-func TeeObservers(obs ...Observer) Observer { return sim.Tee(obs...) }
-
 // RunObserved executes a protocol deterministically with an Observer
 // attached (round boundaries, message fates, decisions).
 func RunObserved(p Protocol, params Params, cfg Config, pat *Pattern, obs Observer) (*Trace, error) {

@@ -13,13 +13,6 @@ import (
 	"time"
 
 	"github.com/eventual-agreement/eba/internal/service"
-	"github.com/eventual-agreement/eba/internal/telemetry"
-)
-
-var (
-	mProbes     = telemetry.Default().Counter("eba_cluster_probes_total")
-	mProbeFails = telemetry.Default().Counter("eba_cluster_probe_failures_total")
-	mSuspects   = telemetry.Default().Counter("eba_cluster_suspects_total")
 )
 
 // Node is one fleet member: a stable name (the ring hashes names, so
@@ -167,7 +160,6 @@ func (m *Membership) MarkSuspect(name string) {
 	if st, ok := m.state[name]; ok && !st.suspect {
 		st.suspect = true
 		st.status = "suspect"
-		mSuspects.Inc()
 	}
 }
 
@@ -222,7 +214,6 @@ func (m *Membership) ProbeOnce(ctx context.Context) {
 }
 
 func (m *Membership) probe(ctx context.Context, n Node) {
-	mProbes.Inc()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/healthz", nil)
 	if err != nil {
 		return
@@ -243,9 +234,6 @@ func (m *Membership) probe(ctx context.Context, n Node) {
 		// Any response is a live process; only an explicit drain takes
 		// the node out of the ring.
 		alive = status != "draining"
-	}
-	if !alive {
-		mProbeFails.Inc()
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

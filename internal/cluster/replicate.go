@@ -14,13 +14,6 @@ import (
 	"github.com/eventual-agreement/eba/internal/telemetry"
 )
 
-var (
-	mReplFetches    = telemetry.Default().Counter("eba_cluster_replication_fetches_total")
-	mReplHits       = telemetry.Default().Counter("eba_cluster_replication_hits_total")
-	mReplMismatches = telemetry.Default().Counter("eba_cluster_replication_mismatches_total")
-	mReplLocal      = telemetry.Default().Counter("eba_cluster_replication_local_builds_total")
-)
-
 // Replicator fills store misses from peers before computing: when
 // this node needs a system it does not hold, it asks the ring owner
 // for the snapshot's content address (GET /v1/resolve/{slug}), fetches
@@ -66,17 +59,14 @@ func (rp *Replicator) Build(key store.Key) (*system.System, error) {
 	slug := key.Slug()
 	owner := rp.ring.OwnerAlive(slug, rp.members.Alive)
 	if owner == rp.self.Name {
-		mReplLocal.Inc()
 		return rp.st.EnumerateLocal(key)
 	}
 	node, ok := rp.members.Lookup(owner)
 	if !ok {
-		mReplLocal.Inc()
 		return rp.st.EnumerateLocal(key)
 	}
 	sys, err := rp.fetch(node, slug)
 	if err != nil {
-		mReplLocal.Inc()
 		return rp.st.EnumerateLocal(key)
 	}
 	return sys, nil
@@ -84,7 +74,6 @@ func (rp *Replicator) Build(key store.Key) (*system.System, error) {
 
 // fetch resolves slug to a digest on node and pulls the snapshot.
 func (rp *Replicator) fetch(node Node, slug string) (*system.System, error) {
-	mReplFetches.Inc()
 	_, sp := telemetry.StartSpan(context.Background(), "cluster.replicate", telemetry.L("slug", slug), telemetry.L("from", node.Name))
 	defer sp.End()
 
@@ -125,7 +114,6 @@ func (rp *Replicator) fetch(node Node, slug string) (*system.System, error) {
 		rp.quarantine(node, rb.Digest, blob, "key mismatch: advertised "+slug+", decoded "+key.Slug())
 		return nil, fmt.Errorf("snapshot %s from %s decodes to %s", slug, node.Name, key.Slug())
 	}
-	mReplHits.Inc()
 	return sys, nil
 }
 
@@ -160,7 +148,6 @@ func (rp *Replicator) fetchSnapshot(node Node, digest string) ([]byte, error) {
 // quarantine records a peer's bad bytes on disk (for the operator's
 // autopsy) and suspends routing to it until a probe clears it.
 func (rp *Replicator) quarantine(node Node, digest string, blob []byte, reason string) {
-	mReplMismatches.Inc()
 	telemetry.Emit("cluster.replication_mismatch",
 		telemetry.L("from", node.Name), telemetry.L("digest", digest), telemetry.L("reason", reason))
 	name := "peer-" + node.Name + "-" + digest[:16] + ".eba"

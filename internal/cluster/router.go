@@ -23,14 +23,6 @@ const (
 	traceHeader    = "X-Eba-Trace-Id"
 )
 
-var (
-	mServedLocal   = telemetry.Default().Counter("eba_cluster_requests_total", telemetry.L("route", "local"))
-	mForwarded     = telemetry.Default().Counter("eba_cluster_requests_total", telemetry.L("route", "forward"))
-	mForwardFails  = telemetry.Default().Counter("eba_cluster_forward_failures_total")
-	mBatchFanouts  = telemetry.Default().Counter("eba_cluster_batch_fanouts_total")
-	mBatchFallback = telemetry.Default().Counter("eba_cluster_batch_group_fallbacks_total")
-)
-
 // Router is the cluster's traffic layer: it wraps a node's local
 // service.Server handler, intercepts query traffic, and either serves
 // locally (this node owns the key, the request already hopped once,
@@ -97,7 +89,6 @@ func (rt *Router) handleMembers(w http.ResponseWriter, r *http.Request) {
 // serveLocal hands the (re-buffered) request to the inner handler and
 // stamps this node as the executor.
 func (rt *Router) serveLocal(w http.ResponseWriter, r *http.Request, body []byte, inner http.Handler) {
-	mServedLocal.Inc()
 	w.Header().Set(ServedByHeader, rt.self.Name)
 	r2 := r.Clone(r.Context())
 	r2.Body = io.NopCloser(bytes.NewReader(body))
@@ -174,12 +165,10 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, node Node, pat
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		ok = "false"
-		mForwardFails.Inc()
 		rt.members.MarkDead(node.Name)
 		return false
 	}
 	defer resp.Body.Close()
-	mForwarded.Inc()
 	for _, h := range []string{"Content-Type", "Retry-After", traceHeader, ServedByHeader} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -253,9 +242,6 @@ func (rt *Router) routeBatch(w http.ResponseWriter, r *http.Request, inner http.
 		g.indices = append(g.indices, i)
 		g.reqs = append(g.reqs, q)
 	}
-	if len(groups) > 1 {
-		mBatchFanouts.Inc()
-	}
 
 	start := time.Now()
 	results := make([]service.BatchItem, len(breq.Queries))
@@ -287,16 +273,13 @@ func (rt *Router) routeBatch(w http.ResponseWriter, r *http.Request, inner http.
 // failures (transport errors or non-200s) retreat to local execution.
 func (rt *Router) executeGroup(ctx context.Context, g *batchGroup, traceID string) []service.BatchItem {
 	if g.local {
-		mServedLocal.Inc()
 		return rt.srv.ExecuteBatch(ctx, g.reqs)
 	}
 	items, err := rt.forwardBatch(ctx, g.node, g.reqs, traceID)
 	if err != nil {
-		mBatchFallback.Inc()
 		rt.members.MarkDead(g.node.Name)
 		return rt.srv.ExecuteBatch(ctx, g.reqs)
 	}
-	mForwarded.Inc()
 	return items
 }
 
@@ -318,7 +301,6 @@ func (rt *Router) forwardBatch(ctx context.Context, node Node, reqs []service.Re
 	req.Header.Set(traceHeader, traceID)
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		mForwardFails.Inc()
 		return nil, err
 	}
 	defer resp.Body.Close()

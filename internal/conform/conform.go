@@ -121,13 +121,6 @@ type Violation struct {
 	Replay  string `json:"replay"` // command line reproducing it
 }
 
-var (
-	mScenarios  = telemetry.Default().Counter("eba_conform_scenarios_total")
-	mChecks     = telemetry.Default().Counter("eba_conform_checks_total")
-	mViolations = telemetry.Default().Counter("eba_conform_violations_total")
-	mRetries    = telemetry.Default().Counter("eba_conform_live_retries_total")
-)
-
 // violationOf stamps a failed check with its scenario's coordinates.
 func violationOf(sc Scenario, pillar, law, detail string) Violation {
 	replay := fmt.Sprintf("ebaconform -seed %d -count 1", sc.Seed)
@@ -277,7 +270,6 @@ func Run(opts Options) (*Result, error) {
 					continue
 				}
 				sc := NewScenarioIn(opts.Seed+int64(i), opts.Modes)
-				mScenarios.Inc()
 				var vs []Violation
 				checks := 0
 				for _, pillar := range []func(Scenario) ([]Violation, int){r.runDifferential, r.runTraceLaw, r.keyChecks, r.clusterPillar} {
@@ -290,9 +282,7 @@ func Run(opts Options) (*Result, error) {
 						telemetry.L("pillar", v.Pillar),
 						telemetry.L("law", v.Law),
 						telemetry.L("seed", fmt.Sprint(v.Seed)))
-					mViolations.Inc()
 				}
-				mChecks.Add(uint64(checks))
 				results[i] = outcome{violations: vs, checks: checks}
 			}
 		}()

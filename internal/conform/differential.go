@@ -52,7 +52,6 @@ func (r *Runner) runDifferential(sc Scenario) (vs []Violation, checks int) {
 		})
 		var rerr *nettransport.ReconstructionError
 		if err != nil && errors.As(err, &rerr) && attempt < 4 {
-			mRetries.Inc()
 			deadline *= 2
 			continue
 		}

@@ -12,10 +12,7 @@ import (
 	"github.com/eventual-agreement/eba/internal/views"
 )
 
-// Telemetry handles for the evaluator hot paths. Counters are cheap
-// (one atomic add) and always on; histograms and spans are gated on
-// telemetry.Enabled / TraceEnabled at the call sites that need extra
-// work to produce a sample.
+// Telemetry handles for the evaluator hot paths, one atomic add each.
 var (
 	mEvalCacheHits   = telemetry.Default().Counter("eba_knowledge_eval_cache_hits_total")
 	mEvalCacheMisses = telemetry.Default().Counter("eba_knowledge_eval_cache_misses_total")
@@ -24,12 +21,8 @@ var (
 	mFrontierBuilds = telemetry.Default().Counter("eba_knowledge_frontier_builds_total")
 	// mUnionsPoints and mUnionsRuns count union operations, added once
 	// per component build by that build's count.
-	mUnionsPoints   = telemetry.Default().Counter("eba_knowledge_unions_total", telemetry.L("space", "points"))
-	mUnionsRuns     = telemetry.Default().Counter("eba_knowledge_unions_total", telemetry.L("space", "runs"))
-	mReachPointSize = telemetry.Default().Histogram("eba_knowledge_reachable_set_size",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096, 16384}, telemetry.L("space", "points"))
-	mReachRunSize = telemetry.Default().Histogram("eba_knowledge_reachable_set_size",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096, 16384}, telemetry.L("space", "runs"))
+	mUnionsPoints     = telemetry.Default().Counter("eba_knowledge_unions_total", telemetry.L("space", "points"))
+	mUnionsRuns       = telemetry.Default().Counter("eba_knowledge_unions_total", telemetry.L("space", "runs"))
 	mFixpointCDiamond = telemetry.Default().Counter("eba_knowledge_fixedpoint_iterations_total", telemetry.L("op", "cdiamond"))
 	mFixpointCBoxIter = telemetry.Default().Counter("eba_knowledge_fixedpoint_iterations_total", telemetry.L("op", "cbox_iterative"))
 	mFixpointCIter    = telemetry.Default().Counter("eba_knowledge_fixedpoint_iterations_total", telemetry.L("op", "c_iter"))
@@ -84,24 +77,6 @@ func opName(f Formula) string {
 		return "cdiamond"
 	default:
 		return "unknown"
-	}
-}
-
-// observeComponentSizes records the size distribution of a root
-// table's components into h: one counting pass over the table (roots
-// are element indices, so the counts are dense), a second over the
-// sizes, and one observation per distinct size.
-func observeComponentSizes(roots []int32, h *telemetry.Histogram) {
-	sizes := make([]int32, len(roots))
-	for _, r := range roots {
-		sizes[r]++
-	}
-	components := make([]int32, len(roots)+1) // by size
-	for _, sz := range sizes {
-		components[sz]++
-	}
-	for sz, n := range components[1:] {
-		h.ObserveN(float64(sz+1), uint64(n))
 	}
 }
 
@@ -618,9 +593,8 @@ func (e *Evaluator) admitted(fr *frontier) []bool {
 // or point, into a root table: each element is labelled with the
 // smallest element index attached to its view's component, or its own
 // index if it attaches nowhere. Elements in one component share a
-// label, and labels are element indices. It records the build's unions
-// and component sizes.
-func label(uf *unionFind, roots []int32, unions *telemetry.Counter, sizes *telemetry.Histogram) []int32 {
+// label, and labels are element indices. It records the build's unions.
+func label(uf *unionFind, roots []int32, unions *telemetry.Counter) []int32 {
 	first := make([]int32, len(uf.parent))
 	for v := range first {
 		first[v] = -1
@@ -637,9 +611,6 @@ func label(uf *unionFind, roots []int32, unions *telemetry.Counter, sizes *telem
 		roots[k] = first[root]
 	}
 	unions.Add(uf.unions)
-	if telemetry.Enabled() {
-		observeComponentSizes(roots, sizes)
-	}
 	return roots
 }
 
@@ -676,7 +647,7 @@ func (e *Evaluator) pointComponents(fr *frontier) []int32 {
 			fr.occupied.Set(idx, true)
 		}
 	}
-	fr.pointRoots = label(uf, roots, mUnionsPoints, mReachPointSize)
+	fr.pointRoots = label(uf, roots, mUnionsPoints)
 	return fr.pointRoots
 }
 
@@ -844,7 +815,7 @@ func (e *Evaluator) runComponents(fr *frontier) []int32 {
 			}
 		}
 	}
-	fr.runRoots = label(uf, roots, mUnionsRuns, mReachRunSize)
+	fr.runRoots = label(uf, roots, mUnionsRuns)
 	return fr.runRoots
 }
 

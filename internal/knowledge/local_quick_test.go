@@ -1,13 +1,11 @@
 package knowledge
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/system"
-	"github.com/eventual-agreement/eba/internal/telemetry"
 	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
 )
@@ -308,39 +306,5 @@ func TestFailingPointIsFirstFalse(t *testing.T) {
 		if bad != (want >= 0) || (bad && sys.PointIndex(pt) != want) {
 			t.Errorf("%s: FailingPoint = (%v, %v), first false bit is %d", f, pt, bad, want)
 		}
-	}
-}
-
-// TestComponentSizesMatchUnionFind: the histogram fed from a root table
-// receives exactly the component sizes a walk of the union-find with
-// find gives.
-func TestComponentSizesMatchUnionFind(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	uf := newUnionFind(500)
-	for k := 0; k < 350; k++ {
-		uf.union(int32(rng.Intn(500)), int32(rng.Intn(500)))
-	}
-	sizes := make(map[int32]int)
-	for i := range uf.parent {
-		sizes[uf.find(int32(i))]++
-	}
-	bounds := []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-	was := telemetry.Enabled()
-	telemetry.SetEnabled(true)
-	defer telemetry.SetEnabled(was)
-	reg := telemetry.NewRegistry()
-	want := reg.Histogram("want", bounds)
-	for _, sz := range sizes {
-		want.Observe(float64(sz))
-	}
-	got := reg.Histogram("got", bounds)
-	observeComponentSizes(rootsOf(uf), got)
-	if got.Count() != want.Count() || got.Sum() != want.Sum() || got.Count() != uint64(len(sizes)) {
-		t.Fatalf("dense pass observed %d components summing to %v, the walk %d summing to %v",
-			got.Count(), got.Sum(), want.Count(), want.Sum())
-	}
-	hs := reg.Snapshot().Histograms // sorted by name: got, want
-	if g, w := fmt.Sprint(hs[0].Buckets), fmt.Sprint(hs[1].Buckets); g != w {
-		t.Fatalf("bucket counts %s, want %s", g, w)
 	}
 }

@@ -9,10 +9,6 @@ import (
 	"github.com/eventual-agreement/eba/internal/telemetry"
 )
 
-// mParEvalShards counts shards dispatched by the evaluator's parallel
-// stages (an eba_parallel_* companion to the system builder's series).
-var mParEvalShards = telemetry.Default().Counter("eba_parallel_eval_shards_total")
-
 // parMinWork is the point count below which sharding costs more than
 // it saves; small systems run the sequential path unconditionally.
 const parMinWork = 1 << 12
@@ -78,7 +74,6 @@ func (e *Evaluator) parallelBits(n int, fn func(lo, hi int)) {
 			hi = n
 		}
 		wg.Add(1)
-		mParEvalShards.Inc()
 		shards++
 		go func(lo, hi int) { defer wg.Done(); fn(lo, hi) }(lo, hi)
 	}
@@ -107,7 +102,6 @@ func (e *Evaluator) parallelRuns(nr int, fn func(lo, hi int)) {
 			hi = nr
 		}
 		wg.Add(1)
-		mParEvalShards.Inc()
 		shards++
 		go func(lo, hi int) { defer wg.Done(); fn(lo, hi) }(lo, hi)
 	}

@@ -24,33 +24,14 @@ import (
 	"github.com/eventual-agreement/eba/internal/types"
 )
 
-// Telemetry handles for the resilient runtime. Per-link frame counters
-// are cached on each sendLink at construction so the write path never
-// takes the registry lock; the rarer receive-side and chaos events
-// look their series up on demand.
-//
-// eba_net_messages_required_total / _delivered_total mirror the
+// Telemetry handles for the resilient runtime. They mirror the
 // failures.Observation bookkeeping from independent call sites: the
 // required−delivered difference must equal the reconstructed pattern's
 // omission count, which the e2e telemetry test asserts.
 var (
 	mNetRequired  = telemetry.Default().Counter("eba_net_messages_required_total")
 	mNetDelivered = telemetry.Default().Counter("eba_net_messages_delivered_total")
-	// mNetSlack records, per processor per round, how much of the
-	// receive window was left when the round's frames were accounted
-	// for. Buckets at and below zero are rounds that hit the deadline
-	// and wrote the stragglers off as omissions.
-	mNetSlack = telemetry.Default().Histogram("eba_net_deadline_slack_seconds",
-		[]float64{-0.5, -0.05, 0, 0.05, 0.1, 0.25, 0.5, 1, 5})
 )
-
-func linkLabel(from, to types.ProcID) telemetry.Label {
-	return telemetry.L("link", fmt.Sprintf("%d->%d", from, to))
-}
-
-func frameCounter(from, to types.ProcID, fate string) *telemetry.Counter {
-	return telemetry.Default().Counter("eba_net_frames_total", linkLabel(from, to), telemetry.L("fate", fate))
-}
 
 // Default timing parameters for the resilient engine.
 const (
@@ -284,10 +265,7 @@ func RunResilient(p sim.Protocol, params types.Params, cfg types.Config, opts Op
 				mode: mode, ctx: ctx, reg: reg,
 				base: backBase, max: backMax,
 				t0: t0, deadline: deadline,
-				rng:      rand.New(rand.NewSource(seed ^ int64(i*64+j+1)<<17)),
-				mSent:    frameCounter(types.ProcID(i), types.ProcID(j), "sent"),
-				mDropped: frameCounter(types.ProcID(i), types.ProcID(j), "dropped"),
-				mRedials: telemetry.Default().Counter("eba_net_redials_total", linkLabel(types.ProcID(i), types.ProcID(j))),
+				rng: rand.New(rand.NewSource(seed ^ int64(i*64+j+1)<<17)),
 			}
 			conn, err := dialLink(sl.from, addrs[j], reg)
 			if err != nil {
@@ -528,13 +506,6 @@ type sendLink struct {
 	t0       time.Time     // shared round-schedule anchor
 	deadline time.Duration // for aiming delayed frames past their window
 	rng      *rand.Rand
-
-	// Per-link telemetry handles, resolved once at construction.
-	mSent, mDropped, mRedials *telemetry.Counter
-}
-
-func chaosRealized(m chaos.Mechanism) {
-	telemetry.Default().Counter("eba_net_chaos_realized_total", telemetry.L("mech", m.String())).Inc()
 }
 
 func (l *sendLink) run() {
@@ -558,17 +529,12 @@ func (l *sendLink) handle(f outFrame) {
 		return
 	}
 	if l.dead {
-		l.mDropped.Inc()
 		return
 	}
 	switch f.act.Mech {
 	case chaos.Drop, chaos.Partition:
 		// Silence: the receiver's deadline expires.
-		chaosRealized(f.act.Mech)
-		l.mDropped.Inc()
 	case chaos.Kill:
-		chaosRealized(f.act.Mech)
-		l.mDropped.Inc()
 		if l.conn != nil {
 			l.conn.Close()
 			l.conn = nil
@@ -580,21 +546,14 @@ func (l *sendLink) handle(f outFrame) {
 		// Hold the frame until half a round past its due time, so it
 		// arrives stale and the receiver discards it. (The write still
 		// happens: a delayed frame is a real frame, just a late one.)
-		chaosRealized(f.act.Mech)
 		due := l.t0.Add(time.Duration(f.round)*l.deadline + l.deadline/2)
 		if !l.sleep(time.Until(due)) {
-			l.mDropped.Inc()
 			return
 		}
 		l.write(f.round, f.payload, false)
 	case chaos.Truncate:
-		chaosRealized(f.act.Mech)
-		l.mDropped.Inc() // a torn frame never parses
 		l.truncate(f)
 	default:
-		if f.act.Dup {
-			telemetry.Default().Counter("eba_net_chaos_realized_total", telemetry.L("mech", "dup")).Inc()
-		}
 		l.write(f.round, f.payload, f.act.Dup)
 	}
 }
@@ -606,25 +565,21 @@ func (l *sendLink) handle(f outFrame) {
 func (l *sendLink) write(r types.Round, payload []byte, dup bool) {
 	for attempt := 0; attempt < 2; attempt++ {
 		if l.conn == nil && !l.reconnect() {
-			l.mDropped.Inc()
 			return
 		}
 		if err := writeRoundFrame(l.conn, r, payload); err == nil {
 			if dup {
 				writeRoundFrame(l.conn, r, payload) // receiver dedupes by round
 			}
-			l.mSent.Inc()
 			return
 		}
 		l.conn.Close()
 		l.conn = nil
 		if l.mode == failures.Crash {
 			l.dead = true
-			l.mDropped.Inc()
 			return
 		}
 	}
-	l.mDropped.Inc()
 }
 
 // truncate writes a torn frame — a header promising more bytes than
@@ -659,7 +614,6 @@ func (l *sendLink) reconnect() bool {
 	}
 	d := l.base
 	for {
-		l.mRedials.Inc()
 		conn, err := dialLink(l.from, l.addr, l.reg)
 		if err == nil {
 			l.conn = conn
@@ -813,7 +767,6 @@ func (nd *rnode) drive(proc sim.Process) (types.Value, types.Round, bool, error)
 				// Stale round or duplicate — discard. These are the
 				// frames that physically arrived but too late to count
 				// (chaos-delayed frames land here).
-				frameCounter(f.from, nd.id, "late").Inc()
 			}
 		}
 		if !pending.Empty() {
@@ -839,9 +792,6 @@ func (nd *rnode) drive(proc sim.Process) (types.Value, types.Round, bool, error)
 				}
 			}
 			timer.Stop()
-		}
-		if telemetry.Enabled() {
-			mNetSlack.Observe(time.Until(nd.t0.Add(time.Duration(r) * nd.deadline)).Seconds())
 		}
 		delete(stash, r)
 		delete(stashed, r)

@@ -8,19 +8,6 @@ import (
 	"time"
 
 	"github.com/eventual-agreement/eba/internal/store"
-	"github.com/eventual-agreement/eba/internal/telemetry"
-)
-
-// Telemetry handles for the admission layer.
-var (
-	mShedQueueFull = telemetry.Default().Counter("eba_service_shed_total", telemetry.L("reason", "queue_full"))
-	mShedQueueTime = telemetry.Default().Counter("eba_service_shed_total", telemetry.L("reason", "queue_timeout"))
-	mShedPerKey    = telemetry.Default().Counter("eba_service_shed_total", telemetry.L("reason", "per_key"))
-	mShedDeadline  = telemetry.Default().Counter("eba_service_shed_total", telemetry.L("reason", "deadline"))
-	mShedDraining  = telemetry.Default().Counter("eba_service_shed_total", telemetry.L("reason", "draining"))
-	mQueueDepth    = telemetry.Default().Gauge("eba_service_queue_depth")
-	mAdmWait       = telemetry.Default().Histogram("eba_service_admission_wait_seconds",
-		[]float64{0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1, 5})
 )
 
 // AdmissionConfig bounds what the daemon accepts at once. The zero
@@ -101,8 +88,7 @@ func newAdmission(cfg AdmissionConfig) *admission {
 	return a
 }
 
-func (a *admission) shed(reason string, c *telemetry.Counter) error {
-	c.Inc()
+func (a *admission) shed(reason string) error {
 	a.lastShed.Store(time.Now().UnixNano())
 	return &ShedError{Reason: reason, RetryAfter: a.cfg.RetryAfter}
 }
@@ -121,7 +107,6 @@ func (a *admission) waitBudget(ctx context.Context) time.Duration {
 // Acquire admits one query or sheds it. On success the returned
 // release function MUST be called exactly once.
 func (a *admission) Acquire(ctx context.Context, key store.Key, expensive bool) (func(), error) {
-	start := time.Now()
 	if a.slots != nil {
 		select {
 		case a.slots <- struct{}{}: // free slot, no queueing
@@ -142,7 +127,7 @@ func (a *admission) Acquire(ctx context.Context, key store.Key, expensive bool) 
 		if wait <= 0 {
 			a.releaseKeyRef(key)
 			release()
-			return nil, a.shed("deadline", mShedDeadline)
+			return nil, a.shed("deadline")
 		}
 		timer := time.NewTimer(wait)
 		select {
@@ -151,12 +136,12 @@ func (a *admission) Acquire(ctx context.Context, key store.Key, expensive bool) 
 		case <-timer.C:
 			a.releaseKeyRef(key)
 			release()
-			return nil, a.shed("per_key", mShedPerKey)
+			return nil, a.shed("per_key")
 		case <-ctx.Done():
 			timer.Stop()
 			a.releaseKeyRef(key)
 			release()
-			return nil, a.shed("deadline", mShedDeadline)
+			return nil, a.shed("deadline")
 		}
 		inner := release
 		release = func() {
@@ -165,20 +150,16 @@ func (a *admission) Acquire(ctx context.Context, key store.Key, expensive bool) 
 			inner()
 		}
 	}
-	mAdmWait.Observe(time.Since(start).Seconds())
 	return release, nil
 }
 
 // enqueue waits for a global slot within the bounded queue.
 func (a *admission) enqueue(ctx context.Context) error {
 	q := a.queued.Add(1)
-	mQueueDepth.Set(float64(q))
-	dequeue := func() {
-		mQueueDepth.Set(float64(a.queued.Add(-1)))
-	}
+	dequeue := func() { a.queued.Add(-1) }
 	if a.cfg.MaxQueue > 0 && q > int64(a.cfg.MaxQueue) {
 		dequeue()
-		return a.shed("queue_full", mShedQueueFull)
+		return a.shed("queue_full")
 	}
 	// Past the bound check this request is a bona fide waiter; its
 	// counter snapshot is <= MaxQueue, so the waiter high-water mark
@@ -193,7 +174,7 @@ func (a *admission) enqueue(ctx context.Context) error {
 	wait := a.waitBudget(ctx)
 	if wait <= 0 {
 		dequeue()
-		return a.shed("deadline", mShedDeadline)
+		return a.shed("deadline")
 	}
 	timer := time.NewTimer(wait)
 	select {
@@ -203,11 +184,11 @@ func (a *admission) enqueue(ctx context.Context) error {
 		return nil
 	case <-timer.C:
 		dequeue()
-		return a.shed("queue_timeout", mShedQueueTime)
+		return a.shed("queue_timeout")
 	case <-ctx.Done():
 		timer.Stop()
 		dequeue()
-		return a.shed("deadline", mShedDeadline)
+		return a.shed("deadline")
 	}
 }
 

@@ -27,12 +27,6 @@ const (
 	batchWorkers = 16
 )
 
-var (
-	mBatches    = telemetry.Default().Counter("eba_service_batches_total")
-	mBatchItems = telemetry.Default().Histogram("eba_service_batch_items",
-		[]float64{1, 4, 16, 64, 256, 1024})
-)
-
 // BatchRequest is the POST /v1/query/batch body: an ordered list of
 // independent queries.
 type BatchRequest struct {
@@ -55,6 +49,26 @@ type BatchResponse struct {
 	Results   []BatchItem `json:"results"`
 	ElapsedMS float64     `json:"elapsed_ms"`
 	Node      string      `json:"node,omitempty"`
+}
+
+// statusLabel names an item's HTTP status (0 for an answered item) as
+// its eba_service_queries_total status, the one handleQuery records for
+// the same outcome.
+func statusLabel(code int) string {
+	switch code {
+	case 0:
+		return "ok"
+	case http.StatusBadRequest:
+		return "bad_request"
+	case http.StatusTooManyRequests:
+		return "shed"
+	case http.StatusServiceUnavailable:
+		return "retryable"
+	case http.StatusGatewayTimeout:
+		return "timeout"
+	default:
+		return "error"
+	}
 }
 
 // itemStatus maps an execution error to the HTTP status the same query
@@ -109,23 +123,11 @@ func (s *Server) ExecuteBatch(ctx context.Context, reqs []Request) []BatchItem {
 }
 
 // executeBatchItem is one item's pass through admission and the
-// engine, mirroring handleQuery's status accounting.
-func (s *Server) executeBatchItem(ctx context.Context, req Request) BatchItem {
+// engine, counted under the status handleQuery would record for it.
+func (s *Server) executeBatchItem(ctx context.Context, req Request) (it BatchItem) {
+	defer func() { mQueries[statusLabel(it.Status)].Inc() }()
 	fail := func(err error) BatchItem {
-		st := itemStatus(err)
-		switch st {
-		case http.StatusBadRequest:
-			mQueriesBad.Inc()
-		case http.StatusTooManyRequests:
-			mQueriesShed.Inc()
-		case http.StatusServiceUnavailable:
-			mQueriesRetry.Inc()
-		case http.StatusGatewayTimeout:
-			mQueriesTimeout.Inc()
-		default:
-			mQueriesErr.Inc()
-		}
-		return BatchItem{Error: err.Error(), Status: st}
+		return BatchItem{Error: err.Error(), Status: itemStatus(err)}
 	}
 	key, _, err := s.engine.Resolve(req)
 	if err != nil {
@@ -137,15 +139,12 @@ func (s *Server) executeBatchItem(ctx context.Context, req Request) BatchItem {
 		return fail(err)
 	}
 	defer release()
-	mInflight.Set(float64(s.inflight.Add(1)))
-	defer func() { mInflight.Set(float64(s.inflight.Add(-1))) }()
-	start := time.Now()
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 	resp, err := s.engine.ExecuteSync(ctx, req)
-	mQuerySeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		return fail(err)
 	}
-	mQueriesOK.Inc()
 	if resp.Provenance != nil {
 		resp.Provenance.Node = s.node
 	}
@@ -165,34 +164,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, sp := telemetry.StartSpan(ctx, "service.batch")
 	defer sp.End()
 
+	// A batch refused whole counts as one query.
+	reject := func(status string, code int, msg string) {
+		mQueries[status].Inc()
+		writeJSON(w, code, errorBody{Error: msg})
+	}
 	var breq BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&breq); err != nil {
-		mQueriesBad.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad batch body: " + err.Error()})
+		reject("bad_request", http.StatusBadRequest, "bad batch body: "+err.Error())
 		return
 	}
 	if len(breq.Queries) == 0 {
-		mQueriesBad.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty batch"})
+		reject("bad_request", http.StatusBadRequest, "empty batch")
 		return
 	}
 	if len(breq.Queries) > MaxBatchItems {
-		mQueriesBad.Inc()
-		writeJSON(w, http.StatusBadRequest, errorBody{
-			Error: "batch too large: " + strconv.Itoa(len(breq.Queries)) + " items (max " + strconv.Itoa(MaxBatchItems) + ")"})
+		reject("bad_request", http.StatusBadRequest,
+			"batch too large: "+strconv.Itoa(len(breq.Queries))+" items (max "+strconv.Itoa(MaxBatchItems)+")")
 		return
 	}
 	if s.draining.Load() {
-		mShedDraining.Inc()
-		mQueriesShed.Inc()
 		setRetryAfter(w, s.adm.cfg.RetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining: daemon is shutting down"})
+		reject("shed", http.StatusServiceUnavailable, "draining: daemon is shutting down")
 		return
 	}
-	mBatches.Inc()
-	mBatchItems.Observe(float64(len(breq.Queries)))
 	start := time.Now()
 	// One flight-recorder row covers the batch: per-item rows at batch
 	// rates would turn the recorder's ring into pure churn.

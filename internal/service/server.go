@@ -16,18 +16,15 @@ import (
 	"github.com/eventual-agreement/eba/internal/telemetry"
 )
 
-// Telemetry handles for the HTTP surface.
-var (
-	mQueriesOK      = telemetry.Default().Counter("eba_service_queries_total", telemetry.L("status", "ok"))
-	mQueriesBad     = telemetry.Default().Counter("eba_service_queries_total", telemetry.L("status", "bad_request"))
-	mQueriesTimeout = telemetry.Default().Counter("eba_service_queries_total", telemetry.L("status", "timeout"))
-	mQueriesShed    = telemetry.Default().Counter("eba_service_queries_total", telemetry.L("status", "shed"))
-	mQueriesRetry   = telemetry.Default().Counter("eba_service_queries_total", telemetry.L("status", "retryable"))
-	mQueriesErr     = telemetry.Default().Counter("eba_service_queries_total", telemetry.L("status", "error"))
-	mQuerySeconds   = telemetry.Default().Histogram("eba_service_query_seconds",
-		[]float64{0.001, 0.01, 0.05, 0.1, 0.5, 1, 5, 30, 120})
-	mInflight = telemetry.Default().Gauge("eba_service_inflight_queries")
-)
+// mQueries counts queries by final status: one series per status,
+// pre-registered so no path takes the registry lock.
+var mQueries = func() map[string]*telemetry.Counter {
+	m := make(map[string]*telemetry.Counter)
+	for _, status := range []string{"ok", "bad_request", "timeout", "shed", "retryable", "error"} {
+		m[status] = telemetry.Default().Counter("eba_service_queries_total", telemetry.L("status", status))
+	}
+	return m
+}()
 
 // Server is the ebad HTTP surface: query execution behind admission
 // control, cache inventory, tri-state health, and metrics.
@@ -84,7 +81,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/snapshot/{digest}", s.handleSnapshot)
 	mux.HandleFunc("GET /v1/resolve/{slug}", s.handleResolve)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", telemetry.MetricsHandler())
 	mux.HandleFunc("GET /debug/queries", s.handleDebugQueries)
 	mux.HandleFunc("GET /debug/trace/{id}", s.handleDebugTrace)
 	if s.wrap != nil {
@@ -127,21 +124,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx := telemetry.ContextWithTraceID(r.Context(), traceID)
 	ctx, rootSp := telemetry.StartSpan(ctx, "service.query")
 	status := "error"
-	defer func() { rootSp.End(telemetry.L("status", status)) }()
+	defer func() {
+		mQueries[status].Inc()
+		rootSp.End(telemetry.L("status", status))
+	}()
 
 	var req Request
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		status = "bad_request"
-		mQueriesBad.Inc()
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if s.draining.Load() {
 		status = "shed"
-		mShedDraining.Inc()
-		mQueriesShed.Inc()
 		s.fr.incident("drain", req.Formula)
 		setRetryAfter(w, s.adm.cfg.RetryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining: daemon is shutting down"})
@@ -154,7 +151,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	key, _, err := s.engine.Resolve(req)
 	if err != nil {
 		status = "bad_request"
-		mQueriesBad.Inc()
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
@@ -174,7 +170,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	stages.QueueMS = msSince(start)
 	if err != nil {
 		status = "shed"
-		mQueriesShed.Inc()
 		s.fr.incident("shed", err.Error())
 		var shed *ShedError
 		if errors.As(err, &shed) {
@@ -187,15 +182,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	mInflight.Set(float64(s.inflight.Add(1)))
-	defer func() { mInflight.Set(float64(s.inflight.Add(-1))) }()
-	execStart := time.Now()
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 	resp, err := s.engine.Execute(ctx, req)
-	mQuerySeconds.Observe(time.Since(execStart).Seconds())
 	switch {
 	case err == nil:
 		status = "ok"
-		mQueriesOK.Inc()
 		if resp.Provenance != nil {
 			// The engine measured its own stages; only the server knows
 			// how long admission held the request first. Fold the queue
@@ -210,21 +202,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 	case errors.Is(err, ErrBadRequest):
 		status = "bad_request"
-		mQueriesBad.Inc()
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 	case errors.Is(err, store.ErrRetryable):
 		// A singleflight follower whose leader failed: this request
 		// never ran, a retry gets a fresh attempt.
 		status = "retryable"
-		mQueriesRetry.Inc()
 		setRetryAfter(w, s.adm.cfg.RetryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		status = "timeout"
-		mQueriesTimeout.Inc()
 		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "query timed out: " + err.Error()})
 	default:
-		mQueriesErr.Inc()
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 	}
 }
@@ -311,13 +299,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"inflight": s.inflight.Load(),
 		"queued":   s.adm.queued.Load(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := telemetry.Default().Snapshot().WritePrometheus(w); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 // ListenAndServe runs the server on addr until ctx is canceled, then

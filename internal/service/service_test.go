@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/eventual-agreement/eba/internal/store"
+	"github.com/eventual-agreement/eba/internal/telemetry"
 )
 
 func newTestServer(t *testing.T, timeout time.Duration) (*httptest.Server, *Engine) {
@@ -240,6 +241,20 @@ func TestHealthzAndMetrics(t *testing.T) {
 			t.Errorf("metrics output missing %s", want)
 		}
 	}
+
+	// The -pprof server mounts the same handler: same content type.
+	addr, err := telemetry.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pprofResp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pprofResp.Body.Close()
+	if got, want := pprofResp.Header.Get("Content-Type"), resp.Header.Get("Content-Type"); pprofResp.StatusCode != http.StatusOK || got != want {
+		t.Errorf("-pprof /metrics: %d with Content-Type %q; the daemon's /metrics sends %q", pprofResp.StatusCode, got, want)
+	}
 }
 
 // TestConcurrentQueries exercises the whole stack from many clients
@@ -322,5 +337,103 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if _, err := http.Get(url + "/healthz"); err == nil {
 		t.Fatal("server still serving after shutdown")
+	}
+}
+
+// TestMetricsExactDeltas pins what one fixed request sequence adds to
+// the service, store and evaluator series: a cold query, the same
+// query again, then a malformed body. Requests go straight through the
+// handler, so every count is in place when the response is.
+func TestMetricsExactDeltas(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(NewEngine(st, 0)).Handler()
+	post := func(body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
+		return rec.Code
+	}
+	type series struct {
+		name, key, value string
+		want             float64
+	}
+	check := []series{
+		{"eba_service_queries_total", "status", "ok", 2},
+		{"eba_service_queries_total", "status", "bad_request", 1},
+		{"eba_service_queries_total", "status", "shed", 0},
+		{"eba_service_queries_total", "status", "error", 0},
+		{"eba_store_system_requests_total", "result", "enumerated", 1},
+		{"eba_store_system_requests_total", "result", "memory", 3},
+		{"eba_store_system_requests_total", "result", "disk", 0},
+		{"eba_knowledge_eval_total", "op", "atom", 1},
+	}
+	read := func() []float64 {
+		snap := telemetry.Default().Snapshot()
+		out := make([]float64, len(check))
+		for i, s := range check {
+			out[i] = snap.CounterValue(s.name, telemetry.L(s.key, s.value))
+		}
+		return out
+	}
+	evalSum := func() float64 { return telemetry.Default().Snapshot().CounterSum("eba_knowledge_eval_total") }
+
+	before, evalBefore := read(), evalSum()
+	for _, c := range []struct {
+		body string
+		code int
+	}{
+		{`{"formula": "E0"}`, http.StatusOK},
+		{`{"formula": "E0"}`, http.StatusOK},
+		{`{"formula": `, http.StatusBadRequest},
+	} {
+		if got := post(c.body); got != c.code {
+			t.Fatalf("POST %s: status %d, want %d", c.body, got, c.code)
+		}
+	}
+	after, evalAfter := read(), evalSum()
+	for i, s := range check {
+		if d := after[i] - before[i]; d != s.want {
+			t.Errorf("%s{%s=%q} rose by %v, want %v", s.name, s.key, s.value, d, s.want)
+		}
+	}
+	if d := evalAfter - evalBefore; d != 1 {
+		t.Errorf("eba_knowledge_eval_total rose by %v in all, want 1", d)
+	}
+}
+
+// TestBatchMetricsExactDeltas: a batch counts each item under the
+// status it would have had alone, and a batch refused whole counts
+// once.
+func TestBatchMetricsExactDeltas(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(NewEngine(st, 0)).Handler()
+	status := func(s string) float64 {
+		return telemetry.Default().Snapshot().CounterValue("eba_service_queries_total", telemetry.L("status", s))
+	}
+	ok0, bad0 := status("ok"), status("bad_request")
+	for _, c := range []struct {
+		body string
+		code int
+	}{
+		{`{"queries": [{"formula": "E0"}, {"formula": "K7 E0"}, {"formula": "C E0"}]}`, http.StatusOK},
+		{`{"queries": []}`, http.StatusBadRequest},
+		{`{"queries": `, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/batch", strings.NewReader(c.body)))
+		if rec.Code != c.code {
+			t.Fatalf("POST %s: status %d, want %d", c.body, rec.Code, c.code)
+		}
+	}
+	if d := status("ok") - ok0; d != 2 {
+		t.Errorf(`eba_service_queries_total{status="ok"} rose by %v, want 2`, d)
+	}
+	if d := status("bad_request") - bad0; d != 3 {
+		t.Errorf(`eba_service_queries_total{status="bad_request"} rose by %v, want 3`, d)
 	}
 }

@@ -211,8 +211,8 @@ func ValidateRun(params types.Params, cfg types.Config, pat *failures.Pattern) e
 // so implementations need no internal synchronization for per-run
 // state; an Observer shared across concurrent runs (or any observer
 // writing to a shared sink such as a stream) must synchronize its
-// side effects itself. TextObserver and MetricsObserver are safe to
-// share; custom observers that buffer per-run state are not.
+// side effects itself. TextObserver is safe to share; custom observers
+// that buffer per-run state are not.
 type Observer interface {
 	// RoundBegin announces round r (1-based).
 	RoundBegin(r types.Round)

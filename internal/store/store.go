@@ -19,29 +19,14 @@ import (
 	"github.com/eventual-agreement/eba/internal/types"
 )
 
-// Telemetry handles. System requests are labelled by where they were
-// satisfied; load times separate the decode path from the enumerate
-// path — the ratio between those two histograms is the store's whole
-// reason to exist.
+// Telemetry handles: system requests, labelled by where each was
+// satisfied.
 var (
-	mSysMem      = telemetry.Default().Counter("eba_store_system_requests_total", telemetry.L("result", "memory"))
-	mSysDisk     = telemetry.Default().Counter("eba_store_system_requests_total", telemetry.L("result", "disk"))
-	mSysEnum     = telemetry.Default().Counter("eba_store_system_requests_total", telemetry.L("result", "enumerated"))
-	mSysShared   = telemetry.Default().Counter("eba_store_system_requests_total", telemetry.L("result", "shared"))
-	mResMem      = telemetry.Default().Counter("eba_store_result_requests_total", telemetry.L("result", "memory"))
-	mResDisk     = telemetry.Default().Counter("eba_store_result_requests_total", telemetry.L("result", "disk"))
-	mResComputed = telemetry.Default().Counter("eba_store_result_requests_total", telemetry.L("result", "computed"))
-	mEvictions   = telemetry.Default().Counter("eba_store_evictions_total")
-	mDiskErrors  = telemetry.Default().Counter("eba_store_disk_errors_total")
-	mMemEntries  = telemetry.Default().Gauge("eba_store_mem_entries")
-	mLoadDisk    = telemetry.Default().Histogram("eba_store_load_seconds", loadBuckets, telemetry.L("source", "disk"))
-	mLoadEnum    = telemetry.Default().Histogram("eba_store_load_seconds", loadBuckets, telemetry.L("source", "enumerate"))
-	mQuarantined = telemetry.Default().Counter("eba_store_quarantined_total")
+	mSysMem    = telemetry.Default().Counter("eba_store_system_requests_total", telemetry.L("result", "memory"))
+	mSysDisk   = telemetry.Default().Counter("eba_store_system_requests_total", telemetry.L("result", "disk"))
+	mSysEnum   = telemetry.Default().Counter("eba_store_system_requests_total", telemetry.L("result", "enumerated"))
+	mSysShared = telemetry.Default().Counter("eba_store_system_requests_total", telemetry.L("result", "shared"))
 )
-
-// loadBuckets are the load-time histogram's bounds in seconds. Restores
-// of the larger snapshots take 20–100 ms, so that decade is cut finer.
-var loadBuckets = []float64{0.0001, 0.001, 0.01, 0.025, 0.05, 0.1, 0.5, 1, 5, 30}
 
 // ErrRetryable marks transient store failures where the same call may
 // well succeed if simply retried: in particular, a singleflight
@@ -344,7 +329,6 @@ func (s *Store) quarantine(path string) {
 		s.noteDiskError()
 		return
 	}
-	mQuarantined.Inc()
 	s.mu.Lock()
 	s.stats.Quarantined++
 	hook := s.quarantineHook
@@ -479,14 +463,12 @@ func (s *Store) load(ctx context.Context, key Key) (*system.System, string, int,
 		}
 		versionSkewed = skewed
 	}
-	start := time.Now()
 	_, enumSp := telemetry.StartSpan(ctx, "store.enumerate", telemetry.L("key", key.Slug()))
 	sys, err := s.enumerate(key)
 	enumSp.End()
 	if err != nil {
 		return nil, "", 0, OriginEnumerated, err
 	}
-	mLoadEnum.Observe(time.Since(start).Seconds())
 	s.mu.Lock()
 	s.stats.Enumerations++
 	s.mu.Unlock()
@@ -513,7 +495,6 @@ func (s *Store) load(ctx context.Context, key Key) (*system.System, string, int,
 // by a different build.
 func (s *Store) restore(ctx context.Context, key Key) (sys *system.System, digest string, size int, skewed bool) {
 	path := s.systemPath(key)
-	start := time.Now()
 	buf, lent := s.lendReadBuf()
 	data, err := s.fsys.ReadFile(path, buf)
 	if lent {
@@ -540,7 +521,6 @@ func (s *Store) restore(ctx context.Context, key Key) (sys *system.System, diges
 		s.quarantine(path)
 		return nil, "", 0, false
 	}
-	mLoadDisk.Observe(time.Since(start).Seconds())
 	s.mu.Lock()
 	s.stats.SystemDiskHits++
 	s.mu.Unlock()
@@ -573,7 +553,6 @@ func (s *Store) returnReadBuf(buf, data []byte) {
 }
 
 func (s *Store) noteDiskError() {
-	mDiskErrors.Inc()
 	s.mu.Lock()
 	s.stats.DiskErrors++
 	s.mu.Unlock()
@@ -604,9 +583,7 @@ func (s *Store) admit(key Key, sys *system.System, digest string, size int, orig
 		s.lru.Remove(tail)
 		delete(s.entries, old.key)
 		s.stats.Evictions++
-		mEvictions.Inc()
 	}
-	mMemEntries.Set(float64(s.lru.Len()))
 }
 
 // Result returns the truth table of formula over the key's system,
@@ -638,7 +615,6 @@ func (s *Store) AnswerCtx(ctx context.Context, key Key, formula string, compute 
 		if ans, ok := e.results[formula]; ok {
 			s.stats.ResultMemoryHits++
 			s.mu.Unlock()
-			mResMem.Inc()
 			return ans, OriginMemory, nil
 		}
 	}
@@ -693,7 +669,6 @@ func (s *Store) loadResult(ctx context.Context, sys *system.System, digest, form
 					s.mu.Lock()
 					s.stats.ResultDiskHits++
 					s.mu.Unlock()
-					mResDisk.Inc()
 					return &tbl, OriginDisk, nil
 				}
 			}
@@ -716,7 +691,6 @@ func (s *Store) loadResult(ctx context.Context, sys *system.System, digest, form
 	s.mu.Lock()
 	s.stats.ResultComputes++
 	s.mu.Unlock()
-	mResComputed.Inc()
 	if persistable {
 		packed, err := tbl.MarshalBinary()
 		if err == nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/telemetry"
@@ -60,9 +59,7 @@ func FromPatternsParallel(params types.Params, mode failures.Mode, horizon int, 
 		return FromPatterns(params, mode, horizon, pats)
 	}
 
-	var start time.Time
 	if telemetry.Enabled() {
-		start = time.Now()
 		_, sp := telemetry.StartSpan(context.Background(), "system.enumerate_parallel",
 			telemetry.L("n", fmt.Sprint(params.N)),
 			telemetry.L("t", fmt.Sprint(params.T)),
@@ -71,20 +68,7 @@ func FromPatternsParallel(params types.Params, mode failures.Mode, horizon int, 
 			telemetry.L("patterns", fmt.Sprint(len(pats))),
 			telemetry.L("workers", fmt.Sprint(workers)))
 		defer sp.End()
-		defer func() { mEnumSeconds.Observe(time.Since(start).Seconds()) }()
 	}
-	// Telemetry for the sharded build, registered on first use so that
-	// processes which never build this way do not export the series.
-	// Worker count is the last build's effective pool size; shard sizes
-	// and merge time expose the balance between the parallel
-	// run-generation stage and the sequential re-interning merge.
-	reg := telemetry.Default()
-	reg.Counter("eba_parallel_builds_total").Inc()
-	reg.Gauge("eba_parallel_workers").Set(float64(workers))
-	mParShardRuns := reg.Histogram("eba_parallel_shard_runs",
-		[]float64{1, 16, 64, 256, 1024, 4096, 16384, 65536, 262144})
-	mParMergeSeconds := reg.Histogram("eba_parallel_merge_seconds",
-		[]float64{0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1, 5, 15, 60})
 
 	// Stage 1: sharded run generation. Work item k is pattern
 	// k/nconfigs with configuration k%nconfigs — the canonical order —
@@ -125,7 +109,6 @@ func FromPatternsParallel(params types.Params, mode failures.Mode, horizon int, 
 	// reference time-(m-1) views of the same run, so every import after
 	// the first row is a memo hit on its children and the shared
 	// interner sees first encounters in exactly the sequential order.
-	mergeStart := time.Now()
 	in := views.NewInterner(params.N)
 	sys := &System{
 		Params:   params,
@@ -136,7 +119,6 @@ func FromPatternsParallel(params types.Params, mode failures.Mode, horizon int, 
 	}
 	out := sys.tbl.Views
 	for _, sh := range shards {
-		mParShardRuns.Observe(float64(sh.hi - sh.lo))
 		imp := views.NewImporter(in, sh.in)
 		for _, rv := range sh.runs {
 			for m := 0; m <= horizon; m++ {
@@ -150,8 +132,6 @@ func FromPatternsParallel(params types.Params, mode failures.Mode, horizon int, 
 		// they are merged; for big systems they dominate peak memory.
 		sh.in, sh.runs = nil, nil
 	}
-	mParMergeSeconds.Observe(time.Since(mergeStart).Seconds())
 	mRunsEnumerated.Add(uint64(sys.NumRuns()))
-	mPointsEnumerated.Add(uint64(sys.NumPoints()))
 	return sys, nil
 }

@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/telemetry"
@@ -30,15 +29,9 @@ import (
 	"github.com/eventual-agreement/eba/internal/views"
 )
 
-// Telemetry handles for enumeration. Counters accumulate across all
-// systems built by the process (the knowledge audit in ebarun builds
-// several); the histogram gives the wall-time distribution per build.
-var (
-	mRunsEnumerated   = telemetry.Default().Counter("eba_system_runs_enumerated_total")
-	mPointsEnumerated = telemetry.Default().Counter("eba_system_points_enumerated_total")
-	mEnumSeconds      = telemetry.Default().Histogram("eba_system_enumeration_seconds",
-		[]float64{0.001, 0.01, 0.1, 0.5, 1, 5, 15, 60, 300})
-)
+// mRunsEnumerated counts runs built, accumulated across all systems
+// the process builds (the knowledge audit in ebarun builds several).
+var mRunsEnumerated = telemetry.Default().Counter("eba_system_runs_enumerated_total")
 
 // Point identifies a point (r, m): run index and time.
 type Point struct {
@@ -184,9 +177,7 @@ func FromPatterns(params types.Params, mode failures.Mode, horizon int, pats []*
 	if err := validateBuild(params, mode, horizon, pats); err != nil {
 		return nil, err
 	}
-	var start time.Time
 	if telemetry.Enabled() {
-		start = time.Now()
 		_, sp := telemetry.StartSpan(context.Background(), "system.enumerate",
 			telemetry.L("n", fmt.Sprint(params.N)),
 			telemetry.L("t", fmt.Sprint(params.T)),
@@ -194,7 +185,6 @@ func FromPatterns(params types.Params, mode failures.Mode, horizon int, pats []*
 			telemetry.L("horizon", fmt.Sprint(horizon)),
 			telemetry.L("patterns", fmt.Sprint(len(pats))))
 		defer sp.End()
-		defer func() { mEnumSeconds.Observe(time.Since(start).Seconds()) }()
 	}
 	sys := &System{
 		Params:   params,
@@ -205,7 +195,6 @@ func FromPatterns(params types.Params, mode failures.Mode, horizon int, pats []*
 	}
 	buildRuns(sys.Interner, horizon, &sys.tbl)
 	mRunsEnumerated.Add(uint64(sys.NumRuns()))
-	mPointsEnumerated.Add(uint64(sys.NumPoints()))
 	return sys, nil
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"net"
@@ -114,10 +115,7 @@ func writeSnapshot(dest string) error {
 // returns the bound address; the server runs until the process exits.
 func Serve(addr string) (string, error) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		Default().Snapshot().WritePrometheus(w)
-	})
+	mux.Handle("/metrics", MetricsHandler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -129,4 +127,16 @@ func Serve(addr string) (string, error) {
 	}
 	go http.Serve(ln, mux) //nolint:errcheck // runs for the process lifetime
 	return ln.Addr().String(), nil
+}
+
+// MetricsHandler serves the default registry in the Prometheus text
+// exposition format. The snapshot is rendered into memory first, so the
+// only write that can fail is the response itself.
+func MetricsHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		var buf bytes.Buffer
+		Default().Snapshot().WritePrometheus(&buf) //nolint:errcheck // a bytes.Buffer write cannot fail
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Write(buf.Bytes()) //nolint:errcheck // the connection is gone; nothing to do
+	})
 }

@@ -4,35 +4,29 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
-	"strings"
 	"sync"
 	"testing"
 )
 
-// TestConcurrentHammering drives counters, gauges, and histograms from
-// many goroutines (run under -race in CI) and checks the totals are
-// exact: instrumentation must never lose an increment.
+// TestConcurrentHammering drives counters from many goroutines (run
+// under -race in CI) and checks the totals are exact: instrumentation
+// must never lose an increment.
 func TestConcurrentHammering(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("hammer_total")
 	cl := reg.Counter("hammer_total", L("shard", "a"))
-	g := reg.Gauge("hammer_gauge")
-	h := reg.Histogram("hammer_seconds", []float64{0.1, 1, 10})
 
 	const workers, perWorker = 16, 10_000
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				cl.Add(2)
-				g.SetMax(float64(w*perWorker + i))
-				h.Observe(float64(i%3) * 0.75) // 0, 0.75, 1.5
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
@@ -41,38 +35,6 @@ func TestConcurrentHammering(t *testing.T) {
 	}
 	if got := cl.Value(); got != 2*workers*perWorker {
 		t.Errorf("labeled counter = %d, want %d", got, 2*workers*perWorker)
-	}
-	if got, want := g.Value(), float64(workers*perWorker-1); got != want {
-		t.Errorf("gauge max = %g, want %g", got, want)
-	}
-	if got := h.Count(); got != workers*perWorker {
-		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
-	}
-	// Each worker observes perWorker/3 each of {0, 0.75, 1.5} plus one
-	// extra 0 (perWorker % 3 == 1).
-	wantSum := float64(workers) * float64(perWorker/3) * (0 + 0.75 + 1.5)
-	if got := h.Sum(); math.Abs(got-wantSum) > 1e-6 {
-		t.Errorf("histogram sum = %g, want %g", got, wantSum)
-	}
-	snap := reg.Snapshot()
-	var bucket01, bucketInf uint64
-	for _, hp := range snap.Histograms {
-		for _, b := range hp.Buckets {
-			switch {
-			case b.UpperBound == 0.1:
-				bucket01 = b.Count
-			case math.IsInf(b.UpperBound, 1):
-				bucketInf = b.Count
-			}
-		}
-	}
-	// 0 lands in le=0.1; everything lands in +Inf (cumulative).
-	wantZero := uint64(workers) * uint64(perWorker/3+perWorker%3)
-	if bucket01 != wantZero {
-		t.Errorf("le=0.1 bucket = %d, want %d", bucket01, wantZero)
-	}
-	if bucketInf != workers*perWorker {
-		t.Errorf("le=+Inf bucket = %d, want %d", bucketInf, workers*perWorker)
 	}
 }
 
@@ -99,8 +61,6 @@ func TestSnapshotDeterminism(t *testing.T) {
 		reg := NewRegistry()
 		for i := 0; i < 20; i++ {
 			reg.Counter(fmt.Sprintf("c%02d_total", i%7), L("shard", fmt.Sprintf("%d", i))).Add(uint64(i))
-			reg.Gauge(fmt.Sprintf("g%02d", i%5)).Set(float64(i))
-			reg.Histogram("h_seconds", []float64{1, 2}, L("op", fmt.Sprintf("op%d", i%3))).Observe(float64(i))
 		}
 		return reg
 	}
@@ -129,32 +89,21 @@ func TestSnapshotDeterminism(t *testing.T) {
 }
 
 // TestPrometheusGolden pins the exact text exposition for a small
-// registry: TYPE lines, label sorting and quoting, cumulative buckets,
-// +Inf, _sum and _count.
+// registry: TYPE lines once per name, label sorting and quoting.
 func TestPrometheusGolden(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("eba_demo_messages_total", L("fate", "delivered")).Add(3)
 	reg.Counter("eba_demo_messages_total", L("fate", "omitted")).Add(1)
 	reg.Counter("eba_demo_runs_total").Add(2)
-	reg.Gauge("eba_demo_size").Set(42)
-	h := reg.Histogram("eba_demo_slack_seconds", []float64{0, 0.5}, L("link", `0->1`))
-	h.Observe(-0.25)
-	h.Observe(0.25)
-	h.Observe(0.75)
+	reg.Counter("eba_demo_frames_total", L("link", `0->1`), L("fate", "sent")).Add(5)
 
-	const want = `# TYPE eba_demo_messages_total counter
+	const want = `# TYPE eba_demo_frames_total counter
+eba_demo_frames_total{fate="sent",link="0->1"} 5
+# TYPE eba_demo_messages_total counter
 eba_demo_messages_total{fate="delivered"} 3
 eba_demo_messages_total{fate="omitted"} 1
 # TYPE eba_demo_runs_total counter
 eba_demo_runs_total 2
-# TYPE eba_demo_size gauge
-eba_demo_size 42
-# TYPE eba_demo_slack_seconds histogram
-eba_demo_slack_seconds_bucket{link="0->1",le="0"} 1
-eba_demo_slack_seconds_bucket{link="0->1",le="0.5"} 2
-eba_demo_slack_seconds_bucket{link="0->1",le="+Inf"} 3
-eba_demo_slack_seconds_sum{link="0->1"} 0.75
-eba_demo_slack_seconds_count{link="0->1"} 3
 `
 	var buf bytes.Buffer
 	if err := reg.Snapshot().WritePrometheus(&buf); err != nil {
@@ -170,8 +119,7 @@ eba_demo_slack_seconds_count{link="0->1"} 3
 func TestJSONSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total", L("op", "x")).Add(7)
-	reg.Gauge("b").Set(1.5)
-	reg.Histogram("c_seconds", []float64{1}).Observe(0.5)
+	reg.Counter("b_total").Add(3)
 
 	var buf bytes.Buffer
 	if err := reg.Snapshot().WriteJSON(&buf); err != nil {
@@ -184,17 +132,8 @@ func TestJSONSnapshot(t *testing.T) {
 	if got := snap.CounterValue("a_total", L("op", "x")); got != 7 {
 		t.Errorf("counter through JSON = %g, want 7", got)
 	}
-	if len(snap.Gauges) != 1 || snap.Gauges[0].Value != 1.5 {
-		t.Errorf("gauge through JSON = %+v", snap.Gauges)
-	}
-	if len(snap.Histograms) != 1 || snap.Histograms[0].Count != 1 {
-		t.Errorf("histogram through JSON = %+v", snap.Histograms)
-	}
-	// le=+Inf marshals as a JSON number only via our BucketCount float;
-	// make sure it survived (encoding/json renders +Inf invalidly, so
-	// we must not have emitted it raw).
-	if !strings.Contains(buf.String(), `"le"`) {
-		t.Errorf("JSON exposition lost bucket bounds:\n%s", buf.String())
+	if got := snap.CounterValue("b_total"); got != 3 || len(snap.Counters) != 2 {
+		t.Errorf("unlabelled counter through JSON = %g in %+v, want 3 of 2 series", got, snap.Counters)
 	}
 }
 
@@ -204,19 +143,15 @@ func TestDisabledHandlesAreNoops(t *testing.T) {
 	defer SetEnabled(true)
 	reg := NewRegistry()
 	c := reg.Counter("gated_total")
-	g := reg.Gauge("gated")
-	h := reg.Histogram("gated_seconds", []float64{1})
 
 	SetEnabled(false)
 	if Enabled() {
 		t.Fatal("Enabled() = true after SetEnabled(false)")
 	}
 	c.Inc()
-	g.Set(5)
-	g.SetMax(9)
-	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Errorf("disabled handles recorded: counter=%d gauge=%g hist=%d", c.Value(), g.Value(), h.Count())
+	c.Add(4)
+	if c.Value() != 0 {
+		t.Errorf("disabled counter recorded %d", c.Value())
 	}
 
 	SetEnabled(true)

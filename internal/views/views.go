@@ -25,25 +25,17 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/eventual-agreement/eba/internal/types"
 
 	"github.com/eventual-agreement/eba/internal/telemetry"
 )
 
-// Telemetry handles for the hash-cons table. Several interners can be
-// live at once (one per process in the network runtime), so the size
-// gauge reports the largest table via SetMax rather than a per-instance
-// value. Intern latency is sampled on misses only — the hit path is a
-// table probe and timing it would cost more than the probe — and only
-// when telemetry is enabled, because it needs two clock reads.
+// Telemetry handles for the hash-cons table, summed over every live
+// interner (one per process in the network runtime).
 var (
 	mInternHits   = telemetry.Default().Counter("eba_views_intern_total", telemetry.L("result", "hit"))
 	mInternMisses = telemetry.Default().Counter("eba_views_intern_total", telemetry.L("result", "miss"))
-	mInternerSize = telemetry.Default().Gauge("eba_views_interner_size_max")
-	mInternMissS  = telemetry.Default().Histogram("eba_views_intern_latency_seconds",
-		[]float64{1e-7, 2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 1e-4, 1e-3})
 )
 
 // ID is an interned view identifier. Equal IDs from the same Interner
@@ -266,20 +258,12 @@ func (in *Interner) knownOf(nd *node) [2]types.ProcSet {
 // growing the table when it passes half full.
 func (in *Interner) insert(nd node, slot int) ID {
 	mInternMisses.Inc()
-	var start time.Time
-	if telemetry.Enabled() {
-		start = time.Now()
-	}
 	id := ID(len(in.nodes))
 	in.nodes = append(in.nodes, nd)
 	in.known = append(in.known, in.knownOf(&nd))
 	in.table[slot] = int32(id) + 1
 	if 2*len(in.nodes) > len(in.table) {
 		in.rehash(2 * len(in.table))
-	}
-	if telemetry.Enabled() {
-		mInternerSize.SetMax(float64(len(in.nodes)))
-		mInternMissS.Observe(time.Since(start).Seconds())
 	}
 	return id
 }
