@@ -129,7 +129,7 @@ func (s *Server) executeBatchItem(ctx context.Context, req Request) (it BatchIte
 	fail := func(err error) BatchItem {
 		return BatchItem{Error: err.Error(), Status: itemStatus(err)}
 	}
-	key, _, err := s.engine.Resolve(req)
+	key, pf, err := s.engine.resolve(req)
 	if err != nil {
 		return fail(err)
 	}
@@ -141,7 +141,7 @@ func (s *Server) executeBatchItem(ctx context.Context, req Request) (it BatchIte
 	defer release()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	resp, err := s.engine.ExecuteSync(ctx, req)
+	resp, err := s.engine.executeInline(ctx, key, pf, req.Formula)
 	if err != nil {
 		return fail(err)
 	}

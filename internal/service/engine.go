@@ -250,6 +250,12 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.executeWatched(ctx, key, pf, req.Formula)
+}
+
+// executeWatched is Execute past resolution, for callers that already
+// resolved the request (the HTTP handler does, for admission).
+func (e *Engine) executeWatched(ctx context.Context, key store.Key, pf parsedFormula, raw string) (*Response, error) {
 	if e.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.timeout)
@@ -270,7 +276,7 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Response, error) {
 	// trace) still land for the retry.
 	core := telemetry.Detach(ctx)
 	go func() {
-		resp, err := e.execute(core, key, pf, req.Formula, start)
+		resp, err := e.execute(core, key, pf, raw, start)
 		ch <- outcome{resp, err}
 	}()
 	select {
@@ -283,47 +289,57 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Response, error) {
 
 // ExecuteSync is Execute without the watchdog goroutine or the
 // engine-level timeout: resolve and run inline on the caller's
-// goroutine. It is the batch executor's per-item path — a batch runs
-// under one deadline, and spawning a goroutine per item would cost
-// more than many cached items do.
+// goroutine. A batch runs under one deadline, and spawning a goroutine
+// per item would cost more than many cached items do.
 func (e *Engine) ExecuteSync(ctx context.Context, req Request) (*Response, error) {
 	key, pf, err := e.resolve(req)
 	if err != nil {
 		return nil, err
 	}
+	return e.executeInline(ctx, key, pf, req.Formula)
+}
+
+// executeInline is ExecuteSync past resolution: the batch executor's
+// per-item path, which resolved the item once already for admission.
+func (e *Engine) executeInline(ctx context.Context, key store.Key, pf parsedFormula, raw string) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return e.execute(ctx, key, pf, req.Formula, time.Now())
+	return e.execute(ctx, key, pf, raw, time.Now())
 }
 
 // msSince converts a stopwatch reading to fractional milliseconds.
-func msSince(t time.Time) float64 {
-	return float64(time.Since(t).Microseconds()) / 1e3
+func msSince(t time.Time) float64 { return msBetween(t, time.Now()) }
+
+// msBetween converts a stopwatch interval to fractional milliseconds.
+func msBetween(from, to time.Time) float64 {
+	return float64(to.Sub(from).Microseconds()) / 1e3
 }
 
 // execute is the uncancelable core of Execute. Its three stages —
-// load, eval, scan — are measured with explicit stopwatches (so the
-// provenance block works with tracing off) and mirrored as child
-// spans of engine.execute (so a trace shows the same structure). On a
-// memory hit every stage is a lookup: the store's answer already holds
-// the table's count and its rendered first falsifying point.
+// load, eval, scan — run back to back under an engine.execute span,
+// and the clock is read once per stage boundary: each reading ends
+// one stage's span and stopwatch and begins the next's, so the
+// provenance block and the trace show the same intervals (and the
+// provenance block works with tracing off). On a memory hit every
+// stage is a lookup: the store's answer already holds the table's
+// count and its rendered first falsifying point.
 func (e *Engine) execute(ctx context.Context, key store.Key, pf parsedFormula, raw string, start time.Time) (*Response, error) {
 	slug := key.Slug()
-	ctx, rootSp := telemetry.StartSpan(ctx, "engine.execute", telemetry.L("key", slug))
-	status := "error"
-	defer func() { rootSp.End(telemetry.L("status", status)) }()
-
 	loadStart := time.Now()
-	lctx, loadSp := telemetry.StartSpan(ctx, "engine.load")
+	ctx, rootSp := telemetry.StartSpanAt(ctx, loadStart, "engine.execute", telemetry.L("key", slug))
+	status, last := "error", loadStart
+	defer func() { rootSp.EndAt(last, telemetry.L("status", status)) }()
+
+	lctx, loadSp := telemetry.StartSpanAt(ctx, loadStart, "engine.load")
 	sys, sysOrigin, err := e.store.SystemCtx(lctx, key)
-	loadSp.End(telemetry.L("origin", sysOrigin.String()))
-	loadMS := msSince(loadStart)
+	evalStart := time.Now()
+	last = evalStart
+	loadSp.EndAt(evalStart, telemetry.L("origin", sysOrigin.String()))
 	if err != nil {
 		return nil, err
 	}
-	evalStart := time.Now()
-	ectx, evalSp := telemetry.StartSpan(ctx, "engine.eval")
+	ectx, evalSp := telemetry.StartSpanAt(ctx, evalStart, "engine.eval")
 	par := knowledge.EffectiveParallelism(e.parallel)
 	var evStats *knowledge.EvalStats
 	ans, resOrigin, err := e.store.AnswerCtx(ectx, key, pf.canonical, func(sys *system.System) (*knowledge.Bits, error) {
@@ -335,12 +351,14 @@ func (e *Engine) execute(ctx context.Context, key store.Key, pf parsedFormula, r
 		evStats, par = &st, ev.Parallelism()
 		return tbl, nil
 	})
-	evalSp.End(telemetry.L("origin", resOrigin.String()))
-	evalMS := msSince(evalStart)
+	scanStart := time.Now()
+	last = scanStart
+	evalSp.EndAt(scanStart, telemetry.L("origin", resOrigin.String()))
 	if err != nil {
 		return nil, err
 	}
 
+	_, scanSp := telemetry.StartSpanAt(ctx, scanStart, "engine.scan")
 	resp := &Response{
 		Formula:     raw,
 		Valid:       ans.First < 0,
@@ -354,23 +372,26 @@ func (e *Engine) execute(ctx context.Context, key store.Key, pf parsedFormula, r
 		},
 		ResultOrigin: resOrigin.String(),
 	}
-	scanStart := time.Now()
-	_, scanSp := telemetry.StartSpan(ctx, "engine.scan")
 	if w := ans.Witness; w != nil {
 		resp.Counterexample = &Counterexample{
 			Run: w.Run, Time: w.Time, Config: w.Config, Pattern: w.Pattern,
 			Point: ans.First,
 		}
 	}
-	scanSp.End()
-	scanMS := msSince(scanStart)
+	end := time.Now()
+	last = end
+	scanSp.EndAt(end)
 	// The elapsed clock stops after the scan, so counterexample
 	// extraction is part of the latency it reports.
-	resp.ElapsedMS = msSince(start)
+	resp.ElapsedMS = msBetween(start, end)
 	resp.Provenance = &Provenance{
-		TraceID:      telemetry.TraceIDFromContext(ctx),
-		Key:          slug,
-		Stages:       StageTimings{LoadMS: loadMS, EvalMS: evalMS, ScanMS: scanMS},
+		TraceID: telemetry.TraceIDFromContext(ctx),
+		Key:     slug,
+		Stages: StageTimings{
+			LoadMS: msBetween(loadStart, evalStart),
+			EvalMS: msBetween(evalStart, scanStart),
+			ScanMS: msBetween(scanStart, end),
+		},
 		SystemOrigin: sysOrigin.String(),
 		ResultOrigin: resOrigin.String(),
 		Parallelism:  par,

@@ -148,7 +148,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// memory-resident system is a cheap cached lookup, anything else
 	// is an expensive disk decode or cold enumeration and must also
 	// pass the per-key gate.
-	key, _, err := s.engine.Resolve(req)
+	key, pf, err := s.engine.resolve(req)
 	if err != nil {
 		status = "bad_request"
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
@@ -164,10 +164,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.fr.finish(frID, status, time.Since(start), stages, valid) }()
 
 	expensive := !s.engine.CachedInMemory(key)
-	_, queueSp := telemetry.StartSpan(ctx, "service.queue")
+	_, queueSp := telemetry.StartSpanAt(ctx, start, "service.queue")
 	release, err := s.adm.Acquire(ctx, key, expensive)
-	queueSp.End()
-	stages.QueueMS = msSince(start)
+	queued := time.Now()
+	queueSp.EndAt(queued)
+	stages.QueueMS = msBetween(start, queued)
 	if err != nil {
 		status = "shed"
 		s.fr.incident("shed", err.Error())
@@ -184,7 +185,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	resp, err := s.engine.Execute(ctx, req)
+	resp, err := s.engine.executeWatched(ctx, key, pf, req.Formula)
 	switch {
 	case err == nil:
 		status = "ok"

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -142,19 +144,37 @@ func TestTraceEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The JSONL sink saw the same trace.
+	// The JSONL sink, which renders each event as it ends, saw the same
+	// trace as the ring, which renders on read: the same events with
+	// the same IDs, parents, names, labels, begin times and durations.
 	events, err := telemetry.ReadEvents(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fileCount := 0
+	var fileEvents []telemetry.Event
 	for _, ev := range events {
 		if ev.Trace == traceID {
-			fileCount++
+			fileEvents = append(fileEvents, ev)
 		}
 	}
-	if fileCount != len(dump.Events) {
-		t.Errorf("JSONL sink has %d events for the trace, ring has %d", fileCount, len(dump.Events))
+	// Spans that end concurrently may reach the two sinks in different
+	// orders; compare both in one canonical order.
+	canonical := func(evs []telemetry.Event) []telemetry.Event {
+		out := append([]telemetry.Event(nil), evs...)
+		sort.Slice(out, func(i, j int) bool {
+			a, b := out[i], out[j]
+			if a.T != b.T {
+				return a.T < b.T
+			}
+			if a.Span != b.Span {
+				return a.Span < b.Span
+			}
+			return a.Name < b.Name
+		})
+		return out
+	}
+	if got, want := canonical(dump.Events), canonical(fileEvents); !reflect.DeepEqual(got, want) {
+		t.Errorf("ring and JSONL sink disagree on the trace:\nring %+v\nfile %+v", got, want)
 	}
 
 	// /debug/queries lists the completed query with its stage timings.

@@ -5,14 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// Ring is a fixed-capacity ring buffer of recent trace events — the
+// Ring is a fixed-capacity ring buffer of recent trace records — the
 // in-memory retention layer that lets a daemon answer "what did that
-// query do" after the fact without a trace file. Old events are
-// overwritten by new ones; Add never blocks and never allocates beyond
-// the initial buffer. Safe for concurrent use.
+// query do" after the fact without a trace file. Old records are
+// overwritten by new ones; adding never blocks and never allocates
+// beyond the initial buffer, and records are rendered into Events
+// only when read. Safe for concurrent use.
 type Ring struct {
 	mu   sync.Mutex
-	buf  []Event
+	buf  []record
 	next int
 	full bool
 	seen uint64 // total events ever added, for drop accounting
@@ -24,13 +25,15 @@ func NewRing(n int) *Ring {
 	if n < 1 {
 		n = 1
 	}
-	return &Ring{buf: make([]Event, n)}
+	return &Ring{buf: make([]record, n)}
 }
 
 // Add records an event, overwriting the oldest once the ring is full.
-func (r *Ring) Add(ev Event) {
+func (r *Ring) Add(ev Event) { r.add(&record{trace: ev.Trace, ev: &ev}) }
+
+func (r *Ring) add(rec *record) {
 	r.mu.Lock()
-	r.buf[r.next] = ev
+	r.buf[r.next] = *rec
 	r.next++
 	r.seen++
 	if r.next == len(r.buf) {
@@ -41,16 +44,7 @@ func (r *Ring) Add(ev Event) {
 }
 
 // Events returns the retained events, oldest first.
-func (r *Ring) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
-}
+func (r *Ring) Events() []Event { return r.render("") }
 
 // TraceEvents returns the retained events carrying the given trace ID,
 // oldest first.
@@ -58,11 +52,32 @@ func (r *Ring) TraceEvents(id string) []Event {
 	if id == "" {
 		return nil
 	}
-	var out []Event
-	for _, ev := range r.Events() {
-		if ev.Trace == id {
-			out = append(out, ev)
+	return r.render(id)
+}
+
+// render copies out the retained records of one trace ("" = all),
+// oldest first, and renders them outside the lock.
+func (r *Ring) render(trace string) []Event {
+	r.mu.Lock()
+	var recs []record
+	keep := func(part []record) {
+		for i := range part {
+			if trace == "" || part[i].trace == trace {
+				recs = append(recs, part[i])
+			}
 		}
+	}
+	if r.full {
+		keep(r.buf[r.next:])
+	}
+	keep(r.buf[:r.next])
+	r.mu.Unlock()
+	if len(recs) == 0 {
+		return nil
+	}
+	out := make([]Event, len(recs))
+	for i := range recs {
+		out[i] = recs[i].event()
 	}
 	return out
 }

@@ -16,14 +16,31 @@ import (
 // share a clock and can be ordered against each other.
 var processEpoch = time.Now()
 
-// SpanContext identifies the current position in a trace: which trace
-// the request belongs to and which span is currently open.
-type SpanContext struct {
-	TraceID string
-	SpanID  string
+// spanCtx is what a span's children read from their context: the
+// trace they belong to and the open span (0 when only a trace ID has
+// been adopted). It wraps its parent context and answers its own key,
+// so carrying it costs no allocation beyond the value itself — and an
+// ActiveSpan embeds it, so opening a span costs one.
+type spanCtx struct {
+	context.Context
+	trace string
+	span  uint64
 }
 
 type spanCtxKey struct{}
+
+func (c *spanCtx) Value(key any) any {
+	if key == (spanCtxKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
+// spanFromContext returns the span context carried by ctx, or nil.
+func spanFromContext(ctx context.Context) *spanCtx {
+	sc, _ := ctx.Value(spanCtxKey{}).(*spanCtx)
+	return sc
+}
 
 // NewTraceID mints a 32-hex-character trace ID.
 func NewTraceID() string {
@@ -33,10 +50,28 @@ func NewTraceID() string {
 	return string(b[:])
 }
 
-// newSpanID mints a 16-hex-character span ID.
-func newSpanID() string {
+// newSpan mints a span number: any nonzero uint64, since 0 means "no
+// span" in a record's parent and a context's open span.
+func newSpan() uint64 {
+	for {
+		if v := rand.Uint64(); v != 0 {
+			return v
+		}
+	}
+}
+
+// newSpanID mints a span ID in the form it renders to: 16 lowercase
+// hex characters.
+func newSpanID() string { return spanHex(newSpan()) }
+
+// spanHex renders a span number as its 16-hex-character ID, or "" for
+// none.
+func spanHex(v uint64) string {
+	if v == 0 {
+		return ""
+	}
 	var b [16]byte
-	putHex64(b[:], rand.Uint64())
+	putHex64(b[:], v)
 	return string(b[:])
 }
 
@@ -69,36 +104,27 @@ func ValidTraceID(s string) bool {
 	return true
 }
 
-// ContextWithSpan returns ctx carrying the span context.
-func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, spanCtxKey{}, sc)
-}
-
-// SpanFromContext returns the span context carried by ctx, if any.
-func SpanFromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(spanCtxKey{}).(SpanContext)
-	return sc, ok
-}
-
 // ContextWithTraceID adopts an externally supplied trace ID (from the
 // X-Eba-Trace-Id header, a CLI flag, or a test) without opening a
 // span: the next StartSpan under ctx becomes the trace's root.
 func ContextWithTraceID(ctx context.Context, traceID string) context.Context {
-	return ContextWithSpan(ctx, SpanContext{TraceID: traceID})
+	return &spanCtx{Context: ctx, trace: traceID}
 }
 
 // TraceIDFromContext returns ctx's trace ID, or "".
 func TraceIDFromContext(ctx context.Context) string {
-	sc, _ := SpanFromContext(ctx)
-	return sc.TraceID
+	if sc := spanFromContext(ctx); sc != nil {
+		return sc.trace
+	}
+	return ""
 }
 
 // Detach returns a fresh background context carrying only ctx's span
 // context — for work that must outlive the request's cancellation
 // (the engine's uncancelable core) while staying in its trace.
 func Detach(ctx context.Context) context.Context {
-	if sc, ok := SpanFromContext(ctx); ok {
-		return ContextWithSpan(context.Background(), sc)
+	if sc := spanFromContext(ctx); sc != nil {
+		return &spanCtx{Context: context.Background(), trace: sc.trace, span: sc.span}
 	}
 	return context.Background()
 }
@@ -110,22 +136,24 @@ func TraceActive() bool {
 	return enabled.Load() && (defaultTracer.Load() != nil || defaultRing.Load() != nil)
 }
 
-// dispatch routes one event to every installed default sink: the JSONL
-// tracer and the retention ring.
-func dispatch(ev Event) {
+// dispatch routes one record to every installed default sink: the
+// JSONL tracer, which renders it now, and the retention ring, which
+// keeps it raw until read.
+func dispatch(rec *record) {
 	if t := defaultTracer.Load(); t != nil {
-		t.emit(ev)
+		t.emit(rec.event())
 	}
 	if r := defaultRing.Load(); r != nil {
-		r.Add(ev)
+		r.add(rec)
 	}
 }
 
 // ActiveSpan is one in-flight ID-carrying span opened by StartSpan.
 // End on a nil ActiveSpan is a no-op, so call sites need no gating.
 type ActiveSpan struct {
-	sc     SpanContext
-	parent string
+	// ctx is the context StartSpan returns: its children's parent.
+	ctx    spanCtx
+	parent uint64
 	name   string
 	labels []Label
 	start  time.Time
@@ -137,42 +165,61 @@ type ActiveSpan struct {
 // trace-ID propagation through the returned context still works, so
 // provenance blocks stay populated even with tracing off.
 func StartSpan(ctx context.Context, name string, labels ...Label) (context.Context, *ActiveSpan) {
-	parent, _ := SpanFromContext(ctx)
 	if !TraceActive() {
 		return ctx, nil
 	}
-	sc := SpanContext{TraceID: parent.TraceID, SpanID: newSpanID()}
-	if sc.TraceID == "" {
-		sc.TraceID = NewTraceID()
-	}
-	s := &ActiveSpan{sc: sc, parent: parent.SpanID, name: name, labels: labels, start: time.Now()}
-	return ContextWithSpan(ctx, sc), s
+	return startSpan(ctx, time.Now(), name, labels)
 }
 
-// Context returns the span's own span context (zero for nil spans).
-func (s *ActiveSpan) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
+// StartSpanAt is StartSpan with a begin time the caller already read,
+// so one clock reading can serve both a span and a stopwatch.
+func StartSpanAt(ctx context.Context, at time.Time, name string, labels ...Label) (context.Context, *ActiveSpan) {
+	if !TraceActive() {
+		return ctx, nil
 	}
-	return s.sc
+	return startSpan(ctx, at, name, labels)
+}
+
+func startSpan(ctx context.Context, at time.Time, name string, labels []Label) (context.Context, *ActiveSpan) {
+	s := &ActiveSpan{ctx: spanCtx{Context: ctx, span: newSpan()}, name: name, labels: labels, start: at}
+	if p := spanFromContext(ctx); p != nil {
+		s.ctx.trace, s.parent = p.trace, p.span
+	}
+	if s.ctx.trace == "" {
+		s.ctx.trace = NewTraceID()
+	}
+	return &s.ctx, s
 }
 
 // End completes the span, appending any extra labels recorded along
-// the way (an origin, an iteration count), and dispatches its event.
+// the way (an origin, an iteration count), and dispatches its record.
 func (s *ActiveSpan) End(extra ...Label) {
 	if s == nil {
 		return
 	}
-	dispatch(Event{
-		T:      s.start.Sub(processEpoch).Nanoseconds(),
-		Type:   "span",
-		Name:   s.name,
-		Dur:    time.Since(s.start).Nanoseconds(),
-		Trace:  s.sc.TraceID,
-		Span:   s.sc.SpanID,
-		Parent: s.parent,
-		Labels: labelMap(s.labels, extra),
-	})
+	s.end(time.Now(), extra)
+}
+
+// EndAt is End with an end time the caller already read.
+func (s *ActiveSpan) EndAt(at time.Time, extra ...Label) {
+	if s == nil {
+		return
+	}
+	s.end(at, extra)
+}
+
+func (s *ActiveSpan) end(at time.Time, extra []Label) {
+	rec := record{
+		t: s.start.Sub(processEpoch).Nanoseconds(), dur: at.Sub(s.start).Nanoseconds(),
+		name: s.name, trace: s.ctx.trace, span: s.ctx.span, parent: s.parent,
+		labels: s.labels, isSpan: true,
+	}
+	if len(extra) == 1 {
+		rec.end[0], rec.nend = extra[0], 1
+	} else if len(extra) > 1 {
+		rec.labels = append(append(make([]Label, 0, len(s.labels)+len(extra)), s.labels...), extra...)
+	}
+	dispatch(&rec)
 }
 
 // EmitIn records an instantaneous event correlated to ctx's trace
@@ -181,13 +228,9 @@ func EmitIn(ctx context.Context, name string, labels ...Label) {
 	if !TraceActive() {
 		return
 	}
-	sc, _ := SpanFromContext(ctx)
-	dispatch(Event{
-		T:      time.Since(processEpoch).Nanoseconds(),
-		Type:   "event",
-		Name:   name,
-		Trace:  sc.TraceID,
-		Parent: sc.SpanID,
-		Labels: labelMap(labels),
-	})
+	rec := record{t: time.Since(processEpoch).Nanoseconds(), name: name, labels: labels}
+	if sc := spanFromContext(ctx); sc != nil {
+		rec.trace, rec.parent = sc.trace, sc.span
+	}
+	dispatch(&rec)
 }

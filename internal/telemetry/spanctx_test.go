@@ -302,3 +302,39 @@ func TestDuplicateLabelLastWins(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanAllocs pins the price of a retained span: with a ring
+// installed, StartSpan under a traced context and End with one label
+// allocate once — the span, which is also its children's context. The
+// record goes into the ring raw; nothing is formatted until read.
+func TestSpanAllocs(t *testing.T) {
+	old := DefaultRing()
+	defer defaultRing.Store(old)
+	SetRing(1024)
+	ctx := ContextWithTraceID(context.Background(), "alloc-trace")
+	got := testing.AllocsPerRun(1000, func() {
+		_, sp := StartSpan(ctx, "span")
+		sp.End(L("k", "v"))
+	})
+	if got != 1 {
+		t.Fatalf("StartSpan + End allocates %.1f times, want 1", got)
+	}
+	evs := DefaultRing().TraceEvents("alloc-trace")
+	if len(evs) == 0 || evs[0].Name != "span" || evs[0].Labels["k"] != "v" {
+		t.Fatalf("retained events %+v", evs)
+	}
+}
+
+// BenchmarkSpan prices one retained span: StartSpan under a traced
+// context, then End with one label (run with -benchmem).
+func BenchmarkSpan(b *testing.B) {
+	old := DefaultRing()
+	defer defaultRing.Store(old)
+	SetRing(4096)
+	ctx := ContextWithTraceID(context.Background(), "bench-trace")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, sp := StartSpan(ctx, "span")
+		sp.End(L("k", "v"))
+	}
+}

@@ -34,6 +34,41 @@ type Event struct {
 	Labels map[string]string `json:"labels,omitempty"`
 }
 
+// record is one span or event as End or Emit left it: IDs as numbers,
+// labels as given. The retention ring stores records and renders them
+// into Events only when read, so a span that is never read costs no
+// formatting.
+type record struct {
+	t, dur       int64
+	name, trace  string
+	span, parent uint64 // 0 = none
+	// labels are the span's start labels (or the event's labels) as
+	// given; end holds End's label inline in the common one-label case.
+	labels []Label
+	end    [1]Label
+	nend   int
+	isSpan bool
+	// ev is an event given to Ring.Add already rendered.
+	ev *Event
+}
+
+// event renders the record: hex IDs and a label map in which the last
+// label given wins, End's after StartSpan's.
+func (r *record) event() Event {
+	if r.ev != nil {
+		return *r.ev
+	}
+	ev := Event{
+		T: r.t, Type: "event", Name: r.name, Dur: r.dur,
+		Trace: r.trace, Parent: spanHex(r.parent),
+		Labels: labelMap(r.labels, r.end[:r.nend]),
+	}
+	if r.isSpan {
+		ev.Type, ev.Span = "span", spanHex(r.span)
+	}
+	return ev
+}
+
 // Tracer serializes spans and events onto one writer as JSONL, one
 // event per line. It is safe for concurrent use; all durations come
 // from the monotonic clock.
@@ -99,12 +134,7 @@ func Emit(name string, labels ...Label) {
 	if !TraceActive() {
 		return
 	}
-	dispatch(Event{
-		T:      time.Since(processEpoch).Nanoseconds(),
-		Type:   "event",
-		Name:   name,
-		Labels: labelMap(labels),
-	})
+	dispatch(&record{t: time.Since(processEpoch).Nanoseconds(), name: name, labels: labels})
 }
 
 // ReadEvents parses a JSONL trace stream back into events — the
