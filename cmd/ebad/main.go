@@ -6,21 +6,22 @@
 // Endpoints:
 //
 //	POST /v1/query          {"formula":"Cbox E0 -> C E0","n":3,"t":1,"mode":"crash"}
+//	POST /v1/query/batch    {"queries":[{...},{...}]}, answered in request order
 //	GET  /v1/systems        cache inventory and hit/miss statistics
 //	GET  /healthz           liveness
 //	GET  /metrics           Prometheus text exposition
 //	GET  /debug/queries     in-flight and recent queries with stage timings
 //	GET  /debug/trace/{id}  one trace's retained span/event stream
+//	GET  /cluster/members   cluster mode only: the membership table
 //
 // Serve mode:
 //
 //	ebad -addr :8080 -cachedir ~/.cache/eba
 //
-// Cluster mode (three such invocations make a fleet; every node routes
-// queries to the consistent-hash owner of their system key and
-// replicates snapshots from peers by content address):
+// Cluster mode, set by a non-empty -peers (three such invocations make
+// a fleet; each key is served by its consistent-hash ring owner):
 //
-//	ebad -addr :8081 -cachedir /tmp/n1 -cluster \
+//	ebad -addr :8081 -cachedir /tmp/n1 \
 //	     -self n1 -peers 'n1=http://localhost:8081,n2=http://localhost:8082,n3=http://localhost:8083'
 //
 // ebad only serves; load is generated by go run ./cmd/ebabench.
@@ -69,11 +70,8 @@ func run() error {
 		queueTimeout = flag.Duration("queue-timeout", time.Second, "admission: max wait for a slot before shedding 429")
 		retryAfter   = flag.Duration("retry-after", time.Second, "admission: Retry-After hint on shed responses")
 
-		clustered     = flag.Bool("cluster", false, "serve as a cluster node (requires -self and -peers)")
-		self          = flag.String("self", "", "cluster: this node's name (must appear in -peers)")
-		peersFlag     = flag.String("peers", "", "cluster: full fleet as name=url,name=url,...")
-		vnodes        = flag.Int("vnodes", 0, "cluster: virtual nodes per member on the hash ring (0 = default)")
-		probeInterval = flag.Duration("probe-interval", 0, "cluster: /healthz probe cadence (0 = 2s)")
+		self      = flag.String("self", "", "cluster: this node's name (must appear in -peers)")
+		peersFlag = flag.String("peers", "", "cluster: full fleet as name=url,name=url,...; non-empty serves as a cluster node")
 	)
 	tel := telemetry.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -122,18 +120,16 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *clustered {
+	if *peersFlag != "" {
 		peers, err := cluster.ParsePeers(*peersFlag)
 		if err != nil {
 			return err
 		}
-		cl, err := cluster.New(cluster.Config{
-			Self: *self, Peers: peers, VNodes: *vnodes, ProbeInterval: *probeInterval,
-		})
+		cl, err := cluster.New(cluster.Config{Self: *self, Peers: peers})
 		if err != nil {
 			return err
 		}
-		cl.Attach(eng, srv, st, cl.Owner)
+		cl.Attach(eng, srv, cl.Owner)
 		cl.Start(ctx)
 		fmt.Fprintf(os.Stderr, "ebad: cluster node %s, %d peers\n", *self, len(peers))
 	}

@@ -228,7 +228,7 @@ func TestUsageErrors(t *testing.T) {
 // TestClusterNeedsSelf: a cluster node that does not say which peer it
 // is fails with the named error, exit 1.
 func TestClusterNeedsSelf(t *testing.T) {
-	stderr, code := runEbad(t, "-addr", "127.0.0.1:0", "-cluster", "-peers", "n1=http://127.0.0.1:1,n2=http://127.0.0.1:2")
+	stderr, code := runEbad(t, "-addr", "127.0.0.1:0", "-peers", "n1=http://127.0.0.1:1,n2=http://127.0.0.1:2")
 	if code != 1 || !strings.Contains(stderr, `ebad: cluster: self "" not in peer list`) {
 		t.Fatalf("exit %d, stderr %q, want exit 1 and the self-not-in-peers error", code, stderr)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/eventual-agreement/eba/internal/service"
-	"github.com/eventual-agreement/eba/internal/store"
 )
 
 // Config assembles one node's view of the fleet.
@@ -15,8 +14,6 @@ type Config struct {
 	Self string
 	// Peers is the full static fleet, this node included.
 	Peers []Node
-	// VNodes is the virtual-node count per node (0 = default).
-	VNodes int
 	// ProbeInterval is the /healthz probe cadence (0 = 2s).
 	ProbeInterval time.Duration
 }
@@ -47,7 +44,7 @@ func New(cfg Config) (*Cluster, error) {
 	if !found {
 		return nil, fmt.Errorf("cluster: self %q not in peer list %v", cfg.Self, names)
 	}
-	ring, err := NewRing(names, cfg.VNodes)
+	ring, err := NewRing(names, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -63,10 +60,10 @@ func New(cfg Config) (*Cluster, error) {
 func (c *Cluster) Owner(slug string) string { return c.Ring.OwnerAlive(slug, c.Members.Alive) }
 
 // Attach wires the cluster into a node's local stack: the server
-// learns its node name, its handler gets wrapped by a router sending
-// each key to owner(slug) (normally c.Owner), and the store's misses
-// start replicating from peers. Call before serving.
-func (c *Cluster) Attach(eng *service.Engine, srv *service.Server, st *store.Store, owner func(slug string) string) *Router {
+// learns its node name, and its handler gets wrapped by a router
+// sending each key to owner(slug) (normally c.Owner). Call before
+// serving.
+func (c *Cluster) Attach(eng *service.Engine, srv *service.Server, owner func(slug string) string) *Router {
 	srv.SetNode(c.Self.Name)
 	resolve := func(req service.Request) (string, error) {
 		key, _, err := eng.Resolve(req)
@@ -77,7 +74,6 @@ func (c *Cluster) Attach(eng *service.Engine, srv *service.Server, st *store.Sto
 	}
 	router := NewRouter(c.Self, owner, c.Members, srv, resolve)
 	srv.SetWrapper(router.Wrap)
-	st.SetEnumerator(NewReplicator(c.Self, c.Ring, c.Members, st).Build)
 	return router
 }
 

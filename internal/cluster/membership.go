@@ -61,10 +61,9 @@ func ParsePeers(list string) ([]Node, error) {
 
 // nodeState is one peer's liveness record.
 type nodeState struct {
-	alive   bool
-	suspect bool // quarantined-by-reputation: treated dead until a probe clears it
-	status  string
-	lastOK  time.Time
+	alive  bool
+	status string
+	lastOK time.Time
 }
 
 // Membership tracks fleet liveness: a static node list (membership
@@ -119,8 +118,7 @@ func (m *Membership) Lookup(name string) (Node, bool) {
 	return n, ok
 }
 
-// Alive reports whether name is routable. Self is always alive;
-// suspects are not, until a successful probe rehabilitates them.
+// Alive reports whether name is routable. Self is always alive.
 func (m *Membership) Alive(name string) bool {
 	if name == m.self {
 		return true
@@ -128,7 +126,7 @@ func (m *Membership) Alive(name string) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	st, ok := m.state[name]
-	return ok && st.alive && !st.suspect
+	return ok && st.alive
 }
 
 // MarkDead records an observed failure (a forward that got no HTTP
@@ -146,32 +144,14 @@ func (m *Membership) MarkDead(name string) {
 	}
 }
 
-// MarkSuspect flags a node that served bytes failing verification (a
-// corrupt snapshot). A suspect is unroutable until the next
-// successful probe — reputation is cheap to lose and cheap to regain,
-// but a mismatch must never be silently retried against the same
-// peer in a tight loop.
-func (m *Membership) MarkSuspect(name string) {
-	if name == m.self {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if st, ok := m.state[name]; ok && !st.suspect {
-		st.suspect = true
-		st.status = "suspect"
-	}
-}
-
 // MemberStatus is one row of the membership snapshot.
 type MemberStatus struct {
-	Name    string    `json:"name"`
-	URL     string    `json:"url"`
-	Alive   bool      `json:"alive"`
-	Suspect bool      `json:"suspect,omitempty"`
-	Status  string    `json:"status"`
-	Self    bool      `json:"self,omitempty"`
-	LastOK  time.Time `json:"last_ok,omitempty"`
+	Name   string    `json:"name"`
+	URL    string    `json:"url"`
+	Alive  bool      `json:"alive"`
+	Status string    `json:"status"`
+	Self   bool      `json:"self,omitempty"`
+	LastOK time.Time `json:"last_ok,omitempty"`
 }
 
 // Snapshot returns the membership table sorted by name, for the
@@ -184,11 +164,10 @@ func (m *Membership) Snapshot() []MemberStatus {
 		st := m.state[n.Name]
 		out = append(out, MemberStatus{
 			Name: n.Name, URL: n.URL,
-			Alive:   st.alive && !st.suspect,
-			Suspect: st.suspect,
-			Status:  st.status,
-			Self:    n.Name == m.self,
-			LastOK:  st.lastOK,
+			Alive:  st.alive,
+			Status: st.status,
+			Self:   n.Name == m.self,
+			LastOK: st.lastOK,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -242,10 +221,6 @@ func (m *Membership) probe(ctx context.Context, n Node) {
 	st.status = status
 	if alive {
 		st.lastOK = time.Now()
-		// A successful probe rehabilitates a suspect: the corrupt blob
-		// was quarantined, and a node that answers /healthz is worth
-		// another chance.
-		st.suspect = false
 	}
 }
 

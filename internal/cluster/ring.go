@@ -1,9 +1,10 @@
 // Package cluster turns N ebad daemons into one logical query
 // service: a consistent-hash ring routes each system key to an owning
-// node, a membership table tracks which peers are alive, a routing
-// proxy forwards (or serves locally) with loop-guarded hop headers,
-// and a replicator fetches missing snapshots from their owners by
-// content address instead of re-enumerating them.
+// node, a membership table tracks which peers are alive, and a
+// routing proxy forwards (or serves locally) with loop-guarded hop
+// headers. There is no snapshot replication: routing sends every key
+// to its owner, so a node misses only on keys it owns, and it builds
+// those itself.
 //
 // The design goal is that every node runs the same binary with the
 // same flags (plus its own -self): there is no coordinator, no

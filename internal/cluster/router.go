@@ -27,7 +27,7 @@ const (
 // service.Server handler, intercepts query traffic, and either serves
 // locally (this node owns the key, the request already hopped once,
 // or the owner is unreachable) or forwards to the ring owner. Every
-// other endpoint — health, metrics, snapshots, debug — passes through
+// other endpoint — health, metrics, inventory, debug — passes through
 // untouched, so a cluster node is a superset of a standalone daemon.
 type Router struct {
 	self    Node

@@ -196,6 +196,78 @@ func TestBatchFanout(t *testing.T) {
 	}
 }
 
+// TestRoutedKeysLiveOnlyOnOwner: single and batch queries entering
+// at non-owners leave each key's system in memory and on disk at its
+// ring owner and nowhere else. A node therefore misses only on keys it
+// owns, which is why no node ever needs a peer's snapshot.
+func TestRoutedKeysLiveOnlyOnOwner(t *testing.T) {
+	fleet := startFleet(t, 3)
+	reqs := distinctKeyRequests(12)
+	owners := make([]string, len(reqs))
+	for i, req := range reqs {
+		owners[i] = fleet[0].router.Owner(slugOf(t, fleet[0], req))
+	}
+
+	// Singles: each of the first six keys enters at a node that does
+	// not own it.
+	for i, req := range reqs[:6] {
+		entry := fleet[0]
+		for _, fn := range fleet {
+			if fn.name != owners[i] {
+				entry = fn
+				break
+			}
+		}
+		resp, data := postJSON(t, entry.url+"/v1/query", req, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d via %s: status %d: %s", i, entry.name, resp.StatusCode, data)
+		}
+	}
+	// Batches: every node posts the last six keys it does not own.
+	for _, entry := range fleet {
+		var batch []service.Request
+		for i, req := range reqs[6:] {
+			if owners[6+i] != entry.name {
+				batch = append(batch, req)
+			}
+		}
+		if len(batch) == 0 {
+			continue
+		}
+		resp, data := postJSON(t, entry.url+"/v1/query/batch", service.BatchRequest{Queries: batch}, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch via %s: status %d: %s", entry.name, resp.StatusCode, data)
+		}
+		var out service.BatchResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		for j, item := range out.Results {
+			if item.Error != "" {
+				t.Fatalf("batch via %s, item %d: %s", entry.name, j, item.Error)
+			}
+		}
+	}
+
+	for i, req := range reqs {
+		key, _, err := fleet[0].eng.Resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fn := range fleet {
+			onDisk := false
+			for _, name := range fn.st.DiskSnapshots() {
+				onDisk = onDisk || name == key.Slug()+".eba"
+			}
+			want := fn.name == owners[i]
+			if fn.st.CachedInMemory(key) != want || onDisk != want {
+				t.Errorf("key %s on %s (owner %s): in memory %v, on disk %v, want %v",
+					key.Slug(), fn.name, owners[i], fn.st.CachedInMemory(key), onDisk, want)
+			}
+		}
+	}
+}
+
 // TestDeadPeerFallback: when a key's owner is down, any node still
 // answers the query locally — the fleet degrades locality, not
 // availability — and single-flight traffic marks the peer dead for

@@ -20,8 +20,8 @@ import (
 
 // The cluster pillar checks the distribution layer against the
 // single-node engine: a query answered through a three-node fleet must
-// carry the same verdict as a direct engine call (routing and
-// replication are transparent to semantics), and must be answered by
+// carry the same verdict as a direct engine call (routing is
+// transparent to semantics), and must be answered by
 // the node the hash ring names as the key's owner (routing actually
 // routes). Batches must additionally come back in order. The fleet is
 // in-process — three full server stacks over loopback HTTP — and boots
@@ -124,7 +124,7 @@ func (f *clusterFixture) boot(dir string, mutate bool) error {
 		if mutate {
 			owner = misroute(cl.Ring)
 		}
-		cl.Attach(eng, srv, st, owner)
+		cl.Attach(eng, srv, owner)
 		if i == 0 {
 			f.ring = cl.Ring
 			f.alive = cl.Members.Alive

@@ -213,52 +213,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSnapshot is GET /v1/snapshot/{digest}: serve the snapshot
-// whose SHA-256 trailer is the requested address — the wire format of
-// peer replication. The key the bytes decode to rides along in a
-// header so fetchers can sanity-check before decoding.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	if len(digest) != 64 || !isHex(digest) {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad digest (want 64 hex chars)"})
-		return
-	}
-	data, key, err := s.engine.Store().SnapshotBytes(digest)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Eba-Key", key.Slug())
-	w.Header().Set("X-Eba-Digest", digest)
-	w.WriteHeader(http.StatusOK)
-	w.Write(data) //nolint:errcheck // the connection is gone; nothing to do
-}
-
-// resolveBody is the GET /v1/resolve/{slug} response.
-type resolveBody struct {
-	Slug   string `json:"slug"`
-	Digest string `json:"digest"`
-}
-
-// handleResolve is GET /v1/resolve/{slug}: map a system key slug to
-// the content address of this node's snapshot for it, or 404 when the
-// node holds none. Together with /v1/snapshot/{digest} this is the
-// whole replication protocol.
-func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
-	slug := r.PathValue("slug")
-	if slug == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "missing slug"})
-		return
-	}
-	digest, ok := s.engine.Store().DigestForSlug(slug)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no snapshot for " + slug})
-		return
-	}
-	writeJSON(w, http.StatusOK, resolveBody{Slug: slug, Digest: digest})
-}
-
 // writeJSONCompact is writeJSON without indentation — batch responses
 // are machine-consumed arrays where the pretty-printing would double
 // the bytes on the wire.
@@ -266,13 +220,4 @@ func writeJSONCompact(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // the connection is gone; nothing to do
-}
-
-func isHex(s string) bool {
-	for _, c := range s {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') && (c < 'A' || c > 'F') {
-			return false
-		}
-	}
-	return true
 }

@@ -173,61 +173,6 @@ func TestBatchExecuteSyncMatchesExecute(t *testing.T) {
 	}
 }
 
-// TestSnapshotAndResolveEndpoints: the replication protocol surface —
-// resolve a slug to its content address, fetch the bytes, and check
-// the address verifies.
-func TestSnapshotAndResolveEndpoints(t *testing.T) {
-	ts, eng := newTestServer(t, 0)
-	postQuery(t, ts, Request{Formula: "E0"}) // builds + persists the system
-
-	key, _, err := eng.Resolve(Request{Formula: "E0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + "/v1/resolve/" + key.Slug())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rb struct {
-		Slug   string `json:"slug"`
-		Digest string `json:"digest"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&rb); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(rb.Digest) != 64 {
-		t.Fatalf("resolve: status %d body %+v", resp.StatusCode, rb)
-	}
-
-	snap, err := http.Get(ts.URL + "/v1/snapshot/" + rb.Digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := io.ReadAll(snap.Body)
-	snap.Body.Close()
-	if err != nil || snap.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: status %d err %v", snap.StatusCode, err)
-	}
-	if got := store.Digest(blob); got != rb.Digest {
-		t.Fatalf("snapshot bytes hash to %s, advertised %s", got, rb.Digest)
-	}
-	if snap.Header.Get("X-Eba-Key") != key.Slug() {
-		t.Fatalf("snapshot key header %q", snap.Header.Get("X-Eba-Key"))
-	}
-
-	// Unknown and malformed addresses.
-	if resp, _ := http.Get(ts.URL + "/v1/snapshot/" + strings.Repeat("0", 64)); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown digest: status %d", resp.StatusCode)
-	}
-	if resp, _ := http.Get(ts.URL + "/v1/snapshot/nothex"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed digest: status %d", resp.StatusCode)
-	}
-	if resp, _ := http.Get(ts.URL + "/v1/resolve/never-built"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown slug: status %d", resp.StatusCode)
-	}
-}
-
 // TestClientConnectionReuseAcrossRetries: the tuned transport must
 // carry a retried request over the socket that served the failed
 // attempt — retries reusing cold dials would multiply connection

@@ -19,8 +19,8 @@ import (
 )
 
 // sharedTransport is the connection pool behind every client this
-// package constructs. Fan-out traffic (batch scatter, replication
-// fetches, health probes) hammers a handful of peer hosts, so the
+// package constructs. Fan-out traffic (batch scatter, forwarded
+// queries, health probes) hammers a handful of peer hosts, so the
 // per-host idle pool is sized well above the default 2 — otherwise
 // each burst tears down and redials connections, and retries land on
 // cold TCP instead of reusing the socket that just carried the 503.

@@ -78,8 +78,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
 	mux.HandleFunc("POST /v1/query/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/systems", s.handleSystems)
-	mux.HandleFunc("GET /v1/snapshot/{digest}", s.handleSnapshot)
-	mux.HandleFunc("GET /v1/resolve/{slug}", s.handleResolve)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", telemetry.MetricsHandler())
 	mux.HandleFunc("GET /debug/queries", s.handleDebugQueries)

@@ -158,13 +158,9 @@ type Store struct {
 	inflight  map[Key]*flight
 	resFlight map[resultFlightKey]*flight
 	stats     Stats
-	// byDigest maps learned snapshot content addresses to their keys,
-	// so peer replication can serve GET /v1/snapshot/{sha256} without
-	// rescanning the snapshot directory on every request.
-	byDigest map[string]Key
 
-	// enumerate builds a system on a full miss; a test hook, and the
-	// place a future multi-backend store would plug in remote builds.
+	// enumerate builds a system on a full miss; tests replace it
+	// through SetEnumerator.
 	enumerate func(Key) (*system.System, error)
 
 	// quarantineHook, when set, observes every successful quarantine
@@ -220,7 +216,6 @@ func OpenWithFS(dir string, maxMem int, fsys FS) (*Store, error) {
 		lru:       list.New(),
 		inflight:  make(map[Key]*flight),
 		resFlight: make(map[resultFlightKey]*flight),
-		byDigest:  make(map[string]Key),
 	}
 	s.enumerate = enumerateKey
 	s.recoverScan()
@@ -228,8 +223,8 @@ func OpenWithFS(dir string, maxMem int, fsys FS) (*Store, error) {
 }
 
 // SetEnumerator replaces the cold-path system builder (nil restores
-// the default). This is the injection point for fault-injected or
-// remote builds; call before serving traffic.
+// the default): a test hook for counting, slowing or failing builds.
+// Call before serving traffic.
 func (s *Store) SetEnumerator(fn func(Key) (*system.System, error)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -572,11 +567,6 @@ func (s *Store) admit(key Key, sys *system.System, digest string, size int, orig
 	}
 	e.elem = s.lru.PushFront(e)
 	s.entries[key] = e
-	if digest != "" {
-		// Eviction keeps the mapping: the snapshot file outlives the
-		// memory entry, and that file is what the mapping points at.
-		s.byDigest[digest] = key
-	}
 	for s.lru.Len() > s.maxMem {
 		tail := s.lru.Back()
 		old := tail.Value.(*entry)
@@ -740,122 +730,6 @@ func (s *Store) Inventory() []SystemInfo {
 		})
 	}
 	return out
-}
-
-// DigestForSlug resolves a key slug to the content address of the
-// snapshot this store holds for it — the first half of the peer
-// replication handshake (resolve a key to an address, then fetch the
-// bytes by address). It prefers the digest learned when the system was
-// admitted; otherwise it reads and verifies the snapshot file. ok is
-// false when the store has no verified snapshot for the slug.
-func (s *Store) DigestForSlug(slug string) (digest string, ok bool) {
-	s.mu.Lock()
-	for _, e := range s.entries {
-		if e.key.Slug() == slug && e.digest != "" {
-			s.mu.Unlock()
-			return e.digest, true
-		}
-	}
-	s.mu.Unlock()
-	if s.dir == "" {
-		return "", false
-	}
-	path := filepath.Join(s.dir, "systems", slug+".eba")
-	data, err := s.fsys.ReadFile(path, nil)
-	if err != nil || VerifySnapshot(data) != nil {
-		return "", false
-	}
-	d := Digest(data)
-	key, _, derr := DecodeSystem(data)
-	if derr == nil {
-		s.mu.Lock()
-		s.byDigest[d] = key
-		s.mu.Unlock()
-	}
-	return d, true
-}
-
-// SnapshotBytes returns the encoded snapshot whose SHA-256 trailer is
-// digest — the content-addressed fetch behind GET /v1/snapshot/{sha}.
-// The bytes are re-verified against the requested address before being
-// served, so a node can never propagate a snapshot that no longer
-// matches what the caller asked for.
-func (s *Store) SnapshotBytes(digest string) ([]byte, Key, error) {
-	if s.dir == "" {
-		return nil, Key{}, fmt.Errorf("store: memory-only store has no snapshots")
-	}
-	s.mu.Lock()
-	key, ok := s.byDigest[digest]
-	s.mu.Unlock()
-	if !ok {
-		// Lazy index fill: scan the snapshot directory once for the
-		// address. Digests are stored as file trailers, so this is a
-		// read per file, not a decode.
-		entries, err := s.fsys.ReadDir(filepath.Join(s.dir, "systems"))
-		if err != nil {
-			return nil, Key{}, fmt.Errorf("store: no snapshot with digest %s", digest)
-		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".eba") {
-				continue
-			}
-			path := filepath.Join(s.dir, "systems", e.Name())
-			data, rerr := s.fsys.ReadFile(path, nil)
-			if rerr != nil || Digest(data) != digest || VerifySnapshot(data) != nil {
-				continue
-			}
-			k, _, derr := DecodeSystem(data)
-			if derr != nil {
-				continue
-			}
-			s.mu.Lock()
-			s.byDigest[digest] = k
-			s.mu.Unlock()
-			return data, k, nil
-		}
-		return nil, Key{}, fmt.Errorf("store: no snapshot with digest %s", digest)
-	}
-	data, err := s.fsys.ReadFile(s.systemPath(key), nil)
-	if err != nil {
-		return nil, Key{}, fmt.Errorf("store: snapshot for %s unreadable: %w", key, err)
-	}
-	if Digest(data) != digest || VerifySnapshot(data) != nil {
-		// The file changed or rotted underneath the index: drop the
-		// stale mapping and refuse to serve bytes that don't match the
-		// address — the fetcher's digest check would catch it anyway,
-		// but a corrupt node must not even try.
-		s.mu.Lock()
-		delete(s.byDigest, digest)
-		s.mu.Unlock()
-		s.noteDiskError()
-		return nil, Key{}, fmt.Errorf("store: snapshot for %s no longer matches digest %s", key, digest)
-	}
-	return data, key, nil
-}
-
-// QuarantineBlob preserves bytes that failed an integrity check (for
-// replication: a peer-fetched snapshot whose digest does not match its
-// address) under dir/quarantine, with the same never-overwrite naming
-// as crash-recovery quarantine. Memory-only stores drop the evidence.
-func (s *Store) QuarantineBlob(name string, data []byte) error {
-	if s.dir == "" {
-		return fmt.Errorf("store: memory-only store cannot quarantine")
-	}
-	tmp := filepath.Join(s.dir, ".blob-"+name)
-	if err := s.fsys.WriteAtomic(tmp, data); err != nil {
-		s.noteDiskError()
-		return err
-	}
-	s.quarantine(tmp)
-	return nil
-}
-
-// EnumerateLocal builds the key's system with the store's own local
-// builder, regardless of any enumerator installed with SetEnumerator.
-// It is the fallback a replicating enumerator uses when no peer has
-// the snapshot.
-func (s *Store) EnumerateLocal(key Key) (*system.System, error) {
-	return enumerateKey(key)
 }
 
 // DiskSnapshots lists the snapshot files under the store directory,
