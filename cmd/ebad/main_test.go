@@ -234,6 +234,15 @@ func TestClusterNeedsSelf(t *testing.T) {
 	}
 }
 
+// TestSelfNeedsPeers: a node name without a peer list is an error, not
+// a standalone daemon that drops the name.
+func TestSelfNeedsPeers(t *testing.T) {
+	stderr, code := runEbad(t, "-addr", "127.0.0.1:0", "-self", "n1")
+	if code != 1 || !strings.Contains(stderr, "ebad: -self needs -peers") {
+		t.Fatalf("exit %d, stderr %q, want exit 1 and the -self-needs-peers error", code, stderr)
+	}
+}
+
 // TestOverload drives a tightly capped daemon past its admission
 // capacity with cold keys (every request a never-seen omission limit,
 // so each admitted one costs an enumeration): excess load is shed with

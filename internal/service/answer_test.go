@@ -1,7 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -116,6 +121,69 @@ func TestAnswerSameFromEveryOrigin(t *testing.T) {
 				t.Fatalf("population is not mixed: valid %v invalid %v", sawValid, sawInvalid)
 			}
 		})
+	}
+}
+
+// TestVersion1ResultFileRecomputed: a result file of the envelope's
+// first version (formula and table, no witness) reads as a foreign
+// build's. A request over it recomputes the table and leaves the file
+// byte for byte as it was.
+func TestVersion1ResultFileRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	req := Request{Formula: "C E0 -> Cbox E0", N: 3, T: 1, Mode: "omission", Horizon: 2}
+	exec := func() *Response {
+		t.Helper()
+		st, err := store.Open(dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := NewEngine(st, 0).ExecuteSync(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	want := exec()
+	if want.ResultOrigin != "enumerated" || want.Counterexample == nil {
+		t.Fatalf("first request: origin %s, counterexample %v; want a computed, falsified table", want.ResultOrigin, want.Counterexample)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "results", "*", "*.bits"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("result files %v (%v), want one", files, err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := store.DecodeResult(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte("EBABITS"), 1)
+	for _, field := range [][]byte{[]byte(r.Formula), r.Table} {
+		v1 = binary.AppendUvarint(v1, uint64(len(field)))
+		v1 = append(v1, field...)
+	}
+	sum := sha256.Sum256(v1)
+	v1 = append(v1, sum[:]...)
+	if err := os.WriteFile(files[0], v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		got := exec()
+		if got.ResultOrigin != "enumerated" {
+			t.Fatalf("request %d over a version-1 result file: origin %s, want enumerated", i, got.ResultOrigin)
+		}
+		if !reflect.DeepEqual(answerFields(got), answerFields(want)) {
+			t.Fatalf("request %d: %+v, want %+v", i, answerFields(got), answerFields(want))
+		}
+		after, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, v1) {
+			t.Fatalf("request %d rewrote the version-1 result file", i)
+		}
 	}
 }
 

@@ -331,8 +331,11 @@ func (e *Engine) execute(ctx context.Context, key store.Key, pf parsedFormula, r
 	status, last := "error", loadStart
 	defer func() { rootSp.EndAt(last, telemetry.L("status", status)) }()
 
+	// The load stage makes the system resident; a snapshot the store
+	// has seen before stays undecoded until a compute needs it, so that
+	// decode, when it comes, shows under engine.eval.
 	lctx, loadSp := telemetry.StartSpanAt(ctx, loadStart, "engine.load")
-	sys, sysOrigin, err := e.store.SystemCtx(lctx, key)
+	shape, sysOrigin, err := e.store.Resident(lctx, key)
 	evalStart := time.Now()
 	last = evalStart
 	loadSp.EndAt(evalStart, telemetry.L("origin", sysOrigin.String()))
@@ -363,11 +366,11 @@ func (e *Engine) execute(ctx context.Context, key store.Key, pf parsedFormula, r
 		Formula:     raw,
 		Valid:       ans.First < 0,
 		TruePoints:  ans.True,
-		TotalPoints: ans.Table.Len(),
+		TotalPoints: shape.Points,
 		System: SystemSummary{
 			Mode: key.Mode.String(), N: key.N, T: key.T,
 			Horizon: key.Horizon, Limit: key.Limit,
-			Runs: sys.NumRuns(), Points: sys.NumPoints(),
+			Runs: shape.Runs, Points: shape.Points,
 			Origin: sysOrigin.String(),
 		},
 		ResultOrigin: resOrigin.String(),

@@ -95,10 +95,11 @@ func (k Key) String() string { return k.Slug() }
 // digests decode to identical systems, and memoized truth tables are
 // filed under the digest of the system they were computed over.
 const (
-	snapMagic   = "EBASNAP"
-	bitsMagic   = "EBABITS"
-	snapVersion = 1
-	digestLen   = sha256.Size
+	snapMagic     = "EBASNAP"
+	bitsMagic     = "EBABITS"
+	snapVersion   = 1
+	resultVersion = 2
+	digestLen     = sha256.Size
 )
 
 // ErrVersionSkew marks a blob whose envelope is intact — magic right,
@@ -111,8 +112,8 @@ const (
 var ErrVersionSkew = errors.New("store: version skew (valid blob from a different build)")
 
 // versionSkewError wraps ErrVersionSkew with the observed version.
-func versionSkewError(kind string, got uint64) error {
-	return fmt.Errorf("store: %s version %d, this build reads %d: %w", kind, got, snapVersion, ErrVersionSkew)
+func versionSkewError(kind string, got, want uint64) error {
+	return fmt.Errorf("store: %s version %d, this build reads %d: %w", kind, got, want, ErrVersionSkew)
 }
 
 // EncodeSystem serializes the system under its key. The encoding is
@@ -284,7 +285,7 @@ func decodePayload(body []byte, split int, spread bool) (Key, *system.System, er
 	var key Key
 	d := decoder{buf: body}
 	if v := d.uvarint(); v != snapVersion {
-		return key, nil, versionSkewError("snapshot", v)
+		return key, nil, versionSkewError("snapshot", v, snapVersion)
 	}
 	key.N = int(d.uvarint())
 	key.T = int(d.uvarint())
@@ -475,38 +476,55 @@ func varintEnd(buf []byte, pos, k int) int {
 	return -1
 }
 
-// EncodeResult serializes one memoized truth table together with the
-// formula it answers, with the same version-and-checksum envelope as
-// system snapshots.
-func EncodeResult(formula string, tbl []byte) []byte {
-	buf := make([]byte, 0, len(formula)+len(tbl)+64)
+// ResultFile is what a result file holds: a formula, its packed truth
+// table, and the run of the table's first falsifying point rendered as
+// text, so a read of the file answers without the system. Config and
+// Pattern are empty when the formula is valid.
+type ResultFile struct {
+	Formula         string
+	Table           []byte
+	Config, Pattern string
+}
+
+// EncodeResult serializes one memoized truth table,
+//
+//	magic ∥ uvarint(version) ∥ formula ∥ table ∥ config ∥ pattern ∥ sha256
+//
+// each field length-prefixed, in the same checksummed envelope as
+// system snapshots. Results carry a version of their own, so adding the
+// witness to them moved no snapshot's digest.
+func EncodeResult(r ResultFile) []byte {
+	buf := make([]byte, 0, len(r.Formula)+len(r.Table)+len(r.Config)+len(r.Pattern)+64)
 	buf = append(buf, bitsMagic...)
-	buf = binary.AppendUvarint(buf, snapVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(formula)))
-	buf = append(buf, formula...)
-	buf = binary.AppendUvarint(buf, uint64(len(tbl)))
-	buf = append(buf, tbl...)
+	buf = binary.AppendUvarint(buf, resultVersion)
+	for _, field := range [][]byte{[]byte(r.Formula), r.Table, []byte(r.Config), []byte(r.Pattern)} {
+		buf = binary.AppendUvarint(buf, uint64(len(field)))
+		buf = append(buf, field...)
+	}
 	sum := sha256.Sum256(buf)
 	return append(buf, sum[:]...)
 }
 
-// DecodeResult decodes a memoized truth table, returning the formula
-// it was computed for and the packed table.
-func DecodeResult(data []byte) (formula string, tbl []byte, err error) {
+// DecodeResult decodes a result file written by EncodeResult.
+func DecodeResult(data []byte) (ResultFile, error) {
 	if err := VerifyResult(data); err != nil {
-		return "", nil, err
+		return ResultFile{}, err
 	}
 	d := decoder{buf: data[len(bitsMagic) : len(data)-digestLen]}
 	d.uvarint() // the version, checked by VerifyResult
-	formula = string(d.bytes(int(d.uvarint())))
-	tbl = d.bytes(int(d.uvarint()))
+	r := ResultFile{
+		Formula: string(d.bytes(int(d.uvarint()))),
+		Table:   d.bytes(int(d.uvarint())),
+		Config:  string(d.bytes(int(d.uvarint()))),
+		Pattern: string(d.bytes(int(d.uvarint()))),
+	}
 	if d.err != nil {
-		return "", nil, d.err
+		return ResultFile{}, d.err
 	}
 	if d.rest() != 0 {
-		return "", nil, fmt.Errorf("store: %d trailing bytes after result", d.rest())
+		return ResultFile{}, fmt.Errorf("store: %d trailing bytes after result", d.rest())
 	}
-	return formula, tbl, nil
+	return r, nil
 }
 
 // verifyEnvelope checks the magic ∥ version ∥ ... ∥ sha256 envelope
@@ -516,7 +534,7 @@ func DecodeResult(data []byte) (formula string, tbl []byte, err error) {
 // one exception. A blob whose checksum verifies but whose version tag
 // is foreign returns ErrVersionSkew, which callers treat as "not mine,
 // but not broken": skip it, never quarantine it.
-func verifyEnvelope(kind, magic string, data []byte) error {
+func verifyEnvelope(kind, magic string, version uint64, data []byte) error {
 	if len(data) < len(magic)+1+digestLen {
 		return fmt.Errorf("store: %s too short (%d bytes)", kind, len(data))
 	}
@@ -531,19 +549,21 @@ func verifyEnvelope(kind, magic string, data []byte) error {
 	if k <= 0 {
 		return fmt.Errorf("store: %s version tag unreadable", kind)
 	}
-	if v != snapVersion {
-		return versionSkewError(kind, v)
+	if v != version {
+		return versionSkewError(kind, v, version)
 	}
 	return nil
 }
 
 // VerifySnapshot checks a system snapshot's integrity envelope
 // (magic, version, SHA-256 trailer) without decoding it.
-func VerifySnapshot(data []byte) error { return verifyEnvelope("snapshot", snapMagic, data) }
+func VerifySnapshot(data []byte) error {
+	return verifyEnvelope("snapshot", snapMagic, snapVersion, data)
+}
 
 // VerifyResult checks a memoized truth table's integrity envelope
 // without decoding it.
-func VerifyResult(data []byte) error { return verifyEnvelope("result", bitsMagic, data) }
+func VerifyResult(data []byte) error { return verifyEnvelope("result", bitsMagic, resultVersion, data) }
 
 // decoder is a cursor over a snapshot payload with sticky errors, so
 // decode loops stay linear instead of error-checking every varint.

@@ -98,13 +98,14 @@ func TestDecodeRejectsConfigContradictingViews(t *testing.T) {
 	}
 }
 
-// skewVersion bumps the version varint (offset = len(magic), value 1 →
-// one byte) and recomputes the trailer, yielding a checksum-valid blob
-// that only the version check rejects — the shape a newer build's
-// snapshot has when it shares a cache directory with this one.
+// skewVersion bumps the version varint (offset = len(magic), one byte
+// for snapshots and results alike) and recomputes the trailer,
+// yielding a checksum-valid blob that only the version check rejects —
+// the shape a newer build's file has when it shares a cache directory
+// with this one.
 func skewVersion(data []byte) []byte {
 	out := append([]byte(nil), data...)
-	out[len(snapMagic)] = snapVersion + 1
+	out[len(snapMagic)]++
 	sum := sha256.Sum256(out[:len(out)-digestLen])
 	copy(out[len(out)-digestLen:], sum[:])
 	return out
@@ -183,6 +184,53 @@ func TestCorruptionFallsBackWithoutPoisoning(t *testing.T) {
 				t.Fatalf("rewritten snapshot not warm-loadable: origin %v err %v", origin, err)
 			}
 		})
+	}
+}
+
+// TestKnownDigestCorruptionQuarantines: a store that has decoded a
+// snapshot knows its digest, and a payload byte flipped on disk leaves
+// the trailer, and so the digest, as it was. The same store's next
+// restore must still see the corruption: quarantine the file and
+// re-enumerate, as a fresh store does.
+func TestKnownDigestCorruptionQuarantines(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey()
+	if _, _, err := mustOpen(t, dir, 1).System(key); err != nil {
+		t.Fatal(err)
+	}
+	s, count := countingStore(t, dir, 1)
+	if _, origin, err := s.System(key); err != nil || origin != OriginDisk || s.Stats().SystemDecodes != 1 {
+		t.Fatalf("restore: origin %v, %v, %d decodes; want a full decode from disk", origin, err, s.Stats().SystemDecodes)
+	}
+	if _, _, err := s.System(Key{N: 3, T: 1, Mode: failures.Crash, Horizon: 3}); err != nil { // evicts key
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "systems", key.Slug()+".eba")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := count.Load()
+	if _, origin, err := s.System(key); err != nil || origin != OriginEnumerated || count.Load() != before+1 {
+		t.Fatalf("restore of a corrupted known snapshot: origin %v, %v, %d enumerations; want one re-enumeration",
+			origin, err, count.Load()-before)
+	}
+	if qf := s.QuarantinedFiles(); len(qf) != 1 || qf[0] != key.Slug()+".eba" {
+		t.Fatalf("quarantine holds %v, want the corrupted snapshot", qf)
+	}
+	if st := s.Stats(); st.DiskErrors != 1 || st.Quarantined != 1 {
+		t.Fatalf("stats %+v, want one disk error and one quarantined file", st)
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeSystem(rewritten); err != nil {
+		t.Fatalf("rewritten snapshot does not decode: %v", err)
 	}
 }
 
@@ -266,7 +314,7 @@ func TestResultVersionSkewFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	skewed := skewVersion(data) // bitsMagic and snapMagic share a length
-	if _, _, derr := DecodeResult(skewed); !errors.Is(derr, ErrVersionSkew) {
+	if _, derr := DecodeResult(skewed); !errors.Is(derr, ErrVersionSkew) {
 		t.Fatalf("DecodeResult on skewed blob: %v, want ErrVersionSkew", derr)
 	}
 	if err := os.WriteFile(matches[0], skewed, 0o644); err != nil {

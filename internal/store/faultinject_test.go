@@ -147,12 +147,12 @@ type faultFS struct {
 	inner store.FS
 }
 
-func (f *faultFS) ReadFile(path string, buf []byte) ([]byte, error) {
+func (f *faultFS) ReadFile(path string) ([]byte, error) {
 	f.in.maybeSlow()
 	if f.in.takeTransient(&f.in.readsLeft) {
 		return nil, fmt.Errorf("%w: transient read error on %s", errInjected, path)
 	}
-	return f.inner.ReadFile(path, buf)
+	return f.inner.ReadFile(path)
 }
 
 func (f *faultFS) WriteAtomic(path string, data []byte) error {
@@ -219,7 +219,7 @@ func driveSequence(t *testing.T, in *injector, dir string) []bool {
 		path := filepath.Join(dir, "f.bin")
 		werr := fs.WriteAtomic(path, data)
 		faults = append(faults, werr != nil)
-		_, rerr := fs.ReadFile(path, nil)
+		_, rerr := fs.ReadFile(path)
 		faults = append(faults, rerr != nil)
 	}
 	return faults
@@ -291,14 +291,12 @@ func TestTransientErrorsExpire(t *testing.T) {
 		t.Fatalf("second write should succeed: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := fs.ReadFile(path, nil); !errors.Is(err, errInjected) {
+		if _, err := fs.ReadFile(path); !errors.Is(err, errInjected) {
 			t.Fatalf("read %d: %v, want injected transient", i, err)
 		}
 	}
-	// The read that succeeds fills the caller's buffer.
-	buf := make([]byte, 0, 1024)
-	if got, err := fs.ReadFile(path, buf); err != nil || string(got) != "xx" || &got[0] != &buf[:1][0] {
-		t.Fatalf("third read should succeed into the buffer: %q, %v", got, err)
+	if got, err := fs.ReadFile(path); err != nil || string(got) != "xx" {
+		t.Fatalf("third read should succeed: %q, %v", got, err)
 	}
 	if c := in.Counts(); c.TransientErrors != 3 {
 		t.Fatalf("counts = %+v, want 3 transient errors", c)
@@ -306,7 +304,7 @@ func TestTransientErrorsExpire(t *testing.T) {
 }
 
 // TestTransientSnapshotReadFallsBack: the store reads snapshots through
-// its FS, read buffer and all, so an injected read error reaches the
+// its FS, so an injected read error reaches the
 // restore path, which falls back to enumerating.
 func TestTransientSnapshotReadFallsBack(t *testing.T) {
 	dir := t.TempDir()

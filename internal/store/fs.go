@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 )
@@ -11,10 +10,8 @@ import (
 // an FS to tear writes, slow I/O, or fail operations transiently, so
 // crash-safety and degradation are testable without killing processes.
 type FS interface {
-	// ReadFile reads the named file into buf's storage when it has
-	// room for the file and bytes.MinRead more, into a fresh slice
-	// otherwise; buf may be nil.
-	ReadFile(path string, buf []byte) ([]byte, error)
+	// ReadFile reads the named file into a fresh slice.
+	ReadFile(path string) ([]byte, error)
 	// WriteAtomic durably replaces path with data: the implementation
 	// must guarantee that after a crash the file at path is either the
 	// old content or the new content, never a prefix of the new one.
@@ -28,25 +25,8 @@ type FS interface {
 // OSFS is the real filesystem with a crash-safe write discipline.
 type OSFS struct{}
 
-// ReadFile reads the named file into buf's storage when it has room
-// for the file and bytes.MinRead more, into a fresh slice otherwise.
-func (OSFS) ReadFile(path string, buf []byte) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	// ReadFrom wants MinRead bytes free before each read, the one that
-	// reports EOF included.
-	if info, err := f.Stat(); err == nil && cap(buf) < int(info.Size())+bytes.MinRead {
-		buf = make([]byte, 0, int(info.Size())+bytes.MinRead)
-	}
-	b := bytes.NewBuffer(buf[:0])
-	if _, err := b.ReadFrom(f); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
+// ReadFile reads the named file into a fresh slice.
+func (OSFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
 
 // ReadDir lists the named directory.
 func (OSFS) ReadDir(dir string) ([]os.DirEntry, error) { return os.ReadDir(dir) }

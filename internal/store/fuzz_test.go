@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/eventual-agreement/eba/internal/failures"
@@ -77,18 +78,25 @@ func FuzzDecodeSystem(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResult does the same for the truth-table envelope.
+// FuzzDecodeResult does the same for the truth-table envelope, and
+// holds whatever decodes to a round trip through EncodeResult.
 func FuzzDecodeResult(f *testing.F) {
-	f.Add(EncodeResult("Cbox E0", []byte{1, 2, 3}))
+	f.Add(EncodeResult(ResultFile{Formula: "Cbox E0", Table: []byte{1, 2, 3}}))
 	f.Add([]byte(bitsMagic))
 	f.Add([]byte{})
+	f.Add(EncodeResult(ResultFile{
+		Formula: "C E0 -> Cbox E0", Table: []byte{4, 5},
+		Config: "011", Pattern: "crash: faulty={1} p1[crash@1 silent to {0}]",
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		formula, tbl, err := DecodeResult(data)
-		if err == nil && formula == "" && len(tbl) == 0 && len(data) > 64 {
-			// Decoding success with empty contents is legal only for a
-			// genuinely empty envelope; nothing to assert beyond no
-			// panic.
-			_ = formula
+		got, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		again, err := DecodeResult(EncodeResult(got))
+		if err != nil || again.Formula != got.Formula || !bytes.Equal(again.Table, got.Table) ||
+			again.Config != got.Config || again.Pattern != got.Pattern {
+			t.Fatalf("decoded %+v, which re-encodes to %+v (%v)", got, again, err)
 		}
 	})
 }

@@ -3,4 +3,7 @@
 package store
 
 // Planted bug: see mutant_off.go.
-const mutantLane2NoCheck = true
+const (
+	mutantLane2NoCheck = true
+	mutantWitnessRun   = false
+)

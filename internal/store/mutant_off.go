@@ -1,13 +1,19 @@
-//go:build !mutant_lane2nocheck
+//go:build !mutant_lane2nocheck && !mutant_witnessrun
 
 package store
 
 // Mutation switches. Each is false here; a file built only under the
 // tag mutant_<name> sets one of them, planting a known bug in the
-// snapshot decoder that the lane tests must catch:
+// store that the test named beside it must catch:
 //
 //   - mutantLane2NoCheck makes the run table's second lane skip the
-//     per-run check (system.Restorer.CheckRun).
+//     per-run check (system.Restorer.CheckRun): TestLaneErrorsMatch;
+//   - mutantWitnessRun writes the configuration of the run after the
+//     first falsifying point's into a result file:
+//     TestAnswerOriginsAgree.
 //
 // They are constants, so the default build compiles every branch away.
-const mutantLane2NoCheck = false
+const (
+	mutantLane2NoCheck = false
+	mutantWitnessRun   = false
+)

@@ -68,6 +68,10 @@ func (o Origin) String() string {
 type Stats struct {
 	SystemMemoryHits uint64 `json:"system_memory_hits"`
 	SystemDiskHits   uint64 `json:"system_disk_hits"`
+	// SystemDecodes counts full snapshot decodes: a restore of a digest
+	// the store does not know, and the first use of a system restored
+	// undecoded.
+	SystemDecodes    uint64 `json:"system_decodes"`
 	Enumerations     uint64 `json:"enumerations"`
 	SharedLoads      uint64 `json:"shared_loads"`
 	ResultMemoryHits uint64 `json:"result_memory_hits"`
@@ -115,27 +119,52 @@ func newAnswer(sys *system.System, tbl *knowledge.Bits) *Answer {
 	return a
 }
 
+// Shape is the size of a system, known without its run table.
+type Shape struct {
+	Runs, Points, Views int
+}
+
+func shapeOf(sys *system.System) Shape {
+	return Shape{Runs: sys.NumRuns(), Points: sys.NumPoints(), Views: sys.Interner.Size()}
+}
+
+// known is what a store remembers of a snapshot it has decoded in full
+// or encoded itself.
+type known struct {
+	key   Key
+	shape Shape
+}
+
 // entry is one resident system plus its memoized answers, which live
-// and die with it.
+// and die with it. An entry restored from a snapshot whose digest the
+// store knows holds the verified snapshot bytes instead of a system,
+// until the first call of Store.system decodes them.
 type entry struct {
 	key     Key
-	sys     *system.System
+	shape   Shape
 	digest  string // content address; "" when the store is memory-only
 	size    int    // encoded snapshot size in bytes
 	results map[string]*Answer
 	elem    *list.Element
 	loaded  time.Time
 	origin  Origin
+
+	// decode runs the one decode of data into sys, then drops data. An
+	// entry admitted decoded has sys set and data nil from the start.
+	decode sync.Once
+	data   []byte
+	sys    *system.System
+	err    error
 }
 
-// flight is one in-progress system load; later requests for the same
-// key wait on done instead of loading again.
+// flight is one in-progress system load or truth-table computation;
+// later requests for the same one wait on done instead of repeating
+// it.
 type flight struct {
-	done   chan struct{}
-	sys    *system.System
-	ans    *Answer
-	origin Origin
-	err    error
+	done chan struct{}
+	e    *entry
+	ans  *Answer
+	err  error
 }
 
 type resultFlightKey struct {
@@ -158,6 +187,10 @@ type Store struct {
 	inflight  map[Key]*flight
 	resFlight map[resultFlightKey]*flight
 	stats     Stats
+	// known maps the digest of every snapshot this store has decoded in
+	// full or encoded to its key and shape. It is never pruned: one
+	// small row per snapshot.
+	known map[string]known
 
 	// enumerate builds a system on a full miss; tests replace it
 	// through SetEnumerator.
@@ -167,14 +200,6 @@ type Store struct {
 	// move with the destination path. The flight recorder uses it to
 	// dump the trace ring when corruption surfaces.
 	quarantineHook func(path string)
-
-	// readBuf is the snapshot read buffer, lent to one load at a time
-	// (readLent, under mu), so a restore reads into memory that is
-	// already faulted in instead of a fresh slice. A decoded system
-	// holds no reference into it. It grows to the largest snapshot
-	// read.
-	readBuf  []byte
-	readLent bool
 }
 
 // DefaultMaxMem is the default in-memory system bound. Systems are the
@@ -216,6 +241,7 @@ func OpenWithFS(dir string, maxMem int, fsys FS) (*Store, error) {
 		lru:       list.New(),
 		inflight:  make(map[Key]*flight),
 		resFlight: make(map[resultFlightKey]*flight),
+		known:     make(map[string]known),
 	}
 	s.enumerate = enumerateKey
 	s.recoverScan()
@@ -285,7 +311,7 @@ func (s *Store) scanDir(dir string, verify func([]byte) error) {
 			s.quarantine(path)
 			continue
 		}
-		data, err := s.fsys.ReadFile(path, nil)
+		data, err := s.fsys.ReadFile(path)
 		if err != nil {
 			continue // unreadable now ≠ corrupt; the read path retries
 		}
@@ -402,6 +428,28 @@ func (s *Store) System(key Key) (*system.System, Origin, error) {
 // up as child spans of the caller's span. The context does not cancel
 // the load — a shared load serves other waiters too.
 func (s *Store) SystemCtx(ctx context.Context, key Key) (*system.System, Origin, error) {
+	e, origin, err := s.acquire(ctx, key)
+	if err != nil {
+		return nil, origin, err
+	}
+	sys, err := s.system(ctx, e)
+	return sys, origin, err
+}
+
+// Resident makes the key's system resident, as SystemCtx does, and
+// returns its shape. A restore of a snapshot whose digest the store
+// knows leaves it undecoded: the first compute over it decodes it.
+func (s *Store) Resident(ctx context.Context, key Key) (Shape, Origin, error) {
+	e, origin, err := s.acquire(ctx, key)
+	if err != nil {
+		return Shape{}, origin, err
+	}
+	return e.shape, origin, nil
+}
+
+// acquire returns the key's entry from memory, or admits one from disk
+// or a fresh enumeration. Concurrent misses on one key share one load.
+func (s *Store) acquire(ctx context.Context, key Key) (*entry, Origin, error) {
 	if err := key.Validate(); err != nil {
 		return nil, OriginEnumerated, err
 	}
@@ -411,7 +459,7 @@ func (s *Store) SystemCtx(ctx context.Context, key Key) (*system.System, Origin,
 		s.stats.SystemMemoryHits++
 		s.mu.Unlock()
 		mSysMem.Inc()
-		return e.sys, OriginMemory, nil
+		return e, OriginMemory, nil
 	}
 	if f, ok := s.inflight[key]; ok {
 		s.stats.SharedLoads++
@@ -428,33 +476,52 @@ func (s *Store) SystemCtx(ctx context.Context, key Key) (*system.System, Origin,
 			// one, so a retry gets a fresh attempt.
 			return nil, OriginShared, fmt.Errorf("%w: shared load of %s failed: %v", ErrRetryable, key, f.err)
 		}
-		return f.sys, OriginShared, nil
+		return f.e, OriginShared, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	s.inflight[key] = f
 	s.mu.Unlock()
 
-	sys, digest, size, origin, err := s.load(ctx, key)
+	e, err := s.load(ctx, key)
 
 	s.mu.Lock()
 	delete(s.inflight, key)
 	if err == nil {
-		s.admit(key, sys, digest, size, origin)
+		s.admit(e)
 	}
-	f.sys, f.origin, f.err = sys, origin, err
+	f.e, f.err = e, err
 	close(f.done)
 	s.mu.Unlock()
-	return sys, origin, err
+	if err != nil {
+		return nil, OriginEnumerated, err
+	}
+	return e, e.origin, nil
+}
+
+// system returns the entry's system, decoding its snapshot bytes on the
+// first call. Concurrent first calls share the one decode.
+func (s *Store) system(ctx context.Context, e *entry) (*system.System, error) {
+	e.decode.Do(func() {
+		if e.data == nil {
+			return
+		}
+		_, sp := telemetry.StartSpan(ctx, "store.decode", telemetry.L("key", e.key.Slug()))
+		_, e.sys, e.err = DecodeSystem(e.data)
+		sp.End()
+		e.data = nil
+		s.noteDecode()
+	})
+	return e.sys, e.err
 }
 
 // load misses memory: try the disk snapshot, then enumerate and
 // persist. Called without the lock held.
-func (s *Store) load(ctx context.Context, key Key) (*system.System, string, int, Origin, error) {
+func (s *Store) load(ctx context.Context, key Key) (*entry, error) {
 	versionSkewed := false
 	if s.dir != "" {
-		sys, digest, size, skewed := s.restore(ctx, key)
-		if sys != nil {
-			return sys, digest, size, OriginDisk, nil
+		e, skewed := s.restore(ctx, key)
+		if e != nil {
+			return e, nil
 		}
 		versionSkewed = skewed
 	}
@@ -462,88 +529,89 @@ func (s *Store) load(ctx context.Context, key Key) (*system.System, string, int,
 	sys, err := s.enumerate(key)
 	enumSp.End()
 	if err != nil {
-		return nil, "", 0, OriginEnumerated, err
+		return nil, err
 	}
 	s.mu.Lock()
 	s.stats.Enumerations++
 	s.mu.Unlock()
 	mSysEnum.Inc()
 
-	digest, size := "", 0
+	e := &entry{key: key, shape: shapeOf(sys), sys: sys, origin: OriginEnumerated}
 	if s.dir != "" && !versionSkewed {
 		data, err := EncodeSystem(key, sys)
 		if err != nil {
-			return nil, "", 0, OriginEnumerated, err
+			return nil, err
 		}
-		digest, size = Digest(data), len(data)
+		e.digest, e.size = Digest(data), len(data)
+		s.learn(e)
 		if err := s.fsys.WriteAtomic(s.systemPath(key), data); err != nil {
 			// Persistence failure degrades to memory-only for this
 			// system; the answer itself is still good.
 			s.noteDiskError()
 		}
 	}
-	return sys, digest, size, OriginEnumerated, nil
+	return e, nil
 }
 
-// restore reads and decodes key's snapshot file, returning a nil system
-// when there is none to serve. skewed reports a valid snapshot written
-// by a different build.
-func (s *Store) restore(ctx context.Context, key Key) (sys *system.System, digest string, size int, skewed bool) {
+// restore reads key's snapshot file, returning a nil entry when there
+// is none to serve. skewed reports a valid snapshot written by a
+// different build. A snapshot whose digest the store knows under this
+// key is admitted undecoded once its checksum verifies: the checksum
+// pins the bytes to ones this store has already decoded and checked in
+// full (or encoded), and decoding is deterministic. Any other snapshot
+// is decoded in full.
+func (s *Store) restore(ctx context.Context, key Key) (e *entry, skewed bool) {
 	path := s.systemPath(key)
-	buf, lent := s.lendReadBuf()
-	data, err := s.fsys.ReadFile(path, buf)
-	if lent {
-		defer s.returnReadBuf(buf, data)
-	}
+	data, err := s.fsys.ReadFile(path)
 	if err != nil {
-		return nil, "", 0, false
+		return nil, false
 	}
-	_, decSp := telemetry.StartSpan(ctx, "store.decode", telemetry.L("key", key.Slug()))
-	gotKey, sys, derr := DecodeSystem(data)
-	decSp.End()
-	switch {
-	case errors.Is(derr, ErrVersionSkew):
-		// A foreign build's valid snapshot is not corruption: leave the
-		// file exactly as it is (no quarantine, and no overwrite by the
-		// caller — the build that wrote it still wants it) and serve
-		// this request from a fresh enumeration, memory-only.
-		return nil, "", 0, true
-	case derr != nil || gotKey != key:
-		// A corrupt snapshot is not fatal: quarantine the evidence and
-		// fall through to enumeration, which rewrites a fresh one.
-		// Surface the event in stats and telemetry.
-		s.noteDiskError()
-		s.quarantine(path)
-		return nil, "", 0, false
+	e = &entry{key: key, digest: Digest(data), size: len(data), origin: OriginDisk}
+	s.mu.Lock()
+	k, ok := s.known[e.digest]
+	s.mu.Unlock()
+	if ok && k.key == key && VerifySnapshot(data) == nil {
+		e.shape, e.data = k.shape, data
+	} else {
+		_, decSp := telemetry.StartSpan(ctx, "store.decode", telemetry.L("key", key.Slug()))
+		gotKey, sys, derr := DecodeSystem(data)
+		decSp.End()
+		s.noteDecode()
+		switch {
+		case errors.Is(derr, ErrVersionSkew):
+			// A foreign build's valid snapshot is not corruption: leave the
+			// file exactly as it is (no quarantine, and no overwrite by the
+			// caller — the build that wrote it still wants it) and serve
+			// this request from a fresh enumeration, memory-only.
+			return nil, true
+		case derr != nil || gotKey != key:
+			// A corrupt snapshot is not fatal: quarantine the evidence and
+			// fall through to enumeration, which rewrites a fresh one.
+			// Surface the event in stats and telemetry.
+			s.noteDiskError()
+			s.quarantine(path)
+			return nil, false
+		}
+		e.shape, e.sys = shapeOf(sys), sys
+		s.learn(e)
 	}
 	s.mu.Lock()
 	s.stats.SystemDiskHits++
 	s.mu.Unlock()
 	mSysDisk.Inc()
-	return sys, Digest(data), len(data), false
+	return e, false
 }
 
-// lendReadBuf lends the snapshot read buffer to the caller, unless
-// another load holds it; then the caller reads into a fresh slice.
-func (s *Store) lendReadBuf() ([]byte, bool) {
+// learn files the entry's snapshot digest as known.
+func (s *Store) learn(e *entry) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.readLent {
-		return nil, false
-	}
-	s.readLent = true
-	return s.readBuf, true
+	s.known[e.digest] = known{key: e.key, shape: e.shape}
+	s.mu.Unlock()
 }
 
-// returnReadBuf takes the lent buffer back, keeping whichever of it and
-// the data read is larger (a read that outgrew the buffer allocated a
-// fresh slice).
-func (s *Store) returnReadBuf(buf, data []byte) {
-	if cap(data) > cap(buf) {
-		buf = data
-	}
+func (s *Store) noteDecode() {
 	s.mu.Lock()
-	s.readBuf, s.readLent = buf[:0], false
+	s.stats.SystemDecodes++
 	s.mu.Unlock()
 }
 
@@ -553,20 +621,17 @@ func (s *Store) noteDiskError() {
 	s.mu.Unlock()
 }
 
-// admit inserts a loaded system into the memory layer, evicting from
+// admit inserts a loaded entry into the memory layer, evicting from
 // the LRU tail past maxMem. Caller holds the lock.
-func (s *Store) admit(key Key, sys *system.System, digest string, size int, origin Origin) {
-	if e, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(e.elem)
+func (s *Store) admit(e *entry) {
+	if old, ok := s.entries[e.key]; ok {
+		s.lru.MoveToFront(old.elem)
 		return
 	}
-	e := &entry{
-		key: key, sys: sys, digest: digest, size: size,
-		results: make(map[string]*Answer),
-		loaded:  time.Now(), origin: origin,
-	}
+	e.results = make(map[string]*Answer)
+	e.loaded = time.Now()
 	e.elem = s.lru.PushFront(e)
-	s.entries[key] = e
+	s.entries[e.key] = e
 	for s.lru.Len() > s.maxMem {
 		tail := s.lru.Back()
 		old := tail.Value.(*entry)
@@ -590,19 +655,20 @@ func (s *Store) Result(key Key, formula string, compute func(*system.System) (*k
 }
 
 // AnswerCtx is Result with a caller context carrying the request's
-// trace (singleflight waits and the compute itself become child
-// spans), returning the memoized Answer: the table plus its true-point
-// count and first falsifying point, computed once when the table
-// entered the memo. A memory hit is one map lookup.
+// trace (singleflight waits, a first decode and the compute itself
+// become child spans), returning the memoized Answer: the table plus
+// its true-point count and first falsifying point, computed once when
+// the table entered the memo. A memory hit is one map lookup; a disk
+// hit needs no decoded system.
 func (s *Store) AnswerCtx(ctx context.Context, key Key, formula string, compute func(*system.System) (*knowledge.Bits, error)) (*Answer, Origin, error) {
-	sys, _, err := s.SystemCtx(ctx, key)
+	e, _, err := s.acquire(ctx, key)
 	if err != nil {
 		return nil, OriginEnumerated, err
 	}
 	rk := resultFlightKey{key: key, formula: formula}
 	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		if ans, ok := e.results[formula]; ok {
+	if cur, ok := s.entries[key]; ok {
+		if ans, ok := cur.results[formula]; ok {
 			s.stats.ResultMemoryHits++
 			s.mu.Unlock()
 			return ans, OriginMemory, nil
@@ -620,46 +686,37 @@ func (s *Store) AnswerCtx(ctx context.Context, key Key, formula string, compute 
 	}
 	f := &flight{done: make(chan struct{})}
 	s.resFlight[rk] = f
-	digest := ""
-	if e, ok := s.entries[key]; ok {
-		digest = e.digest
-	}
 	s.mu.Unlock()
 
-	tbl, origin, err := s.loadResult(ctx, sys, digest, formula, compute)
-	var ans *Answer
-	if err == nil {
-		ans = newAnswer(sys, tbl)
-	}
+	ans, origin, err := s.loadResult(ctx, e, formula, compute)
 
 	s.mu.Lock()
 	delete(s.resFlight, rk)
 	if err == nil {
-		if e, ok := s.entries[key]; ok {
-			e.results[formula] = ans
+		if cur, ok := s.entries[key]; ok {
+			cur.results[formula] = ans
 		}
 	}
-	f.ans, f.origin, f.err = ans, origin, err
+	f.ans, f.err = ans, err
 	close(f.done)
 	s.mu.Unlock()
 	return ans, origin, err
 }
 
-// loadResult misses the memo: try the disk layer, then compute and
-// persist. Called without the lock held.
-func (s *Store) loadResult(ctx context.Context, sys *system.System, digest, formula string, compute func(*system.System) (*knowledge.Bits, error)) (*knowledge.Bits, Origin, error) {
-	persistable := s.dir != "" && digest != ""
+// loadResult misses the memo: try the disk layer, then compute over
+// the entry's system and persist. Called without the lock held.
+func (s *Store) loadResult(ctx context.Context, e *entry, formula string, compute func(*system.System) (*knowledge.Bits, error)) (*Answer, Origin, error) {
+	persistable := s.dir != "" && e.digest != ""
 	if persistable {
-		path := s.resultPath(digest, formula)
-		if data, err := s.fsys.ReadFile(path, nil); err == nil {
-			gotFormula, packed, derr := DecodeResult(data)
-			if derr == nil && gotFormula == formula {
-				var tbl knowledge.Bits
-				if err := tbl.UnmarshalBinary(packed); err == nil && tbl.Len() == sys.NumPoints() {
+		path := s.resultPath(e.digest, formula)
+		if data, err := s.fsys.ReadFile(path); err == nil {
+			r, derr := DecodeResult(data)
+			if derr == nil && r.Formula == formula {
+				if ans := e.fileAnswer(r); ans != nil {
 					s.mu.Lock()
 					s.stats.ResultDiskHits++
 					s.mu.Unlock()
-					return &tbl, OriginDisk, nil
+					return ans, OriginDisk, nil
 				}
 			}
 			if errors.Is(derr, ErrVersionSkew) {
@@ -672,6 +729,10 @@ func (s *Store) loadResult(ctx context.Context, sys *system.System, digest, form
 			}
 		}
 	}
+	sys, err := s.system(ctx, e)
+	if err != nil {
+		return nil, OriginEnumerated, err
+	}
 	_, sp := telemetry.StartSpan(ctx, "store.compute")
 	tbl, err := compute(sys)
 	sp.End()
@@ -681,16 +742,45 @@ func (s *Store) loadResult(ctx context.Context, sys *system.System, digest, form
 	s.mu.Lock()
 	s.stats.ResultComputes++
 	s.mu.Unlock()
+	ans := newAnswer(sys, tbl)
 	if persistable {
 		packed, err := tbl.MarshalBinary()
 		if err == nil {
-			err = s.fsys.WriteAtomic(s.resultPath(digest, formula), EncodeResult(formula, packed))
+			r := ResultFile{Formula: formula, Table: packed}
+			if w := ans.Witness; w != nil {
+				r.Config, r.Pattern = w.Config, w.Pattern
+				if mutantWitnessRun {
+					r.Config = sys.Run((w.Run + 1) % sys.NumRuns()).Config().String()
+				}
+			}
+			err = s.fsys.WriteAtomic(s.resultPath(e.digest, formula), EncodeResult(r))
 		}
 		if err != nil {
 			s.noteDiskError()
 		}
 	}
-	return tbl, OriginEnumerated, nil
+	return ans, OriginEnumerated, nil
+}
+
+// fileAnswer is the Answer a result file holds for the entry's system,
+// or nil when the file does not fit it: a table of another size, or
+// witness text present exactly when the table is valid. The falsifying
+// point's run and time follow from its index, as in system.PointAt.
+func (e *entry) fileAnswer(r ResultFile) *Answer {
+	var tbl knowledge.Bits
+	if tbl.UnmarshalBinary(r.Table) != nil || tbl.Len() != e.shape.Points {
+		return nil
+	}
+	a := &Answer{Table: &tbl, True: tbl.Count(), First: tbl.FirstZero()}
+	valid := a.First < 0
+	if valid != (r.Config == "") || valid != (r.Pattern == "") {
+		return nil
+	}
+	if !valid {
+		times := e.key.Horizon + 1
+		a.Witness = &Witness{Run: a.First / times, Time: a.First % times, Config: r.Config, Pattern: r.Pattern}
+	}
+	return a
 }
 
 // SystemInfo is one inventory row for GET /v1/systems.
@@ -720,9 +810,9 @@ func (s *Store) Inventory() []SystemInfo {
 			Mode:      e.key.Mode.String(),
 			Slug:      e.key.Slug(),
 			Digest:    e.digest,
-			Runs:      e.sys.NumRuns(),
-			Points:    e.sys.NumPoints(),
-			Views:     e.sys.Interner.Size(),
+			Runs:      e.shape.Runs,
+			Points:    e.shape.Points,
+			Views:     e.shape.Views,
 			SizeBytes: e.size,
 			Results:   len(e.results),
 			Origin:    e.origin.String(),

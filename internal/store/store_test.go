@@ -1,8 +1,10 @@
 package store
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -278,45 +280,148 @@ func TestKeyValidate(t *testing.T) {
 	}
 }
 
-// TestRestoreKeepsNoReferenceToReadBuffer: a restore reads the snapshot
-// into the store's one read buffer, which the next restore overwrites.
-// Overwriting it must leave the resident system as it was: re-encoding
-// the system gives the file's digest.
-func TestRestoreKeepsNoReferenceToReadBuffer(t *testing.T) {
+// TestLazyRestoreReencodesAndReleasesBytes: restoring a snapshot this
+// store wrote itself decodes nothing, and the entry holds the file's
+// bytes. The first use decodes them once into a system that re-encodes
+// to the file's digest, and the entry then lets the bytes go.
+func TestLazyRestoreReencodesAndReleasesBytes(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey()
-	if _, _, err := mustOpen(t, dir, 2).System(key); err != nil {
-		t.Fatal(err)
+	s := mustOpen(t, dir, 1)
+	for _, k := range []Key{key, {N: 3, T: 1, Mode: failures.Crash, Horizon: 3}} {
+		if _, origin, err := s.System(k); err != nil || origin != OriginEnumerated {
+			t.Fatalf("%s: origin %v, %v", k, origin, err)
+		}
 	}
-	s := mustOpen(t, dir, 2)
-	sys, origin, err := s.System(key)
+	shape, origin, err := s.Resident(context.Background(), key)
 	if err != nil || origin != OriginDisk {
 		t.Fatalf("restore: origin %v, %v", origin, err)
+	}
+	if d := s.Stats().SystemDecodes; d != 0 {
+		t.Fatalf("restoring a snapshot the store wrote decoded it %d times, want 0", d)
+	}
+	s.mu.Lock()
+	e := s.entries[key]
+	s.mu.Unlock()
+	if e.data == nil || e.sys != nil {
+		t.Fatal("the restored entry holds a decoded system, not the snapshot's bytes")
+	}
+	sys, origin, err := s.System(key)
+	if err != nil || origin != OriginMemory {
+		t.Fatalf("first use: origin %v, %v", origin, err)
+	}
+	if d := s.Stats().SystemDecodes; d != 1 {
+		t.Fatalf("first use decoded %d times, want 1", d)
+	}
+	if e.data != nil {
+		t.Fatal("the entry kept its snapshot bytes after decoding them")
+	}
+	if shape != shapeOf(sys) {
+		t.Fatalf("restored shape %+v, decoded system's %+v", shape, shapeOf(sys))
 	}
 	data, err := os.ReadFile(s.systemPath(key))
 	if err != nil {
 		t.Fatal(err)
-	}
-	buf := s.readBuf[:cap(s.readBuf)]
-	if len(buf) < len(data) {
-		t.Fatalf("the store kept a %d-byte read buffer after reading %d bytes", len(buf), len(data))
-	}
-	for i := range buf {
-		buf[i] = 0xff
 	}
 	again, err := EncodeSystem(key, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if Digest(again) != Digest(data) {
-		t.Fatalf("after the read buffer was overwritten the system encodes to %s, want %s", Digest(again), Digest(data))
+		t.Fatalf("the lazily decoded system encodes to %s, want the file's %s", Digest(again), Digest(data))
+	}
+	if _, _, err := s.System(key); err != nil || s.Stats().SystemDecodes != 1 {
+		t.Fatalf("second use: %v, %d decodes, want still 1", err, s.Stats().SystemDecodes)
+	}
+}
+
+// TestLazyEntryDecodesOnceUnderConcurrentComputes: eight goroutines
+// compute eight formulas over one entry restored undecoded, while
+// another lists the inventory. The entry is decoded once, and every
+// answer is the one a freshly enumerated system gives.
+func TestLazyEntryDecodesOnceUnderConcurrentComputes(t *testing.T) {
+	formulas := []string{
+		"C E0 -> Cbox E0", "Cbox E0 -> C E0", "K0 E0", "E E0 -> Cbox E0",
+		"Cdia E0", "B1 E1", "C E1 -> Cbox E1", "ev K1 E1",
+	}
+	compute := func(f string) func(*system.System) (*knowledge.Bits, error) {
+		return func(sys *system.System) (*knowledge.Bits, error) {
+			parsed, err := knowledge.Parse(f)
+			if err != nil {
+				return nil, err
+			}
+			return knowledge.NewEvaluator(sys).Eval(parsed), nil
+		}
+	}
+	dir := t.TempDir()
+	key := Key{N: 3, T: 1, Mode: failures.Omission, Horizon: 2, Limit: 500}
+	s := mustOpen(t, dir, 1)
+	ref, _, err := s.System(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*Answer, len(formulas))
+	for i, f := range formulas {
+		tbl, err := compute(f)(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = newAnswer(ref, tbl)
+	}
+	if _, _, err := s.System(testKey()); err != nil { // evicts key
+		t.Fatal(err)
+	}
+	if _, origin, err := s.Resident(context.Background(), key); err != nil || origin != OriginDisk {
+		t.Fatalf("restore: origin %v, %v", origin, err)
+	}
+	decodes := s.Stats().SystemDecodes
+
+	stop := make(chan struct{})
+	listed := make(chan struct{})
+	go func() {
+		defer close(listed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				for _, row := range s.Inventory() {
+					if row.Key == key && row.Points != ref.NumPoints() {
+						t.Errorf("inventory lists %d points, want %d", row.Points, ref.NumPoints())
+					}
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i, f := range formulas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, origin, err := s.AnswerCtx(context.Background(), key, f, compute(f))
+			if err != nil || origin != OriginEnumerated {
+				t.Errorf("%s: origin %v, %v", f, origin, err)
+				return
+			}
+			if got.True != want[i].True || got.First != want[i].First || !reflect.DeepEqual(got.Witness, want[i].Witness) {
+				t.Errorf("%s: %d true, first %d, witness %+v; want %d, %d, %+v",
+					f, got.True, got.First, got.Witness, want[i].True, want[i].First, want[i].Witness)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-listed
+	if d := s.Stats().SystemDecodes - decodes; d != 1 {
+		t.Fatalf("%d concurrent computes on a lazy entry decoded it %d times, want 1", len(formulas), d)
 	}
 }
 
 // TestConcurrentRestoresOfTwoKeys restores two keys from two goroutines
 // through a one-system store, so every request evicts the other key
-// and most restores overlap: one reads into the store's buffer, the
-// other into a fresh one. Every restored system must be its own file's.
+// and most restores overlap, each admitting the snapshot's bytes
+// undecoded and decoding them on first use. Every restored system must
+// be its own file's.
 func TestConcurrentRestoresOfTwoKeys(t *testing.T) {
 	dir := t.TempDir()
 	keys := []Key{testKey(), {N: 3, T: 1, Mode: failures.Omission, Horizon: 2, Limit: 500}}
