@@ -41,7 +41,7 @@ func run() int {
 		deadline = flag.Duration("deadline", 200*time.Millisecond, "live per-round receive deadline")
 		corpus   = flag.String("corpus", "conform-corpus.jsonl", "JSONL failure corpus path (empty = don't write)")
 		cacheDir = flag.String("cachedir", "", "snapshot store directory (empty = temp dir)")
-		mutant   = flag.String("mutant", "", "test-only fault injection: law | oracle | differential | cluster | reconstruction | parity | prefix")
+		mutant   = flag.String("mutant", "", "test-only fault injection: law | oracle | differential | reconstruction | parity | prefix")
 		modeList = flag.String("mode", "", "comma-separated failure-mode filter: crash | omission | receiving-omission | general-omission (empty = all)")
 		quiet    = flag.Bool("q", false, "suppress progress lines")
 	)

@@ -22,7 +22,8 @@ import (
 
 // ebadBin is the daemon built from this directory, once per test run:
 // the tests drive the real process — flags, exit codes, signals, HTTP.
-var ebadBin string
+// ebaqBin is its command-line client, built beside it.
+var ebadBin, ebaqBin string
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "ebad-test")
@@ -30,11 +31,13 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	ebadBin = filepath.Join(dir, "ebad")
-	if out, err := exec.Command("go", "build", "-o", ebadBin, ".").CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
-		os.RemoveAll(dir)
-		os.Exit(1)
+	ebadBin, ebaqBin = filepath.Join(dir, "ebad"), filepath.Join(dir, "ebaq")
+	for bin, pkg := range map[string]string{ebadBin: ".", ebaqBin: "../ebaq"} {
+		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+			fmt.Fprintf(os.Stderr, "go build %s: %v\n%s", pkg, err, out)
+			os.RemoveAll(dir)
+			os.Exit(1)
+		}
 	}
 	code := m.Run()
 	os.RemoveAll(dir)
@@ -125,6 +128,17 @@ func (d *daemon) healthy(within time.Duration) bool {
 	return false
 }
 
+// get fetches one path and returns the status and the response body.
+func (d *daemon) get(path string) (int, []byte, error) {
+	resp, err := http.Get(d.url + path)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, data, err
+}
+
 // post sends one JSON body and returns the status, the Retry-After
 // header and the response body.
 func (d *daemon) post(path, body string) (int, string, []byte, error) {
@@ -196,9 +210,10 @@ func TestServeAndDrain(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: the removed load-generator modes and any positional
-// argument are usage errors (exit 2, usage on stderr), not a daemon on
-// the default port with the rest of the command line dropped.
+// TestUsageErrors: the removed load-generator modes, the removed
+// cluster flags and any positional argument are usage errors (exit 2,
+// usage on stderr), not a daemon on the default port with the rest of
+// the command line dropped.
 func TestUsageErrors(t *testing.T) {
 	type usageCase struct {
 		name string
@@ -212,6 +227,10 @@ func TestUsageErrors(t *testing.T) {
 	for _, mode := range []string{"load", "overload", "cluster-load"} {
 		cases = append(cases, usageCase{mode + " flag", []string{"-" + mode, "http://127.0.0.1:1"}, "flag provided but not defined: -" + mode})
 	}
+	cases = append(cases,
+		usageCase{"self flag", []string{"-self", "n1"}, "flag provided but not defined: -self"},
+		usageCase{"peers flag", []string{"-peers", "n1=http://127.0.0.1:1"}, "flag provided but not defined: -peers"},
+	)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			stderr, code := runEbad(t, tc.args...)
@@ -225,21 +244,74 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestClusterNeedsSelf: a cluster node that does not say which peer it
-// is fails with the named error, exit 1.
-func TestClusterNeedsSelf(t *testing.T) {
-	stderr, code := runEbad(t, "-addr", "127.0.0.1:0", "-peers", "n1=http://127.0.0.1:1,n2=http://127.0.0.1:2")
-	if code != 1 || !strings.Contains(stderr, `ebad: cluster: self "" not in peer list`) {
-		t.Fatalf("exit %d, stderr %q, want exit 1 and the self-not-in-peers error", code, stderr)
-	}
-}
+// TestDaemonSmoke drives a daemon over a fresh cache directory as a
+// first user would: the Section 3.3 query and its converse on the
+// default system, which is enumerated exactly once, 25 four-formula
+// batches through ebaq -server, and a metrics scrape. A failing run
+// logs the /v1/systems and /metrics bodies.
+func TestDaemonSmoke(t *testing.T) {
+	d := startDaemon(t, "-cachedir", t.TempDir())
+	t.Cleanup(func() {
+		if t.Failed() {
+			for _, path := range []string{"/v1/systems", "/metrics"} {
+				status, body, err := d.get(path)
+				t.Logf("GET %s: status %d, err %v\n%s", path, status, err, body)
+			}
+		}
+	})
 
-// TestSelfNeedsPeers: a node name without a peer list is an error, not
-// a standalone daemon that drops the name.
-func TestSelfNeedsPeers(t *testing.T) {
-	stderr, code := runEbad(t, "-addr", "127.0.0.1:0", "-self", "n1")
-	if code != 1 || !strings.Contains(stderr, "ebad: -self needs -peers") {
-		t.Fatalf("exit %d, stderr %q, want exit 1 and the -self-needs-peers error", code, stderr)
+	type answer struct {
+		Valid          bool            `json:"valid"`
+		Counterexample json.RawMessage `json:"counterexample"`
+	}
+	query := func(formula string) answer {
+		t.Helper()
+		status, _, body, err := d.post("/v1/query", `{"formula":"`+formula+`"}`)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("%q: status %d, err %v, body %s", formula, status, err, body)
+		}
+		var a answer
+		if err := json.Unmarshal(body, &a); err != nil {
+			t.Fatalf("%q: %v in %s", formula, err, body)
+		}
+		return a
+	}
+	if a := query("Cbox E0 -> C E0"); !a.Valid {
+		t.Errorf("Cbox E0 -> C E0 is not valid")
+	}
+	if a := query("C E0 -> Cbox E0"); a.Valid || a.Counterexample == nil {
+		t.Errorf("C E0 -> Cbox E0: valid=%v, counterexample %s; want invalid with a counterexample", a.Valid, a.Counterexample)
+	}
+
+	status, body, err := d.get("/v1/systems")
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("/v1/systems: status %d, err %v", status, err)
+	}
+	var systems struct {
+		Stats struct {
+			Enumerations *int `json:"enumerations"`
+		} `json:"stats"`
+	}
+	if err := json.Unmarshal(body, &systems); err != nil || systems.Stats.Enumerations == nil || *systems.Stats.Enumerations != 1 {
+		t.Errorf("/v1/systems: err %v, want \"enumerations\": 1", err)
+	}
+
+	for i := 0; i < 25; i++ {
+		out, err := exec.Command(ebaqBin, "-server", d.url,
+			"-f", "Cbox E0 -> C E0", "-f", "C E0 -> Cbox E0", "-f", "K0 E0", "-f", "E E0 -> Cbox E0").CombinedOutput()
+		if err != nil {
+			t.Fatalf("ebaq -server batch %d: %v\n%s", i+1, err, out)
+		}
+	}
+
+	status, body, err = d.get("/metrics")
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("/metrics: status %d, err %v", status, err)
+	}
+	for _, series := range []string{"eba_service_queries_total", "eba_store_system_requests_total"} {
+		if !bytes.Contains(body, []byte(series)) {
+			t.Errorf("/metrics has no %s", series)
+		}
 	}
 }
 

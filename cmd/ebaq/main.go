@@ -26,8 +26,7 @@
 //	ebaq -server http://localhost:8080 -f 'Cbox E0 -> C E0'
 //
 // -f repeats; multiple formulas against a -server go over the wire as
-// one POST /v1/query/batch, which a clustered daemon fans out to the
-// key's owners:
+// one POST /v1/query/batch:
 //
 //	ebaq -server http://localhost:8080 -f 'Cbox E0 -> C E0' -f 'C E0 -> Cbox E0'
 package main

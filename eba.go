@@ -590,7 +590,7 @@ func CheckSBAOutcomes(sys *System, outs []SBAOutcome) error { return sba.CheckOu
 
 // ConformOptions configures a randomized conformance run; see the
 // conform package for its pillars (differential, claims, engineering
-// laws, cluster).
+// laws).
 type ConformOptions = conform.Options
 
 // ConformResult summarizes a conformance run.

@@ -34,10 +34,6 @@ const (
 	// MutantDifferential perturbs the live trace's decisions before
 	// the replay comparison, so sim.DiffTraces reports a divergence.
 	MutantDifferential = "differential"
-	// MutantCluster installs a routing override in the conformance
-	// fleet that sends every key to the wrong node, so the cluster
-	// pillar's served-by-owner check fails on every routed query.
-	MutantCluster = "cluster"
 	// MutantReconstruction replaces the live run's receiving-mode
 	// pattern with a sender-attributed reconstruction of the same
 	// observation — the classic mode-confusion bug where a receive
@@ -59,7 +55,7 @@ const (
 )
 
 // Mutants lists the accepted Options.Mutant values.
-var Mutants = []string{MutantLaw, MutantOracle, MutantDifferential, MutantCluster, MutantReconstruction, MutantParity, MutantPrefix}
+var Mutants = []string{MutantLaw, MutantOracle, MutantDifferential, MutantReconstruction, MutantParity, MutantPrefix}
 
 // Options configures a conformance run.
 type Options struct {
@@ -115,7 +111,7 @@ type Violation struct {
 	Mode    string `json:"mode"`
 	Horizon int    `json:"horizon"`
 	Config  string `json:"config"`
-	Pillar  string `json:"pillar"` // differential | law | claim | cluster
+	Pillar  string `json:"pillar"` // differential | law | claim
 	Law     string `json:"law"`    // which check failed
 	Detail  string `json:"detail"` // counterexample / diff text
 	Replay  string `json:"replay"` // command line reproducing it
@@ -147,15 +143,9 @@ type Runner struct {
 	store  *store.Store
 	engine *service.Engine
 
-	// keys and clusterKeys hold one sync.Once per system key for the
-	// pillars that depend only on the key (see perKey).
-	mu          sync.Mutex
-	keys        map[store.Key]*sync.Once
-	clusterKeys map[store.Key]*sync.Once
-
-	// cluster is the lazily-booted three-node fleet the cluster
-	// pillar drives; see clusterlaw.go.
-	cluster clusterFixture
+	// keys holds one sync.Once per system key (see keyChecks).
+	mu   sync.Mutex
+	keys map[store.Key]*sync.Once
 }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -164,35 +154,32 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// perKey runs fn once per system key: many scenarios share a key, and
-// its key-level pillars depend only on the key, so the first scenario
-// to reach it runs them and is charged with their violations and
-// checks; later scenarios get nothing.
-func (r *Runner) perKey(onces map[store.Key]*sync.Once, key store.Key, fn func() ([]Violation, int)) (vs []Violation, checks int) {
+// keyChecks runs the law and claim pillars once per system key: many
+// scenarios share a key, and these pillars depend only on the key, so
+// the first scenario to reach it runs them and is charged with their
+// violations and checks; later scenarios get nothing.
+func (r *Runner) keyChecks(sc Scenario) (vs []Violation, checks int) {
+	key := sc.Key()
 	r.mu.Lock()
-	once := onces[key]
+	once := r.keys[key]
 	if once == nil {
 		once = new(sync.Once)
-		onces[key] = once
+		r.keys[key] = once
 	}
 	r.mu.Unlock()
-	once.Do(func() { vs, checks = fn() })
-	return vs, checks
-}
-
-// keyChecks runs the law and claim pillars for sc's key.
-func (r *Runner) keyChecks(sc Scenario) ([]Violation, int) {
-	return r.perKey(r.keys, sc.Key(), func() ([]Violation, int) {
-		r.logf("key %s: checking laws + claims (first scenario %s)", sc.Key().Slug(), sc.Desc())
-		seq, err := system.Enumerate(sc.Params(), sc.Mode, sc.Horizon, sc.Key().Limit)
+	once.Do(func() {
+		r.logf("key %s: checking laws + claims (first scenario %s)", key.Slug(), sc.Desc())
+		seq, err := system.Enumerate(sc.Params(), sc.Mode, sc.Horizon, key.Limit)
 		if err != nil {
-			return []Violation{violationOf(sc, "law", "enumerate", err.Error())}, 1
+			vs, checks = []Violation{violationOf(sc, "law", "enumerate", err.Error())}, 1
+			return
 		}
 		ev := knowledge.NewEvaluator(seq)
 		lv, lc := r.checkLaws(sc, seq, ev)
 		cv, cc := r.checkClaims(sc, seq, ev)
-		return append(lv, cv...), lc + cc
+		vs, checks = append(lv, cv...), lc+cc
 	})
+	return vs, checks
 }
 
 // Run executes a full conformance pass.
@@ -237,13 +224,11 @@ func Run(opts Options) (*Result, error) {
 		telemetry.SetRing(1 << 14)
 	}
 	r := &Runner{
-		opts:        opts,
-		store:       st,
-		engine:      service.NewEngine(st, 0),
-		keys:        make(map[store.Key]*sync.Once),
-		clusterKeys: make(map[store.Key]*sync.Once),
+		opts:   opts,
+		store:  st,
+		engine: service.NewEngine(st, 0),
+		keys:   make(map[store.Key]*sync.Once),
 	}
-	defer r.cluster.close()
 
 	start := time.Now()
 	type outcome struct {
@@ -272,7 +257,7 @@ func Run(opts Options) (*Result, error) {
 				sc := NewScenarioIn(opts.Seed+int64(i), opts.Modes)
 				var vs []Violation
 				checks := 0
-				for _, pillar := range []func(Scenario) ([]Violation, int){r.runDifferential, r.runTraceLaw, r.keyChecks, r.clusterPillar} {
+				for _, pillar := range []func(Scenario) ([]Violation, int){r.runDifferential, r.runTraceLaw, r.keyChecks} {
 					pv, pc := pillar(sc)
 					vs, checks = append(vs, pv...), checks+pc
 				}

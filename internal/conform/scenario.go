@@ -18,8 +18,6 @@
 //  3. Engineering laws: builder digests and golden pins, codec
 //     round-trips, evaluator parallelism, mode parity (modeparity.go)
 //     and the prefix-sharing builder (buildlaw.go).
-//  4. Cluster: queries through a three-node fleet answer like the
-//     engine, from the ring owner (clusterlaw.go).
 //
 // Violations are emitted as JSONL corpus records carrying the
 // scenario's seed, so any failure replays exactly with

@@ -44,11 +44,10 @@ type BatchItem struct {
 }
 
 // BatchResponse is the POST /v1/query/batch reply. Results[i] answers
-// Queries[i]; order is preserved across any cluster fan-out.
+// Queries[i].
 type BatchResponse struct {
 	Results   []BatchItem `json:"results"`
 	ElapsedMS float64     `json:"elapsed_ms"`
-	Node      string      `json:"node,omitempty"`
 }
 
 // statusLabel names an item's HTTP status (0 for an answered item) as
@@ -95,8 +94,7 @@ func itemStatus(err error) int {
 // standalone query would (cheap/expensive classification included), so
 // a batch cannot bypass the daemon's caps — it only amortizes the HTTP
 // round trip. Item failures are isolated: one bad or shed query leaves
-// the rest of the batch intact. The cluster router also calls this for
-// the locally-owned group of a fanned-out batch.
+// the rest of the batch intact.
 func (s *Server) ExecuteBatch(ctx context.Context, reqs []Request) []BatchItem {
 	results := make([]BatchItem, len(reqs))
 	workers := batchWorkers
@@ -144,9 +142,6 @@ func (s *Server) executeBatchItem(ctx context.Context, req Request) (it BatchIte
 	resp, err := s.engine.executeInline(ctx, key, pf, req.Formula)
 	if err != nil {
 		return fail(err)
-	}
-	if resp.Provenance != nil {
-		resp.Provenance.Node = s.node
 	}
 	return BatchItem{Response: resp}
 }
@@ -209,7 +204,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSONCompact(w, http.StatusOK, BatchResponse{
 		Results:   results,
 		ElapsedMS: msSince(start),
-		Node:      s.node,
 	})
 }
 

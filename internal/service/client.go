@@ -19,11 +19,10 @@ import (
 )
 
 // sharedTransport is the connection pool behind every client this
-// package constructs. Fan-out traffic (batch scatter, forwarded
-// queries, health probes) hammers a handful of peer hosts, so the
-// per-host idle pool is sized well above the default 2 — otherwise
-// each burst tears down and redials connections, and retries land on
-// cold TCP instead of reusing the socket that just carried the 503.
+// package constructs. Its callers hammer one daemon, so the per-host
+// idle pool is sized well above the default 2 — otherwise each burst
+// tears down and redials connections, and retries land on cold TCP
+// instead of reusing the socket that just carried the 503.
 var sharedTransport = &http.Transport{
 	Proxy: http.ProxyFromEnvironment,
 	DialContext: (&net.Dialer{
@@ -37,11 +36,6 @@ var sharedTransport = &http.Transport{
 	ExpectContinueTimeout: 1 * time.Second,
 	ForceAttemptHTTP2:     true,
 }
-
-// SharedTransport exposes the tuned pool for callers (the cluster
-// router, probes) that build their own http.Client but should share
-// the fleet's sockets rather than grow private pools.
-func SharedTransport() *http.Transport { return sharedTransport }
 
 // Client is the retrying HTTP client for the ebad daemon, shared by
 // ebaq -server, the benchmark's traced client row, and the CI smoke

@@ -84,7 +84,6 @@ type StageTimings struct {
 type Provenance struct {
 	TraceID      string               `json:"trace_id,omitempty"`
 	Key          string               `json:"key"`
-	Node         string               `json:"node,omitempty"`
 	Stages       StageTimings         `json:"stages"`
 	SystemOrigin string               `json:"system_origin"`
 	ResultOrigin string               `json:"result_origin"`

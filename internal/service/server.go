@@ -35,15 +35,6 @@ type Server struct {
 	started  time.Time
 	inflight atomic.Int64
 	draining atomic.Bool
-
-	// node is this daemon's advertised identity in a cluster; it is
-	// stamped into provenance blocks so a client can see which fleet
-	// member answered. Empty outside cluster mode.
-	node string
-	// wrap, when set, wraps the route table — the seam the cluster
-	// router uses to intercept query traffic while inheriting every
-	// other endpoint unchanged.
-	wrap func(http.Handler) http.Handler
 }
 
 // NewServer wraps an engine with no admission caps (the zero
@@ -63,16 +54,7 @@ func NewServer(e *Engine) *Server {
 // safe to swap under live traffic.
 func (s *Server) SetAdmission(cfg AdmissionConfig) { s.adm = newAdmission(cfg) }
 
-// SetNode names this daemon in a cluster; the name lands in provenance
-// blocks and batch responses. Call before serving.
-func (s *Server) SetNode(name string) { s.node = name }
-
-// SetWrapper installs a handler wrapper applied around the route table
-// by Handler(). The cluster router is the intended wrapper. Call
-// before serving.
-func (s *Server) SetWrapper(wrap func(http.Handler) http.Handler) { s.wrap = wrap }
-
-// Handler returns the route table (wrapped, when a wrapper is set).
+// Handler returns the route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
@@ -82,9 +64,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /metrics", telemetry.MetricsHandler())
 	mux.HandleFunc("GET /debug/queries", s.handleDebugQueries)
 	mux.HandleFunc("GET /debug/trace/{id}", s.handleDebugTrace)
-	if s.wrap != nil {
-		return s.wrap(mux)
-	}
 	return mux
 }
 
@@ -193,7 +172,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// into the elapsed clock too, so the stage sum stays a lower
 			// bound on what the response reports.
 			resp.Provenance.Stages.QueueMS = stages.QueueMS
-			resp.Provenance.Node = s.node
 			resp.ElapsedMS = msSince(start)
 			stages = resp.Provenance.Stages
 		}
