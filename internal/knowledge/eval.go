@@ -137,8 +137,8 @@ type Evaluator struct {
 //     the only part built with the frontier;
 //   - masks: each processor's dense membership mask (bit idx set in
 //     masks[i] iff i ∈ S at point idx), the word-level form the E_S,
-//     E◇_S and non-local B^S_i kernels consume — built per processor
-//     on first use (mask), never by C or C□;
+//     E◇_S, C◇_S and non-local B^S_i kernels consume — built per
+//     processor on first use (mask), never by C or C□;
 //   - occupied: bit idx set iff S is nonempty at idx, filled by the
 //     first component build;
 //   - pointRoots and runRoots: the C_S and C□_S reachability components,
@@ -189,7 +189,9 @@ func (e *Evaluator) System() *system.System { return e.sys }
 // fixed-point iteration counts and shard dispatches that end up in a
 // query's provenance block.
 type EvalStats struct {
-	// CDiamondIterations counts C◇ greatest-fixed-point iterations.
+	// CDiamondIterations counts C◇ worklist rounds: per evaluation, its
+	// non-empty layers plus the empty one that ends it, which is the
+	// downward iteration's iteration count.
 	CDiamondIterations int `json:"cdiamond_iterations,omitempty"`
 	// CBoxIterativeIterations counts definitional C□ iterations (the
 	// cross-check path; the reachability fast path iterates zero times).
@@ -419,8 +421,8 @@ func andViews(a, b []uint8) []uint8 {
 
 // mask returns (building on first use) processor i's dense membership
 // mask in the frontier's set. Only the kernels that consume masks word
-// by word (E_S, E◇_S, B^S_i over a non-local formula, S = ∅ and i ∈ 𝒩)
-// ask.
+// by word (E_S, E◇_S, C◇_S, B^S_i over a non-local formula, S = ∅ and
+// i ∈ 𝒩) ask.
 func (e *Evaluator) mask(fr *frontier, i types.ProcID) *Bits {
 	if m := fr.masks[i]; m != nil {
 		return m
@@ -708,27 +710,202 @@ func (e *Evaluator) evalTime(ft *Bits, diamond, whole bool) *Bits {
 	return out
 }
 
-// evalCDiamond computes eventual common knowledge as the greatest
-// fixed point of X = E◇_S(f ∧ X) by downward iteration (the system is
-// finite, so the iteration terminates).
+// evalCDiamond computes eventual common knowledge C◇_S f, the greatest
+// fixed point of X = E◇_S(f ∧ X), as a layered worklist over the view
+// DAG. B^S_i(f ∧ X) is a class table and a class is one view, so the
+// worklist keeps it per view (holds). ◇B^S_i holds at (r, m) iff m is at
+// most the latest time of run r at which i's class holds; a
+// full-information view fixes its owner's whole history, so that time
+// is a function of i's final view in r, and last[v] is the latest time
+// on v's Prev chain, v included, at which the view holds (-1 for none).
+//
+//   - The first round fills holds from f alone and last in view ID
+//     order (a view's Prev has a smaller ID), and removes from X every
+//     point (r, m) with m past last of the final view of some i ∈ S
+//     there.
+//   - Each later round takes the layer of points the round before
+//     removed. A point leaving X refutes at most one view per processor
+//     i ∈ S there: i's view at the point. Each refuted view v, at time
+//     m, is then walked: last falls on v and on the views after it (its
+//     successors, the views whose Prev it is, and theirs) whose last is
+//     m, to the latest holding time before m. The runs that end in a
+//     lowered view lose the points after the new last, up to m, at
+//     which i ∈ S: the next layer.
+//
+// A layer is exactly what one round of the downward iteration removes,
+// so the rounds (the non-empty layers and the empty one that ends the
+// loop) are its iteration count. The two view indexes the later rounds
+// walk, finals and successors, are built once per call and dropped on
+// return. It is sequential at every parallelism.
 func (e *Evaluator) evalCDiamond(s NonrigidSet, ft *Bits) *Bits {
 	sp := e.startSpan("knowledge.fixpoint", telemetry.L("op", "cdiamond"))
-	iters := 0
-	x := NewBits(e.sys.NumPoints())
-	x.Fill(true)
-	for {
-		mFixpointCDiamond.Inc()
-		iters++
-		arg := ft.Clone()
-		arg.AndWith(x)
-		next := e.evalE(s, arg, true)
-		if next.Equal(x) {
-			e.stats.CDiamondIterations += iters
-			sp.End(telemetry.L("iterations", strconv.Itoa(iters)))
-			return x
-		}
-		x = next
+	sys, in, fr := e.sys, e.sys.Interner, e.frontierFor(s)
+	n, h, stride, nv := sys.Params.N, sys.Horizon, sys.Horizon+1, sys.Interner.Size()
+	vs := sys.Table().Views
+	// Every point at which f fails and i is in S refutes i's view there.
+	masks, holds := make([]*Bits, n), make([]bool, nv)
+	for v := range holds {
+		holds[v] = true
 	}
+	for i := range masks {
+		masks[i] = e.mask(fr, types.ProcID(i))
+		for wi, w := range ft.w {
+			for w = masks[i].w[wi] &^ w; w != 0; w &= w - 1 {
+				holds[vs[(wi<<6+bits.TrailingZeros64(w))*n+i]] = false
+			}
+		}
+	}
+	prev, last := make([]views.ID, nv), make([]int32, nv)
+	for v := range last {
+		switch prev[v] = in.Prev(views.ID(v)); {
+		case holds[v]:
+			last[v] = int32(in.Time(views.ID(v)))
+		case prev[v] != views.NoView:
+			last[v] = last[prev[v]]
+		default:
+			last[v] = -1
+		}
+	}
+	x, layer, size := NewBits(sys.NumPoints()), NewBits(sys.NumPoints()), 0
+	x.Fill(true)
+	// drop moves the points of run r at times in (lo, hi] at which i is
+	// in S from X to the layer.
+	drop := func(i types.ProcID, r int, lo, hi int32) {
+		for idx := r*stride + int(lo) + 1; idx <= r*stride+int(hi); idx++ {
+			if masks[i].Get(idx) && x.Get(idx) {
+				x.Set(idx, false)
+				layer.Set(idx, true)
+				size++
+			}
+		}
+	}
+	// finals lists the runs each view ends (in which its owner holds it
+	// at the horizon): counted on the first round's pass over the horizon
+	// rows, filled only if a later round reads it.
+	final := func(r int) []views.ID { return vs[(r*stride+h)*n : (r*stride+h+1)*n] }
+	finals := newByView(nv)
+	for r := 0; r < sys.NumRuns(); r++ {
+		for i, v := range final(r) {
+			finals.count(v)
+			drop(types.ProcID(i), r, last[v], int32(h))
+		}
+	}
+
+	rounds := 1
+	var succ byView
+	if size > 0 {
+		finals.alloc()
+		for r := 0; r < sys.NumRuns(); r++ {
+			for _, v := range final(r) {
+				finals.put(v, int32(r))
+			}
+		}
+		finals.seal()
+		succ = successors(prev)
+	}
+	var refuted []views.ID
+	var stack []int32
+	inS := make([]uint64, n) // a layer word's points at which i ∈ S
+	for ; size > 0; rounds++ {
+		// The layer's refutations, in point order: the run table is read
+		// front to back.
+		refuted = refuted[:0]
+		for wi, w := range layer.w {
+			if w == 0 {
+				continue
+			}
+			for i, mask := range masks {
+				inS[i] = w & mask.w[wi]
+			}
+			for ; w != 0; w &= w - 1 {
+				b := bits.TrailingZeros64(w)
+				for i, v := range vs[(wi<<6+b)*n : (wi<<6+b+1)*n] {
+					if inS[i]>>b&1 != 0 && holds[v] && !(mutantCDiaLayer && i == n-1) {
+						holds[v] = false
+						refuted = append(refuted, v)
+					}
+				}
+			}
+		}
+		clear(layer.w)
+		size = 0
+		for _, v := range refuted {
+			i, m, lo := in.Proc(v), int32(in.Time(v)), int32(-1)
+			for u := prev[v]; u != views.NoView; u = prev[u] {
+				if holds[u] {
+					lo = int32(in.Time(u))
+					break
+				}
+			}
+			for stack = append(stack[:0], int32(v)); len(stack) > 0; {
+				w := views.ID(stack[len(stack)-1])
+				stack = stack[:len(stack)-1]
+				if last[w] != m {
+					continue
+				}
+				last[w] = lo
+				for _, r := range finals.of(w) {
+					drop(i, int(r), lo, m)
+				}
+				stack = append(stack, succ.of(w)...)
+			}
+		}
+	}
+	mFixpointCDiamond.Add(uint64(rounds))
+	e.stats.CDiamondIterations += rounds
+	sp.End(telemetry.L("iterations", strconv.Itoa(rounds)))
+	return x
+}
+
+// byView lists int32 elements per view: view v's are
+// list[start[v]:start[v+1]].
+type byView struct{ start, list []int32 }
+
+func (t byView) of(v views.ID) []int32 { return t.list[t.start[v]:t.start[v+1]] }
+
+// newByView starts an index over nv views: count each element's
+// view, alloc, put each element in order, then seal.
+func newByView(nv int) byView { return byView{start: make([]int32, nv+1)} }
+
+func (t *byView) count(v views.ID) { t.start[v+1]++ }
+
+// alloc turns the counts into each view's first offset.
+func (t *byView) alloc() {
+	for v := 1; v < len(t.start); v++ {
+		t.start[v] += t.start[v-1]
+	}
+	t.list = make([]int32, t.start[len(t.start)-1])
+}
+
+// put appends x to v's elements, advancing v's offset to its end.
+func (t *byView) put(v views.ID, x int32) {
+	t.list[t.start[v]] = x
+	t.start[v]++
+}
+
+// seal moves the offsets put advanced back to each view's first.
+func (t *byView) seal() {
+	copy(t.start[1:], t.start)
+	t.start[0] = 0
+}
+
+// successors indexes, for every view, the views whose Prev (in prev) it
+// is, in ascending order.
+func successors(prev []views.ID) byView {
+	succ := newByView(len(prev))
+	for _, u := range prev {
+		if u != views.NoView {
+			succ.count(u)
+		}
+	}
+	succ.alloc()
+	for v, u := range prev {
+		if u != views.NoView {
+			succ.put(u, int32(v))
+		}
+	}
+	succ.seal()
+	return succ
 }
 
 // runComponents returns (caching on the frontier) the root table of the

@@ -15,3 +15,23 @@ func FrontiersMatchViewWalk(e *Evaluator) (int, error) {
 	}
 	return checked, nil
 }
+
+// NaiveCDiamond is the definitional downward iteration the C◇ worklist
+// replaced, kept as its oracle: X_0 = ⊤ and X_{k+1} = E◇_S(f ∧ X_k),
+// each round a full E◇_S over every point, until a round changes
+// nothing. It returns the table and the number of rounds, that last one
+// included.
+func NaiveCDiamond(e *Evaluator, s NonrigidSet, f Formula) (*Bits, int) {
+	ft := e.Eval(f)
+	x := NewBits(e.sys.NumPoints())
+	x.Fill(true)
+	for rounds := 1; ; rounds++ {
+		arg := ft.Clone()
+		arg.AndWith(x)
+		next := e.evalE(s, arg, true)
+		if next.Equal(x) {
+			return x, rounds
+		}
+		x = next
+	}
+}

@@ -3,6 +3,7 @@ package knowledge
 import (
 	"testing"
 
+	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/telemetry"
 )
 
@@ -81,5 +82,32 @@ func TestEvalMetricsExact(t *testing.T) {
 	after = readCounters(series)
 	if h, m := after[hits]-before[hits], after[misses]-before[misses]; h != 1 || m != 0 {
 		t.Errorf("repeated Eval: %v cache hits and %v misses, want 1 and 0", h, m)
+	}
+}
+
+// TestCDiamondRoundsExact pins C◇_𝒩 E0's round count, the worklist's
+// non-empty layers plus the empty one that ends it, on the four systems
+// cmd/ebaq's goldens report it for ("fixpoint: N iterations"), and the
+// op="cdiamond" fixed-point series to the same count.
+func TestCDiamondRoundsExact(t *testing.T) {
+	series := counterReading{name: "eba_knowledge_fixedpoint_iterations_total", labels: []telemetry.Label{telemetry.L("op", "cdiamond")}}
+	for _, c := range []struct {
+		mode   failures.Mode
+		h      int
+		rounds int
+	}{
+		{failures.Crash, 3, 2},
+		{failures.Omission, 3, 3},
+		{failures.ReceivingOmission, 2, 2},
+		{failures.GeneralOmission, 2, 3},
+	} {
+		sys := newModeSys(t, c.mode, 3, 1, c.h)
+		e := NewEvaluator(sys)
+		before := readCounters([]counterReading{series})[0]
+		e.Eval(CDiamond(Nonfaulty(), Exists0()))
+		rose := readCounters([]counterReading{series})[0] - before
+		if got := e.Stats().CDiamondIterations; got != c.rounds || rose != float64(c.rounds) {
+			t.Errorf("%s n=3 t=1 h=%d: %d rounds, series rose by %v; want %d", c.mode, c.h, got, rose, c.rounds)
+		}
 	}
 }

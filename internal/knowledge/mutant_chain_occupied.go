@@ -7,4 +7,5 @@ const (
 	mutantMemberNF      = false
 	mutantChainNoGap    = false
 	mutantChainOccupied = true
+	mutantCDiaLayer     = false
 )

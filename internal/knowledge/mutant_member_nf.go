@@ -7,4 +7,5 @@ const (
 	mutantMemberNF      = true
 	mutantChainNoGap    = false
 	mutantChainOccupied = false
+	mutantCDiaLayer     = false
 )

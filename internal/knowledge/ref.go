@@ -15,9 +15,10 @@ import (
 // differentially test the Evaluator against (property tests draw
 // random formulas and compare).
 //
-// CDiamond and EDiamond are not supported (their greatest-fixed-point
-// semantics has no pointwise formulation; the Evaluator's iteration is
-// itself the definitional computation).
+// E◇_S is its pointwise definition. C◇_S, a greatest fixed point with
+// no pointwise formulation, is the downward iteration over explicit
+// point sets built on that E◇ (refCDiamond), run afresh on every call:
+// the oracle of the Evaluator's worklist, sharing none of its code.
 func RefHolds(sys *system.System, f Formula, pt system.Point) bool {
 	switch g := f.(type) {
 	case *constF:
@@ -98,6 +99,10 @@ func RefHolds(sys *system.System, f Formula, pt system.Point) bool {
 		return false
 	case *cboxF:
 		return refCBox(sys, g.s, g.f, pt)
+	case *ediamondF:
+		return refEDiamond(sys, g.s, pt, func(q system.Point) bool { return RefHolds(sys, g.f, q) })
+	case *cdiamondF:
+		return refCDiamond(sys, g.s, g.f)[pt]
 	default:
 		panic("knowledge: RefHolds does not support " + f.String())
 	}
@@ -234,4 +239,49 @@ func refCBox(sys *system.System, s NonrigidSet, f Formula, start system.Point) b
 		}
 	}
 	return true
+}
+
+// refEDiamond is E◇_S's pointwise definition over the predicate holds:
+// for every i ∈ S(pt), some time m' ≥ pt's has B^S_i holds at (run, m'),
+// that is, holds at every point of i's class there at which i ∈ S.
+func refEDiamond(sys *system.System, s NonrigidSet, pt system.Point, holds func(system.Point) bool) bool {
+	ok := true
+	s.Members(sys, pt).ForEach(func(i types.ProcID) bool {
+		ok = false
+		for m := pt.Time; !ok && int(m) <= sys.Horizon; m++ {
+			ok = forPointsWithView(sys, sys.ViewAt(system.Point{Run: pt.Run, Time: m}, i), func(q system.Point) bool {
+				return !s.Members(sys, q).Contains(i) || holds(q)
+			})
+		}
+		return ok
+	})
+	return ok
+}
+
+// refCDiamond is C◇_S f's point set, the greatest fixed point of
+// X = E◇_S(f ∧ X), by the downward iteration from the set of every
+// point: each round keeps the points at which E◇_S(f ∧ X) holds, until a
+// round keeps them all.
+func refCDiamond(sys *system.System, s NonrigidSet, f Formula) map[system.Point]bool {
+	var all []system.Point
+	for r := 0; r < sys.NumRuns(); r++ {
+		for m := types.Round(0); int(m) <= sys.Horizon; m++ {
+			all = append(all, system.Point{Run: r, Time: m})
+		}
+	}
+	fx, x := map[system.Point]bool{}, map[system.Point]bool{}
+	for _, pt := range all {
+		fx[pt], x[pt] = RefHolds(sys, f, pt), true
+	}
+	for {
+		next, same := map[system.Point]bool{}, true
+		for _, pt := range all {
+			next[pt] = refEDiamond(sys, s, pt, func(q system.Point) bool { return fx[q] && x[q] })
+			same = same && next[pt] == x[pt]
+		}
+		if same {
+			return x
+		}
+		x = next
+	}
 }

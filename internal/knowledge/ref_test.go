@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/eventual-agreement/eba/internal/system"
+	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
 )
@@ -106,12 +106,46 @@ func TestReferenceOmissionMode(t *testing.T) {
 	}
 }
 
-func TestRefHoldsUnsupported(t *testing.T) {
-	sys := crashSys(t, 3, 1, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CDiamond should be unsupported in RefHolds")
-		}
-	}()
-	RefHolds(sys, CDiamond(Nonfaulty(), Exists0()), system.Point{})
+// TestEventualOperatorsMatchReference holds E◇_S and C◇_S to the
+// reference at every point of n=3 t=1 systems in all four modes (h=2;
+// h=1 for general omission, whose h=2 system has 18,456 points), over
+// 𝒩, an intersection with a set of local states, a set of local states
+// alone, and the empty set: the C◇ worklist against the reference's
+// downward iteration over explicit point sets. RefHolds runs that
+// iteration afresh on every call, so C◇ is compared with its point set
+// (refCDiamond, which RefHolds reads) at every point and with RefHolds
+// itself at a few.
+func TestEventualOperatorsMatchReference(t *testing.T) {
+	o := FromViews("𝒪", func(in *views.Interner, id views.ID) bool { return in.Knows(id, types.One) })
+	heard := FromViews("heard≥1", func(in *views.Interner, id views.ID) bool { return in.HeardFrom(id).Len() >= 1 })
+	sets := []NonrigidSet{Nonfaulty(), Intersect(Nonfaulty(), o), heard, Const("∅", types.EmptySet)}
+	for _, c := range []struct {
+		mode failures.Mode
+		h    int
+	}{{failures.Crash, 2}, {failures.Omission, 2}, {failures.ReceivingOmission, 2}, {failures.GeneralOmission, 1}} {
+		t.Run(c.mode.String(), func(t *testing.T) {
+			sys := newModeSys(t, c.mode, 3, 1, c.h)
+			e := NewEvaluator(sys)
+			for _, s := range sets {
+				for _, phi := range []Formula{Exists0(), Exists1()} {
+					ed, cd := e.Eval(EDiamond(s, phi)), e.Eval(CDiamond(s, phi))
+					ref := refCDiamond(sys, s, phi)
+					for idx := 0; idx < sys.NumPoints(); idx++ {
+						pt := sys.PointAt(idx)
+						if got, want := ed.Get(idx), RefHolds(sys, EDiamond(s, phi), pt); got != want {
+							t.Fatalf("%s at %v: evaluator %v, reference %v", EDiamond(s, phi), pt, got, want)
+						}
+						if got, want := cd.Get(idx), ref[pt]; got != want {
+							t.Fatalf("%s at %v: evaluator %v, reference %v", CDiamond(s, phi), pt, got, want)
+						}
+					}
+					for idx := 0; idx < sys.NumPoints(); idx += sys.NumPoints()/3 + 1 {
+						if got, want := cd.Get(idx), RefHolds(sys, CDiamond(s, phi), sys.PointAt(idx)); got != want {
+							t.Fatalf("RefHolds(%s) at %v: %v, evaluator %v", CDiamond(s, phi), sys.PointAt(idx), want, got)
+						}
+					}
+				}
+			}
+		})
+	}
 }

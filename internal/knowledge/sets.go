@@ -11,7 +11,9 @@
 // (at all times past, present, and future); C□_S φ = ∧_k (E□_S)^k φ.
 // C_S and C□_S are computed by their reachability characterizations
 // (fixed points / Proposition 3.2 and Corollary 3.3), with the naive
-// iterative computation retained as a cross-check and ablation.
+// iterative computation retained as a cross-check and ablation; C◇_S,
+// the greatest fixed point of X = E◇_S(φ ∧ X), by a layered worklist,
+// with the naive downward iteration kept in the tests as its oracle.
 package knowledge
 
 import (
