@@ -1,4 +1,4 @@
-//go:build !mutant_lane2nocheck && !mutant_witnessrun
+//go:build !mutant_lane2nocheck && !mutant_witnessrun && !mutant_lazydigest
 
 package store
 
@@ -10,10 +10,14 @@ package store
 //     per-run check (system.Restorer.CheckRun): TestLaneErrorsMatch;
 //   - mutantWitnessRun writes the configuration of the run after the
 //     first falsifying point's into a result file:
-//     TestAnswerOriginsAgree.
+//     TestAnswerOriginsAgree;
+//   - mutantLazyDigest lets the first decode of an entry restored
+//     undecoded accept a valid snapshot of the key whose digest is not
+//     the one the entry was admitted under: TestLazyDecodeRejectsOtherSnapshot.
 //
 // They are constants, so the default build compiles every branch away.
 const (
 	mutantLane2NoCheck = false
 	mutantWitnessRun   = false
+	mutantLazyDigest   = false
 )

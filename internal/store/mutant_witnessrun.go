@@ -6,4 +6,5 @@ package store
 const (
 	mutantLane2NoCheck = false
 	mutantWitnessRun   = true
+	mutantLazyDigest   = false
 )

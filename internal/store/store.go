@@ -68,9 +68,10 @@ func (o Origin) String() string {
 type Stats struct {
 	SystemMemoryHits uint64 `json:"system_memory_hits"`
 	SystemDiskHits   uint64 `json:"system_disk_hits"`
-	// SystemDecodes counts full snapshot decodes: a restore of a digest
-	// the store does not know, and the first use of a system restored
-	// undecoded.
+	// SystemDecodes counts snapshot decodes, failed ones included: one
+	// at each restore that cannot be admitted from what the store
+	// remembers of the key's snapshot, and one at the first use of each
+	// entry that was.
 	SystemDecodes    uint64 `json:"system_decodes"`
 	Enumerations     uint64 `json:"enumerations"`
 	SharedLoads      uint64 `json:"shared_loads"`
@@ -128,17 +129,19 @@ func shapeOf(sys *system.System) Shape {
 	return Shape{Runs: sys.NumRuns(), Points: sys.NumPoints(), Views: sys.Interner.Size()}
 }
 
-// known is what a store remembers of a snapshot it has decoded in full
-// or encoded itself.
+// known is what a store remembers of a key's snapshot once it has
+// decoded it in full or encoded it itself: its content digest, its size
+// in bytes and the shape of its system.
 type known struct {
-	key   Key
-	shape Shape
+	digest string
+	size   int
+	shape  Shape
 }
 
 // entry is one resident system plus its memoized answers, which live
-// and die with it. An entry restored from a snapshot whose digest the
-// store knows holds the verified snapshot bytes instead of a system,
-// until the first call of Store.system decodes them.
+// and die with it. An entry restored from a snapshot the store knows
+// holds neither the snapshot's bytes nor a system until the first call
+// of Store.system reads, verifies and decodes the file.
 type entry struct {
 	key     Key
 	shape   Shape
@@ -149,12 +152,15 @@ type entry struct {
 	loaded  time.Time
 	origin  Origin
 
-	// decode runs the one decode of data into sys, then drops data. An
-	// entry admitted decoded has sys set and data nil from the start.
-	decode sync.Once
-	data   []byte
-	sys    *system.System
-	err    error
+	// decode runs the one read and decode of an entry admitted
+	// undecoded; an entry admitted decoded has sys set from the start.
+	// When the file fails that decode, sys is a fresh enumeration, and
+	// memOnly is set unless that system encodes to digest: results over
+	// it are then not filed under digest.
+	decode  sync.Once
+	sys     *system.System
+	memOnly bool
+	err     error
 }
 
 // flight is one in-progress system load or truth-table computation;
@@ -187,10 +193,10 @@ type Store struct {
 	inflight  map[Key]*flight
 	resFlight map[resultFlightKey]*flight
 	stats     Stats
-	// known maps the digest of every snapshot this store has decoded in
-	// full or encoded to its key and shape. It is never pruned: one
-	// small row per snapshot.
-	known map[string]known
+	// known holds, for every key whose snapshot this store has decoded
+	// in full or encoded, what it remembers of that snapshot. It is
+	// never pruned: one small row per key.
+	known map[Key]known
 
 	// enumerate builds a system on a full miss; tests replace it
 	// through SetEnumerator.
@@ -241,7 +247,7 @@ func OpenWithFS(dir string, maxMem int, fsys FS) (*Store, error) {
 		lru:       list.New(),
 		inflight:  make(map[Key]*flight),
 		resFlight: make(map[resultFlightKey]*flight),
-		known:     make(map[string]known),
+		known:     make(map[Key]known),
 	}
 	s.enumerate = enumerateKey
 	s.recoverScan()
@@ -432,13 +438,17 @@ func (s *Store) SystemCtx(ctx context.Context, key Key) (*system.System, Origin,
 	if err != nil {
 		return nil, origin, err
 	}
-	sys, err := s.system(ctx, e)
+	sys, enumerated, err := s.system(ctx, e)
+	if enumerated {
+		origin = OriginEnumerated
+	}
 	return sys, origin, err
 }
 
 // Resident makes the key's system resident, as SystemCtx does, and
-// returns its shape. A restore of a snapshot whose digest the store
-// knows leaves it undecoded: the first compute over it decodes it.
+// returns its shape. A restore of a snapshot the store knows reads
+// nothing: it checks the file's size, and the first compute over the
+// entry reads, verifies and decodes the file.
 func (s *Store) Resident(ctx context.Context, key Key) (Shape, Origin, error) {
 	e, origin, err := s.acquire(ctx, key)
 	if err != nil {
@@ -498,33 +508,62 @@ func (s *Store) acquire(ctx context.Context, key Key) (*entry, Origin, error) {
 	return e, e.origin, nil
 }
 
-// system returns the entry's system, decoding its snapshot bytes on the
-// first call. Concurrent first calls share the one decode.
-func (s *Store) system(ctx context.Context, e *entry) (*system.System, error) {
+// system returns the entry's system. On the first call, an entry
+// admitted undecoded reads its snapshot and decodes it, which verifies
+// the checksum and every run, and requires the file to be the key's
+// and to carry the entry's digest. A file that fails is handled as a
+// failed restore is: a version-skewed one is left in place and the
+// system is enumerated memory-only; anything else is quarantined and
+// the key is re-enumerated and rewritten. enumerated reports that this
+// call did so. Concurrent first calls share the one decode.
+func (s *Store) system(ctx context.Context, e *entry) (*system.System, bool, error) {
+	enumerated := false
 	e.decode.Do(func() {
-		if e.data == nil {
+		if e.sys != nil {
 			return
 		}
-		_, sp := telemetry.StartSpan(ctx, "store.decode", telemetry.L("key", e.key.Slug()))
-		_, e.sys, e.err = DecodeSystem(e.data)
-		sp.End()
-		e.data = nil
-		s.noteDecode()
+		_, sys, skewed := s.decodeFile(ctx, e.key, e.digest)
+		if sys != nil {
+			e.sys = sys
+			return
+		}
+		enumerated = true
+		fresh, err := s.enumerateEntry(ctx, e.key, !skewed)
+		if err != nil {
+			// Drop the broken entry so that the next request loads the
+			// key afresh.
+			e.err = err
+			s.mu.Lock()
+			if s.entries[e.key] == e {
+				s.lru.Remove(e.elem)
+				delete(s.entries, e.key)
+			}
+			s.mu.Unlock()
+			return
+		}
+		e.sys, e.memOnly = fresh.sys, fresh.digest != e.digest
 	})
-	return e.sys, e.err
+	return e.sys, enumerated, e.err
 }
 
 // load misses memory: try the disk snapshot, then enumerate and
 // persist. Called without the lock held.
 func (s *Store) load(ctx context.Context, key Key) (*entry, error) {
-	versionSkewed := false
-	if s.dir != "" {
+	persist := s.dir != ""
+	if persist {
 		e, skewed := s.restore(ctx, key)
 		if e != nil {
 			return e, nil
 		}
-		versionSkewed = skewed
+		persist = !skewed
 	}
+	return s.enumerateEntry(ctx, key, persist)
+}
+
+// enumerateEntry builds key's system afresh. With persist set it also
+// encodes the system, learns the snapshot and writes it. Called
+// without the lock held.
+func (s *Store) enumerateEntry(ctx context.Context, key Key, persist bool) (*entry, error) {
 	_, enumSp := telemetry.StartSpan(ctx, "store.enumerate", telemetry.L("key", key.Slug()))
 	sys, err := s.enumerate(key)
 	enumSp.End()
@@ -537,7 +576,7 @@ func (s *Store) load(ctx context.Context, key Key) (*entry, error) {
 	mSysEnum.Inc()
 
 	e := &entry{key: key, shape: shapeOf(sys), sys: sys, origin: OriginEnumerated}
-	if s.dir != "" && !versionSkewed {
+	if persist {
 		data, err := EncodeSystem(key, sys)
 		if err != nil {
 			return nil, err
@@ -553,46 +592,28 @@ func (s *Store) load(ctx context.Context, key Key) (*entry, error) {
 	return e, nil
 }
 
-// restore reads key's snapshot file, returning a nil entry when there
-// is none to serve. skewed reports a valid snapshot written by a
-// different build. A snapshot whose digest the store knows under this
-// key is admitted undecoded once its checksum verifies: the checksum
-// pins the bytes to ones this store has already decoded and checked in
-// full (or encoded), and decoding is deterministic. Any other snapshot
-// is decoded in full.
+// restore admits key's snapshot file, returning a nil entry when there
+// is none to serve; skewed reports a valid snapshot written by a
+// different build. When the store knows key's snapshot and the file
+// still has its size, the entry is admitted from what the store
+// remembers, reading none of the file: its first compute reads,
+// verifies and decodes it (Store.system). Any other file is read and
+// decoded in full now.
 func (s *Store) restore(ctx context.Context, key Key) (e *entry, skewed bool) {
-	path := s.systemPath(key)
-	data, err := s.fsys.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	e = &entry{key: key, digest: Digest(data), size: len(data), origin: OriginDisk}
 	s.mu.Lock()
-	k, ok := s.known[e.digest]
+	k, ok := s.known[key]
 	s.mu.Unlock()
-	if ok && k.key == key && VerifySnapshot(data) == nil {
-		e.shape, e.data = k.shape, data
-	} else {
-		_, decSp := telemetry.StartSpan(ctx, "store.decode", telemetry.L("key", key.Slug()))
-		gotKey, sys, derr := DecodeSystem(data)
-		decSp.End()
-		s.noteDecode()
-		switch {
-		case errors.Is(derr, ErrVersionSkew):
-			// A foreign build's valid snapshot is not corruption: leave the
-			// file exactly as it is (no quarantine, and no overwrite by the
-			// caller — the build that wrote it still wants it) and serve
-			// this request from a fresh enumeration, memory-only.
-			return nil, true
-		case derr != nil || gotKey != key:
-			// A corrupt snapshot is not fatal: quarantine the evidence and
-			// fall through to enumeration, which rewrites a fresh one.
-			// Surface the event in stats and telemetry.
-			s.noteDiskError()
-			s.quarantine(path)
-			return nil, false
+	if ok {
+		if fi, err := s.fsys.Stat(s.systemPath(key)); err == nil && fi.Size() == int64(k.size) {
+			e = &entry{key: key, shape: k.shape, digest: k.digest, size: k.size, origin: OriginDisk}
 		}
-		e.shape, e.sys = shapeOf(sys), sys
+	}
+	if e == nil {
+		data, sys, skewed := s.decodeFile(ctx, key, "")
+		if sys == nil {
+			return nil, skewed
+		}
+		e = &entry{key: key, shape: shapeOf(sys), digest: Digest(data), size: len(data), sys: sys, origin: OriginDisk}
 		s.learn(e)
 	}
 	s.mu.Lock()
@@ -602,10 +623,42 @@ func (s *Store) restore(ctx context.Context, key Key) (e *entry, skewed bool) {
 	return e, false
 }
 
+// decodeFile reads and decodes key's snapshot file. A nil system means
+// there is none to serve: the file is unreadable, version-skewed
+// (skewed), or corrupt, another key's or, when want is not "", not of
+// digest want, and is then quarantined.
+func (s *Store) decodeFile(ctx context.Context, key Key, want string) (data []byte, sys *system.System, skewed bool) {
+	path := s.systemPath(key)
+	data, err := s.fsys.ReadFile(path)
+	if err != nil {
+		return nil, nil, false
+	}
+	_, sp := telemetry.StartSpan(ctx, "store.decode", telemetry.L("key", key.Slug()))
+	gotKey, sys, derr := DecodeSystem(data)
+	sp.End()
+	s.noteDecode()
+	switch {
+	case errors.Is(derr, ErrVersionSkew):
+		// A foreign build's valid snapshot is not corruption: leave the
+		// file exactly as it is (no quarantine, and no overwrite by the
+		// caller — the build that wrote it still wants it) and serve
+		// this request from a fresh enumeration, memory-only.
+		return nil, nil, true
+	case derr != nil || gotKey != key || want != "" && Digest(data) != want && !mutantLazyDigest:
+		// A corrupt snapshot is not fatal: quarantine the evidence and
+		// fall through to enumeration, which rewrites a fresh one.
+		// Surface the event in stats and telemetry.
+		s.noteDiskError()
+		s.quarantine(path)
+		return nil, nil, false
+	}
+	return data, sys, false
+}
+
 // learn files the entry's snapshot digest as known.
 func (s *Store) learn(e *entry) {
 	s.mu.Lock()
-	s.known[e.digest] = known{key: e.key, shape: e.shape}
+	s.known[e.key] = known{digest: e.digest, size: e.size, shape: e.shape}
 	s.mu.Unlock()
 }
 
@@ -729,10 +782,11 @@ func (s *Store) loadResult(ctx context.Context, e *entry, formula string, comput
 			}
 		}
 	}
-	sys, err := s.system(ctx, e)
+	sys, _, err := s.system(ctx, e)
 	if err != nil {
 		return nil, OriginEnumerated, err
 	}
+	persistable = persistable && !e.memOnly
 	_, sp := telemetry.StartSpan(ctx, "store.compute")
 	tbl, err := compute(sys)
 	sp.End()

@@ -280,19 +280,24 @@ func TestKeyValidate(t *testing.T) {
 	}
 }
 
-// TestLazyRestoreReencodesAndReleasesBytes: restoring a snapshot this
-// store wrote itself decodes nothing, and the entry holds the file's
-// bytes. The first use decodes them once into a system that re-encodes
-// to the file's digest, and the entry then lets the bytes go.
-func TestLazyRestoreReencodesAndReleasesBytes(t *testing.T) {
+// TestLazyRestoreReadsNothingAndReencodes: restoring a snapshot this
+// store wrote itself reads none of the file, and the entry holds
+// neither its bytes nor a system. The first use reads and decodes the
+// file once, into a system that re-encodes to the file's digest.
+func TestLazyRestoreReadsNothingAndReencodes(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey()
-	s := mustOpen(t, dir, 1)
+	fsys := &countFS{FS: OSFS{}}
+	s, err := OpenWithFS(dir, 1, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range []Key{key, {N: 3, T: 1, Mode: failures.Crash, Horizon: 3}} {
 		if _, origin, err := s.System(k); err != nil || origin != OriginEnumerated {
 			t.Fatalf("%s: origin %v, %v", k, origin, err)
 		}
 	}
+	reads := fsys.snapshotReads()
 	shape, origin, err := s.Resident(context.Background(), key)
 	if err != nil || origin != OriginDisk {
 		t.Fatalf("restore: origin %v, %v", origin, err)
@@ -300,11 +305,14 @@ func TestLazyRestoreReencodesAndReleasesBytes(t *testing.T) {
 	if d := s.Stats().SystemDecodes; d != 0 {
 		t.Fatalf("restoring a snapshot the store wrote decoded it %d times, want 0", d)
 	}
+	if r := fsys.snapshotReads() - reads; r != 0 {
+		t.Fatalf("restoring a snapshot the store wrote read it %d times, want 0", r)
+	}
 	s.mu.Lock()
 	e := s.entries[key]
 	s.mu.Unlock()
-	if e.data == nil || e.sys != nil {
-		t.Fatal("the restored entry holds a decoded system, not the snapshot's bytes")
+	if e.sys != nil {
+		t.Fatal("the restored entry holds a decoded system")
 	}
 	sys, origin, err := s.System(key)
 	if err != nil || origin != OriginMemory {
@@ -313,8 +321,8 @@ func TestLazyRestoreReencodesAndReleasesBytes(t *testing.T) {
 	if d := s.Stats().SystemDecodes; d != 1 {
 		t.Fatalf("first use decoded %d times, want 1", d)
 	}
-	if e.data != nil {
-		t.Fatal("the entry kept its snapshot bytes after decoding them")
+	if r := fsys.snapshotReads() - reads; r != 1 {
+		t.Fatalf("first use read the snapshot %d times, want 1", r)
 	}
 	if shape != shapeOf(sys) {
 		t.Fatalf("restored shape %+v, decoded system's %+v", shape, shapeOf(sys))
@@ -419,9 +427,9 @@ func TestLazyEntryDecodesOnceUnderConcurrentComputes(t *testing.T) {
 
 // TestConcurrentRestoresOfTwoKeys restores two keys from two goroutines
 // through a one-system store, so every request evicts the other key
-// and most restores overlap, each admitting the snapshot's bytes
-// undecoded and decoding them on first use. Every restored system must
-// be its own file's.
+// and most restores overlap, each admitting the snapshot undecoded and
+// decoding it on first use. Every restored system must be its own
+// file's.
 func TestConcurrentRestoresOfTwoKeys(t *testing.T) {
 	dir := t.TempDir()
 	keys := []Key{testKey(), {N: 3, T: 1, Mode: failures.Omission, Horizon: 2, Limit: 500}}
