@@ -1,6 +1,9 @@
 package chaos
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -161,5 +164,40 @@ func TestZeroFaultBound(t *testing.T) {
 	}
 	if !p.Victims().Empty() {
 		t.Fatalf("t=0 plan has victims %s", p.Victims())
+	}
+}
+
+// TestDirectedPlansPinned holds the omission and receiving-omission
+// planners, which draw the same schedule onto outbound and inbound
+// links, to what they planned for seeds 1–200: the SHA-256 of each
+// plan's summary, intended pattern and per-frame actions.
+func TestDirectedPlansPinned(t *testing.T) {
+	params := types.Params{N: 5, T: 2}
+	const h = 3
+	for _, tc := range []struct {
+		mode failures.Mode
+		want string
+	}{
+		{failures.Omission, "290e32f83676d0379eae692293834fad5d0813e4bf679bdb416182823840ddc4"},
+		{failures.ReceivingOmission, "c816ec3f8eb7c383d41d8281119c018a4b626e89d380984d136dff84ac5fe7b6"},
+	} {
+		sum := sha256.New()
+		for seed := int64(1); seed <= 200; seed++ {
+			p, err := New(tc.mode, params, h, seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", tc.mode, seed, err)
+			}
+			fmt.Fprintf(sum, "%s\n%s\n", p, p.Intended.Key())
+			for s := 0; s < params.N; s++ {
+				for d := 0; d < params.N; d++ {
+					for r := types.Round(1); r <= h; r++ {
+						fmt.Fprintf(sum, "%v,", p.Action(types.ProcID(s), r, types.ProcID(d)))
+					}
+				}
+			}
+		}
+		if got := hex.EncodeToString(sum.Sum(nil)); got != tc.want {
+			t.Errorf("%s: plans digest %s, want %s", tc.mode, got, tc.want)
+		}
 	}
 }
