@@ -35,7 +35,7 @@ func run() error {
 		t        = flag.Int("t", 1, "fault bound")
 		modeName = flag.String("mode", "crash", "crash | omission | receiving-omission | general-omission")
 		h        = flag.Int("h", 0, "horizon (default t+2)")
-		limit    = flag.Int("limit", 2_000_000, "omission pattern limit (0 = unlimited)")
+		limit    = flag.Int("limit", 2_000_000, "pattern limit (0 = unlimited)")
 		parallel = flag.Int("parallel", 0, "evaluator workers (0 = all cores, 1 = sequential)")
 		tel      = telemetry.BindFlags(flag.CommandLine)
 	)

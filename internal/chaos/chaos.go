@@ -258,9 +258,9 @@ func New(mode failures.Mode, params types.Params, h int, seed int64, allowed ...
 		case failures.Crash:
 			p.planCrashVictim(rng, v, h, allowed, behavior)
 		case failures.Omission:
-			p.planOmissionVictim(rng, v, h, allowed, behavior)
+			p.planDirectedVictim(rng, v, h, false, allowed, behavior)
 		case failures.ReceivingOmission:
-			p.planReceivingVictim(rng, v, h, allowed, behavior)
+			p.planDirectedVictim(rng, v, h, true, allowed, behavior)
 		case failures.GeneralOmission:
 			p.planGeneralVictim(rng, v, h, victims, allowed, behavior)
 		default:
@@ -324,83 +324,63 @@ func (p *Plan) planCrashVictim(rng *rand.Rand, v types.ProcID, h int, allowed []
 	}
 }
 
-// planOmissionVictim draws an arbitrary omission schedule: possibly a
-// one-way partition interval on one link, plus independent per-frame
-// omissions, each realized by a mechanism drawn from allowed.
-func (p *Plan) planOmissionVictim(rng *rand.Rand, v types.ProcID, h int, allowed []Mechanism, behavior map[types.ProcID]*failures.Behavior) {
+// planDirectedVictim draws an arbitrary omission schedule on the
+// victim's outbound links (its sending omissions) or, when inbound, on
+// its inbound links (its receiving omissions): possibly a one-way
+// partition interval on one link, plus independent per-frame
+// omissions, each realized by a mechanism drawn from allowed. The wire
+// mechanisms are the same in both directions — a frame on the link is
+// dropped, delayed, truncated, or its connection killed — only the
+// attribution changes.
+func (p *Plan) planDirectedVictim(rng *rand.Rand, v types.ProcID, h int, inbound bool, allowed []Mechanism, behavior map[types.ProcID]*failures.Behavior) {
 	others := types.FullSet(p.N).Remove(v)
-	b := &failures.Behavior{Omit: make([]types.ProcSet, h)}
-
-	var pointwise []Mechanism
-	for _, m := range allowed {
-		if m != Partition {
-			pointwise = append(pointwise, m)
+	sets := make([]types.ProcSet, h)
+	// frame is the round-r frame between v and peer in the planned
+	// direction.
+	frame := func(peer types.ProcID, r int) key {
+		if inbound {
+			return key{peer, types.Round(r), v}
 		}
+		return key{v, types.Round(r), peer}
 	}
-	hasPartition := len(pointwise) < len(allowed)
 
+	pointwise, hasPartition := splitPartition(allowed)
 	if hasPartition && rng.Float64() < 0.5 {
 		members := others.Members()
-		dst := members[rng.Intn(len(members))]
+		peer := members[rng.Intn(len(members))]
 		r0 := 1 + rng.Intn(h)
 		for r := r0; r <= h; r++ {
-			b.Omit[r-1] = b.Omit[r-1].Add(dst)
-			p.acts[key{v, types.Round(r), dst}] = Action{Mech: Partition}
+			sets[r-1] = sets[r-1].Add(peer)
+			p.acts[frame(peer, r)] = Action{Mech: Partition}
 		}
 	}
 	if len(pointwise) > 0 {
 		for r := 1; r <= h; r++ {
-			for _, dst := range others.Members() {
-				if b.Omit[r-1].Contains(dst) || rng.Float64() >= 0.3 {
+			for _, peer := range others.Members() {
+				if sets[r-1].Contains(peer) || rng.Float64() >= 0.3 {
 					continue
 				}
-				b.Omit[r-1] = b.Omit[r-1].Add(dst)
-				p.acts[key{v, types.Round(r), dst}] = Action{Mech: pointwise[rng.Intn(len(pointwise))]}
+				sets[r-1] = sets[r-1].Add(peer)
+				p.acts[frame(peer, r)] = Action{Mech: pointwise[rng.Intn(len(pointwise))]}
 			}
 		}
 	}
-	behavior[v] = b
+	if inbound {
+		behavior[v] = &failures.Behavior{Recv: sets}
+	} else {
+		behavior[v] = &failures.Behavior{Omit: sets}
+	}
 }
 
-// planReceivingVictim is planOmissionVictim mirrored onto the victim's
-// INBOUND links: possibly a one-way partition interval on one inbound
-// link, plus independent per-frame receive-drops. The wire mechanisms
-// are the same — a frame on the link s→v is dropped, delayed,
-// truncated, or its connection killed — only the attribution changes:
-// every one of these losses is v's receiving omission.
-func (p *Plan) planReceivingVictim(rng *rand.Rand, v types.ProcID, h int, allowed []Mechanism, behavior map[types.ProcID]*failures.Behavior) {
-	others := types.FullSet(p.N).Remove(v)
-	b := &failures.Behavior{Recv: make([]types.ProcSet, h)}
-
-	var pointwise []Mechanism
+// splitPartition returns the mechanisms of allowed that realize a
+// single frame's omission, and whether Partition is among them.
+func splitPartition(allowed []Mechanism) (pointwise []Mechanism, hasPartition bool) {
 	for _, m := range allowed {
 		if m != Partition {
 			pointwise = append(pointwise, m)
 		}
 	}
-	hasPartition := len(pointwise) < len(allowed)
-
-	if hasPartition && rng.Float64() < 0.5 {
-		members := others.Members()
-		src := members[rng.Intn(len(members))]
-		r0 := 1 + rng.Intn(h)
-		for r := r0; r <= h; r++ {
-			b.Recv[r-1] = b.Recv[r-1].Add(src)
-			p.acts[key{src, types.Round(r), v}] = Action{Mech: Partition}
-		}
-	}
-	if len(pointwise) > 0 {
-		for r := 1; r <= h; r++ {
-			for _, src := range others.Members() {
-				if b.Recv[r-1].Contains(src) || rng.Float64() >= 0.3 {
-					continue
-				}
-				b.Recv[r-1] = b.Recv[r-1].Add(src)
-				p.acts[key{src, types.Round(r), v}] = Action{Mech: pointwise[rng.Intn(len(pointwise))]}
-			}
-		}
-	}
-	behavior[v] = b
+	return pointwise, len(pointwise) < len(allowed)
 }
 
 // planGeneralVictim combines both directions: independent per-frame
@@ -417,14 +397,7 @@ func (p *Plan) planGeneralVictim(rng *rand.Rand, v types.ProcID, h int, victims 
 		Recv: make([]types.ProcSet, h),
 	}
 
-	var pointwise []Mechanism
-	for _, m := range allowed {
-		if m != Partition {
-			pointwise = append(pointwise, m)
-		}
-	}
-	hasPartition := len(pointwise) < len(allowed)
-
+	pointwise, hasPartition := splitPartition(allowed)
 	if hasPartition && rng.Float64() < 0.5 {
 		members := others.Members()
 		peer := members[rng.Intn(len(members))]

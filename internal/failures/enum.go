@@ -2,175 +2,193 @@ package failures
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"github.com/eventual-agreement/eba/internal/types"
 )
 
-// EnumCrash enumerates every canonical crash-mode failure pattern for
-// an n-processor system with at most t faulty processors over horizon
-// h rounds.
-//
-// Per faulty processor the canonical behaviours are: the invisible
-// crash (the processor fails only after the horizon), and for each
-// round k in 1..h and each proper subset A of the other processors, a
-// crash in round k whose round-k message reaches exactly A. The case
-// A = "all others" is omitted because it is behaviourally identical to
-// a crash in round k+1 that delivers nothing, which the enumeration
-// already covers (or to the invisible crash when k = h); keeping one
-// representative per visible behaviour keeps the enumerated system
-// free of duplicate runs without changing any knowledge fact.
-func EnumCrash(n, t, h int) ([]*Pattern, error) {
+// Enum enumerates every canonical failure pattern of the mode for an
+// n-processor system with at most t faulty processors over horizon h:
+// each faulty processor independently picks one behaviour from its
+// menu (see menu). The patterns come faulty set by faulty set, in
+// FaultySets order, and within a set the lowest member's menu varies
+// fastest. The count is known before any pattern exists, so limit > 0
+// aborts with an error, before allocating, if there would be more than
+// limit patterns; limit == 0 means no limit, and limit < 0 is rejected
+// outright (a negative bound is always a caller bug, not a request for
+// an unbounded enumeration).
+func Enum(mode Mode, n, t, h, limit int) ([]*Pattern, error) {
+	if limit < 0 {
+		return nil, fmt.Errorf("failures: negative pattern limit %d (0 means no limit)", limit)
+	}
+	if !mode.Valid() {
+		return nil, fmt.Errorf("failures: %w %v", ErrUnknownMode, mode)
+	}
 	if err := (types.Params{N: n, T: t}).Validate(); err != nil {
 		return nil, err
 	}
 	if h < 1 {
 		return nil, fmt.Errorf("failures: horizon %d < 1", h)
 	}
-	perProc := func(p types.ProcID) []*Behavior {
-		others := types.FullSet(n).Remove(p)
-		out := []*Behavior{{}} // invisible crash
-		for k := 1; k <= h; k++ {
-			// Proper subsets of others.
-			enumSubsets(others, func(allowed types.ProcSet) {
-				if allowed == others {
-					return
+	sets := FaultySets(n, t)
+	w := rowLen(mode, h)
+	count, size := 0, 0 // patterns, and schedule sets over all of them
+	for _, faulty := range sets {
+		c := 1
+		for _, p := range faulty.Members() {
+			c = satMul(c, menuLen(mode, n, h, p, faulty))
+		}
+		count = satAdd(count, c)
+		size = satAdd(size, satMul(c, faulty.Len()*w))
+	}
+	if limit > 0 && count > limit {
+		return nil, fmt.Errorf("failures: enumeration exceeds limit %d", limit)
+	}
+	if size == math.MaxInt {
+		return nil, fmt.Errorf("failures: %s enumeration n=%d t=%d h=%d too large to hold", mode, n, t, h)
+	}
+	faultyOf := make([]types.ProcSet, 0, count)
+	sched := make([]types.ProcSet, 0, size)
+	for _, faulty := range sets {
+		members := faulty.Members()
+		menus := make([][]types.ProcSet, len(members))
+		for i, p := range members {
+			menus[i] = menu(mode, n, h, p, faulty)
+		}
+		// The odometer: at[i] is the offset of member i's row in its
+		// menu.
+		at := make([]int, len(members))
+		for {
+			faultyOf = append(faultyOf, faulty)
+			for i := range members {
+				sched = append(sched, menus[i][at[i]:at[i]+w]...)
+			}
+			j := 0
+			for ; j < len(members); j++ {
+				i := j
+				if mutantEnumOrder {
+					i = len(members) - 1 - j
 				}
-				out = append(out, CrashBehavior(p, n, h, k, allowed))
+				if at[i] += w; at[i] < len(menus[i]) {
+					break
+				}
+				at[i] = 0
+			}
+			if j == len(members) {
+				break
+			}
+		}
+	}
+	return NewPatterns(mode, n, h, faultyOf, sched)
+}
+
+// EnumCrash enumerates every canonical crash-mode failure pattern.
+func EnumCrash(n, t, h int) ([]*Pattern, error) { return Enum(Crash, n, t, h, 0) }
+
+// EnumOmission enumerates every sending-omission failure pattern:
+// (2^(n-1))^h behaviours per faulty processor.
+func EnumOmission(n, t, h int, limit int) ([]*Pattern, error) {
+	return Enum(Omission, n, t, h, limit)
+}
+
+// EnumReceiving enumerates every receiving-omission failure pattern:
+// (2^(n-1))^h behaviours per faulty processor, as in EnumOmission.
+func EnumReceiving(n, t, h int, limit int) ([]*Pattern, error) {
+	return Enum(ReceivingOmission, n, t, h, limit)
+}
+
+// EnumGeneral enumerates every canonical general-omission pattern:
+// (2^(n-1) · 2^(n-f))^h behaviours per faulty processor when f are
+// faulty.
+func EnumGeneral(n, t, h int, limit int) ([]*Pattern, error) {
+	return Enum(GeneralOmission, n, t, h, limit)
+}
+
+// choiceBases returns the sets that faulty processor p's per-round
+// sending- and receiving-omission sets range over: the other
+// processors in each direction the mode permits — except that in the
+// general mode p receives-omits only from nonfaulty senders. That is
+// what makes the general enumeration canonical and duplicate-free: a
+// drop on a link whose sender is faulty has the sender-attributed
+// description, and enumerating the receiver-attributed variant too
+// would add a second run with identical deliveries (see Canonicalize).
+func choiceBases(mode Mode, n int, p types.ProcID, faulty types.ProcSet) (send, recv types.ProcSet) {
+	others := types.FullSet(n).Remove(p)
+	if mode.HasSendingFaults() {
+		send = others
+	}
+	if mode.HasReceivingFaults() {
+		recv = others
+	}
+	if mode == GeneralOmission {
+		recv = others.Minus(faulty)
+	}
+	return send, recv
+}
+
+// menuLen is the length of faulty processor p's menu, saturating at
+// math.MaxInt.
+func menuLen(mode Mode, n, h int, p types.ProcID, faulty types.ProcSet) int {
+	if mode == Crash {
+		return satAdd(1, satMul(h, pow2(n-1)-1))
+	}
+	send, recv := choiceBases(mode, n, p, faulty)
+	return pow2(satMul(h, send.Len()+recv.Len()))
+}
+
+// menu returns faulty processor p's behaviours as packed rows of
+// rowLen(mode, h) sets, in enumeration order, starting with the row
+// that omits nothing. In the crash mode that row is the invisible crash
+// (the processor fails only after the horizon), followed, for each
+// round k in 1..h and each proper subset A of the other processors, by
+// a crash in round k whose round-k message reaches exactly A. The case
+// A = "all others" is left out because it is behaviourally identical
+// to a crash in round k+1 that delivers nothing, which the menu already
+// holds (or to the invisible crash when k = h); one representative per
+// visible behaviour keeps the enumerated system free of duplicate runs
+// without changing any knowledge fact. In the omission modes the menu
+// is every choice, per round, of a subset of each choice base: the
+// first round varies slowest and, within a round, the sending set
+// slower than the receiving set; subsets come in decreasing order.
+func menu(mode Mode, n, h int, p types.ProcID, faulty types.ProcSet) []types.ProcSet {
+	rows := make([]types.ProcSet, rowLen(mode, h)) // nothing omitted
+	if mode == Crash {
+		others := types.FullSet(n).Remove(p)
+		for k := 1; k <= h; k++ {
+			forSubsets(others, func(allowed types.ProcSet) {
+				if allowed != others {
+					rows = append(rows, make([]types.ProcSet, h)...)
+					crashRow(rows[len(rows)-h:], others, k, allowed)
+				}
 			})
 		}
-		return out
+		return rows
 	}
-	return enumPatterns(Crash, n, t, h, faultyFree(perProc), 0)
-}
-
-// EnumOmission enumerates every sending-omission failure pattern for
-// an n-processor system with at most t faulty processors over horizon
-// h: each faulty processor independently omits an arbitrary subset of
-// its required messages in each round. The count grows as
-// (2^(n-1))^h per faulty processor; limit > 0 aborts with an error if
-// the enumeration would exceed limit patterns, limit == 0 means no
-// limit, and limit < 0 is rejected outright (a negative bound is
-// always a caller bug, not a request for an unbounded enumeration).
-func EnumOmission(n, t, h int, limit int) ([]*Pattern, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("failures: negative pattern limit %d (0 means no limit)", limit)
-	}
-	if err := (types.Params{N: n, T: t}).Validate(); err != nil {
-		return nil, err
-	}
-	if h < 1 {
-		return nil, fmt.Errorf("failures: horizon %d < 1", h)
-	}
-	perProc := func(p types.ProcID) []*Behavior {
-		others := types.FullSet(n).Remove(p)
-		behs := []*Behavior{{}}
-		for r := 1; r <= h; r++ {
-			var next []*Behavior
-			for _, b := range behs {
-				enumSubsets(others, func(om types.ProcSet) {
-					nb := &Behavior{Omit: make([]types.ProcSet, r)}
-					copy(nb.Omit, b.Omit)
-					nb.Omit[r-1] = om
-					next = append(next, nb)
+	send, recv := choiceBases(mode, n, p, faulty)
+	w := len(rows)
+	for r := 0; r < h; r++ {
+		var next []types.ProcSet
+		for at := 0; at < len(rows); at += w {
+			forSubsets(send, func(om types.ProcSet) {
+				forSubsets(recv, func(rc types.ProcSet) {
+					next = append(next, rows[at:at+w]...)
+					row := next[len(next)-w:]
+					row[r] = om // empty when the mode has no sending faults
+					if recv != 0 {
+						row[h+r] = rc
+					}
 				})
-			}
-			behs = next
+			})
 		}
-		return behs
+		rows = next
 	}
-	return enumPatterns(Omission, n, t, h, faultyFree(perProc), limit)
+	return rows
 }
 
-// EnumReceiving enumerates every receiving-omission failure pattern
-// for an n-processor system with at most t faulty processors over
-// horizon h: each faulty processor independently fails to receive an
-// arbitrary subset of its required inbound messages in each round.
-// The count grows as (2^(n-1))^h per faulty processor — identical to
-// EnumOmission — and the limit contract is the same: limit > 0 aborts
-// with an error if the enumeration would exceed limit patterns,
-// limit == 0 means no limit, and limit < 0 is rejected outright.
-func EnumReceiving(n, t, h int, limit int) ([]*Pattern, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("failures: negative pattern limit %d (0 means no limit)", limit)
-	}
-	if err := (types.Params{N: n, T: t}).Validate(); err != nil {
-		return nil, err
-	}
-	if h < 1 {
-		return nil, fmt.Errorf("failures: horizon %d < 1", h)
-	}
-	perProc := func(p types.ProcID) []*Behavior {
-		others := types.FullSet(n).Remove(p)
-		behs := []*Behavior{{}}
-		for r := 1; r <= h; r++ {
-			var next []*Behavior
-			for _, b := range behs {
-				enumSubsets(others, func(rc types.ProcSet) {
-					nb := &Behavior{Recv: make([]types.ProcSet, r)}
-					copy(nb.Recv, b.Recv)
-					nb.Recv[r-1] = rc
-					next = append(next, nb)
-				})
-			}
-			behs = next
-		}
-		return behs
-	}
-	return enumPatterns(ReceivingOmission, n, t, h, faultyFree(perProc), limit)
-}
-
-// EnumGeneral enumerates every canonical general-omission failure
-// pattern: each faulty processor independently chooses, per round, a
-// sending-omission set over the other processors and a
-// receiving-omission set over the NONFAULTY processors. Restricting
-// the receiving sets to nonfaulty senders is what makes the
-// enumeration canonical and duplicate-free — a drop on a link whose
-// sender is faulty has the sender-attributed description, and
-// enumerating the receiver-attributed variant too would add a second
-// run with identical deliveries (see Canonicalize). The count grows as
-// (2^(n-1) · 2^(n-f))^h per faulty processor for a faulty set of size
-// f; the limit contract matches EnumOmission.
-func EnumGeneral(n, t, h int, limit int) ([]*Pattern, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("failures: negative pattern limit %d (0 means no limit)", limit)
-	}
-	if err := (types.Params{N: n, T: t}).Validate(); err != nil {
-		return nil, err
-	}
-	if h < 1 {
-		return nil, fmt.Errorf("failures: horizon %d < 1", h)
-	}
-	perProc := func(p types.ProcID, faulty types.ProcSet) []*Behavior {
-		others := types.FullSet(n).Remove(p)
-		recvBase := others.Minus(faulty)
-		behs := []*Behavior{{}}
-		for r := 1; r <= h; r++ {
-			var next []*Behavior
-			for _, b := range behs {
-				enumSubsets(others, func(om types.ProcSet) {
-					enumSubsets(recvBase, func(rc types.ProcSet) {
-						nb := &Behavior{
-							Omit: make([]types.ProcSet, r),
-							Recv: make([]types.ProcSet, r),
-						}
-						copy(nb.Omit, b.Omit)
-						copy(nb.Recv, b.Recv)
-						nb.Omit[r-1] = om
-						nb.Recv[r-1] = rc
-						next = append(next, nb)
-					})
-				})
-			}
-			behs = next
-		}
-		return behs
-	}
-	return enumPatterns(GeneralOmission, n, t, h, perProc, limit)
-}
-
-// enumSubsets calls fn on every subset of base.
-func enumSubsets(base types.ProcSet, fn func(types.ProcSet)) {
+// forSubsets calls fn on every subset of base, in decreasing order.
+func forSubsets(base types.ProcSet, fn func(types.ProcSet)) {
 	b := uint64(base)
 	// Standard subset-enumeration trick: iterate sub = (sub-1) & b.
 	sub := b
@@ -183,128 +201,59 @@ func enumSubsets(base types.ProcSet, fn func(types.ProcSet)) {
 	}
 }
 
-// faultyFree adapts a behaviour menu that does not depend on the
-// faulty set (crash, sending omission, receiving omission) to the
-// faulty-aware signature enumPatterns uses, memoizing per processor.
-func faultyFree(perProc func(types.ProcID) []*Behavior) func(types.ProcID, types.ProcSet) []*Behavior {
-	memo := make(map[types.ProcID][]*Behavior)
-	return func(p types.ProcID, _ types.ProcSet) []*Behavior {
-		m, ok := memo[p]
-		if !ok {
-			m = perProc(p)
-			memo[p] = m
-		}
-		return m
+// pow2, satMul and satAdd are 2^k, a*b and a+b for nonnegative
+// operands, saturating at math.MaxInt.
+func pow2(k int) int {
+	if k >= bits.UintSize-1 {
+		return math.MaxInt
 	}
+	return 1 << k
 }
 
-// enumPatterns combines per-processor behaviour menus over all faulty
-// sets of size at most t. The menu may depend on the faulty set (the
-// general mode's canonical receive sets exclude faulty senders).
-func enumPatterns(mode Mode, n, t, h int, perProc func(types.ProcID, types.ProcSet) []*Behavior, limit int) ([]*Pattern, error) {
-	var out []*Pattern
-	for _, faulty := range FaultySets(n, t) {
-		members := faulty.Members()
-		menus := make(map[types.ProcID][]*Behavior, len(members))
-		for _, p := range members {
-			menus[p] = perProc(p, faulty)
-		}
-		// Cartesian product over the faulty members' menus.
-		idx := make([]int, len(members))
-		for {
-			beh := make(map[types.ProcID]*Behavior, len(members))
-			for i, p := range members {
-				beh[p] = menus[p][idx[i]]
-			}
-			pat, err := NewPattern(mode, n, h, faulty, beh)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pat)
-			if limit > 0 && len(out) > limit {
-				return nil, fmt.Errorf("failures: enumeration exceeds limit %d", limit)
-			}
-			// Advance the odometer.
-			i := 0
-			for ; i < len(members); i++ {
-				idx[i]++
-				if idx[i] < len(menus[members[i]]) {
-					break
-				}
-				idx[i] = 0
-			}
-			if i == len(members) {
-				break
-			}
-		}
+func satMul(a, b int) int {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt {
+		return math.MaxInt
 	}
-	return out, nil
+	return int(lo)
 }
 
-// SampleOmission draws count distinct sending-omission patterns
-// uniformly-ish at random (faulty-set size uniform in [0,t], members
-// and omission sets uniform), using the given source for
-// reproducibility. The failure-free pattern is always included first.
-func SampleOmission(n, t, h, count int, rng *rand.Rand) ([]*Pattern, error) {
-	return samplePatterns(Omission, n, t, h, count, rng, func(p types.ProcID, _ types.ProcSet) *Behavior {
-		others := types.FullSet(n).Remove(p)
-		b := &Behavior{Omit: make([]types.ProcSet, h)}
-		for r := 0; r < h; r++ {
-			b.Omit[r] = types.ProcSet(rng.Uint64()) & others
-		}
-		return b
-	})
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 // SampleCrash draws count distinct crash patterns at random.
 func SampleCrash(n, t, h, count int, rng *rand.Rand) ([]*Pattern, error) {
-	return samplePatterns(Crash, n, t, h, count, rng, func(p types.ProcID, _ types.ProcSet) *Behavior {
-		k := 1 + rng.Intn(h+1) // h+1 means invisible
-		if k > h {
-			return &Behavior{}
-		}
-		others := types.FullSet(n).Remove(p)
-		allowed := types.ProcSet(rng.Uint64()) & others
-		return CrashBehavior(p, n, h, k, allowed)
-	})
+	return samplePatterns(Crash, n, t, h, count, rng)
+}
+
+// SampleOmission draws count distinct sending-omission patterns at
+// random.
+func SampleOmission(n, t, h, count int, rng *rand.Rand) ([]*Pattern, error) {
+	return samplePatterns(Omission, n, t, h, count, rng)
 }
 
 // SampleReceiving draws count distinct receiving-omission patterns at
-// random, with per-round receive-drop sets uniform over the other
-// processors. The failure-free pattern is always included first.
+// random.
 func SampleReceiving(n, t, h, count int, rng *rand.Rand) ([]*Pattern, error) {
-	return samplePatterns(ReceivingOmission, n, t, h, count, rng, func(p types.ProcID, _ types.ProcSet) *Behavior {
-		others := types.FullSet(n).Remove(p)
-		b := &Behavior{Recv: make([]types.ProcSet, h)}
-		for r := 0; r < h; r++ {
-			b.Recv[r] = types.ProcSet(rng.Uint64()) & others
-		}
-		return b
-	})
+	return samplePatterns(ReceivingOmission, n, t, h, count, rng)
 }
 
 // SampleGeneral draws count distinct canonical general-omission
-// patterns at random: per round, a uniform sending-omission set over
-// the others and a uniform receiving-omission set over the nonfaulty
-// others (canonical form; see EnumGeneral). The failure-free pattern
-// is always included first.
+// patterns at random.
 func SampleGeneral(n, t, h, count int, rng *rand.Rand) ([]*Pattern, error) {
-	return samplePatterns(GeneralOmission, n, t, h, count, rng, func(p types.ProcID, faulty types.ProcSet) *Behavior {
-		others := types.FullSet(n).Remove(p)
-		recvBase := others.Minus(faulty)
-		b := &Behavior{
-			Omit: make([]types.ProcSet, h),
-			Recv: make([]types.ProcSet, h),
-		}
-		for r := 0; r < h; r++ {
-			b.Omit[r] = types.ProcSet(rng.Uint64()) & others
-			b.Recv[r] = types.ProcSet(rng.Uint64()) & recvBase
-		}
-		return b
-	})
+	return samplePatterns(GeneralOmission, n, t, h, count, rng)
 }
 
-func samplePatterns(mode Mode, n, t, h, count int, rng *rand.Rand, draw func(types.ProcID, types.ProcSet) *Behavior) ([]*Pattern, error) {
+// samplePatterns draws count distinct patterns of the mode uniformly-ish
+// at random, reproducibly from rng: the failure-free pattern first,
+// then patterns with a faulty-set size uniform in [0,t], uniform
+// members, and one drawRow per member in increasing order. The retry
+// loop is bounded, so a space smaller than count yields fewer.
+func samplePatterns(mode Mode, n, t, h, count int, rng *rand.Rand) ([]*Pattern, error) {
 	if err := (types.Params{N: n, T: t}).Validate(); err != nil {
 		return nil, err
 	}
@@ -326,24 +275,48 @@ func samplePatterns(mode Mode, n, t, h, count int, rng *rand.Rand, draw func(typ
 		}
 	}
 	add(FailureFree(mode, n, h))
-	// Bounded retry loop: the space may be smaller than count.
+	w := rowLen(mode, h)
 	for tries := 0; len(out) < count && tries < 1000*count; tries++ {
 		size := rng.Intn(t + 1)
 		var faulty types.ProcSet
 		for faulty.Len() < size {
 			faulty = faulty.Add(types.ProcID(rng.Intn(n)))
 		}
-		beh := make(map[types.ProcID]*Behavior, size)
-		for _, p := range faulty.Members() {
-			beh[p] = draw(p, faulty)
+		sched := make([]types.ProcSet, size*w)
+		for i, p := range faulty.Members() {
+			drawRow(mode, n, h, p, faulty, sched[i*w:(i+1)*w], rng)
 		}
-		pat, err := NewPattern(mode, n, h, faulty, beh)
+		pats, err := NewPatterns(mode, n, h, []types.ProcSet{faulty}, sched)
 		if err != nil {
 			return nil, err
 		}
-		add(pat)
+		add(pats[0])
 	}
 	return out, nil
+}
+
+// drawRow fills faulty processor p's packed schedule row at random.
+// A crash is in a round uniform in 1..h+1 (h+1 is invisible) with a
+// uniform delivery set. In the omission modes each round draws the
+// sending set, then the receiving set, each uniform over its choice
+// base and each only in a mode that has its direction.
+func drawRow(mode Mode, n, h int, p types.ProcID, faulty types.ProcSet, row []types.ProcSet, rng *rand.Rand) {
+	if mode == Crash {
+		if k := 1 + rng.Intn(h+1); k <= h {
+			others := types.FullSet(n).Remove(p)
+			crashRow(row, others, k, types.ProcSet(rng.Uint64())&others)
+		}
+		return
+	}
+	send, recv := choiceBases(mode, n, p, faulty)
+	for r := 0; r < h; r++ {
+		if mode.HasSendingFaults() {
+			row[r] = types.ProcSet(rng.Uint64()) & send
+		}
+		if mode.HasReceivingFaults() {
+			row[h+r] = types.ProcSet(rng.Uint64()) & recv
+		}
+	}
 }
 
 // Silent builds the pattern in which processor p is faulty and sends
@@ -352,14 +325,7 @@ func samplePatterns(mode Mode, n, t, h, count int, rng *rand.Rand, draw func(typ
 // delivering nothing. Requires a mode with sending faults; in the
 // receiving-omission mode use Deaf instead.
 func Silent(mode Mode, n, h int, p types.ProcID, k int) *Pattern {
-	others := types.FullSet(n).Remove(p)
-	b := &Behavior{Omit: make([]types.ProcSet, h)}
-	for r := 1; r <= h; r++ {
-		if r >= k {
-			b.Omit[r-1] = others
-		}
-	}
-	return MustPattern(mode, n, h, types.Singleton(p), map[types.ProcID]*Behavior{p: b})
+	return MustPattern(mode, n, h, types.Singleton(p), map[types.ProcID]*Behavior{p: {Omit: allFrom(n, h, p, k)}})
 }
 
 // Deaf builds the pattern in which processor p is faulty and receives
@@ -367,28 +333,26 @@ func Silent(mode Mode, n, h int, p types.ProcID, k int) *Pattern {
 // reach it normally). It is the receiving-direction dual of Silent and
 // requires a mode with receiving faults.
 func Deaf(mode Mode, n, h int, p types.ProcID, k int) *Pattern {
-	others := types.FullSet(n).Remove(p)
-	b := &Behavior{Recv: make([]types.ProcSet, h)}
-	for r := 1; r <= h; r++ {
-		if r >= k {
-			b.Recv[r-1] = others
-		}
-	}
-	return MustPattern(mode, n, h, types.Singleton(p), map[types.ProcID]*Behavior{p: b})
+	return MustPattern(mode, n, h, types.Singleton(p), map[types.ProcID]*Behavior{p: {Recv: allFrom(n, h, p, k)}})
 }
 
 // SilentExcept builds the omission-mode pattern of Proposition 6.3's
 // proof: processor p is faulty and omits every message in every round,
 // except that its round-m message to dst is delivered.
 func SilentExcept(n, h int, p types.ProcID, m int, dst types.ProcID) *Pattern {
-	others := types.FullSet(n).Remove(p)
-	b := &Behavior{Omit: make([]types.ProcSet, h)}
-	for r := 1; r <= h; r++ {
-		om := others
-		if r == m {
-			om = om.Remove(dst)
-		}
-		b.Omit[r-1] = om
+	omit := allFrom(n, h, p, 1)
+	if m >= 1 && m <= h {
+		omit[m-1] = omit[m-1].Remove(dst)
 	}
-	return MustPattern(Omission, n, h, types.Singleton(p), map[types.ProcID]*Behavior{p: b})
+	return MustPattern(Omission, n, h, types.Singleton(p), map[types.ProcID]*Behavior{p: {Omit: omit}})
+}
+
+// allFrom returns h rounds of omission sets for processor p that are
+// empty before round k and every other processor from round k on.
+func allFrom(n, h int, p types.ProcID, k int) []types.ProcSet {
+	sets := make([]types.ProcSet, h)
+	for r := max(k, 1); r <= h; r++ {
+		sets[r-1] = types.FullSet(n).Remove(p)
+	}
+	return sets
 }

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -181,41 +182,12 @@ func (b *Behavior) RecvOmittedIn(r types.Round) types.ProcSet {
 // Visible reports whether the behaviour deviates at all within the
 // horizon (some omission set, sending or receiving, is nonempty).
 func (b *Behavior) Visible() bool {
-	if b == nil {
-		return false
-	}
-	for _, s := range b.Omit {
-		if !s.Empty() {
-			return true
-		}
-	}
-	for _, s := range b.Recv {
-		if !s.Empty() {
-			return true
-		}
-	}
-	return false
+	return b != nil && (nonempty(b.Omit) || nonempty(b.Recv))
 }
 
-// recvVisible reports whether any receiving-omission set is nonempty.
-func (b *Behavior) recvVisible() bool {
-	if b == nil {
-		return false
-	}
-	for _, s := range b.Recv {
-		if !s.Empty() {
-			return true
-		}
-	}
-	return false
-}
-
-// omitVisible reports whether any sending-omission set is nonempty.
-func (b *Behavior) omitVisible() bool {
-	if b == nil {
-		return false
-	}
-	for _, s := range b.Omit {
+// nonempty reports whether any of the sets is nonempty.
+func nonempty(sets []types.ProcSet) bool {
+	for _, s := range sets {
 		if !s.Empty() {
 			return true
 		}
@@ -249,44 +221,28 @@ func (b *Behavior) CrashShape(p types.ProcID, n int, h int) bool {
 	return true
 }
 
-// clone deep-copies the behaviour.
-func (b *Behavior) clone() *Behavior {
-	if b == nil {
-		return nil
-	}
-	out := &Behavior{}
-	if b.Omit != nil {
-		out.Omit = make([]types.ProcSet, len(b.Omit))
-		copy(out.Omit, b.Omit)
-	}
-	if b.Recv != nil {
-		out.Recv = make([]types.ProcSet, len(b.Recv))
-		copy(out.Recv, b.Recv)
-	}
-	return out
-}
-
 // CrashBehavior builds the crash-mode behaviour of a processor p (in
 // an n-processor system, horizon h) that crashes in round k, delivering
 // its round-k message only to the processors in allowed. If k > h the
 // crash is invisible within the horizon and the behaviour is empty.
 func CrashBehavior(p types.ProcID, n, h, k int, allowed types.ProcSet) *Behavior {
-	others := types.FullSet(n).Remove(p)
 	if k > h {
 		return &Behavior{}
 	}
 	b := &Behavior{Omit: make([]types.ProcSet, h)}
-	for r := 1; r <= h; r++ {
-		switch {
-		case r < k:
-			b.Omit[r-1] = types.EmptySet
-		case r == k:
-			b.Omit[r-1] = others.Minus(allowed)
-		default:
-			b.Omit[r-1] = others
-		}
-	}
+	crashRow(b.Omit, types.FullSet(n).Remove(p), k, allowed)
 	return b
+}
+
+// crashRow writes into omit, whose entries are empty, the sending
+// omissions of a processor that crashes in round k ≤ len(omit),
+// delivering its round-k message to allowed of others and nothing
+// after.
+func crashRow(omit []types.ProcSet, others types.ProcSet, k int, allowed types.ProcSet) {
+	omit[k-1] = others.Minus(allowed)
+	for r := k; r < len(omit); r++ {
+		omit[r] = others
+	}
 }
 
 // Pattern is a complete failure pattern for a run: the designated
@@ -347,10 +303,10 @@ func checkBehavior(mode Mode, n, h int, p types.ProcID, b *Behavior) error {
 			return fmt.Errorf("failures: processor %d round %d drops receives %v outside others", p, r+1, s)
 		}
 	}
-	if !mode.HasSendingFaults() && b.omitVisible() {
+	if !mode.HasSendingFaults() && nonempty(b.Omit) {
 		return fmt.Errorf("failures: processor %d has sending omissions in %s mode", p, mode)
 	}
-	if !mode.HasReceivingFaults() && b.recvVisible() {
+	if !mode.HasReceivingFaults() && nonempty(b.Recv) {
 		return fmt.Errorf("failures: processor %d has receiving omissions in %s mode", p, mode)
 	}
 	if mode == Crash && !b.CrashShape(p, n, h) {
@@ -588,30 +544,25 @@ func (p *Pattern) Extend(h2 int) (*Pattern, error) {
 	if h2 < p.h {
 		return nil, fmt.Errorf("failures: Extend(%d) below current horizon %d", h2, p.h)
 	}
-	nb := make(map[types.ProcID]*Behavior, p.faulty.Len())
-	for _, q := range p.faulty.Members() {
-		b := p.behaviorOf(q)
-		eb := &Behavior{Omit: make([]types.ProcSet, h2)}
-		copy(eb.Omit, b.Omit)
-		if len(b.Recv) > 0 {
-			eb.Recv = make([]types.ProcSet, h2)
-			copy(eb.Recv, b.Recv)
-		}
-		if p.mode == Crash && b.Visible() {
-			others := types.FullSet(p.n).Remove(q)
-			// After the crash round, everything stays omitted.
-			crashed := false
-			for r := 0; r < h2; r++ {
-				if crashed {
-					eb.Omit[r] = others
-				} else if !eb.Omit[r].Empty() {
-					crashed = true
-				}
+	w, w2 := rowLen(p.mode, p.h), rowLen(p.mode, h2)
+	sched := make([]types.ProcSet, p.faulty.Len()*w2)
+	for i, q := range p.faulty.Members() {
+		row, row2 := p.sched[i*w:(i+1)*w], sched[i*w2:(i+1)*w2]
+		copy(row2, row[:p.h])
+		copy(row2[h2:], row[p.h:])
+		if p.mode == Crash && !row[p.h-1].Empty() {
+			// A crash within the horizon omits in round h (crash
+			// shape), and everything stays omitted after it.
+			for r := p.h; r < h2; r++ {
+				row2[r] = types.FullSet(p.n).Remove(q)
 			}
 		}
-		nb[q] = eb
 	}
-	return NewPattern(p.mode, p.n, h2, p.faulty, nb)
+	pats, err := NewPatterns(p.mode, p.n, h2, []types.ProcSet{p.faulty}, sched)
+	if err != nil {
+		return nil, err
+	}
+	return pats[0], nil
 }
 
 // Key returns a canonical string identity for the pattern; two
@@ -650,7 +601,7 @@ func (p *Pattern) computeKey() string {
 		// Receiving omissions get a separately prefixed section so that
 		// pure sending-mode keys are byte-for-byte what they were before
 		// the receiving modes existed (snapshot digests pin them).
-		if beh.recvVisible() {
+		if nonempty(beh.Recv) {
 			b = append(b, 'R')
 			appendSets(beh.Recv)
 		}
@@ -721,7 +672,7 @@ func (p *Pattern) behaviors() map[types.ProcID]*Behavior {
 	nb := make(map[types.ProcID]*Behavior, p.faulty.Len())
 	for _, q := range p.faulty.Members() {
 		b := p.behaviorOf(q)
-		nb[q] = b.clone()
+		nb[q] = &Behavior{Omit: slices.Clone(b.Omit), Recv: slices.Clone(b.Recv)}
 	}
 	return nb
 }

@@ -2,6 +2,7 @@ package failures
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -250,16 +251,61 @@ func TestEnumCrashCounts(t *testing.T) {
 }
 
 func TestEnumOmissionCounts(t *testing.T) {
-	// n=3, t=1, h=2: per-proc behaviours = (2^2)^2 = 16; 1 + 3*16 = 49.
-	ps, err := EnumOmission(3, 1, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 49 {
-		t.Fatalf("EnumOmission(3,1,2) = %d, want 49", len(ps))
+	// Closed forms: per faulty processor (2^(n-1))^h behaviours in the
+	// sending and receiving modes, and (2^(n-1) · 2^(n-f))^h in the
+	// general mode when f processors are faulty.
+	for _, tc := range []struct {
+		mode    Mode
+		n, t, h int
+		want    int
+	}{
+		{Omission, 3, 1, 2, 1 + 3*16},
+		{Omission, 3, 2, 2, 1 + 3*16 + 3*16*16},
+		{ReceivingOmission, 3, 2, 2, 1 + 3*16 + 3*16*16},
+		{ReceivingOmission, 4, 2, 1, 1 + 4*8 + 6*8*8},
+		{GeneralOmission, 3, 2, 2, 1 + 3*16*16 + 3*8*8*8*8},
+		{GeneralOmission, 4, 2, 1, 1 + 4*64 + 6*32*32},
+	} {
+		ps, err := Enum(tc.mode, tc.n, tc.t, tc.h, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ps) != tc.want {
+			t.Errorf("Enum(%s, %d, %d, %d) = %d patterns, want %d", tc.mode, tc.n, tc.t, tc.h, len(ps), tc.want)
+		}
 	}
 	if _, err := EnumOmission(4, 1, 3, 10); err == nil {
 		t.Fatal("limit not enforced")
+	}
+}
+
+// TestEnumLimitGuard: in every mode a limit equal to the pattern count
+// is met and one less is refused, and the refusal comes before any
+// pattern is built — general omission at n=4, t=2, h=2 has ~6.3 M
+// canonical patterns, and refusing it allocates under 1 MB, counted
+// by the allocator rather than timed.
+func TestEnumLimitGuard(t *testing.T) {
+	for _, mode := range Modes {
+		pats, err := Enum(mode, 3, 2, 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Enum(mode, 3, 2, 2, len(pats)); err != nil {
+			t.Errorf("%s: limit == count %d refused: %v", mode, len(pats), err)
+		}
+		if _, err := Enum(mode, 3, 2, 2, len(pats)-1); err == nil {
+			t.Errorf("%s: limit %d below the count accepted", mode, len(pats)-1)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := EnumGeneral(4, 2, 2, 2_000_000)
+	runtime.ReadMemStats(&after)
+	if err == nil || err.Error() != "failures: enumeration exceeds limit 2000000" {
+		t.Fatalf("over-limit enumeration: err = %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("refusing the over-limit enumeration allocated %d bytes, want under 1 MB", got)
 	}
 }
 

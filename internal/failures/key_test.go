@@ -41,18 +41,7 @@ func fmtKey(p *Pattern) string {
 
 func enumAll(t *testing.T, mode Mode, n, tt, h int) []*Pattern {
 	t.Helper()
-	var pats []*Pattern
-	var err error
-	switch mode {
-	case Crash:
-		pats, err = EnumCrash(n, tt, h)
-	case Omission:
-		pats, err = EnumOmission(n, tt, h, 0)
-	case ReceivingOmission:
-		pats, err = EnumReceiving(n, tt, h, 0)
-	case GeneralOmission:
-		pats, err = EnumGeneral(n, tt, h, 0)
-	}
+	pats, err := Enum(mode, n, tt, h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,6 @@
+//go:build mutant_enum_order
+
+package failures
+
+// Planted bug: see mutant_off.go.
+const mutantEnumOrder = true

@@ -216,8 +216,10 @@ func (e *Engine) resolve(req Request) (store.Key, parsedFormula, error) {
 	}
 	key.Mode = mode
 	if mode == failures.Crash {
-		// Crash enumeration ignores the limit; normalize it out of the
-		// key so "crash" and "crash, limit=x" share one snapshot.
+		// The service leaves crash keys unbounded (the guard is for
+		// the omission modes, whose counts grow fastest); normalize the
+		// limit out of the key so "crash" and "crash, limit=x" share
+		// one snapshot.
 		key.Limit = 0
 	} else if key.Limit == 0 {
 		// All three omission-family modes get the guard limit; the

@@ -139,36 +139,17 @@ type System struct {
 
 // Enumerate builds the exhaustive system for the mode: all initial
 // configurations crossed with all canonical failure patterns up to t
-// faulty processors. For the omission modes the pattern count grows as
-// (2^(n-1))^h per faulty processor (squared per round for the general
-// mode); limit > 0 bounds it, limit == 0 means no limit, and limit < 0
-// is an error.
+// faulty processors (failures.Enum). For the omission modes the pattern
+// count grows as (2^(n-1))^h per faulty processor (squared per round
+// for the general mode); limit > 0 bounds it in every mode, before any
+// pattern is built, limit == 0 means no limit, and limit < 0 is an
+// error.
 func Enumerate(params types.Params, mode failures.Mode, horizon int, limit int) (*System, error) {
-	pats, err := enumerate(params, mode, horizon, limit)
+	pats, err := failures.Enum(mode, params.N, params.T, horizon, limit)
 	if err != nil {
 		return nil, err
 	}
 	return FromPatterns(params, mode, horizon, pats)
-}
-
-// enumerate is the shared pattern-enumeration front of Enumerate and
-// EnumerateParallel.
-func enumerate(params types.Params, mode failures.Mode, horizon int, limit int) ([]*failures.Pattern, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("system: negative pattern limit %d (0 means no limit)", limit)
-	}
-	switch mode {
-	case failures.Crash:
-		return failures.EnumCrash(params.N, params.T, horizon)
-	case failures.Omission:
-		return failures.EnumOmission(params.N, params.T, horizon, limit)
-	case failures.ReceivingOmission:
-		return failures.EnumReceiving(params.N, params.T, horizon, limit)
-	case failures.GeneralOmission:
-		return failures.EnumGeneral(params.N, params.T, horizon, limit)
-	default:
-		return nil, fmt.Errorf("system: %w %v", failures.ErrUnknownMode, mode)
-	}
 }
 
 // FromPatterns builds the system over an explicit adversary class:

@@ -160,9 +160,8 @@ func TestIndistinguishableRunsShareViews(t *testing.T) {
 }
 
 // TestEnumerateLimitSemantics pins the limit contract at the system
-// layer for both modes: 0 means no limit (crash mode ignores the bound
-// entirely), and a negative limit is an error before any enumeration
-// happens.
+// layer for both modes: 0 means no limit, and a negative limit is an
+// error before any enumeration happens.
 func TestEnumerateLimitSemantics(t *testing.T) {
 	params := types.Params{N: 3, T: 1}
 	if _, err := Enumerate(params, failures.Crash, 2, 0); err != nil {
@@ -212,7 +211,7 @@ func perRunTable(params types.Params, horizon int, pats []*failures.Pattern) (*v
 // produce.
 func TestFromPatternsMatchesPerRunBuild(t *testing.T) {
 	enum := func(mode failures.Mode, n, tf, h int) []*failures.Pattern {
-		pats, err := enumerate(types.Params{N: n, T: tf}, mode, h, 0)
+		pats, err := failures.Enum(mode, n, tf, h, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +297,7 @@ func TestFromPatternsMatchesPerRunBuild(t *testing.T) {
 // inside views.Interner whoever builds the system.
 func TestFromPatternsAllocatesPerViewNotPerRun(t *testing.T) {
 	params := types.Params{N: 3, T: 1}
-	pats, err := enumerate(params, failures.Omission, 3, 0)
+	pats, err := failures.Enum(failures.Omission, params.N, params.T, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
