@@ -14,44 +14,20 @@ import (
 // each faulty processor independently picks one behaviour from its
 // menu (see menu). The patterns come faulty set by faulty set, in
 // FaultySets order, and within a set the lowest member's menu varies
-// fastest. The count is known before any pattern exists, so limit > 0
-// aborts with an error, before allocating, if there would be more than
-// limit patterns; limit == 0 means no limit, and limit < 0 is rejected
-// outright (a negative bound is always a caller bug, not a request for
-// an unbounded enumeration).
+// fastest. The count is known before any pattern or faulty set exists
+// (Count), so limit > 0 aborts with an error, before allocating, if
+// there would be more than limit patterns; limit == 0 means no limit,
+// and limit < 0 is rejected outright (a negative bound is always a
+// caller bug, not a request for an unbounded enumeration).
 func Enum(mode Mode, n, t, h, limit int) ([]*Pattern, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("failures: negative pattern limit %d (0 means no limit)", limit)
-	}
-	if !mode.Valid() {
-		return nil, fmt.Errorf("failures: %w %v", ErrUnknownMode, mode)
-	}
-	if err := (types.Params{N: n, T: t}).Validate(); err != nil {
+	count, size, err := Count(mode, n, t, h, limit)
+	if err != nil {
 		return nil, err
 	}
-	if h < 1 {
-		return nil, fmt.Errorf("failures: horizon %d < 1", h)
-	}
-	sets := FaultySets(n, t)
 	w := rowLen(mode, h)
-	count, size := 0, 0 // patterns, and schedule sets over all of them
-	for _, faulty := range sets {
-		c := 1
-		for _, p := range faulty.Members() {
-			c = satMul(c, menuLen(mode, n, h, p, faulty))
-		}
-		count = satAdd(count, c)
-		size = satAdd(size, satMul(c, faulty.Len()*w))
-	}
-	if limit > 0 && count > limit {
-		return nil, fmt.Errorf("failures: enumeration exceeds limit %d", limit)
-	}
-	if size == math.MaxInt {
-		return nil, fmt.Errorf("failures: %s enumeration n=%d t=%d h=%d too large to hold", mode, n, t, h)
-	}
 	faultyOf := make([]types.ProcSet, 0, count)
 	sched := make([]types.ProcSet, 0, size)
-	for _, faulty := range sets {
+	for _, faulty := range FaultySets(n, t) {
 		members := faulty.Members()
 		menus := make([][]types.ProcSet, len(members))
 		for i, p := range members {
@@ -68,7 +44,7 @@ func Enum(mode Mode, n, t, h, limit int) ([]*Pattern, error) {
 			j := 0
 			for ; j < len(members); j++ {
 				i := j
-				if mutantEnumOrder {
+				if mutant == "enum_order" {
 					i = len(members) - 1 - j
 				}
 				if at[i] += w; at[i] < len(menus[i]) {
@@ -82,6 +58,51 @@ func Enum(mode Mode, n, t, h, limit int) ([]*Pattern, error) {
 		}
 	}
 	return NewPatterns(mode, n, h, faultyOf, sched)
+}
+
+// Count returns the number of patterns Enum(mode, n, t, h, limit)
+// builds and of schedule sets over all of them (saturating at
+// math.MaxInt), or the error Enum returns, without building anything:
+// its cost grows with t only. A
+// menu's length depends on the faulty set only through its size f, so
+// each of the C(n, f) sets of size f contributes menuLen^f patterns.
+func Count(mode Mode, n, t, h, limit int) (count, size int, err error) {
+	if limit < 0 {
+		return 0, 0, fmt.Errorf("failures: negative pattern limit %d (0 means no limit)", limit)
+	}
+	if !mode.Valid() {
+		return 0, 0, fmt.Errorf("failures: %w %v", ErrUnknownMode, mode)
+	}
+	if err := (types.Params{N: n, T: t}).Validate(); err != nil {
+		return 0, 0, err
+	}
+	if h < 1 {
+		return 0, 0, fmt.Errorf("failures: horizon %d < 1", h)
+	}
+	w := rowLen(mode, h)
+	sets := 1 // C(n, f)
+	for f := 0; f <= t; f++ {
+		if f > 0 {
+			// C(n, f) from C(n, f-1): exact for n ≤ 64, though the
+			// product before the division can need 128 bits.
+			hi, lo := bits.Mul64(uint64(sets), uint64(n-f+1))
+			q, _ := bits.Div64(hi, lo, uint64(f))
+			sets = int(q)
+		}
+		c := sets
+		for range f {
+			c = satMul(c, menuLen(mode, n, h, f))
+		}
+		count = satAdd(count, c)
+		size = satAdd(size, satMul(c, f*w))
+	}
+	if limit > 0 && count > limit {
+		return 0, 0, fmt.Errorf("failures: enumeration exceeds limit %d", limit)
+	}
+	if size == math.MaxInt {
+		return 0, 0, fmt.Errorf("failures: %s enumeration n=%d t=%d h=%d too large to hold", mode, n, t, h)
+	}
+	return count, size, nil
 }
 
 // EnumCrash enumerates every canonical crash-mode failure pattern.
@@ -128,13 +149,13 @@ func choiceBases(mode Mode, n int, p types.ProcID, faulty types.ProcSet) (send, 
 	return send, recv
 }
 
-// menuLen is the length of faulty processor p's menu, saturating at
-// math.MaxInt.
-func menuLen(mode Mode, n, h int, p types.ProcID, faulty types.ProcSet) int {
+// menuLen is the length of each faulty processor's menu when f ≥ 1
+// processors are faulty, saturating at math.MaxInt.
+func menuLen(mode Mode, n, h, f int) int {
 	if mode == Crash {
 		return satAdd(1, satMul(h, pow2(n-1)-1))
 	}
-	send, recv := choiceBases(mode, n, p, faulty)
+	send, recv := choiceBases(mode, n, 0, types.FullSet(f))
 	return pow2(satMul(h, send.Len()+recv.Len()))
 }
 

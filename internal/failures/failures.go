@@ -719,17 +719,23 @@ func (p *Pattern) EmbedInGeneral() (*Pattern, error) {
 }
 
 // FaultySets enumerates all subsets of {0..n-1} of size at most t, in
-// increasing size then lexicographic order, starting with the empty
-// set.
+// increasing size then increasing mask order, starting with the empty
+// set. It visits only those sets, so its cost is their number.
 func FaultySets(n, t int) []types.ProcSet {
-	var out []types.ProcSet
+	out := []types.ProcSet{types.EmptySet}
 	full := uint64(types.FullSet(n))
-	for size := 0; size <= t; size++ {
-		for m := uint64(0); m <= full; m++ {
-			s := types.ProcSet(m)
-			if s.Len() == size {
-				out = append(out, s)
+	for size := 1; size <= min(t, n); size++ {
+		// Gosper's hack: from the least mask of size bits, step to the
+		// next larger mask with as many bits until one leaves the set.
+		m := full >> (n - size)
+		for {
+			out = append(out, types.ProcSet(m))
+			low := m & -m
+			r := m + low
+			if r == 0 || r > full {
+				break
 			}
+			m = r | ((m^r)>>2)/low
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package failures
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -214,6 +215,31 @@ func TestFaultySets(t *testing.T) {
 	if len(FaultySets(4, 2)) != 1+4+6 {
 		t.Fatalf("FaultySets(4,2) count = %d", len(FaultySets(4, 2)))
 	}
+	// The order is by size, then by mask: what a scan of every mask
+	// once per size gives, up to n = 10.
+	for n := 2; n <= 10; n++ {
+		for tt := 0; tt <= n; tt++ {
+			var want []types.ProcSet
+			for size := 0; size <= tt; size++ {
+				for m := range uint64(1) << n {
+					if s := types.ProcSet(m); s.Len() == size {
+						want = append(want, s)
+					}
+				}
+			}
+			if got := FaultySets(n, tt); !slices.Equal(got, want) {
+				t.Fatalf("FaultySets(%d,%d) = %v, want %v", n, tt, got, want)
+			}
+		}
+	}
+	// Only the sets it returns are visited, so a large n costs their
+	// number, not 2^n.
+	if got := FaultySets(48, 2); len(got) != 1+48+1128 || got[len(got)-1] != types.SetOf(46, 47) {
+		t.Fatalf("FaultySets(48,2): %d sets, last %v", len(got), got[len(got)-1])
+	}
+	if got := FaultySets(64, 2); len(got) != 1+64+2016 || got[len(got)-1] != types.SetOf(62, 63) {
+		t.Fatalf("FaultySets(64,2): %d sets, last %v", len(got), got[len(got)-1])
+	}
 }
 
 func TestEnumCrashCounts(t *testing.T) {
@@ -306,6 +332,30 @@ func TestEnumLimitGuard(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Errorf("refusing the over-limit enumeration allocated %d bytes, want under 1 MB", got)
+	}
+}
+
+// TestEnumCountsBeforeFaultySets: Count is the length Enum returns in
+// every mode, and the limit is checked from it before a faulty set
+// exists, so an over-limit enumeration at n=48 is refused at once.
+func TestEnumCountsBeforeFaultySets(t *testing.T) {
+	for _, mode := range Modes {
+		for _, c := range []struct{ n, t, h int }{{2, 1, 1}, {3, 1, 2}, {3, 2, 2}, {4, 1, 2}} {
+			pats, err := Enum(mode, c.n, c.t, c.h, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _, err := Count(mode, c.n, c.t, c.h, 0); err != nil || got != len(pats) {
+				t.Errorf("%s n=%d t=%d h=%d: Count %d (%v), Enum built %d", mode, c.n, c.t, c.h, got, err, len(pats))
+			}
+		}
+	}
+	_, err := Enum(Omission, 48, 2, 2, 2_000_000)
+	if err == nil || err.Error() != "failures: enumeration exceeds limit 2000000" {
+		t.Fatalf("Enum(Omission, 48, 2, 2, 2000000): %v, want the limit error", err)
+	}
+	if _, _, err := Count(Crash, 64, 63, 1, 0); err == nil || !strings.Contains(err.Error(), "too large to hold") {
+		t.Fatalf("Count(Crash, 64, 63, 1, 0): %v, want too large to hold", err)
 	}
 }
 

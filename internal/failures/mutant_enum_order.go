@@ -3,4 +3,4 @@
 package failures
 
 // Planted bug: see mutant_off.go.
-const mutantEnumOrder = true
+const mutant = "enum_order"

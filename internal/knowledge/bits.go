@@ -1,7 +1,6 @@
 package knowledge
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -167,43 +166,6 @@ func (b *Bits) Any() bool {
 		}
 	}
 	return false
-}
-
-// MarshalBinary serializes the table (length then packed words,
-// little-endian) for the snapshot store's persisted truth tables.
-func (b *Bits) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 10+8*len(b.w))
-	buf = binary.AppendUvarint(buf, uint64(b.n))
-	for _, w := range b.w {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary restores a table serialized by MarshalBinary.
-func (b *Bits) UnmarshalBinary(data []byte) error {
-	nU, k := binary.Uvarint(data)
-	if k <= 0 {
-		return fmt.Errorf("knowledge: truncated bits header")
-	}
-	const maxPoints = 1 << 40
-	if nU > maxPoints {
-		return fmt.Errorf("knowledge: bits claims %d points", nU)
-	}
-	n := int(nU)
-	words := (n + 63) / 64
-	if len(data)-k != 8*words {
-		return fmt.Errorf("knowledge: bits payload is %d bytes, want %d", len(data)-k, 8*words)
-	}
-	b.n = n
-	b.w = make([]uint64, words)
-	for i := range b.w {
-		b.w[i] = binary.LittleEndian.Uint64(data[k+8*i:])
-	}
-	if r := uint(n & 63); r != 0 && words > 0 && b.w[words-1]>>r != 0 {
-		return fmt.Errorf("knowledge: bits has stray bits beyond %d points", n)
-	}
-	return nil
 }
 
 // Equal reports whether the tables are identical.

@@ -476,7 +476,7 @@ func (e *Evaluator) nonfaultyMasks() []*Bits {
 func (e *Evaluator) runParts(fr *frontier) []*Bits {
 	parts := make([]*Bits, len(fr.members))
 	for i, mb := range fr.members {
-		if mb.nf && !mutantMemberNF {
+		if mb.nf && mutant != "member_nf" {
 			parts[i] = e.nonfaultyMasks()[i]
 		}
 	}
@@ -820,7 +820,7 @@ func (e *Evaluator) evalCDiamond(s NonrigidSet, ft *Bits) *Bits {
 			for ; w != 0; w &= w - 1 {
 				b := bits.TrailingZeros64(w)
 				for i, v := range vs[(wi<<6+b)*n : (wi<<6+b+1)*n] {
-					if inS[i]>>b&1 != 0 && holds[v] && !(mutantCDiaLayer && i == n-1) {
+					if inS[i]>>b&1 != 0 && holds[v] && !(mutant == "cdia_layer" && i == n-1) {
 						holds[v] = false
 						refuted = append(refuted, v)
 					}
@@ -952,7 +952,7 @@ func (e *Evaluator) runComponents(fr *frontier) []int32 {
 			copy(o, occ[int(prev)*words:])
 		}
 		if adm[v] {
-			if mutantChainNoGap {
+			if mutant == "chain_nogap" {
 				l = prev
 			}
 			uf.union(int32(l), int32(v))
@@ -981,7 +981,7 @@ func (e *Evaluator) runComponents(fr *frontier) []int32 {
 			for w, o := range occ[int(v)*words : (int(v)+1)*words] {
 				times[w] |= o
 			}
-			for m := 0; mutantChainOccupied && last[v] == v && m < stride; m++ {
+			for m := 0; mutant == "chain_occupied" && last[v] == v && m < stride; m++ {
 				times[m>>6] |= 1 << uint(m&63)
 			}
 		}

@@ -3,9 +3,4 @@
 package knowledge
 
 // Planted bug: see mutant_off.go.
-const (
-	mutantMemberNF      = false
-	mutantChainNoGap    = false
-	mutantChainOccupied = false
-	mutantCDiaLayer     = true
-)
+const mutant = "cdia_layer"

@@ -3,9 +3,4 @@
 package knowledge
 
 // Planted bug: see mutant_off.go.
-const (
-	mutantMemberNF      = true
-	mutantChainNoGap    = false
-	mutantChainOccupied = false
-	mutantCDiaLayer     = false
-)
+const mutant = "member_nf"

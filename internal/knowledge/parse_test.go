@@ -195,3 +195,40 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseSameString: a result file is filed under its formula's
+// rendering and holds only the verdict, so two formulas that render
+// alike must mean the same. When both inputs parse, name only the
+// system's processors and have equal String(), their truth tables on
+// crash n=2 t=1 h=1 must be equal.
+func FuzzParseSameString(f *testing.F) {
+	for _, pair := range [][2]string{
+		{"E0 -> E1", "!E0 | E1"},
+		{"E0 <-> E1", "(E0 -> E1) & (E1 -> E0)"},
+		{"K0(E0)", "K0 E0"},
+		{"E0 & E1 & E0", "(E0 & E1) & E0"},
+		{"Cdia E0 -> E0", "!Cdia E0 | E0"},
+		{"Cbox E0 -> C E0", "(Cbox E0) -> (C E0)"},
+		{"alw E0", "box E0"},
+		{"init0=1", "knows0=1"},
+	} {
+		f.Add(pair[0], pair[1])
+	}
+	sys, err := system.Enumerate(types.Params{N: 2, T: 1}, failures.Crash, 1, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		fa, err := Parse(a)
+		if err != nil || MaxProc(fa) >= 2 {
+			return
+		}
+		fb, err := Parse(b)
+		if err != nil || MaxProc(fb) >= 2 || fa.String() != fb.String() {
+			return
+		}
+		if ta, tb := NewEvaluator(sys).Eval(fa), NewEvaluator(sys).Eval(fb); !ta.Equal(tb) {
+			t.Fatalf("%q and %q both render %s, but their truth tables differ", a, b, fa)
+		}
+	})
+}

@@ -5,11 +5,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"github.com/eventual-agreement/eba/internal/knowledge"
 	"github.com/eventual-agreement/eba/internal/store"
 	"github.com/eventual-agreement/eba/internal/telemetry"
 )
@@ -42,9 +44,9 @@ func answerFields(r *Response) answerOf {
 }
 
 // TestAnswerSameFromEveryOrigin: a response's verdict, count and
-// counterexample are the same whether the table was just computed,
+// counterexample are the same whether the answer was just computed,
 // read from disk, or found in the memo, and equal what a full scan of
-// the table gives.
+// a freshly evaluated truth table gives.
 func TestAnswerSameFromEveryOrigin(t *testing.T) {
 	for _, mode := range []string{"crash", "omission", "receiving-omission", "general-omission"} {
 		t.Run(mode, func(t *testing.T) {
@@ -89,10 +91,11 @@ func TestAnswerSameFromEveryOrigin(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tbl, origin, err := warm.Store().Result(key, pf.canonical, nil)
-				if err != nil || origin != store.OriginMemory {
-					t.Fatalf("%s: table origin %v err %v, want memory", f, origin, err)
+				sys, _, err := warm.Store().System(key)
+				if err != nil {
+					t.Fatal(err)
 				}
+				tbl := knowledge.NewEvaluator(sys).Eval(pf.f)
 				if want.Valid != tbl.All() || want.TruePoints != tbl.Count() || want.TotalPoints != tbl.Len() {
 					t.Errorf("%s: answer %+v, table All %v Count %d Len %d", f, want, tbl.All(), tbl.Count(), tbl.Len())
 				}
@@ -104,10 +107,6 @@ func TestAnswerSameFromEveryOrigin(t *testing.T) {
 					t.Errorf("%s: counterexample point %d, table FirstZero %d", f, first, tbl.FirstZero())
 				}
 				if cx := want.Counterexample; cx != nil {
-					sys, _, err := warm.Store().System(key)
-					if err != nil {
-						t.Fatal(err)
-					}
 					pt := sys.PointAt(cx.Point)
 					run := sys.RunOf(pt)
 					if cx.Run != run.Index || cx.Time != int(pt.Time) || cx.Config != run.Config().String() || cx.Pattern != run.Pattern().String() {
@@ -125,8 +124,9 @@ func TestAnswerSameFromEveryOrigin(t *testing.T) {
 }
 
 // TestVersion1ResultFileRecomputed: a result file of the envelope's
-// first version (formula and table, no witness) reads as a foreign
-// build's. A request over it recomputes the table and leaves the file
+// first version (formula and packed truth table) or second (the same
+// plus the witness run's configuration and pattern) reads as a foreign
+// build's. A request over it recomputes the answer and leaves the file
 // byte for byte as it was.
 func TestVersion1ResultFileRecomputed(t *testing.T) {
 	dir := t.TempDir()
@@ -144,46 +144,74 @@ func TestVersion1ResultFileRecomputed(t *testing.T) {
 		return resp
 	}
 	want := exec()
-	if want.ResultOrigin != "enumerated" || want.Counterexample == nil {
-		t.Fatalf("first request: origin %s, counterexample %v; want a computed, falsified table", want.ResultOrigin, want.Counterexample)
+	cx := want.Counterexample
+	if want.ResultOrigin != "enumerated" || cx == nil {
+		t.Fatalf("first request: origin %s, counterexample %v; want a computed, falsified answer", want.ResultOrigin, cx)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "results", "*", "*.bits"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("result files %v (%v), want one", files, err)
 	}
-	data, err := os.ReadFile(files[0])
+	st, err := store.Open("", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := store.DecodeResult(data)
+	key, pf, err := NewEngine(st, 0).resolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := append([]byte("EBABITS"), 1)
-	for _, field := range [][]byte{[]byte(r.Formula), r.Table} {
-		v1 = binary.AppendUvarint(v1, uint64(len(field)))
-		v1 = append(v1, field...)
-	}
-	sum := sha256.Sum256(v1)
-	v1 = append(v1, sum[:]...)
-	if err := os.WriteFile(files[0], v1, 0o644); err != nil {
+	sys, _, err := st.System(key)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range 2 {
-		got := exec()
-		if got.ResultOrigin != "enumerated" {
-			t.Fatalf("request %d over a version-1 result file: origin %s, want enumerated", i, got.ResultOrigin)
+	// The table as those versions packed it: its length, then
+	// little-endian 64-bit words.
+	tbl := knowledge.NewEvaluator(sys).Eval(pf.f)
+	words := make([]uint64, (tbl.Len()+63)/64)
+	for i := range tbl.Len() {
+		if tbl.Get(i) {
+			words[i/64] |= 1 << (i % 64)
 		}
-		if !reflect.DeepEqual(answerFields(got), answerFields(want)) {
-			t.Fatalf("request %d: %+v, want %+v", i, answerFields(got), answerFields(want))
-		}
-		after, err := os.ReadFile(files[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(after, v1) {
-			t.Fatalf("request %d rewrote the version-1 result file", i)
-		}
+	}
+	packed := binary.AppendUvarint(nil, uint64(tbl.Len()))
+	for _, w := range words {
+		packed = binary.LittleEndian.AppendUint64(packed, w)
+	}
+	for _, old := range []struct {
+		version byte
+		fields  []string
+	}{
+		{1, []string{pf.canonical, string(packed)}},
+		{2, []string{pf.canonical, string(packed), cx.Config, cx.Pattern}},
+	} {
+		t.Run(fmt.Sprintf("version-%d", old.version), func(t *testing.T) {
+			blob := append([]byte("EBABITS"), old.version)
+			for _, field := range old.fields {
+				blob = binary.AppendUvarint(blob, uint64(len(field)))
+				blob = append(blob, field...)
+			}
+			sum := sha256.Sum256(blob)
+			blob = append(blob, sum[:]...)
+			if err := os.WriteFile(files[0], blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for i := range 2 {
+				got := exec()
+				if got.ResultOrigin != "enumerated" {
+					t.Fatalf("request %d over the old result file: origin %s, want enumerated", i, got.ResultOrigin)
+				}
+				if !reflect.DeepEqual(answerFields(got), answerFields(want)) {
+					t.Fatalf("request %d: %+v, want %+v", i, answerFields(got), answerFields(want))
+				}
+				after, err := os.ReadFile(files[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(after, blob) {
+					t.Fatalf("request %d rewrote the old result file", i)
+				}
+			}
+		})
 	}
 }
 

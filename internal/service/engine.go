@@ -27,7 +27,7 @@ var ErrBadRequest = errors.New("bad request")
 
 // DefaultOmissionLimit bounds omission-family enumerations (sending,
 // receiving, and general) that don't give an explicit limit, mirroring
-// the ebaq default.
+// the ebaq default. It bounds every crash enumeration too.
 const DefaultOmissionLimit = 2_000_000
 
 // Request is one query: a formula plus the system it should be
@@ -216,10 +216,9 @@ func (e *Engine) resolve(req Request) (store.Key, parsedFormula, error) {
 	}
 	key.Mode = mode
 	if mode == failures.Crash {
-		// The service leaves crash keys unbounded (the guard is for
-		// the omission modes, whose counts grow fastest); normalize the
-		// limit out of the key so "crash" and "crash, limit=x" share
-		// one snapshot.
+		// Normalize the limit out of the key so "crash" and "crash,
+		// limit=x" share one snapshot; the bound on crash keys is
+		// applied outside the key (Engine.resident).
 		key.Limit = 0
 	} else if key.Limit == 0 {
 		// All three omission-family modes get the guard limit; the
@@ -317,6 +316,20 @@ func msBetween(from, to time.Time) float64 {
 	return float64(to.Sub(from).Microseconds()) / 1e3
 }
 
+// resident is Store.Resident behind the service's bound on crash keys.
+// resolve drops the limit from a crash key, so that every crash request
+// shares one snapshot, and the store would enumerate it unbounded; a
+// crash key with more than DefaultOmissionLimit patterns is refused
+// here with the error the enumerator gives an omission key past it.
+func (e *Engine) resident(ctx context.Context, key store.Key) (store.Shape, store.Origin, error) {
+	if key.Mode == failures.Crash {
+		if _, _, err := failures.Count(key.Mode, key.N, key.T, key.Horizon, DefaultOmissionLimit); err != nil {
+			return store.Shape{}, store.OriginEnumerated, err
+		}
+	}
+	return e.store.Resident(ctx, key)
+}
+
 // execute is the uncancelable core of Execute. Its three stages —
 // load, eval, scan — run back to back under an engine.execute span,
 // and the clock is read once per stage boundary: each reading ends
@@ -336,7 +349,7 @@ func (e *Engine) execute(ctx context.Context, key store.Key, pf parsedFormula, r
 	// has seen before stays undecoded until a compute needs it, so that
 	// decode, when it comes, shows under engine.eval.
 	lctx, loadSp := telemetry.StartSpanAt(ctx, loadStart, "engine.load")
-	shape, sysOrigin, err := e.store.Resident(lctx, key)
+	shape, sysOrigin, err := e.resident(lctx, key)
 	evalStart := time.Now()
 	last = evalStart
 	loadSp.EndAt(evalStart, telemetry.L("origin", sysOrigin.String()))

@@ -7,8 +7,10 @@ package service
 // future fifth mode that misses a switch arm fails loudly here.
 
 import (
+	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/eventual-agreement/eba/internal/chaos"
 	"github.com/eventual-agreement/eba/internal/failures"
@@ -68,5 +70,32 @@ func TestUnknownModeTypedEverywhere(t *testing.T) {
 	}
 	if !errors.Is(err, failures.ErrUnknownMode) {
 		t.Fatalf("Resolve: %v; want the typed failures.ErrUnknownMode inside ErrBadRequest", err)
+	}
+}
+
+// TestCrashKeyBoundedLikeOmission: a crash key carries no limit, yet
+// one past DefaultOmissionLimit patterns is refused at once, with the
+// error and status an omission key past its limit gets.
+func TestCrashKeyBoundedLikeOmission(t *testing.T) {
+	st, err := store.Open("", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(st, 0)
+	ctx := context.Background()
+	_, want := e.Execute(ctx, Request{Formula: "E0", Mode: "omission", N: 4, T: 2, Horizon: 4})
+	if want == nil {
+		t.Fatal("omission n=4 t=2 h=4 answered; want its limit error")
+	}
+	start := time.Now()
+	resp, err := e.Execute(ctx, Request{Formula: "E0", Mode: "crash", N: 40, T: 1})
+	if elapsed := time.Since(start); elapsed >= time.Second {
+		t.Fatalf("crash n=40 t=1 took %v to refuse", elapsed)
+	}
+	if resp != nil || err == nil || err.Error() != want.Error() || itemStatus(err) != itemStatus(want) {
+		t.Fatalf("crash n=40 t=1: %v (status %d), want %v (status %d)", err, itemStatus(err), want, itemStatus(want))
+	}
+	if key, _, err := e.Resolve(Request{Formula: "E0", Mode: "crash", N: 40, T: 1, Limit: 7}); err != nil || key.Limit != 0 {
+		t.Fatalf("crash key %+v (%v): the bound must stay out of the key", key, err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package store is the persistence layer under the epistemic query
 // service: a versioned, content-addressed snapshot store for
-// enumerated full-information systems and memoized truth tables,
-// keyed by (n, t, mode, horizon, limit).
+// enumerated full-information systems and the memoized answers of
+// formulas over them, keyed by (n, t, mode, horizon, limit).
 //
 // Enumerating a system is the expensive artifact every tool in the
 // repository needs — ebaq, ebacheck, ebaexp, and the ebad daemon all
@@ -92,13 +92,13 @@ func (k Key) String() string { return k.Slug() }
 //
 // where the trailing SHA-256 covers every preceding byte. The digest
 // doubles as the snapshot's content address: two files with equal
-// digests decode to identical systems, and memoized truth tables are
-// filed under the digest of the system they were computed over.
+// digests decode to identical systems, and memoized answers are filed
+// under the digest of the system they were computed over.
 const (
 	snapMagic     = "EBASNAP"
 	bitsMagic     = "EBABITS"
 	snapVersion   = 1
-	resultVersion = 2
+	resultVersion = 3
 	digestLen     = sha256.Size
 )
 
@@ -440,7 +440,7 @@ func decodeRuns(d *decoder, rs *system.Restorer, tbl *system.RunTable, lo, hi in
 		if d.err != nil {
 			return d.err
 		}
-		if !(mutantLane2NoCheck && lo > 0) {
+		if !(mutant == "lane2nocheck" && lo > 0) {
 			if err := rs.CheckRun(r, int64(min(head[1], math.MaxInt64)), head[0], run); err != nil {
 				return err
 			}
@@ -476,55 +476,63 @@ func varintEnd(buf []byte, pos, k int) int {
 	return -1
 }
 
-// ResultFile is what a result file holds: a formula, its packed truth
-// table, and the run of the table's first falsifying point rendered as
-// text, so a read of the file answers without the system. Config and
-// Pattern are empty when the formula is valid.
-type ResultFile struct {
-	Formula         string
-	Table           []byte
-	Config, Pattern string
-}
-
-// EncodeResult serializes one memoized truth table,
+// EncodeResult serializes the answer for one formula,
 //
-//	magic ∥ uvarint(version) ∥ formula ∥ table ∥ config ∥ pattern ∥ sha256
+//	magic ∥ uvarint(version) ∥ formula ∥ uvarint(True) ∥ uvarint(First+1) ∥ config ∥ pattern ∥ sha256
 //
-// each field length-prefixed, in the same checksummed envelope as
-// system snapshots. Results carry a version of their own, so adding the
-// witness to them moved no snapshot's digest.
-func EncodeResult(r ResultFile) []byte {
-	buf := make([]byte, 0, len(r.Formula)+len(r.Table)+len(r.Config)+len(r.Pattern)+64)
+// formula, config and pattern each length-prefixed, in the same
+// checksummed envelope as system snapshots. Config and pattern are the
+// witness's, empty when the formula is valid; its run and time are not
+// written, as they follow from First and the horizon. Results carry a
+// version of their own, so changing them moves no snapshot's digest.
+func EncodeResult(formula string, a *Answer) []byte {
+	var config, pattern string
+	if w := a.Witness; w != nil {
+		config, pattern = w.Config, w.Pattern
+	}
+	buf := make([]byte, 0, len(formula)+len(config)+len(pattern)+80)
 	buf = append(buf, bitsMagic...)
 	buf = binary.AppendUvarint(buf, resultVersion)
-	for _, field := range [][]byte{[]byte(r.Formula), r.Table, []byte(r.Config), []byte(r.Pattern)} {
-		buf = binary.AppendUvarint(buf, uint64(len(field)))
-		buf = append(buf, field...)
-	}
+	buf = appendString(buf, formula)
+	buf = binary.AppendUvarint(buf, uint64(a.True))
+	buf = binary.AppendUvarint(buf, uint64(a.First+1))
+	buf = appendString(buf, config)
+	buf = appendString(buf, pattern)
 	sum := sha256.Sum256(buf)
 	return append(buf, sum[:]...)
 }
 
-// DecodeResult decodes a result file written by EncodeResult.
-func DecodeResult(data []byte) (ResultFile, error) {
+func appendString(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+}
+
+// DecodeResult decodes a result file written by EncodeResult. The
+// answer has a witness when the file holds witness text; its Run and
+// Time are left 0 for the reader, who knows the horizon, to fill in.
+func DecodeResult(data []byte) (formula string, a *Answer, err error) {
 	if err := VerifyResult(data); err != nil {
-		return ResultFile{}, err
+		return "", nil, err
 	}
 	d := decoder{buf: data[len(bitsMagic) : len(data)-digestLen]}
 	d.uvarint() // the version, checked by VerifyResult
-	r := ResultFile{
-		Formula: string(d.bytes(int(d.uvarint()))),
-		Table:   d.bytes(int(d.uvarint())),
-		Config:  string(d.bytes(int(d.uvarint()))),
-		Pattern: string(d.bytes(int(d.uvarint()))),
-	}
+	formula = string(d.bytes(int(d.uvarint())))
+	tru, first := d.uvarint(), d.uvarint()
+	config := string(d.bytes(int(d.uvarint())))
+	pattern := string(d.bytes(int(d.uvarint())))
 	if d.err != nil {
-		return ResultFile{}, d.err
+		return "", nil, d.err
 	}
 	if d.rest() != 0 {
-		return ResultFile{}, fmt.Errorf("store: %d trailing bytes after result", d.rest())
+		return "", nil, fmt.Errorf("store: %d trailing bytes after result", d.rest())
 	}
-	return r, nil
+	if tru > math.MaxInt || first > math.MaxInt {
+		return "", nil, fmt.Errorf("store: result counts %d, %d out of range", tru, first)
+	}
+	a = &Answer{True: int(tru), First: int(first) - 1}
+	if config != "" || pattern != "" {
+		a.Witness = &Witness{Config: config, Pattern: pattern}
+	}
+	return formula, a, nil
 }
 
 // verifyEnvelope checks the magic ∥ version ∥ ... ∥ sha256 envelope
@@ -561,7 +569,7 @@ func VerifySnapshot(data []byte) error {
 	return verifyEnvelope("snapshot", snapMagic, snapVersion, data)
 }
 
-// VerifyResult checks a memoized truth table's integrity envelope
+// VerifyResult checks a memoized answer's integrity envelope
 // without decoding it.
 func VerifyResult(data []byte) error { return verifyEnvelope("result", bitsMagic, resultVersion, data) }
 

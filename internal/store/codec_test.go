@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -216,31 +217,38 @@ func TestDecodeRejectsTruncationAndCorruption(t *testing.T) {
 }
 
 func TestResultCodecRoundTrip(t *testing.T) {
-	for _, want := range []ResultFile{
-		{Formula: "Cbox E0 -> C E0", Table: []byte{1, 2, 3, 4, 5}},
-		{Formula: "C E0 -> Cbox E0", Table: []byte{6, 7}, Config: "011", Pattern: "crash: faulty={1} p1[crash@1 silent to {0}]"},
+	for _, want := range []struct {
+		formula string
+		ans     Answer
+	}{
+		{"Cbox E0 -> C E0", Answer{True: 40, First: -1}},
+		{"C E0 -> Cbox E0", Answer{True: 7, First: 3, Witness: &Witness{Config: "011", Pattern: "crash: faulty={1} p1[crash@1 silent to {0}]"}}},
 	} {
-		data := EncodeResult(want)
-		got, err := DecodeResult(data)
+		data := EncodeResult(want.formula, &want.ans)
+		formula, got, err := DecodeResult(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Formula != want.Formula || !bytes.Equal(got.Table, want.Table) || got.Config != want.Config || got.Pattern != want.Pattern {
-			t.Fatalf("round trip gave %+v, want %+v", got, want)
+		if formula != want.formula || !reflect.DeepEqual(*got, want.ans) {
+			t.Fatalf("round trip gave %q %+v, want %q %+v", formula, got, want.formula, want.ans)
 		}
-		if _, err := DecodeResult(data[:len(data)-3]); err == nil {
+		if _, _, err := DecodeResult(data[:len(data)-3]); err == nil {
 			t.Fatal("truncated result decoded without error")
 		}
 		bad := append([]byte(nil), data...)
 		bad[len(bitsMagic)+2] ^= 1
-		if _, err := DecodeResult(bad); err == nil {
+		if _, _, err := DecodeResult(bad); err == nil {
 			t.Fatal("corrupted result decoded without error")
 		}
 		// Each field is length-prefixed: a file cut short of its last
 		// field, resealed, is rejected by the decoder, not the envelope.
-		cut := len(data) - digestLen - len(want.Pattern) - 1
+		pattern := ""
+		if w := want.ans.Witness; w != nil {
+			pattern = w.Pattern
+		}
+		cut := len(data) - digestLen - len(pattern) - 1
 		short := reseal(append(append([]byte(nil), data[:cut]...), make([]byte, digestLen)...))
-		if _, err := DecodeResult(short); err == nil {
+		if _, _, err := DecodeResult(short); err == nil {
 			t.Fatal("result without its pattern field decoded without error")
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -292,7 +293,7 @@ func TestVersionSkewFallsBackWithoutDestroying(t *testing.T) {
 }
 
 // TestResultVersionSkewFallsBack is the same contract for memoized
-// truth tables: a skewed .bits file is recomputed around, never
+// answers: a skewed .bits file is recomputed around, never
 // quarantined or overwritten.
 func TestResultVersionSkewFallsBack(t *testing.T) {
 	dir := t.TempDir()
@@ -314,7 +315,7 @@ func TestResultVersionSkewFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	skewed := skewVersion(data) // bitsMagic and snapMagic share a length
-	if _, derr := DecodeResult(skewed); !errors.Is(derr, ErrVersionSkew) {
+	if _, _, derr := DecodeResult(skewed); !errors.Is(derr, ErrVersionSkew) {
 		t.Fatalf("DecodeResult on skewed blob: %v, want ErrVersionSkew", derr)
 	}
 	if err := os.WriteFile(matches[0], skewed, 0o644); err != nil {
@@ -341,5 +342,74 @@ func TestResultVersionSkewFallsBack(t *testing.T) {
 	}
 	if !bytes.Equal(after, skewed) {
 		t.Fatal("skewed result was overwritten")
+	}
+}
+
+// TestMisshapenResultFileQuarantined: a result file whose envelope
+// verifies but whose answer cannot be the system's is quarantined and
+// recomputed around, one row per shape rule: True ≤ Points, First <
+// Points, First < 0 exactly when True == Points, and witness text
+// present exactly when First ≥ 0. Each row breaks one rule only.
+func TestMisshapenResultFileQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey()
+	const formula = "C E0 -> Cbox E0"
+	compute := func(sys *system.System) (*knowledge.Bits, error) {
+		f, err := knowledge.Parse(formula)
+		if err != nil {
+			return nil, err
+		}
+		return knowledge.NewEvaluator(sys).Eval(f), nil
+	}
+	want, _, err := mustOpen(t, dir, 4).Result(key, formula, compute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, _, err := mustOpen(t, "", 4).System(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, w := sys.NumPoints(), *want.Witness
+	if want.First < 0 || want.True == 0 {
+		t.Fatalf("answer %+v: the rows below need a falsified formula true somewhere", want)
+	}
+	matches, err := filepath.Glob(filepath.Join(dir, "results", "*", "*.bits"))
+	if err != nil || len(matches) != 1 {
+		t.Fatalf("want exactly one result file, got %v (%v)", matches, err)
+	}
+	path := matches[0]
+	for _, tc := range []struct {
+		name string
+		ans  Answer
+	}{
+		{"more-true-points-than-points", Answer{True: points + 1, First: want.First, Witness: &w}},
+		{"first-false-point-past-the-end", Answer{True: want.True, First: points, Witness: &w}},
+		{"valid-with-false-points", Answer{True: points - 1, First: -1}},
+		{"falsified-with-every-point-true", Answer{True: points, First: want.First, Witness: &w}},
+		{"witness-of-a-valid-formula", Answer{True: points, First: -1, Witness: &w}},
+		{"falsified-without-witness", Answer{True: want.True, First: want.First}},
+		{"witness-without-pattern", Answer{True: want.True, First: want.First, Witness: &Witness{Config: w.Config}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, EncodeResult(formula, &tc.ans), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := mustOpen(t, dir, 4)
+			quarantined := len(s.QuarantinedFiles())
+			got, origin, err := s.Result(key, formula, compute)
+			if err != nil || origin != OriginEnumerated || !reflect.DeepEqual(got, want) {
+				t.Fatalf("over the misshapen file: %+v, origin %v, %v; want %+v recomputed", got, origin, err, want)
+			}
+			if st := s.Stats(); st.DiskErrors != 1 || len(s.QuarantinedFiles()) != quarantined+1 {
+				t.Fatalf("stats %+v, quarantine %v: want the file quarantined as one disk error", st, s.QuarantinedFiles())
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, rewritten, err := DecodeResult(data); err != nil || rewritten.True != want.True || rewritten.First != want.First {
+				t.Fatalf("rewritten result file: %+v, %v", rewritten, err)
+			}
+		})
 	}
 }

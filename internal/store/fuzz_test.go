@@ -1,7 +1,7 @@
 package store
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 
 	"github.com/eventual-agreement/eba/internal/failures"
@@ -78,25 +78,24 @@ func FuzzDecodeSystem(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResult does the same for the truth-table envelope, and
-// holds whatever decodes to a round trip through EncodeResult.
+// FuzzDecodeResult does the same for the result envelope, and holds
+// whatever decodes to a round trip through EncodeResult.
 func FuzzDecodeResult(f *testing.F) {
-	f.Add(EncodeResult(ResultFile{Formula: "Cbox E0", Table: []byte{1, 2, 3}}))
+	f.Add(EncodeResult("Cbox E0", &Answer{True: 22, First: -1}))
 	f.Add([]byte(bitsMagic))
 	f.Add([]byte{})
-	f.Add(EncodeResult(ResultFile{
-		Formula: "C E0 -> Cbox E0", Table: []byte{4, 5},
-		Config: "011", Pattern: "crash: faulty={1} p1[crash@1 silent to {0}]",
+	f.Add(EncodeResult("C E0 -> Cbox E0", &Answer{
+		True: 5, First: 2,
+		Witness: &Witness{Config: "011", Pattern: "crash: faulty={1} p1[crash@1 silent to {0}]"},
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeResult(data)
+		formula, got, err := DecodeResult(data)
 		if err != nil {
 			return
 		}
-		again, err := DecodeResult(EncodeResult(got))
-		if err != nil || again.Formula != got.Formula || !bytes.Equal(again.Table, got.Table) ||
-			again.Config != got.Config || again.Pattern != got.Pattern {
-			t.Fatalf("decoded %+v, which re-encodes to %+v (%v)", got, again, err)
+		again, ans, err := DecodeResult(EncodeResult(formula, got))
+		if err != nil || again != formula || !reflect.DeepEqual(ans, got) {
+			t.Fatalf("decoded %q %+v, which re-encodes to %q %+v (%v)", formula, got, again, ans, err)
 		}
 	})
 }

@@ -3,8 +3,4 @@
 package store
 
 // Planted bug: see mutant_off.go.
-const (
-	mutantLane2NoCheck = false
-	mutantWitnessRun   = false
-	mutantLazyDigest   = true
-)
+const mutant = "lazydigest"

@@ -3,8 +3,4 @@
 package store
 
 // Planted bug: see mutant_off.go.
-const (
-	mutantLane2NoCheck = false
-	mutantWitnessRun   = true
-	mutantLazyDigest   = false
-)
+const mutant = "witnessrun"

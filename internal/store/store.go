@@ -83,13 +83,12 @@ type Stats struct {
 	Quarantined      uint64 `json:"quarantined"`
 }
 
-// Answer is one memoized truth table together with the facts every
-// query reads off it: how many points satisfy the formula and the
-// first point that does not. They are filled once, when the table
-// enters the memo, so a memory hit never scans the table. An Answer is
-// shared and must not be modified.
+// Answer is the verdict of a formula over a system, as the memo and a
+// result file hold it: how many points satisfy the formula and the
+// first point that does not, with that point's run. It is derived once
+// from the truth table a compute returns, and the table is then let go.
+// An Answer is shared and must not be modified.
 type Answer struct {
-	Table *knowledge.Bits
 	// True counts the points where the formula holds.
 	True int
 	// First is the index of the first falsifying point, -1 when the
@@ -108,7 +107,7 @@ type Witness struct {
 }
 
 func newAnswer(sys *system.System, tbl *knowledge.Bits) *Answer {
-	a := &Answer{Table: tbl, True: tbl.Count(), First: tbl.FirstZero()}
+	a := &Answer{True: tbl.Count(), First: tbl.FirstZero()}
 	if a.First >= 0 {
 		pt := sys.PointAt(a.First)
 		run := sys.RunOf(pt)
@@ -163,7 +162,7 @@ type entry struct {
 	err     error
 }
 
-// flight is one in-progress system load or truth-table computation;
+// flight is one in-progress system load or answer computation;
 // later requests for the same one wait on done instead of repeating
 // it.
 type flight struct {
@@ -414,8 +413,8 @@ func (s *Store) systemPath(key Key) string {
 	return filepath.Join(s.dir, "systems", key.Slug()+".eba")
 }
 
-// resultPath is the truth-table file for a formula over the system
-// with the given content digest.
+// resultPath is the result file for a formula over the system with
+// the given content digest.
 func (s *Store) resultPath(digest, formula string) string {
 	fsum := sha256.Sum256([]byte(formula))
 	return filepath.Join(s.dir, "results", digest[:16], hex.EncodeToString(fsum[:12])+".bits")
@@ -644,7 +643,7 @@ func (s *Store) decodeFile(ctx context.Context, key Key, want string) (data []by
 		// caller — the build that wrote it still wants it) and serve
 		// this request from a fresh enumeration, memory-only.
 		return nil, nil, true
-	case derr != nil || gotKey != key || want != "" && Digest(data) != want && !mutantLazyDigest:
+	case derr != nil || gotKey != key || want != "" && Digest(data) != want && mutant != "lazydigest":
 		// A corrupt snapshot is not fatal: quarantine the evidence and
 		// fall through to enumeration, which rewrites a fresh one.
 		// Surface the event in stats and telemetry.
@@ -694,24 +693,18 @@ func (s *Store) admit(e *entry) {
 	}
 }
 
-// Result returns the truth table of formula over the key's system,
-// from the entry's memo, the disk layer, or compute, in that order.
-// compute runs at most once per (key, formula) at a time; concurrent
-// duplicates wait and share its answer. The returned table is shared
-// and must not be modified.
-func (s *Store) Result(key Key, formula string, compute func(*system.System) (*knowledge.Bits, error)) (*knowledge.Bits, Origin, error) {
-	ans, origin, err := s.AnswerCtx(context.Background(), key, formula, compute)
-	if err != nil {
-		return nil, origin, err
-	}
-	return ans.Table, origin, nil
+// Result is AnswerCtx with no trace context.
+func (s *Store) Result(key Key, formula string, compute func(*system.System) (*knowledge.Bits, error)) (*Answer, Origin, error) {
+	return s.AnswerCtx(context.Background(), key, formula, compute)
 }
 
-// AnswerCtx is Result with a caller context carrying the request's
-// trace (singleflight waits, a first decode and the compute itself
-// become child spans), returning the memoized Answer: the table plus
-// its true-point count and first falsifying point, computed once when
-// the table entered the memo. A memory hit is one map lookup; a disk
+// AnswerCtx returns the answer of formula over the key's system, from
+// the entry's memo, the disk layer, or compute, in that order. compute
+// returns the formula's truth table, from which the answer is derived
+// once; it runs at most once per (key, formula) at a time, and
+// concurrent duplicates wait and share its answer. ctx carries the
+// request's trace: singleflight waits, a first decode and the compute
+// itself become child spans. A memory hit is one map lookup; a disk
 // hit needs no decoded system.
 func (s *Store) AnswerCtx(ctx context.Context, key Key, formula string, compute func(*system.System) (*knowledge.Bits, error)) (*Answer, Origin, error) {
 	e, _, err := s.acquire(ctx, key)
@@ -763,9 +756,9 @@ func (s *Store) loadResult(ctx context.Context, e *entry, formula string, comput
 	if persistable {
 		path := s.resultPath(e.digest, formula)
 		if data, err := s.fsys.ReadFile(path); err == nil {
-			r, derr := DecodeResult(data)
-			if derr == nil && r.Formula == formula {
-				if ans := e.fileAnswer(r); ans != nil {
+			got, ans, derr := DecodeResult(data)
+			if derr == nil && got == formula {
+				if ans := e.fileAnswer(ans); ans != nil {
 					s.mu.Lock()
 					s.stats.ResultDiskHits++
 					s.mu.Unlock()
@@ -798,41 +791,38 @@ func (s *Store) loadResult(ctx context.Context, e *entry, formula string, comput
 	s.mu.Unlock()
 	ans := newAnswer(sys, tbl)
 	if persistable {
-		packed, err := tbl.MarshalBinary()
-		if err == nil {
-			r := ResultFile{Formula: formula, Table: packed}
-			if w := ans.Witness; w != nil {
-				r.Config, r.Pattern = w.Config, w.Pattern
-				if mutantWitnessRun {
-					r.Config = sys.Run((w.Run + 1) % sys.NumRuns()).Config().String()
-				}
-			}
-			err = s.fsys.WriteAtomic(s.resultPath(e.digest, formula), EncodeResult(r))
+		file := ans
+		if mutant == "firstoff" {
+			file = &Answer{True: ans.True, First: ans.First + 1, Witness: ans.Witness}
 		}
-		if err != nil {
+		if w := ans.Witness; mutant == "witnessrun" && w != nil {
+			next := sys.Run((w.Run + 1) % sys.NumRuns())
+			file = &Answer{True: ans.True, First: ans.First, Witness: &Witness{Config: next.Config().String(), Pattern: w.Pattern}}
+		}
+		if err := s.fsys.WriteAtomic(s.resultPath(e.digest, formula), EncodeResult(formula, file)); err != nil {
 			s.noteDiskError()
 		}
 	}
 	return ans, OriginEnumerated, nil
 }
 
-// fileAnswer is the Answer a result file holds for the entry's system,
-// or nil when the file does not fit it: a table of another size, or
-// witness text present exactly when the table is valid. The falsifying
-// point's run and time follow from its index, as in system.PointAt.
-func (e *entry) fileAnswer(r ResultFile) *Answer {
-	var tbl knowledge.Bits
-	if tbl.UnmarshalBinary(r.Table) != nil || tbl.Len() != e.shape.Points {
+// fileAnswer completes the answer a result file holds for the entry's
+// system, or returns nil when it does not fit that system: unless
+// True ≤ Points and First < Points, First < 0 exactly when True ==
+// Points, and the witness text is present exactly when First ≥ 0. The
+// falsifying point's run and time follow from its index, as in
+// system.PointAt.
+func (e *entry) fileAnswer(a *Answer) *Answer {
+	points, valid := e.shape.Points, a.First < 0
+	if a.True > points || a.First >= points || valid != (a.True == points) {
 		return nil
 	}
-	a := &Answer{Table: &tbl, True: tbl.Count(), First: tbl.FirstZero()}
-	valid := a.First < 0
-	if valid != (r.Config == "") || valid != (r.Pattern == "") {
+	if w := a.Witness; valid != (w == nil) || w != nil && (w.Config == "" || w.Pattern == "") {
 		return nil
 	}
 	if !valid {
 		times := e.key.Horizon + 1
-		a.Witness = &Witness{Run: a.First / times, Time: a.First % times, Config: r.Config, Pattern: r.Pattern}
+		a.Witness.Run, a.Witness.Time = a.First/times, a.First%times
 	}
 	return a
 }

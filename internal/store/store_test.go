@@ -200,12 +200,12 @@ func TestResultMemoAndPersistence(t *testing.T) {
 	}
 
 	s1, _ := countingStore(t, dir, 4)
-	tbl, origin, err := s1.Result(key, "Cbox E0 -> C E0", compute)
+	ans, origin, err := s1.Result(key, "Cbox E0 -> C E0", compute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if origin != OriginEnumerated || !tbl.All() {
-		t.Fatalf("first result: origin %v, valid %v (the formula is Theorem 3.3, must be valid)", origin, tbl.All())
+	if origin != OriginEnumerated || ans.First >= 0 {
+		t.Fatalf("first result: origin %v, first false point %d (the formula is Theorem 3.3, must be valid)", origin, ans.First)
 	}
 	if _, origin, _ = s1.Result(key, "Cbox E0 -> C E0", compute); origin != OriginMemory {
 		t.Fatalf("memoized result: origin %v, want memory", origin)
@@ -213,15 +213,15 @@ func TestResultMemoAndPersistence(t *testing.T) {
 
 	// A fresh store finds the truth table on disk — no recompute.
 	s2, _ := countingStore(t, dir, 4)
-	tbl2, origin, err := s2.Result(key, "Cbox E0 -> C E0", compute)
+	ans2, origin, err := s2.Result(key, "Cbox E0 -> C E0", compute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if origin != OriginDisk {
 		t.Fatalf("persisted result: origin %v, want disk", origin)
 	}
-	if !tbl2.Equal(tbl) {
-		t.Fatal("persisted truth table differs from computed one")
+	if !reflect.DeepEqual(ans2, ans) {
+		t.Fatalf("persisted answer %+v differs from computed %+v", ans2, ans)
 	}
 	if st := s2.Stats(); st.ResultDiskHits != 1 || st.ResultComputes != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -247,12 +247,12 @@ func TestConcurrentResultSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tbl, _, err := s.Result(key, "C E0 -> Cbox E0", compute)
+			ans, _, err := s.Result(key, "C E0 -> Cbox E0", compute)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if tbl.All() {
+			if ans.First < 0 {
 				t.Error("C E0 -> Cbox E0 must not be valid (Section 3.3's converse)")
 			}
 		}()

@@ -127,10 +127,10 @@ func UnmarshalInterner(data []byte) (*Interner, error) {
 					return nil, fmt.Errorf("views: node %d: forward reference %d", k, ref-1)
 				}
 				ch := &in.nodes[ref-1]
-				if ch.proc != types.ProcID(j) && !mutantChildOwner {
+				if ch.proc != types.ProcID(j) && mutant != "childowner" {
 					return nil, fmt.Errorf("views: node %d: child %d owned by %d, want %d", k, ref-1, ch.proc, j)
 				}
-				if ch.time != nd.time-1 && !mutantChildTime {
+				if ch.time != nd.time-1 && mutant != "childtime" {
 					return nil, fmt.Errorf("views: node %d: child at time %d under node at time %d", k, ch.time, nd.time)
 				}
 				nd.from[j] = ID(ref - 1)

@@ -3,7 +3,4 @@
 package views
 
 // Planted bug: see mutant_off.go.
-const (
-	mutantChildTime  = false
-	mutantChildOwner = true
-)
+const mutant = "childowner"

@@ -3,7 +3,4 @@
 package views
 
 // Planted bug: see mutant_off.go.
-const (
-	mutantChildTime  = true
-	mutantChildOwner = false
-)
+const mutant = "childtime"

@@ -2,17 +2,15 @@
 
 package views
 
-// Mutation switches. Each is false here; a file built only under the
-// tag mutant_<name> sets one of them, planting a known bug in
-// UnmarshalInterner's child checks that TestCodecErrors must catch:
+// mutant names the planted bug a build carries: none here. A file
+// built only under the tag mutant_<name> sets it to <name>, planting a
+// known bug in UnmarshalInterner's child checks that TestCodecErrors
+// must catch:
 //
-//   - mutantChildTime skips the check that a child is one round older
-//     than its parent;
-//   - mutantChildOwner skips the check that the child in slot j is
-//     processor j's view.
+//   - childtime skips the check that a child is one round older than
+//     its parent;
+//   - childowner skips the check that the child in slot j is processor
+//     j's view.
 //
-// They are constants, so the default build compiles every branch away.
-const (
-	mutantChildTime  = false
-	mutantChildOwner = false
-)
+// It is a constant, so the default build compiles every branch away.
+const mutant = ""
