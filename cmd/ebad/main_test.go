@@ -365,3 +365,132 @@ func TestOverload(t *testing.T) {
 		t.Errorf("/healthz not back to ok within 15s of the burst")
 	}
 }
+
+// TestObservabilitySmoke follows one cold query by its trace ID
+// through every surface the daemon writes it to: the response header
+// and provenance block, /debug/trace/{id} served from the retention
+// ring, the -tracefile JSONL sink and the -slowlog. A failing run logs
+// the trace file and the slow log, each with its path.
+func TestObservabilitySmoke(t *testing.T) {
+	dir := t.TempDir()
+	traceFile, slowLog := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "slow.jsonl")
+	d := startDaemon(t, "-cachedir", filepath.Join(dir, "cache"),
+		"-tracefile", traceFile, "-slowlog", slowLog, "-slow-threshold", "1ns")
+	t.Cleanup(func() {
+		if t.Failed() {
+			for _, path := range []string{traceFile, slowLog} {
+				data, err := os.ReadFile(path)
+				t.Logf("%s (err %v):\n%s", path, err, data)
+			}
+		}
+	})
+
+	const traceID = "obs-smoke-0123456789abcdef"
+	req, err := http.NewRequest(http.MethodPost, d.url+"/v1/query", strings.NewReader(`{"formula":"C E0 -> Cbox E0"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Eba-Trace-Id", traceID)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced query: status %d, err %v, body %s", resp.StatusCode, err, body)
+	}
+	if got := resp.Header.Get("X-Eba-Trace-Id"); got != traceID {
+		t.Errorf("X-Eba-Trace-Id header %q, want %q echoed", got, traceID)
+	}
+	var answer struct {
+		Provenance struct {
+			TraceID      string `json:"trace_id"`
+			SystemOrigin string `json:"system_origin"`
+			Stages       struct {
+				LoadMS float64 `json:"load_ms"`
+				EvalMS float64 `json:"eval_ms"`
+			} `json:"stages"`
+		} `json:"provenance"`
+		Counterexample *struct {
+			Point int `json:"point"`
+		} `json:"counterexample"`
+	}
+	if err := json.Unmarshal(body, &answer); err != nil {
+		t.Fatalf("%v in %s", err, body)
+	}
+	p := answer.Provenance
+	if p.TraceID != traceID {
+		t.Errorf("provenance.trace_id %q, want %q", p.TraceID, traceID)
+	}
+	if p.Stages.LoadMS <= 0 || p.Stages.EvalMS <= 0 {
+		t.Errorf("provenance stages load_ms %v, eval_ms %v: want both > 0", p.Stages.LoadMS, p.Stages.EvalMS)
+	}
+	if p.SystemOrigin != "enumerated" {
+		t.Errorf("provenance.system_origin %q, want enumerated", p.SystemOrigin)
+	}
+	if answer.Counterexample == nil || answer.Counterexample.Point <= 0 {
+		t.Errorf("counterexample %+v, want a point > 0", answer.Counterexample)
+	}
+
+	status, body, err := d.get("/debug/trace/" + traceID)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("/debug/trace: status %d, err %v, body %s", status, err, body)
+	}
+	var dump struct {
+		TraceID string `json:"trace_id"`
+		Events  []struct {
+			Name string `json:"name"`
+		} `json:"events"`
+	}
+	if err := json.Unmarshal(body, &dump); err != nil {
+		t.Fatalf("%v in %s", err, body)
+	}
+	if dump.TraceID != traceID {
+		t.Errorf("/debug/trace trace_id %q, want %q", dump.TraceID, traceID)
+	}
+	spans := map[string]int{}
+	for _, ev := range dump.Events {
+		spans[ev.Name]++
+	}
+	for _, want := range []string{"service.query", "service.queue", "engine.execute", "engine.load", "engine.eval", "engine.scan"} {
+		if spans[want] == 0 {
+			t.Errorf("/debug/trace has no %s span (have %v)", want, spans)
+		}
+	}
+
+	// The daemon appends to both files as its handler returns, which
+	// races the client's read of a response flushed early; poll.
+	quoted := []byte(`"` + traceID + `"`)
+	if data := waitForFile(t, traceFile, quoted); !bytes.Contains(data, quoted) {
+		t.Errorf("trace file has no event of trace %s", traceID)
+	}
+	data := waitForFile(t, slowLog, quoted)
+	found := false
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		var rec struct {
+			TraceID string `json:"trace_id"`
+		}
+		if json.Unmarshal(line, &rec) == nil && rec.TraceID == traceID {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("slow log has no line for trace %s:\n%s", traceID, data)
+	}
+}
+
+// waitForFile reads path until it contains want or five seconds pass,
+// and returns what it read last.
+func waitForFile(t *testing.T, path string, want []byte) []byte {
+	t.Helper()
+	var data []byte
+	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
+		data, _ = os.ReadFile(path)
+		if bytes.Contains(data, want) {
+			break
+		}
+	}
+	return data
+}

@@ -20,8 +20,7 @@
 // With -server, the query goes to a running ebad daemon instead of
 // being evaluated in-process, through the shared retrying client: 429
 // and 503 sheds are retried with backoff, honoring Retry-After, until
-// the retry budget runs out (tune with -retries/-retry-budget or the
-// EBA_RETRY_MAX/EBA_RETRY_BUDGET environment variables):
+// the retry budget runs out (tune with -retries/-retry-budget):
 //
 //	ebaq -server http://localhost:8080 -f 'Cbox E0 -> C E0'
 //
@@ -68,8 +67,8 @@ func run() error {
 		cachedir = flag.String("cachedir", "", "snapshot store directory (empty = no persistence)")
 		parallel = flag.Int("parallel", 0, "evaluator workers (0 = all cores, 1 = sequential)")
 		server   = flag.String("server", "", "query a running ebad daemon at this base URL instead of evaluating in-process")
-		retries  = flag.Int("retries", -1, "server mode: max retries after the first attempt (-1 = default/EBA_RETRY_MAX)")
-		budget   = flag.Duration("retry-budget", 0, "server mode: wall-clock budget across attempts (0 = default/EBA_RETRY_BUDGET)")
+		retries  = flag.Int("retries", -1, "server mode: max retries after the first attempt (-1 = the client's default, 4)")
+		budget   = flag.Duration("retry-budget", 0, "server mode: wall-clock budget across attempts (0 = the client's default, 30s)")
 		traceID  = flag.String("trace-id", "", "server mode: send this trace ID with the query (default: minted per query), for correlating with the daemon's /debug/trace/{id}")
 	)
 	flag.Var(&formulas, "f", "formula to evaluate (repeatable; multiple formulas with -server go as one batch)")

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/eventual-agreement/eba/internal/knowledge"
@@ -125,9 +126,11 @@ func TestAnswerSameFromEveryOrigin(t *testing.T) {
 
 // TestVersion1ResultFileRecomputed: a result file of the envelope's
 // first version (formula and packed truth table) or second (the same
-// plus the witness run's configuration and pattern) reads as a foreign
-// build's. A request over it recomputes the answer and leaves the file
-// byte for byte as it was.
+// plus the witness run's configuration and pattern), at the
+// <hash>.bits name those builds gave it, is a foreign build's. The
+// first request over it computes the answer and files it under this
+// build's name, the next reads that file, and the old file stays byte
+// for byte as it was.
 func TestVersion1ResultFileRecomputed(t *testing.T) {
 	dir := t.TempDir()
 	req := Request{Formula: "C E0 -> Cbox E0", N: 3, T: 1, Mode: "omission", Horizon: 2}
@@ -192,18 +195,22 @@ func TestVersion1ResultFileRecomputed(t *testing.T) {
 			}
 			sum := sha256.Sum256(blob)
 			blob = append(blob, sum[:]...)
-			if err := os.WriteFile(files[0], blob, 0o644); err != nil {
+			oldPath := strings.TrimSuffix(files[0], ".v3.bits") + ".bits"
+			if err := os.WriteFile(oldPath, blob, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			for i := range 2 {
+			if err := os.Remove(files[0]); err != nil {
+				t.Fatal(err)
+			}
+			for i, origin := range []string{"enumerated", "disk"} {
 				got := exec()
-				if got.ResultOrigin != "enumerated" {
-					t.Fatalf("request %d over the old result file: origin %s, want enumerated", i, got.ResultOrigin)
+				if got.ResultOrigin != origin {
+					t.Fatalf("request %d over the old result file: origin %s, want %s", i, got.ResultOrigin, origin)
 				}
 				if !reflect.DeepEqual(answerFields(got), answerFields(want)) {
 					t.Fatalf("request %d: %+v, want %+v", i, answerFields(got), answerFields(want))
 				}
-				after, err := os.ReadFile(files[0])
+				after, err := os.ReadFile(oldPath)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -186,21 +186,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	// One flight-recorder row covers the batch: per-item rows at batch
-	// rates would turn the recorder's ring into pure churn.
-	frID := s.fr.begin(QueryRecord{
-		TraceID: traceID, Formula: "batch[" + strconv.Itoa(len(breq.Queries)) + "]",
-		StartedAt: start.UTC(),
-	})
 	results := s.ExecuteBatch(ctx, breq.Queries)
-	status := "ok"
-	for _, it := range results {
-		if it.Error != "" {
-			status = "partial"
-			break
+	// One slow-log line covers the batch: per-item lines at batch rates
+	// would turn the log into pure churn.
+	if elapsed := time.Since(start); s.fr.isSlow(elapsed) {
+		status := "ok"
+		for _, it := range results {
+			if it.Error != "" {
+				status = "partial"
+				break
+			}
 		}
+		s.fr.logSlow(QueryRecord{
+			TraceID: traceID, Formula: "batch[" + strconv.Itoa(len(breq.Queries)) + "]",
+			Status: status, StartedAt: start.UTC(),
+		}, elapsed)
 	}
-	s.fr.finish(frID, status, time.Since(start), StageTimings{}, nil)
 	writeJSONCompact(w, http.StatusOK, BatchResponse{
 		Results:   results,
 		ElapsedMS: msSince(start),

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -38,11 +37,11 @@ var sharedTransport = &http.Transport{
 }
 
 // Client is the retrying HTTP client for the ebad daemon, shared by
-// ebaq -server, the benchmark's traced client row, and the CI smoke
-// jobs. It honors Retry-After on 429/503 sheds, backs off
-// exponentially with jitter on retryable failures, and gives up when
-// the retry budget (attempts or wall-clock) is exhausted — the
-// client-side half of the daemon's admission control contract.
+// ebaq -server and the benchmark's traced client row. It honors
+// Retry-After on 429/503 sheds, backs off exponentially with jitter on
+// retryable failures, and gives up when the retry budget (attempts or
+// wall-clock) is exhausted — the client-side half of the daemon's
+// admission control contract.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -69,10 +68,10 @@ type Client struct {
 }
 
 // NewClient builds a client with the default retry policy (4 retries,
-// 100ms base backoff capped at 5s, 30s budget), then applies the
-// EBA_RETRY_MAX and EBA_RETRY_BUDGET environment overrides.
+// 100ms base backoff capped at 5s, 30s budget); callers set the fields
+// to change it.
 func NewClient(baseURL string) *Client {
-	c := &Client{
+	return &Client{
 		BaseURL:     baseURL,
 		HTTP:        &http.Client{Timeout: 5 * time.Minute, Transport: sharedTransport},
 		MaxRetries:  4,
@@ -81,16 +80,6 @@ func NewClient(baseURL string) *Client {
 		Budget:      30 * time.Second,
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	if v, err := strconv.Atoi(os.Getenv("EBA_RETRY_MAX")); err == nil && v >= 0 {
-		c.MaxRetries = v
-	}
-	if d, err := time.ParseDuration(os.Getenv("EBA_RETRY_BUDGET")); err == nil && d > 0 {
-		c.Budget = d
-	}
-	if d, err := time.ParseDuration(os.Getenv("EBA_ATTEMPT_TIMEOUT")); err == nil && d > 0 {
-		c.AttemptTimeout = d
-	}
-	return c
 }
 
 // Retries reports how many retry attempts this client has made.

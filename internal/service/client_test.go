@@ -114,14 +114,3 @@ func TestClientRetriesExhausted(t *testing.T) {
 		t.Fatalf("attempts %d, want MaxRetries+1 = 3", got)
 	}
 }
-
-// TestClientEnvOverrides: operators tune the retry policy without
-// recompiling via EBA_RETRY_MAX / EBA_RETRY_BUDGET.
-func TestClientEnvOverrides(t *testing.T) {
-	t.Setenv("EBA_RETRY_MAX", "7")
-	t.Setenv("EBA_RETRY_BUDGET", "2s")
-	c := NewClient("http://localhost:0")
-	if c.MaxRetries != 7 || c.Budget != 2*time.Second {
-		t.Fatalf("overrides not applied: retries %d budget %s", c.MaxRetries, c.Budget)
-	}
-}

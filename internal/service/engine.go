@@ -27,12 +27,16 @@ var ErrBadRequest = errors.New("bad request")
 
 // DefaultOmissionLimit bounds omission-family enumerations (sending,
 // receiving, and general) that don't give an explicit limit, mirroring
-// the ebaq default. It bounds every crash enumeration too.
+// the ebaq default. It bounds every crash enumeration too, and the
+// runs of a system in every mode.
 const DefaultOmissionLimit = 2_000_000
 
 // Request is one query: a formula plus the system it should be
 // evaluated over. Zero-valued fields take defaults (n=3, t=1, crash,
-// horizon t+2).
+// horizon t+2). Limit bounds an omission-family key's failure patterns
+// (0 = DefaultOmissionLimit; a crash key ignores it). It can lower the
+// pattern bound, but not raise the bound of DefaultOmissionLimit runs
+// that every key is held to.
 type Request struct {
 	Formula string `json:"formula"`
 	N       int    `json:"n,omitempty"`
@@ -316,18 +320,41 @@ func msBetween(from, to time.Time) float64 {
 	return float64(to.Sub(from).Microseconds()) / 1e3
 }
 
-// resident is Store.Resident behind the service's bound on crash keys.
-// resolve drops the limit from a crash key, so that every crash request
-// shares one snapshot, and the store would enumerate it unbounded; a
-// crash key with more than DefaultOmissionLimit patterns is refused
-// here with the error the enumerator gives an omission key past it.
+// resident is Store.Resident behind the service's bounds on what a
+// key may build. resolve drops the limit from a crash key, so that
+// every crash request shares one snapshot, and the store would
+// enumerate it unbounded; a crash key with more than
+// DefaultOmissionLimit patterns is refused here with the error the
+// enumerator gives an omission key past it. In every mode, a key whose
+// patterns times its 2^n initial configurations — the runs the system
+// would hold — exceed DefaultOmissionLimit is refused too, with an
+// error of the same status.
 func (e *Engine) resident(ctx context.Context, key store.Key) (store.Shape, store.Origin, error) {
-	if key.Mode == failures.Crash {
-		if _, _, err := failures.Count(key.Mode, key.N, key.T, key.Horizon, DefaultOmissionLimit); err != nil {
-			return store.Shape{}, store.OriginEnumerated, err
-		}
+	if err := checkRuns(key); err != nil {
+		return store.Shape{}, store.OriginEnumerated, err
 	}
 	return e.store.Resident(ctx, key)
+}
+
+// checkRuns refuses a key past its pattern limit (DefaultOmissionLimit
+// for a crash key) or with more than DefaultOmissionLimit runs. It
+// counts; it builds nothing.
+func checkRuns(key store.Key) error {
+	limit := key.Limit
+	if key.Mode == failures.Crash {
+		limit = DefaultOmissionLimit
+	}
+	patterns, _, err := failures.Count(key.Mode, key.N, key.T, key.Horizon, limit)
+	if err != nil {
+		return err
+	}
+	// patterns·2^n > L exactly when patterns > ⌊L/2^n⌋, and the shift
+	// saturates to 0 for n ≥ 63, so nothing overflows.
+	if patterns > DefaultOmissionLimit>>key.N {
+		return fmt.Errorf("service: %s n=%d t=%d h=%d has %d patterns × 2^%d configurations, more than %d runs",
+			key.Mode, key.N, key.T, key.Horizon, patterns, key.N, DefaultOmissionLimit)
+	}
+	return nil
 }
 
 // execute is the uncancelable core of Execute. Its three stages —

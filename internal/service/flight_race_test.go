@@ -2,79 +2,124 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/eventual-agreement/eba/internal/store"
 	"github.com/eventual-agreement/eba/internal/telemetry"
 )
 
-// TestFlightRecorderConcurrent drives begin/finish/incident from many
-// writers while snapshot readers race the ring's eviction — the shape
-// /debug/queries sees on a loaded daemon. Run with -race.
+// TestFlightRecorderConcurrent drives concurrent queries through
+// Server.Handler() with every query slow (1ns threshold), admission
+// caps tight enough to shed, and a corrupt snapshot whose quarantine
+// dumps an incident while other queries write spans and slow-log
+// lines. Every slow-log line parses, and there is one per query. Run
+// with -race.
 func TestFlightRecorderConcurrent(t *testing.T) {
-	fr := newFlightRecorder(8) // tiny ring: finishes evict constantly
+	telemetry.SetRing(256)
+	defer telemetry.SetRing(0)
 
-	const writers = 8
-	const perWriter = 200
-	var wgW, wgR sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		wgW.Add(1)
-		go func(w int) {
-			defer wgW.Done()
-			for i := 0; i < perWriter; i++ {
-				id := fr.begin(QueryRecord{
-					TraceID:   fmt.Sprintf("%032d", w),
-					Formula:   "E0",
-					StartedAt: time.Now().UTC(),
-				})
-				valid := i%2 == 0
-				fr.finish(id, "ok", 100*time.Microsecond, StageTimings{}, &valid)
-				if i%50 == 0 {
-					fr.incident("race-test", "synthetic")
-				}
-			}
-		}(w)
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
+	seed, err := store.Open(cache, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for r := 0; r < 4; r++ {
-		wgR.Add(1)
-		go func() {
-			defer wgR.Done()
-			for {
-				select {
-				case <-stop:
+	if _, err := NewEngine(seed, 0).Execute(context.Background(), Request{Formula: "E0"}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(cache, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(NewEngine(st, 0))
+	srv.SetAdmission(AdmissionConfig{MaxInflight: 1, PerKey: 1, MaxQueue: 1, QueueTimeout: time.Microsecond})
+	slowPath, incDir := filepath.Join(dir, "slow.jsonl"), filepath.Join(dir, "incidents")
+	if err := srv.SetObservability(ObservabilityConfig{
+		SlowLogPath: slowPath, SlowThreshold: time.Nanosecond, IncidentDir: incDir,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Corrupt the snapshot after the recovery scan, so the first load
+	// under traffic quarantines it.
+	snaps, err := filepath.Glob(filepath.Join(cache, "systems", "*.eba"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("want one snapshot, got %v (%v)", snaps, err)
+	}
+	if err := os.WriteFile(snaps[0], []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const clients, perClient = 8, 25
+	formulas := []string{"E0", "C E0 -> Cbox E0", "K0 E0", "Cbox E0 -> C E0"}
+	var wg sync.WaitGroup
+	var shed atomic.Int64
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				body, _ := json.Marshal(Request{Formula: formulas[(c+i)%len(formulas)]}) //nolint:errcheck // static request
+				resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("query: %v", err)
 					return
+				}
+				io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK:
+				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+					shed.Add(1)
 				default:
-				}
-				inflight, recent := fr.snapshot()
-				if len(recent) > 8 {
-					t.Errorf("recent ring returned %d records, cap 8", len(recent))
-					return
-				}
-				for _, rec := range append(inflight, recent...) {
-					if rec.Formula != "E0" {
-						t.Errorf("torn record: %+v", rec)
-						return
-					}
+					t.Errorf("query status %d", resp.StatusCode)
 				}
 			}
-		}()
+		}(c)
 	}
-	wgW.Wait()
-	close(stop)
-	wgR.Wait()
+	wg.Wait()
+	if shed.Load() == 0 {
+		t.Fatal("no query was shed; the admission caps did not bite")
+	}
 
-	inflight, recent := fr.snapshot()
-	if len(inflight) != 0 {
-		t.Fatalf("%d queries stuck in flight", len(inflight))
+	slow, err := os.ReadFile(slowPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(recent) != 8 {
-		t.Fatalf("recent ring holds %d, want 8", len(recent))
+	lines := bytes.Split(bytes.TrimSuffix(slow, []byte("\n")), []byte("\n"))
+	statuses := map[string]int{}
+	for _, line := range lines {
+		var rec QueryRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("torn slow-log line %q: %v", line, err)
+		}
+		if rec.TraceID == "" || rec.Formula == "" || rec.Key == "" || rec.Status == "" {
+			t.Fatalf("incomplete slow-log record: %+v", rec)
+		}
+		statuses[rec.Status]++
+	}
+	if len(lines) != clients*perClient {
+		t.Fatalf("%d slow-log lines for %d queries", len(lines), clients*perClient)
+	}
+	if statuses["shed"] != int(shed.Load()) {
+		t.Errorf("slow log has %d shed queries, clients saw %d (statuses %v)", statuses["shed"], shed.Load(), statuses)
+	}
+	for _, reason := range []string{"shed", "quarantine"} {
+		dumps, err := filepath.Glob(filepath.Join(incDir, "incident-"+reason+"-*.jsonl"))
+		if err != nil || len(dumps) != 1 {
+			t.Errorf("%s incident dumps %v (%v), want one (rate-limited)", reason, dumps, err)
+		}
 	}
 }
 

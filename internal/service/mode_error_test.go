@@ -99,3 +99,49 @@ func TestCrashKeyBoundedLikeOmission(t *testing.T) {
 		t.Fatalf("crash key %+v (%v): the bound must stay out of the key", key, err)
 	}
 }
+
+// TestRunBound: a key whose patterns are inside their bound but whose
+// runs (patterns × 2^n initial configurations) exceed
+// DefaultOmissionLimit is refused at once, with the status of a key
+// past its pattern bound, in every mode, and a request's limit cannot
+// raise the run bound.
+func TestRunBound(t *testing.T) {
+	st, err := store.Open("", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(st, 0)
+	ctx := context.Background()
+	_, overLimit := e.Execute(ctx, Request{Formula: "E0", Mode: "omission", N: 4, T: 2, Horizon: 4})
+	if overLimit == nil {
+		t.Fatal("omission n=4 t=2 h=4 answered; want its limit error")
+	}
+	for _, tc := range []struct {
+		req      Request
+		patterns int
+	}{
+		{Request{Formula: "E0", Mode: "crash", N: 12, T: 1, Horizon: 3}, 73_705},
+		{Request{Formula: "E0", Mode: "omission", N: 4, T: 2, Horizon: 3}, 1_574_913},
+		{Request{Formula: "E0", Mode: "omission", N: 4, T: 2, Horizon: 3, Limit: 10 * DefaultOmissionLimit}, 1_574_913},
+	} {
+		r := tc.req
+		mode, err := failures.ParseMode(r.Mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err := failures.Count(mode, r.N, r.T, r.Horizon, 0); err != nil || got != tc.patterns {
+			t.Fatalf("%+v: %d patterns (%v), want %d", r, got, err, tc.patterns)
+		}
+		if tc.patterns > DefaultOmissionLimit || tc.patterns<<r.N <= DefaultOmissionLimit {
+			t.Fatalf("%+v: %d patterns, %d runs: want inside the pattern bound and past the run bound", r, tc.patterns, tc.patterns<<r.N)
+		}
+		start := time.Now()
+		resp, err := e.Execute(ctx, r)
+		if elapsed := time.Since(start); elapsed >= time.Second {
+			t.Fatalf("%+v took %v to refuse", r, elapsed)
+		}
+		if resp != nil || err == nil || itemStatus(err) != itemStatus(overLimit) {
+			t.Fatalf("%+v: %v (status %d), want a refusal with status %d", r, err, itemStatus(err), itemStatus(overLimit))
+		}
+	}
+}

@@ -39,13 +39,13 @@ type Server struct {
 
 // NewServer wraps an engine with no admission caps (the zero
 // AdmissionConfig); call SetAdmission before serving to bound load.
-// The flight recorder starts with its in-memory defaults; call
-// SetObservability to add the slow-query log and incident dumps.
+// The flight recorder starts off; call SetObservability to add the
+// slow-query log and incident dumps.
 func NewServer(e *Engine) *Server {
 	return &Server{
 		engine:  e,
 		adm:     newAdmission(AdmissionConfig{}),
-		fr:      newFlightRecorder(0),
+		fr:      &flightRecorder{},
 		started: time.Now(),
 	}
 }
@@ -62,7 +62,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/systems", s.handleSystems)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", telemetry.MetricsHandler())
-	mux.HandleFunc("GET /debug/queries", s.handleDebugQueries)
 	mux.HandleFunc("GET /debug/trace/{id}", s.handleDebugTrace)
 	return mux
 }
@@ -132,13 +131,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	frID := s.fr.begin(QueryRecord{
-		TraceID: traceID, Formula: req.Formula, Key: key.Slug(),
-		StartedAt: start.UTC(),
-	})
 	var stages StageTimings
 	var valid *bool
-	defer func() { s.fr.finish(frID, status, time.Since(start), stages, valid) }()
+	defer func() {
+		if elapsed := time.Since(start); s.fr.isSlow(elapsed) {
+			s.fr.logSlow(QueryRecord{
+				TraceID: traceID, Formula: req.Formula, Key: key.Slug(), Status: status,
+				StartedAt: start.UTC(), Stages: stages, Valid: valid,
+			}, elapsed)
+		}
+	}()
 
 	expensive := !s.engine.CachedInMemory(key)
 	_, queueSp := telemetry.StartSpanAt(ctx, start, "service.queue")
@@ -192,24 +194,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 	}
-}
-
-// debugQueriesBody is the GET /debug/queries response: queries still
-// executing (or queued) and the completed-query ring, oldest first.
-type debugQueriesBody struct {
-	Inflight []QueryRecord `json:"inflight"`
-	Recent   []QueryRecord `json:"recent"`
-}
-
-func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
-	inflight, recent := s.fr.snapshot()
-	if inflight == nil {
-		inflight = []QueryRecord{}
-	}
-	if recent == nil {
-		recent = []QueryRecord{}
-	}
-	writeJSON(w, http.StatusOK, debugQueriesBody{Inflight: inflight, Recent: recent})
 }
 
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {

@@ -570,8 +570,16 @@ func VerifySnapshot(data []byte) error {
 }
 
 // VerifyResult checks a memoized answer's integrity envelope
-// without decoding it.
-func VerifyResult(data []byte) error { return verifyEnvelope("result", bitsMagic, resultVersion, data) }
+// without decoding it. A result file's name carries its envelope
+// version, so one of another version under this build's name is
+// corrupt, not a foreign build's.
+func VerifyResult(data []byte) error {
+	err := verifyEnvelope("result", bitsMagic, resultVersion, data)
+	if errors.Is(err, ErrVersionSkew) {
+		return fmt.Errorf("store: result file of another version under this build's name: %v", err)
+	}
+	return err
+}
 
 // decoder is a cursor over a snapshot payload with sticky errors, so
 // decode loops stay linear instead of error-checking every varint.

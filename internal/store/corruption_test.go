@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -292,56 +293,66 @@ func TestVersionSkewFallsBackWithoutDestroying(t *testing.T) {
 	}
 }
 
-// TestResultVersionSkewFallsBack is the same contract for memoized
-// answers: a skewed .bits file is recomputed around, never
-// quarantined or overwritten.
+// TestResultVersionSkewFallsBack: builds before result version 3
+// named a result file <hash>.bits, and this one names it
+// <hash>.v3.bits, so a daemon upgraded in place over an older build's
+// cache directory does not read the old file. It computes the answer
+// once and files it under its own name, and a reopened store answers
+// from disk with no compute. The old file is neither quarantined nor
+// rewritten: the build that wrote it still reads it.
 func TestResultVersionSkewFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey()
 	const formula = "K0 decided0"
-	compute := func(sys *system.System) (*knowledge.Bits, error) {
-		return knowledge.NewBits(sys.NumPoints()), nil
-	}
-	s1, _ := countingStore(t, dir, 4)
-	if _, _, err := s1.Result(key, formula, compute); err != nil {
+	if _, _, err := mustOpen(t, dir, 4).System(key); err != nil {
 		t.Fatal(err)
 	}
-	matches, err := filepath.Glob(filepath.Join(dir, "results", "*", "*.bits"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("want exactly one result file, got %v (%v)", matches, err)
-	}
-	data, err := os.ReadFile(matches[0])
+	snap, err := os.ReadFile(filepath.Join(dir, "systems", key.Slug()+".eba"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	skewed := skewVersion(data) // bitsMagic and snapMagic share a length
-	if _, _, derr := DecodeResult(skewed); !errors.Is(derr, ErrVersionSkew) {
-		t.Fatalf("DecodeResult on skewed blob: %v, want ErrVersionSkew", derr)
+	// A checksum-valid version-2 envelope at the name version 2 gave it.
+	fsum := sha256.Sum256([]byte(formula))
+	oldPath := filepath.Join(dir, "results", Digest(snap)[:16], hex.EncodeToString(fsum[:12])+".bits")
+	old := appendString(append([]byte(bitsMagic), 2), formula)
+	sum := sha256.Sum256(old)
+	old = append(old, sum[:]...)
+	if err := os.MkdirAll(filepath.Dir(oldPath), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if err := os.WriteFile(matches[0], skewed, 0o644); err != nil {
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, _ := countingStore(t, dir, 4)
-	if qf := s2.QuarantinedFiles(); len(qf) != 0 {
-		t.Fatalf("recovery scan quarantined skewed result: %v", qf)
-	}
 	computes := 0
-	if _, origin, err := s2.Result(key, formula, func(sys *system.System) (*knowledge.Bits, error) {
+	compute := func(sys *system.System) (*knowledge.Bits, error) {
 		computes++
-		return compute(sys)
-	}); err != nil || origin != OriginEnumerated || computes != 1 {
-		t.Fatalf("skewed result: origin %v err %v computes %d, want recompute", origin, err, computes)
+		return knowledge.NewBits(sys.NumPoints()), nil
 	}
-	if qf := s2.QuarantinedFiles(); len(qf) != 0 {
-		t.Fatalf("read path quarantined skewed result: %v", qf)
+	var newPath string
+	for i, want := range []Origin{OriginEnumerated, OriginDisk} {
+		s := mustOpen(t, dir, 4)
+		newPath = s.resultPath(Digest(snap), formula)
+		if _, origin, err := s.Result(key, formula, compute); err != nil || origin != want || computes != 1 {
+			t.Fatalf("store %d: origin %v, err %v, %d computes; want %v after one compute", i, origin, err, computes, want)
+		}
+		if qf := s.QuarantinedFiles(); len(qf) != 0 {
+			t.Fatalf("store %d quarantined %v", i, qf)
+		}
+		if _, err := os.Stat(newPath); err != nil {
+			t.Fatalf("store %d: no result file under this build's name: %v", i, err)
+		}
+		if after, err := os.ReadFile(oldPath); err != nil || !bytes.Equal(after, old) {
+			t.Fatalf("store %d changed the version-2 result file (err %v)", i, err)
+		}
 	}
-	after, err := os.ReadFile(matches[0])
-	if err != nil {
+	// The same envelope under this build's name is corrupt: the
+	// recovery scan quarantines it.
+	if err := os.WriteFile(newPath, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(after, skewed) {
-		t.Fatal("skewed result was overwritten")
+	if qf := mustOpen(t, dir, 4).QuarantinedFiles(); len(qf) != 1 {
+		t.Fatalf("quarantined %v, want the version-2 envelope under the version-3 name", qf)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -286,7 +287,7 @@ func (s *Store) recoverScan() {
 	if s.dir == "" {
 		return
 	}
-	s.scanDir(filepath.Join(s.dir, "systems"), VerifySnapshot)
+	s.scanDir(filepath.Join(s.dir, "systems"), "", VerifySnapshot)
 	resRoot := filepath.Join(s.dir, "results")
 	subs, err := s.fsys.ReadDir(resRoot)
 	if err != nil {
@@ -294,14 +295,17 @@ func (s *Store) recoverScan() {
 	}
 	for _, sub := range subs {
 		if sub.IsDir() {
-			s.scanDir(filepath.Join(resRoot, sub.Name()), VerifyResult)
+			s.scanDir(filepath.Join(resRoot, sub.Name()), resultExt, VerifyResult)
 		} else if strings.HasPrefix(sub.Name(), ".tmp-") {
 			s.quarantine(filepath.Join(resRoot, sub.Name()))
 		}
 	}
 }
 
-func (s *Store) scanDir(dir string, verify func([]byte) error) {
+// scanDir verifies the files in dir whose names end in ext and
+// quarantines the ones that fail. A file named for another result
+// version belongs to the build that wrote it and is not read.
+func (s *Store) scanDir(dir, ext string, verify func([]byte) error) {
 	entries, err := s.fsys.ReadDir(dir)
 	if err != nil {
 		return
@@ -314,6 +318,9 @@ func (s *Store) scanDir(dir string, verify func([]byte) error) {
 		if strings.HasPrefix(e.Name(), ".tmp-") {
 			// A temp file at rest is a write that never committed.
 			s.quarantine(path)
+			continue
+		}
+		if !strings.HasSuffix(e.Name(), ext) {
 			continue
 		}
 		data, err := s.fsys.ReadFile(path)
@@ -413,11 +420,16 @@ func (s *Store) systemPath(key Key) string {
 	return filepath.Join(s.dir, "systems", key.Slug()+".eba")
 }
 
+// resultExt ends the name of every result file this build reads and
+// writes. The envelope version is in the name, so builds that share a
+// cache directory each keep their own file for a formula.
+var resultExt = ".v" + strconv.Itoa(resultVersion) + ".bits"
+
 // resultPath is the result file for a formula over the system with
 // the given content digest.
 func (s *Store) resultPath(digest, formula string) string {
 	fsum := sha256.Sum256([]byte(formula))
-	return filepath.Join(s.dir, "results", digest[:16], hex.EncodeToString(fsum[:12])+".bits")
+	return filepath.Join(s.dir, "results", digest[:16], hex.EncodeToString(fsum[:12])+resultExt)
 }
 
 // System returns the enumerated system for the key, from memory, disk,
@@ -765,14 +777,8 @@ func (s *Store) loadResult(ctx context.Context, e *entry, formula string, comput
 					return ans, OriginDisk, nil
 				}
 			}
-			if errors.Is(derr, ErrVersionSkew) {
-				// Foreign build's valid result: recompute for this
-				// request but neither quarantine nor overwrite the file.
-				persistable = false
-			} else {
-				s.noteDiskError()
-				s.quarantine(path)
-			}
+			s.noteDiskError()
+			s.quarantine(path)
 		}
 	}
 	sys, _, err := s.system(ctx, e)
