@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/eventual-agreement/eba/internal/clitest"
 	"github.com/eventual-agreement/eba/internal/telemetry"
@@ -91,7 +92,9 @@ func TestMetricsSnapshot(t *testing.T) {
 }
 
 // TestBadFlags: a flag value the command cannot use is a named error
-// on stderr and exit code 1, not a verdict.
+// on stderr and exit code 1, not a verdict, and it is refused before
+// anything is built, in under a second. Crash n=12 t=1 h=3 has 73,705
+// patterns, inside -limit, but 301,895,680 runs.
 func TestBadFlags(t *testing.T) {
 	cases := []struct {
 		name string
@@ -100,10 +103,15 @@ func TestBadFlags(t *testing.T) {
 	}{
 		{"unknown mode", []string{"-mode", "bogus"}, `unknown failure mode "bogus"`},
 		{"negative limit", []string{"-mode", "omission", "-limit", "-1"}, "negative pattern limit -1"},
+		{"past the run bound", []string{"-n", "12", "-t", "1", "-mode", "crash", "-h", "3"}, "has 73705 patterns × 2^12 configurations, more than 2000000 runs"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
 			stdout, stderr, code := ebacheck(t, tc.args...)
+			if elapsed := time.Since(start); elapsed >= time.Second {
+				t.Errorf("took %v to refuse", elapsed)
+			}
 			if code != 1 {
 				t.Errorf("exit code %d, want 1", code)
 			}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -26,18 +25,28 @@ func TestGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			stdout, stderr, code := clitest.Run(t, tc.args...)
-			if code != 0 || stderr != "" {
-				t.Fatalf("exit %d, stderr %q", code, stderr)
-			}
-			if stdout != string(want) {
-				t.Errorf("stdout differs from testdata/%s.golden:\n%s", tc.golden, stdout)
-			}
+			clitest.Golden(t, filepath.Join("testdata", tc.golden+".golden"), tc.args...)
 		})
+	}
+}
+
+// TestChaosRunReplays: an omission run over the resilient TCP runtime
+// with a seeded chaos plan exits 0, its decisions replay identically on
+// the deterministic engine under the reconstructed failure pattern, and
+// they match the model checker's.
+func TestChaosRunReplays(t *testing.T) {
+	stdout, stderr, code := clitest.Run(t, "-protocol", "chain0", "-mode", "omission", "-config", "0111", "-t", "2",
+		"-chaos", "auto", "-seed", "7", "-deadline", "250ms")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	for _, want := range []string{
+		"deterministic replay under the reconstructed pattern: identical trace",
+		"match the model checker's FIP decisions",
+	} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
 	}
 }
 

@@ -6,8 +6,10 @@ package clitest
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"testing"
 )
 
@@ -38,4 +40,33 @@ func Run(t testing.TB, args ...string) (stdout, stderr string, code int) {
 		t.Fatalf("%v: %v", args, err)
 	}
 	return out.String(), errb.String(), cmd.ProcessState.ExitCode()
+}
+
+var update = flag.Bool("update", false, "rewrite the goldens Golden compares against")
+
+// Golden runs the command with the arguments, requires exit 0 and
+// nothing on stderr, and compares stdout with the golden file; with
+// -update it writes stdout to the file instead.
+func Golden(t testing.TB, golden string, args ...string) {
+	t.Helper()
+	stdout, stderr, code := Run(t, args...)
+	if code != 0 || stderr != "" {
+		t.Fatalf("%v: exit %d, stderr %q", args, code, stderr)
+	}
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(stdout), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout != string(want) {
+		t.Errorf("%v: stdout differs from %s:\n%s", args, golden, stdout)
+	}
 }

@@ -27,16 +27,15 @@ var ErrBadRequest = errors.New("bad request")
 
 // DefaultOmissionLimit bounds omission-family enumerations (sending,
 // receiving, and general) that don't give an explicit limit, mirroring
-// the ebaq default. It bounds every crash enumeration too, and the
-// runs of a system in every mode.
+// the ebaq default.
 const DefaultOmissionLimit = 2_000_000
 
 // Request is one query: a formula plus the system it should be
 // evaluated over. Zero-valued fields take defaults (n=3, t=1, crash,
 // horizon t+2). Limit bounds an omission-family key's failure patterns
 // (0 = DefaultOmissionLimit; a crash key ignores it). It can lower the
-// pattern bound, but not raise the bound of DefaultOmissionLimit runs
-// that every key is held to.
+// pattern bound, but not raise the bound of system.MaxRuns runs that
+// every key is held to.
 type Request struct {
 	Formula string `json:"formula"`
 	N       int    `json:"n,omitempty"`
@@ -221,8 +220,8 @@ func (e *Engine) resolve(req Request) (store.Key, parsedFormula, error) {
 	key.Mode = mode
 	if mode == failures.Crash {
 		// Normalize the limit out of the key so "crash" and "crash,
-		// limit=x" share one snapshot; the bound on crash keys is
-		// applied outside the key (Engine.resident).
+		// limit=x" share one snapshot; the builder's bound on runs
+		// bounds a crash key.
 		key.Limit = 0
 	} else if key.Limit == 0 {
 		// All three omission-family modes get the guard limit; the
@@ -320,43 +319,6 @@ func msBetween(from, to time.Time) float64 {
 	return float64(to.Sub(from).Microseconds()) / 1e3
 }
 
-// resident is Store.Resident behind the service's bounds on what a
-// key may build. resolve drops the limit from a crash key, so that
-// every crash request shares one snapshot, and the store would
-// enumerate it unbounded; a crash key with more than
-// DefaultOmissionLimit patterns is refused here with the error the
-// enumerator gives an omission key past it. In every mode, a key whose
-// patterns times its 2^n initial configurations — the runs the system
-// would hold — exceed DefaultOmissionLimit is refused too, with an
-// error of the same status.
-func (e *Engine) resident(ctx context.Context, key store.Key) (store.Shape, store.Origin, error) {
-	if err := checkRuns(key); err != nil {
-		return store.Shape{}, store.OriginEnumerated, err
-	}
-	return e.store.Resident(ctx, key)
-}
-
-// checkRuns refuses a key past its pattern limit (DefaultOmissionLimit
-// for a crash key) or with more than DefaultOmissionLimit runs. It
-// counts; it builds nothing.
-func checkRuns(key store.Key) error {
-	limit := key.Limit
-	if key.Mode == failures.Crash {
-		limit = DefaultOmissionLimit
-	}
-	patterns, _, err := failures.Count(key.Mode, key.N, key.T, key.Horizon, limit)
-	if err != nil {
-		return err
-	}
-	// patterns·2^n > L exactly when patterns > ⌊L/2^n⌋, and the shift
-	// saturates to 0 for n ≥ 63, so nothing overflows.
-	if patterns > DefaultOmissionLimit>>key.N {
-		return fmt.Errorf("service: %s n=%d t=%d h=%d has %d patterns × 2^%d configurations, more than %d runs",
-			key.Mode, key.N, key.T, key.Horizon, patterns, key.N, DefaultOmissionLimit)
-	}
-	return nil
-}
-
 // execute is the uncancelable core of Execute. Its three stages —
 // load, eval, scan — run back to back under an engine.execute span,
 // and the clock is read once per stage boundary: each reading ends
@@ -376,7 +338,7 @@ func (e *Engine) execute(ctx context.Context, key store.Key, pf parsedFormula, r
 	// has seen before stays undecoded until a compute needs it, so that
 	// decode, when it comes, shows under engine.eval.
 	lctx, loadSp := telemetry.StartSpanAt(ctx, loadStart, "engine.load")
-	shape, sysOrigin, err := e.resident(lctx, key)
+	shape, sysOrigin, err := e.store.Resident(lctx, key)
 	evalStart := time.Now()
 	last = evalStart
 	loadSp.EndAt(evalStart, telemetry.L("origin", sysOrigin.String()))

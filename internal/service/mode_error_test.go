@@ -74,8 +74,8 @@ func TestUnknownModeTypedEverywhere(t *testing.T) {
 }
 
 // TestCrashKeyBoundedLikeOmission: a crash key carries no limit, yet
-// one past DefaultOmissionLimit patterns is refused at once, with the
-// error and status an omission key past its limit gets.
+// one past the builder's bound of system.MaxRuns runs is refused at
+// once, with the status an omission key past its limit gets.
 func TestCrashKeyBoundedLikeOmission(t *testing.T) {
 	st, err := store.Open("", 4)
 	if err != nil {
@@ -92,8 +92,9 @@ func TestCrashKeyBoundedLikeOmission(t *testing.T) {
 	if elapsed := time.Since(start); elapsed >= time.Second {
 		t.Fatalf("crash n=40 t=1 took %v to refuse", elapsed)
 	}
-	if resp != nil || err == nil || err.Error() != want.Error() || itemStatus(err) != itemStatus(want) {
-		t.Fatalf("crash n=40 t=1: %v (status %d), want %v (status %d)", err, itemStatus(err), want, itemStatus(want))
+	const msg = "system: crash n=40 t=1 h=3 has 65970697666481 patterns × 2^40 configurations, more than 2000000 runs"
+	if resp != nil || err == nil || err.Error() != msg || itemStatus(err) != itemStatus(want) {
+		t.Fatalf("crash n=40 t=1: %v (status %d), want %v (status %d)", err, itemStatus(err), msg, itemStatus(want))
 	}
 	if key, _, err := e.Resolve(Request{Formula: "E0", Mode: "crash", N: 40, T: 1, Limit: 7}); err != nil || key.Limit != 0 {
 		t.Fatalf("crash key %+v (%v): the bound must stay out of the key", key, err)
@@ -101,10 +102,9 @@ func TestCrashKeyBoundedLikeOmission(t *testing.T) {
 }
 
 // TestRunBound: a key whose patterns are inside their bound but whose
-// runs (patterns × 2^n initial configurations) exceed
-// DefaultOmissionLimit is refused at once, with the status of a key
-// past its pattern bound, in every mode, and a request's limit cannot
-// raise the run bound.
+// runs (patterns × 2^n initial configurations) exceed system.MaxRuns
+// is refused at once, with the status of a key past its pattern bound,
+// in every mode, and a request's limit cannot raise the run bound.
 func TestRunBound(t *testing.T) {
 	st, err := store.Open("", 4)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestRunBound(t *testing.T) {
 		if got, _, err := failures.Count(mode, r.N, r.T, r.Horizon, 0); err != nil || got != tc.patterns {
 			t.Fatalf("%+v: %d patterns (%v), want %d", r, got, err, tc.patterns)
 		}
-		if tc.patterns > DefaultOmissionLimit || tc.patterns<<r.N <= DefaultOmissionLimit {
+		if tc.patterns > DefaultOmissionLimit || tc.patterns<<r.N <= system.MaxRuns {
 			t.Fatalf("%+v: %d patterns, %d runs: want inside the pattern bound and past the run bound", r, tc.patterns, tc.patterns<<r.N)
 		}
 		start := time.Now()

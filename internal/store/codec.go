@@ -102,20 +102,6 @@ const (
 	digestLen     = sha256.Size
 )
 
-// ErrVersionSkew marks a blob whose envelope is intact — magic right,
-// checksum verified — but whose version tag is not the one this build
-// reads. That is not corruption: it is most likely a snapshot written
-// by a newer build sharing the cache directory (a rolling upgrade, a
-// downgrade, two binaries on one volume). Callers must fall back to
-// recomputing, NOT quarantine or overwrite the file — the newer build
-// still wants it. Test with errors.Is.
-var ErrVersionSkew = errors.New("store: version skew (valid blob from a different build)")
-
-// versionSkewError wraps ErrVersionSkew with the observed version.
-func versionSkewError(kind string, got, want uint64) error {
-	return fmt.Errorf("store: %s version %d, this build reads %d: %w", kind, got, want, ErrVersionSkew)
-}
-
 // EncodeSystem serializes the system under its key. The encoding is
 // deterministic: enumeration order, interner IDs, and pattern tables
 // are all reproducible, so equal keys yield byte-identical snapshots
@@ -285,7 +271,7 @@ func decodePayload(body []byte, split int, spread bool) (Key, *system.System, er
 	var key Key
 	d := decoder{buf: body}
 	if v := d.uvarint(); v != snapVersion {
-		return key, nil, versionSkewError("snapshot", v, snapVersion)
+		return key, nil, versionError("snapshot", v, snapVersion)
 	}
 	key.N = int(d.uvarint())
 	key.T = int(d.uvarint())
@@ -535,13 +521,17 @@ func DecodeResult(data []byte) (formula string, a *Answer, err error) {
 	return formula, a, nil
 }
 
+// versionError reports an envelope of another version. A file's name
+// carries the version this build reads, so such an envelope under it
+// is corrupt, not another build's.
+func versionError(kind string, got, want uint64) error {
+	return fmt.Errorf("store: %s version %d under this build's name, which is for version %d", kind, got, want)
+}
+
 // verifyEnvelope checks the magic ∥ version ∥ ... ∥ sha256 envelope
 // shared by snapshots and results without decoding the body. It is the
 // boot-time recovery scan's cheap integrity test: a file that fails it
-// is partial or corrupt and gets quarantined instead of served — with
-// one exception. A blob whose checksum verifies but whose version tag
-// is foreign returns ErrVersionSkew, which callers treat as "not mine,
-// but not broken": skip it, never quarantine it.
+// is partial or corrupt and gets quarantined instead of served.
 func verifyEnvelope(kind, magic string, version uint64, data []byte) error {
 	if len(data) < len(magic)+1+digestLen {
 		return fmt.Errorf("store: %s too short (%d bytes)", kind, len(data))
@@ -558,7 +548,7 @@ func verifyEnvelope(kind, magic string, version uint64, data []byte) error {
 		return fmt.Errorf("store: %s version tag unreadable", kind)
 	}
 	if v != version {
-		return versionSkewError(kind, v, version)
+		return versionError(kind, v, version)
 	}
 	return nil
 }
@@ -570,15 +560,9 @@ func VerifySnapshot(data []byte) error {
 }
 
 // VerifyResult checks a memoized answer's integrity envelope
-// without decoding it. A result file's name carries its envelope
-// version, so one of another version under this build's name is
-// corrupt, not a foreign build's.
+// without decoding it.
 func VerifyResult(data []byte) error {
-	err := verifyEnvelope("result", bitsMagic, resultVersion, data)
-	if errors.Is(err, ErrVersionSkew) {
-		return fmt.Errorf("store: result file of another version under this build's name: %v", err)
-	}
-	return err
+	return verifyEnvelope("result", bitsMagic, resultVersion, data)
 }
 
 // decoder is a cursor over a snapshot payload with sticky errors, so

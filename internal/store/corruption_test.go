@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -102,9 +101,8 @@ func TestDecodeRejectsConfigContradictingViews(t *testing.T) {
 
 // skewVersion bumps the version varint (offset = len(magic), one byte
 // for snapshots and results alike) and recomputes the trailer,
-// yielding a checksum-valid blob that only the version check rejects —
-// the shape a newer build's file has when it shares a cache directory
-// with this one.
+// yielding a checksum-valid blob that only the version check rejects:
+// the envelope another build writes under its own file name.
 func skewVersion(data []byte) []byte {
 	out := append([]byte(nil), data...)
 	out[len(snapMagic)]++
@@ -127,7 +125,7 @@ func TestCorruptionFallsBackWithoutPoisoning(t *testing.T) {
 			if _, _, err := s1.System(key); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(dir, "systems", key.Slug()+".eba")
+			path := filepath.Join(dir, "systems", key.Slug()+snapExt)
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -207,7 +205,7 @@ func TestKnownDigestCorruptionQuarantines(t *testing.T) {
 	if _, _, err := s.System(Key{N: 3, T: 1, Mode: failures.Crash, Horizon: 3}); err != nil { // evicts key
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "systems", key.Slug()+".eba")
+	path := filepath.Join(dir, "systems", key.Slug()+snapExt)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +219,7 @@ func TestKnownDigestCorruptionQuarantines(t *testing.T) {
 		t.Fatalf("restore of a corrupted known snapshot: origin %v, %v, %d enumerations; want one re-enumeration",
 			origin, err, count.Load()-before)
 	}
-	if qf := s.QuarantinedFiles(); len(qf) != 1 || qf[0] != key.Slug()+".eba" {
+	if qf := s.QuarantinedFiles(); len(qf) != 1 || qf[0] != key.Slug()+snapExt {
 		t.Fatalf("quarantine holds %v, want the corrupted snapshot", qf)
 	}
 	if st := s.Stats(); st.DiskErrors != 1 || st.Quarantined != 1 {
@@ -236,60 +234,57 @@ func TestKnownDigestCorruptionQuarantines(t *testing.T) {
 	}
 }
 
-// TestVersionSkewFallsBackWithoutDestroying pins the skew contract: a
-// snapshot whose only defect is a foreign version tag (checksum still
-// valid) is NOT corruption. The boot scan must leave it in place, the
-// read path must fall back to enumeration without quarantining it, and
-// — critically — the store must not overwrite the file with its own
-// encoding: the build that wrote it still wants those bytes.
+// TestVersionSkewFallsBackWithoutDestroying pins the naming rule for
+// snapshots. A checksum-valid envelope of another version at an older
+// build's name, <slug>.eba, is never read, quarantined or overwritten:
+// the first store enumerates the key once and files <slug>.v1.eba, and
+// a reopened store restores that. The same envelope under this build's
+// name is corrupt: the boot scan quarantines it and the next request
+// re-enumerates and rewrites the file.
 func TestVersionSkewFallsBackWithoutDestroying(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey()
-	s1, _ := countingStore(t, dir, 4)
-	if _, _, err := s1.System(key); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "systems", key.Slug()+".eba")
-	data, err := os.ReadFile(path)
+	data, err := EncodeSystem(key, enumerateTestSystem(t, key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	skewed := skewVersion(data)
-	if _, _, derr := DecodeSystem(skewed); !errors.Is(derr, ErrVersionSkew) {
-		t.Fatalf("DecodeSystem on skewed blob: %v, want ErrVersionSkew", derr)
-	}
-	if verr := VerifySnapshot(skewed); !errors.Is(verr, ErrVersionSkew) {
-		t.Fatalf("VerifySnapshot on skewed blob: %v, want ErrVersionSkew", verr)
-	}
-	if err := os.WriteFile(path, skewed, 0o644); err != nil {
+	foreign := skewVersion(data)
+	oldPath := filepath.Join(dir, "systems", key.Slug()+".eba")
+	if err := os.MkdirAll(filepath.Dir(oldPath), 0o755); err != nil {
 		t.Fatal(err)
 	}
-
-	// Reopen: the recovery scan must not touch the skewed file.
-	s2, count := countingStore(t, dir, 4)
-	if qf := s2.QuarantinedFiles(); len(qf) != 0 {
-		t.Fatalf("recovery scan quarantined skewed snapshot: %v", qf)
-	}
-	sys, origin, err := s2.System(key)
-	if err != nil || sys == nil {
-		t.Fatalf("load over skewed snapshot: %v", err)
-	}
-	if origin != OriginEnumerated {
-		t.Fatalf("origin %v, want enumerated fallback", origin)
-	}
-	if got := count.Load(); got != 1 {
-		t.Fatalf("%d enumerations, want 1", got)
-	}
-	if qf := s2.QuarantinedFiles(); len(qf) != 0 || s2.Stats().Quarantined != 0 {
-		t.Fatalf("read path quarantined skewed snapshot: %v", qf)
-	}
-	// The skewed bytes are still on disk, untouched.
-	after, err := os.ReadFile(path)
-	if err != nil {
+	if err := os.WriteFile(oldPath, foreign, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(after, skewed) {
-		t.Fatal("skewed snapshot was overwritten; foreign builds' blobs must survive")
+	var path string
+	for i, want := range []Origin{OriginEnumerated, OriginDisk} {
+		s, count := countingStore(t, dir, 4)
+		path = s.systemPath(key)
+		if _, origin, err := s.System(key); err != nil || origin != want || count.Load() != int64(1-i) {
+			t.Fatalf("store %d: origin %v, %v, %d enumerations; want %v", i, origin, err, count.Load(), want)
+		}
+		if st := s.Stats(); st.SystemDecodes != uint64(i) || st.Quarantined != 0 || st.DiskErrors != 0 {
+			t.Fatalf("store %d: stats %+v; want %d decodes and no disk error", i, st, i)
+		}
+		if snaps := s.DiskSnapshots(); len(snaps) != 1 || snaps[0] != filepath.Base(path) {
+			t.Fatalf("store %d: snapshots %v, want this build's file only", i, snaps)
+		}
+		if after, err := os.ReadFile(oldPath); err != nil || !bytes.Equal(after, foreign) {
+			t.Fatalf("store %d changed the older build's snapshot (err %v)", i, err)
+		}
+	}
+	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, count := countingStore(t, dir, 4)
+	if qf := s.QuarantinedFiles(); len(qf) != 1 || qf[0] != filepath.Base(path) {
+		t.Fatalf("boot scan quarantined %v, want the other version under this build's name", qf)
+	}
+	if _, origin, err := s.System(key); err != nil || origin != OriginEnumerated || count.Load() != 1 {
+		t.Fatalf("after the quarantine: origin %v, %v, %d enumerations; want one", origin, err, count.Load())
+	}
+	if rewritten, err := os.ReadFile(path); err != nil || !bytes.Equal(rewritten, data) {
+		t.Fatalf("snapshot not rewritten as this build's encoding (err %v)", err)
 	}
 }
 
@@ -307,7 +302,7 @@ func TestResultVersionSkewFallsBack(t *testing.T) {
 	if _, _, err := mustOpen(t, dir, 4).System(key); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := os.ReadFile(filepath.Join(dir, "systems", key.Slug()+".eba"))
+	snap, err := os.ReadFile(filepath.Join(dir, "systems", key.Slug()+snapExt))
 	if err != nil {
 		t.Fatal(err)
 	}

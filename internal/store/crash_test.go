@@ -29,7 +29,6 @@ func crashKey() store.Key {
 // snapshot byte-identical to a never-crashed baseline.
 func TestTornWriteQuarantineAndRecovery(t *testing.T) {
 	key := crashKey()
-	snapName := filepath.Base(filepath.Join("systems", key.Slug()+".eba"))
 
 	// Baseline: a store that never crashes.
 	dirA := t.TempDir()
@@ -40,6 +39,11 @@ func TestTornWriteQuarantineAndRecovery(t *testing.T) {
 	if _, _, err := stA.System(key); err != nil {
 		t.Fatal(err)
 	}
+	snaps := stA.DiskSnapshots()
+	if len(snaps) != 1 {
+		t.Fatalf("baseline snapshots %v, want one", snaps)
+	}
+	snapName := snaps[0]
 	want, err := os.ReadFile(filepath.Join(dirA, "systems", snapName))
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,7 +28,7 @@ type countFS struct {
 }
 
 func (f *countFS) ReadFile(path string) ([]byte, error) {
-	if filepath.Base(filepath.Dir(path)) == "systems" && filepath.Ext(path) == ".eba" {
+	if filepath.Base(filepath.Dir(path)) == "systems" && strings.HasSuffix(path, snapExt) {
 		f.mu.Lock()
 		f.reads++
 		serve := f.serve
@@ -218,7 +219,7 @@ func TestFlipAfterLazyAdmit(t *testing.T) {
 	if st := s.Stats(); st.DiskErrors != 1 || st.Quarantined != 1 || st.Enumerations != 3 {
 		t.Fatalf("stats %+v: want one disk error, one quarantined file and a third enumeration", st)
 	}
-	if qf := s.QuarantinedFiles(); len(qf) != 1 || qf[0] != lazyKey.Slug()+".eba" {
+	if qf := s.QuarantinedFiles(); len(qf) != 1 || qf[0] != lazyKey.Slug()+snapExt {
 		t.Fatalf("quarantine holds %v, want the flipped snapshot", qf)
 	}
 	rewritten, err := os.ReadFile(path)
@@ -278,11 +279,11 @@ func TestLazyDecodeRejectsOtherSnapshot(t *testing.T) {
 	}
 }
 
-// TestLazyDecodeVersionSkewKeepsFile: a version-skewed file met at the
-// first compute is a foreign build's, not corruption. It is neither
-// quarantined nor overwritten, and the compute runs over a fresh
-// enumeration whose result is not filed.
-func TestLazyDecodeVersionSkewKeepsFile(t *testing.T) {
+// TestLazyDecodeForeignVersionQuarantined: an envelope of another
+// version under this build's name, met at the first compute, is
+// corrupt. It is quarantined, and the compute runs over a fresh
+// enumeration, which rewrites the snapshot and files its result.
+func TestLazyDecodeForeignVersionQuarantined(t *testing.T) {
 	const formula = "Cdia E0"
 	s, _, _ := lazyStore(t, "K0 E0")
 	ctx := context.Background()
@@ -294,8 +295,7 @@ func TestLazyDecodeVersionSkewKeepsFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skewed := skewVersion(data)
-	if err := os.WriteFile(path, skewed, 0o644); err != nil {
+	if err := os.WriteFile(path, skewVersion(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := enumerateKey(lazyKey)
@@ -308,18 +308,81 @@ func TestLazyDecodeVersionSkewKeepsFile(t *testing.T) {
 		t.Fatalf("%s: origin %v, %v", formula, origin, err)
 	}
 	sameAnswer(t, formula, got, newAnswer(ref, tbl))
-	if st := s.Stats(); st.Quarantined != 0 || st.DiskErrors != 0 {
-		t.Fatalf("stats %+v: a skewed snapshot is not corruption", st)
+	if st := s.Stats(); st.Quarantined != 1 || st.DiskErrors != 1 {
+		t.Fatalf("stats %+v: want the file quarantined as one disk error", st)
 	}
-	after, err := os.ReadFile(path)
+	if qf := s.QuarantinedFiles(); len(qf) != 1 || qf[0] != lazyKey.Slug()+snapExt {
+		t.Fatalf("quarantine holds %v, want the other version's snapshot", qf)
+	}
+	if rewritten, err := os.ReadFile(path); err != nil || !bytes.Equal(rewritten, data) {
+		t.Fatalf("snapshot not rewritten as this build's encoding (err %v)", err)
+	}
+	if _, err := os.Stat(s.resultPath(Digest(data), formula)); err != nil {
+		t.Fatalf("the re-enumerated system's result was not filed: %v", err)
+	}
+}
+
+// TestFlippedOtherSnapshotFilesNoResult covers the one cause of a
+// memory-only entry. A valid snapshot of the key's system over half
+// its failure patterns sits under the key's name; a cold restore
+// decodes it in full and serves it as the key's system (ROADMAP item
+// 22), so the store remembers its digest. After an eviction the next
+// restore admits the file undecoded, and a byte of it is flipped. The
+// first compute quarantines it and runs over a fresh enumeration,
+// whose snapshot has another digest, so the answer is filed under
+// neither digest.
+func TestFlippedOtherSnapshotFilesNoResult(t *testing.T) {
+	const formula = "Cdia E0"
+	ctx := context.Background()
+	ref, err := enumerateKey(lazyKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(after, skewed) {
-		t.Fatal("the skewed snapshot was overwritten")
+	pats := ref.Table().Patterns
+	other, err := system.FromPatterns(ref.Params, ref.Mode, ref.Horizon, pats[:len(pats)/2])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(s.resultPath(Digest(data), formula)); err == nil {
-		t.Fatal("a result over the memory-only system was filed")
+	otherData, err := EncodeSystem(lazyKey, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, t.TempDir(), 1)
+	path := s.systemPath(lazyKey)
+	if err := os.WriteFile(path, otherData, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if shape, origin, err := s.Resident(ctx, lazyKey); err != nil || origin != OriginDisk || shape != shapeOf(other) {
+		t.Fatalf("cold restore: shape %+v, origin %v, %v; want the half system %+v from disk", shape, origin, err, shapeOf(other))
+	}
+	if _, _, err := s.System(evictor); err != nil {
+		t.Fatal(err)
+	}
+	if _, origin, err := s.Resident(ctx, lazyKey); err != nil || origin != OriginDisk || s.Stats().SystemDecodes != 1 {
+		t.Fatalf("restore: origin %v, %v, %d decodes; want an undecoded admission", origin, err, s.Stats().SystemDecodes)
+	}
+	flipped := slices.Clone(otherData)
+	flipped[len(flipped)/2] ^= 0xff
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := evalCompute(formula)(ref)
+	got, origin, err := s.AnswerCtx(ctx, lazyKey, formula, evalCompute(formula))
+	if err != nil || origin != OriginEnumerated {
+		t.Fatalf("%s: origin %v, %v", formula, origin, err)
+	}
+	sameAnswer(t, formula, got, newAnswer(ref, tbl))
+	if st := s.Stats(); st.Quarantined != 1 || st.DiskErrors != 1 {
+		t.Fatalf("stats %+v: want the flipped file quarantined", st)
+	}
+	rewritten, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, digest := range []string{Digest(otherData), Digest(rewritten)} {
+		if _, err := os.Stat(s.resultPath(digest, formula)); err == nil {
+			t.Fatalf("the answer over the fresh enumeration was filed under %s", digest[:16])
+		}
 	}
 }
 

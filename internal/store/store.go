@@ -156,7 +156,9 @@ type entry struct {
 	// undecoded; an entry admitted decoded has sys set from the start.
 	// When the file fails that decode, sys is a fresh enumeration, and
 	// memOnly is set unless that system encodes to digest: results over
-	// it are then not filed under digest.
+	// it are then not filed under digest. Only a file that decoded in
+	// full before, yet is not this build's encoding of its key, can set
+	// it: a valid snapshot of another system under the key's name.
 	decode  sync.Once
 	sys     *system.System
 	memOnly bool
@@ -287,7 +289,7 @@ func (s *Store) recoverScan() {
 	if s.dir == "" {
 		return
 	}
-	s.scanDir(filepath.Join(s.dir, "systems"), "", VerifySnapshot)
+	s.scanDir(filepath.Join(s.dir, "systems"), snapExt, VerifySnapshot)
 	resRoot := filepath.Join(s.dir, "results")
 	subs, err := s.fsys.ReadDir(resRoot)
 	if err != nil {
@@ -303,8 +305,8 @@ func (s *Store) recoverScan() {
 }
 
 // scanDir verifies the files in dir whose names end in ext and
-// quarantines the ones that fail. A file named for another result
-// version belongs to the build that wrote it and is not read.
+// quarantines the ones that fail. A file named for another version
+// belongs to the build that wrote it and is not read.
 func (s *Store) scanDir(dir, ext string, verify func([]byte) error) {
 	entries, err := s.fsys.ReadDir(dir)
 	if err != nil {
@@ -327,14 +329,7 @@ func (s *Store) scanDir(dir, ext string, verify func([]byte) error) {
 		if err != nil {
 			continue // unreadable now ≠ corrupt; the read path retries
 		}
-		if verr := verify(data); verr != nil {
-			if errors.Is(verr, ErrVersionSkew) {
-				// Checksum-valid blob from a different build sharing the
-				// directory. It is not evidence of a crash — leave it in
-				// place for the build that wrote it; our read path falls
-				// back to enumeration without touching it.
-				continue
-			}
+		if verify(data) != nil {
 			s.noteDiskError()
 			s.quarantine(path)
 		}
@@ -415,15 +410,19 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
+// snapExt and resultExt end the names of the snapshot and result files
+// this build reads and writes. The envelope version is in the name, so
+// builds that share a cache directory each keep their own file for a
+// key or a formula.
+var (
+	snapExt   = ".v" + strconv.Itoa(snapVersion) + ".eba"
+	resultExt = ".v" + strconv.Itoa(resultVersion) + ".bits"
+)
+
 // systemPath is the snapshot file for a key.
 func (s *Store) systemPath(key Key) string {
-	return filepath.Join(s.dir, "systems", key.Slug()+".eba")
+	return filepath.Join(s.dir, "systems", key.Slug()+snapExt)
 }
-
-// resultExt ends the name of every result file this build reads and
-// writes. The envelope version is in the name, so builds that share a
-// cache directory each keep their own file for a formula.
-var resultExt = ".v" + strconv.Itoa(resultVersion) + ".bits"
 
 // resultPath is the result file for a formula over the system with
 // the given content digest.
@@ -522,24 +521,22 @@ func (s *Store) acquire(ctx context.Context, key Key) (*entry, Origin, error) {
 // system returns the entry's system. On the first call, an entry
 // admitted undecoded reads its snapshot and decodes it, which verifies
 // the checksum and every run, and requires the file to be the key's
-// and to carry the entry's digest. A file that fails is handled as a
-// failed restore is: a version-skewed one is left in place and the
-// system is enumerated memory-only; anything else is quarantined and
-// the key is re-enumerated and rewritten. enumerated reports that this
-// call did so. Concurrent first calls share the one decode.
+// and to carry the entry's digest. A file that fails is quarantined
+// and the key is re-enumerated and rewritten, as at a failed restore.
+// enumerated reports that this call did so. Concurrent first calls
+// share the one decode.
 func (s *Store) system(ctx context.Context, e *entry) (*system.System, bool, error) {
 	enumerated := false
 	e.decode.Do(func() {
 		if e.sys != nil {
 			return
 		}
-		_, sys, skewed := s.decodeFile(ctx, e.key, e.digest)
-		if sys != nil {
+		if _, sys := s.decodeFile(ctx, e.key, e.digest); sys != nil {
 			e.sys = sys
 			return
 		}
 		enumerated = true
-		fresh, err := s.enumerateEntry(ctx, e.key, !skewed)
+		fresh, err := s.enumerateEntry(ctx, e.key)
 		if err != nil {
 			// Drop the broken entry so that the next request loads the
 			// key afresh.
@@ -560,21 +557,18 @@ func (s *Store) system(ctx context.Context, e *entry) (*system.System, bool, err
 // load misses memory: try the disk snapshot, then enumerate and
 // persist. Called without the lock held.
 func (s *Store) load(ctx context.Context, key Key) (*entry, error) {
-	persist := s.dir != ""
-	if persist {
-		e, skewed := s.restore(ctx, key)
-		if e != nil {
+	if s.dir != "" {
+		if e := s.restore(ctx, key); e != nil {
 			return e, nil
 		}
-		persist = !skewed
 	}
-	return s.enumerateEntry(ctx, key, persist)
+	return s.enumerateEntry(ctx, key)
 }
 
-// enumerateEntry builds key's system afresh. With persist set it also
+// enumerateEntry builds key's system afresh. A persistent store also
 // encodes the system, learns the snapshot and writes it. Called
 // without the lock held.
-func (s *Store) enumerateEntry(ctx context.Context, key Key, persist bool) (*entry, error) {
+func (s *Store) enumerateEntry(ctx context.Context, key Key) (*entry, error) {
 	_, enumSp := telemetry.StartSpan(ctx, "store.enumerate", telemetry.L("key", key.Slug()))
 	sys, err := s.enumerate(key)
 	enumSp.End()
@@ -587,7 +581,7 @@ func (s *Store) enumerateEntry(ctx context.Context, key Key, persist bool) (*ent
 	mSysEnum.Inc()
 
 	e := &entry{key: key, shape: shapeOf(sys), sys: sys, origin: OriginEnumerated}
-	if persist {
+	if s.dir != "" {
 		data, err := EncodeSystem(key, sys)
 		if err != nil {
 			return nil, err
@@ -603,14 +597,13 @@ func (s *Store) enumerateEntry(ctx context.Context, key Key, persist bool) (*ent
 	return e, nil
 }
 
-// restore admits key's snapshot file, returning a nil entry when there
-// is none to serve; skewed reports a valid snapshot written by a
-// different build. When the store knows key's snapshot and the file
-// still has its size, the entry is admitted from what the store
-// remembers, reading none of the file: its first compute reads,
-// verifies and decodes it (Store.system). Any other file is read and
-// decoded in full now.
-func (s *Store) restore(ctx context.Context, key Key) (e *entry, skewed bool) {
+// restore admits key's snapshot file, returning nil when there is none
+// to serve. When the store knows key's snapshot and the file still has
+// its size, the entry is admitted from what the store remembers,
+// reading none of the file: its first compute reads, verifies and
+// decodes it (Store.system). Any other file is read and decoded in
+// full now.
+func (s *Store) restore(ctx context.Context, key Key) (e *entry) {
 	s.mu.Lock()
 	k, ok := s.known[key]
 	s.mu.Unlock()
@@ -620,9 +613,9 @@ func (s *Store) restore(ctx context.Context, key Key) (e *entry, skewed bool) {
 		}
 	}
 	if e == nil {
-		data, sys, skewed := s.decodeFile(ctx, key, "")
+		data, sys := s.decodeFile(ctx, key, "")
 		if sys == nil {
-			return nil, skewed
+			return nil
 		}
 		e = &entry{key: key, shape: shapeOf(sys), digest: Digest(data), size: len(data), sys: sys, origin: OriginDisk}
 		s.learn(e)
@@ -631,39 +624,32 @@ func (s *Store) restore(ctx context.Context, key Key) (e *entry, skewed bool) {
 	s.stats.SystemDiskHits++
 	s.mu.Unlock()
 	mSysDisk.Inc()
-	return e, false
+	return e
 }
 
 // decodeFile reads and decodes key's snapshot file. A nil system means
-// there is none to serve: the file is unreadable, version-skewed
-// (skewed), or corrupt, another key's or, when want is not "", not of
-// digest want, and is then quarantined.
-func (s *Store) decodeFile(ctx context.Context, key Key, want string) (data []byte, sys *system.System, skewed bool) {
+// there is none to serve: the file is unreadable, or it is corrupt,
+// another key's or, when want is not "", not of digest want, and is
+// then quarantined.
+func (s *Store) decodeFile(ctx context.Context, key Key, want string) ([]byte, *system.System) {
 	path := s.systemPath(key)
 	data, err := s.fsys.ReadFile(path)
 	if err != nil {
-		return nil, nil, false
+		return nil, nil
 	}
 	_, sp := telemetry.StartSpan(ctx, "store.decode", telemetry.L("key", key.Slug()))
 	gotKey, sys, derr := DecodeSystem(data)
 	sp.End()
 	s.noteDecode()
-	switch {
-	case errors.Is(derr, ErrVersionSkew):
-		// A foreign build's valid snapshot is not corruption: leave the
-		// file exactly as it is (no quarantine, and no overwrite by the
-		// caller — the build that wrote it still wants it) and serve
-		// this request from a fresh enumeration, memory-only.
-		return nil, nil, true
-	case derr != nil || gotKey != key || want != "" && Digest(data) != want && mutant != "lazydigest":
+	if derr != nil || gotKey != key || want != "" && Digest(data) != want && mutant != "lazydigest" {
 		// A corrupt snapshot is not fatal: quarantine the evidence and
 		// fall through to enumeration, which rewrites a fresh one.
 		// Surface the event in stats and telemetry.
 		s.noteDiskError()
 		s.quarantine(path)
-		return nil, nil, false
+		return nil, nil
 	}
-	return data, sys, false
+	return data, sys
 }
 
 // learn files the entry's snapshot digest as known.
@@ -878,7 +864,7 @@ func (s *Store) DiskSnapshots() []string {
 	if s.dir == "" {
 		return nil
 	}
-	matches, err := filepath.Glob(filepath.Join(s.dir, "systems", "*.eba"))
+	matches, err := filepath.Glob(filepath.Join(s.dir, "systems", "*"+snapExt))
 	if err != nil {
 		return nil
 	}

@@ -115,7 +115,7 @@ func TestWarmLoadFromDisk(t *testing.T) {
 	if sys2.NumPoints() != sys1.NumPoints() || sys2.Interner.Size() != sys1.Interner.Size() {
 		t.Fatal("warm-loaded system differs from the enumerated one")
 	}
-	if snaps := warm.DiskSnapshots(); len(snaps) != 1 || snaps[0] != key.Slug()+".eba" {
+	if snaps := warm.DiskSnapshots(); len(snaps) != 1 || snaps[0] != key.Slug()+snapExt {
 		t.Fatalf("DiskSnapshots = %v", snaps)
 	}
 }
@@ -127,7 +127,7 @@ func TestCorruptSnapshotFallsBackToEnumeration(t *testing.T) {
 	if _, _, err := s1.System(key); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "systems", key.Slug()+".eba")
+	path := filepath.Join(dir, "systems", key.Slug()+snapExt)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

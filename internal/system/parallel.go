@@ -22,7 +22,7 @@ import (
 // API surface (the system.build_par_ms row) and as the subject of the
 // digest:seq-vs-parallel conformance law.
 func EnumerateParallel(params types.Params, mode failures.Mode, horizon, limit, workers int) (*System, error) {
-	pats, err := failures.Enum(mode, params.N, params.T, horizon, limit)
+	pats, err := enumPatterns(params, mode, horizon, limit)
 	if err != nil {
 		return nil, err
 	}

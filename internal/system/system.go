@@ -137,19 +137,40 @@ type System struct {
 	holders     []int32
 }
 
+// MaxRuns bounds the runs of an enumerated system in every mode.
+const MaxRuns = 2_000_000
+
 // Enumerate builds the exhaustive system for the mode: all initial
 // configurations crossed with all canonical failure patterns up to t
 // faulty processors (failures.Enum). For the omission modes the pattern
 // count grows as (2^(n-1))^h per faulty processor (squared per round
-// for the general mode); limit > 0 bounds it in every mode, before any
-// pattern is built, limit == 0 means no limit, and limit < 0 is an
-// error.
+// for the general mode); limit > 0 bounds it in every mode, limit == 0
+// means no limit, and limit < 0 is an error. A system of more than
+// MaxRuns runs is refused too. Both bounds are checked before any
+// pattern is built.
 func Enumerate(params types.Params, mode failures.Mode, horizon int, limit int) (*System, error) {
-	pats, err := failures.Enum(mode, params.N, params.T, horizon, limit)
+	pats, err := enumPatterns(params, mode, horizon, limit)
 	if err != nil {
 		return nil, err
 	}
 	return FromPatterns(params, mode, horizon, pats)
+}
+
+// enumPatterns is failures.Enum refusing, before it builds a pattern,
+// a key whose patterns times its 2^n initial configurations exceed
+// MaxRuns.
+func enumPatterns(params types.Params, mode failures.Mode, horizon, limit int) ([]*failures.Pattern, error) {
+	count, _, err := failures.Count(mode, params.N, params.T, horizon, limit)
+	if err != nil {
+		return nil, err
+	}
+	// count·2^n > MaxRuns exactly when count > ⌊MaxRuns/2^n⌋, and the
+	// shift saturates to 0 for n ≥ 63, so nothing overflows.
+	if count > MaxRuns>>params.N {
+		return nil, fmt.Errorf("system: %s n=%d t=%d h=%d has %d patterns × 2^%d configurations, more than %d runs",
+			mode, params.N, params.T, horizon, count, params.N, MaxRuns)
+	}
+	return failures.Enum(mode, params.N, params.T, horizon, limit)
 }
 
 // FromPatterns builds the system over an explicit adversary class:
