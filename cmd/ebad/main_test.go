@@ -316,8 +316,8 @@ func TestDaemonSmoke(t *testing.T) {
 }
 
 // TestOverload drives a tightly capped daemon past its admission
-// capacity with cold keys (every request a never-seen omission limit,
-// so each admitted one costs an enumeration): excess load is shed with
+// capacity with cold keys (every request a never-seen horizon, so each
+// admitted one costs an enumeration): excess load is shed with
 // 429 + Retry-After or 503, nothing fails, some queries are served, and
 // the daemon reports healthy again once the pressure stops.
 func TestOverload(t *testing.T) {
@@ -335,7 +335,7 @@ func TestOverload(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body := fmt.Sprintf(`{"formula":"Cbox E0 -> C E0","n":3,"t":1,"mode":"omission","limit":%d}`, 1_000_000+i)
+			body := fmt.Sprintf(`{"formula":"Cbox E0 -> C E0","n":3,"t":1,"mode":"crash","horizon":%d}`, 1+i)
 			statuses[i], retryAfter[i], _, errs[i] = d.post("/v1/query", body)
 		}(i)
 	}

@@ -27,32 +27,31 @@ func Enum(mode Mode, n, t, h, limit int) ([]*Pattern, error) {
 	w := rowLen(mode, h)
 	faultyOf := make([]types.ProcSet, 0, count)
 	sched := make([]types.ProcSet, 0, size)
+	// The odometer: at[i] is the offset of member i's row in menus[i].
+	menus, at := make([][]types.ProcSet, 0, t), make([]int, t)
 	for _, faulty := range FaultySets(n, t) {
-		members := faulty.Members()
-		menus := make([][]types.ProcSet, len(members))
-		for i, p := range members {
-			menus[i] = menu(mode, n, h, p, faulty)
+		menus = menus[:0]
+		for rest := uint64(faulty); rest != 0; rest &= rest - 1 {
+			menus = append(menus, menu(mode, n, h, types.ProcID(bits.TrailingZeros64(rest)), faulty))
 		}
-		// The odometer: at[i] is the offset of member i's row in its
-		// menu.
-		at := make([]int, len(members))
+		clear(at)
 		for {
 			faultyOf = append(faultyOf, faulty)
-			for i := range members {
+			for i := range menus {
 				sched = append(sched, menus[i][at[i]:at[i]+w]...)
 			}
 			j := 0
-			for ; j < len(members); j++ {
+			for ; j < len(menus); j++ {
 				i := j
 				if mutant == "enum_order" {
-					i = len(members) - 1 - j
+					i = len(menus) - 1 - j
 				}
 				if at[i] += w; at[i] < len(menus[i]) {
 					break
 				}
 				at[i] = 0
 			}
-			if j == len(members) {
+			if j == len(menus) {
 				break
 			}
 		}
@@ -174,8 +173,9 @@ func menuLen(mode Mode, n, h, f int) int {
 // first round varies slowest and, within a round, the sending set
 // slower than the receiving set; subsets come in decreasing order.
 func menu(mode Mode, n, h int, p types.ProcID, faulty types.ProcSet) []types.ProcSet {
-	rows := make([]types.ProcSet, rowLen(mode, h)) // nothing omitted
+	w := rowLen(mode, h)
 	if mode == Crash {
+		rows := make([]types.ProcSet, w, menuLen(mode, n, h, faulty.Len())*w) // nothing omitted
 		others := types.FullSet(n).Remove(p)
 		for k := 1; k <= h; k++ {
 			forSubsets(others, func(allowed types.ProcSet) {
@@ -187,23 +187,26 @@ func menu(mode Mode, n, h int, p types.ProcID, faulty types.ProcSet) []types.Pro
 		}
 		return rows
 	}
+	// Round by round, each row so far becomes one per choice of the
+	// round's sets, in place from the last row back (row j's go at j·c).
 	send, recv := choiceBases(mode, n, p, faulty)
-	w := len(rows)
-	for r := 0; r < h; r++ {
-		var next []types.ProcSet
-		for at := 0; at < len(rows); at += w {
+	c := 1 << (send.Len() + recv.Len())
+	rows := make([]types.ProcSet, menuLen(mode, n, h, faulty.Len())*w) // row 0 omits nothing
+	for r, m := 0, 1; r < h; r, m = r+1, m*c {
+		for j := m - 1; j >= 0; j-- {
+			k := j * c
 			forSubsets(send, func(om types.ProcSet) {
 				forSubsets(recv, func(rc types.ProcSet) {
-					next = append(next, rows[at:at+w]...)
-					row := next[len(next)-w:]
+					row := rows[k*w : (k+1)*w]
+					copy(row, rows[j*w:(j+1)*w])
 					row[r] = om // empty when the mode has no sending faults
 					if recv != 0 {
 						row[h+r] = rc
 					}
+					k++
 				})
 			})
 		}
-		rows = next
 	}
 	return rows
 }

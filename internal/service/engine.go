@@ -26,16 +26,17 @@ import (
 var ErrBadRequest = errors.New("bad request")
 
 // DefaultOmissionLimit bounds omission-family enumerations (sending,
-// receiving, and general) that don't give an explicit limit, mirroring
-// the ebaq default.
+// receiving, and general) that don't give an explicit limit, and every
+// omission-family key is filed under it.
 const DefaultOmissionLimit = 2_000_000
 
 // Request is one query: a formula plus the system it should be
 // evaluated over. Zero-valued fields take defaults (n=3, t=1, crash,
 // horizon t+2). Limit bounds an omission-family key's failure patterns
-// (0 = DefaultOmissionLimit; a crash key ignores it). It can lower the
-// pattern bound, but not raise the bound of system.MaxRuns runs that
-// every key is held to.
+// (0 = DefaultOmissionLimit; a crash key ignores it); a request within
+// it shares the snapshot of one without. It can lower the pattern
+// bound, but not raise the bound of system.MaxRuns runs that every key
+// is held to.
 type Request struct {
 	Formula string `json:"formula"`
 	N       int    `json:"n,omitempty"`
@@ -223,16 +224,22 @@ func (e *Engine) resolve(req Request) (store.Key, parsedFormula, error) {
 		// limit=x" share one snapshot; the builder's bound on runs
 		// bounds a crash key.
 		key.Limit = 0
-	} else if key.Limit == 0 {
-		// All three omission-family modes get the guard limit; the
-		// general mode needs it most (its count is squared per round).
-		key.Limit = DefaultOmissionLimit
 	}
 	if key.Horizon == 0 {
 		key.Horizon = key.T + 2
 	}
 	if err := key.Validate(); err != nil {
 		return store.Key{}, parsedFormula{}, fmt.Errorf("%w: %w", ErrBadRequest, err)
+	}
+	if mode != failures.Crash {
+		// A limit changes no system: check an explicit one, then file
+		// the key under the guard limit, so one system has one snapshot.
+		if key.Limit != 0 && key.Limit != DefaultOmissionLimit {
+			if _, _, err := failures.Count(mode, key.N, key.T, key.Horizon, key.Limit); err != nil {
+				return store.Key{}, parsedFormula{}, err
+			}
+		}
+		key.Limit = DefaultOmissionLimit
 	}
 	// The evaluator indexes per-processor tables by the processors a
 	// formula names, so one the system lacks is the request's error.

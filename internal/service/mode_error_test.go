@@ -7,8 +7,14 @@ package service
 // future fifth mode that misses a switch arm fails loudly here.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,5 +149,68 @@ func TestRunBound(t *testing.T) {
 		if resp != nil || err == nil || itemStatus(err) != itemStatus(overLimit) {
 			t.Fatalf("%+v: %v (status %d), want a refusal with status %d", r, err, itemStatus(err), itemStatus(overLimit))
 		}
+	}
+}
+
+// TestExplicitLimitsShareOneSystem: omission n=3 t=1 h=2 has 49
+// patterns, and a limit of at least 49 changes nothing about its
+// system, so requests with limits 0, 500, 1000 and 49 make one
+// enumeration and one snapshot and get one answer. A limit of 48 is
+// refused before the store is asked, with the enumerator's message and
+// status 500, alone over HTTP and in a batch too.
+func TestExplicitLimitsShareOneSystem(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(st, 0)
+	ctx := context.Background()
+	req := Request{Formula: "C E0", Mode: "omission", N: 3, T: 1, Horizon: 2}
+	var first *Response
+	for _, limit := range []int{0, 500, 1000, 49} {
+		req.Limit = limit
+		resp, err := e.Execute(ctx, req)
+		if err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
+		}
+		if first == nil {
+			first = resp
+		} else if resp.TruePoints != first.TruePoints || resp.Valid != first.Valid || resp.TotalPoints != first.TotalPoints {
+			t.Fatalf("limit %d: %d of %d points true, want %d of %d", limit, resp.TruePoints, resp.TotalPoints, first.TruePoints, first.TotalPoints)
+		}
+	}
+	if got := st.Stats().Enumerations; got != 1 {
+		t.Fatalf("%d enumerations, want 1", got)
+	}
+	if snaps := st.DiskSnapshots(); len(snaps) != 1 {
+		t.Fatalf("snapshots %v, want one", snaps)
+	}
+	req.Limit = 48
+	resp, err := e.Execute(ctx, req)
+	if want := "failures: enumeration exceeds limit 48"; resp != nil || err == nil || err.Error() != want || itemStatus(err) != 500 {
+		t.Fatalf("limit 48: %v (status %d), want %q with status 500", err, itemStatus(err), want)
+	}
+	ts := httptest.NewServer(NewServer(e).Handler())
+	defer ts.Close()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(hresp.Body)
+	hresp.Body.Close()
+	if err != nil || hresp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(data), "enumeration exceeds limit 48") {
+		t.Fatalf("POST /v1/query with limit 48: status %d, %s (%v)", hresp.StatusCode, data, err)
+	}
+	bresp, data := postBatch(t, ts, BatchRequest{Queries: []Request{req}})
+	var out BatchResponse
+	if err := json.Unmarshal(data, &out); err != nil || bresp.StatusCode != http.StatusOK || len(out.Results) != 1 || out.Results[0].Status != http.StatusInternalServerError {
+		t.Fatalf("batch with limit 48: status %d, %s (%v)", bresp.StatusCode, data, err)
+	}
+	if got := st.Stats().Enumerations; got != 1 {
+		t.Fatalf("the refused requests made %d more enumerations", got-1)
 	}
 }

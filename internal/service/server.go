@@ -126,8 +126,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// pass the per-key gate.
 	key, pf, err := s.engine.resolve(req)
 	if err != nil {
-		status = "bad_request"
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		code := itemStatus(err)
+		status = statusLabel(code)
+		writeJSON(w, code, errorBody{Error: err.Error()})
 		return
 	}
 	start := time.Now()

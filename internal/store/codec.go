@@ -6,13 +6,13 @@
 // Enumerating a system is the expensive artifact every tool in the
 // repository needs — ebaq, ebacheck, ebaexp, and the ebad daemon all
 // start from the same ℛ — so the store amortizes it: a deterministic
-// binary codec snapshots the interner, the failure patterns, and every
-// run's view table to disk (with a version header and a SHA-256
-// trailer, so truncated, corrupted, or incompatibly-versioned files
-// are rejected, never half-loaded); an LRU-bounded in-memory layer
-// sits above the disk layer; and a singleflight gate dedups concurrent
-// requests so N simultaneous queries for one system trigger exactly
-// one enumeration.
+// binary codec snapshots the interner, the key's failure patterns and
+// every run's view table to disk under a SHA-256 trailer, and holds a
+// snapshot to its key's enumeration, so truncated, corrupted or
+// foreign files are rejected, never half-loaded; an LRU-bounded
+// in-memory layer sits above the disk layer; and a singleflight gate
+// dedups concurrent requests so N simultaneous queries for one system
+// trigger exactly one enumeration.
 package store
 
 import (
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -36,10 +35,11 @@ import (
 )
 
 // Key identifies one enumerated system: the exhaustive adversary for
-// (n, t, mode) over a horizon, with Limit bounding the omission-mode
-// pattern count (0 = unlimited). Limit is part of the identity because
-// it changes the enumerated adversary class, and therefore the
-// knowledge facts, of the stored system.
+// (n, t, mode) over a horizon, with Limit bounding the pattern count
+// (0 = unlimited). An enumeration is the whole class or an error, so
+// the limit changes no system, only whether the key is refused; it is
+// still part of the key, its file name and its snapshot, which is why
+// the service files every request of a mode under one limit.
 type Key struct {
 	N       int           `json:"n"`
 	T       int           `json:"t"`
@@ -103,9 +103,9 @@ const (
 )
 
 // EncodeSystem serializes the system under its key. The encoding is
-// deterministic: enumeration order, interner IDs, and pattern tables
-// are all reproducible, so equal keys yield byte-identical snapshots
-// (the golden-digest tests pin this).
+// deterministic: enumeration order and interner IDs are reproducible,
+// so equal keys yield byte-identical snapshots (the golden-digest
+// tests pin this). Only the system the key enumerates decodes.
 func EncodeSystem(key Key, sys *system.System) ([]byte, error) {
 	if err := key.Validate(); err != nil {
 		return nil, err
@@ -127,52 +127,13 @@ func EncodeSystem(key Key, sys *system.System) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(inBlob)))
 	buf = append(buf, inBlob...)
 
-	// Deduplicated pattern table; runs reference it by index. Patterns
-	// appear in first-use order, which for enumerated systems is the
-	// enumeration order. written[i] is 1 + the table index of the
-	// system's pattern i (0 = no run has used it yet).
 	tbl := sys.Table()
-	byKey := make(map[string]uint64, len(tbl.Patterns))
-	written := make([]uint64, len(tbl.Patterns))
-	var pats []*failures.Pattern
-	for _, pi := range tbl.PatternOf {
-		if written[pi] != 0 {
-			continue
-		}
-		pat := tbl.Patterns[pi]
-		idx, ok := byKey[pat.Key()]
-		if !ok {
-			idx = uint64(len(pats))
-			byKey[pat.Key()] = idx
-			pats = append(pats, pat)
-		}
-		written[pi] = idx + 1
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(pats)))
-	for _, pat := range pats {
-		buf = binary.AppendUvarint(buf, uint64(pat.Faulty()))
-		for _, p := range pat.Faulty().Members() {
-			for r := 1; r <= key.Horizon; r++ {
-				buf = binary.AppendUvarint(buf, uint64(pat.OmittedBy(p, types.Round(r))))
-			}
-			// Receiving-omission schedules exist only in the receiving
-			// and general modes. The mode is in the header, so the
-			// decoder knows whether to expect them — and pure
-			// sending-mode snapshots keep their pre-existing byte layout
-			// (the golden digests pin it).
-			if key.Mode.HasReceivingFaults() {
-				for r := 1; r <= key.Horizon; r++ {
-					buf = binary.AppendUvarint(buf, uint64(pat.RecvOmittedBy(p, types.Round(r))))
-				}
-			}
-		}
-	}
-
+	buf = appendPatterns(buf, key, tbl.Patterns)
 	stride := (key.Horizon + 1) * key.N
 	buf = binary.AppendUvarint(buf, uint64(len(tbl.PatternOf)))
 	for r, pi := range tbl.PatternOf {
 		buf = binary.AppendUvarint(buf, tbl.ConfigOf[r])
-		buf = binary.AppendUvarint(buf, written[pi]-1)
+		buf = binary.AppendUvarint(buf, uint64(pi))
 		for _, id := range tbl.Views[r*stride : (r+1)*stride] {
 			buf = binary.AppendUvarint(buf, uint64(id))
 		}
@@ -180,6 +141,30 @@ func EncodeSystem(key Key, sys *system.System) ([]byte, error) {
 
 	sum := sha256.Sum256(buf)
 	return append(buf, sum[:]...), nil
+}
+
+// appendPatterns appends the pattern section, the one writer of its
+// format: the count, then per pattern its faulty set and, per faulty
+// processor in increasing order, its sending-omission sets of rounds
+// 1..h and, in the modes with receiving faults only (so sending-mode
+// snapshots kept their layout), its receiving-omission sets.
+func appendPatterns(buf []byte, key Key, pats []*failures.Pattern) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(pats)))
+	for _, pat := range pats {
+		buf = binary.AppendUvarint(buf, uint64(pat.Faulty()))
+		for rest := uint64(pat.Faulty()); rest != 0; rest &= rest - 1 {
+			p := types.ProcID(bits.TrailingZeros64(rest))
+			for r := 1; r <= key.Horizon; r++ {
+				buf = binary.AppendUvarint(buf, uint64(pat.OmittedBy(p, types.Round(r))))
+			}
+			if key.Mode.HasReceivingFaults() {
+				for r := 1; r <= key.Horizon; r++ {
+					buf = binary.AppendUvarint(buf, uint64(pat.RecvOmittedBy(p, types.Round(r))))
+				}
+			}
+		}
+	}
+	return buf
 }
 
 // Digest returns the hex content address of an encoded snapshot (its
@@ -192,9 +177,10 @@ func Digest(data []byte) string {
 }
 
 // DecodeSystem decodes a snapshot produced by EncodeSystem, verifying
-// the magic, the version, the checksum and every rule a restored run
-// table must keep (system.Restorer). It reads, verifies and adopts,
-// and derives nothing but the interner's per-view known-value masks:
+// the magic, the version, the checksum, that it holds its key's
+// enumeration and every rule a restored run table must keep
+// (system.Restorer). It reads, verifies and adopts, and derives
+// nothing but the interner's per-view known-value masks:
 // the interner's hash-cons table and memo tables, the
 // nonfaulty-holder count and the pattern keys are each built by the
 // first call that needs them.
@@ -203,12 +189,13 @@ func Digest(data []byte) string {
 // goroutines. The checksum is computed on its own while the rest
 // decodes; nothing decoded is returned until it verifies, and a
 // mismatch outranks every decode error. The interner is decoded on
-// another while the patterns are parsed and the run arrays allocated,
-// and the run table is decoded in two lanes, each checking every run
-// right after decoding it. Errors are those of a sequential decode:
-// the first bad section, and within the run table the first bad run.
-// Because the decode runs before the checksum has verified, every
-// allocation it makes is bounded by the payload's length.
+// another while the key's patterns are enumerated and compared with
+// the file's and the run arrays allocated, and the run table is
+// decoded in two lanes, each checking every run right after decoding
+// it. Errors are those of a sequential decode: the first bad section,
+// and within the run table the first bad run. Because the decode runs
+// before the checksum has verified, every allocation it makes is
+// bounded by the payload's length.
 func DecodeSystem(data []byte) (Key, *system.System, error) {
 	return decodeSystem(data, -1)
 }
@@ -280,12 +267,6 @@ func decodePayload(body []byte, split int, spread bool) (Key, *system.System, er
 	key.Limit = int(d.uvarint())
 	if d.err == nil {
 		d.err = key.Validate()
-	}
-	// A run holds (horizon+1)·n views of at least a byte each, so the
-	// horizon is held to the payload before it sizes a schedule row or
-	// a run.
-	if d.err == nil && key.Horizon >= len(body)/key.N {
-		d.err = fmt.Errorf("store: snapshot horizon %d too long for %d bytes", key.Horizon, len(body))
 	}
 	if d.err != nil {
 		return key, nil, d.err
@@ -362,60 +343,50 @@ func decodePayload(body []byte, split int, spread bool) (Key, *system.System, er
 // lanes is how many goroutines decode a snapshot's run table.
 const lanes = 2
 
-// decodeTableHead parses the pattern section and the run count and
-// allocates the run table's arrays. Every count is held to what the
-// payload can carry before anything is sized by it.
+// decodeTableHead checks the pattern section and the run count against
+// the key's enumeration and allocates the run table. Nothing is parsed:
+// once the horizon and the enumeration's size are held to the payload
+// (a faulty set, a schedule set and a view are each at least a byte),
+// the key is enumerated and the section must be appendPatterns of it.
 func decodeTableHead(d *decoder, key Key) ([]*failures.Pattern, system.RunTable, error) {
-	// Patterns arrive in the packed form failures.NewPatterns takes: the
-	// faulty set, then one row of schedules per faulty processor. A
-	// pattern or a set is at least one byte.
-	npats := d.uvarint()
-	const maxPatterns = 1 << 24
-	if npats > maxPatterns || npats > uint64(d.rest()) {
-		return nil, system.RunTable{}, fmt.Errorf("store: snapshot claims %d patterns", npats)
-	}
-	rowLen := key.Horizon
-	if key.Mode.HasReceivingFaults() {
-		rowLen *= 2
-	}
-	faulty := make([]types.ProcSet, npats)
-	sched := make([]types.ProcSet, 0, npats)
-	for i := range faulty {
-		faulty[i] = types.ProcSet(d.uvarint())
-		if members := faulty[i].Len(); members > 0 {
-			if rowLen > d.rest()/members {
-				return nil, system.RunTable{}, fmt.Errorf("store: snapshot pattern %d claims %d rows of %d sets in %d bytes", i, members, rowLen, d.rest())
-			}
-			lo, hi := len(sched), len(sched)+members*rowLen
-			sched = slices.Grow(sched, hi-lo)[:hi]
-			uvarints(d, sched[lo:])
-		}
-		if d.err != nil {
-			return nil, system.RunTable{}, d.err
-		}
-	}
-	pats, err := failures.NewPatterns(key.Mode, key.N, key.Horizon, faulty, sched)
+	count, size, err := failures.Count(key.Mode, key.N, key.T, key.Horizon, key.Limit)
 	if err != nil {
 		return nil, system.RunTable{}, fmt.Errorf("store: snapshot %w", err)
 	}
-
-	// A view is at least one byte, so the run arrays are at most a few
-	// times the payload.
-	nruns := d.uvarint()
-	stride := (key.Horizon + 1) * key.N
-	if nruns == 0 || stride <= 0 || nruns > uint64(d.rest()/stride) {
-		return nil, system.RunTable{}, fmt.Errorf("store: snapshot claims %d runs of %d views in %d bytes", nruns, stride, d.rest())
+	if mutant == "enumcheck" {
+		if c, k := binary.Uvarint(d.buf[d.pos:]); k > 0 && c < uint64(count) {
+			count = int(c) // planted: trust the file's pattern count where lower
+		}
 	}
-	return pats, system.RunTable{
-		PatternOf: make([]int32, nruns),
-		ConfigOf:  make([]uint64, nruns),
-		Views:     make([]views.ID, int(nruns)*stride),
-	}, nil
+	stride := (key.Horizon + 1) * key.N // no overflow once the horizon is held
+	if rest := d.rest(); key.Horizon >= rest/key.N || count > rest || size > rest-count || count > rest/stride>>key.N {
+		return nil, system.RunTable{}, fmt.Errorf("store: snapshot of %s has %d bytes left for %d patterns of %d sets and %d runs of %d views",
+			key, rest, count, size, count<<key.N, stride)
+	}
+	pats, err := failures.Enum(key.Mode, key.N, key.T, key.Horizon, key.Limit)
+	if err != nil {
+		return nil, system.RunTable{}, fmt.Errorf("store: snapshot %w", err)
+	}
+	pats = pats[:count] // all of them but under the planted enumcheck
+	// A set is a varint of at most ⌈n/7⌉ bytes.
+	want := appendPatterns(make([]byte, 0, binary.MaxVarintLen64+(count+size)*((key.N+6)/7)), key, pats)
+	if got := d.bytes(len(want)); d.err == nil && !bytes.Equal(got, want) {
+		d.err = fmt.Errorf("store: snapshot's pattern section is not the enumeration of %s", key)
+	}
+	if got := d.uvarint(); d.err == nil && got != uint64(len(pats))<<key.N {
+		d.err = fmt.Errorf("store: snapshot holds %d runs, the enumeration of %s %d", got, key, len(pats)<<key.N)
+	}
+	if d.err != nil {
+		return nil, system.RunTable{}, d.err
+	}
+	return pats, system.NewRunTable(key.N, key.Horizon, pats), nil
 }
 
 // decodeRuns decodes runs [lo, hi) of the table from d and checks each
-// one while its views are still in cache. It reports the first bad
-// run; the lane that ends the table also reports trailing bytes.
+// one while its views are still in cache: its head must be the one
+// system.NewRunTable gave it, and its views must pass
+// system.Restorer.CheckRun. It reports the first bad run; the lane
+// that ends the table also reports trailing bytes.
 func decodeRuns(d *decoder, rs *system.Restorer, tbl *system.RunTable, lo, hi int) error {
 	stride := rs.Stride()
 	var head [2]uint64 // configuration bits, pattern index
@@ -426,12 +397,16 @@ func decodeRuns(d *decoder, rs *system.Restorer, tbl *system.RunTable, lo, hi in
 		if d.err != nil {
 			return d.err
 		}
+		cfg, pi := tbl.ConfigOf[r], tbl.PatternOf[r]
+		if (head[0] != cfg || head[1] != uint64(pi)) && mutant != "enumcheck" {
+			return fmt.Errorf("store: run %d is headed (config %#x, pattern %d), where the enumeration has (config %#x, pattern %d)",
+				r, head[0], head[1], cfg, pi)
+		}
 		if !(mutant == "lane2nocheck" && lo > 0) {
-			if err := rs.CheckRun(r, int64(min(head[1], math.MaxInt64)), head[0], run); err != nil {
+			if err := rs.CheckRun(r, int64(pi), cfg, run); err != nil {
 				return err
 			}
 		}
-		tbl.ConfigOf[r], tbl.PatternOf[r] = head[0], int32(head[1])
 	}
 	if hi == len(tbl.PatternOf) && d.rest() != 0 {
 		return fmt.Errorf("store: %d trailing bytes after snapshot", d.rest())

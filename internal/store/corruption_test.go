@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"github.com/eventual-agreement/eba/internal/knowledge"
 	"github.com/eventual-agreement/eba/internal/system"
 	"github.com/eventual-agreement/eba/internal/types"
+	"github.com/eventual-agreement/eba/internal/views"
 )
 
 // corruptions enumerates the disk-corruption shapes the store must
@@ -37,39 +39,88 @@ var corruptions = []struct {
 	{"config-contradicts-views", contradictConfig},
 }
 
-// contradictConfig flips processor 0's initial value in run 0's
-// configuration bits, leaves the run's views alone and recomputes the
-// trailer: a snapshot with a valid checksum in which ∃0 and init_0=v,
-// read off the bits, contradict what every processor's view records.
-// Only the decoder's check of each time-0 row against its bits
-// rejects it.
+// contradictConfig replaces processor 0's time-0 view in run 0, which
+// starts every processor with 0, by its leaf with initial value 1 (run
+// 1's), leaves the run's head alone and recomputes the trailer: a
+// snapshot with a valid checksum, the key's patterns and the builder's
+// run layout, in which what processor 0's view records contradicts
+// ∃0 and init_0=v as read off the configuration bits. Only the
+// decoder's check of each time-0 row against its bits rejects it.
 func contradictConfig(data []byte) []byte {
-	out := append([]byte(nil), data...)
-	d := decoder{buf: out[len(snapMagic) : len(out)-digestLen]}
-	d.uvarint() // version
-	d.uvarint() // n
-	d.uvarint() // t
-	mode := failures.Mode(d.uvarint())
-	horizon := int(d.uvarint())
-	d.uvarint() // limit
-	d.bytes(int(d.uvarint()))
-	for npats := d.uvarint(); npats > 0; npats-- {
-		schedules := types.ProcSet(d.uvarint()).Len() * horizon
-		if mode.HasReceivingFaults() {
-			schedules *= 2
-		}
-		for ; schedules > 0; schedules-- {
-			d.uvarint()
-		}
+	_, sys, err := DecodeSystem(data)
+	if err != nil {
+		panic(err)
 	}
-	d.uvarint() // run count; the cursor is now on run 0's configuration bits
-	if d.err != nil {
-		panic(d.err)
+	tbl := sys.Table()
+	stride := len(tbl.Views) / len(tbl.PatternOf)
+	return withRuns(data, tbl, func(tbl *system.RunTable) { tbl.Views[0] = tbl.Views[stride] })
+}
+
+// foreignSnapshot encodes, under key, the system over pats: a snapshot
+// with a valid checksum whose key matches but which is not the key's
+// system unless pats is the key's enumeration.
+func foreignSnapshot(t testing.TB, key Key, pats []*failures.Pattern) []byte {
+	t.Helper()
+	sys, err := system.FromPatterns(types.Params{N: key.N, T: key.T}, key.Mode, key.Horizon, pats)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out[len(snapMagic)+d.pos] ^= 1
-	sum := sha256.Sum256(out[:len(out)-digestLen])
-	copy(out[len(out)-digestLen:], sum[:])
-	return out
+	data, err := EncodeSystem(key, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// halfPatterns and doubledPatterns are the key's enumeration cut to
+// its first half and given twice.
+func halfPatterns(t testing.TB, key Key) []*failures.Pattern {
+	pats := enumerateTestSystem(t, key).Table().Patterns
+	return pats[:len(pats)/2]
+}
+
+func doubledPatterns(t testing.TB, key Key) []*failures.Pattern {
+	pats := enumerateTestSystem(t, key).Table().Patterns
+	return append(slices.Clone(pats), pats...)
+}
+
+// swappedViews is a valid snapshot of key that is not its system: the
+// enumeration with the later-time views of run 0 and of the first run
+// of configuration 0 whose later-time views differ from run 0's
+// swapped. The two runs share their configuration and differ in
+// pattern, so the file holds the key's patterns in the builder's run
+// layout and every slot the owner, time and initial value it must:
+// only what the views say is foreign. It has another digest than the
+// key's snapshot.
+func swappedViews(t testing.TB, key Key) []byte {
+	t.Helper()
+	sys := enumerateTestSystem(t, key)
+	tbl := sys.Table()
+	stride, configs := (key.Horizon+1)*key.N, 1<<key.N
+	vs := slices.Clone(tbl.Views)
+	later := func(r int) []views.ID { return vs[r*stride+key.N : (r+1)*stride] }
+	other := configs
+	for other < len(tbl.PatternOf) && slices.Equal(later(0), later(other)) {
+		other += configs
+	}
+	if other >= len(tbl.PatternOf) {
+		t.Fatalf("%s: every run of configuration 0 has run 0's views", key)
+	}
+	a, b := later(0), later(other)
+	for i := range a {
+		a[i], b[i] = b[i], a[i]
+	}
+	swapped, err := system.Reassemble(sys.Params, sys.Mode, sys.Horizon, sys.Interner, system.RunTable{
+		Patterns: tbl.Patterns, PatternOf: tbl.PatternOf, ConfigOf: tbl.ConfigOf, Views: vs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodeSystem(key, swapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestDecodeRejectsConfigContradictingViews pins what rejects the
@@ -185,6 +236,58 @@ func TestCorruptionFallsBackWithoutPoisoning(t *testing.T) {
 			}
 		})
 	}
+}
+
+// coldDecodeRefuses writes data under key's snapshot name in a fresh
+// store directory and loads the key: the cold full decode must refuse
+// the file, which is quarantined, and the key is enumerated once and
+// its own snapshot written in the file's place.
+func coldDecodeRefuses(t *testing.T, key Key, data []byte) {
+	t.Helper()
+	if err := VerifySnapshot(data); err != nil {
+		t.Fatalf("the forged snapshot fails its envelope check: %v", err)
+	}
+	s, count := countingStore(t, t.TempDir(), 4)
+	path := s.systemPath(key)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ref := enumerateTestSystem(t, key)
+	sys, origin, err := s.System(key)
+	if err != nil || origin != OriginEnumerated || count.Load() != 1 || shapeOf(sys) != shapeOf(ref) {
+		t.Fatalf("load: shape %+v, origin %v, %d enumerations, %v; want the key's %+v enumerated once",
+			shapeOf(sys), origin, count.Load(), err, shapeOf(ref))
+	}
+	if st := s.Stats(); st.DiskErrors != 1 || st.Quarantined != 1 {
+		t.Fatalf("stats %+v: want the forged snapshot quarantined as one disk error", st)
+	}
+	if qf := s.QuarantinedFiles(); len(qf) != 1 || qf[0] != key.Slug()+snapExt {
+		t.Fatalf("quarantine holds %v, want the forged snapshot", qf)
+	}
+	want, err := EncodeSystem(key, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rewritten, err := os.ReadFile(path); err != nil || !bytes.Equal(rewritten, want) {
+		t.Fatalf("the key's snapshot was not written in the forged one's place (err %v)", err)
+	}
+}
+
+// TestColdDecodeRefusesHalfPatternSnapshot: a valid snapshot of the
+// system over the first half of the key's failure patterns, under the
+// key's name, is a smaller ℛ, over which positive knowledge facts do
+// not carry to the key's system. It holds a prefix of the key's
+// enumeration in the builder's layout, and only the pattern section
+// (its count first) tells it apart.
+func TestColdDecodeRefusesHalfPatternSnapshot(t *testing.T) {
+	coldDecodeRefuses(t, lazyKey, foreignSnapshot(t, lazyKey, halfPatterns(t, lazyKey)))
+}
+
+// TestColdDecodeRefusesDoubledPatternSnapshot: a valid snapshot of the
+// system over the key's pattern list given twice, under the key's
+// name, holds every run of the key's system twice.
+func TestColdDecodeRefusesDoubledPatternSnapshot(t *testing.T) {
+	coldDecodeRefuses(t, lazyKey, foreignSnapshot(t, lazyKey, doubledPatterns(t, lazyKey)))
 }
 
 // TestKnownDigestCorruptionQuarantines: a store that has decoded a

@@ -33,8 +33,11 @@ func FuzzDecodeSystem(f *testing.F) {
 	flipped[len(flipped)/3] ^= 0x20
 	f.Add(flipped)
 	// Checksum-valid, structurally sound, semantically inconsistent: a
-	// run whose configuration bits disagree with its time-0 views.
+	// run whose time-0 view disagrees with its configuration bits.
 	f.Add(contradictConfig(valid))
+	// Checksum-valid and every checked rule kept, but not the key's
+	// system: two runs' later-time views swapped.
+	f.Add(swappedViews(f, key))
 	// Snapshots of the receiving modes carry the extra per-round
 	// receive-schedule section; seed the corpus with both so mutations
 	// explore the mode-gated decode path too.
@@ -60,15 +63,33 @@ func FuzzDecodeSystem(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Anything that decodes must be internally consistent.
+		// Anything that decodes must be internally consistent, and hold
+		// its key's enumeration in the builder's layout.
 		if verr := gotKey.Validate(); verr != nil {
 			t.Fatalf("decoded system under invalid key %+v: %v", gotKey, verr)
 		}
-		if got.NumRuns() == 0 || got.Interner == nil {
-			t.Fatal("decoded system is empty")
+		if got.Interner == nil {
+			t.Fatal("decoded system has no interner")
+		}
+		pats, err := failures.Enum(gotKey.Mode, gotKey.N, gotKey.T, gotKey.Horizon, gotKey.Limit)
+		if err != nil {
+			t.Fatalf("decoded a system of %s, whose enumeration fails: %v", gotKey, err)
+		}
+		tbl := got.Table()
+		if len(tbl.Patterns) != len(pats) || got.NumRuns() != len(pats)<<gotKey.N {
+			t.Fatalf("decoded %d patterns and %d runs, the enumeration of %s %d and %d",
+				len(tbl.Patterns), got.NumRuns(), gotKey, len(pats), len(pats)<<gotKey.N)
+		}
+		for i, pat := range pats {
+			if tbl.Patterns[i].Key() != pat.Key() {
+				t.Fatalf("pattern %d is %s, the enumeration's %s", i, tbl.Patterns[i], pat)
+			}
 		}
 		for r := 0; r < got.NumRuns(); r++ {
 			run := got.Run(r)
+			if int(tbl.PatternOf[r]) != r>>gotKey.N || run.ConfigBits() != uint64(r)&(1<<gotKey.N-1) {
+				t.Fatalf("run %d is (config %#x, pattern %d), out of the builder's layout", r, run.ConfigBits(), tbl.PatternOf[r])
+			}
 			for p, id := range run.Row(0) {
 				if got.Interner.Initial(id) != run.Initial(types.ProcID(p)) {
 					t.Fatalf("run %d: processor %d's view and the run's configuration disagree on its initial value", r, p)

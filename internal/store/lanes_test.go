@@ -9,7 +9,6 @@ import (
 
 	"github.com/eventual-agreement/eba/internal/failures"
 	"github.com/eventual-agreement/eba/internal/system"
-	"github.com/eventual-agreement/eba/internal/types"
 	"github.com/eventual-agreement/eba/internal/views"
 )
 
@@ -18,21 +17,18 @@ import (
 func runSection(data []byte) int {
 	d := decoder{buf: data[len(snapMagic) : len(data)-digestLen]}
 	d.uvarint() // version
-	d.uvarint() // n
-	d.uvarint() // t
-	mode := failures.Mode(d.uvarint())
-	horizon := int(d.uvarint())
-	d.uvarint() // limit
+	var key Key
+	key.N = int(d.uvarint())
+	key.T = int(d.uvarint())
+	key.Mode = failures.Mode(d.uvarint())
+	key.Horizon = int(d.uvarint())
+	key.Limit = int(d.uvarint())
 	d.bytes(int(d.uvarint()))
-	for npats := d.uvarint(); npats > 0; npats-- {
-		schedules := types.ProcSet(d.uvarint()).Len() * horizon
-		if mode.HasReceivingFaults() {
-			schedules *= 2
-		}
-		for ; schedules > 0; schedules-- {
-			d.uvarint()
-		}
+	pats, err := failures.Enum(key.Mode, key.N, key.T, key.Horizon, key.Limit)
+	if err != nil {
+		panic(err)
 	}
+	d.bytes(len(appendPatterns(nil, key, pats)))
 	d.uvarint() // run count
 	if d.err != nil {
 		panic(d.err)
@@ -116,10 +112,12 @@ func TestLaneSplitsAgree(t *testing.T) {
 // snapshot (resealed) and decodes it with the second lane starting at
 // every run boundary. Whichever lane the run falls in, and whether a
 // lane boundary cuts the corruption, the error is the one a single
-// lane reports. The per-run cases are the per-run rules of
-// system.TestReassembleRejects, which the decode enforces through the
-// same check. Slot k of a run of the crash n=3 h=2 system is processor
-// k%3 at time k/3.
+// lane reports. A run's head must be the builder's layout, so an edited
+// pattern index or configuration is a head error; the per-slot cases
+// are the per-slot rules of system.TestReassembleRejects, which the
+// decode enforces through the same check. Run 5 of the crash n=3 h=2
+// system is pattern 0 under configuration 5, and slot k of a run is
+// processor k%3 at time k/3.
 func TestLaneErrorsMatch(t *testing.T) {
 	data, tbl := laneSnapshot(t, testKey())
 	nruns, stride := len(tbl.PatternOf), len(tbl.Views)/len(tbl.PatternOf)
@@ -138,17 +136,20 @@ func TestLaneErrorsMatch(t *testing.T) {
 		want string
 	}{
 		{"bad pattern index", edit(func(_ []views.ID, tbl *system.RunTable) { tbl.PatternOf[run] = int32(npats) }),
-			fmt.Sprintf("run 5 references pattern %d of %d", npats, npats)},
+			fmt.Sprintf("run 5 is headed (config 0x5, pattern %d), where the enumeration has (config 0x5, pattern 0)", npats)},
+		{"another configuration", edit(func(_ []views.ID, tbl *system.RunTable) { tbl.ConfigOf[run] ^= 1 << 2 }),
+			"run 5 is headed (config 0x1, pattern 0)"},
+		{"configuration bits past 2^n", edit(func(_ []views.ID, tbl *system.RunTable) { tbl.ConfigOf[run] |= 1 << 3 }),
+			"run 5 is headed (config 0xd, pattern 0)"},
 		{"view past the interner", edit(func(v []views.ID, _ *system.RunTable) { v[5] = views.ID(nviews) }),
 			fmt.Sprintf("run 5 time 1: view %d not in interner", nviews)},
 		{"slot owned by the wrong processor", edit(func(v []views.ID, _ *system.RunTable) { v[3], v[4] = v[4], v[3] }),
 			"want (p0,t1)"},
 		{"slot of the wrong time", edit(func(v []views.ID, _ *system.RunTable) { v[7] = v[4] }),
 			"want (p1,t2)"},
-		{"time-0 view contradicts the configuration", edit(func(_ []views.ID, tbl *system.RunTable) { tbl.ConfigOf[run] ^= 1 << 2 }),
-			"run 5: processor 2 starts with"},
-		{"configuration bits past 2^n", edit(func(_ []views.ID, tbl *system.RunTable) { tbl.ConfigOf[run] |= 1 << 3 }),
-			"out of range for n=3"},
+		// Run 1 starts processor 2 with 0, where run 5 starts it with 1.
+		{"time-0 view contradicts the configuration", edit(func(v []views.ID, tbl *system.RunTable) { v[2] = tbl.Views[stride+2] }),
+			"run 5: processor 2 starts with 0 in its view, 1 in the run's configuration"},
 		{"varint straddling the split", func() []byte {
 			// The last view of run-1 loses its terminator, so it runs
 			// on into run's configuration bits: every later varint
@@ -178,9 +179,9 @@ func TestLaneErrorsMatch(t *testing.T) {
 
 // TestSpreadDecode decodes a snapshot above spreadMin, whose checksum,
 // interner and second lane run on goroutines of their own: every split
-// gives the one-lane run table, a corrupt run in either lane the
-// one-lane error, and a flipped byte the checksum mismatch, however
-// far the decode got with it.
+// gives the one-lane run table, a run headed with a foreign pattern
+// index in either lane the one-lane error, and a flipped byte the
+// checksum mismatch, however far the decode got with it.
 func TestSpreadDecode(t *testing.T) {
 	key := Key{N: 3, T: 1, Mode: failures.GeneralOmission, Horizon: 2, Limit: 2_000_000}
 	data, want := laneSnapshot(t, key)
@@ -202,7 +203,7 @@ func TestSpreadDecode(t *testing.T) {
 	for _, run := range []int{1, nruns - 2} {
 		bad := withRuns(data, want, func(tbl *system.RunTable) { tbl.PatternOf[run] = 1 << 20 })
 		_, _, one := decodeSystem(bad, 0)
-		if one == nil || !strings.Contains(one.Error(), fmt.Sprintf("run %d references pattern", run)) {
+		if one == nil || !strings.Contains(one.Error(), fmt.Sprintf("run %d is headed (config %#x, pattern 1048576)", run, run%8)) {
 			t.Fatalf("run %d: one lane reports %v", run, one)
 		}
 		for _, split := range splits {

@@ -1,4 +1,4 @@
-//go:build !mutant_lane2nocheck && !mutant_witnessrun && !mutant_lazydigest && !mutant_firstoff
+//go:build !mutant_lane2nocheck && !mutant_witnessrun && !mutant_lazydigest && !mutant_firstoff && !mutant_enumcheck
 
 package store
 
@@ -14,7 +14,9 @@ package store
 //     accept a valid snapshot of the key whose digest is not the one
 //     the entry was admitted under: TestLazyDecodeRejectsOtherSnapshot;
 //   - firstoff writes the first falsifying point plus one into a
-//     result file: TestAnswerOriginsAgree.
+//     result file: TestAnswerOriginsAgree;
+//   - enumcheck trusts a snapshot's pattern count below the key's and
+//     skips the run-head check: TestColdDecodeRefusesHalfPatternSnapshot.
 //
 // It is a constant, so the default build compiles every branch away.
 const mutant = ""

@@ -1,7 +1,13 @@
 package store_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,20 +30,8 @@ import (
 // system's. A result file holds no truth table, so each stays under
 // 512 bytes whatever the system's size.
 func TestAnswerOriginsAgree(t *testing.T) {
-	var keys []store.Key
-	for _, k := range bench.AllKeys {
-		mode, err := failures.ParseMode(k.Mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sk := store.Key{N: k.N, T: k.T, Mode: mode, Horizon: k.H}
-		if mode != failures.Crash {
-			sk.Limit = service.DefaultOmissionLimit
-		}
-		keys = append(keys, sk)
-	}
 	ctx := context.Background()
-	for _, key := range keys {
+	for _, key := range benchKeys(t) {
 		t.Run(key.Slug(), func(t *testing.T) {
 			dir := t.TempDir()
 			s := open(t, dir, 1)
@@ -100,6 +94,85 @@ func TestAnswerOriginsAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// benchKeys is bench.AllKeys as the daemon files a request for each.
+func benchKeys(t *testing.T) []store.Key {
+	var keys []store.Key
+	for _, k := range bench.AllKeys {
+		mode, err := failures.ParseMode(k.Mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk := store.Key{N: k.N, T: k.T, Mode: mode, Horizon: k.H}
+		if mode != failures.Crash {
+			sk.Limit = service.DefaultOmissionLimit
+		}
+		keys = append(keys, sk)
+	}
+	return keys
+}
+
+var update = flag.Bool("update", false, "write the verdict golden of this build's result version when it has none")
+
+// verdict is one row of the verdict golden: what a result file records
+// of a formula's answer over a key, but for the witness text.
+type verdict struct {
+	Key     string `json:"key"`
+	Formula string `json:"formula"`
+	True    int    `json:"true"`
+	First   int    `json:"first"`
+}
+
+// TestVerdictGolden holds the verdict of each benchmark formula over
+// each n = 3 benchmark key to testdata/verdicts.v<resultVersion>.json.
+// A result file is named by its formula and the digest of the system,
+// which an evaluator change does not move, so a change that moves a
+// verdict must bump resultVersion, or the files written before it go
+// on serving the old verdicts: this test fails until it does. -update
+// writes the golden of a version that has none and never rewrites one.
+func TestVerdictGolden(t *testing.T) {
+	ctx := context.Background()
+	s := open(t, "", 1)
+	var got []verdict
+	for _, key := range benchKeys(t) {
+		if key.N != 3 {
+			continue
+		}
+		for _, f := range bench.Formulas {
+			ans, _, err := s.AnswerCtx(ctx, key, f, compute(t, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, verdict{key.Slug(), f, ans.True, ans.First})
+		}
+	}
+	path := filepath.Join("testdata", fmt.Sprintf("verdicts.v%d.json", store.ResultVersion))
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) && *update {
+		var out bytes.Buffer
+		enc := json.NewEncoder(&out)
+		enc.SetEscapeHTML(false)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(got); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%v (a new result version's golden is written with -update)", err)
+	}
+	var want []verdict
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdicts moved under result version %d: bump resultVersion and write the new version's golden with -update\n got %+v\nwant %+v",
+			store.ResultVersion, got, want)
 	}
 }
 

@@ -235,10 +235,11 @@ func TestFlipAfterLazyAdmit(t *testing.T) {
 }
 
 // TestLazyDecodeRejectsOtherSnapshot: at the first compute the file
-// system serves a valid snapshot of the same key, but of a system over
-// half of the key's failure patterns: it decodes, and its key matches.
-// The store must not compute over it: it quarantines the file and
-// re-enumerates.
+// system serves a valid snapshot of the same key, but with two runs'
+// later-time views swapped: it decodes, its key matches and it holds
+// the key's patterns in the builder's layout, yet it is not the
+// snapshot the entry was admitted under. The store must not compute
+// over it: it quarantines the file and re-enumerates.
 func TestLazyDecodeRejectsOtherSnapshot(t *testing.T) {
 	const formula = "Cdia E0"
 	s, fsys, _ := lazyStore(t, "K0 E0")
@@ -247,30 +248,18 @@ func TestLazyDecodeRejectsOtherSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pats := ref.Table().Patterns
-	other, err := system.FromPatterns(ref.Params, ref.Mode, ref.Horizon, pats[:len(pats)/2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherData, err := EncodeSystem(lazyKey, other)
-	if err != nil {
-		t.Fatal(err)
+	otherData := swappedViews(t, lazyKey)
+	if _, _, err := DecodeSystem(otherData); err != nil {
+		t.Fatalf("the swapped-view snapshot does not decode: %v", err)
 	}
 	if _, origin, err := s.Resident(ctx, lazyKey); err != nil || origin != OriginDisk {
 		t.Fatalf("restore: origin %v, %v", origin, err)
 	}
 	fsys.serveSnapshot(otherData)
-	var points int
-	got, origin, err := s.AnswerCtx(ctx, lazyKey, formula, func(sys *system.System) (*knowledge.Bits, error) {
-		points = sys.NumPoints()
-		return evalCompute(formula)(sys)
-	})
+	got, origin, err := s.AnswerCtx(ctx, lazyKey, formula, evalCompute(formula))
 	fsys.serveSnapshot(nil)
 	if err != nil || origin != OriginEnumerated {
 		t.Fatalf("%s: origin %v, %v", formula, origin, err)
-	}
-	if points != ref.NumPoints() {
-		t.Fatalf("computed over %d points, want the key's %d", points, ref.NumPoints())
 	}
 	tbl, _ := evalCompute(formula)(ref)
 	sameAnswer(t, formula, got, newAnswer(ref, tbl))
@@ -323,12 +312,13 @@ func TestLazyDecodeForeignVersionQuarantined(t *testing.T) {
 }
 
 // TestFlippedOtherSnapshotFilesNoResult covers the one cause of a
-// memory-only entry. A valid snapshot of the key's system over half
-// its failure patterns sits under the key's name; a cold restore
-// decodes it in full and serves it as the key's system (ROADMAP item
-// 22), so the store remembers its digest. After an eviction the next
-// restore admits the file undecoded, and a byte of it is flipped. The
-// first compute quarantines it and runs over a fresh enumeration,
+// memory-only entry. A valid snapshot of the key with two runs'
+// later-time views swapped sits under the key's name; it holds the
+// key's patterns in the builder's layout, so a cold restore decodes it
+// in full and serves it as the key's system (ROADMAP item 24's view
+// half), and the store remembers its digest. After an eviction the
+// next restore admits the file undecoded, and a byte of it is flipped.
+// The first compute quarantines it and runs over a fresh enumeration,
 // whose snapshot has another digest, so the answer is filed under
 // neither digest.
 func TestFlippedOtherSnapshotFilesNoResult(t *testing.T) {
@@ -338,22 +328,20 @@ func TestFlippedOtherSnapshotFilesNoResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pats := ref.Table().Patterns
-	other, err := system.FromPatterns(ref.Params, ref.Mode, ref.Horizon, pats[:len(pats)/2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherData, err := EncodeSystem(lazyKey, other)
-	if err != nil {
-		t.Fatal(err)
-	}
+	otherData := swappedViews(t, lazyKey)
 	s := mustOpen(t, t.TempDir(), 1)
 	path := s.systemPath(lazyKey)
 	if err := os.WriteFile(path, otherData, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if shape, origin, err := s.Resident(ctx, lazyKey); err != nil || origin != OriginDisk || shape != shapeOf(other) {
-		t.Fatalf("cold restore: shape %+v, origin %v, %v; want the half system %+v from disk", shape, origin, err, shapeOf(other))
+	if _, origin, err := s.Resident(ctx, lazyKey); err != nil || origin != OriginDisk {
+		t.Fatalf("cold restore: origin %v, %v; want the swapped-view system from disk", origin, err)
+	}
+	s.mu.Lock()
+	k, ok := s.known[lazyKey]
+	s.mu.Unlock()
+	if !ok || k.digest != Digest(otherData) {
+		t.Fatalf("the store knows %+v, want the swapped-view snapshot's digest", k)
 	}
 	if _, _, err := s.System(evictor); err != nil {
 		t.Fatal(err)

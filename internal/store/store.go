@@ -158,7 +158,7 @@ type entry struct {
 	// memOnly is set unless that system encodes to digest: results over
 	// it are then not filed under digest. Only a file that decoded in
 	// full before, yet is not this build's encoding of its key, can set
-	// it: a valid snapshot of another system under the key's name.
+	// it: a valid snapshot of the key's patterns with foreign views.
 	decode  sync.Once
 	sys     *system.System
 	memOnly bool

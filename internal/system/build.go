@@ -27,7 +27,7 @@ type prefix struct {
 	next []views.ID
 }
 
-// buildRuns fills tbl.Views for a table laid out by newRunTable: the
+// buildRuns fills tbl.Views for a table laid out by NewRunTable: the
 // views of every run of every pattern, interned into in.
 //
 // It walks the canonical order of the per-run build (pattern-major,

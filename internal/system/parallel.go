@@ -115,7 +115,7 @@ func FromPatternsParallel(params types.Params, mode failures.Mode, horizon int, 
 		Mode:     mode,
 		Horizon:  horizon,
 		Interner: in,
-		tbl:      newRunTable(params.N, horizon, pats),
+		tbl:      NewRunTable(params.N, horizon, pats),
 	}
 	out := sys.tbl.Views
 	for _, sh := range shards {

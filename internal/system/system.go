@@ -193,19 +193,20 @@ func FromPatterns(params types.Params, mode failures.Mode, horizon int, pats []*
 		Mode:     mode,
 		Horizon:  horizon,
 		Interner: views.NewInterner(params.N),
-		tbl:      newRunTable(params.N, horizon, pats),
+		tbl:      NewRunTable(params.N, horizon, pats),
 	}
 	buildRuns(sys.Interner, horizon, &sys.tbl)
 	mRunsEnumerated.Add(uint64(sys.NumRuns()))
 	return sys, nil
 }
 
-// newRunTable allocates the table for all initial configurations
+// NewRunTable allocates the table for all initial configurations
 // crossed with the given patterns, in the canonical order
 // (pattern-major, configuration-minor), with every array but Views
-// filled in. The pattern list is copied: the table must not change
-// under its readers when the caller reuses the slice.
-func newRunTable(n, horizon int, pats []*failures.Pattern) RunTable {
+// filled in; the snapshot decoder holds each run's head to it. The
+// pattern list is copied: the table must not change under its readers
+// when the caller reuses the slice.
+func NewRunTable(n, horizon int, pats []*failures.Pattern) RunTable {
 	nconfigs := 1 << uint(n)
 	runs := len(pats) * nconfigs
 	tbl := RunTable{
