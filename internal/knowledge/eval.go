@@ -2,7 +2,7 @@ package knowledge
 
 import (
 	"context"
-	"fmt"
+	"encoding/binary"
 	"math/bits"
 	"strconv"
 
@@ -396,11 +396,30 @@ func (e *Evaluator) canonical(ms []member) {
 }
 
 // contentKey is a factored membership's exact content: per processor,
-// its flags and its views part, so equal keys are equal memberships.
+// a byte of its three flags (out, nf, views != nil), then its views
+// part's length as a uvarint and the part's bytes, so each processor's
+// entry ends where its length says and equal keys are equal
+// memberships.
 func contentKey(ms []member) string {
-	var key []byte
+	n := 0
 	for _, mb := range ms {
-		key = fmt.Appendf(key, "%t %t %t %x;", mb.out, mb.nf, mb.views != nil, mb.views)
+		n += 1 + binary.MaxVarintLen64 + len(mb.views)
+	}
+	key := make([]byte, 0, n)
+	for _, mb := range ms {
+		var flags byte
+		if mb.out {
+			flags |= 1
+		}
+		if mb.nf {
+			flags |= 2
+		}
+		if mb.views != nil {
+			flags |= 4
+		}
+		key = append(key, flags)
+		key = binary.AppendUvarint(key, uint64(len(mb.views)))
+		key = append(key, mb.views...)
 	}
 	return string(key)
 }

@@ -46,7 +46,7 @@ func admissionServer(t *testing.T, st *store.Store, cfg AdmissionConfig) (*httpt
 	}
 	srv := NewServer(NewEngine(st, 0))
 	srv.SetAdmission(cfg)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(wireChecked(t, srv.Handler()))
 	t.Cleanup(ts.Close)
 	return ts, srv
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -164,10 +163,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		mQueries[status].Inc()
 		writeJSON(w, code, errorBody{Error: msg})
 	}
-	var breq BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
+	breq, err := decodeWire(w, r, maxBatchBody, scanBatch)
+	if err != nil {
 		reject("bad_request", http.StatusBadRequest, "bad batch body: "+err.Error())
 		return
 	}
@@ -202,17 +199,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			Status: status, StartedAt: start.UTC(),
 		}, elapsed)
 	}
-	writeJSONCompact(w, http.StatusOK, BatchResponse{
-		Results:   results,
-		ElapsedMS: msSince(start),
-	})
-}
-
-// writeJSONCompact is writeJSON without indentation — batch responses
-// are machine-consumed arrays where the pretty-printing would double
-// the bytes on the wire.
-func writeJSONCompact(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // the connection is gone; nothing to do
+	br := BatchResponse{Results: results, ElapsedMS: msSince(start)}
+	writeWire(w, func(b []byte) []byte { return appendBatch(b, &br, false) })
 }

@@ -100,7 +100,7 @@ func TestBatchIsolatesItemFailures(t *testing.T) {
 }
 
 // TestBatchRejectsShapes: empty and oversized batches are refused
-// whole.
+// whole, and a malformed body gets the reference decoder's verdict.
 func TestBatchRejectsShapes(t *testing.T) {
 	ts, _ := newTestServer(t, 0)
 	if resp, _ := postBatch(t, ts, BatchRequest{}); resp.StatusCode != http.StatusBadRequest {
@@ -114,6 +114,14 @@ func TestBatchRejectsShapes(t *testing.T) {
 		!strings.Contains(string(data), "batch too large") {
 		t.Fatalf("oversized batch accepted: status %d %s", resp.StatusCode, data)
 	}
+	// Bodies at the edge of the wire scanner's subset get the reference
+	// decoder's status and error text.
+	for _, e := range wireEdges {
+		checkEdge(t, ts, "/v1/query/batch", e.name, `{"queries":[`+e.obj+`]}`, e.batch)
+	}
+	checkEdge(t, ts, "/v1/query/batch", "trailing bytes", `{"queries":[{"formula":"E0"}]} {"queries":`, http.StatusOK)
+	checkEdge(t, ts, "/v1/query/batch", "past the limit",
+		`{"queries":[{"formula":"`+strings.Repeat("a", maxBatchBody)+`"}]}`, http.StatusBadRequest)
 }
 
 // TestBatchUnderAdmissionCaps: items pass the same gate as standalone
@@ -129,7 +137,7 @@ func TestBatchUnderAdmissionCaps(t *testing.T) {
 	srv.SetAdmission(AdmissionConfig{
 		MaxInflight: 2, PerKey: 1, MaxQueue: 64, QueueTimeout: 5 * time.Second,
 	})
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(wireChecked(t, srv.Handler()))
 	defer ts.Close()
 
 	var reqs []Request

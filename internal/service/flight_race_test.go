@@ -58,7 +58,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	if err := os.WriteFile(snaps[0], []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(wireChecked(t, srv.Handler()))
 	defer ts.Close()
 
 	const clients, perClient = 8, 25

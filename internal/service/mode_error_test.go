@@ -190,7 +190,7 @@ func TestExplicitLimitsShareOneSystem(t *testing.T) {
 	if want := "failures: enumeration exceeds limit 48"; resp != nil || err == nil || err.Error() != want || itemStatus(err) != 500 {
 		t.Fatalf("limit 48: %v (status %d), want %q with status 500", err, itemStatus(err), want)
 	}
-	ts := httptest.NewServer(NewServer(e).Handler())
+	ts := httptest.NewServer(wireChecked(t, NewServer(e).Handler()))
 	defer ts.Close()
 	body, err := json.Marshal(req)
 	if err != nil {

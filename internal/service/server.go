@@ -105,10 +105,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rootSp.End(telemetry.L("status", status))
 	}()
 
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeWire(w, r, 1<<20, scanRequest)
+	if err != nil {
 		status = "bad_request"
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
@@ -179,7 +177,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			stages = resp.Provenance.Stages
 		}
 		valid = &resp.Valid
-		writeJSON(w, http.StatusOK, resp)
+		writeWire(w, func(b []byte) []byte { return appendResponse(b, resp, true) })
 	case errors.Is(err, ErrBadRequest):
 		status = "bad_request"
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})

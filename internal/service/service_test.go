@@ -24,7 +24,7 @@ func newTestServer(t *testing.T, timeout time.Duration) (*httptest.Server, *Engi
 		t.Fatal(err)
 	}
 	eng := NewEngine(st, timeout)
-	ts := httptest.NewServer(NewServer(eng).Handler())
+	ts := httptest.NewServer(wireChecked(t, NewServer(eng).Handler()))
 	t.Cleanup(ts.Close)
 	return ts, eng
 }
@@ -99,30 +99,30 @@ func TestQueryPaperTheorems(t *testing.T) {
 
 func TestQueryBadRequests(t *testing.T) {
 	ts, _ := newTestServer(t, 0)
-	for _, tc := range []struct {
+	rows := []struct {
 		name string
 		body string
+		code int
 	}{
-		{"empty formula", `{}`},
-		{"parse error", `{"formula":"Cbox E0 ->"}`},
-		{"unknown mode", `{"formula":"E0","mode":"byzantine"}`},
-		{"unknown field", `{"formula":"E0","procs":9}`},
-		{"invalid params", `{"formula":"E0","n":2,"t":2}`},
-		{"not json", `Cbox E0`},
-	} {
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d (%s), want 400", tc.name, resp.StatusCode, data)
-		}
-		var eb errorBody
-		if err := json.Unmarshal(data, &eb); err != nil || eb.Error == "" {
-			t.Errorf("%s: error body %q not a JSON error envelope", tc.name, data)
-		}
+		{"empty formula", `{}`, 400},
+		{"parse error", `{"formula":"Cbox E0 ->"}`, 400},
+		{"unknown mode", `{"formula":"E0","mode":"byzantine"}`, 400},
+		{"unknown field", `{"formula":"E0","procs":9}`, 400},
+		{"invalid params", `{"formula":"E0","n":2,"t":2}`, 400},
+		{"not json", `Cbox E0`, 400},
+		// The decoder reads the first value and ignores what follows.
+		{"trailing bytes", `{"formula":"E0"} {"formula":`, 200},
+		{"past the limit", `{"formula":"E0","mode":"` + strings.Repeat("a", 1<<20) + `"}`, 400},
+	}
+	for _, e := range wireEdges {
+		rows = append(rows, struct {
+			name string
+			body string
+			code int
+		}{e.name, e.obj, e.query})
+	}
+	for _, tc := range rows {
+		checkEdge(t, ts, "/v1/query", tc.name, tc.body, tc.code)
 	}
 	// Wrong method.
 	resp, err := http.Get(ts.URL + "/v1/query")
@@ -349,7 +349,7 @@ func TestMetricsExactDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewServer(NewEngine(st, 0)).Handler()
+	h := wireChecked(t, NewServer(NewEngine(st, 0)).Handler())
 	post := func(body string) int {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
@@ -411,7 +411,7 @@ func TestBatchMetricsExactDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewServer(NewEngine(st, 0)).Handler()
+	h := wireChecked(t, NewServer(NewEngine(st, 0)).Handler())
 	status := func(s string) float64 {
 		return telemetry.Default().Snapshot().CounterValue("eba_service_queries_total", telemetry.L("status", s))
 	}

@@ -60,7 +60,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(NewEngine(st, 0))
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(wireChecked(t, srv.Handler()))
 	defer ts.Close()
 
 	const traceID = "e2e-trace-0001"
@@ -223,7 +223,7 @@ func TestSlowQueryLogAndIncidents(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(wireChecked(t, srv.Handler()))
 	defer ts.Close()
 
 	resp, data := postQuery(t, ts, Request{Formula: "Cbox E0 -> C E0"})
