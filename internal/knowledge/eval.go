@@ -401,11 +401,7 @@ func (e *Evaluator) canonical(ms []member) {
 // entry ends where its length says and equal keys are equal
 // memberships.
 func contentKey(ms []member) string {
-	n := 0
-	for _, mb := range ms {
-		n += 1 + binary.MaxVarintLen64 + len(mb.views)
-	}
-	key := make([]byte, 0, n)
+	var key []byte
 	for _, mb := range ms {
 		var flags byte
 		if mb.out {

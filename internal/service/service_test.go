@@ -112,6 +112,8 @@ func TestQueryBadRequests(t *testing.T) {
 		{"not json", `Cbox E0`, 400},
 		// The decoder reads the first value and ignores what follows.
 		{"trailing bytes", `{"formula":"E0"} {"formula":`, 200},
+		// Bytes after the object are read up to the limit, then ignored.
+		{"trailing bytes past the limit", `{"formula":"E0"}` + strings.Repeat(" x", 1<<20), 200},
 		{"past the limit", `{"formula":"E0","mode":"` + strings.Repeat("a", 1<<20) + `"}`, 400},
 	}
 	for _, e := range wireEdges {

@@ -340,23 +340,6 @@ func appendWireString(b []byte, s string) []byte {
 // from 1e21. f must be finite, as every float on the wire is: a
 // stopwatch reading from msBetween.
 func appendWireFloat(b []byte, f float64) []byte {
-	// msBetween yields a whole number k of microseconds over 1000. Below
-	// 1e9 thousandths are far coarser than the float's precision, so the
-	// shortest decimal of k/1000 is k's digits with the point put in
-	// and trailing zeros dropped.
-	if f < 1e9 && !math.Signbit(f) {
-		k := int64(math.Round(f * 1000))
-		if float64(k)/1e3 == f {
-			b = strconv.AppendInt(b, k/1000, 10)
-			if frac := k % 1000; frac != 0 {
-				b = append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
-				for b[len(b)-1] == '0' {
-					b = b[:len(b)-1]
-				}
-			}
-			return b
-		}
-	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

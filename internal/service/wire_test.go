@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -338,4 +339,59 @@ func FuzzWireResponse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWireWritesEveryField: with every exported field of a
+// BatchResponse set, down through its items' Response, Counterexample,
+// Provenance and EvalStats, the encoder writes encoding/json's bytes.
+// So a field added to any of these types, omitempty or not, fails here
+// until wire.go writes it.
+func TestWireWritesEveryField(t *testing.T) {
+	var br BatchResponse
+	n := 0
+	fillNonZero(t, reflect.ValueOf(&br).Elem(), &n)
+	for _, indent := range []bool{false, true} {
+		r := br.Results[0].Response
+		if got, want := appendResponse(nil, r, indent), referenceJSON(t, r, indent); !bytes.Equal(got, want) {
+			t.Errorf("indent %v: response\n%s\nencoding/json writes\n%s", indent, got, want)
+		}
+		if got, want := appendBatch(nil, &br, indent), referenceJSON(t, &br, indent); !bytes.Equal(got, want) {
+			t.Errorf("indent %v: batch\n%s\nencoding/json writes\n%s", indent, got, want)
+		}
+	}
+}
+
+// fillNonZero sets every exported field reachable from v, through
+// structs, pointers and slices, to a value of its own that is not the
+// zero value. A kind it does not know fails the test, as the wire
+// encoder would not know it either.
+func fillNonZero(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(fmt.Sprintf("<s%d>", *n))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int:
+		v.SetInt(int64(*n))
+	case reflect.Float64:
+		v.SetFloat(float64(*n) + 0.125)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillNonZero(t, v.Elem(), n)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillNonZero(t, v.Index(i), n)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fillNonZero(t, v.Field(i), n)
+			}
+		}
+	default:
+		t.Fatalf("fillNonZero: no value for a %s", v.Type())
+	}
 }
